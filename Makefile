@@ -2,7 +2,7 @@
 #
 #   tier1  - build + unit/equivalence tests (the gate every change must pass)
 #   tier2  - static analysis + the full suite under the race detector
-#            (the parallel engine's data-race hygiene gate)
+#            (guards the serve daemon's HTTP control-plane goroutines)
 #   chaos  - the fault-injection chaos harness under the race detector
 #            (fixed seed matrix; conservation + bit-for-bit replay)
 #   soak   - the 20-seed degrade->restore chaos matrix under the race
@@ -17,7 +17,7 @@
 #            byte-identical, zero silent word loss at the end
 #   fuzz   - short runs of the interpreter, allocator, fault-schedule,
 #            chip-snapshot, topology-spec, and workload-spec fuzz targets
-#   bench  - the simulator-speed benchmark at 1 and NumCPU workers
+#   bench  - the simulator-speed benchmark (host ns per simulated cycle)
 #   bench-telemetry - regenerate BENCH_telemetry.json; fails if the
 #            disabled telemetry plane costs >1% vs the pre-telemetry
 #            commit (interleaved same-session legs)

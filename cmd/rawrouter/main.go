@@ -6,7 +6,7 @@
 //	rawrouter [-size 1024] [-pattern perm|uniform|hotspot] [-cycles 200000]
 //	          [-warmup 80000] [-quantum 256] [-crypto] [-layout] [-seed 1]
 //	          [-workload SPEC] [-recordtrace FILE] [-recordslices N]
-//	          [-workers 1] [-faults SCHEDULE] [-faultseed N] [-watchdog]
+//	          [-engine ref|fast] [-faults SCHEDULE] [-faultseed N] [-watchdog]
 //	          [-autorestore] [-reprobe N] [-checkpoint FILE] [-restore FILE]
 //	          [-metrics FORMAT[:FILE]]
 //
@@ -16,7 +16,7 @@
 // flags; mixing the two is rejected. -recordtrace freezes the
 // workload's open-loop arrival stream as a replayable TRAF1 trace
 // (-recordslices slices long). With -serve, -workload selects the
-// synthetic feeder's workload.
+// daemon's feed workload.
 //
 // With -layout it prints the Figure 7-2 tile mapping and exits. -faults
 // takes the internal/fault text encoding (e.g. "crash@5000:t6"); with
@@ -33,7 +33,7 @@
 // as the run that wrote the blob, or the replay is rejected.
 // -metrics arms the telemetry plane and exports a snapshot after the
 // run in jsonl, csv, or prom (Prometheus text) format; exports are
-// bit-for-bit identical at any -workers count.
+// bit-for-bit identical under either -engine.
 package main
 
 import (
@@ -150,7 +150,7 @@ func run() int {
 		rcfg.Metrics = telemetry.New(telemetry.Config{})
 	}
 	r, err := core.New(core.Options{QuantumWords: *quantum, Crypto: *crypto,
-		Workers: common.Workers, ChipEngine: engine, RouterConfig: &rcfg})
+		ChipEngine: engine, RouterConfig: &rcfg})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rawrouter:", err)
 		return 1

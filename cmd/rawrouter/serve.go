@@ -14,6 +14,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/ip"
 	"repro/internal/router"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
@@ -32,7 +33,7 @@ type serveParams struct {
 	autoRestore bool
 	reprobe     int
 	// workload is the compiled -workload spec; nil means the legacy
-	// -pattern/-size/-seed/-rate flags describe the synthetic feed.
+	// -pattern/-size/-seed/-rate flags describe the feed (legacyFeedSpec).
 	workload *traffic.Workload
 }
 
@@ -50,9 +51,15 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, p serveParams) int {
 	}
 
 	feedKind, feedAddr, _ := sf.FeedSpec() // validated by ValidateServe
-	pattern := p.pattern
-	if pattern == "perm" {
-		pattern = "permutation"
+	workload := p.workload
+	if workload == nil && feedKind != "udp" {
+		spec, err := legacyFeedSpec(p, sf.Rate)
+		if err != nil {
+			return fail(err)
+		}
+		if workload, err = traffic.Build(spec); err != nil {
+			return fail(fmt.Errorf("feed config: %w", err))
+		}
 	}
 
 	// The control plane outlives daemon incarnations (the supervisor may
@@ -118,7 +125,7 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, p serveParams) int {
 		rcfg.Events = events
 		engine, _ := common.EngineChoice() // validated in run()
 		r, err := core.New(core.Options{QuantumWords: p.quantum, Crypto: p.crypto,
-			Workers: common.Workers, ChipEngine: engine, RouterConfig: &rcfg})
+			ChipEngine: engine, RouterConfig: &rcfg})
 		if err != nil {
 			return nil, err
 		}
@@ -134,14 +141,7 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, p serveParams) int {
 			fmt.Printf("serve: udp feed listening on %s\n", uf.Addr())
 			feeder = uf
 		default:
-			if p.workload != nil {
-				feeder, err = serve.NewWorkloadFeeder(p.workload, sf.SliceCycles)
-			} else {
-				feeder, err = serve.NewSyntheticFeeder(serve.SyntheticConfig{
-					Seed: p.seed, SizeBytes: p.size, Pattern: pattern,
-					RatePerMille: sf.Rate, SliceCycles: sf.SliceCycles,
-				})
-			}
+			feeder, err = serve.NewWorkloadFeeder(workload, sf.SliceCycles)
 			if err != nil {
 				return nil, err
 			}
@@ -244,4 +244,32 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, p serveParams) int {
 		return 1
 	}
 	return 0
+}
+
+// legacyFeedSpec translates the legacy -pattern/-size/-seed/-rate flags
+// into the workload spec they describe: uniform by default, perm as the
+// offset-1 permutation, 1,024-byte packets and 800 words per 1000 cycles
+// per port unless given. ValidateServe has already rejected a negative
+// -rate.
+func legacyFeedSpec(p serveParams, ratePerMille int) (traffic.Spec, error) {
+	size := p.size
+	if size == 0 {
+		size = 1024
+	}
+	if size < ip.HeaderBytes {
+		return traffic.Spec{}, fmt.Errorf("packet size %dB below the %dB header", size, ip.HeaderBytes)
+	}
+	if ratePerMille == 0 {
+		ratePerMille = 800
+	}
+	spec := traffic.Spec{Pattern: p.pattern, Ports: 4, Size: size, Seed: p.seed,
+		Rate: float64(ratePerMille) / 1000}
+	switch p.pattern {
+	case "":
+		spec.Pattern = "uniform"
+	case "perm", "permutation":
+		spec.Pattern = "permutation"
+		spec.Params = map[string]float64{"offset": 1}
+	}
+	return spec, nil
 }

@@ -18,7 +18,7 @@
 //
 // Usage:
 //
-//	rawsim [-cycles 1000] [-in tile:side:w1,w2,...] [-regs 0,4]
+//	rawsim [-cycles 1000] [-engine ref|fast] [-in tile:side:w1,w2,...] [-regs 0,4]
 //	       [-workload SPEC -workloadpkts N]
 //	       [-faults SCHEDULE] [-faultseed N]
 //	       [-checkpoint FILE] [-restore FILE] prog.rawasm
@@ -65,7 +65,6 @@ func run() int {
 	cycles := flag.Int64("cycles", 1000, "cycles to simulate")
 	inputs := flag.String("in", "", "edge inputs: tile:side:w1,w2,... (comma-free words use ; between specs)")
 	regs := flag.String("regs", "", "tiles whose registers to dump, comma separated")
-	workerStats := flag.Bool("workerstats", false, "print per-worker phase accounting after the run")
 	workloadPkts := flag.Int("workloadpkts", 4, "packets per port preloaded onto the router ingress pins by -workload")
 	var common cli.Common
 	var wflags cli.WorkloadFlags
@@ -149,19 +148,12 @@ func run() int {
 		fmt.Printf("workload: preloaded %d packet(s)/port from %s\n", *workloadPkts, wl.Spec.String())
 	}
 
-	chip.SetWorkers(common.Workers)
-	if *workerStats {
-		chip.EnableWorkerStats()
-	}
 	chip.Run(*cycles)
-	fmt.Printf("ran %d cycles (%d worker(s))\n", chip.Cycle(), chip.Workers())
+	fmt.Printf("ran %d cycles\n", chip.Cycle())
 	if n, err := common.WriteCheckpoint(chip.Snapshot); err != nil {
 		return fail(err)
 	} else if n > 0 {
 		fmt.Printf("checkpoint: %d bytes -> %s (cycle %d)\n", n, common.Checkpoint, chip.Cycle())
-	}
-	if *workerStats {
-		fmt.Print(chip.WorkerStats().Table())
 	}
 
 	for tile := 0; tile < chip.NumTiles(); tile++ {

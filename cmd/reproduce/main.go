@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	reproduce [-quick] [-workers 1] [-reprobe N] [-workload SPEC]
+//	reproduce [-quick] [-engine ref|fast] [-reprobe N] [-workload SPEC]
 //
 // -workload re-points the production-traffic section (heavy-tailed
 // fabric comparison) at an arbitrary workload spec; -recordtrace
@@ -61,7 +61,6 @@ func main() {
 	}
 	engine, _ := common.EngineChoice() // validated above
 	exp.SetEngine(engine)
-	exp.SetWorkers(common.Workers)
 	exp.SetReprobeQuanta(*reprobe)
 
 	section := func(name string) func() {

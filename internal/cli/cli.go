@@ -23,8 +23,6 @@ import (
 // Common holds the shared flag values. Zero value is ready; call the
 // Register* methods before flag.Parse and the accessors after.
 type Common struct {
-	// Workers (-workers): host goroutines stepping each simulated chip.
-	Workers int
 	// Engine (-engine): chip cycle engine, "ref" or "fast". Parse with
 	// EngineChoice after flag.Parse.
 	Engine string
@@ -59,10 +57,8 @@ type Common struct {
 	HealSeed    uint64
 }
 
-// RegisterSim installs -workers and -engine.
+// RegisterSim installs -engine.
 func (c *Common) RegisterSim(fs *flag.FlagSet) {
-	fs.IntVar(&c.Workers, "workers", 1,
-		"host goroutines stepping the chip (cycle-exact at any count)")
 	fs.StringVar(&c.Engine, "engine", "ref",
 		"chip cycle engine: ref (reference interpreter) or fast (compiled route tables, bit-for-bit equivalent)")
 }
@@ -209,9 +205,7 @@ func (c *Common) RegisterMetrics(fs *flag.FlagSet) {
 }
 
 // Validate checks cross-flag invariants after parsing. The fabric
-// flags are checked too when registered. Worker counts are
-// not validated here: the engine clamps -workers to [1, tiles], so 0,
-// negative, and huge values all run (the documented surface behavior).
+// flags are checked too when registered.
 func (c *Common) Validate() error {
 	if _, err := c.MetricsSink(); err != nil {
 		return err

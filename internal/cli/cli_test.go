@@ -94,14 +94,10 @@ func TestMetricsSinkParsing(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	// Out-of-range worker counts clamp in the engine; Validate passes them.
-	if err := parseWith(t, "-workers", "-1").Validate(); err != nil {
-		t.Errorf("negative -workers rejected (engine clamps): %v", err)
-	}
 	if err := parseWith(t, "-metrics", "bogus").Validate(); err == nil {
 		t.Error("bad -metrics accepted")
 	}
-	if err := parseWith(t, "-workers", "4", "-metrics", "csv:x.csv").Validate(); err != nil {
+	if err := parseWith(t, "-engine", "fast", "-metrics", "csv:x.csv").Validate(); err != nil {
 		t.Errorf("valid flags rejected: %v", err)
 	}
 }

@@ -650,22 +650,12 @@ func (f *Fabric) ExternalWordsOut() int64 {
 	return n
 }
 
-// SetWorkers reshards every chip's stepping across n host goroutines
-// (applies to live chips and future replacements). Cycle-exact at any
-// count, like the single-chip knob.
-func (f *Fabric) SetWorkers(n int) {
-	f.cfg.Router.Workers = n
-	for k := range f.chips {
-		f.chips[k].r.Chip.SetWorkers(n)
-	}
-}
-
 // Fingerprint digests the fabric's replay-derived state: fabric cycle,
 // every chip's counters and lifecycle state, every trunk direction's
 // counters and held frame bytes, and the external drop counts. Two runs
-// of the same workload agree on every Fingerprint regardless of worker
-// count or engine; the conformance suite additionally compares the
-// delivered output words, which the fingerprint's counters only size.
+// of the same workload agree on every Fingerprint on either engine; the
+// conformance suite additionally compares the delivered output words,
+// which the fingerprint's counters only size.
 func (f *Fabric) Fingerprint() uint64 {
 	h := fnv.New64a()
 	w64 := func(v int64) {

@@ -14,9 +14,9 @@ import (
 
 // Behavior tests for the healing plane: held-frame accounting at chip
 // kill, adaptive rerouting around a dead chip, trunk ARQ retransmission
-// over a detour, typed partition errors, and ref/fast x worker
-// conformance with healing armed. heal_internal_test.go pins the route
-// math; soak_heal_test.go runs the seeded checkpoint/restore arcs.
+// over a detour, typed partition errors, and ref/fast conformance with
+// healing armed. heal_internal_test.go pins the route math;
+// soak_heal_test.go runs the seeded checkpoint/restore arcs.
 
 // healFeed is the heavy antipodal workload (external e -> antipode,
 // always cross-chip, fill-to-4096 like cmd/fabsim): enough in-flight
@@ -198,17 +198,16 @@ func TestPartitionError(t *testing.T) {
 }
 
 // TestHealConformance runs a full heal arc (trunk kill/restore, then
-// chip kill/restore) with healing armed and fingerprint-diffs ref@1
-// against fast@1 and fast@NumCPU: rerouting, ARQ re-drives, and flow
-// tagging must be bit-for-bit engine- and worker-independent.
+// chip kill/restore) with healing armed and fingerprint-diffs ref
+// against fast: rerouting, ARQ re-drives, and flow tagging must be
+// bit-for-bit engine-independent.
 func TestHealConformance(t *testing.T) {
 	spec := cluster.Ring(4)
 	sched := fault.MustParse(
 		"killtrunk@1000:c0-c1;restoretrunk@5000:c0-c1;killchip@8000:c2;restorechip@12000:c2")
-	run := func(engine raw.Engine, workers int) (uint64, uint64) {
+	run := func(engine raw.Engine) (uint64, uint64) {
 		f := mustFabric(t, spec, func(c *cluster.Config) {
 			c.Router.Engine = engine
-			c.Router.Workers = workers
 			c.Heal = cluster.HealConfig{Enabled: true, Seed: 42}
 		})
 		f.ApplySchedule(sched)
@@ -221,22 +220,12 @@ func TestHealConformance(t *testing.T) {
 		}
 		return fp, dig
 	}
-	refFP, refDig := run(raw.EngineRef, 1)
-	cases := []struct {
-		name    string
-		engine  raw.Engine
-		workers int
-	}{
-		{"fast/w1", raw.EngineFast, 1},
-		{"fast/wN", raw.EngineFast, confWorkers()},
+	refFP, refDig := run(raw.EngineRef)
+	fp, dig := run(raw.EngineFast)
+	if fp != refFP {
+		t.Errorf("fast fingerprint %#x != ref %#x", fp, refFP)
 	}
-	for _, c := range cases {
-		fp, dig := run(c.engine, c.workers)
-		if fp != refFP {
-			t.Errorf("%s: fingerprint %#x != ref/w1 %#x", c.name, fp, refFP)
-		}
-		if dig != refDig {
-			t.Errorf("%s: output digest %#x != ref/w1 %#x", c.name, dig, refDig)
-		}
+	if dig != refDig {
+		t.Errorf("fast output digest %#x != ref %#x", dig, refDig)
 	}
 }

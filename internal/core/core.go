@@ -62,16 +62,11 @@ type Options struct {
 	// RouterConfig overrides the full cycle-engine configuration; zero
 	// value uses defaults derived from the fields above.
 	RouterConfig *router.Config
-	// Workers shards the cycle engine's chip stepping across host
-	// goroutines (0 or 1 = sequential). Results are bit-for-bit identical
-	// at any worker count; only host throughput changes. Ignored by the
-	// fabric engine.
-	Workers int
 	// ChipEngine selects the cycle engine's chip stepping strategy:
 	// raw.EngineRef (the reference interpreter, the zero value) or
-	// raw.EngineFast (compiled route tables). Like Workers it is purely a
-	// host performance knob — results are bit-for-bit identical — and it
-	// is ignored by the fabric engine. (Engine above picks the fidelity
+	// raw.EngineFast (compiled route tables). It is purely a host
+	// performance knob — results are bit-for-bit identical — and it is
+	// ignored by the fabric engine. (Engine above picks the fidelity
 	// level; ChipEngine picks how the cycle-true level is executed.)
 	ChipEngine raw.Engine
 }
@@ -134,7 +129,6 @@ func New(opt Options) (*Router, error) {
 		}
 		cfg.ClockHz = opt.ClockHz
 		cfg.QuantumWords = opt.QuantumWords
-		cfg.Workers = opt.Workers
 		cfg.Engine = opt.ChipEngine
 		cfg.Crypto = opt.Crypto
 		cfg.CryptoKey = opt.CryptoKey

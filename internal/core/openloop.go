@@ -46,7 +46,7 @@ func WorkloadTraffic(w *traffic.Workload) (TrafficGen, error) {
 // delivered words over the run and whether the drain reached
 // quiescence. The arrival stream is a pure function of the process, so
 // two routers driven by equal processes produce identical ledgers at
-// any engine/worker setting.
+// either engine.
 func (r *Router) RunArrivals(proc traffic.Process, slices, drainBudget int64) ([]int64, bool) {
 	before := r.deliveredWords()
 	cyc := proc.SliceCycles()

@@ -46,7 +46,7 @@ func HeavyTail(q Quality) ([]HeavyTailPoint, *stats.Table) {
 		}
 
 		// Saturated closed-loop throughput.
-		r, err := core.New(core.Options{Workers: workers, ChipEngine: chipEngine})
+		r, err := core.New(core.Options{ChipEngine: chipEngine})
 		if err != nil {
 			panic(err)
 		}
@@ -61,7 +61,7 @@ func HeavyTail(q Quality) ([]HeavyTailPoint, *stats.Table) {
 		if err != nil {
 			panic(err)
 		}
-		r2, err := core.New(core.Options{Workers: workers, ChipEngine: chipEngine})
+		r2, err := core.New(core.Options{ChipEngine: chipEngine})
 		if err != nil {
 			panic(err)
 		}

@@ -2,7 +2,6 @@ package fault_test
 
 import (
 	"bytes"
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -26,22 +25,13 @@ import (
 // the fingerprints hash the embedded Stats only, and the telemetry
 // export comparison normalizes the macro fields to zero first.
 
-func chaosWorkerMatrix() int {
-	nc := runtime.NumCPU()
-	if nc < 2 {
-		nc = 2
-	}
-	return nc
-}
-
 // TestChaosEngineEquivalence replays every pinned chaos schedule under
-// the fast engine at workers 1 and NumCPU against the reference
-// interpreter, failing on the first divergent fingerprint.
+// the fast engine against the reference interpreter, failing on the
+// first divergent fingerprint.
 func TestChaosEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("engine chaos matrix skipped in -short")
 	}
-	nc := chaosWorkerMatrix()
 	crashNoise := fault.Random(5, fault.RandomOptions{
 		Horizon: 8000, MaxStalls: 4, MaxFlaps: 2, MaxFreezes: 0,
 		MaxDRAM: 1, MaxStallCycles: 800,
@@ -77,25 +67,21 @@ func TestChaosEngineEquivalence(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			ref := runChaos(t, sc.sched, sc.watchdog, 1, raw.EngineRef, sc.trafficSeed, sc.feed, sc.drain)
-			for _, workers := range []int{1, nc} {
-				fast := runChaos(t, sc.sched, sc.watchdog, workers, raw.EngineFast, sc.trafficSeed, sc.feed, sc.drain)
-				if fast.dead != ref.dead || fast.failed != ref.failed {
-					t.Fatalf("fast engine (workers=%d): health diverged: dead=%d failed=%v, want dead=%d failed=%v",
-						workers, fast.dead, fast.failed, ref.dead, ref.failed)
-				}
-				if fast.stats != ref.stats {
-					t.Fatalf("fast engine (workers=%d): stats diverged:\nfast %+v\nref  %+v",
-						workers, fast.stats, ref.stats)
-				}
-				if len(fast.delivered) != len(ref.delivered) {
-					t.Fatalf("fast engine (workers=%d): delivered %d packets, ref delivered %d",
-						workers, len(fast.delivered), len(ref.delivered))
-				}
-				if fast.fp != ref.fp {
-					t.Fatalf("fast engine (workers=%d): fingerprint diverged: %x vs ref %x",
-						workers, fast.fp, ref.fp)
-				}
+			ref := runChaos(t, sc.sched, sc.watchdog, raw.EngineRef, sc.trafficSeed, sc.feed, sc.drain)
+			fast := runChaos(t, sc.sched, sc.watchdog, raw.EngineFast, sc.trafficSeed, sc.feed, sc.drain)
+			if fast.dead != ref.dead || fast.failed != ref.failed {
+				t.Fatalf("fast engine: health diverged: dead=%d failed=%v, want dead=%d failed=%v",
+					fast.dead, fast.failed, ref.dead, ref.failed)
+			}
+			if fast.stats != ref.stats {
+				t.Fatalf("fast engine: stats diverged:\nfast %+v\nref  %+v", fast.stats, ref.stats)
+			}
+			if len(fast.delivered) != len(ref.delivered) {
+				t.Fatalf("fast engine: delivered %d packets, ref delivered %d",
+					len(fast.delivered), len(ref.delivered))
+			}
+			if fast.fp != ref.fp {
+				t.Fatalf("fast engine: fingerprint diverged: %x vs ref %x", fast.fp, ref.fp)
 			}
 		})
 	}
@@ -103,19 +89,17 @@ func TestChaosEngineEquivalence(t *testing.T) {
 
 // TestSoakEngineEquivalence runs every soak seed's full degrade→restore
 // arc under both engines and requires byte-identical final checkpoints,
-// event logs, and telemetry exports. The fast run uses NumCPU workers,
-// so one comparison covers both the engine and the worker matrix.
+// event logs, and telemetry exports.
 func TestSoakEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("engine soak matrix skipped in -short")
 	}
 	seeds := soakSeeds(t)
-	nc := chaosWorkerMatrix()
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		sched, port := soakSchedule(seed)
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
-			drive := func(workers int, eng raw.Engine) (*soakRun, []byte) {
-				s := newSoakRun(t, workers, eng, sched)
+			drive := func(eng raw.Engine) (*soakRun, []byte) {
+				s := newSoakRun(t, eng, sched)
 				s.feedPhase(seed + 100)
 				s.r.Run(34000)
 				blob, err := s.r.Snapshot()
@@ -124,8 +108,8 @@ func TestSoakEngineEquivalence(t *testing.T) {
 				}
 				return s, blob
 			}
-			ref, refBlob := drive(1, raw.EngineRef)
-			fast, fastBlob := drive(nc, raw.EngineFast)
+			ref, refBlob := drive(raw.EngineRef)
+			fast, fastBlob := drive(raw.EngineFast)
 			if rc, fc := ref.r.Cycle(), fast.r.Cycle(); rc != fc {
 				t.Fatalf("seed %d (port %d): cycle count diverged: ref %d, fast %d", seed, port, rc, fc)
 			}

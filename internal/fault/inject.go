@@ -14,7 +14,7 @@ type linkKey struct {
 
 // popTap holds the corruption taps on one link plus the link's cumulative
 // pop counter. Each link has exactly one popping tile, so count has a
-// single writer even under the parallel engine.
+// single writer.
 type popTap struct {
 	count int64
 	taps  []Event // KindCorrupt, ordered by WordIdx
@@ -32,8 +32,8 @@ type pushTap struct {
 
 // Injector compiles a Schedule into the raw.FaultPlane hooks. Per-cycle
 // state (frozen tiles, stalled links, DRAM penalty) is recomputed in
-// BeginCycle on the main goroutine and only read during the cycle, so the
-// injector is race-free and deterministic at any worker count.
+// BeginCycle and only read during the cycle, so the injector is
+// deterministic.
 type Injector struct {
 	numTiles int
 	timed    []Event // link/flap/freeze/crash/dram, sorted by Start

@@ -5,7 +5,7 @@
 // encoding so a chaos run can be named, logged, and replayed exactly.
 // An Injector compiles a schedule into the raw.FaultPlane hooks the chip
 // consults while stepping; the same schedule at the same seed produces a
-// bit-for-bit identical simulation at any worker count.
+// bit-for-bit identical simulation.
 package fault
 
 import (

@@ -3,7 +3,6 @@ package fault_test
 import (
 	"bytes"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,7 +20,7 @@ import (
 // crossbar tile freezes under load and recoverable noise (link stalls,
 // flaps, DRAM spikes), the watchdog degrades the fabric, the tile thaws,
 // and AutoRestore re-admits the port — with a checkpoint taken mid-arc,
-// restored into a fresh router at a different worker count, and the
+// restored into a fresh router under the other cycle engine, and the
 // continuation required to be bit-for-bit identical to the uninterrupted
 // run. SOAK_SEEDS widens the matrix (make soak runs 20 under -race).
 
@@ -51,9 +50,8 @@ func soakSeeds(t *testing.T) int {
 	return 2
 }
 
-func soakCfg(workers int, eng raw.Engine, ev *trace.EventLog) router.Config {
+func soakCfg(eng raw.Engine, ev *trace.EventLog) router.Config {
 	cfg := router.DefaultConfig()
-	cfg.Workers = workers
 	cfg.Engine = eng
 	cfg.Watchdog = true
 	cfg.WatchdogCycles = 3000
@@ -92,10 +90,10 @@ type soakRun struct {
 	sent map[uint16]ip.Packet
 }
 
-func newSoakRun(t *testing.T, workers int, eng raw.Engine, sched *fault.Schedule) *soakRun {
+func newSoakRun(t *testing.T, eng raw.Engine, sched *fault.Schedule) *soakRun {
 	t.Helper()
 	ev := &trace.EventLog{}
-	r, err := router.New(soakCfg(workers, eng, ev))
+	r, err := router.New(soakCfg(eng, ev))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,15 +134,11 @@ func TestSoakDegradeRestoreMatrix(t *testing.T) {
 		t.Skip("soak matrix skipped in -short")
 	}
 	seeds := soakSeeds(t)
-	nc := runtime.NumCPU()
-	if nc < 2 {
-		nc = 2
-	}
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		sched, port := soakSchedule(seed)
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			// Uninterrupted reference: feed, checkpoint mid-arc, drain dry.
-			ref := newSoakRun(t, 1, raw.EngineRef, sched)
+			ref := newSoakRun(t, raw.EngineRef, sched)
 			ref.feedPhase(seed + 100)
 			blob, err := ref.r.Snapshot()
 			if err != nil {
@@ -215,12 +209,12 @@ func TestSoakDegradeRestoreMatrix(t *testing.T) {
 				}
 			}
 
-			// Crash-and-restore at a different worker count AND under the
-			// other cycle engine: the restored continuation must land on
-			// the identical final checkpoint. This is the cross-engine
-			// checkpoint/restore gate — a ref-written blob replayed through
-			// the fast engine's own step path, verified by digest.
-			res := newSoakRun(t, nc, raw.EngineFast, sched)
+			// Crash-and-restore under the other cycle engine: the restored
+			// continuation must land on the identical final checkpoint.
+			// This is the cross-engine checkpoint/restore gate — a
+			// ref-written blob replayed through the fast engine's own step
+			// path, verified by digest.
+			res := newSoakRun(t, raw.EngineFast, sched)
 			if err := res.r.RestoreSnapshot(blob); err != nil {
 				t.Fatalf("seed %d: restore: %v", seed, err)
 			}
@@ -230,8 +224,7 @@ func TestSoakDegradeRestoreMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(refFinal, resFinal) {
-				t.Fatalf("seed %d: restored continuation (workers=%d, fast engine) diverged from uninterrupted run",
-					seed, nc)
+				t.Fatalf("seed %d: restored continuation (fast engine) diverged from uninterrupted run", seed)
 			}
 		})
 	}

@@ -1,10 +1,6 @@
 package raw
 
-import (
-	"fmt"
-
-	"repro/internal/stats"
-)
+import "fmt"
 
 // Config describes a simulated Raw chip.
 type Config struct {
@@ -65,23 +61,10 @@ type Chip struct {
 	// Tick (or forever, if no device is attached).
 	dynEdgeSinks map[[3]int]*dynBinding
 
-	// pool, when non-nil, shards the compute and commit phases of each
-	// cycle across worker goroutines (see parallel.go). nil means
-	// sequential stepping. Managed by SetWorkers.
-	pool *workerPool
-
-	// acct, when non-nil, accumulates per-worker per-phase wall time.
-	acct *stats.PhaseAccount
-
 	// faults, when non-nil, is the installed fault-injection schedule
 	// (see FaultPlane). Consulted at the top of Step and inside the
 	// static-network transfer predicates.
 	faults FaultPlane
-
-	// cycleHook, when non-nil, runs at the end of every Step (see
-	// SetCycleHook). Its presence disarms macro-stepping; supervisors
-	// that can batch their observation register a StepHook instead.
-	cycleHook func(cycle int64)
 
 	// stepHooks are the capability-scoped observation hooks (see
 	// AddStepHook): each declares its next due cycle, so macro windows
@@ -280,20 +263,19 @@ func (c *Chip) dynEdgeOut(tileID int, d Dir, net int, w Word) {
 // Step simulates one clock cycle in two phases. Compute: every tile (its
 // processor, static switches, and dynamic routers) steps against the
 // previous cycle's committed queue state, staging its pops and pushes in
-// per-queue buffers. Commit: the staged operations are applied under a
-// barrier. Because compute-phase reads never observe compute-phase writes,
-// the cycle's outcome is independent of tile stepping order, and the
-// sharded parallel engine (SetWorkers) is bit-for-bit identical to the
-// sequential one.
+// per-queue buffers. Commit: once every tile has stepped, the staged
+// operations are applied. Because compute-phase reads never observe
+// compute-phase writes, the cycle's outcome is independent of tile
+// stepping order — the simulated tiles advance in lockstep, as on the
+// hardware.
 func (c *Chip) Step() {
-	// Resolve fast-engine bindings before anything moves; a stale build
-	// mid-cycle would race with worker reads.
+	// Resolve fast-engine bindings before anything moves.
 	var fe *fastEngine
 	if c.engine == EngineFast {
 		fe = c.ensureFast()
 	}
 	// Advance the fault schedule first: the per-cycle fault state must be
-	// settled before any tile (on any worker) consults it.
+	// settled before any tile consults it.
 	if c.faults != nil {
 		c.faults.BeginCycle(c.cycle)
 	}
@@ -303,54 +285,36 @@ func (c *Chip) Step() {
 	for _, q := range c.edges {
 		q.beginCycle()
 	}
-	if c.pool != nil {
-		c.pool.runCycle()
+	if fe != nil {
+		fp := c.faults
+		for i, t := range c.tiles {
+			if fp != nil && fp.TileFrozen(t.id) {
+				continue
+			}
+			if fe.asleep[i] {
+				// The whole reference step of a quiescent tile is
+				// one idle-state count (see tileQuiescent).
+				t.exec.counts[StateIdle]++
+				continue
+			}
+			fe.stepTile(t)
+			if fe.tileQuiescent(t) {
+				fe.asleep[i] = true
+			}
+		}
 	} else {
-		acct := c.acct
-		var t0 stats.Tick
-		if acct != nil {
-			t0 = stats.Now()
-		}
-		if fe != nil {
-			fp := c.faults
-			for i, t := range c.tiles {
-				if fp != nil && fp.TileFrozen(t.id) {
-					continue
-				}
-				if fe.asleep[i] {
-					// The whole reference step of a quiescent tile is
-					// one idle-state count (see tileQuiescent).
-					t.exec.counts[StateIdle]++
-					continue
-				}
-				fe.stepTile(t)
-				if fe.tileQuiescent(t) {
-					fe.asleep[i] = true
-				}
+		for _, t := range c.tiles {
+			if c.faults != nil && c.faults.TileFrozen(t.id) {
+				continue
 			}
-		} else {
-			for _, t := range c.tiles {
-				if c.faults != nil && c.faults.TileFrozen(t.id) {
-					continue
-				}
-				t.step()
-			}
-		}
-		if acct != nil {
-			t0 = acct.Add(0, stats.PhaseCompute, t0)
-		}
-		for _, f := range c.bounded {
-			f.maybeCommit()
-		}
-		for _, q := range c.edges {
-			q.commit()
-		}
-		if acct != nil {
-			acct.Add(0, stats.PhaseCommit, t0)
+			t.step()
 		}
 	}
-	if c.acct != nil {
-		c.acct.AddCycles(1)
+	for _, f := range c.bounded {
+		f.maybeCommit()
+	}
+	for _, q := range c.edges {
+		q.commit()
 	}
 	for _, b := range c.bindings {
 		arrived := b.outBuf
@@ -362,9 +326,6 @@ func (c *Chip) Step() {
 		if len(inj) > 0 {
 			c.wakeTile(b.tile)
 		}
-	}
-	if c.cycleHook != nil {
-		c.cycleHook(c.cycle)
 	}
 	for _, h := range c.stepHooks {
 		h.Tick(c.cycle)
@@ -391,54 +352,6 @@ func (c *Chip) Step() {
 	}
 	c.cycle++
 }
-
-// SetWorkers shards chip stepping across n worker goroutines. n <= 1
-// selects the sequential engine (and stops any existing pool); n is capped
-// at the tile count, since tiles are the unit of sharding. The parallel
-// engine is bit-for-bit identical to the sequential one at every worker
-// count — see the two-phase discussion on Step — so the choice is purely a
-// host-performance knob. Must be called between cycles, not from firmware.
-func (c *Chip) SetWorkers(n int) {
-	if n > len(c.tiles) {
-		n = len(c.tiles)
-	}
-	if n < 1 {
-		n = 1
-	}
-	if c.pool != nil {
-		if c.pool.workers == n {
-			return
-		}
-		c.pool.stop()
-		c.pool = nil
-	}
-	if n > 1 {
-		c.pool = newWorkerPool(c, n)
-	}
-	// The skip list is sequential-only (wakes would be cross-worker
-	// writes), so a worker change rebuilds the fast engine's state.
-	c.invalidateFast()
-}
-
-// Workers returns the current worker count (1 = sequential engine).
-func (c *Chip) Workers() int {
-	if c.pool == nil {
-		return 1
-	}
-	return c.pool.workers
-}
-
-// EnableWorkerStats starts accumulating per-worker, per-phase wall-time
-// accounting (see stats.PhaseAccount). It costs a few timer reads per
-// worker per cycle, so it is off by default. Must be called between
-// cycles.
-func (c *Chip) EnableWorkerStats() {
-	c.acct = stats.NewPhaseAccount(c.Workers())
-}
-
-// WorkerStats returns the accumulated phase accounting, or nil if
-// EnableWorkerStats was never called.
-func (c *Chip) WorkerStats() *stats.PhaseAccount { return c.acct }
 
 // Run simulates n cycles. Under the fast engine, eligible steady-state
 // streaming windows advance many cycles per dispatch (see macro.go);

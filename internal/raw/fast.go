@@ -119,12 +119,8 @@ type fastEngine struct {
 	fwq []Quiescer
 	sfw []SteadyFirmware
 
-	// asleep is the idle-tile skip list. Only maintained when sleepOn:
-	// under the parallel pool, wake hooks would be cross-worker writes,
-	// so the pool path steps every tile (the early exits in swBind.step
-	// and dynBind.step keep quiescent tiles cheap there too).
-	asleep  []bool
-	sleepOn bool
+	// asleep is the idle-tile skip list.
+	asleep []bool
 
 	// Macro-step scratch (see macro.go): per-switch membership and route
 	// masks for the current scan, the reusable plan buffer of admitted
@@ -150,7 +146,6 @@ func buildFastEngine(c *Chip) *fastEngine {
 		fwq:       make([]Quiescer, n),
 		sfw:       make([]SteadyFirmware, n),
 		asleep:    make([]bool, n),
-		sleepOn:   c.pool == nil,
 		macroOn:   make([]bool, n*NumStaticNets),
 		macroSrcM: make([]uint8, n*NumStaticNets),
 		macroDstM: make([]uint8, n*NumStaticNets),
@@ -223,14 +218,13 @@ func buildFastEngine(c *Chip) *fastEngine {
 	return fe
 }
 
-// wake removes a tile from the skip list. Only meaningful (and only
-// race-free) in sequential mode; callers guard on sleepOn.
+// wake removes a tile from the skip list.
 func (fe *fastEngine) wake(tile int32) { fe.asleep[tile] = false }
 
 // wakeTile is the chip-level wake hook for events originating outside
 // the cycle loop (micro-op enqueues, device injections).
 func (c *Chip) wakeTile(tile int) {
-	if fe := c.fe; fe != nil && fe.sleepOn {
+	if fe := c.fe; fe != nil {
 		fe.asleep[tile] = false
 	}
 }
@@ -508,7 +502,7 @@ func (b *dynBind) deliver(fe *fastEngine, d Dir, w Word) {
 		return
 	}
 	b.outF[d].Push(w)
-	if d != DirP && fe.sleepOn {
+	if d != DirP {
 		fe.wake(b.outTile[d])
 	}
 }

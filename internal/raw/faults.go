@@ -7,10 +7,10 @@ package raw
 //
 // All methods are called from within a simulated cycle and must be
 // read-only with respect to state shared across tiles: BeginCycle runs
-// once per cycle on the main goroutine before any tile steps, and is the
-// only place the plane may mutate global state. TileFrozen and
-// LinkStalled may be called concurrently from worker goroutines and must
-// be pure reads of state settled in BeginCycle. CorruptPop and
+// once per cycle before any tile steps, and is the only place the plane
+// may mutate global state. TileFrozen and LinkStalled are consulted by
+// every tile in the cycle and must be pure reads of state settled in
+// BeginCycle, so the cycle stays independent of tile order. CorruptPop and
 // DropEdgeWord may keep per-link mutable state: each static link has
 // exactly one popping tile and edge pushes happen between cycles, so a
 // per-(tile,dir,net) counter has a single writer.
@@ -54,9 +54,3 @@ func (c *Chip) FaultDRAMPenalty() int {
 	}
 	return c.faults.DRAMPenalty()
 }
-
-// SetCycleHook registers a callback invoked at the end of every Step,
-// after all queue commits and device ticks, with the cycle just
-// simulated. The router's watchdog supervisor hangs off this hook; it
-// runs on the main goroutine and may safely reconfigure the chip.
-func (c *Chip) SetCycleHook(f func(cycle int64)) { c.cycleHook = f }

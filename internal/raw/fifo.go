@@ -8,14 +8,13 @@ package raw
 //     a start-of-cycle snapshot, pops advance a read cursor without
 //     touching the backing buffer, and pushes land in a staging buffer.
 //     The reader touches only reader-owned fields (popped) and the writer
-//     only writer-owned fields (pushed, staged), so the queue's two
-//     endpoints may be stepped concurrently from different goroutines.
-//   - Commit: commit() (called under the chip's cycle barrier, never
-//     concurrently with the compute phase) applies the staged pops and
-//     pushes to the backing buffer and re-arms the snapshot.
+//     only writer-owned fields (pushed, staged).
+//   - Commit: commit() (called once every tile has stepped) applies the
+//     staged pops and pushes to the backing buffer and re-arms the
+//     snapshot.
 //
-// This makes the outcome of a cycle independent of the order — sequential
-// or parallel — in which the queue's reader and writer are stepped: a word
+// This makes the outcome of a cycle independent of the order in which the
+// queue's reader and writer are stepped — the hardware's lockstep: a word
 // pushed this cycle is not visible to the reader until next cycle, and a
 // slot freed this cycle is not visible to the writer until next cycle.
 //
@@ -66,8 +65,7 @@ func (f *fifo) maybeCommit() {
 }
 
 // commit applies the cycle's staged pops and pushes and re-arms the
-// snapshot for the next cycle. Must not run concurrently with the compute
-// phase.
+// snapshot for the next cycle. Runs only after every tile has stepped.
 func (f *fifo) commit() {
 	if f.popped > 0 {
 		f.head += f.popped
@@ -165,8 +163,8 @@ func (f *unboundedFIFO) beginCycle() {
 	f.popped = 0
 }
 
-// commit applies the cycle's staged pops. Must not run concurrently with
-// the compute phase.
+// commit applies the cycle's staged pops. Runs only after every tile has
+// stepped.
 func (f *unboundedFIFO) commit() {
 	if f.popped > 0 {
 		f.head += f.popped

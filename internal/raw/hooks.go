@@ -2,18 +2,12 @@ package raw
 
 // Observation hooks and the macro-step disarm vocabulary.
 //
-// The chip exposes two hook capabilities with very different costs to the
-// fast engine:
-//
-//   - A per-cycle hook (SetCycleHook) observes every individual cycle, so
-//     its presence disarms macro-stepping entirely: skipping cycles would
-//     skip invocations.
-//   - A step hook (AddStepHook) declares, through NextDue, the next cycle
-//     at which it must observe the chip. Between due cycles the hook is
-//     provably inert, so the macro-stepper may cover the gap in one
-//     window, clamping the window so the due cycle itself is always
-//     single-stepped (and the hook's Tick fires exactly as it would have
-//     under per-cycle stepping).
+// A step hook (AddStepHook) is the chip's one observation mechanism. It
+// declares, through NextDue, the next cycle at which it must observe the
+// chip. Between due cycles the hook is provably inert, so the
+// macro-stepper may cover the gap in one window, clamping the window so
+// the due cycle itself is always single-stepped (and the hook's Tick
+// fires exactly as it would have under per-cycle stepping).
 //
 // The router's supervisor (watchdog heartbeat, restore controls,
 // telemetry sampling) is a StepHook: all of its work is batched to
@@ -21,21 +15,20 @@ package raw
 // live router.
 
 // StepHook is a capability-scoped observation hook. Tick runs at the end
-// of every simulated cycle (after queue commits and device ticks), on the
-// main goroutine, and may safely reconfigure the chip. NextDue(cycle)
-// returns the earliest cycle >= cycle at which this hook must observe an
-// individually simulated cycle, or a negative value if it has no
-// scheduled work; the macro-stepper never covers a due cycle with a
-// window. A hook whose due cycles depend on chip state must return
-// conservative (early) values — returning cycle itself is always safe and
-// simply forces single-stepping.
+// of every simulated cycle (after queue commits and device ticks) and may
+// safely reconfigure the chip. NextDue(cycle) returns the earliest cycle
+// >= cycle at which this hook must observe an individually simulated
+// cycle, or a negative value if it has no scheduled work; the
+// macro-stepper never covers a due cycle with a window. A hook whose due
+// cycles depend on chip state must return conservative (early) values —
+// returning cycle itself is always safe and simply forces
+// single-stepping.
 type StepHook interface {
 	Tick(cycle int64)
 	NextDue(cycle int64) int64
 }
 
-// AddStepHook registers a step hook. Hooks run in registration order,
-// after the legacy per-cycle hook (SetCycleHook) if one is installed.
+// AddStepHook registers a step hook. Hooks run in registration order.
 // Must be called between cycles.
 func (c *Chip) AddStepHook(h StepHook) {
 	c.stepHooks = append(c.stepHooks, h)
@@ -67,8 +60,10 @@ const (
 	// MacroFaults: a fault plane is installed; fault schedules perturb
 	// individual cycles.
 	MacroFaults
-	// MacroPerCycleHook: a legacy per-cycle hook (SetCycleHook) is
-	// installed.
+	// MacroPerCycleHook is no longer counted: the per-cycle hook it
+	// attributed was removed, leaving step hooks (MacroHookDue) as the one
+	// hook mechanism. The value keeps its histogram slot so exported
+	// cause names and indices stay stable.
 	MacroPerCycleHook
 	// MacroTracer: a per-cycle tracer is configured.
 	MacroTracer

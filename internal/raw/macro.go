@@ -15,12 +15,11 @@ package raw
 // Chip-level gates (any failure falls back to Chip.Step, which is always
 // correct; every declined window is attributed in MacroDisarms):
 //
-//   - No fault plane, no per-cycle hook (SetCycleHook), no tracer —
-//     those observe or perturb individual cycles. Step hooks
-//     (AddStepHook) instead declare their next due cycle and clamp the
-//     window, so a supervisor that batches its observation to quantum
-//     boundaries no longer disarms the stepper — the change that lets
-//     macro windows form on a live router.
+//   - No fault plane, no tracer — those observe or perturb individual
+//     cycles. Step hooks (AddStepHook) instead declare their next due
+//     cycle and clamp the window, so a supervisor that batches its
+//     observation to quantum boundaries does not disarm the stepper —
+//     which is what lets macro windows form on a live router.
 //   - Every attached dynamic device is provably quiescent (see
 //     DeviceQuiescer): no buffered output words and nothing in flight,
 //     so K skipped Ticks are a no-op.
@@ -90,10 +89,6 @@ func (c *Chip) tryMacroStep(budget int64) int64 {
 	}
 	if c.faults != nil {
 		c.macroDisarms[MacroFaults]++
-		return 0
-	}
-	if c.cycleHook != nil {
-		c.macroDisarms[MacroPerCycleHook]++
 		return 0
 	}
 	if c.cfg.Tracer != nil {
@@ -437,9 +432,6 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 	c.cycle += k
 	c.macroWindows++
 	c.macroCycles += k
-	if c.acct != nil {
-		c.acct.AddCycles(k)
-	}
 	return k, 0
 }
 

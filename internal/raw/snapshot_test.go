@@ -2,7 +2,6 @@ package raw_test
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
 	"repro/internal/raw"
@@ -26,61 +25,58 @@ func pipeChip(t testing.TB) *raw.Chip {
 
 // TestSnapshotRoundTrip: a recorded run checkpointed mid-stream restores
 // into a fresh chip bit-for-bit — identical continuation output, and a
-// byte-identical second snapshot — at one worker and at NumCPU.
+// byte-identical second snapshot.
 func TestSnapshotRoundTrip(t *testing.T) {
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		orig := pipeChip(t)
-		if err := orig.EnableRecording(); err != nil {
-			t.Fatal(err)
-		}
-		in := orig.StaticIn(0, raw.DirW)
-		// Push in bursts at assorted cycles, checkpoint mid-burst.
-		for i := 0; i < 40; i++ {
-			in.Push(raw.Word(100 + i))
-			orig.Run(int64(i % 3))
-		}
-		blob, err := orig.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+	orig := pipeChip(t)
+	if err := orig.EnableRecording(); err != nil {
+		t.Fatal(err)
+	}
+	in := orig.StaticIn(0, raw.DirW)
+	// Push in bursts at assorted cycles, checkpoint mid-burst.
+	for i := 0; i < 40; i++ {
+		in.Push(raw.Word(100 + i))
+		orig.Run(int64(i % 3))
+	}
+	blob, err := orig.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		replica := pipeChip(t)
-		replica.SetWorkers(workers)
-		if err := replica.RestoreSnapshot(blob); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if replica.Cycle() != orig.Cycle() {
-			t.Fatalf("workers=%d: cycle %d != %d", workers, replica.Cycle(), orig.Cycle())
-		}
+	replica := pipeChip(t)
+	if err := replica.RestoreSnapshot(blob); err != nil {
+		t.Fatal(err)
+	}
+	if replica.Cycle() != orig.Cycle() {
+		t.Fatalf("cycle %d != %d", replica.Cycle(), orig.Cycle())
+	}
 
-		// Identical continuations stay identical.
-		oin, rin := in, replica.StaticIn(0, raw.DirW)
-		for i := 0; i < 20; i++ {
-			oin.Push(raw.Word(900 + i))
-			rin.Push(raw.Word(900 + i))
-			orig.Run(2)
-			replica.Run(2)
-		}
-		ob, err := orig.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := replica.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ob, rb) {
-			t.Fatalf("workers=%d: continuation snapshots diverge", workers)
-		}
-		ow, oc := orig.StaticOut(1, raw.DirE).Drain()
-		rw, rc := replica.StaticOut(1, raw.DirE).Drain()
-		if len(ow) != len(rw) {
-			t.Fatalf("workers=%d: outputs %d != %d words", workers, len(ow), len(rw))
-		}
-		for i := range ow {
-			if ow[i] != rw[i] || oc[i] != rc[i] {
-				t.Fatalf("workers=%d: output word %d diverges", workers, i)
-			}
+	// Identical continuations stay identical.
+	oin, rin := in, replica.StaticIn(0, raw.DirW)
+	for i := 0; i < 20; i++ {
+		oin.Push(raw.Word(900 + i))
+		rin.Push(raw.Word(900 + i))
+		orig.Run(2)
+		replica.Run(2)
+	}
+	ob, err := orig.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := replica.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ob, rb) {
+		t.Fatal("continuation snapshots diverge")
+	}
+	ow, oc := orig.StaticOut(1, raw.DirE).Drain()
+	rw, rc := replica.StaticOut(1, raw.DirE).Drain()
+	if len(ow) != len(rw) {
+		t.Fatalf("outputs %d != %d words", len(ow), len(rw))
+	}
+	for i := range ow {
+		if ow[i] != rw[i] || oc[i] != rc[i] {
+			t.Fatalf("output word %d diverges", i)
 		}
 	}
 }

@@ -65,8 +65,7 @@ type Tile struct {
 // fifo), so the order of tiles — and the order of engines within a tile —
 // cannot change the cycle's outcome. The only cross-tile touches during a
 // step are pushes into neighbor input queues, and each such queue has
-// exactly one writing tile, which is what lets the chip shard tiles across
-// workers (see parallel.go) without locks.
+// exactly one writing tile.
 func (t *Tile) step() {
 	t.exec.step()
 	for net := 0; net < NumStaticNets; net++ {

@@ -18,7 +18,7 @@ type xbarFW struct {
 	// sched is the compiled cycle-cost schedule (shared by all four
 	// crossbar instances, surviving degrade/restore/park); phase indexes
 	// it. Written only while the tile executes firmware ops, read by the
-	// macro-stepper between cycles (workers parked).
+	// macro-stepper between cycles.
 	sched *FWSchedule
 	phase int
 
@@ -45,7 +45,7 @@ type xbarFW struct {
 	// boundary snapshot the router's step hook samples. Written at the
 	// quantum boundary and read by the hook before the next boundary —
 	// both see committed state on the report port's tile, so the values
-	// are identical at any worker count.
+	// are identical on either engine.
 	lastToken int
 	lastReq   uint8
 	lastGrant uint8

@@ -12,8 +12,8 @@ import (
 	"repro/internal/traffic"
 )
 
-// runUntil is Chip.RunUntil with the condition checked between coarse
-// steps so firmware state reads stay race-free.
+// runUntil steps the router's chip until cond holds or budget cycles
+// pass; cond reads firmware state between cycles.
 func runUntil(r *router.Router, budget int64, cond func() bool) bool {
 	return r.Chip.RunUntil(cond, budget)
 }

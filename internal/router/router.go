@@ -88,8 +88,7 @@ type Config struct {
 	// the latch-forever behavior.
 	ReprobeQuanta int
 	// ReprobeSeed seeds the per-port xorshift64* jitter on the reprobe
-	// backoff; the stream is firmware state, so it replays bit-for-bit at
-	// any worker count.
+	// backoff; the stream is firmware state, so it replays bit-for-bit.
 	ReprobeSeed uint64
 	// ReadmitQuanta is the probation window, in quanta, after Restore
 	// re-enters a degraded port into token rotation: the re-admitted tile
@@ -119,17 +118,12 @@ type Config struct {
 	Checkpoint bool
 	// Tracer, if set, receives per-tile per-cycle states (Figure 7-3).
 	Tracer raw.Tracer
-	// Workers shards chip stepping across host goroutines (0 or 1 =
-	// sequential). The parallel engine is cycle-exact — identical traces
-	// and counters at any worker count — so this is purely a host
-	// performance knob.
-	Workers int
 	// Engine selects the chip's cycle engine: raw.EngineRef (the
 	// reference interpreter, the zero value) or raw.EngineFast (compiled
 	// route tables and idle-tile skipping). The fast engine is
 	// bit-for-bit identical to the reference — same words, cycle counts,
-	// telemetry, and checkpoints — so, like Workers, this is purely a
-	// host performance knob.
+	// telemetry, and checkpoints — so this is purely a host performance
+	// knob.
 	Engine raw.Engine
 }
 
@@ -313,7 +307,6 @@ func New(cfg Config) (*Router, error) {
 		r.ci = sharedMixedIndex()
 	}
 	r.scheds = compileFWSchedules(cfg)
-	r.Chip.SetWorkers(cfg.Workers)
 	r.Mem = mem.Attach(r.Chip, cfg.DRAMLatency)
 	// DRAM latency spikes from an installed fault plane (zero-cost nil
 	// guard when no faults are configured).

@@ -2,7 +2,6 @@ package router_test
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
 	"repro/internal/fault"
@@ -13,14 +12,13 @@ import (
 
 // snapCfg is the chaos configuration the checkpoint tests run: watchdog
 // with auto-restore, a crossbar freeze that thaws, and checkpointing on.
-func snapCfg(workers int) router.Config {
+func snapCfg() router.Config {
 	cfg := router.DefaultConfig()
 	cfg.Checkpoint = true
 	cfg.Watchdog = true
 	cfg.WatchdogCycles = 2000
 	cfg.AutoRestore = true
 	cfg.ReadmitQuanta = 4
-	cfg.Workers = workers
 	return cfg
 }
 
@@ -48,63 +46,49 @@ func snapInjector() *fault.Injector {
 // TestRouterSnapshotDeterminism: checkpoint mid-run (after a degrade →
 // auto-restore arc, with outputs partially drained), restore into a
 // fresh router, continue — and the continuation must be bit-for-bit
-// identical to the uninterrupted run, at one worker and at NumCPU.
+// identical to the uninterrupted run.
 func TestRouterSnapshotDeterminism(t *testing.T) {
-	workersList := []int{1, runtime.NumCPU()}
-	var fingerprints [][]byte
-	for _, workers := range workersList {
-		// Uninterrupted reference run.
-		ref := mustNew(t, snapCfg(workers))
-		ref.Chip.InstallFaults(snapInjector())
-		snapFeed(ref)
-		ref.Run(8000)
-		refMid := drainAll(t, ref)
-		ref.Run(7000) // through the restore arc
-		blob, err := ref.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.Run(15000)
-		refFinal, err := ref.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		refTail := drainAll(t, ref)
+	// Uninterrupted reference run.
+	ref := mustNew(t, snapCfg())
+	ref.Chip.InstallFaults(snapInjector())
+	snapFeed(ref)
+	ref.Run(8000)
+	refMid := drainAll(t, ref)
+	ref.Run(7000) // through the restore arc
+	blob, err := ref.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Run(15000)
+	refFinal, err := ref.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refTail := drainAll(t, ref)
 
-		// Crash here: rebuild from scratch and restore the checkpoint.
-		res := mustNew(t, snapCfg(workers))
-		res.Chip.InstallFaults(snapInjector())
-		if err := res.RestoreSnapshot(blob); err != nil {
-			t.Fatalf("workers=%d: restore: %v", workers, err)
-		}
-		if res.Cycle() != 15000 {
-			t.Fatalf("workers=%d: restored cycle %d, want 15000", workers, res.Cycle())
-		}
-		res.Run(15000)
-		resFinal, err := res.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(refFinal, resFinal) {
-			t.Fatalf("workers=%d: continuation diverged from uninterrupted run (snapshot %d vs %d bytes)",
-				workers, len(refFinal), len(resFinal))
-		}
-		resTail := drainAll(t, res)
-		if len(refMid) == 0 || len(refTail) == 0 {
-			t.Fatalf("workers=%d: degenerate run (mid=%d tail=%d packets)",
-				workers, len(refMid), len(refTail))
-		}
-		comparePackets(t, refTail, resTail)
-		fingerprints = append(fingerprints, refFinal)
+	// Crash here: rebuild from scratch and restore the checkpoint.
+	res := mustNew(t, snapCfg())
+	res.Chip.InstallFaults(snapInjector())
+	if err := res.RestoreSnapshot(blob); err != nil {
+		t.Fatalf("restore: %v", err)
 	}
-	// The parallel engine is cycle-exact, so the checkpoint itself must
-	// be identical across worker counts.
-	for i := 1; i < len(fingerprints); i++ {
-		if !bytes.Equal(fingerprints[0], fingerprints[i]) {
-			t.Fatalf("snapshot differs between workers=%d and workers=%d",
-				workersList[0], workersList[i])
-		}
+	if res.Cycle() != 15000 {
+		t.Fatalf("restored cycle %d, want 15000", res.Cycle())
 	}
+	res.Run(15000)
+	resFinal, err := res.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(refFinal, resFinal) {
+		t.Fatalf("continuation diverged from uninterrupted run (snapshot %d vs %d bytes)",
+			len(refFinal), len(resFinal))
+	}
+	resTail := drainAll(t, res)
+	if len(refMid) == 0 || len(refTail) == 0 {
+		t.Fatalf("degenerate run (mid=%d tail=%d packets)", len(refMid), len(refTail))
+	}
+	comparePackets(t, refTail, resTail)
 }
 
 func drainAll(t *testing.T, r *router.Router) []ip.Packet {

@@ -10,14 +10,14 @@ import (
 // goroutine: the report-port crossbar captures each quantum's scheduler
 // decision at the boundary (xbarFW.captureQuantum), and sampleTelemetry
 // hands it to the collector together with cumulative drop and
-// blocked-cycle counters. Everything the collector sees is bit-for-bit
-// identical at any worker count, so exports are too.
+// blocked-cycle counters. Everything the collector sees is simulated
+// state, bit-for-bit identical on either engine, so exports are too.
 //
 // Sampling is quantum-granular by construction: the boundary commits
 // inside a crossbar processor op, so the fast engine can never cover a
 // boundary cycle with a macro window (the tile is busy that cycle), and
 // the hook's counter comparison observes every boundary at the exact
-// cycle it commits — on either engine, at any worker count.
+// cycle it commits — on either engine.
 
 // tileRoles orders one port's tiles for snapshot role labels.
 var tileRoles = [4]string{"ingress", "lookup", "xbar", "egress"}

@@ -82,15 +82,14 @@ func (w *watchdog) noteDegrade(dead int, cycle int64) {
 	w.rearm(cycle)
 }
 
-// tick runs on the simulation's main goroutine between cycles (via the
-// router's step-hook dispatcher, Router.Tick), so it may read firmware
-// state and reconfigure tiles without racing workers. Both phases of the
-// check read only quantum counters and heartbeat sums — quantities the
-// fast engine's macro restore advances exactly as per-cycle stepping
-// would (a window of K cycles adds K to a blocked tile's state counts
-// and leaves quantum counters alone, since boundaries are never
-// covered) — and both run only on check-mask cycles, which the router's
-// NextDue keeps individually stepped. The watchdog therefore observes
+// tick runs between cycles (via the router's step-hook dispatcher,
+// Router.Tick), so it may read firmware state and reconfigure tiles.
+// Both phases of the check read only quantum counters and heartbeat
+// sums — quantities the fast engine's macro restore advances exactly as
+// per-cycle stepping would (a window of K cycles adds K to a blocked
+// tile's state counts and leaves quantum counters alone, since
+// boundaries are never covered) — and both run only on check-mask
+// cycles, which the router's NextDue keeps individually stepped. The watchdog therefore observes
 // bit-identical values on either engine.
 func (w *watchdog) tick(cycle int64) {
 	if cycle&w.checkMask != 0 || w.rt.failed {

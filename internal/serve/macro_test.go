@@ -18,17 +18,10 @@ import (
 // under the fast engine those boundaries land between macro windows, so
 // every sample the rolling window folds in must match the reference
 // interpreter's cycle-by-cycle accounting exactly.
-func sloArc(t *testing.T, eng raw.Engine, workers int) (Result, *Status, string, int64) {
+func sloArc(t *testing.T, eng raw.Engine) (Result, *Status, string, int64) {
 	t.Helper()
-	f, err := NewSyntheticFeeder(SyntheticConfig{
-		Seed: 5, SizeBytes: 1024, RatePerMille: 4000, SliceCycles: 1024,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rcfg := router.DefaultConfig()
 	rcfg.Engine = eng
-	rcfg.Workers = workers
 	r, rerr := router.New(rcfg)
 	if rerr != nil {
 		t.Fatal(rerr)
@@ -36,7 +29,7 @@ func sloArc(t *testing.T, eng raw.Engine, workers int) (Result, *Status, string,
 	ev := &trace.EventLog{}
 	d, err := New(Config{
 		Router:      r,
-		Feeder:      f,
+		Feeder:      testFeeder(t, 4000),
 		SliceCycles: 1024,
 		QueuePkts:   4,
 		MaxSlices:   32,
@@ -63,14 +56,14 @@ func sloArc(t *testing.T, eng raw.Engine, workers int) (Result, *Status, string,
 // cover cycles between slice boundaries but never move or blur what a
 // boundary sample sees.
 func TestSLOAccountingUnderMacro(t *testing.T) {
-	refRes, refSt, refEvents, refWindows := sloArc(t, raw.EngineRef, 1)
+	refRes, refSt, refEvents, refWindows := sloArc(t, raw.EngineRef)
 	if refWindows != 0 {
 		t.Fatalf("reference engine reported %d macro windows", refWindows)
 	}
 	if refSt.Violations == 0 {
 		t.Fatal("overload scenario never tripped the drop-rate gate")
 	}
-	fastRes, fastSt, fastEvents, fastWindows := sloArc(t, raw.EngineFast, 2)
+	fastRes, fastSt, fastEvents, fastWindows := sloArc(t, raw.EngineFast)
 	if fastWindows == 0 {
 		t.Fatal("macro never engaged under the serving daemon")
 	}

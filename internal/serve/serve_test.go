@@ -17,6 +17,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/traffic"
 )
 
 // newTestRouter builds a cycle router the way the rawrouter serve path
@@ -34,15 +35,22 @@ func newTestRouter(t *testing.T, mod func(*router.Config)) *router.Router {
 	return r.Cycle()
 }
 
-func testFeeder(t *testing.T, rate int) *SyntheticFeeder {
+// specFeeder compiles a workload spec onto the daemon's slice time base.
+func specFeeder(t *testing.T, spec traffic.Spec, sliceCycles int64) *WorkloadFeeder {
 	t.Helper()
-	f, err := NewSyntheticFeeder(SyntheticConfig{
-		Seed: 5, SizeBytes: 1024, Pattern: "uniform", RatePerMille: rate, SliceCycles: 1024,
-	})
+	f, err := NewWorkloadFeeder(traffic.MustBuild(spec), sliceCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// testFeeder is the tests' standard feed: uniform 1,024-byte packets at
+// ratePerMille words per 1000 cycles per port, on 1,024-cycle slices.
+func testFeeder(t *testing.T, ratePerMille int) *WorkloadFeeder {
+	t.Helper()
+	return specFeeder(t, traffic.Spec{Pattern: "uniform", Ports: 4, Size: 1024, Seed: 5,
+		Rate: float64(ratePerMille) / 1000}, 1024)
 }
 
 // TestDaemonServesAndDrains: the basic lifecycle — serve MaxSlices
@@ -144,15 +152,9 @@ func TestDrainCheckpointResume(t *testing.T) {
 // against a tiny admission queue must shed (counted) while the cycle
 // loop keeps advancing and the ledger identity holds.
 func TestOverloadShedsNotStalls(t *testing.T) {
-	f, err := NewSyntheticFeeder(SyntheticConfig{
-		Seed: 5, SizeBytes: 1024, RatePerMille: 4000, SliceCycles: 1024,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	d, err := New(Config{
 		Router:      newTestRouter(t, nil),
-		Feeder:      f,
+		Feeder:      testFeeder(t, 4000),
 		SliceCycles: 1024,
 		QueuePkts:   4,
 		MaxSlices:   32,

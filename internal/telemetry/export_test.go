@@ -128,8 +128,8 @@ func TestPrometheusShape(t *testing.T) {
 
 // TestExportDeterminism renders the same logical snapshot twice via
 // independently built collectors and demands byte-identical output in
-// every format — the property the workers-1-vs-NumCPU test in
-// internal/fault extends to full simulations.
+// every format — the property the replay test in internal/fault
+// extends to full simulations.
 func TestExportDeterminism(t *testing.T) {
 	a, b := sampleSnapshot(), sampleSnapshot()
 	for _, f := range Formats() {

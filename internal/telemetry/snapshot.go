@@ -43,11 +43,10 @@ type MacroDisarm struct {
 }
 
 // Meta is everything the router contributes to a snapshot (the collector
-// contributes the quantum plane). Host-side knobs like the worker count
-// are deliberately absent: a snapshot — and therefore every export — is
-// bit-for-bit identical at any worker count. The macro fields are the
-// one deliberate exception: they describe the host engine's macro-step
-// engagement (always zero under the reference engine), so equivalence
+// contributes the quantum plane). Host-side knobs are deliberately
+// absent: a snapshot — and therefore every export — is bit-for-bit
+// identical on either engine. The macro fields are the one deliberate
+// exception: they describe the host engine's macro-step engagement (always zero under the reference engine), so equivalence
 // suites normalize them out before comparing exports across engines.
 type Meta struct {
 	Cycle         int64

@@ -28,9 +28,9 @@
 // RecordQuantum performs no allocation: the rings are preallocated and
 // the histograms are fixed arrays.
 //
-// Determinism: the collector is fed only from the simulation's main
-// goroutine (the router's cycle hook, workers parked) with values that
-// are bit-for-bit identical at any worker count, so every export is too.
+// Determinism: the collector is fed only from the router's step hook,
+// between cycles, with simulated values that are bit-for-bit identical
+// on either engine, so every export is too.
 package telemetry
 
 import "repro/internal/trace"

@@ -125,9 +125,8 @@ func KindOf(name string) EventKind {
 // Event is one recovery-state-machine transition observed by the router:
 // a line going down or coming back, a port degrading, a restore draining,
 // a port re-admitted, probation ending, or a fail-stop. Events are
-// emitted only from the simulation's main goroutine (the cycle hook and
-// between-cycles reconfiguration), so the log is deterministic and
-// race-free at any worker count.
+// emitted only from the simulation's main goroutine (the router's step
+// hook and between-cycles reconfiguration), so the log is deterministic.
 type Event struct {
 	Cycle int64
 	Port  int

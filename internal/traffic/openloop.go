@@ -10,9 +10,7 @@ package traffic
 // Patterns without a native process get the rate-paced adapter below:
 // the offered load (Spec.Rate shaped by the diurnal curve and surges)
 // is integrated in closed form to a cumulative per-port packet budget,
-// and each slice's quota is drawn from a slice-derived RNG — exactly
-// the discipline serve's SyntheticFeeder pioneered, now enforced here
-// for every pattern.
+// and each slice's quota is drawn from a slice-derived RNG.
 
 import (
 	"fmt"

@@ -106,7 +106,7 @@ END {
 	printf "  \"notes\": [\n" >> out
 	printf "    \"Acceptance bar: arming -heal on a healthy fabric must cost <%s%% versus the same fabric with healing disabled. The armed-but-idle path adds per-packet flow stamping at ingress, the egress duplicate filter, and one empty-queue check per 64-cycle slice; rerouting, ARQ custody, and table swaps only run when a fault actually fires. OFF and IDLE legs alternate in the same session; each round is scored as the ratio of its adjacent legs and the gate takes the minimum over %s rounds, so load bursts (which inflate whole rounds) are discarded while a real hook cost (which inflates every ratio) cannot hide.\",\n", gate_pct, rounds >> out
 	printf "    \"The end-to-end word ledger (injected/delivered/dropped counters) is maintained with healing on OR off, so it is part of the off leg baseline, not the gated delta.\",\n" >> out
-	printf "    \"The chip-level fault-hook legs re-record BenchmarkFaultHookOverhead (single router, PermutationTraffic): every hook site guards on a nil raw.FaultPlane, injection stays opt-in via Chip.InstallFaults / -faults. Their <1%% nil-guard acceptance against the pre-hook BENCH_parallel.json baseline was gated when the hooks landed and is not re-scored here.\"\n" >> out
+	printf "    \"The chip-level fault-hook legs re-record BenchmarkFaultHookOverhead (single router, PermutationTraffic): every hook site guards on a nil raw.FaultPlane, injection stays opt-in via Chip.InstallFaults / -faults. Their <1%% nil-guard acceptance against the pre-hook commit was gated when the hooks landed and is not re-scored here.\"\n" >> out
 	printf "  ]\n}\n" >> out
 	printf "healing idle overhead: best paired round idle/off = %.4f -> %+.2f%% (bar %s%%)\n", minratio, overhead, gate_pct
 	if (overhead > gate_pct + 0) {

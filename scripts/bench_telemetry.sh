@@ -100,7 +100,7 @@ END {
 	printf "  \"sim_cycles_per_op\": 200,\n" >> out
 	printf "  \"command\": \"scripts/bench_telemetry.sh (ROUNDS=%s BENCHTIME=%s, PRE=%s)\",\n", rounds, benchtime, pre_commit >> out
 	printf "  \"results\": [\n" >> out
-	emit(sprintf("pre-telemetry baseline (commit %s, workers=1, interleaved)", pre_commit), "pre")
+	emit(sprintf("pre-telemetry baseline (commit %s, interleaved)", pre_commit), "pre")
 	printf ",\n" >> out
 	emit("off (cfg.Metrics == nil, nil-guarded hooks only, interleaved)", "off")
 	printf ",\n" >> out
@@ -112,7 +112,7 @@ END {
 	printf "  \"notes\": [\n" >> out
 	printf "    \"Acceptance bar: with cfg.Metrics == nil the telemetry hooks (one nil check per cycle in the control hook, one per quantum in the crossbar firmware) must cost <%s%% versus the pre-telemetry commit. PRE and CUR legs alternate in the same session; each round is scored as the ratio of its adjacent legs and the gate takes the minimum over %s rounds, so load bursts (which inflate whole rounds) are discarded while a real hook cost (which inflates every ratio) cannot hide.\",\n", gate_pct, rounds >> out
 	printf "    \"The armed plane (on) and the exporters (export) are recorded for reference only: arming is opt-in via Config.Metrics / the -metrics flag, and snapshot export runs after the simulation, never on its hot path.\",\n" >> out
-	printf "    \"Exports are bit-for-bit identical at any worker count (TestTelemetryExportBitForBit); this file records wall-clock only.\"\n" >> out
+	printf "    \"Exports are bit-for-bit identical across replays (TestTelemetryExportBitForBit); this file records wall-clock only.\"\n" >> out
 	printf "  ]\n}\n" >> out
 	printf "disabled overhead: best paired round off/pre = %.4f -> %+.2f%% (bar %s%%)\n", minratio, overhead, gate_pct
 	if (overhead > gate_pct + 0) {

@@ -99,7 +99,7 @@ END {
 	printf "  \"notes\": [\n" >> out
 	printf "    \"Acceptance bar: generating one slice of open-loop arrivals must cost <%s%% of the reference engine stepping the same 1,024 simulated cycles — the arrival front-end may not meaningfully slow the simulation it feeds. The flows process memoizes its sliding flow-index window, so sequential slices realize only the leading edge of the maxflow look-back.\",\n", gate_pct >> out
 	printf "    \"The same invocation regenerates internal/traffic/testdata/daymini.traf from the daymini preset and byte-diffs it (TestGoldenTraceArtifact): the bench gate and the arrivals-are-a-pure-function-of-the-spec gate travel together.\",\n" >> out
-	printf "    \"Arrivals are bit-identical across engines and worker counts by construction (the process never sees the consumer); TestTraceLedgerAcrossConsumers in internal/exp checks the delivered-word ledgers agree.\"\n" >> out
+	printf "    \"Arrivals are bit-identical across engines by construction (the process never sees the consumer); TestTraceLedgerAcrossConsumers in internal/exp checks the delivered-word ledgers agree.\"\n" >> out
 	printf "  ]\n}\n" >> out
 	printf "generation overhead: best paired round gen/step = %.4f%% (bar %s%%)\n", overhead, gate_pct
 	if (overhead > gate_pct + 0) {

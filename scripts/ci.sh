@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI gate: tier-1 (build + tests) then tier-2 (vet + race detector).
-# The race run is what guards the parallel chip engine: any cross-worker
-# access outside the two-phase staged-fifo discipline shows up here.
+# The race run guards the serve daemon's HTTP control-plane goroutines,
+# which must reach simulator state only through its control channel and
+# published Status.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,8 +18,8 @@ go test -race ./...
 echo "== tier-2: chaos harness (fixed seed matrix, race detector) =="
 # Seeds are pinned inside the tests (fault.Random seeds 1,2,3,5,7 and the
 # crash/corruption schedules), so this matrix is fully reproducible:
-# conservation, no-duplication, and bit-for-bit replay at 1 and NumCPU
-# workers. TestChaosEngineEquivalence re-runs every schedule under the
+# conservation, no-duplication, and bit-for-bit replay.
+# TestChaosEngineEquivalence re-runs every schedule under the
 # compiled fast engine (-engine fast) and requires identical fingerprints.
 go test -race -run 'TestChaos' ./internal/fault
 go test -race -run 'TestWatchdog|TestManualDegrade|TestDegraded|TestDropConservation' ./internal/router
@@ -28,9 +29,8 @@ echo "== soak: degrade->restore matrix with mid-run checkpoint/restore (race det
 # watchdog degrade -> thaw -> auto-restore -> probation arc, and must
 # (a) conserve and deliver every packet intact, and (b) continue
 # bit-for-bit identical after a mid-arc checkpoint is restored into a
-# fresh router at a different worker count — and, since the fast engine
-# landed, under the other cycle engine (the cross-engine checkpoint
-# gate). TestSoakEngineEquivalence additionally requires byte-identical
+# fresh router under the other cycle engine (the cross-engine
+# checkpoint gate). TestSoakEngineEquivalence additionally requires byte-identical
 # final checkpoints, event logs, and telemetry exports between engines.
 # SOAK_SEEDS widens the matrix (make soak runs 20).
 SOAK_SEEDS="${SOAK_SEEDS:-20}" go test -race -timeout 60m -run 'TestSoak' ./internal/fault
@@ -44,7 +44,7 @@ echo "== fabric: chip-loss soak + cross-engine topology conformance (race detect
 # finish byte-identical to the uninterrupted run. The conformance matrix
 # fingerprint-diffs every topology kind (ring / mesh / fat-tree,
 # including the 16-chip 64-port mesh) between the reference interpreter
-# and the compiled fast engine at 1 and NumCPU workers, plus a mid-run
+# and the compiled fast engine, plus a mid-run
 # engine switch through a fabric checkpoint.
 SOAK_SEEDS="${SOAK_SEEDS:-20}" go test -race -timeout 60m -run 'TestSoakChipLoss' ./internal/cluster
 go test -race -timeout 60m -run 'TestEngineConformanceMatrix|TestMesh16ChipConformance|TestEngineSwitchMidRun' ./internal/cluster
@@ -57,13 +57,13 @@ echo "== healing: seeded heal soak + heal conformance (race detector) =="
 # FABCKPT1 blob, and must continue byte-identical to the uninterrupted
 # run with the end-to-end ledger balanced and zero pending frames at the
 # end. TestHealConformance replays one scheduled arc under the reference
-# interpreter and the fast engine at 1 and NumCPU workers and requires
+# interpreter and the fast engine and requires
 # identical fingerprints and state digests.
 SOAK_SEEDS="${SOAK_SEEDS:-20}" go test -race -timeout 60m -run 'TestSoakHeal' ./internal/cluster
 go test -race -run 'TestHealConformance|TestHealReroute|TestTrunkARQ|TestPartitionError|TestKillChipAccountsHeldFrames' ./internal/cluster
 
 echo "== telemetry: export determinism + disabled-overhead gate =="
-# Exports must be byte-identical at 1 and NumCPU workers, and the
+# Exports must be byte-identical across replays, and the
 # disabled plane (cfg.Metrics == nil) must cost <1% versus the
 # pre-telemetry commit (interleaved same-session legs; see
 # scripts/bench_telemetry.sh and BENCH_telemetry.json).
@@ -88,8 +88,8 @@ echo "== traffic: open-loop determinism + ledger conformance + generation-overhe
 # The production traffic plane: open-loop arrivals must be a pure
 # function of (spec, slice) — the checked-in seeded daymini trace
 # regenerates byte-identically, record->replay round-trips exactly, and
-# one heavy-tailed trace drives the Raw router (both engines, workers 1
-# and NumCPU), the serve daemon, and the Click baseline to the identical
+# one heavy-tailed trace drives the Raw router (both engines, live and
+# replayed), the serve daemon, and the Click baseline to the identical
 # per-destination delivered-word ledger. Generating arrivals must cost
 # <1% of the reference engine stepping the same cycles (see
 # scripts/bench_traffic.sh and BENCH_traffic.json).
