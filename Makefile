@@ -18,21 +18,13 @@
 #   fuzz   - short runs of the interpreter, allocator, fault-schedule,
 #            chip-snapshot, topology-spec, and workload-spec fuzz targets
 #   bench  - the simulator-speed benchmark (host ns per simulated cycle)
-#   bench-telemetry - regenerate BENCH_telemetry.json; fails if the
-#            disabled telemetry plane costs >1% vs the pre-telemetry
-#            commit (interleaved same-session legs)
-#   bench-engine - regenerate BENCH_engine.json; fails if the compiled
-#            fast engine is not >=2x the reference interpreter on the
-#            1,024-byte-packet steady-state workload (paired ref/fast
-#            rounds in one binary)
-#   bench-fault - regenerate BENCH_fault.json; fails if arming the
-#            fabric healing plane costs an idle (fault-free) run >1%
-#            versus healing disabled (interleaved paired legs)
-#   bench-traffic - regenerate BENCH_traffic.json; fails if generating
-#            one slice of open-loop arrivals (heavy-tailed flows) costs
-#            >1% of the reference engine stepping the same cycles, and
-#            byte-diffs the checked-in daymini trace artifact against a
-#            regeneration from its preset spec
+#   gates  - the performance gates (go run ./scripts/gates): paired
+#            rounds of benchmark legs, rewriting BENCH_gates.json; fails
+#            if the fast engine is not >=2x the reference interpreter on
+#            the 1,024-byte streaming workload and >=5x on the full
+#            router (with macro windows engaged), or if idle healing,
+#            the disabled telemetry plane or traffic generation costs
+#            >1%
 #   serve-smoke - the daemon-mode lifecycle smoke: boot rawrouter -serve
 #            as a real process, drive healthz/readyz/metrics over HTTP
 #            through a latched degrade + SLO violation, /drain to a
@@ -42,7 +34,7 @@
 GO ?= go
 SOAK_SEEDS ?= 20
 
-.PHONY: all tier1 tier2 chaos soak soak-heal fuzz bench bench-telemetry bench-engine bench-fault bench-traffic serve-smoke ci
+.PHONY: all tier1 tier2 chaos soak soak-heal fuzz bench gates serve-smoke ci
 
 all: tier1
 
@@ -77,20 +69,11 @@ fuzz:
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkSimulatorCyclesPerSecond -benchmem .
 
-bench-telemetry:
-	sh scripts/bench_telemetry.sh
-
-bench-engine:
-	sh scripts/bench_engine.sh
-
-bench-fault:
-	sh scripts/bench_fault.sh
-
-bench-traffic:
-	sh scripts/bench_traffic.sh
+gates:
+	$(GO) run ./scripts/gates
 
 serve-smoke:
 	$(GO) test -race ./internal/serve ./internal/cli
 	sh scripts/serve_smoke.sh
 
-ci: tier1 tier2 chaos soak soak-heal bench-telemetry bench-engine bench-fault bench-traffic serve-smoke
+ci: tier1 tier2 chaos soak soak-heal gates serve-smoke

@@ -2,10 +2,10 @@
 // the compiled fast engine (EngineFast) on identical workloads. Both
 // engines are bit-for-bit identical in simulation output (the equivalence
 // suites in internal/raw and internal/fault enforce it), so every delta
-// here is pure host speed. scripts/bench_engine.sh runs these legs in
-// paired rounds and records BENCH_engine.json, gating on both the
-// steady-state speedup and the full-router speedup (with a macro-
-// engagement assertion on the router's fast leg).
+// here is pure host speed. The gate runner (scripts/gates) runs these
+// legs in paired rounds and gates both the steady-state speedup and the
+// full-router speedup, with a macro-engagement check on the router's
+// fast leg.
 package repro_test
 
 import (
@@ -73,8 +73,8 @@ func BenchmarkEngine(b *testing.B) {
 	// boundaries: this leg measures compiled dispatch plus macro windows
 	// on the live router. The macro-cycles/op metric reports how many of
 	// the 200 simulated cycles per op were covered by macro windows
-	// (always 0 on the ref leg); scripts/bench_engine.sh asserts it is
-	// non-zero on the fast leg.
+	// (always 0 on the ref leg); the engine-router gate requires it to
+	// be non-zero on the fast leg.
 	router := func(eng raw.Engine) func(*testing.B) {
 		return func(b *testing.B) {
 			r, err := core.New(core.Options{ChipEngine: eng})

@@ -1,9 +1,9 @@
 // Fault-plane cost benchmark: the chip consults the installed
 // raw.FaultPlane at a handful of per-cycle choke points, each behind a
-// nil guard. This benchmark proves the guards are free in the common
-// case — BENCH_fault.json records the numbers; the <1% bar against the
-// pre-hook commit (same benchmark body, same host) was gated when the
-// hooks landed.
+// nil guard. This benchmark shows the guards are free in the common
+// case. The <1% bar against the pre-hook commit (same benchmark body,
+// same host) was gated when the hooks landed; scripts/gates now records
+// the legs without gating them.
 package repro_test
 
 import (
@@ -58,8 +58,8 @@ func BenchmarkFaultHookOverhead(b *testing.B) {
 // ring-4 under saturated antipodal traffic, healing off versus healing
 // armed with no faults ever firing ("idle": flow stamping at ingress,
 // the egress dup filter, and the empty-ARQ check per slice are the only
-// live code). scripts/bench_fault.sh interleaves the two legs and gates
-// idle/off at <1% — fault tolerance must be free until a fault happens.
+// live code). scripts/gates interleaves the two legs and gates idle/off
+// at <1% — fault tolerance must be free until a fault happens.
 func BenchmarkHealOverhead(b *testing.B) {
 	bench := func(heal bool) func(b *testing.B) {
 		return func(b *testing.B) {

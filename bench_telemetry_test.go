@@ -1,11 +1,10 @@
 // Telemetry-plane cost benchmark: the router consults the collector at
 // two choke points — one nil guard per cycle in the control hook and one
-// per quantum in the crossbar firmware. This benchmark proves the
-// disabled plane is free and bounds what arming it costs —
-// BENCH_telemetry.json records the numbers against the pre-telemetry
-// commit's BenchmarkSimulatorCyclesPerSecond (same benchmark body, same
-// host), and scripts/bench_telemetry.sh regenerates the file and
-// enforces the <1% disabled-overhead bar.
+// per quantum in the crossbar firmware. This benchmark shows the
+// disabled plane is free and bounds what arming it costs. scripts/gates
+// gates the disabled leg at <1% against the pre-telemetry commit's
+// BenchmarkSimulatorCyclesPerSecond (same benchmark body, same host)
+// and records the other legs.
 package repro_test
 
 import (
@@ -24,8 +23,8 @@ import (
 //	on      collector armed (per-quantum sampling + flight recorder)
 //	export  snapshot assembly plus all three encoders, per op
 //
-// "off" is the number BENCH_telemetry.json compares against the
-// pre-telemetry baseline (<1% is the acceptance bar);
+// "off" is the leg scripts/gates compares against the pre-telemetry
+// baseline (<1% is the acceptance bar);
 // "on" bounds the armed plane's cost; "export" prices the post-run
 // snapshot (it never sits on the simulation's hot path).
 func BenchmarkTelemetryOverhead(b *testing.B) {

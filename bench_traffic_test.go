@@ -1,10 +1,9 @@
 // Traffic-plane cost benchmark: the open-loop arrival front-end runs on
 // the host alongside the simulated router, so generating arrivals must
-// be effectively free next to stepping the chip. BENCH_traffic.json
-// records arrival generation for one 1,024-cycle slice of the
-// heavy-tailed flows workload against the reference engine stepping the
-// same 1,024 simulated cycles, and scripts/bench_traffic.sh regenerates
-// the file and enforces the <1% generation-overhead bar.
+// be effectively free next to stepping the chip. scripts/gates compares
+// arrival generation for one 1,024-cycle slice of the heavy-tailed
+// flows workload against the reference engine stepping the same 1,024
+// simulated cycles and enforces the <1% generation-overhead bar.
 package repro_test
 
 import (
@@ -23,7 +22,7 @@ import (
 //	step  the reference-engine router stepping 1,024 cycles under
 //	      saturated permutation traffic — the cost arrivals ride on
 //
-// The gate in scripts/bench_traffic.sh scores the paired ratio
+// The traffic-gen gate in scripts/gates scores the paired ratio
 // gen/step and requires it under 1%: trace-driven replay may not
 // meaningfully slow the simulation it feeds.
 func BenchmarkTrafficPlane(b *testing.B) {

@@ -5,10 +5,13 @@
 //
 // Usage:
 //
-//	fabsim [-full] [-engine ref|fast] [-reprobe N] [-metrics FORMAT[:FILE]]
+//	fabsim [-full] [-engine fast|ref] [-reprobe N] [-metrics FORMAT[:FILE]]
 //	       [-topology ring|mesh|fattree] [-chips N] [-faults SCHED]
 //	       [-workload SPEC] [-recordtrace FILE]
 //	       [-exp all|background|ablation|fairness|qos|multicast|scale|scaleout|degraded|restore|telemetry|heavytail]
+//
+// -engine fast (the default) or ref, the reference interpreter, picks
+// the chip cycle engine; output is bit-for-bit identical under either.
 //
 // -exp restore runs the port re-admission experiment (degrade -> restore
 // -> probation vs never-failed); -reprobe arms line-flap retry with the
@@ -34,7 +37,7 @@
 // the run then also audits the end-to-end delivery ledger and prints
 // the healing summary. Example:
 //
-//	fabsim -topology mesh -chips 16 -engine fast -heal \
+//	fabsim -topology mesh -chips 16 -heal \
 //	       -faults 'killchip@20000:c5;killtrunk@30000:c1-c2;restorechip@60000:c5' -metrics prom
 package main
 

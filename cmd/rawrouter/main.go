@@ -6,7 +6,7 @@
 //	rawrouter [-size 1024] [-pattern perm|uniform|hotspot] [-cycles 200000]
 //	          [-warmup 80000] [-quantum 256] [-crypto] [-layout] [-seed 1]
 //	          [-workload SPEC] [-recordtrace FILE] [-recordslices N]
-//	          [-engine ref|fast] [-faults SCHEDULE] [-faultseed N] [-watchdog]
+//	          [-engine fast|ref] [-faults SCHEDULE] [-faultseed N] [-watchdog]
 //	          [-autorestore] [-reprobe N] [-checkpoint FILE] [-restore FILE]
 //	          [-metrics FORMAT[:FILE]]
 //
@@ -17,6 +17,9 @@
 // workload's open-loop arrival stream as a replayable TRAF1 trace
 // (-recordslices slices long). With -serve, -workload selects the
 // daemon's feed workload.
+//
+// -engine fast (the default) or ref, the reference interpreter, picks
+// the chip cycle engine; output is bit-for-bit identical under either.
 //
 // With -layout it prints the Figure 7-2 tile mapping and exits. -faults
 // takes the internal/fault text encoding (e.g. "crash@5000:t6"); with

@@ -18,10 +18,13 @@
 //
 // Usage:
 //
-//	rawsim [-cycles 1000] [-engine ref|fast] [-in tile:side:w1,w2,...] [-regs 0,4]
+//	rawsim [-cycles 1000] [-engine fast|ref] [-in tile:side:w1,w2,...] [-regs 0,4]
 //	       [-workload SPEC -workloadpkts N]
 //	       [-faults SCHEDULE] [-faultseed N]
 //	       [-checkpoint FILE] [-restore FILE] prog.rawasm
+//
+// -engine fast (the default) or ref, the reference interpreter, picks
+// the chip cycle engine; output is bit-for-bit identical under either.
 //
 // -in pushes words into a boundary static input before the run; -regs
 // dumps those tiles' registers afterwards; all boundary static outputs

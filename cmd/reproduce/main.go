@@ -4,7 +4,10 @@
 //
 // Usage:
 //
-//	reproduce [-quick] [-engine ref|fast] [-reprobe N] [-workload SPEC]
+//	reproduce [-quick] [-engine fast|ref] [-reprobe N] [-workload SPEC]
+//
+// -engine fast (the default) or ref, the reference interpreter, picks
+// the chip cycle engine; output is bit-for-bit identical under either.
 //
 // -workload re-points the production-traffic section (heavy-tailed
 // fabric comparison) at an arbitrary workload spec; -recordtrace

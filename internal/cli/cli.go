@@ -23,8 +23,8 @@ import (
 // Common holds the shared flag values. Zero value is ready; call the
 // Register* methods before flag.Parse and the accessors after.
 type Common struct {
-	// Engine (-engine): chip cycle engine, "ref" or "fast". Parse with
-	// EngineChoice after flag.Parse.
+	// Engine (-engine): chip cycle engine, "fast" (the flag's default) or
+	// "ref". Parse with EngineChoice after flag.Parse.
 	Engine string
 	// CPUProfile / MemProfile (-cpuprofile, -memprofile) are pprof output
 	// paths; see StartProfile.
@@ -59,8 +59,8 @@ type Common struct {
 
 // RegisterSim installs -engine.
 func (c *Common) RegisterSim(fs *flag.FlagSet) {
-	fs.StringVar(&c.Engine, "engine", "ref",
-		"chip cycle engine: ref (reference interpreter) or fast (compiled route tables, bit-for-bit equivalent)")
+	fs.StringVar(&c.Engine, "engine", "fast",
+		"chip cycle engine: fast (compiled route tables with macro-stepping) or ref (reference interpreter, the test oracle); bit-for-bit identical output")
 }
 
 // RegisterProfile installs -cpuprofile and -memprofile.
@@ -71,8 +71,8 @@ func (c *Common) RegisterProfile(fs *flag.FlagSet) {
 		"write a pprof heap profile to FILE at exit")
 }
 
-// EngineChoice parses -engine ("" and "ref" select the reference
-// interpreter).
+// EngineChoice parses -engine: "fast" (the flag's default) selects the
+// compiled engine, "ref" the reference interpreter.
 func (c *Common) EngineChoice() (raw.Engine, error) {
 	eng, err := raw.ParseEngine(c.Engine)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/raw"
 )
 
 func parseWith(t *testing.T, args ...string) *Common {
@@ -99,6 +100,23 @@ func TestValidate(t *testing.T) {
 	}
 	if err := parseWith(t, "-engine", "fast", "-metrics", "csv:x.csv").Validate(); err != nil {
 		t.Errorf("valid flags rejected: %v", err)
+	}
+}
+
+// The CLIs run the fast engine unless -engine ref asks for the
+// reference interpreter.
+func TestEngineDefaultsToFast(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want raw.Engine
+	}{
+		{nil, raw.EngineFast},
+		{[]string{"-engine", "fast"}, raw.EngineFast},
+		{[]string{"-engine", "ref"}, raw.EngineRef},
+	} {
+		if got, err := parseWith(t, tc.args...).EngineChoice(); err != nil || got != tc.want {
+			t.Errorf("%v: engine %v, %v; want %v", tc.args, got, err, tc.want)
+		}
 	}
 }
 

@@ -62,40 +62,30 @@ echo "== healing: seeded heal soak + heal conformance (race detector) =="
 SOAK_SEEDS="${SOAK_SEEDS:-20}" go test -race -timeout 60m -run 'TestSoakHeal' ./internal/cluster
 go test -race -run 'TestHealConformance|TestHealReroute|TestTrunkARQ|TestPartitionError|TestKillChipAccountsHeldFrames' ./internal/cluster
 
-echo "== telemetry: export determinism + disabled-overhead gate =="
-# Exports must be byte-identical across replays, and the
-# disabled plane (cfg.Metrics == nil) must cost <1% versus the
-# pre-telemetry commit (interleaved same-session legs; see
-# scripts/bench_telemetry.sh and BENCH_telemetry.json).
+echo "== telemetry: export determinism =="
+# Exports must be byte-identical across replays.
 go test -race -run 'TestTelemetry' ./internal/fault
-sh scripts/bench_telemetry.sh
 
-echo "== engine: compiled fast path speedup gate =="
-# The fast engine must be bit-for-bit identical (enforced above) and at
-# least 2x the reference interpreter on the 1,024-byte-packet
-# steady-state workload (see scripts/bench_engine.sh and
-# BENCH_engine.json).
-sh scripts/bench_engine.sh
-
-echo "== healing: idle-overhead gate =="
-# Arming -heal on a healthy fabric must cost <1% versus the same fabric
-# with healing disabled (interleaved paired legs, min-ratio scoring; see
-# scripts/bench_fault.sh and BENCH_fault.json). Fault tolerance is free
-# until a fault happens.
-sh scripts/bench_fault.sh
-
-echo "== traffic: open-loop determinism + ledger conformance + generation-overhead gate =="
+echo "== traffic: open-loop determinism + ledger conformance =="
 # The production traffic plane: open-loop arrivals must be a pure
 # function of (spec, slice) — the checked-in seeded daymini trace
 # regenerates byte-identically, record->replay round-trips exactly, and
 # one heavy-tailed trace drives the Raw router (both engines, live and
 # replayed), the serve daemon, and the Click baseline to the identical
-# per-destination delivered-word ledger. Generating arrivals must cost
-# <1% of the reference engine stepping the same cycles (see
-# scripts/bench_traffic.sh and BENCH_traffic.json).
+# per-destination delivered-word ledger.
 go test -race ./internal/traffic
 go test -race -run 'TestTraceLedgerAcrossConsumers|TestHeavyTail' ./internal/exp
-sh scripts/bench_traffic.sh
+
+echo "== gates: engine speedup + healing/telemetry/traffic overhead =="
+# One table-driven runner (scripts/gates) interleaves paired benchmark
+# legs and scores each gate as the minimum paired ratio over five
+# rounds, rewriting BENCH_gates.json. The fast engine must be at least
+# 2x the reference interpreter on the 1,024-byte streaming steady state
+# and 5x on the full router with macro windows engaged; arming -heal on
+# a healthy fabric, the disabled telemetry plane (against the last
+# pre-telemetry commit) and generating arrivals (against a ref-engine
+# step) must each cost <1%.
+go run ./scripts/gates
 
 echo "== serve: daemon-mode smoke =="
 # Boot rawrouter -serve as a real process and drive the whole lifecycle
