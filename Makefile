@@ -16,7 +16,9 @@
 #            pending) FABCKPT1 checkpoint that must continue
 #            byte-identical, zero silent word loss at the end
 #   fuzz   - short runs of the interpreter, allocator, fault-schedule,
-#            chip-snapshot, topology-spec, and workload-spec fuzz targets
+#            chip-snapshot, topology-spec, and workload-spec fuzz targets,
+#            plus the router, fabric, serve-checkpoint and TRAF1 decoders
+#            (any bytes: an error or success, never a panic)
 #   bench  - the simulator-speed benchmark (host ns per simulated cycle)
 #   gates  - the performance gates (go run ./scripts/gates): paired
 #            rounds of benchmark legs, rewriting BENCH_gates.json; fails
@@ -65,6 +67,10 @@ fuzz:
 	$(GO) test ./internal/raw -fuzz FuzzSnapshotRoundTrip -fuzztime 30s
 	$(GO) test ./internal/cluster -fuzz FuzzTopologySpec -fuzztime 30s
 	$(GO) test ./internal/traffic -fuzz FuzzWorkloadSpec -fuzztime 30s
+	$(GO) test ./internal/router -fuzz FuzzRouterRestore -fuzztime 30s
+	$(GO) test ./internal/cluster -fuzz FuzzFabricRestore -fuzztime 30s
+	$(GO) test ./internal/serve -fuzz FuzzCheckpointDecode -fuzztime 30s
+	$(GO) test ./internal/traffic -fuzz FuzzParseTrace -fuzztime 30s
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkSimulatorCyclesPerSecond -benchmem .

@@ -171,7 +171,7 @@ func run() int {
 	if injecting {
 		fmt.Printf("fault schedule: %s\n", sched)
 		r.Cycle().Chip.InstallFaults(fault.NewInjector(sched, 16))
-		cli.ApplyControls(sched, r.Cycle())
+		r.Cycle().ScheduleControls(sched)
 	}
 
 	if ok, err := common.LoadCheckpoint(r.Cycle().RestoreSnapshot); err != nil {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/raw"
-	"repro/internal/router"
 	"repro/internal/telemetry"
 )
 
@@ -239,20 +238,6 @@ func (c *Common) Schedule(opts fault.RandomOptions) (*fault.Schedule, error) {
 		sched.Events = append(sched.Events, s.Events...)
 	}
 	return sched, nil
-}
-
-// ApplyControls schedules the fault grammar's restore@/reprobe@
-// directives on the router (they are router-level controls, not chip
-// faults, so the injector does not carry them).
-func ApplyControls(sched *fault.Schedule, rt *router.Router) {
-	for _, ctl := range sched.Controls() {
-		switch ctl.Kind {
-		case fault.KindRestore:
-			rt.ScheduleRestore(ctl.Start, ctl.Tile)
-		case fault.KindReprobe:
-			rt.ScheduleReprobe(ctl.Start, ctl.Tile)
-		}
-	}
 }
 
 // LoadCheckpoint replays -restore's blob through restoreFn. Returns

@@ -20,7 +20,7 @@ type Config struct {
 	// fields that cannot be shared across chips: Table is compiled per
 	// chip from the topology (must be nil), and Events/Metrics templates
 	// must be nil too — set Config.Metrics to arm per-chip collectors and
-	// read chip planes through ChipEvents/ChipTelemetry. Multicast and
+	// read chip planes through ChipEvents and Chip(k). Multicast and
 	// Crypto are rejected: both would rewrite the inter-chip word streams
 	// (group fanout, payload ciphering) that trunk neighbors parse as
 	// plain IP packets.
@@ -221,14 +221,7 @@ func (f *Fabric) buildChip(k, epoch int) error {
 	}
 	if sched := f.cfg.Faults[k]; sched != nil && epoch == 0 {
 		r.Chip.InstallFaults(fault.NewInjector(sched, r.Chip.NumTiles()))
-		for _, ctl := range sched.Controls() {
-			switch ctl.Kind {
-			case fault.KindRestore:
-				r.ScheduleRestore(ctl.Start, ctl.Tile)
-			case fault.KindReprobe:
-				r.ScheduleReprobe(ctl.Start, ctl.Tile)
-			}
-		}
+		r.ScheduleControls(sched)
 	}
 	f.chips[k] = chipSlot{r: r, events: ev, epoch: epoch, bornAt: f.cycle}
 	return nil
@@ -764,7 +757,7 @@ func (f *Fabric) Fingerprint() uint64 {
 // TelemetrySnapshot assembles the fabric-plane export: per-trunk
 // per-direction accounting with utilization gauges, the bisection
 // aggregate, dead chips, and the fabric event log. Chip-level planes are
-// exported separately via ChipTelemetry.
+// exported separately via Chip(k).TelemetrySnapshot.
 func (f *Fabric) TelemetrySnapshot() telemetry.FabricSnapshot {
 	s := telemetry.FabricSnapshot{
 		Schema:    telemetry.SchemaVersion,
@@ -847,10 +840,4 @@ func (f *Fabric) TelemetrySnapshot() telemetry.FabricSnapshot {
 		s.Heal = hs
 	}
 	return s
-}
-
-// ChipTelemetry exports chip k's telemetry snapshot (counters-only
-// unless Config.Metrics armed the plane).
-func (f *Fabric) ChipTelemetry(k int) telemetry.Snapshot {
-	return f.chips[k].r.TelemetrySnapshot()
 }

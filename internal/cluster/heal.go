@@ -515,9 +515,6 @@ func (f *Fabric) RestoreTrunk(a, b int) error {
 	return nil
 }
 
-// TrunkDead reports whether trunk ti is currently dark.
-func (f *Fabric) TrunkDead(ti int) bool { return f.trunks[ti].dead }
-
 // framesToARQ moves every complete frame in direction d's framer into
 // the retransmit queue (the partial tail stays held until its words
 // arrive or its source dies). Custody leaves the trunk (retrans

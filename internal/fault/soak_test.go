@@ -98,14 +98,7 @@ func newSoakRun(t *testing.T, eng raw.Engine, sched *fault.Schedule) *soakRun {
 		t.Fatal(err)
 	}
 	r.Chip.InstallFaults(fault.NewInjector(sched, 16))
-	for _, c := range sched.Controls() {
-		switch c.Kind {
-		case fault.KindRestore:
-			r.ScheduleRestore(c.Start, c.Tile)
-		case fault.KindReprobe:
-			r.ScheduleReprobe(c.Start, c.Tile)
-		}
-	}
+	r.ScheduleControls(sched)
 	return &soakRun{r: r, ev: ev, sent: map[uint16]ip.Packet{}}
 }
 

@@ -53,9 +53,6 @@ func NewController(meshWidth, latency int) *Controller {
 	}
 }
 
-// Poke writes a word directly into DRAM (test and workload setup).
-func (c *Controller) Poke(addr, val raw.Word) { c.store[addr] = val }
-
 // Peek reads a word directly from DRAM.
 func (c *Controller) Peek(addr raw.Word) raw.Word { return c.store[addr] }
 

@@ -24,17 +24,10 @@ type Interp struct {
 
 	// Retired counts completed instructions.
 	Retired int64
-	// PCTrace, if enabled via TracePC, records the pc of each retired
-	// instruction.
-	PCTrace []int
-	tracePC bool
 }
 
 // NewInterp creates an interpreter for prog.
 func NewInterp(prog *TileProgram) *Interp { return &Interp{prog: prog} }
-
-// TracePC enables per-instruction pc tracing.
-func (it *Interp) TracePC() { it.tracePC = true }
 
 // Reg returns the value of register n.
 func (it *Interp) Reg(n int) raw.Word { return it.regs[n] }
@@ -70,15 +63,9 @@ func (it *Interp) Refill(e *raw.Exec) {
 		it.halted = true
 		return
 	}
-	pc := it.pc
-	in := &it.prog.instrs[pc]
+	in := &it.prog.instrs[it.pc]
 	it.pc++ // default fallthrough; branches overwrite
-	retire := func() {
-		it.Retired++
-		if it.tracePC {
-			it.PCTrace = append(it.PCTrace, pc)
-		}
-	}
+	retire := func() { it.Retired++ }
 
 	switch in.op {
 	case tNOP:

@@ -163,11 +163,6 @@ func (e *Exec) ForwardDone(nF func() int, done func()) {
 	e.push(microOp{kind: opForward, countF: nF, doneF: done})
 }
 
-// ForwardOn is Forward on a chosen static network.
-func (e *Exec) ForwardOn(net int, nF func() int) {
-	e.push(microOp{kind: opForward, snet: net, countF: nF})
-}
-
 // RecvN enqueues an n-word receive at cost cycles per word; cost 2 models
 // buffering into local data memory (§4.4), cost 1 a register-target
 // receive. sink may be nil.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/wire"
 )
 
 // Deterministic checkpoint/restore (robustness extension). The simulator
@@ -56,9 +58,6 @@ func (c *Chip) EnableRecording() error {
 	return nil
 }
 
-// RecordingEnabled reports whether the chip logs inputs for Snapshot.
-func (c *Chip) RecordingEnabled() bool { return c.rec != nil }
-
 // Snapshot serializes the chip's checkpoint: geometry, cycle, the full
 // input log, and a state digest. Call it between cycles (never from
 // firmware or a cycle hook's reconfiguration window). The blob restores
@@ -69,21 +68,22 @@ func (c *Chip) Snapshot() ([]byte, error) {
 		return nil, errors.New("raw: Snapshot requires EnableRecording before the first cycle")
 	}
 	log := c.rec.log
+	le := binary.LittleEndian
 	buf := make([]byte, 0, 48+len(log)*16)
 	buf = append(buf, rawSnapMagic...)
-	buf = le32(buf, 1) // version
-	buf = le32(buf, uint32(c.cfg.Width))
-	buf = le32(buf, uint32(c.cfg.Height))
-	buf = le64(buf, math.Float64bits(c.cfg.ClockHz))
-	buf = le64(buf, uint64(c.cycle))
-	buf = le64(buf, uint64(len(log)))
+	buf = le.AppendUint32(buf, 1) // version
+	buf = le.AppendUint32(buf, uint32(c.cfg.Width))
+	buf = le.AppendUint32(buf, uint32(c.cfg.Height))
+	buf = le.AppendUint64(buf, math.Float64bits(c.cfg.ClockHz))
+	buf = le.AppendUint64(buf, uint64(c.cycle))
+	buf = le.AppendUint64(buf, uint64(len(log)))
 	for _, e := range log {
-		buf = le64(buf, uint64(e.cycle))
-		buf = binary.LittleEndian.AppendUint16(buf, e.tile)
+		buf = le.AppendUint64(buf, uint64(e.cycle))
+		buf = le.AppendUint16(buf, e.tile)
 		buf = append(buf, e.dir, e.net)
-		buf = le32(buf, uint32(e.word))
+		buf = le.AppendUint32(buf, uint32(e.word))
 	}
-	buf = le64(buf, c.digest())
+	buf = le.AppendUint64(buf, c.digest())
 	return buf, nil
 }
 
@@ -120,34 +120,28 @@ func (c *Chip) RestoreSnapshotOps(blob []byte, ops []ReplayOp) error {
 	if c.rec != nil && len(c.rec.log) > 0 {
 		return errors.New("raw: RestoreSnapshot after inputs were already pushed")
 	}
-	r := reader{buf: blob}
-	if string(r.bytes(8)) != rawSnapMagic {
+	r := wire.NewReader(blob)
+	if !r.Magic(rawSnapMagic) {
 		return errors.New("raw: bad snapshot magic")
 	}
-	if v := r.u32(); v != 1 {
-		return fmt.Errorf("raw: unsupported snapshot version %d", v)
+	version := r.U32()
+	w, h := int(r.U32()), int(r.U32())
+	clock := math.Float64frombits(r.U64())
+	snapCycle := int64(r.U64())
+	log := make([]inputRec, r.Count(16))
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("raw: corrupt snapshot header: %w", err)
 	}
-	w, h := int(r.u32()), int(r.u32())
-	clock := math.Float64frombits(r.u64())
+	if version != 1 {
+		return fmt.Errorf("raw: unsupported snapshot version %d", version)
+	}
 	if w != c.cfg.Width || h != c.cfg.Height || clock != c.cfg.ClockHz {
 		return fmt.Errorf("raw: snapshot geometry %dx%d@%g does not match chip %dx%d@%g",
 			w, h, clock, c.cfg.Width, c.cfg.Height, c.cfg.ClockHz)
 	}
-	snapCycle := int64(r.u64())
-	n := r.u64()
-	if r.err != nil || n > uint64(len(blob))/16 {
-		return errors.New("raw: truncated snapshot header")
-	}
-	log := make([]inputRec, n)
 	var prev int64
 	for i := range log {
-		e := inputRec{cycle: int64(r.u64()), tile: r.u16()}
-		e.dir = r.u8()
-		e.net = r.u8()
-		e.word = Word(r.u32())
-		if r.err != nil {
-			return errors.New("raw: truncated snapshot log")
-		}
+		e := inputRec{cycle: int64(r.U64()), tile: r.U16(), dir: r.U8(), net: r.U8(), word: Word(r.U32())}
 		if e.cycle < prev || e.cycle > snapCycle {
 			return fmt.Errorf("raw: snapshot log entry %d out of order", i)
 		}
@@ -157,9 +151,9 @@ func (c *Chip) RestoreSnapshotOps(blob []byte, ops []ReplayOp) error {
 		prev = e.cycle
 		log[i] = e
 	}
-	wantDigest := r.u64()
-	if r.err != nil {
-		return errors.New("raw: truncated snapshot")
+	wantDigest := r.U64()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("raw: corrupt snapshot: %w", err)
 	}
 
 	rec := &recorder{}
@@ -255,28 +249,3 @@ func (c *Chip) digest() uint64 {
 	}
 	return d
 }
-
-func le32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func le64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-// reader is a bounds-checked little-endian cursor over a snapshot blob.
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil || r.off+n > len(r.buf) {
-		r.err = errors.New("short read")
-		return make([]byte, n)
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *reader) u8() uint8   { return r.bytes(1)[0] }
-func (r *reader) u16() uint16 { return binary.LittleEndian.Uint16(r.bytes(2)) }
-func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.bytes(4)) }
-func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.bytes(8)) }

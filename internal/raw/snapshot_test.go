@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/raw"
+	"repro/internal/wire/wiretest"
 )
 
 // pipeChip builds a 2x2 chip whose top row forwards static network 0
@@ -120,6 +121,34 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	if err := ran.RestoreSnapshot(blob); err == nil {
 		t.Fatal("restore onto a non-fresh chip accepted")
 	}
+}
+
+// TestSnapshotHostileInput: a RAWCKPT1 blob cut at any 8-byte boundary,
+// or with its log count set to 1<<62, is rejected with an error, never
+// a panic.
+func TestSnapshotHostileInput(t *testing.T) {
+	c := pipeChip(t)
+	if err := c.EnableRecording(); err != nil {
+		t.Fatal(err)
+	}
+	in := c.StaticIn(0, raw.DirW)
+	for i := 0; i < 50; i++ {
+		in.Push(raw.Word(i))
+		c.Run(4)
+	}
+	blob, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wiretest.NewWalker(blob)
+	w.Magic("RAWCKPT1")
+	w.Bytes(3*4 + 2*8) // version, width, height, clock, cycle
+	w.Bytes(16 * w.Count(16))
+	w.U64() // digest
+	if err := w.Done(); err != nil {
+		t.Fatal(err)
+	}
+	wiretest.Reject(t, func(b []byte) error { return pipeChip(t).RestoreSnapshot(b) }, w.Cases())
 }
 
 // TestRecordingRequiredBeforeFirstCycle: the input log must cover the

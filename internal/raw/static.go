@@ -309,11 +309,3 @@ func (s *swState) PC() int { return s.pc }
 
 // Halted reports whether the switch has stopped.
 func (s *swState) Halted() bool { return s.halted }
-
-// Current returns the instruction at the pc, or nil past the program end.
-func (s *swState) Current() *SwInstr {
-	if s.pc < len(s.prog) {
-		return &s.prog[s.pc]
-	}
-	return nil
-}

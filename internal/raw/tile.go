@@ -79,12 +79,6 @@ func (t *Tile) step() {
 // matching Figure 3-1 / 7-2 of the paper).
 func (t *Tile) ID() int { return t.id }
 
-// X returns the tile's column.
-func (t *Tile) X() int { return t.x }
-
-// Y returns the tile's row.
-func (t *Tile) Y() int { return t.y }
-
 // Boundary reports whether direction d points off-chip from this tile.
 func (t *Tile) Boundary(d Dir) bool {
 	switch d {

@@ -228,11 +228,6 @@ func (f *Fabric) TotalPkts() int64 {
 	return t
 }
 
-// GoodputGbps converts delivered words to gigabits per second at clockHz.
-func (f *Fabric) GoodputGbps(clockHz float64) float64 {
-	return stats.Gbps(f.TotalWords()*4, f.Cycles, clockHz)
-}
-
 // AllocateChannels is Allocate with ch parallel ring channel pairs — the
 // §5.3 second-static-network ablation. A transfer blocked on channel 0's
 // clockwise and counterclockwise rings retries on channel 1, and so on.

@@ -204,8 +204,3 @@ func (f *VOQFabric) TotalWords() int64 {
 	}
 	return t
 }
-
-// GoodputGbps converts delivered words to Gbps at clockHz.
-func (f *VOQFabric) GoodputGbps(clockHz float64) float64 {
-	return stats.Gbps(f.TotalWords()*4, f.Cycles, clockHz)
-}

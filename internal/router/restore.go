@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 
+	"repro/internal/fault"
 	"repro/internal/trace"
 )
 
@@ -69,6 +70,21 @@ func (r *Router) ScheduleRestore(cycle int64, port int) {
 // ScheduleRestore).
 func (r *Router) ScheduleReprobe(cycle int64, port int) {
 	r.controls = append(r.controls, control{cycle: cycle, port: port, kind: ctlReprobe})
+}
+
+// ScheduleControls schedules a fault schedule's recovery controls, its
+// restore@ and reprobe@ directives (the injector skips them). A
+// checkpoint replays only on a router that scheduled the same controls
+// as the run that wrote it, so every harness schedules them here.
+func (r *Router) ScheduleControls(s *fault.Schedule) {
+	for _, ctl := range s.Controls() {
+		switch ctl.Kind {
+		case fault.KindRestore:
+			r.ScheduleRestore(ctl.Start, ctl.Tile)
+		case fault.KindReprobe:
+			r.ScheduleReprobe(ctl.Start, ctl.Tile)
+		}
+	}
 }
 
 // Tick implements raw.StepHook: the router is the chip's single

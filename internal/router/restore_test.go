@@ -480,14 +480,7 @@ func TestScheduledRestoreControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := fault.MustParse("restore@5000:p3")
-	for _, c := range s.Controls() {
-		switch c.Kind {
-		case fault.KindRestore:
-			r.ScheduleRestore(c.Start, c.Tile)
-		case fault.KindReprobe:
-			r.ScheduleReprobe(c.Start, c.Tile)
-		}
-	}
+	r.ScheduleControls(s)
 	if !runUntil(r, 100000, func() bool { return r.DeadPort() < 0 && r.ProbationPort() < 0 }) {
 		t.Fatalf("scheduled restore never completed: dead=%d restoring=%v",
 			r.DeadPort(), r.Restoring())

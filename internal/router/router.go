@@ -530,11 +530,6 @@ func (r *Router) DrainOutput(p int) ([]ip.Packet, error) {
 	return pkts, nil
 }
 
-// UnparsedWords returns the words buffered at output p that do not yet
-// form a complete packet (a truncated tail on a failed port, or a packet
-// still streaming).
-func (r *Router) UnparsedWords(p int) int { return len(r.parseBuf[p]) }
-
 // OutputWords returns the total words ever emitted on output p.
 func (r *Router) OutputWords(p int) int64 { return r.outs[p].Count() }
 

@@ -1,9 +1,11 @@
 package router
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/raw"
+	"repro/internal/wire"
 )
 
 // Deterministic router checkpoints (robustness extension). The chip
@@ -38,38 +40,39 @@ func (r *Router) Snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	le := binary.LittleEndian
 	b := []byte(rtrSnapMagic)
-	b = rle64(b, uint64(len(chip)))
+	b = le.AppendUint64(b, uint64(len(chip)))
 	b = append(b, chip...)
 	for p := 0; p < 4; p++ {
-		b = rle64(b, uint64(r.parsed[p]))
-		b = rle64(b, uint64(len(r.parseBuf[p])))
+		b = le.AppendUint64(b, uint64(r.parsed[p]))
+		b = le.AppendUint64(b, uint64(len(r.parseBuf[p])))
 		for _, w := range r.parseBuf[p] {
-			b = rle32(b, w)
+			b = le.AppendUint32(b, w)
 		}
-		b = rle64(b, uint64(len(r.cuts[p])))
+		b = le.AppendUint64(b, uint64(len(r.cuts[p])))
 		for _, c := range r.cuts[p] {
-			b = rle64(b, uint64(c))
+			b = le.AppendUint64(b, uint64(c))
 		}
-		b = rle64(b, uint64(r.outs[p].Count()-int64(r.outs[p].Held())))
+		b = le.AppendUint64(b, uint64(r.outs[p].Count()-int64(r.outs[p].Held())))
 	}
 	// Mid-run table updates: DRAM pokes live outside the chip's input
 	// log, so the blob carries them and restore re-applies them at the
 	// recorded cycles.
-	b = rle64(b, uint64(len(r.tableLog)))
+	b = le.AppendUint64(b, uint64(len(r.tableLog)))
 	for _, u := range r.tableLog {
-		b = rle64(b, uint64(u.cycle))
-		b = rle64(b, uint64(len(u.segs)))
+		b = le.AppendUint64(b, uint64(u.cycle))
+		b = le.AppendUint64(b, uint64(len(u.segs)))
 		for _, seg := range u.segs {
-			b = rle64(b, uint64(seg.Addr))
-			b = rle64(b, uint64(len(seg.Words)))
+			b = le.AppendUint64(b, uint64(seg.Addr))
+			b = le.AppendUint64(b, uint64(len(seg.Words)))
 			for _, w := range seg.Words {
-				b = rle32(b, w)
+				b = le.AppendUint32(b, w)
 			}
 		}
 	}
 	for _, v := range r.stateWords() {
-		b = rle64(b, uint64(v))
+		b = le.AppendUint64(b, uint64(v))
 	}
 	return b, nil
 }
@@ -85,12 +88,11 @@ func (r *Router) RestoreSnapshot(blob []byte) error {
 	if !r.cfg.Checkpoint {
 		return fmt.Errorf("router: restore requires Config.Checkpoint")
 	}
-	rd := rtrReader{buf: blob}
-	magic := rd.bytes(len(rtrSnapMagic))
-	if rd.err != nil || string(magic) != rtrSnapMagic {
+	rd := wire.NewReader(blob)
+	if !rd.Magic(rtrSnapMagic) {
 		return fmt.Errorf("router: not a router snapshot")
 	}
-	chip := rd.bytes(int(rd.u64()))
+	chip := rd.Blob()
 	type portState struct {
 		parsed   int64
 		parseBuf []uint32
@@ -98,53 +100,45 @@ func (r *Router) RestoreSnapshot(blob []byte) error {
 		drained  int64
 	}
 	var ports [4]portState
-	for p := 0; p < 4; p++ {
+	for p := range ports {
 		ps := &ports[p]
-		ps.parsed = int64(rd.u64())
-		ps.parseBuf = make([]uint32, rd.u64())
+		ps.parsed = int64(rd.U64())
+		ps.parseBuf = make([]uint32, rd.Count(4))
 		for i := range ps.parseBuf {
-			ps.parseBuf[i] = rd.u32()
+			ps.parseBuf[i] = rd.U32()
 		}
-		ps.cuts = make([]int64, rd.u64())
+		ps.cuts = make([]int64, rd.Count(8))
 		for i := range ps.cuts {
-			ps.cuts[i] = int64(rd.u64())
-		}
-		ps.drained = int64(rd.u64())
-	}
-	nupd := rd.u64()
-	if nupd > uint64(len(blob)) {
-		return fmt.Errorf("router: corrupt snapshot (table update count)")
-	}
-	log := make([]tableUpdate, 0, nupd)
-	for n := nupd; n > 0 && rd.err == nil; n-- {
-		u := tableUpdate{cycle: int64(rd.u64())}
-		nsegs := rd.u64()
-		if nsegs > uint64(len(blob)) {
-			return fmt.Errorf("router: corrupt snapshot (table segment count)")
-		}
-		for s := nsegs; s > 0 && rd.err == nil; s-- {
-			seg := TableSegment{Addr: raw.Word(rd.u64())}
-			nw := rd.u64()
-			if nw > uint64(len(blob)) {
-				return fmt.Errorf("router: corrupt snapshot (table word count)")
+			ps.cuts[i] = int64(rd.U64())
+			if ps.cuts[i] < 0 {
+				return fmt.Errorf("router: corrupt snapshot (port %d cut %d)", p, ps.cuts[i])
 			}
-			seg.Words = make([]uint32, 0, nw)
-			for w := nw; w > 0 && rd.err == nil; w-- {
-				seg.Words = append(seg.Words, rd.u32())
-			}
-			u.segs = append(u.segs, seg)
 		}
-		log = append(log, u)
+		ps.drained = int64(rd.U64())
+		if ps.parsed < 0 || ps.drained < 0 {
+			return fmt.Errorf("router: corrupt snapshot (port %d parsed %d, drained %d)", p, ps.parsed, ps.drained)
+		}
+	}
+	log := make([]tableUpdate, rd.Count(16))
+	for i := range log {
+		u := &log[i]
+		u.cycle = int64(rd.U64())
+		u.segs = make([]TableSegment, rd.Count(16))
+		for j := range u.segs {
+			seg := &u.segs[j]
+			seg.Addr = raw.Word(rd.U64())
+			seg.Words = make([]uint32, rd.Count(4))
+			for k := range seg.Words {
+				seg.Words[k] = rd.U32()
+			}
+		}
 	}
 	want := make([]int64, len(r.stateWords()))
 	for i := range want {
-		want[i] = int64(rd.u64())
+		want[i] = int64(rd.U64())
 	}
-	if rd.err != nil {
-		return fmt.Errorf("router: truncated snapshot")
-	}
-	if rd.off != len(blob) {
-		return fmt.Errorf("router: %d trailing bytes in snapshot", len(blob)-rd.off)
+	if err := rd.Done(); err != nil {
+		return fmt.Errorf("router: corrupt snapshot: %w", err)
 	}
 
 	// Replay the simulation, re-poking each recorded table update at its
@@ -218,49 +212,4 @@ func (r *Router) stateWords() []int64 {
 		flags |= 2
 	}
 	return append(w, flags)
-}
-
-func rle32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func rle64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// rtrReader is a bounds-checked little-endian cursor; err latches.
-type rtrReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *rtrReader) bytes(n int) []byte {
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		if r.err == nil {
-			r.err = fmt.Errorf("short read")
-		}
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *rtrReader) u32() uint32 {
-	b := r.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func (r *rtrReader) u64() uint64 {
-	b := r.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }

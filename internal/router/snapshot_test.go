@@ -2,12 +2,15 @@ package router_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/ip"
 	"repro/internal/router"
 	"repro/internal/traffic"
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // snapCfg is the chaos configuration the checkpoint tests run: watchdog
@@ -154,4 +157,100 @@ func TestRouterSnapshotErrors(t *testing.T) {
 	if err := bare.RestoreSnapshot(blob); err == nil {
 		t.Fatal("replay without the original fault schedule accepted")
 	}
+}
+
+// smallSnapshot checkpoints a 200-cycle run that carries one packet and
+// one table update, so every RTRCKPT1 section is present.
+func smallSnapshot(t testing.TB, cfg router.Config) []byte {
+	r, err := router.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := ip.NewPacket(traffic.PortAddr(0, 1), traffic.PortAddr(1, 1), 64, 64, 1)
+	r.OfferPacket(0, &pkt)
+	r.UpdateTable(router.CanonicalTable())
+	r.Run(200)
+	blob, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestRouterSnapshotHostileInput: an RTRCKPT1 blob cut at any 8-byte
+// boundary, with any count set to 1<<62, or with a negative parse or
+// drain cursor is rejected with an error, never a panic.
+func TestRouterSnapshotHostileInput(t *testing.T) {
+	cfg := snapCfg()
+	blob := smallSnapshot(t, cfg)
+	w := wiretest.NewWalker(blob)
+	w.Magic("RTRCKPT1")
+	w.Blob() // chip
+	var cursors []int
+	for p := 0; p < 4; p++ {
+		cursors = append(cursors, w.Offset()) // parsed
+		w.U64()
+		w.Bytes(4 * w.Count(4))               // parse buffer
+		w.Bytes(8 * w.Count(8))               // cut list
+		cursors = append(cursors, w.Offset()) // drained
+		w.U64()
+	}
+	for n := w.Count(16); n > 0; n-- { // table updates
+		w.U64()
+		for s := w.Count(16); s > 0; s-- {
+			w.U64()
+			w.Bytes(4 * w.Count(4))
+		}
+	}
+	if err := w.Err(); err != nil || len(w.Counts) < 12 { // 12 with one table segment
+		t.Fatalf("walk: %v, %d counts", err, len(w.Counts))
+	}
+	cases := w.Cases()
+	for _, off := range cursors {
+		cases = append(cases, wiretest.Case{Name: fmt.Sprintf("cursor at %d = -1", off), Blob: wiretest.Set(blob, off, 1<<64-1)})
+	}
+	// Router construction dominates; a blob that fails to parse leaves
+	// the router untouched, so one is rebuilt only after a replay ran.
+	r := mustNew(t, cfg)
+	if err := r.RestoreSnapshot(blob); err != nil {
+		t.Fatalf("valid blob: %v", err)
+	}
+	wiretest.Reject(t, func(b []byte) error {
+		if r.Cycle() != 0 {
+			r = mustNew(t, cfg)
+		}
+		return r.RestoreSnapshot(b)
+	}, cases)
+}
+
+// replayCycles is the cycle an RTRCKPT1 blob's chip replay runs to,
+// read from the embedded RAWCKPT1 header.
+func replayCycles(blob []byte) uint64 {
+	rd := wire.NewReader(blob)
+	rd.Bytes(8)
+	chip := wire.NewReader(rd.Blob())
+	chip.Bytes(28) // magic, version, width, height, clock
+	return chip.U64()
+}
+
+// FuzzRouterRestore: RestoreSnapshot returns an error or succeeds on any
+// bytes, never panics, and a router it accepts runs and drains.
+func FuzzRouterRestore(f *testing.F) {
+	cfg := snapCfg()
+	f.Add(smallSnapshot(f, cfg))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		// A mutated cycle field would replay for hours before the digest
+		// check can fail it: the format carries no checksum.
+		if replayCycles(blob) > 1<<16 {
+			t.Skip()
+		}
+		r := mustNew(t, cfg)
+		if r.RestoreSnapshot(blob) != nil {
+			return
+		}
+		r.Run(64)
+		for p := 0; p < 4; p++ {
+			r.DrainOutput(p)
+		}
+	})
 }

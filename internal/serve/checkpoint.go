@@ -1,6 +1,11 @@
 package serve
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+
+	"repro/internal/wire"
+)
 
 // Serve checkpoint framing. The router blob (RTRCKPT1, see
 // internal/router/snapshot.go) captures everything inside the
@@ -15,59 +20,34 @@ import "fmt"
 
 const srvSnapMagic = "SRVCKPT1"
 
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
 func encodeCheckpoint(slice int64, eras []uint64, blob []byte) []byte {
+	le := binary.LittleEndian
 	b := []byte(srvSnapMagic)
-	b = appendU64(b, uint64(slice))
-	b = appendU64(b, uint64(len(eras)))
+	b = le.AppendUint64(b, uint64(slice))
+	b = le.AppendUint64(b, uint64(len(eras)))
 	for _, e := range eras {
-		b = appendU64(b, e)
+		b = le.AppendUint64(b, e)
 	}
-	b = appendU64(b, uint64(len(blob)))
+	b = le.AppendUint64(b, uint64(len(blob)))
 	return append(b, blob...)
 }
 
 func decodeCheckpoint(b []byte) (slice int64, eras []uint64, blob []byte, err error) {
-	bad := func(what string) (int64, []uint64, []byte, error) {
-		return 0, nil, nil, fmt.Errorf("serve: %s checkpoint", what)
+	rd := wire.NewReader(b)
+	if !rd.Magic(srvSnapMagic) {
+		return 0, nil, nil, fmt.Errorf("serve: not a serve checkpoint")
 	}
-	if len(b) < len(srvSnapMagic) || string(b[:len(srvSnapMagic)]) != srvSnapMagic {
-		return bad("not a serve")
+	slice = int64(rd.U64())
+	eras = make([]uint64, rd.Count(8))
+	for i := range eras {
+		eras[i] = rd.U64()
 	}
-	off := len(srvSnapMagic)
-	u64 := func() (uint64, bool) {
-		if off+8 > len(b) {
-			return 0, false
-		}
-		v := uint64(b[off]) | uint64(b[off+1])<<8 | uint64(b[off+2])<<16 |
-			uint64(b[off+3])<<24 | uint64(b[off+4])<<32 | uint64(b[off+5])<<40 |
-			uint64(b[off+6])<<48 | uint64(b[off+7])<<56
-		off += 8
-		return v, true
+	blob = rd.Blob()
+	if err := rd.Done(); err != nil {
+		return 0, nil, nil, fmt.Errorf("serve: corrupt checkpoint: %w", err)
 	}
-	s, ok := u64()
-	if !ok {
-		return bad("truncated")
+	if slice < 0 {
+		return 0, nil, nil, fmt.Errorf("serve: corrupt checkpoint (slice %d)", slice)
 	}
-	n, ok := u64()
-	if !ok || n > uint64(len(b)) {
-		return bad("truncated")
-	}
-	eras = make([]uint64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		e, ok := u64()
-		if !ok {
-			return bad("truncated")
-		}
-		eras = append(eras, e)
-	}
-	bl, ok := u64()
-	if !ok || uint64(off)+bl != uint64(len(b)) {
-		return bad("truncated")
-	}
-	return int64(s), eras, b[off:], nil
+	return slice, eras, blob, nil
 }

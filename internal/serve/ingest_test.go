@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/ip"
+	"repro/internal/router"
 	"repro/internal/traffic"
+	"repro/internal/wire/wiretest"
 )
 
 // TestWorkloadFeederPure: arrivals for a slice are a pure function of
@@ -144,6 +147,56 @@ func TestCheckpointCodec(t *testing.T) {
 	if _, _, _, err := decodeCheckpoint(nil); err == nil {
 		t.Fatal("nil accepted")
 	}
+}
+
+// smallCheckpoint wraps a 200-cycle router checkpoint in SRVCKPT1 with
+// two soak-window eras.
+func smallCheckpoint(t testing.TB) []byte {
+	rc := router.DefaultConfig()
+	rc.Checkpoint = true
+	r, err := router.New(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run(200)
+	blob, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeCheckpoint(3, []uint64{7, 9}, blob)
+}
+
+// TestCheckpointHostileInput: an SRVCKPT1 blob cut at any 8-byte
+// boundary, with any count set to 1<<62, or with a negative slice index
+// is rejected with an error, never a panic.
+func TestCheckpointHostileInput(t *testing.T) {
+	blob := smallCheckpoint(t)
+	w := wiretest.NewWalker(blob)
+	w.Magic(srvSnapMagic)
+	w.U64() // slice
+	w.Bytes(8 * w.Count(8))
+	w.Blob()
+	if err := w.Done(); err != nil {
+		t.Fatal(err)
+	}
+	cases := append(w.Cases(), wiretest.Case{Name: "slice = -1", Blob: wiretest.Set(blob, 8, 1<<64-1)})
+	wiretest.Reject(t, func(b []byte) error {
+		_, _, _, err := decodeCheckpoint(b)
+		return err
+	}, cases)
+}
+
+// FuzzCheckpointDecode: decodeCheckpoint returns an error or succeeds on
+// any bytes, never panics, and re-encoding what it accepts reproduces
+// the input.
+func FuzzCheckpointDecode(f *testing.F) {
+	f.Add(smallCheckpoint(f))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		slice, eras, blob, err := decodeCheckpoint(b)
+		if err == nil && !bytes.Equal(encodeCheckpoint(slice, eras, blob), b) {
+			t.Fatal("re-encoding an accepted checkpoint changed its bytes")
+		}
+	})
 }
 
 // TestSLOGateTransitions drives the rolling-window evaluator directly:

@@ -312,14 +312,7 @@ func New(cfg Config) (*Daemon, error) {
 	// original run had.
 	d.installInjector()
 	if cfg.Base != nil {
-		for _, ctl := range cfg.Base.Controls() {
-			switch ctl.Kind {
-			case fault.KindRestore:
-				d.r.ScheduleRestore(ctl.Start, ctl.Tile)
-			case fault.KindReprobe:
-				d.r.ScheduleReprobe(ctl.Start, ctl.Tile)
-			}
-		}
+		d.r.ScheduleControls(cfg.Base)
 	}
 	if blob != nil {
 		if err := d.r.RestoreSnapshot(blob); err != nil {

@@ -1,11 +1,9 @@
 package telemetry
 
-import "net/http"
-
 // Snapshot-on-demand HTTP serving (serve-mode extension). The daemon's
-// control plane renders a fresh Snapshot per request; these helpers keep
-// the format → content-type mapping and the write path in one place so
-// every endpoint serves the same deterministic bytes Encode produces.
+// control plane renders a fresh Snapshot per request with Encode;
+// ContentType keeps the format → content-type mapping in one place so
+// every endpoint labels those bytes the same way.
 
 // ContentType returns the HTTP Content-Type for an export format name.
 // Unknown formats fall back to text/plain.
@@ -21,19 +19,4 @@ func ContentType(format string) string {
 		return "text/csv; charset=utf-8"
 	}
 	return "text/plain; charset=utf-8"
-}
-
-// WriteHTTP renders the snapshot in the named format and writes it as an
-// HTTP response with the matching Content-Type. Unknown formats produce a
-// 400 with the encoder's error text.
-func (s *Snapshot) WriteHTTP(w http.ResponseWriter, format string) error {
-	body, err := s.Encode(format)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return err
-	}
-	w.Header().Set("Content-Type", ContentType(format))
-	w.WriteHeader(http.StatusOK)
-	_, err = w.Write(body)
-	return err
 }

@@ -37,9 +37,6 @@ func (r *Recorder) Record(cycle int64, tile int, state raw.TileState) {
 	r.states[tile][cycle-r.Start] = state
 }
 
-// States returns the recorded strip for one tile.
-func (r *Recorder) States(tile int) []raw.TileState { return r.states[tile] }
-
 // Utilization returns the fraction of recorded cycles tile spent running.
 func (r *Recorder) Utilization(tile int) float64 {
 	run := 0

@@ -237,7 +237,3 @@ func (f *FlowProcess) SliceCycles() int64 { return f.cyc }
 
 // Ports implements Process.
 func (f *FlowProcess) Ports() int { return f.spec.Ports }
-
-// MeanFlowWords exposes the expected flow footprint (for tests and the
-// bench harness).
-func (f *FlowProcess) MeanFlowWords() float64 { return f.meanFlowWords }

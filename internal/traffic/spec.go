@@ -119,12 +119,6 @@ func Patterns() []string {
 	return names
 }
 
-// LookupPattern returns a registry entry.
-func LookupPattern(name string) (*Pattern, bool) {
-	p, ok := registry[name]
-	return p, ok
-}
-
 // withDefaults fills zero fields; it leaves s.Params untouched (lookup
 // goes through param()).
 func (s *Spec) withDefaults() {

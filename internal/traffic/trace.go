@@ -3,12 +3,11 @@ package traffic
 // TRAF1 — the replayable binary trace format. A trace is a recorded
 // window of an open-loop arrival process: the generating Spec (as JSON,
 // for provenance), the slice length it was recorded on, and every
-// timestamped arrival. Encoding follows the repo's checkpoint-blob
-// discipline (RTRCKPT1/SRVCKPT1/FABCKPT1): an 8-byte magic, little-
-// endian u64 framing, an FNV-64a trailer over everything that precedes
-// it, and a decoder that bounds-checks every read. Encode(Parse(b)) == b
-// for any valid blob, so "recorded once, versioned forever" is testable
-// as byte identity.
+// timestamped arrival. It shares the checkpoints' encoding — an 8-byte
+// magic and little-endian u64 framing, decoded through internal/wire —
+// and adds an FNV-64a trailer over everything that precedes it.
+// Encode(Parse(b)) == b for any valid blob, so "recorded once,
+// versioned forever" is testable as byte identity.
 //
 //	"TRAF1\x00\x00\x00"
 //	u64 sliceCycles | u64 ports
@@ -27,6 +26,7 @@ import (
 	"sort"
 
 	"repro/internal/ip"
+	"repro/internal/wire"
 )
 
 // specToJSON renders the provenance spec deterministically (struct field
@@ -90,27 +90,28 @@ func (t *Trace) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := make([]byte, 0, 64+len(specJSON)+36*len(t.Arrivals))
+	le := binary.LittleEndian
+	b := make([]byte, 0, 64+len(specJSON)+40*len(t.Arrivals))
 	b = append(b, traceMagic...)
-	b = appendU64(b, uint64(t.SliceCyclesRec))
-	b = appendU64(b, uint64(t.NumPorts))
-	b = appendU64(b, uint64(len(specJSON)))
+	b = le.AppendUint64(b, uint64(t.SliceCyclesRec))
+	b = le.AppendUint64(b, uint64(t.NumPorts))
+	b = le.AppendUint64(b, uint64(len(specJSON)))
 	b = append(b, specJSON...)
-	b = appendU64(b, uint64(len(t.Arrivals)))
+	b = le.AppendUint64(b, uint64(len(t.Arrivals)))
 	for i := range t.Arrivals {
 		a := &t.Arrivals[i]
-		b = appendU64(b, uint64(a.Cycle))
-		b = appendU64(b, a.Flow)
-		b = appendU32(b, a.Seq)
-		b = appendU32(b, uint32(a.Pkt.SizeBytes))
-		b = appendU32(b, uint32(a.Port))
-		b = appendU32(b, uint32(a.Pkt.Dst))
-		b = appendU32(b, uint32(a.Pkt.SrcIP))
-		b = appendU32(b, uint32(a.Pkt.DstIP))
+		b = le.AppendUint64(b, uint64(a.Cycle))
+		b = le.AppendUint64(b, a.Flow)
+		b = le.AppendUint32(b, a.Seq)
+		b = le.AppendUint32(b, uint32(a.Pkt.SizeBytes))
+		b = le.AppendUint32(b, uint32(a.Port))
+		b = le.AppendUint32(b, uint32(a.Pkt.Dst))
+		b = le.AppendUint32(b, uint32(a.Pkt.SrcIP))
+		b = le.AppendUint32(b, uint32(a.Pkt.DstIP))
 	}
 	h := fnv.New64a()
 	h.Write(b)
-	b = appendU64(b, h.Sum64())
+	b = le.AppendUint64(b, h.Sum64())
 	return b, nil
 }
 
@@ -119,45 +120,37 @@ func ParseTrace(b []byte) (*Trace, error) {
 	bad := func(format string, args ...any) (*Trace, error) {
 		return nil, fmt.Errorf("traffic: bad TRAF1 blob: "+format, args...)
 	}
-	if len(b) < len(traceMagic)+8 || string(b[:len(traceMagic)]) != traceMagic {
-		return bad("missing magic")
+	if len(b) < 8 {
+		return bad("truncated")
 	}
 	body, tail := b[:len(b)-8], b[len(b)-8:]
+	r := wire.NewReader(body)
+	if !r.Magic(traceMagic) {
+		return bad("missing magic")
+	}
 	h := fnv.New64a()
 	h.Write(body)
 	if h.Sum64() != binary.LittleEndian.Uint64(tail) {
 		return bad("checksum mismatch")
 	}
-	r := &blobReader{b: body, off: len(traceMagic)}
 	t := &Trace{}
-	t.SliceCyclesRec = int64(r.u64())
-	t.NumPorts = int(r.u64())
-	specLen := r.u64()
-	if specLen > uint64(len(body)) {
-		return bad("spec length %d exceeds blob", specLen)
-	}
-	specJSON := r.bytes(int(specLen))
-	count := r.u64()
-	if count > uint64(len(body))/36 {
-		return bad("arrival count %d exceeds blob", count)
-	}
-	t.Arrivals = make([]Arrival, count)
+	t.SliceCyclesRec = int64(r.U64())
+	t.NumPorts = int(r.U64())
+	specJSON := r.Blob()
+	t.Arrivals = make([]Arrival, r.Count(40))
 	for i := range t.Arrivals {
 		a := &t.Arrivals[i]
-		a.Cycle = int64(r.u64())
-		a.Flow = r.u64()
-		a.Seq = r.u32()
-		a.Pkt.SizeBytes = int(r.u32())
-		a.Port = int(r.u32())
-		a.Pkt.Dst = int(r.u32())
-		a.Pkt.SrcIP = ip.Addr(r.u32())
-		a.Pkt.DstIP = ip.Addr(r.u32())
+		a.Cycle = int64(r.U64())
+		a.Flow = r.U64()
+		a.Seq = r.U32()
+		a.Pkt.SizeBytes = int(r.U32())
+		a.Port = int(r.U32())
+		a.Pkt.Dst = int(r.U32())
+		a.Pkt.SrcIP = ip.Addr(r.U32())
+		a.Pkt.DstIP = ip.Addr(r.U32())
 	}
-	if r.err {
-		return bad("truncated")
-	}
-	if r.off != len(body) {
-		return bad("%d trailing bytes", len(body)-r.off)
+	if err := r.Done(); err != nil {
+		return bad("%v", err)
 	}
 	if t.SliceCyclesRec <= 0 || t.NumPorts < 1 || t.NumPorts > 1024 {
 		return bad("sliceCycles %d / ports %d out of range", t.SliceCyclesRec, t.NumPorts)
@@ -245,47 +238,3 @@ func (p *traceProcess) SliceCycles() int64 { return p.cyc }
 
 // Ports implements Process.
 func (p *traceProcess) Ports() int { return p.tr.NumPorts }
-
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-type blobReader struct {
-	b   []byte
-	off int
-	err bool
-}
-
-func (r *blobReader) u64() uint64 {
-	if r.off+8 > len(r.b) {
-		r.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *blobReader) u32() uint32 {
-	if r.off+4 > len(r.b) {
-		r.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *blobReader) bytes(n int) []byte {
-	if n < 0 || r.off+n > len(r.b) {
-		r.err = true
-		return nil
-	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v
-}

@@ -2,10 +2,13 @@ package traffic_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/traffic"
+	"repro/internal/wire/wiretest"
 )
 
 func testTraceSpec() traffic.Spec {
@@ -118,6 +121,64 @@ func TestTraceRejects(t *testing.T) {
 	if _, err := traffic.ParseTrace(nil); err == nil {
 		t.Fatal("nil accepted")
 	}
+}
+
+// smallTraceBody records 200 cycles of the test workload and returns
+// the TRAF1 blob without its checksum trailer.
+func smallTraceBody(t testing.TB) []byte {
+	tr, err := traffic.Record(traffic.MustBuild(testTraceSpec()), 50, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Arrivals) == 0 {
+		t.Fatal("recorded nothing")
+	}
+	enc, err := tr.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc[:len(enc)-8]
+}
+
+// seal appends the FNV-64a trailer, so a mutated body gets past the
+// checksum to the framing.
+func seal(body []byte) []byte {
+	h := fnv.New64a()
+	h.Write(body)
+	return binary.LittleEndian.AppendUint64(append([]byte(nil), body...), h.Sum64())
+}
+
+// TestTraceHostileInput: a TRAF1 body cut at any 8-byte boundary or with
+// any count set to 1<<62, resealed with a valid checksum, is rejected
+// with an error, never a panic.
+func TestTraceHostileInput(t *testing.T) {
+	body := smallTraceBody(t)
+	w := wiretest.NewWalker(body)
+	w.Magic("TRAF1\x00\x00\x00")
+	w.Bytes(2 * 8) // slice cycles, ports
+	w.Blob()       // spec JSON
+	w.Bytes(40 * w.Count(40))
+	if err := w.Done(); err != nil {
+		t.Fatal(err)
+	}
+	wiretest.Reject(t, func(b []byte) error {
+		_, err := traffic.ParseTrace(seal(b))
+		return err
+	}, w.Cases())
+}
+
+// FuzzParseTrace: ParseTrace returns an error or succeeds on any sealed
+// body, never panics, and a trace it accepts replays.
+func FuzzParseTrace(f *testing.F) {
+	f.Add(smallTraceBody(f))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		tr, err := traffic.ParseTrace(seal(body))
+		if err != nil {
+			return
+		}
+		tr.DstWords()
+		tr.Process(0).Slice(0)
+	})
 }
 
 // TestTracePattern: the "trace" registry pattern replays a recorded
