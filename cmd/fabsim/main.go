@@ -26,7 +26,12 @@
 //
 // -topology switches fabsim from the experiment suite to a single
 // N-chip cycle-level fabric run: -chips sizes it (a 16-chip mesh is the
-// 4x4 grid), -faults may schedule whole-chip kills and re-admissions
+// 4x4 grid) and -workload drives its external ports, one closed-loop
+// source each (a spec's ports default to the fabric's externals; any
+// other explicit count is rejected). Without -workload every external e
+// sends 1,024 B packets to external (e + E/2) mod E, the antipodal
+// permutation the repo benchmark's fabric-mesh16 workload measures.
+// -faults may schedule whole-chip kills and re-admissions
 // (killchip@CYCLE:cK / restorechip@CYCLE:cK) and trunk loss
 // (killtrunk@CYCLE:cA-cB / restoretrunk@CYCLE:cA-cB), and -metrics
 // exports the fabric-plane telemetry snapshot (per-trunk conservation
@@ -35,7 +40,9 @@
 // trunk-level ARQ retransmission, end-to-end duplicate suppression —
 // with -healwindow/-healretries/-healbackoff/-healseed tuning the ARQ;
 // the run then also audits the end-to-end delivery ledger and prints
-// the healing summary. Example:
+// the healing summary. -faults and the -heal group need -topology, the
+// -heal knobs need -heal, and -faultseed is rejected: the fabric's
+// faults are its hand-written lifecycle schedule. Example:
 //
 //	fabsim -topology mesh -chips 16 -heal \
 //	       -faults 'killchip@20000:c5;killtrunk@30000:c1-c2;restorechip@60000:c5' -metrics prom
@@ -81,20 +88,27 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "fabsim:", err)
 		return 2
 	}
-	if err := wflags.CheckConflicts(flag.CommandLine); err != nil {
+	if err := common.ValidateFabric(); err != nil {
 		fmt.Fprintln(os.Stderr, "fabsim:", err)
 		return 2
 	}
-	if wl, given, err := wflags.Build(); err != nil {
+	spec, fabric, _ := common.FabricSpec() // err caught by Validate
+	var wl *traffic.Workload
+	var err error
+	if fabric {
+		wl, err = wflags.BuildFor(spec.Externals(), cli.FabricDefault(spec.Externals()))
+	} else {
+		wl, _, err = wflags.Build()
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fabsim:", err)
 		return 2
-	} else if given {
-		if n, wrote, err := wflags.MaybeRecord(wl, 4096); err != nil {
-			fmt.Fprintln(os.Stderr, "fabsim:", err)
-			return 1
-		} else if wrote {
-			fmt.Printf("workload: recorded %d arrivals -> %s\n", n, wflags.RecordTrace)
-		}
+	}
+	if n, wrote, err := wflags.MaybeRecord(wl, 4096); err != nil {
+		fmt.Fprintln(os.Stderr, "fabsim:", err)
+		return 1
+	} else if wrote {
+		fmt.Printf("workload: recorded %d arrivals -> %s\n", n, wflags.RecordTrace)
 	}
 	stopProf, err := common.StartProfile()
 	if err != nil {
@@ -111,8 +125,8 @@ func run() int {
 		q = exp.Full
 	}
 
-	if spec, ok, _ := common.FabricSpec(); ok { // err caught by Validate
-		if err := runFabric(spec, &common, engine, q); err != nil {
+	if fabric {
+		if err := runFabric(spec, wl, &common, engine, q); err != nil {
 			fmt.Fprintln(os.Stderr, "fabsim:", err)
 			return 1
 		}
@@ -192,12 +206,12 @@ func run() int {
 	return 0
 }
 
-// runFabric drives one N-chip fabric under balanced antipodal traffic
-// (external e -> external (e + E/2) mod E, always cross-chip), applying
-// any chip/trunk lifecycle controls from -faults, and prints the fabric
-// summary. -heal arms the healing plane and audits the end-to-end
-// delivery ledger. -metrics exports the fabric-plane telemetry snapshot.
-func runFabric(spec cluster.Spec, common *cli.Common, engine raw.Engine, q exp.Quality) error {
+// runFabric drives one N-chip fabric closed-loop from wl's sources, one
+// per external port, applying any chip/trunk lifecycle controls from
+// -faults, and prints the fabric summary. -heal arms the healing plane
+// and audits the end-to-end delivery ledger. -metrics exports the
+// fabric-plane telemetry snapshot.
+func runFabric(spec cluster.Spec, wl *traffic.Workload, common *cli.Common, engine raw.Engine, q exp.Quality) error {
 	cfg := cluster.Config{Topology: spec, Router: router.DefaultConfig(), Heal: common.HealConfig()}
 	cfg.Router.Engine = engine
 	if cfg.Heal.Enabled {
@@ -216,27 +230,29 @@ func runFabric(spec cluster.Spec, common *cli.Common, engine raw.Engine, q exp.Q
 		}
 		f.ApplySchedule(sched)
 	}
+	srcs, err := wl.Sources()
+	if err != nil {
+		return err
+	}
 	rounds := 150
 	if q == exp.Full {
 		rounds = 600
 	}
-	ext := spec.Externals()
 	id := uint16(0)
 	for i := 0; i < rounds; i++ {
-		for e := 0; e < ext; e++ {
+		for e, src := range srcs {
 			// A refused offer (dead ingress chip, dead or partitioned-away
 			// destination) never grows the backlog, so bound the fill by
 			// attempts too or a faulted run would feed forever.
 			for tries := 0; f.InputBacklogWords(e) < 4096 && tries < 64; tries++ {
 				id++
-				dst := (e + ext/2) % ext
-				pkt := ip.NewPacket(traffic.PortAddr(e, uint32(id)),
-					traffic.PortAddr(dst, uint32(id)), 64, 1024, id)
+				p := src.Next()
+				pkt := ip.NewPacket(p.SrcIP, p.DstIP, 64, p.SizeBytes, id)
 				f.OfferPacket(e, &pkt)
 			}
 		}
 		f.Run(200)
-		for e := 0; e < ext; e++ {
+		for e := range srcs {
 			if _, err := f.DrainOutput(e); err != nil {
 				return err
 			}
@@ -252,8 +268,8 @@ func runFabric(spec cluster.Spec, common *cli.Common, engine raw.Engine, q exp.Q
 	}
 	snap := f.TelemetrySnapshot()
 	tb := &stats.Table{
-		Caption: fmt.Sprintf("%s fabric: %d chips, %d externals, %d trunks, cycle %d",
-			spec, spec.NumChips(), ext, len(snap.Trunks), f.Cycle()),
+		Caption: fmt.Sprintf("%s fabric: %d chips, %d externals, %d trunks, cycle %d, workload=%s",
+			spec, spec.NumChips(), len(srcs), len(snap.Trunks), f.Cycle(), wl.Spec),
 		Headers: []string{"metric", "value"},
 	}
 	tb.AddRow("external Gbps", stats.Gbps(f.ExternalWordsOut()*4, f.Cycle(), cfg.Router.ClockHz))

@@ -3,20 +3,22 @@
 //
 // Usage:
 //
-//	rawrouter [-size 1024] [-pattern perm|uniform|hotspot] [-cycles 200000]
-//	          [-warmup 80000] [-quantum 256] [-crypto] [-layout] [-seed 1]
-//	          [-workload SPEC] [-recordtrace FILE] [-recordslices N]
-//	          [-engine fast|ref] [-faults SCHEDULE] [-faultseed N] [-watchdog]
-//	          [-autorestore] [-reprobe N] [-checkpoint FILE] [-restore FILE]
-//	          [-metrics FORMAT[:FILE]]
+//	rawrouter [-workload SPEC] [-cycles 200000] [-warmup 80000]
+//	          [-quantum 256] [-crypto] [-layout] [-recordtrace FILE]
+//	          [-recordslices N] [-engine fast|ref] [-faults SCHEDULE]
+//	          [-faultseed N] [-watchdog] [-autorestore] [-reprobe N]
+//	          [-checkpoint FILE] [-restore FILE] [-metrics FORMAT[:FILE]]
 //
-// -workload drives the router from a declarative workload spec
+// -workload is the only traffic flag: a declarative workload spec
 // (`NAME[:key=val,...]`, `json:FILE`, `trace:FILE`, or a preset — see
-// internal/traffic) instead of the legacy -pattern/-size/-seed/-rate
-// flags; mixing the two is rejected. -recordtrace freezes the
+// internal/traffic) whose ports default to the router's four. Without
+// it the router runs `permutation`, Figure 5-1's i -> i+2 rotation at
+// 1,024 B (the §7.2 peak-rate workload); `-workload uniform:size=64` is
+// §7.3's average rate at the smallest packet. -recordtrace freezes the
 // workload's open-loop arrival stream as a replayable TRAF1 trace
-// (-recordslices slices long). With -serve, -workload selects the
-// daemon's feed workload.
+// (-recordslices slices long). With -serve, the workload is the daemon's
+// synthetic feed, offered at the spec's rate (`NAME:rate=R`, words per
+// cycle per port).
 //
 // -engine fast (the default) or ref, the reference interpreter, picks
 // the chip cycle engine; output is bit-for-bit identical under either.
@@ -50,6 +52,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/traffic"
 )
 
 // main delegates to run so deferred cleanups (profile flush) execute
@@ -59,14 +62,11 @@ func main() {
 }
 
 func run() int {
-	size := flag.Int("size", 1024, "packet size in bytes (header included)")
-	pattern := flag.String("pattern", "perm", "traffic pattern: perm, uniform, hotspot")
 	cycles := flag.Int64("cycles", 200_000, "measured cycles")
 	warmup := flag.Int64("warmup", 80_000, "warmup cycles before measuring")
 	quantum := flag.Int("quantum", 256, "crossbar quantum in words")
 	crypto := flag.Bool("crypto", false, "enable §8.3 computation-in-fabric payload cipher")
 	layout := flag.Bool("layout", false, "print the Figure 7-2 tile mapping and exit")
-	seed := flag.Uint64("seed", 1, "workload seed")
 	watchdog := flag.Bool("watchdog", false, "arm the quantum-progress watchdog (degrade on a wedged crossbar tile)")
 	autoRestore := flag.Bool("autorestore", false, "let the watchdog re-admit a degraded port when its tile thaws (requires -watchdog)")
 	reprobe := flag.Int("reprobe", 0, "line-flap retry backoff base in quanta (0 = LineDown latches permanently)")
@@ -90,30 +90,26 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "rawrouter:", err)
 		return 2
 	}
-	if err := wflags.CheckConflicts(flag.CommandLine, "size", "pattern", "seed", "rate"); err != nil {
-		fmt.Fprintln(os.Stderr, "rawrouter:", err)
-		return 2
-	}
-	workload, workloadGiven, err := wflags.Build()
+	// Without -workload: Figure 5-1's i -> i+2 rotation at 1,024 B, the
+	// spec the benchmark's router-1024B-perm measures at seed 1.
+	workload, err := wflags.BuildFor(len(router.Layout), traffic.Spec{Pattern: "permutation"})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rawrouter:", err)
 		return 2
 	}
-	if workloadGiven {
-		if kind, _, _ := sflags.FeedSpec(); sflags.Serve && kind == "udp" {
-			fmt.Fprintln(os.Stderr, "rawrouter: -workload describes synthetic traffic; it cannot run with -feed udp")
-			return 2
-		}
-		recCycles := int64(4096)
-		if sflags.Serve {
-			recCycles = sflags.SliceCycles
-		}
-		if n, wrote, err := wflags.MaybeRecord(workload, recCycles); err != nil {
-			fmt.Fprintln(os.Stderr, "rawrouter:", err)
-			return 1
-		} else if wrote {
-			fmt.Printf("workload: recorded %d arrivals -> %s\n", n, wflags.RecordTrace)
-		}
+	if kind, _, _ := sflags.FeedSpec(); wflags.Given() && sflags.Serve && kind == "udp" {
+		fmt.Fprintln(os.Stderr, "rawrouter: -workload describes synthetic traffic; it cannot run with -feed udp")
+		return 2
+	}
+	recCycles := int64(4096)
+	if sflags.Serve {
+		recCycles = sflags.SliceCycles
+	}
+	if n, wrote, err := wflags.MaybeRecord(workload, recCycles); err != nil {
+		fmt.Fprintln(os.Stderr, "rawrouter:", err)
+		return 1
+	} else if wrote {
+		fmt.Printf("workload: recorded %d arrivals -> %s\n", n, wflags.RecordTrace)
 	}
 
 	if *layout {
@@ -126,24 +122,19 @@ func run() int {
 		return 2
 	}
 	defer stopProf()
-	engine, _ := common.EngineChoice() // validated above
-
-	if sflags.Serve {
-		return runServe(&common, &sflags, serveParams{
-			size: *size, pattern: *pattern, quantum: *quantum, crypto: *crypto,
-			seed: *seed, watchdog: *watchdog, autoRestore: *autoRestore, reprobe: *reprobe,
-			workload: workload,
-		})
-	}
-
-	var rec *trace.Recorder
 	rcfg := router.DefaultConfig()
+	rcfg.Engine, _ = common.EngineChoice() // validated above
 	rcfg.QuantumWords = *quantum
 	rcfg.Crypto = *crypto
 	rcfg.Watchdog = *watchdog
 	rcfg.AutoRestore = *autoRestore
 	rcfg.ReprobeQuanta = *reprobe
 	rcfg.Checkpoint = common.Checkpoint != "" || common.Restore != ""
+	if sflags.Serve {
+		return runServe(&common, &sflags, rcfg, workload)
+	}
+
+	var rec *trace.Recorder
 	if common.Trace {
 		rec = trace.NewRecorder(16, *warmup+*cycles-800, *warmup+*cycles)
 		rcfg.Tracer = rec
@@ -152,8 +143,7 @@ func run() int {
 	if sink != nil {
 		rcfg.Metrics = telemetry.New(telemetry.Config{})
 	}
-	r, err := core.New(core.Options{QuantumWords: *quantum, Crypto: *crypto,
-		ChipEngine: engine, RouterConfig: &rcfg})
+	r, err := core.New(core.Options{RouterConfig: &rcfg})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rawrouter:", err)
 		return 1
@@ -181,31 +171,14 @@ func run() int {
 		fmt.Printf("restored checkpoint %s at cycle %d\n", common.Restore, r.Cycle().Cycle())
 	}
 
-	var gen core.TrafficGen
-	described := fmt.Sprintf("pattern=%s size=%dB", *pattern, *size)
-	if workloadGiven {
-		gen, err = core.WorkloadTraffic(workload)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rawrouter:", err)
-			return 2
-		}
-		described = "workload=" + workload.Spec.String()
-	} else {
-		switch *pattern {
-		case "perm":
-			gen = core.PermutationTraffic(*size, 2)
-		case "uniform":
-			gen = core.UniformTraffic(*size, *seed)
-		case "hotspot":
-			gen = core.HotspotTraffic(*size, *seed)
-		default:
-			fmt.Fprintf(os.Stderr, "rawrouter: unknown pattern %q\n", *pattern)
-			return 2
-		}
+	gen, err := core.WorkloadTraffic(workload)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rawrouter:", err)
+		return 2
 	}
 
 	res := r.RunMeasured(*warmup, *cycles, gen)
-	fmt.Printf("%s quantum=%dw crypto=%v\n", described, *quantum, *crypto)
+	fmt.Printf("workload=%s quantum=%dw crypto=%v\n", workload.Spec, *quantum, *crypto)
 	fmt.Printf("measured %d cycles at %.0f MHz\n", res.Cycles, res.ClockHz/1e6)
 	fmt.Printf("throughput: %.2f Gbps   rate: %.2f Mpps   packets: %d\n",
 		res.Gbps, res.Mpps, res.Packets)

@@ -14,7 +14,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/ip"
 	"repro/internal/router"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
@@ -22,26 +21,12 @@ import (
 	"repro/internal/traffic"
 )
 
-// serveParams carries the batch flags the serve path shares.
-type serveParams struct {
-	size        int
-	pattern     string
-	quantum     int
-	crypto      bool
-	seed        uint64
-	watchdog    bool
-	autoRestore bool
-	reprobe     int
-	// workload is the compiled -workload spec; nil means the legacy
-	// -pattern/-size/-seed/-rate flags describe the feed (legacyFeedSpec).
-	workload *traffic.Workload
-}
-
 // runServe runs the router as a daemon: live ingest, HTTP control plane,
 // SLO gates, optional continuous chaos soak with supervised
 // restart-from-checkpoint. SIGTERM/SIGINT trigger drain → checkpoint →
-// clean exit.
-func runServe(common *cli.Common, sf *cli.ServeFlags, p serveParams) int {
+// clean exit. base is the batch router configuration every incarnation
+// starts from; workload is the synthetic feed (unused with -feed udp).
+func runServe(common *cli.Common, sf *cli.ServeFlags, base router.Config, workload *traffic.Workload) int {
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "rawrouter:", err)
 		return 1
@@ -51,16 +36,6 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, p serveParams) int {
 	}
 
 	feedKind, feedAddr, _ := sf.FeedSpec() // validated by ValidateServe
-	workload := p.workload
-	if workload == nil && feedKind != "udp" {
-		spec, err := legacyFeedSpec(p, sf.Rate)
-		if err != nil {
-			return fail(err)
-		}
-		if workload, err = traffic.Build(spec); err != nil {
-			return fail(fmt.Errorf("feed config: %w", err))
-		}
-	}
 
 	// The control plane outlives daemon incarnations (the supervisor may
 	// build several); handlers route to the current one.
@@ -114,18 +89,10 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, p serveParams) int {
 		collector := telemetry.New(telemetry.Config{})
 		events := &trace.EventLog{}
 
-		rcfg := router.DefaultConfig()
-		rcfg.QuantumWords = p.quantum
-		rcfg.Crypto = p.crypto
-		rcfg.Watchdog = p.watchdog
-		rcfg.AutoRestore = p.autoRestore
-		rcfg.ReprobeQuanta = p.reprobe
-		rcfg.Checkpoint = common.Checkpoint != "" || common.Restore != ""
+		rcfg := base
 		rcfg.Metrics = collector
 		rcfg.Events = events
-		engine, _ := common.EngineChoice() // validated in run()
-		r, err := core.New(core.Options{QuantumWords: p.quantum, Crypto: p.crypto,
-			ChipEngine: engine, RouterConfig: &rcfg})
+		r, err := core.New(core.Options{RouterConfig: &rcfg})
 		if err != nil {
 			return nil, err
 		}
@@ -244,32 +211,4 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, p serveParams) int {
 		return 1
 	}
 	return 0
-}
-
-// legacyFeedSpec translates the legacy -pattern/-size/-seed/-rate flags
-// into the workload spec they describe: uniform by default, perm as the
-// offset-1 permutation, 1,024-byte packets and 800 words per 1000 cycles
-// per port unless given. ValidateServe has already rejected a negative
-// -rate.
-func legacyFeedSpec(p serveParams, ratePerMille int) (traffic.Spec, error) {
-	size := p.size
-	if size == 0 {
-		size = 1024
-	}
-	if size < ip.HeaderBytes {
-		return traffic.Spec{}, fmt.Errorf("packet size %dB below the %dB header", size, ip.HeaderBytes)
-	}
-	if ratePerMille == 0 {
-		ratePerMille = 800
-	}
-	spec := traffic.Spec{Pattern: p.pattern, Ports: 4, Size: size, Seed: p.seed,
-		Rate: float64(ratePerMille) / 1000}
-	switch p.pattern {
-	case "":
-		spec.Pattern = "uniform"
-	case "perm", "permutation":
-		spec.Pattern = "permutation"
-		spec.Params = map[string]float64{"offset": 1}
-	}
-	return spec, nil
 }

@@ -18,7 +18,7 @@
 //
 // Usage:
 //
-//	rawsim [-cycles 1000] [-engine fast|ref] [-in tile:side:w1,w2,...] [-regs 0,4]
+//	rawsim [-cycles 1000] [-engine fast|ref] [-regs 0,4]
 //	       [-workload SPEC -workloadpkts N]
 //	       [-faults SCHEDULE] [-faultseed N]
 //	       [-checkpoint FILE] [-restore FILE] prog.rawasm
@@ -26,20 +26,20 @@
 // -engine fast (the default) or ref, the reference interpreter, picks
 // the chip cycle engine; output is bit-for-bit identical under either.
 //
-// -in pushes words into a boundary static input before the run; -regs
-// dumps those tiles' registers afterwards; all boundary static outputs
-// that received words are printed. -workload preloads each router
-// ingress pin (the Figure 7-2 port layout) with on-wire IP packets
-// drawn from a declarative workload spec instead of hand-typed word
-// lists — -workloadpkts packets per port; it replaces -in and the two
-// conflict. -faults installs a deterministic fault schedule
-// (internal/fault text encoding, e.g. "freeze@100+50:t3"); -faultseed
-// adds a seeded schedule of recoverable faults. -checkpoint FILE writes
-// a deterministic chip checkpoint blob after the run; -restore FILE
-// replays one before running -cycles more. A -restore run must load the
-// same program and pass the same -faults/-faultseed as the run that
-// wrote the blob — the restore verifies the replay and rejects a
-// mismatched environment.
+// -workload is the only input to the chip's edge pins: it preloads each
+// router ingress pin (the Figure 7-2 port layout) with -workloadpkts
+// on-wire IP packets per port, drawn from a declarative workload spec
+// whose ports default to the router's four. Without it the program runs
+// on what its own tiles send. -regs dumps those tiles' registers
+// afterwards; all boundary static outputs that received words are
+// printed. -faults installs a deterministic fault
+// schedule (internal/fault text encoding, e.g. "freeze@100+50:t3");
+// -faultseed adds a seeded schedule of recoverable faults. -checkpoint
+// FILE writes a deterministic chip checkpoint blob after the run;
+// -restore FILE replays one before running -cycles more. A -restore run
+// must load the same program and pass the same -faults/-faultseed as the
+// run that wrote the blob — the restore verifies the replay and rejects
+// a mismatched environment.
 package main
 
 import (
@@ -66,7 +66,6 @@ func main() {
 
 func run() int {
 	cycles := flag.Int64("cycles", 1000, "cycles to simulate")
-	inputs := flag.String("in", "", "edge inputs: tile:side:w1,w2,... (comma-free words use ; between specs)")
 	regs := flag.String("regs", "", "tiles whose registers to dump, comma separated")
 	workloadPkts := flag.Int("workloadpkts", 4, "packets per port preloaded onto the router ingress pins by -workload")
 	var common cli.Common
@@ -80,7 +79,8 @@ func run() int {
 	if err := common.Validate(); err != nil {
 		return fail(err)
 	}
-	if err := wflags.CheckConflicts(flag.CommandLine, "in"); err != nil {
+	wl, preload, err := wflags.Build()
+	if err != nil {
 		return fail(err)
 	}
 	if flag.NArg() != 1 {
@@ -130,16 +130,7 @@ func run() int {
 		fmt.Printf("restored checkpoint %s at cycle %d\n", common.Restore, chip.Cycle())
 	}
 
-	if *inputs != "" {
-		for _, spec := range strings.Split(*inputs, ";") {
-			if err := pushInput(chip, spec); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	if wl, given, err := wflags.Build(); err != nil {
-		return fail(err)
-	} else if given {
+	if preload {
 		if n, wrote, err := wflags.MaybeRecord(wl, 4096); err != nil {
 			return fail(err)
 		} else if wrote {
@@ -248,40 +239,6 @@ func loadProgram(chip *raw.Chip, src string) (map[int]*asm.Interp, error) {
 		body.WriteByte('\n')
 	}
 	return interps, flush()
-}
-
-// pushInput handles a tile:side:w1,w2,... spec.
-func pushInput(chip *raw.Chip, spec string) error {
-	parts := strings.Split(strings.TrimSpace(spec), ":")
-	if len(parts) != 3 {
-		return fmt.Errorf("bad -in spec %q", spec)
-	}
-	tile, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return fmt.Errorf("bad tile in %q", spec)
-	}
-	var side raw.Dir
-	switch strings.ToUpper(parts[1]) {
-	case "N":
-		side = raw.DirN
-	case "E":
-		side = raw.DirE
-	case "S":
-		side = raw.DirS
-	case "W":
-		side = raw.DirW
-	default:
-		return fmt.Errorf("bad side in %q", spec)
-	}
-	in := chip.StaticIn(tile, side)
-	for _, ws := range strings.Split(parts[2], ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(ws), 0, 64)
-		if err != nil {
-			return fmt.Errorf("bad word %q in %q", ws, spec)
-		}
-		in.Push(raw.Word(v))
-	}
-	return nil
 }
 
 // pushWorkload preloads each router ingress pin (the Figure 7-2 port

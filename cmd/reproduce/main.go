@@ -37,10 +37,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "reproduce:", err)
 		os.Exit(2)
 	}
-	if err := wflags.CheckConflicts(flag.CommandLine); err != nil {
-		fmt.Fprintln(os.Stderr, "reproduce:", err)
-		os.Exit(2)
-	}
 	if wl, given, err := wflags.Build(); err != nil {
 		fmt.Fprintln(os.Stderr, "reproduce:", err)
 		os.Exit(2)

@@ -221,6 +221,38 @@ func (c *Common) Validate() error {
 	return nil
 }
 
+// ValidateFabric checks fabsim's fault and healing flags: -faults and
+// the -heal group act only on a -topology run, the -heal knobs tune only
+// -heal, and the fabric takes its chip and trunk lifecycle from -faults
+// alone, so -faultseed has nothing to drive.
+func (c *Common) ValidateFabric() error {
+	if c.FaultSeed != 0 {
+		return fmt.Errorf("-faultseed: fabsim draws no seeded faults; schedule chip and trunk loss with -faults")
+	}
+	for _, f := range []struct {
+		name      string
+		set, heal bool // heal: the flag tunes -heal
+	}{
+		{"faults", c.Faults != "", false},
+		{"heal", c.Heal, false},
+		{"healwindow", c.HealWindow != 0, true},
+		{"healretries", c.HealRetries != 0, true},
+		{"healbackoff", c.HealBackoff != 0, true},
+		{"healseed", c.HealSeed != 0, true},
+	} {
+		if !f.set {
+			continue
+		}
+		if c.Topology == "" {
+			return fmt.Errorf("-%s needs -topology: the experiment suite does not read it", f.name)
+		}
+		if f.heal && !c.Heal {
+			return fmt.Errorf("-%s needs -heal", f.name)
+		}
+	}
+	return nil
+}
+
 // Schedule merges the -faults text with the -faultseed random schedule
 // (caller supplies the horizon/limits in opts; opts.Seed is overridden
 // by -faultseed). Returns an empty schedule when neither flag is set.

@@ -4,11 +4,14 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/raw"
+	"repro/internal/traffic"
 )
 
 func parseWith(t *testing.T, args ...string) *Common {
@@ -177,7 +180,6 @@ func TestServeFlagsValidate(t *testing.T) {
 		{"-soak"},                            // soak without serve
 		{"-serve", "-feed", "tcp:127.0.0.1"}, // unknown feed scheme
 		{"-serve", "-feed", "udp:"},          // udp with no address
-		{"-serve", "-rate", "-5"},            // negative load
 		{"-serve", "-slice", "0"},            // empty slice
 		{"-serve", "-ckptevery", "8"},        // periodic ckpt without -checkpoint
 		{"-serve", "-soak", "-soakwindow", "0"},
@@ -278,5 +280,135 @@ func TestFabricSpecParsing(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("%v: Validate missed the bad fabric flags", args)
 		}
+	}
+}
+
+// parseFabsim parses args with fabsim's fabric, fault and heal groups.
+func parseFabsim(t *testing.T, args ...string) *Common {
+	t.Helper()
+	var c Common
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	c.RegisterFabric(fs)
+	c.RegisterFaults(fs)
+	c.RegisterHeal(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %v: %v", args, err)
+	}
+	return &c
+}
+
+// fabsim rejects the fault and heal flags a run would not read, naming
+// the flag.
+func TestValidateFabric(t *testing.T) {
+	ring := []string{"-topology", "ring", "-chips", "4"}
+	for _, tc := range []struct {
+		args []string
+		flag string // the flag the error must name
+	}{
+		{append(ring, "-faultseed", "7"), "-faultseed"},
+		{[]string{"-faults", "killchip@10:c1"}, "-faults"},
+		{[]string{"-heal"}, "-heal"},
+		{[]string{"-healwindow", "8"}, "-healwindow"},
+		{[]string{"-healretries", "2"}, "-healretries"},
+		{[]string{"-healbackoff", "64"}, "-healbackoff"},
+		{[]string{"-healseed", "3"}, "-healseed"},
+		{append(ring, "-healwindow", "8"), "-healwindow"},
+		{append(ring, "-healretries", "2"), "-healretries"},
+		{append(ring, "-healbackoff", "64"), "-healbackoff"},
+		{append(ring, "-healseed", "3"), "-healseed"},
+	} {
+		err := parseFabsim(t, tc.args...).ValidateFabric()
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") && !strings.HasPrefix(err.Error(), tc.flag+":") {
+			t.Errorf("%v: error %v, want one naming %s", tc.args, err, tc.flag)
+		}
+	}
+	for _, args := range [][]string{
+		nil,
+		ring,
+		append(ring, "-faults", "killchip@10:c1"),
+		append(ring, "-heal", "-healwindow", "8", "-healretries", "2", "-healbackoff", "64", "-healseed", "3"),
+	} {
+		if err := parseFabsim(t, args...).ValidateFabric(); err != nil {
+			t.Errorf("%v: rejected: %v", args, err)
+		}
+	}
+}
+
+func parseWorkload(t *testing.T, args ...string) *WorkloadFlags {
+	t.Helper()
+	var w WorkloadFlags
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	w.RegisterWorkload(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %v: %v", args, err)
+	}
+	return &w
+}
+
+// -recordtrace records the -workload stream, so it needs the flag and a
+// positive -recordslices; every way of compiling the workload says so.
+func TestWorkloadRecordChecks(t *testing.T) {
+	for _, args := range [][]string{
+		{"-recordtrace", "day.traf"},
+		{"-workload", "uniform", "-recordtrace", "day.traf", "-recordslices", "0"},
+	} {
+		w := parseWorkload(t, args...)
+		if _, _, err := w.Build(); err == nil {
+			t.Errorf("%v: Build accepted", args)
+		}
+		if _, err := w.BuildFor(4, traffic.Spec{Pattern: "permutation"}); err == nil {
+			t.Errorf("%v: BuildFor accepted", args)
+		}
+	}
+	w := parseWorkload(t, "-workload", "uniform", "-recordtrace", "day.traf", "-recordslices", "8")
+	if _, ok, err := w.Build(); !ok || err != nil {
+		t.Errorf("valid -recordtrace rejected: %v", err)
+	}
+}
+
+// BuildFor gives a spec without ports the device's count, rejects an
+// explicit different count, and compiles the default without -workload.
+func TestBuildForPorts(t *testing.T) {
+	def := traffic.Spec{Pattern: "permutation"}
+	for _, tc := range []struct {
+		args  []string
+		ports int
+		want  string // spec the run drives; "" = rejected
+	}{
+		{nil, 4, "permutation:ports=4,size=1024,seed=1,rate=0.8"},
+		{[]string{"-workload", "uniform:size=64"}, 16, "uniform:ports=16,size=64,seed=1,rate=0.8"},
+		{[]string{"-workload", "imix"}, 8, "flows:ports=8,size=1024,seed=1,rate=0.8,sizes=64/576/1500,weights=7/4/1"},
+		{[]string{"-workload", "uniform:ports=16"}, 16, "uniform:ports=16,size=1024,seed=1,rate=0.8"},
+		{[]string{"-workload", "uniform:ports=4"}, 16, ""},
+		{[]string{"-workload", "hotspot:ports=8"}, 4, ""},
+	} {
+		wl, err := parseWorkload(t, tc.args...).BuildFor(tc.ports, def)
+		switch {
+		case tc.want == "" && err == nil:
+			t.Errorf("%v on %d ports: accepted %s", tc.args, tc.ports, wl.Spec)
+		case tc.want == "" && !strings.Contains(err.Error(), "ports"):
+			t.Errorf("%v on %d ports: error %q does not mention ports", tc.args, tc.ports, err)
+		case tc.want != "" && err != nil:
+			t.Errorf("%v on %d ports: %v", tc.args, tc.ports, err)
+		case tc.want != "" && wl.Spec.String() != tc.want:
+			t.Errorf("%v on %d ports: runs %s, want %s", tc.args, tc.ports, wl.Spec, tc.want)
+		}
+	}
+}
+
+// Without -workload, fabsim -topology drives the stream the repo
+// benchmark's fabric-mesh16 workload measures: bench/fabric.go builds
+// this spec for the 4x4 mesh, here at seed 1.
+func TestFabricDefaultMatchesBench(t *testing.T) {
+	mesh := cluster.Mesh(4, 4)
+	ext := mesh.Externals()
+	bench := traffic.MustBuild(traffic.Spec{Pattern: "permutation", Ports: ext, Size: 1024,
+		Seed: 1, Params: map[string]float64{"offset": float64(ext / 2)}})
+	got, err := parseWorkload(t).BuildFor(ext, FabricDefault(ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Spec, bench.Spec) {
+		t.Fatalf("fabsim default %s, bench fabric-mesh16 %s", got.Spec, bench.Spec)
 	}
 }

@@ -16,12 +16,10 @@ type ServeFlags struct {
 	// Listen (-listen) is the HTTP control-plane address; port 0 picks a
 	// free port (the daemon prints the resolved address).
 	Listen string
-	// Feed (-feed) selects the ingest source: "synthetic" (deterministic
-	// in-process feeder) or "udp:HOST:PORT" (live socket shim).
+	// Feed (-feed) selects the ingest source: "synthetic" (the -workload
+	// spec's open-loop arrivals, offered at its rate) or "udp:HOST:PORT"
+	// (live socket shim).
 	Feed string
-	// Rate (-rate) is the synthetic feeder's offered load per port in
-	// words per 1000 cycles (1000 = line rate).
-	Rate int
 	// SliceCycles (-slice) is the admission/control time base.
 	SliceCycles int64
 	// QueuePkts (-queue) bounds each port's admission queue; overflow is
@@ -60,9 +58,7 @@ func (s *ServeFlags) RegisterServe(fs *flag.FlagSet) {
 	fs.StringVar(&s.Listen, "listen", "127.0.0.1:0",
 		"control-plane HTTP address (/metrics, /healthz, /readyz, /drain); port 0 picks a free port")
 	fs.StringVar(&s.Feed, "feed", "synthetic",
-		"ingest source: synthetic (deterministic feeder) or udp:HOST:PORT (socket shim)")
-	fs.IntVar(&s.Rate, "rate", 800,
-		"synthetic offered load per port, words per 1000 cycles (1000 = line rate)")
+		"ingest source: synthetic (the -workload spec's arrivals) or udp:HOST:PORT (socket shim)")
 	fs.Int64Var(&s.SliceCycles, "slice", 4096,
 		"admission/control slice length in cycles")
 	fs.IntVar(&s.QueuePkts, "queue", 64,
@@ -112,9 +108,6 @@ func (s *ServeFlags) ValidateServe(c *Common) error {
 	}
 	if _, _, err := s.FeedSpec(); err != nil {
 		return err
-	}
-	if s.Rate < 0 {
-		return fmt.Errorf("-rate: negative offered load %d", s.Rate)
 	}
 	if s.SliceCycles <= 0 {
 		return fmt.Errorf("-slice: slice length must be positive, got %d", s.SliceCycles)

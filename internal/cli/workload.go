@@ -1,25 +1,26 @@
 package cli
 
-// The shared -workload flag group: one declarative workload spec
-// replaces the per-binary pattern/size/seed flags. The spec text is
-// traffic.ParseSpec's grammar — an inline `name:key=val,...` shorthand,
-// `json:FILE` for a spec document, `trace:FILE` for TRAF1 replay, or a
-// preset name — so every command that drives traffic accepts exactly
-// the same workload language.
+// The shared -workload flag group: the one way any command is told what
+// traffic to run. The spec text is traffic.ParseSpec's grammar — an
+// inline `name:key=val,...` shorthand, `json:FILE` for a spec document,
+// `trace:FILE` for TRAF1 replay, or a preset name — so every command
+// that drives traffic accepts exactly the same workload language.
 
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/traffic"
 )
 
 // WorkloadFlags holds the -workload flag group. Zero value is ready;
-// call RegisterWorkload before flag.Parse and Spec/Build after.
+// call RegisterWorkload before flag.Parse and Spec/Build/BuildFor
+// after.
 type WorkloadFlags struct {
 	// Workload (-workload) is the spec text; empty means the command's
-	// legacy flags (or defaults) drive traffic.
+	// default workload.
 	Workload string
 	// RecordTrace (-recordtrace) writes the workload's open-loop arrival
 	// stream to FILE as a TRAF1 trace instead of (or before) running.
@@ -45,21 +46,19 @@ func presetNames() []string {
 	for n := range traffic.Presets() {
 		names = append(names, n)
 	}
-	// Deterministic help text.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	slices.Sort(names) // deterministic help text
 	return names
 }
 
 // Given reports whether -workload was set.
 func (w *WorkloadFlags) Given() bool { return w.Workload != "" }
 
-// Spec parses -workload. Returns ok=false with no error when the flag
-// was not given.
+// Spec parses -workload and checks the -recordtrace group against it.
+// Returns ok=false with no error when the flag was not given.
 func (w *WorkloadFlags) Spec() (traffic.Spec, bool, error) {
+	if err := w.checkRecord(); err != nil {
+		return traffic.Spec{}, false, err
+	}
 	if w.Workload == "" {
 		return traffic.Spec{}, false, nil
 	}
@@ -68,6 +67,20 @@ func (w *WorkloadFlags) Spec() (traffic.Spec, bool, error) {
 		return traffic.Spec{}, false, fmt.Errorf("-workload: %w", err)
 	}
 	return s, true, nil
+}
+
+// checkRecord rejects a -recordtrace with nothing to record or no
+// slices to record.
+func (w *WorkloadFlags) checkRecord() error {
+	switch {
+	case w.RecordTrace == "":
+		return nil
+	case w.Workload == "":
+		return fmt.Errorf("-recordtrace needs -workload")
+	case w.RecordSlices <= 0:
+		return fmt.Errorf("-recordslices: must be positive, got %d", w.RecordSlices)
+	}
+	return nil
 }
 
 // Build parses and compiles -workload. Returns ok=false with no error
@@ -84,32 +97,38 @@ func (w *WorkloadFlags) Build() (*traffic.Workload, bool, error) {
 	return wl, true, nil
 }
 
-// CheckConflicts rejects mixing -workload with the command's legacy
-// traffic flags: a spec is the whole workload description, so an
-// explicitly set legacy flag would be silently ignored — fail instead.
-// Call after fs.Parse with the legacy flag names.
-func (w *WorkloadFlags) CheckConflicts(fs *flag.FlagSet, legacy ...string) error {
-	var clash []string
-	fs.Visit(func(f *flag.Flag) {
-		for _, l := range legacy {
-			if f.Name == l {
-				clash = append(clash, "-"+l)
-			}
-		}
-	})
-	if w.Workload == "" {
-		if w.RecordTrace != "" {
-			return fmt.Errorf("-recordtrace needs -workload")
-		}
-		return nil
+// BuildFor compiles the traffic a command drives through a device with
+// the given number of input ports: the -workload spec, or def when the
+// flag was not given. A spec that leaves ports unset gets the device's
+// count; one that names a different count is rejected.
+func (w *WorkloadFlags) BuildFor(ports int, def traffic.Spec) (*traffic.Workload, error) {
+	s, ok, err := w.Spec()
+	if err != nil {
+		return nil, err
 	}
-	if len(clash) > 0 {
-		return fmt.Errorf("-workload already describes the traffic; drop %s", strings.Join(clash, ", "))
+	if !ok {
+		s = def
 	}
-	if w.RecordSlices <= 0 && w.RecordTrace != "" {
-		return fmt.Errorf("-recordslices: must be positive, got %d", w.RecordSlices)
+	switch {
+	case s.Ports == 0:
+		s.Ports = ports
+	case s.Ports != ports:
+		return nil, fmt.Errorf("-workload: the spec describes %d ports, the device has %d", s.Ports, ports)
 	}
-	return nil
+	wl, err := traffic.Build(s)
+	if err != nil {
+		return nil, fmt.Errorf("-workload: %w", err)
+	}
+	return wl, nil
+}
+
+// FabricDefault is what an N-chip fabric run drives without -workload:
+// the antipodal permutation, external e -> (e + E/2) mod E for E
+// externals, at 1,024 B. Every packet crosses chips, and it is the
+// stream the repo benchmark's fabric-mesh16 workload measures.
+func FabricDefault(externals int) traffic.Spec {
+	return traffic.Spec{Pattern: "permutation", Size: 1024,
+		Params: map[string]float64{"offset": float64(externals / 2)}}
 }
 
 // MaybeRecord writes the TRAF1 trace requested by -recordtrace.

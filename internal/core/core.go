@@ -59,8 +59,10 @@ type Options struct {
 	SecondNetwork bool
 	// Ports is the port count; the cycle engine supports exactly 4.
 	Ports int
-	// RouterConfig overrides the full cycle-engine configuration; zero
-	// value uses defaults derived from the fields above.
+	// RouterConfig, if set, is the full cycle-engine configuration: it
+	// wins over ClockHz, QuantumWords, Crypto, CryptoKey, Weights and
+	// ChipEngine, which the cycle engine then ignores. Nil derives the
+	// configuration from those fields.
 	RouterConfig *router.Config
 	// ChipEngine selects the cycle engine's chip stepping strategy:
 	// raw.EngineRef (the reference interpreter, the zero value) or
@@ -126,18 +128,20 @@ func New(opt Options) (*Router, error) {
 		cfg := router.DefaultConfig()
 		if opt.RouterConfig != nil {
 			cfg = *opt.RouterConfig
+		} else {
+			cfg.ClockHz = opt.ClockHz
+			cfg.QuantumWords = opt.QuantumWords
+			cfg.Engine = opt.ChipEngine
+			cfg.Crypto = opt.Crypto
+			cfg.CryptoKey = opt.CryptoKey
+			cfg.Weights = opt.Weights
 		}
-		cfg.ClockHz = opt.ClockHz
-		cfg.QuantumWords = opt.QuantumWords
-		cfg.Engine = opt.ChipEngine
-		cfg.Crypto = opt.Crypto
-		cfg.CryptoKey = opt.CryptoKey
-		cfg.Weights = opt.Weights
 		cyc, err := router.New(cfg)
 		if err != nil {
 			return nil, err
 		}
 		r.cyc = cyc
+		r.opt.ClockHz = cyc.Config().ClockHz // rates use the router's clock
 	case EngineFabric:
 		fcfg := rotor.DefaultFabricConfig()
 		fcfg.Ports = opt.Ports

@@ -1,9 +1,13 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/raw"
+	"repro/internal/router"
+	"repro/internal/stats"
 )
 
 func TestCycleEngineQuickstart(t *testing.T) {
@@ -102,5 +106,35 @@ func TestCryptoOptionPassthrough(t *testing.T) {
 	}
 	if !r.Cycle().Config().Crypto || r.Cycle().Config().CryptoKey != 5 {
 		t.Fatal("crypto options not passed through")
+	}
+}
+
+// A supplied RouterConfig is the whole cycle-engine configuration: the
+// Options fields it duplicates must not overwrite it, and the results'
+// rates use its clock.
+func TestRouterConfigWins(t *testing.T) {
+	cfg := router.DefaultConfig()
+	cfg.ClockHz = 125e6
+	cfg.Engine = raw.EngineFast
+	cfg.QuantumWords = 128
+	cfg.Crypto = true
+	cfg.CryptoKey = 9
+	cfg.Weights = []int{3, 1, 1, 1}
+	r, err := core.New(core.Options{RouterConfig: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Cycle().Config(); got.ClockHz != cfg.ClockHz || got.Engine != cfg.Engine ||
+		got.QuantumWords != cfg.QuantumWords || !got.Crypto || got.CryptoKey != cfg.CryptoKey ||
+		!reflect.DeepEqual(got.Weights, cfg.Weights) {
+		t.Fatalf("router built with clock %v, engine %v, quantum %d, crypto %v key %d, weights %v; want the supplied config",
+			got.ClockHz, got.Engine, got.QuantumWords, got.Crypto, got.CryptoKey, got.Weights)
+	}
+	res := r.RunSaturated(20000, core.PermutationTraffic(256, 2))
+	if res.Packets == 0 {
+		t.Fatal("no packets delivered")
+	}
+	if res.ClockHz != cfg.ClockHz || res.Gbps != stats.Gbps(res.Bytes, res.Cycles, cfg.ClockHz) {
+		t.Fatalf("results at %v Hz, %.3f Gbps; want rates at the supplied %v Hz", res.ClockHz, res.Gbps, cfg.ClockHz)
 	}
 }

@@ -9,25 +9,9 @@ import "repro/internal/traffic"
 // showed up. Step and DrainInFlight are that open-loop surface; the
 // serve runtime layers admission queues and shedding on top.
 
-// HotspotTraffic returns the §7.4 hotspot workload: 70% of packets target
-// output 0, the rest are uniform. One shared seeded RNG serves all ports,
-// matching the draw order the rawrouter CLI has always used, so existing
-// seeded runs reproduce byte-for-byte.
-func HotspotTraffic(sizeBytes int, seed uint64) TrafficGen {
-	rng := traffic.NewRNG(seed)
-	return func(port int) Packet {
-		dst := 0
-		if rng.Float64() >= 0.7 {
-			dst = rng.Intn(4)
-		}
-		return Packet{Dst: dst, SizeBytes: sizeBytes}
-	}
-}
-
 // WorkloadTraffic adapts a compiled traffic.Workload to the closed-loop
 // TrafficGen contract: gen(port) draws the next packet from the
-// workload's per-port source stream. The declarative successor to the
-// UniformTraffic/PermutationTraffic/HotspotTraffic trio.
+// workload's per-port source stream.
 func WorkloadTraffic(w *traffic.Workload) (TrafficGen, error) {
 	srcs, err := w.Sources()
 	if err != nil {

@@ -87,6 +87,25 @@ echo "== gates: engine speedup + healing/telemetry/traffic overhead =="
 # step) must each cost <1%.
 go run ./scripts/gates
 
+echo "== cli: entry-point smoke =="
+# The commands users run must print identical output under the reference
+# interpreter and the fast engine: rawrouter on its default workload and
+# fabsim's ring-4 fabric on its default antipodal permutation. rawrouter
+# with no traffic flag must also print exactly what -workload
+# permutation prints.
+CLI="$(mktemp -d)"
+trap 'rm -rf "$CLI"' EXIT
+go build -o "$CLI/" ./cmd/rawrouter ./cmd/fabsim
+RR="$CLI/rawrouter -cycles 20000 -warmup 10000"
+$RR -engine ref >"$CLI/rr-ref.txt"
+$RR -engine fast >"$CLI/rr-fast.txt"
+$RR -workload permutation >"$CLI/rr-perm.txt"
+cmp "$CLI/rr-ref.txt" "$CLI/rr-fast.txt"
+cmp "$CLI/rr-fast.txt" "$CLI/rr-perm.txt"
+"$CLI/fabsim" -topology ring -chips 4 -engine ref >"$CLI/fab-ref.txt"
+"$CLI/fabsim" -topology ring -chips 4 -engine fast >"$CLI/fab-fast.txt"
+cmp "$CLI/fab-ref.txt" "$CLI/fab-fast.txt"
+
 echo "== serve: daemon-mode smoke =="
 # Boot rawrouter -serve as a real process and drive the whole lifecycle
 # over HTTP: healthz/readyz, a latched degrade arc that trips the
