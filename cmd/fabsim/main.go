@@ -8,7 +8,10 @@
 //	fabsim [-full] [-engine fast|ref] [-reprobe N] [-metrics FORMAT[:FILE]]
 //	       [-topology ring|mesh|fattree] [-chips N] [-faults SCHED]
 //	       [-workload SPEC] [-recordtrace FILE]
-//	       [-exp all|background|ablation|fairness|qos|multicast|scale|scaleout|degraded|restore|telemetry|heavytail]
+//	       [-exp all|background|ablation|fairness|qos|multicast|scale|scaleout|lookup|heavytail|degraded|restore|telemetry]
+//
+// -exp picks one experiment of the suite (all, the default, runs each in
+// the order listed); an unknown name exits 2.
 //
 // -engine fast (the default) or ref, the reference interpreter, picks
 // the chip cycle engine; output is bit-for-bit identical under either.
@@ -42,7 +45,8 @@
 // the run then also audits the end-to-end delivery ledger and prints
 // the healing summary. -faults and the -heal group need -topology, the
 // -heal knobs need -heal, and -faultseed is rejected: the fabric's
-// faults are its hand-written lifecycle schedule. Example:
+// faults are its hand-written lifecycle schedule. -exp and -reprobe
+// drive only the experiment suite, so -topology rejects them. Example:
 //
 //	fabsim -topology mesh -chips 16 -heal \
 //	       -faults 'killchip@20000:c5;killtrunk@30000:c1-c2;restorechip@60000:c5' -metrics prom
@@ -52,6 +56,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/cluster"
@@ -64,6 +70,27 @@ import (
 	"repro/internal/traffic"
 )
 
+// experiments are -exp's names, in the order -exp all runs them.
+var experiments = []string{"background", "ablation", "fairness", "qos", "multicast",
+	"scale", "scaleout", "lookup", "heavytail", "degraded", "restore", "telemetry"}
+
+// checkExp rejects an -exp name outside experiments and, on a -topology
+// run, an explicitly given -exp or -reprobe: only the suite reads them.
+func checkExp(which string, fabric bool, given map[string]bool) error {
+	if which != "all" && !slices.Contains(experiments, which) {
+		return fmt.Errorf("-exp: unknown experiment %q; choose all, %s", which, strings.Join(experiments, ", "))
+	}
+	if !fabric {
+		return nil
+	}
+	for _, name := range []string{"exp", "reprobe"} {
+		if given[name] {
+			return fmt.Errorf("-%s: the -topology run does not read it", name)
+		}
+	}
+	return nil
+}
+
 // main delegates to run so deferred cleanups (profile flush) execute
 // before the process exits — os.Exit in main would skip them.
 func main() {
@@ -72,7 +99,7 @@ func main() {
 
 func run() int {
 	full := flag.Bool("full", false, "run the long (recorded) experiment durations")
-	which := flag.String("exp", "all", "experiment: all, background, ablation, fairness, qos, multicast, scale, scaleout, degraded, restore, telemetry, heavytail")
+	which := flag.String("exp", "all", "experiment: all, "+strings.Join(experiments, ", "))
 	reprobe := flag.Int("reprobe", 0, "line-flap retry backoff base in quanta for the restore experiment (0 = latched LineDown)")
 	var common cli.Common
 	var wflags cli.WorkloadFlags
@@ -93,6 +120,12 @@ func run() int {
 		return 2
 	}
 	spec, fabric, _ := common.FabricSpec() // err caught by Validate
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if err := checkExp(*which, fabric, given); err != nil {
+		fmt.Fprintln(os.Stderr, "fabsim:", err)
+		return 2
+	}
 	var wl *traffic.Workload
 	var err error
 	if fabric {

@@ -3,6 +3,9 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/ip"
@@ -18,9 +21,10 @@ type Config struct {
 	Topology Spec
 	// Router is the per-chip configuration template. The fabric owns the
 	// fields that cannot be shared across chips: Table is compiled per
-	// chip from the topology (must be nil), and Events/Metrics templates
-	// must be nil too — set Config.Metrics to arm per-chip collectors and
-	// read chip planes through ChipEvents and Chip(k). Multicast and
+	// chip from the topology (must be nil), and Events/Metrics/Tracer
+	// templates must be nil too (chips step concurrently) — set
+	// Config.Metrics to arm per-chip collectors and read chip planes
+	// through ChipEvents and Chip(k). Multicast and
 	// Crypto are rejected: both would rewrite the inter-chip word streams
 	// (group fanout, payload ciphering) that trunk neighbors parse as
 	// plain IP packets.
@@ -90,9 +94,11 @@ type trunkState struct {
 
 // sliceCycles is the lockstep granularity: every chip advances this many
 // cycles, then the fabric bridges all trunk pins — the small elastic
-// buffer a real inter-chip link has. Scheduled chip controls fire
-// exactly at their cycle (Run caps a slice short when a control is due),
-// so a run is deterministic for any Run call pattern.
+// buffer a real inter-chip link has. The slice is also the parallel
+// lookahead: no word crosses a trunk inside it, so stepChips may step
+// the chips concurrently. Scheduled chip controls fire exactly at their
+// cycle (Run caps a slice short when a control is due), so a run is
+// deterministic for any Run call pattern.
 const sliceCycles = 64
 
 // Fabric is an N-chip switch: Topology-many 4-port routers wired by
@@ -176,6 +182,8 @@ func NewFabric(cfg Config) (*Fabric, error) {
 		return nil, fmt.Errorf("cluster: an event log cannot be shared across chips; leave Config.Router.Events nil and use ChipEvents")
 	case rc.Metrics != nil:
 		return nil, fmt.Errorf("cluster: a collector cannot be shared across chips; leave Config.Router.Metrics nil and set Config.Metrics")
+	case rc.Tracer != nil:
+		return nil, fmt.Errorf("cluster: a tracer cannot be shared across concurrently stepped chips; leave Config.Router.Tracer nil")
 	case rc.Multicast:
 		return nil, fmt.Errorf("cluster: fabric does not support Multicast (group fanout would corrupt trunk streams)")
 	case rc.Crypto:
@@ -341,10 +349,10 @@ func (f *Fabric) OutputWords(e int) int64 {
 func (f *Fabric) ExtDropped(e int) int64 { return f.extDropped[e] }
 
 // Run advances the fabric n cycles: all live chips step in lockstep
-// slices, trunk pins are bridged at every slice boundary, and scheduled
-// chip controls fire exactly at their start cycle (a slice is cut short
-// when a control is due, so the trace is independent of how Run calls
-// partition the cycles).
+// slices (in parallel, see stepChips), trunk pins are bridged serially
+// at every slice boundary, and scheduled chip controls fire exactly at
+// their start cycle (a slice is cut short when a control is due, so the
+// trace is independent of how Run calls partition the cycles).
 func (f *Fabric) Run(n int64) {
 	end := f.cycle + n
 	for f.cycle < end {
@@ -360,16 +368,39 @@ func (f *Fabric) Run(n int64) {
 				continue
 			}
 		}
-		for k := range f.chips {
-			if !f.chips[k].dead {
-				f.chips[k].r.Run(step)
-			}
-		}
+		f.stepChips(step)
 		f.cycle += step
 		f.bridge()
 		f.processARQ()
 	}
 	f.fireControls()
+}
+
+// stepChips advances every live chip step cycles. Inside a slice no
+// chip reads another's state (trunks are bridged only after it), so
+// up to GOMAXPROCS workers, the caller among them, claim chips from a
+// shared cursor; a chip's trajectory does not depend on which worker
+// steps it. At GOMAXPROCS=1 the caller steps every chip itself.
+func (f *Fabric) stepChips(step int64) {
+	var next atomic.Uint64
+	work := func() {
+		for k := next.Add(1) - 1; k < uint64(len(f.chips)); k = next.Add(1) - 1 {
+			if c := &f.chips[k]; !c.dead {
+				c.r.Run(step)
+			}
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(f.chips))
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // nextControlCycle returns the next unfired control's start cycle, or -1.

@@ -1,12 +1,18 @@
 package cluster_test
 
 import (
+	"bytes"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/ip"
+	"repro/internal/raw"
 	"repro/internal/router"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -30,13 +36,15 @@ func smallSpecs() []cluster.Spec {
 }
 
 // TestFabricConfigRejects pins the template invariants: the fabric owns
-// tables, event logs, and collectors, and the stream-rewriting extensions
-// cannot cross trunks.
+// tables, event logs, and collectors, a tracer cannot be shared by chips
+// stepping concurrently, and the stream-rewriting extensions cannot
+// cross trunks.
 func TestFabricConfigRejects(t *testing.T) {
 	muts := []func(*router.Config){
 		func(c *router.Config) { c.Table = router.CanonicalTable() },
 		func(c *router.Config) { c.Multicast = true },
 		func(c *router.Config) { c.Crypto = true },
+		func(c *router.Config) { c.Tracer = trace.NewRecorder(router.NumTiles, 0, 1) },
 	}
 	for i, mut := range muts {
 		rc := router.DefaultConfig()
@@ -245,5 +253,65 @@ func TestFabricScheduledControls(t *testing.T) {
 	}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("control firing depends on Run partitioning")
+	}
+}
+
+// TestFabricStepIndependentOfProcs pins that chip-parallel stepping is
+// invisible: a healed mesh-4x4 riding a trunk and chip loss arc ends in
+// the same state with one worker as with four. GOMAXPROCS is
+// process-wide, so the test must not run in parallel.
+func TestFabricStepIndependentOfProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	spec := cluster.Mesh(4, 4)
+	sched := fault.MustParse(
+		"killtrunk@500:c5-c6;killchip@1500:c10;restoretrunk@3000:c5-c6;restorechip@4000:c10")
+	type result struct {
+		fp, dig uint64
+		blob    []byte
+		fabric  telemetry.FabricSnapshot
+		chips   []telemetry.Snapshot
+	}
+	run := func(procs int) result {
+		runtime.GOMAXPROCS(procs)
+		f := mustFabric(t, spec, func(c *cluster.Config) {
+			c.Router.Engine = raw.EngineFast
+			c.Router.Checkpoint = true
+			c.Metrics = true
+			c.Heal = cluster.HealConfig{Enabled: true, Seed: 42}
+		})
+		f.ApplySchedule(sched)
+		var r result
+		r.fp, r.dig = driveConf(t, f, spec, 6000, 0)
+		if err := f.DeliveryError(); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if d := f.Delivery(); d.HealEpochs != 4 {
+			t.Fatalf("GOMAXPROCS=%d: heal epochs %d, want 4", procs, d.HealEpochs)
+		}
+		var err error
+		if r.blob, err = f.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		r.fabric = f.TelemetrySnapshot()
+		for k := 0; k < spec.NumChips(); k++ {
+			r.chips = append(r.chips, f.Chip(k).TelemetrySnapshot())
+		}
+		return r
+	}
+	one, four := run(1), run(4)
+	if one.fp != four.fp || one.dig != four.dig {
+		t.Errorf("GOMAXPROCS=4 (fingerprint %#x, output %#x) != GOMAXPROCS=1 (%#x, %#x)",
+			four.fp, four.dig, one.fp, one.dig)
+	}
+	if !bytes.Equal(one.blob, four.blob) {
+		t.Error("FABCKPT1 blobs differ between GOMAXPROCS=1 and 4")
+	}
+	if !reflect.DeepEqual(one.fabric, four.fabric) {
+		t.Error("fabric telemetry differs between GOMAXPROCS=1 and 4")
+	}
+	for k := range one.chips {
+		if !reflect.DeepEqual(one.chips[k], four.chips[k]) {
+			t.Errorf("chip %d telemetry differs between GOMAXPROCS=1 and 4", k)
+		}
 	}
 }

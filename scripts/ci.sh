@@ -45,9 +45,13 @@ echo "== fabric: chip-loss soak + cross-engine topology conformance (race detect
 # fingerprint-diffs every topology kind (ring / mesh / fat-tree,
 # including the 16-chip 64-port mesh) between the reference interpreter
 # and the compiled fast engine, plus a mid-run
-# engine switch through a fabric checkpoint.
+# engine switch through a fabric checkpoint. Chips step in parallel
+# inside each slice, so a healed mesh-4x4 arc must also end in identical
+# fingerprints, checkpoints and telemetry at GOMAXPROCS 1 and 4,
+# repeated to give the race detector many interleavings.
 SOAK_SEEDS="${SOAK_SEEDS:-20}" go test -race -timeout 60m -run 'TestSoakChipLoss' ./internal/cluster
 go test -race -timeout 60m -run 'TestEngineConformanceMatrix|TestMesh16ChipConformance|TestEngineSwitchMidRun' ./internal/cluster
+go test -race -timeout 60m -count=10 -run TestFabricStepIndependentOfProcs ./internal/cluster
 
 echo "== healing: seeded heal soak + heal conformance (race detector) =="
 # Every seed rides a full healing arc on a healed ring-4 — killtrunk
@@ -92,7 +96,8 @@ echo "== cli: entry-point smoke =="
 # interpreter and the fast engine: rawrouter on its default workload and
 # fabsim's ring-4 fabric on its default antipodal permutation. rawrouter
 # with no traffic flag must also print exactly what -workload
-# permutation prints.
+# permutation prints. fabsim's mesh-16 must print the same at one worker
+# as at the default GOMAXPROCS, and an unknown -exp must exit 2.
 CLI="$(mktemp -d)"
 trap 'rm -rf "$CLI"' EXIT
 go build -o "$CLI/" ./cmd/rawrouter ./cmd/fabsim
@@ -105,6 +110,12 @@ cmp "$CLI/rr-fast.txt" "$CLI/rr-perm.txt"
 "$CLI/fabsim" -topology ring -chips 4 -engine ref >"$CLI/fab-ref.txt"
 "$CLI/fabsim" -topology ring -chips 4 -engine fast >"$CLI/fab-fast.txt"
 cmp "$CLI/fab-ref.txt" "$CLI/fab-fast.txt"
+GOMAXPROCS=1 "$CLI/fabsim" -topology mesh -chips 16 >"$CLI/mesh-p1.txt"
+"$CLI/fabsim" -topology mesh -chips 16 >"$CLI/mesh.txt"
+cmp "$CLI/mesh-p1.txt" "$CLI/mesh.txt"
+st=0
+"$CLI/fabsim" -exp bogus 2>/dev/null || st=$?
+[ "$st" -eq 2 ]
 
 echo "== serve: daemon-mode smoke =="
 # Boot rawrouter -serve as a real process and drive the whole lifecycle
