@@ -11,8 +11,8 @@ package repro_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/raw"
+	"repro/internal/router"
 )
 
 // streamEngineChip programs every tile of a 4x4 chip as a west->east
@@ -77,17 +77,15 @@ func BenchmarkEngine(b *testing.B) {
 	// be non-zero on the fast leg.
 	router := func(eng raw.Engine) func(*testing.B) {
 		return func(b *testing.B) {
-			r, err := core.New(core.Options{ChipEngine: eng})
-			if err != nil {
-				b.Fatal(err)
-			}
-			gen := core.PermutationTraffic(1024, 1)
-			r.RunSaturated(5000, gen) // warm
+			cfg := router.DefaultConfig()
+			cfg.Engine = eng
+			r, srcs := peakRouter(b, cfg)
+			r.RunSaturated(5000, srcs) // warm
 			chip := r.Cycle().Chip
 			_, warmCycles := chip.MacroStats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.RunSaturated(200, gen)
+				r.RunSaturated(200, srcs)
 			}
 			b.StopTimer()
 			_, macroCycles := chip.MacroStats()

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ip"
 	"repro/internal/raw"
@@ -31,18 +30,14 @@ import (
 func BenchmarkFaultHookOverhead(b *testing.B) {
 	bench := func(sched *fault.Schedule) func(b *testing.B) {
 		return func(b *testing.B) {
-			r, err := core.New(core.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
+			r, srcs := peakRouter(b, router.DefaultConfig())
 			if sched != nil {
 				r.Cycle().Chip.InstallFaults(fault.NewInjector(sched, 16))
 			}
-			gen := core.PermutationTraffic(1024, 1)
-			r.RunSaturated(5000, gen) // warm
+			r.RunSaturated(5000, srcs) // warm
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.RunSaturated(200, gen) // 200 simulated cycles per op
+				r.RunSaturated(200, srcs) // 200 simulated cycles per op
 			}
 			b.ReportMetric(200, "sim-cycles/op")
 		}

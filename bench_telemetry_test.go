@@ -10,7 +10,6 @@ package repro_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/router"
 	"repro/internal/telemetry"
 )
@@ -34,15 +33,11 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			if metrics {
 				rcfg.Metrics = telemetry.New(telemetry.Config{})
 			}
-			r, err := core.New(core.Options{RouterConfig: &rcfg})
-			if err != nil {
-				b.Fatal(err)
-			}
-			gen := core.PermutationTraffic(1024, 1)
-			r.RunSaturated(5000, gen) // warm
+			r, srcs := peakRouter(b, rcfg)
+			r.RunSaturated(5000, srcs) // warm
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.RunSaturated(200, gen) // 200 simulated cycles per op
+				r.RunSaturated(200, srcs) // 200 simulated cycles per op
 			}
 			b.ReportMetric(200, "sim-cycles/op")
 		}
@@ -53,11 +48,8 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("export", func(b *testing.B) {
 		rcfg := router.DefaultConfig()
 		rcfg.Metrics = telemetry.New(telemetry.Config{})
-		r, err := core.New(core.Options{RouterConfig: &rcfg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		r.RunSaturated(20_000, core.PermutationTraffic(1024, 1))
+		r, srcs := peakRouter(b, rcfg)
+		r.RunSaturated(20_000, srcs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			snap := r.Cycle().TelemetrySnapshot()

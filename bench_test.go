@@ -22,6 +22,7 @@ import (
 	"repro/internal/raw"
 	"repro/internal/raw/asm"
 	"repro/internal/rotor"
+	"repro/internal/router"
 	"repro/internal/traffic"
 )
 
@@ -263,17 +264,30 @@ func BenchmarkLookupCompact(b *testing.B) {
 // nanoseconds per simulated router cycle under full load (all 16 tiles,
 // both networks, caches active) on the reference engine.
 func BenchmarkSimulatorCyclesPerSecond(b *testing.B) {
-	r, err := core.New(core.Options{})
+	r, srcs := peakRouter(b, router.DefaultConfig())
+	r.RunSaturated(5000, srcs) // warm
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.RunSaturated(200, srcs) // 200 simulated cycles per op
+	}
+	b.ReportMetric(200, "sim-cycles/op")
+}
+
+// peakRouter builds a closed-loop router from cfg and the §7.2 peak
+// workload's sources: 1,024-byte packets on the conflict-free rotation
+// i -> i+1.
+func peakRouter(b *testing.B, cfg router.Config) (*core.Router, []traffic.Source) {
+	b.Helper()
+	r, err := core.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	gen := core.PermutationTraffic(1024, 1)
-	r.RunSaturated(5000, gen) // warm
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.RunSaturated(200, gen) // 200 simulated cycles per op
+	srcs, err := traffic.MustBuild(traffic.Spec{Pattern: "permutation", Size: 1024,
+		Params: map[string]float64{"offset": 1}}).Sources()
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(200, "sim-cycles/op")
+	return r, srcs
 }
 
 // BenchmarkDelayVsLoad regenerates the latency-vs-offered-load curve of

@@ -9,7 +9,7 @@ package repro_test
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/router"
 	"repro/internal/traffic"
 )
 
@@ -51,15 +51,11 @@ func BenchmarkTrafficPlane(b *testing.B) {
 	})
 
 	b.Run("step", func(b *testing.B) {
-		r, err := core.New(core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		gen := core.PermutationTraffic(1024, 1)
-		r.RunSaturated(5000, gen) // warm
+		r, srcs := peakRouter(b, router.DefaultConfig())
+		r.RunSaturated(5000, srcs) // warm
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.RunSaturated(sliceCycles, gen)
+			r.RunSaturated(sliceCycles, srcs)
 		}
 		b.ReportMetric(sliceCycles, "sim-cycles/op")
 	})

@@ -11,7 +11,6 @@ package repro_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/router"
 )
 
@@ -33,15 +32,11 @@ func BenchmarkWatchdogOverhead(b *testing.B) {
 		return func(b *testing.B) {
 			cfg := router.DefaultConfig()
 			mut(&cfg)
-			r, err := core.New(core.Options{RouterConfig: &cfg})
-			if err != nil {
-				b.Fatal(err)
-			}
-			gen := core.PermutationTraffic(1024, 1)
-			r.RunSaturated(5000, gen) // warm
+			r, srcs := peakRouter(b, cfg)
+			r.RunSaturated(5000, srcs) // warm
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.RunSaturated(200, gen) // 200 simulated cycles per op
+				r.RunSaturated(200, srcs) // 200 simulated cycles per op
 			}
 			b.ReportMetric(200, "sim-cycles/op")
 		}

@@ -42,11 +42,12 @@
 // fault-healing plane — adaptive rerouting around dead chips/trunks,
 // trunk-level ARQ retransmission, end-to-end duplicate suppression —
 // with -healwindow/-healretries/-healbackoff/-healseed tuning the ARQ;
-// the run then also audits the end-to-end delivery ledger and prints
-// the healing summary. -faults and the -heal group need -topology, the
-// -heal knobs need -heal, and -faultseed is rejected: the fabric's
-// faults are its hand-written lifecycle schedule. -exp and -reprobe
-// drive only the experiment suite, so -topology rejects them. Example:
+// the run then also prints the healing summary. Every run audits trunk
+// conservation and the end-to-end delivery ledger. -faults and the
+// -heal group need -topology, the -heal knobs need -heal, and
+// -faultseed is rejected: the fabric's faults are its hand-written
+// lifecycle schedule. -exp and -reprobe drive only the experiment
+// suite, so -topology rejects them. Example:
 //
 //	fabsim -topology mesh -chips 16 -heal \
 //	       -faults 'killchip@20000:c5;killtrunk@30000:c1-c2;restorechip@60000:c5' -metrics prom
@@ -63,7 +64,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/exp"
 	"repro/internal/fault"
-	"repro/internal/ip"
 	"repro/internal/raw"
 	"repro/internal/router"
 	"repro/internal/stats"
@@ -240,9 +240,10 @@ func run() int {
 }
 
 // runFabric drives one N-chip fabric closed-loop from wl's sources, one
-// per external port, applying any chip/trunk lifecycle controls from
-// -faults, and prints the fabric summary. -heal arms the healing plane
-// and audits the end-to-end delivery ledger. -metrics exports the
+// per external port, through exp.RunFabric (which audits trunk
+// conservation and the end-to-end delivery ledger), applying any
+// chip/trunk lifecycle controls from -faults, and prints the fabric
+// summary. -heal arms the healing plane. -metrics exports the
 // fabric-plane telemetry snapshot.
 func runFabric(spec cluster.Spec, wl *traffic.Workload, common *cli.Common, engine raw.Engine, q exp.Quality) error {
 	cfg := cluster.Config{Topology: spec, Router: router.DefaultConfig(), Heal: common.HealConfig()}
@@ -271,33 +272,8 @@ func runFabric(spec cluster.Spec, wl *traffic.Workload, common *cli.Common, engi
 	if q == exp.Full {
 		rounds = 600
 	}
-	id := uint16(0)
-	for i := 0; i < rounds; i++ {
-		for e, src := range srcs {
-			// A refused offer (dead ingress chip, dead or partitioned-away
-			// destination) never grows the backlog, so bound the fill by
-			// attempts too or a faulted run would feed forever.
-			for tries := 0; f.InputBacklogWords(e) < 4096 && tries < 64; tries++ {
-				id++
-				p := src.Next()
-				pkt := ip.NewPacket(p.SrcIP, p.DstIP, 64, p.SizeBytes, id)
-				f.OfferPacket(e, &pkt)
-			}
-		}
-		f.Run(200)
-		for e := range srcs {
-			if _, err := f.DrainOutput(e); err != nil {
-				return err
-			}
-		}
-	}
-	if err := f.ConservationError(); err != nil {
+	if err := exp.RunFabric(f, srcs, rounds); err != nil {
 		return err
-	}
-	if cfg.Heal.Enabled {
-		if err := f.DeliveryError(); err != nil {
-			return err
-		}
 	}
 	snap := f.TelemetrySnapshot()
 	tb := &stats.Table{

@@ -143,7 +143,7 @@ func run() int {
 	if sink != nil {
 		rcfg.Metrics = telemetry.New(telemetry.Config{})
 	}
-	r, err := core.New(core.Options{RouterConfig: &rcfg})
+	r, err := core.New(rcfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rawrouter:", err)
 		return 1
@@ -171,13 +171,13 @@ func run() int {
 		fmt.Printf("restored checkpoint %s at cycle %d\n", common.Restore, r.Cycle().Cycle())
 	}
 
-	gen, err := core.WorkloadTraffic(workload)
+	srcs, err := workload.Sources()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rawrouter:", err)
 		return 2
 	}
 
-	res := r.RunMeasured(*warmup, *cycles, gen)
+	res := r.RunMeasured(*warmup, *cycles, srcs)
 	fmt.Printf("workload=%s quantum=%dw crypto=%v\n", workload.Spec, *quantum, *crypto)
 	fmt.Printf("measured %d cycles at %.0f MHz\n", res.Cycles, res.ClockHz/1e6)
 	fmt.Printf("throughput: %.2f Gbps   rate: %.2f Mpps   packets: %d\n",

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/router"
 	"repro/internal/serve"
@@ -92,11 +91,11 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, base router.Config, worklo
 		rcfg := base
 		rcfg.Metrics = collector
 		rcfg.Events = events
-		r, err := core.New(core.Options{RouterConfig: &rcfg})
+		r, err := router.New(rcfg)
 		if err != nil {
 			return nil, err
 		}
-		lastRouter.Store(r.Cycle())
+		lastRouter.Store(r)
 
 		var feeder serve.Feeder
 		switch feedKind {
@@ -142,7 +141,7 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, base router.Config, worklo
 		}
 
 		d, err := serve.New(serve.Config{
-			Router:                r.Cycle(),
+			Router:                r,
 			ClockHz:               rcfg.ClockHz,
 			Feeder:                feeder,
 			SliceCycles:           sf.SliceCycles,

@@ -17,17 +17,25 @@ import (
 func main() {
 	const key = 0xfeedface
 
-	run := func(crypto bool) (float64, *core.Router) {
-		r, err := core.New(core.Options{Crypto: crypto, CryptoKey: key})
+	cfg := router.DefaultConfig()
+	cfg.Crypto, cfg.CryptoKey = true, key
+	run := func(crypto bool) float64 {
+		c := cfg
+		c.Crypto = crypto
+		r, err := core.New(c)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res := r.RunMeasured(40_000, 100_000, core.PermutationTraffic(1024, 1))
-		return res.Gbps, r
+		srcs, err := traffic.MustBuild(traffic.Spec{Pattern: "permutation", Size: 1024,
+			Params: map[string]float64{"offset": 1}}).Sources()
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r.RunMeasured(40_000, 100_000, srcs).Gbps
 	}
 
-	plain, _ := run(false)
-	ciphered, _ := run(true)
+	plain := run(false)
+	ciphered := run(true)
 	fmt.Printf("peak 1024B throughput: %.2f Gbps plain, %.2f Gbps with in-fabric encryption\n",
 		plain, ciphered)
 	fmt.Printf("(every payload word crosses the egress processor plus %d cipher cycles/word;\n",
@@ -35,11 +43,10 @@ func main() {
 	fmt.Println(" the thesis's fix — spreading the cipher across crossbar tiles — is future work there too)")
 
 	// Demonstrate the transform end to end on a fresh router.
-	fresh, err := core.New(core.Options{Crypto: true, CryptoKey: key})
+	cyc, err := router.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cyc := fresh.Cycle()
 	pkt := ip.NewPacket(traffic.PortAddr(0, 1), traffic.PortAddr(3, 2), 64, 128, 777)
 	cyc.OfferPacket(0, &pkt)
 	if !cyc.Chip.RunUntil(func() bool { return cyc.Stats().PktsOut[3] >= 1 }, 50_000) {

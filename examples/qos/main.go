@@ -1,13 +1,12 @@
 // QoS: the §8.7 extension — weighted round-robin token dwell gives a
 // premium port a proportionally larger share of a congested egress. Runs
-// on the fabric engine and sweeps weight ratios.
+// on the quantum-level Rotating Crossbar model and sweeps weight ratios.
 package main
 
 import (
 	"fmt"
-	"log"
 
-	"repro/internal/core"
+	"repro/internal/rotor"
 	"repro/internal/stats"
 )
 
@@ -18,28 +17,26 @@ func main() {
 		Headers: []string{"weight of port 0", "port0", "port1", "port2", "port3"},
 	}
 	for _, w := range []int{1, 2, 3, 5} {
-		r, err := core.New(core.Options{
-			Engine:  core.EngineFabric,
-			Weights: []int{w, 1, 1, 1},
-		})
-		if err != nil {
-			log.Fatal(err)
+		cfg := rotor.DefaultFabricConfig()
+		cfg.Weights = []int{w, 1, 1, 1}
+		f := rotor.NewFabric(cfg)
+		for f.Cycles < 1_100_000 {
+			for p := 0; p < 4; p++ {
+				for f.QueueLen(p) < 4 {
+					f.Offer(p, 2, 64) // 256-byte packets
+				}
+			}
+			f.StepQuantum()
 		}
-		res := r.RunMeasured(100_000, 1_000_000, func(port int) core.Packet {
-			return core.Packet{Dst: 2, SizeBytes: 256}
-		})
-		f := r.Fabric()
 		var total int64
 		for p := 0; p < 4; p++ {
 			total += f.GrantsPerInput[p]
 		}
-		shares := make([]interface{}, 0, 5)
-		shares = append(shares, w)
+		shares := []any{w}
 		for p := 0; p < 4; p++ {
 			shares = append(shares, float64(f.GrantsPerInput[p])/float64(total))
 		}
 		tb.AddRow(shares...)
-		_ = res
 	}
 	fmt.Println(tb.String())
 	fmt.Println("A weight of w gives the premium port ≈ w/(w+3) of the output.")

@@ -1,3 +1,16 @@
+// Package cluster composes multiple cycle-level 4-port Raw routers into a
+// larger router — §8.5's prescription: "build a larger router out of
+// multiple of these small 4-port routers", connected gluelessly at the
+// pins. A Fabric joins N chips by trunk links in a ring, mesh or
+// fat-tree (Spec); each chip keeps some ports external and dedicates
+// the rest to trunks. The word streams crossing a trunk are the same
+// pin streams a line card would see, so no chip is aware it is part of
+// a cluster.
+//
+// The composition makes §8.5's trade measurable: a packet crossing chips
+// takes a lookup and a crossbar traversal on every chip it visits, and
+// the trunks carry all inter-chip traffic — the bisection that caps
+// scaling.
 package cluster
 
 import (

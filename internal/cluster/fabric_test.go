@@ -59,8 +59,8 @@ func TestFabricConfigRejects(t *testing.T) {
 }
 
 // TestFabricAllPairs routes one packet between every external pair of
-// every small topology and checks payload integrity plus trunk
-// conservation — the N-chip generalization of TestAllClusterPairs.
+// every small topology (the 2-chip ring of the §8.5 composition study
+// included) and checks payload integrity plus trunk conservation.
 func TestFabricAllPairs(t *testing.T) {
 	for _, spec := range smallSpecs() {
 		f := mustFabric(t, spec, nil)

@@ -38,11 +38,11 @@ func TestSoakHeal(t *testing.T) {
 			ta := int(rng.Uint64() % uint64(n))
 			tb := (ta + 1) % n
 			victim := int(rng.Uint64() % uint64(n))
-			tkill := int64(1500 + rng.Uint64()%1500)        // phase 1 (cycles 0..4000)
-			trestore := int64(4200 + rng.Uint64()%1200)     // phase 2
+			tkill := int64(1500 + rng.Uint64()%1500)    // phase 1 (cycles 0..4000)
+			trestore := int64(4200 + rng.Uint64()%1200) // phase 2
 			ckill := trestore + 400 + int64(rng.Uint64()%800)
 			crestore := ckill + 800 + int64(rng.Uint64()%800) // still < 10000
-			p1 := rng.Uint64() // feed-phase seeds, shared by both runs
+			p1 := rng.Uint64()                                // feed-phase seeds, shared by both runs
 			p2 := rng.Uint64()
 			sched := fault.MustParse(
 				"killtrunk@" + strconv.FormatInt(tkill, 10) + ":c" + strconv.Itoa(ta) + "-c" + strconv.Itoa(tb) +

@@ -15,8 +15,9 @@ import (
 //   - ring: ports 0,1 of every chip are external, port 2 is the
 //     clockwise trunk and port 3 the counter-clockwise one;
 //     direction-optimal routing takes the shorter way around, spreading
-//     ties by destination parity (the bisection-balancing trick of the
-//     two-chip composition).
+//     ties by destination parity, which balances the bisection; on the
+//     2-chip ring of the §8.5 composition study every cross-chip route
+//     is such a tie, so the two trunk links split it evenly.
 //   - mesh: a W x H grid with ports 0=E, 1=W, 2=N, 3=S; interior sides
 //     are trunks, boundary sides are external; dimension-ordered (X then
 //     Y) routing, which is deadlock-free on a mesh.

@@ -6,112 +6,142 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/raw"
+	"repro/internal/rotor"
 	"repro/internal/router"
 	"repro/internal/stats"
+	"repro/internal/traffic"
 )
 
-func TestCycleEngineQuickstart(t *testing.T) {
-	r, err := core.New(core.Options{})
+func mustRouter(t *testing.T, cfg router.Config) *core.Router {
+	t.Helper()
+	r, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := r.RunSaturated(30000, core.PermutationTraffic(1024, 1))
+	return r
+}
+
+func sources(t *testing.T, spec traffic.Spec) []traffic.Source {
+	t.Helper()
+	w, err := traffic.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs, err := w.Sources()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srcs
+}
+
+func perm(size, offset int) traffic.Spec {
+	return traffic.Spec{Pattern: "permutation", Size: size, Params: map[string]float64{"offset": float64(offset)}}
+}
+
+// saturate steps the quantum-level model for cycles cycles with every
+// input topped up to four queued packets from next, and returns the
+// delivered packets and the goodput at the Raw chip's 250 MHz.
+func saturate(f *rotor.Fabric, cycles int64, next func(port int) (dst, words int)) (int64, float64) {
+	for f.Cycles < cycles {
+		for p := 0; p < f.Config().Ports; p++ {
+			for f.QueueLen(p) < 4 {
+				dst, words := next(p)
+				f.Offer(p, dst, words)
+			}
+		}
+		f.StepQuantum()
+	}
+	return f.TotalPkts(), stats.Gbps(f.TotalWords()*4, f.Cycles, 250e6)
+}
+
+func TestCycleEngineQuickstart(t *testing.T) {
+	r := mustRouter(t, router.DefaultConfig())
+	res := r.RunSaturated(30000, sources(t, perm(1024, 1)))
 	if res.Packets < 50 {
 		t.Fatalf("only %d packets delivered", res.Packets)
 	}
 	if res.Gbps < 20 {
 		t.Fatalf("cycle engine peak %.2f Gbps, expected ≈26", res.Gbps)
 	}
-	if res.Engine != core.EngineCycle {
-		t.Fatal("wrong engine tag")
-	}
 }
 
 func TestFabricEngineQuickstart(t *testing.T) {
-	r, err := core.New(core.Options{Engine: core.EngineFabric})
-	if err != nil {
-		t.Fatal(err)
+	rng := traffic.NewRNG(2)
+	pkts, gbps := saturate(rotor.NewFabric(rotor.DefaultFabricConfig()), 100000,
+		func(int) (int, int) { return rng.Intn(4), 256 })
+	if pkts < 100 {
+		t.Fatalf("only %d packets delivered", pkts)
 	}
-	res := r.RunSaturated(100000, core.UniformTraffic(1024, 2))
-	if res.Packets < 100 {
-		t.Fatalf("only %d packets delivered", res.Packets)
-	}
-	if res.Gbps < 10 || res.Gbps > 32 {
-		t.Fatalf("fabric engine %.2f Gbps out of range", res.Gbps)
+	if gbps < 10 || gbps > 32 {
+		t.Fatalf("fabric engine %.2f Gbps out of range", gbps)
 	}
 }
 
 func TestEnginesAgreeOnShape(t *testing.T) {
-	// The two fidelity levels must agree on the peak/average ratio within
-	// a few points — they share the allocation algorithm.
-	ratio := func(engine core.Engine) float64 {
-		peakR, _ := core.New(core.Options{Engine: engine})
-		peak := peakR.RunSaturated(60000, core.PermutationTraffic(256, 2)).Gbps
-		avgR, _ := core.New(core.Options{Engine: engine})
-		avg := avgR.RunSaturated(60000, core.UniformTraffic(256, 3)).Gbps
-		return avg / peak
-	}
-	rc := ratio(core.EngineCycle)
-	rf := ratio(core.EngineFabric)
+	// The cycle router and the quantum-level rotor model must agree on
+	// the peak/average ratio within a few points — they share the
+	// allocation algorithm.
+	peak := mustRouter(t, router.DefaultConfig()).RunSaturated(60000, sources(t, perm(256, 2))).Gbps
+	avg := mustRouter(t, router.DefaultConfig()).RunSaturated(60000,
+		sources(t, traffic.Spec{Pattern: "uniform", Size: 256, Seed: 3})).Gbps
+	rc := avg / peak
+
+	_, fpeak := saturate(rotor.NewFabric(rotor.DefaultFabricConfig()), 60000,
+		func(p int) (int, int) { return (p + 2) % 4, 64 })
+	rng := traffic.NewRNG(3)
+	_, favg := saturate(rotor.NewFabric(rotor.DefaultFabricConfig()), 60000,
+		func(int) (int, int) { return rng.Intn(4), 64 })
+	rf := favg / fpeak
 	if d := rc - rf; d > 0.12 || d < -0.12 {
 		t.Fatalf("cycle ratio %.3f vs fabric ratio %.3f: engines diverge", rc, rf)
 	}
 }
 
 func TestFabricScaling8Ports(t *testing.T) {
-	r, err := core.New(core.Options{Engine: core.EngineFabric, Ports: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := rotor.DefaultFabricConfig()
+	cfg.Ports = 8
 	rng := uint64(0)
-	res := r.RunSaturated(50000, func(port int) core.Packet {
+	pkts, _ := saturate(rotor.NewFabric(cfg), 50000, func(int) (int, int) {
 		rng = rng*6364136223846793005 + 1442695040888963407
-		return core.Packet{Dst: int(rng>>33) % 8, SizeBytes: 512}
+		return int(rng>>33) % 8, 128
 	})
-	if res.Packets < 100 {
-		t.Fatalf("8-port fabric delivered %d packets", res.Packets)
-	}
-}
-
-func TestCycleEngineRejectsOddPorts(t *testing.T) {
-	if _, err := core.New(core.Options{Ports: 8}); err == nil {
-		t.Fatal("cycle engine accepted 8 ports")
+	if pkts < 100 {
+		t.Fatalf("8-port fabric delivered %d packets", pkts)
 	}
 }
 
 func TestWeightsBothEngines(t *testing.T) {
-	// Fabric engine.
-	rf, err := core.New(core.Options{Engine: core.EngineFabric, Weights: []int{3, 1, 1, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf.RunSaturated(200_000, func(port int) core.Packet { return core.Packet{Dst: 2, SizeBytes: 256} })
-	f := rf.Fabric()
+	// Quantum-level model.
+	fcfg := rotor.DefaultFabricConfig()
+	fcfg.Weights = []int{3, 1, 1, 1}
+	f := rotor.NewFabric(fcfg)
+	saturate(f, 200_000, func(int) (int, int) { return 2, 64 })
 	if f.GrantsPerInput[0] < 2*f.GrantsPerInput[1] {
 		t.Fatalf("fabric weights ineffective: %v", f.GrantsPerInput)
 	}
-	// Cycle engine accepts weights too (full check in internal/router).
-	if _, err := core.New(core.Options{Weights: []int{3, 1, 1, 1}}); err != nil {
+	// Cycle router accepts weights too (full check in internal/router).
+	cfg := router.DefaultConfig()
+	cfg.Weights = []int{3, 1, 1, 1}
+	if _, err := core.New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.New(core.Options{Weights: []int{3, 1}}); err == nil {
+	cfg.Weights = []int{3, 1}
+	if _, err := core.New(cfg); err == nil {
 		t.Fatal("bad weights accepted by cycle engine")
 	}
 }
 
 func TestCryptoOptionPassthrough(t *testing.T) {
-	r, err := core.New(core.Options{Crypto: true, CryptoKey: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := router.DefaultConfig()
+	cfg.Crypto, cfg.CryptoKey = true, 5
+	r := mustRouter(t, cfg)
 	if !r.Cycle().Config().Crypto || r.Cycle().Config().CryptoKey != 5 {
 		t.Fatal("crypto options not passed through")
 	}
 }
 
-// A supplied RouterConfig is the whole cycle-engine configuration: the
-// Options fields it duplicates must not overwrite it, and the results'
-// rates use its clock.
+// The supplied configuration is the whole router configuration, and
+// the results' rates use its clock.
 func TestRouterConfigWins(t *testing.T) {
 	cfg := router.DefaultConfig()
 	cfg.ClockHz = 125e6
@@ -120,21 +150,34 @@ func TestRouterConfigWins(t *testing.T) {
 	cfg.Crypto = true
 	cfg.CryptoKey = 9
 	cfg.Weights = []int{3, 1, 1, 1}
-	r, err := core.New(core.Options{RouterConfig: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRouter(t, cfg)
 	if got := r.Cycle().Config(); got.ClockHz != cfg.ClockHz || got.Engine != cfg.Engine ||
 		got.QuantumWords != cfg.QuantumWords || !got.Crypto || got.CryptoKey != cfg.CryptoKey ||
 		!reflect.DeepEqual(got.Weights, cfg.Weights) {
 		t.Fatalf("router built with clock %v, engine %v, quantum %d, crypto %v key %d, weights %v; want the supplied config",
 			got.ClockHz, got.Engine, got.QuantumWords, got.Crypto, got.CryptoKey, got.Weights)
 	}
-	res := r.RunSaturated(20000, core.PermutationTraffic(256, 2))
+	res := r.RunSaturated(20000, sources(t, perm(256, 2)))
 	if res.Packets == 0 {
 		t.Fatal("no packets delivered")
 	}
 	if res.ClockHz != cfg.ClockHz || res.Gbps != stats.Gbps(res.Bytes, res.Cycles, cfg.ClockHz) {
 		t.Fatalf("results at %v Hz, %.3f Gbps; want rates at the supplied %v Hz", res.ClockHz, res.Gbps, cfg.ClockHz)
+	}
+}
+
+// A nil source leaves its input idle: nothing is offered there, and the
+// other inputs still run at full backlog.
+func TestNilSourceIdlesInput(t *testing.T) {
+	r := mustRouter(t, router.DefaultConfig())
+	srcs := sources(t, perm(1024, 1))
+	srcs[3] = nil
+	res := r.RunSaturated(30000, srcs)
+	if in := r.Cycle().Stats().PktsIn[3]; in != 0 {
+		t.Fatalf("idle input 3 took in %d packets", in)
+	}
+	// Input p sends to p+1, so egress 0 (fed by input 3) stays silent.
+	if res.PerPort[0] != 0 || res.PerPort[1] == 0 || res.PerPort[2] == 0 || res.PerPort[3] == 0 {
+		t.Fatalf("per-egress packets %v; want only egress 0 idle", res.PerPort)
 	}
 }

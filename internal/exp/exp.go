@@ -60,6 +60,55 @@ func cyclesFor(q Quality, quick, full int64) int64 {
 	return full
 }
 
+// newRouter builds a closed-loop cycle router from cfg on the harness's
+// chip engine.
+func newRouter(cfg router.Config) *core.Router {
+	cfg.Engine = chipEngine
+	r, err := core.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// sources compiles a workload spec into its per-port sources.
+func sources(s traffic.Spec) []traffic.Source {
+	srcs, err := traffic.MustBuild(s).Sources()
+	if err != nil {
+		panic(err)
+	}
+	return srcs
+}
+
+// permutation is the conflict-free peak-rate workload (§7.2): input i
+// sends size-byte packets to output (i+offset) mod 4.
+func permutation(size, offset int) traffic.Spec {
+	return traffic.Spec{Pattern: "permutation", Size: size,
+		Params: map[string]float64{"offset": float64(offset)}}
+}
+
+// uniform is the average-rate workload (§7.3): i.i.d. uniform
+// destinations.
+func uniform(size int, seed uint64) traffic.Spec {
+	return traffic.Spec{Pattern: "uniform", Size: size, Seed: seed}
+}
+
+// saturateFabric runs the quantum-level model for cycles cycles, keeping
+// every input queue at four packets of the given words to destinations
+// drawn uniformly from rng, and returns its goodput at 250 MHz.
+func saturateFabric(f *rotor.Fabric, cycles int64, rng *traffic.RNG, words int) float64 {
+	n := f.Config().Ports
+	for f.Cycles < cycles {
+		for p := 0; p < n; p++ {
+			for f.QueueLen(p) < 4 {
+				f.Offer(p, rng.Intn(n), words)
+			}
+		}
+		f.StepQuantum()
+	}
+	return stats.Gbps(f.TotalWords()*4, f.Cycles, 250e6)
+}
+
 // Figure71Point is one packet-size point of Figure 7-1.
 type Figure71Point struct {
 	SizeBytes int
@@ -82,17 +131,11 @@ func Figure71(q Quality, average bool) ([]Figure71Point, float64, *stats.Table) 
 	warm := cyclesFor(q, 80_000, 120_000)
 	var pts []Figure71Point
 	for i, size := range traffic.Sizes {
-		r, err := core.New(core.Options{ChipEngine: chipEngine})
-		if err != nil {
-			panic(err)
-		}
-		var gen core.TrafficGen
+		spec := permutation(size, 1+i%3)
 		if average {
-			gen = core.UniformTraffic(size, uint64(size)+7)
-		} else {
-			gen = core.PermutationTraffic(size, 1+i%3)
+			spec = uniform(size, uint64(size)+7)
 		}
-		res := r.RunMeasured(warm, cycles, gen)
+		res := newRouter(router.DefaultConfig()).RunMeasured(warm, cycles, sources(spec))
 		paper := PaperFigure71Peak[size]
 		if average {
 			paper = PaperFigure71Avg[size]
@@ -134,24 +177,7 @@ func Figure73(q Quality) (small, large *trace.Recorder, render string) {
 		rec := trace.NewRecorder(16, warm, warm+800)
 		cfg := router.DefaultConfig()
 		cfg.Tracer = rec
-		cfg.Engine = chipEngine
-		r, err := router.New(cfg)
-		if err != nil {
-			panic(err)
-		}
-		rng := traffic.NewRNG(uint64(size))
-		id := uint16(0)
-		for c := int64(0); c < warm+1200; c += 200 {
-			for p := 0; p < 4; p++ {
-				for r.InputBacklogWords(p) < 4096 {
-					id++
-					pkt := ip.NewPacket(traffic.PortAddr(p, uint32(id)),
-						traffic.PortAddr(rng.Intn(4), uint32(id)), 64, size, id)
-					r.OfferPacket(p, &pkt)
-				}
-			}
-			r.Run(200)
-		}
+		newRouter(cfg).RunSaturated(warm+1200, sources(uniform(size, uint64(size))))
 		return rec
 	}
 	small = run(64)
@@ -215,11 +241,9 @@ func ConfigSpaceTable() *stats.Table {
 func SecondNetworkAblation(q Quality) (one, two float64, tb *stats.Table) {
 	cycles := cyclesFor(q, 300_000, 2_000_000)
 	run := func(second bool) float64 {
-		r, err := core.New(core.Options{Engine: core.EngineFabric, SecondNetwork: second})
-		if err != nil {
-			panic(err)
-		}
-		return r.RunSaturated(cycles, core.UniformTraffic(1024, 5)).Gbps
+		cfg := rotor.DefaultFabricConfig()
+		cfg.SecondNetwork = second
+		return saturateFabric(rotor.NewFabric(cfg), cycles, traffic.NewRNG(5), 256)
 	}
 	one, two = run(false), run(true)
 	tb = &stats.Table{
@@ -370,21 +394,16 @@ func Scale8(q Quality) *stats.Table {
 		Headers: []string{"ports", "Gbps", "Gbps/port", "grant ratio"},
 	}
 	for _, n := range []int{4, 8, 16} {
-		r, err := core.New(core.Options{Engine: core.EngineFabric, Ports: n})
-		if err != nil {
-			panic(err)
-		}
-		rng := traffic.NewRNG(uint64(n))
-		res := r.RunSaturated(cycles, func(port int) core.Packet {
-			return core.Packet{Dst: rng.Intn(n), SizeBytes: 1024}
-		})
-		f := r.Fabric()
+		cfg := rotor.DefaultFabricConfig()
+		cfg.Ports = n
+		f := rotor.NewFabric(cfg)
+		gbps := saturateFabric(f, cycles, traffic.NewRNG(uint64(n)), 256)
 		var grants, offered int64
 		for p := 0; p < n; p++ {
 			grants += f.GrantsPerInput[p]
 			offered += f.GrantsPerInput[p] + f.BlockedPerInput[p]
 		}
-		tb.AddRow(n, res.Gbps, res.Gbps/float64(n), stats.Ratio(float64(grants), float64(offered)))
+		tb.AddRow(n, gbps, gbps/float64(n), stats.Ratio(float64(grants), float64(offered)))
 	}
 	return tb
 }
@@ -392,12 +411,8 @@ func Scale8(q Quality) *stats.Table {
 // Headline checks the §7.2 headline: ≈3.3 Mpps and ≈26.9 Gbps at 1,024
 // bytes peak.
 func Headline(q Quality) (mpps, gbps float64) {
-	r, err := core.New(core.Options{ChipEngine: chipEngine})
-	if err != nil {
-		panic(err)
-	}
-	res := r.RunMeasured(cyclesFor(q, 40_000, 80_000), cyclesFor(q, 60_000, 200_000),
-		core.PermutationTraffic(1024, 1))
+	res := newRouter(router.DefaultConfig()).RunMeasured(cyclesFor(q, 40_000, 80_000),
+		cyclesFor(q, 60_000, 200_000), sources(permutation(1024, 1)))
 	return res.Mpps, res.Gbps
 }
 
@@ -488,36 +503,22 @@ func McastCells(q Quality) (atomic, splitting, replication float64, tb *stats.Ta
 // unicast/multicast workload through the real router, reporting the
 // egress-copy amplification fanout-splitting provides.
 func McastCycle(q Quality) (amplification float64, tb *stats.Table) {
+	group := ip.AddrFrom(224, 1, 1, 1)
 	cfg := router.DefaultConfig()
 	cfg.Multicast = true
-	cfg.Groups = map[ip.Addr]uint8{ip.AddrFrom(224, 1, 1, 1): 0b1111}
-	cfg.Engine = chipEngine
-	r, err := router.New(cfg)
-	if err != nil {
-		panic(err)
-	}
+	cfg.Groups = map[ip.Addr]uint8{group: 0b1111}
+	r := newRouter(cfg)
+	srcs := sources(uniform(256, 7))
 	rng := traffic.NewRNG(7)
-	id := uint16(0)
-	cycles := cyclesFor(q, 60_000, 200_000)
-	for c := int64(0); c < cycles; c += 200 {
-		for p := 0; p < 4; p++ {
-			for r.InputBacklogWords(p) < 4096 {
-				id++
-				var pkt ip.Packet
-				if rng.Float64() < 0.3 {
-					pkt = ip.NewPacket(traffic.PortAddr(p, uint32(id)), ip.AddrFrom(224, 1, 1, 1), 64, 256, id)
-				} else {
-					pkt = ip.NewPacket(traffic.PortAddr(p, uint32(id)), traffic.PortAddr(rng.Intn(4), uint32(id)), 64, 256, id)
-				}
-				r.OfferPacket(p, &pkt)
-			}
-		}
-		r.Run(200)
+	for p, src := range srcs {
+		srcs[p] = &groupMix{Source: src, rng: rng, group: group}
 	}
+	res := r.RunSaturated(cyclesFor(q, 60_000, 200_000), srcs)
+	st := r.Cycle().Stats()
 	var in, out int64
 	for p := 0; p < 4; p++ {
-		in += r.Stats().PktsIn[p]
-		out += r.Stats().PktsOut[p]
+		in += st.PktsIn[p]
+		out += st.PktsOut[p]
 	}
 	amplification = stats.Ratio(float64(out), float64(in))
 	tb = &stats.Table{
@@ -527,8 +528,25 @@ func McastCycle(q Quality) (amplification float64, tb *stats.Table) {
 	tb.AddRow("packets in", in)
 	tb.AddRow("egress copies out", out)
 	tb.AddRow("amplification", amplification)
-	tb.AddRow("throughput (Gbps)", r.ThroughputGbps())
+	tb.AddRow("throughput (Gbps)", res.Gbps)
 	return amplification, tb
+}
+
+// groupMix sends 30 % of its source's packets to a multicast group
+// instead.
+type groupMix struct {
+	traffic.Source
+	rng   *traffic.RNG
+	group ip.Addr
+}
+
+// Next implements traffic.Source.
+func (g *groupMix) Next() traffic.Pkt {
+	pkt := g.Source.Next()
+	if g.rng.Float64() < 0.3 {
+		pkt.DstIP = g.group
+	}
+	return pkt
 }
 
 // ISLIPIterations sweeps the scheduler's iteration count — the Cisco GSR
@@ -551,42 +569,40 @@ func ISLIPIterations(q Quality) *stats.Table {
 }
 
 // ClusterScaling regenerates the §8.5 multi-chip composition study at
-// cycle level: two 4-port chips joined by a two-link trunk sustain full
-// external bandwidth for balanced cross-chip traffic, paying a second
-// traversal in latency.
+// cycle level: two 4-port chips (a 2-chip ring, each chip keeping two
+// externals and joined by a two-link trunk) sustain full external
+// bandwidth for balanced cross-chip traffic, paying a second traversal
+// in latency.
 func ClusterScaling(q Quality) *stats.Table {
 	rounds := int(cyclesFor(q, 250, 600))
-	run := func(remote bool) (gbps float64, c *cluster.TwoChip) {
-		c, err := cluster.NewTwoChip(router.DefaultConfig())
+	run := func(perm []int) (gbps float64, trunkAB int64) {
+		cfg := cluster.Config{Topology: cluster.Ring(2), Router: router.DefaultConfig()}
+		cfg.Router.Engine = chipEngine
+		f, err := cluster.NewFabric(cfg)
 		if err != nil {
 			panic(err)
 		}
-		id := uint16(0)
-		for i := 0; i < rounds; i++ {
-			for p := 0; p < 4; p++ {
-				for c.InputBacklogWords(p) < 4096 {
-					id++
-					dst := p ^ 1
-					if remote {
-						dst = (p + 2) % 4
-					}
-					pkt := ip.NewPacket(traffic.PortAddr(p, uint32(id)),
-						traffic.PortAddr(dst, uint32(id)), 64, 1024, id)
-					c.OfferPacket(p, &pkt)
-				}
-			}
-			c.Run(200)
+		srcs := make([]traffic.Source, len(perm))
+		for p := range srcs {
+			srcs[p] = &traffic.Permutation{Perm: perm, Size: 1024, Src: p}
 		}
-		return stats.Gbps(c.ExternalWordsOut()*4, c.Cycle(), 250e6), c
+		if err := RunFabric(f, srcs, rounds); err != nil {
+			panic(err)
+		}
+		// Chip 0 -> chip 1 words: trunk 0 forward plus trunk 1 backward.
+		_, fwd, _, _, _ := f.TrunkCounters(0, 0)
+		_, back, _, _, _ := f.TrunkCounters(1, 1)
+		return stats.Gbps(f.ExternalWordsOut()*4, f.Cycle(), cfg.Router.ClockHz), fwd + back
 	}
-	local, _ := run(false)
-	remote, rc := run(true)
+	// Externals 0,1 sit on chip 0 and 2,3 on chip 1.
+	local, localWords := run([]int{1, 0, 3, 2})
+	remote, remoteWords := run(traffic.RotatedPerm(4, 2))
 	tb := &stats.Table{
 		Caption: "§8.5 two-chip composition (cycle level): 2-link trunk, balanced traffic",
 		Headers: []string{"traffic", "Gbps", "trunk words A->B"},
 	}
-	tb.AddRow("chip-local pairs", local, 0)
-	tb.AddRow("all cross-chip", remote, rc.TrunkWords[0])
+	tb.AddRow("chip-local pairs", local, localWords)
+	tb.AddRow("all cross-chip", remote, remoteWords)
 	return tb
 }
 
@@ -697,11 +713,9 @@ func QuantumAblation(q Quality) *stats.Table {
 		Headers: []string{"quantum (words)", "Gbps", "frags/pkt"},
 	}
 	for _, qw := range []int{64, 128, 256} {
-		r, err := core.New(core.Options{QuantumWords: qw, ChipEngine: chipEngine})
-		if err != nil {
-			panic(err)
-		}
-		res := r.RunMeasured(warm, cycles, core.PermutationTraffic(1024, 1))
+		cfg := router.DefaultConfig()
+		cfg.QuantumWords = qw
+		res := newRouter(cfg).RunMeasured(warm, cycles, sources(permutation(1024, 1)))
 		tb.AddRow(qw, res.Gbps, (256+qw-1)/qw)
 	}
 	return tb
@@ -738,37 +752,26 @@ func NetprocConvergence() *stats.Table {
 func DegradedCrossbar(q Quality) (healthy, degraded []float64, tb *stats.Table) {
 	cycles := cyclesFor(q, 30_000, 120_000)
 	run := func(size, dead int) float64 {
-		cfg := router.DefaultConfig()
-		cfg.Engine = chipEngine
-		r, err := router.New(cfg)
-		if err != nil {
-			panic(err)
+		r := newRouter(router.DefaultConfig())
+		if dead >= 0 {
+			if err := r.Cycle().Degrade(dead); err != nil {
+				panic(err)
+			}
 		}
+		// Each live port sends to the next live port; the dead port idles.
 		var live []int
 		for p := 0; p < 4; p++ {
 			if p != dead {
 				live = append(live, p)
 			}
 		}
-		if dead >= 0 {
-			if err := r.Degrade(dead); err != nil {
-				panic(err)
-			}
+		perm := make([]int, 4)
+		srcs := make([]traffic.Source, 4)
+		for i, p := range live {
+			perm[p] = live[(i+1)%len(live)]
+			srcs[p] = &traffic.Permutation{Perm: perm, Size: size, Src: p}
 		}
-		id := uint16(0)
-		for c := int64(0); c < cycles; c += 200 {
-			for i, p := range live {
-				dst := live[(i+1)%len(live)]
-				for r.InputBacklogWords(p) < 4096 {
-					id++
-					pkt := ip.NewPacket(traffic.PortAddr(p, uint32(id)),
-						traffic.PortAddr(dst, uint32(id)), 64, size, id)
-					r.OfferPacket(p, &pkt)
-				}
-			}
-			r.Run(200)
-		}
-		return r.ThroughputGbps()
+		return r.RunSaturated(cycles, srcs).Gbps
 	}
 	tb = &stats.Table{
 		Caption: "degraded rotating crossbar: 3 live ports vs 4 (one crossbar tile masked)",
@@ -805,53 +808,24 @@ func RestoredCrossbar(q Quality) (healthy, restored []float64, tb *stats.Table) 
 	window := cyclesFor(q, 40_000, 100_000)
 	run := func(size int, arc bool) float64 {
 		cfg := router.DefaultConfig()
-		cfg.Engine = chipEngine
 		cfg.ReprobeQuanta = reprobeQuanta
-		r, err := router.New(cfg)
-		if err != nil {
-			panic(err)
-		}
+		r := newRouter(cfg)
 		if arc {
-			if err := r.Degrade(2); err != nil {
+			rt := r.Cycle()
+			if err := rt.Degrade(2); err != nil {
 				panic(err)
 			}
-			r.Run(10_000)
-			if err := r.Restore(2); err != nil {
+			rt.Run(10_000)
+			if err := rt.Restore(2); err != nil {
 				panic(err)
 			}
-			if !r.Chip.RunUntil(func() bool {
-				return r.DeadPort() < 0 && r.ProbationPort() < 0
+			if !rt.Chip.RunUntil(func() bool {
+				return rt.DeadPort() < 0 && rt.ProbationPort() < 0
 			}, 100_000) {
 				panic("exp: restore never completed")
 			}
 		}
-		rng := traffic.NewRNG(1234)
-		id := uint16(0)
-		feed := func(cycles int64) {
-			for c := int64(0); c < cycles; c += 200 {
-				for p := 0; p < 4; p++ {
-					for r.InputBacklogWords(p) < 4096 {
-						id++
-						pkt := ip.NewPacket(traffic.PortAddr(p, uint32(id)),
-							traffic.PortAddr(rng.Intn(4), uint32(id)), 64, size, id)
-						r.OfferPacket(p, &pkt)
-					}
-				}
-				r.Run(200)
-			}
-		}
-		feed(warmup)
-		var start int64
-		for p := 0; p < 4; p++ {
-			start += r.OutputWords(p)
-		}
-		startCycle := r.Cycle()
-		feed(window)
-		var words int64
-		for p := 0; p < 4; p++ {
-			words += r.OutputWords(p)
-		}
-		return stats.Gbps((words-start)*4, r.Cycle()-startCycle, cfg.ClockHz)
+		return r.RunMeasured(warmup, window, sources(uniform(size, 1234))).Gbps
 	}
 	tb = &stats.Table{
 		Caption: "restored rotating crossbar: after degrade(port2) -> restore -> probation vs never-failed",
@@ -875,27 +849,10 @@ func RestoredCrossbar(q Quality) (healthy, restored []float64, tb *stats.Table) 
 // either engine.
 func Telemetry(q Quality) (snap telemetry.Snapshot, tb *stats.Table) {
 	cfg := router.DefaultConfig()
-	cfg.Engine = chipEngine
 	cfg.Metrics = telemetry.New(telemetry.Config{})
-	r, err := router.New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	rng := traffic.NewRNG(42)
-	id := uint16(0)
-	cycles := cyclesFor(q, 40_000, 150_000)
-	for c := int64(0); c < cycles; c += 200 {
-		for p := 0; p < 4; p++ {
-			for r.InputBacklogWords(p) < 4096 {
-				id++
-				pkt := ip.NewPacket(traffic.PortAddr(p, uint32(id)),
-					traffic.PortAddr(rng.Intn(4), uint32(id)), 64, 1024, id)
-				r.OfferPacket(p, &pkt)
-			}
-		}
-		r.Run(200)
-	}
-	snap = r.TelemetrySnapshot()
+	r := newRouter(cfg)
+	r.RunSaturated(cyclesFor(q, 40_000, 150_000), sources(uniform(1024, 42)))
+	snap = r.Cycle().TelemetrySnapshot()
 	tb = &stats.Table{
 		Caption: "telemetry plane: per-quantum metrics over a saturated uniform workload",
 		Headers: []string{"port", "granted q", "denied q", "words granted", "link util", "token-wait mean"},

@@ -1,12 +1,81 @@
 package exp_test
 
 import (
+	"flag"
+	"fmt"
 	"math"
+	"os"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/exp"
 )
+
+var update = flag.Bool("update", false, "rewrite "+goldenPath+" from this run")
+
+// goldenPath pins the paper's numbers exactly: the rendered Figure 7-1
+// peak and average tables, the §7.2 headline line and the E5
+// configuration-space table at quick quality. The simulator is
+// deterministic on either chip engine, so any drift is a behavior
+// change; the band checks beside each comparison stay as the
+// paper-shape check. Rewrite it only deliberately, with
+// go test ./internal/exp -update.
+const goldenPath = "testdata/paper.golden"
+
+var goldenHeader = regexp.MustCompile(`^==== (\S+) ====$`)
+
+// readGolden parses the golden file into its named sections.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]string{}
+	name := ""
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if m := goldenHeader.FindStringSubmatch(strings.TrimSuffix(line, "\n")); m != nil {
+			name = m[1]
+			sections[name] = ""
+		} else if name != "" {
+			sections[name] += line
+		}
+	}
+	return sections
+}
+
+// checkGolden compares got byte for byte with the golden file's section
+// name, or rewrites that section under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	got = strings.TrimRight(got, "\n") + "\n"
+	sections := readGolden(t)
+	if *update {
+		sections[name] = got
+		names := make([]string, 0, len(sections))
+		for n := range sections {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		var b strings.Builder
+		for _, n := range names {
+			fmt.Fprintf(&b, "==== %s ====\n%s", n, sections[n])
+		}
+		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, ok := sections[name]
+	if !ok {
+		t.Fatalf("%s has no %q section (go test ./internal/exp -update writes it)", goldenPath, name)
+	}
+	if got != want {
+		t.Errorf("%s differs from %s:\n--- got\n%s--- want\n%s", name, goldenPath, got, want)
+	}
+}
 
 // TestFigure71PeakShape: monotone growth with packet size, each point
 // within a factor band of the paper, Click two orders of magnitude below.
@@ -32,18 +101,20 @@ func TestFigure71PeakShape(t *testing.T) {
 	if !strings.Contains(tb.String(), "Figure 7-1") {
 		t.Fatal("table caption missing")
 	}
+	checkGolden(t, "figure71-peak", tb.String())
 }
 
 // TestFigure71AverageRatio: average ≈ 0.6-0.7 of peak at every size.
 func TestFigure71AverageRatio(t *testing.T) {
 	peak, _, _ := exp.Figure71(exp.Quick, false)
-	avg, _, _ := exp.Figure71(exp.Quick, true)
+	avg, _, tb := exp.Figure71(exp.Quick, true)
 	for i := range peak {
 		ratio := avg[i].Gbps / peak[i].Gbps
 		if ratio < 0.52 || ratio > 0.82 {
 			t.Fatalf("size %d: avg/peak %.2f, paper reports 0.69", peak[i].SizeBytes, ratio)
 		}
 	}
+	checkGolden(t, "figure71-average", tb.String())
 }
 
 func TestFigure73(t *testing.T) {
@@ -80,6 +151,7 @@ func TestConfigSpace(t *testing.T) {
 	if r.XbarProgWords >= r.SwMemWords/8 {
 		t.Fatalf("program %d words, too large", r.XbarProgWords)
 	}
+	checkGolden(t, "configspace", exp.ConfigSpaceTable().String())
 }
 
 func TestSecondNetworkAblation(t *testing.T) {
@@ -137,6 +209,8 @@ func TestHeadline(t *testing.T) {
 	if mpps < 2.9 || mpps > 3.6 {
 		t.Fatalf("headline %.2f Mpps, paper 3.3", mpps)
 	}
+	// The line cmd/reproduce prints.
+	checkGolden(t, "headline", fmt.Sprintf("%.2f Mpps, %.2f Gbps at 1024B peak (paper: 3.3 Mpps, 26.9 Gbps)", mpps, gbps))
 }
 
 func TestScale8(t *testing.T) {

@@ -1,7 +1,7 @@
 package exp
 
 import (
-	"repro/internal/core"
+	"repro/internal/router"
 	"repro/internal/stats"
 	"repro/internal/switchfab"
 	"repro/internal/traffic"
@@ -46,26 +46,18 @@ func HeavyTail(q Quality) ([]HeavyTailPoint, *stats.Table) {
 		}
 
 		// Saturated closed-loop throughput.
-		r, err := core.New(core.Options{ChipEngine: chipEngine})
+		srcs, err := w.Sources()
 		if err != nil {
 			panic(err)
 		}
-		gen, err := core.WorkloadTraffic(w)
-		if err != nil {
-			panic(err)
-		}
-		res := r.RunMeasured(warm, cycles, gen)
+		res := newRouter(router.DefaultConfig()).RunMeasured(warm, cycles, srcs)
 
 		// Open-loop replay at the spec rate.
 		proc, err := w.OpenLoop(1024)
 		if err != nil {
 			panic(err)
 		}
-		r2, err := core.New(core.Options{ChipEngine: chipEngine})
-		if err != nil {
-			panic(err)
-		}
-		delivered, _ := r2.RunArrivals(proc, slices, 1<<20)
+		delivered, _ := newRouter(router.DefaultConfig()).RunArrivals(proc, slices, 1<<20)
 		var gotWords, wantWords int64
 		for _, wds := range delivered {
 			gotWords += wds

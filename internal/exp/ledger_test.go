@@ -57,7 +57,9 @@ func TestTraceLedgerAcrossConsumers(t *testing.T) {
 		{"fast/live", raw.EngineFast, live},
 	}
 	for _, cfg := range configs {
-		r, err := core.New(core.Options{ChipEngine: cfg.engine})
+		rcfg := router.DefaultConfig()
+		rcfg.Engine = cfg.engine
+		r, err := core.New(rcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,13 +92,12 @@ func TestTraceLedgerAcrossConsumers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg := router.DefaultConfig()
-	rr, err := core.New(core.Options{RouterConfig: &rcfg})
+	rr, err := router.New(router.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	d, err := serve.New(serve.Config{
-		Router:      rr.Cycle(),
+		Router:      rr,
 		Feeder:      feeder,
 		SliceCycles: cyc,
 		QueuePkts:   1 << 16,
@@ -118,7 +119,7 @@ func TestTraceLedgerAcrossConsumers(t *testing.T) {
 			tot.ShedWords, tot.DrainDiscardedWords)
 	}
 	for dst := range want {
-		if got := rr.Cycle().OutputWords(dst); got != want[dst] {
+		if got := rr.OutputWords(dst); got != want[dst] {
 			t.Fatalf("serve: dst %d delivered %d words, trace ledger says %d", dst, got, want[dst])
 		}
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/ip"
 	"repro/internal/router"
@@ -67,11 +68,11 @@ func scaleOutVictim(spec cluster.Spec) int {
 }
 
 // scaleOutRun drives one fabric instance and returns (Gbps, bisection
-// utilization). Traffic is the antipodal pairing: external e sends to
-// external (e + E/2) mod E, which always crosses chips and loads the
-// bisection cut of every topology. Degraded modes kill the victim chip
-// before any traffic is offered and report the surviving externals'
-// sustained bandwidth.
+// utilization). Traffic is fabsim's antipodal permutation: external e
+// sends to external (e + E/2) mod E, which always crosses chips and
+// loads the bisection cut of every topology. Degraded modes kill the
+// victim chip before any traffic is offered and report the surviving
+// externals' sustained bandwidth.
 func scaleOutRun(spec cluster.Spec, rounds, mode int) (float64, float64) {
 	cfg := cluster.Config{Topology: spec, Router: router.DefaultConfig()}
 	cfg.Router.Engine = chipEngine
@@ -87,24 +88,42 @@ func scaleOutRun(spec cluster.Spec, rounds, mode int) (float64, float64) {
 			panic(err)
 		}
 	}
-	ext := spec.Externals()
-	id := uint16(0)
-	for i := 0; i < rounds; i++ {
-		for e := 0; e < ext; e++ {
-			// Refused offers (dead ingress, dead destination) never grow
-			// the backlog; bound the fill by attempts so degraded runs
-			// terminate.
-			for tries := 0; f.InputBacklogWords(e) < 4096 && tries < 64; tries++ {
-				id++
-				dst := (e + ext/2) % ext
-				pkt := ip.NewPacket(traffic.PortAddr(e, uint32(id)),
-					traffic.PortAddr(dst, uint32(id)), 64, 1024, id)
-				f.OfferPacket(e, &pkt)
-			}
-		}
-		f.Run(200)
+	wl := cli.FabricDefault(spec.Externals())
+	wl.Ports = spec.Externals()
+	if err := RunFabric(f, sources(wl), rounds); err != nil {
+		panic(err)
 	}
 	snap := f.TelemetrySnapshot()
 	return stats.Gbps(f.ExternalWordsOut()*4, f.Cycle(), cfg.Router.ClockHz),
 		snap.BisectionUtilization
+}
+
+// RunFabric drives fabric f closed-loop for rounds rounds of 200 cycles.
+// Before each round every external e is topped up to a 4,096-word
+// backlog from srcs[e] (a nil source leaves it idle); after it, every
+// external's delivered packets are drained. A refused offer (dead
+// ingress chip, dead or unreachable destination) never grows the
+// backlog, so the fill also stops after 64 attempts. At the end it
+// returns f.DeliveryError(): the first trunk-conservation or end-to-end
+// delivery-ledger violation, the partition error while a healed
+// fabric's survivors are partitioned, or nil.
+func RunFabric(f *cluster.Fabric, srcs []traffic.Source, rounds int) error {
+	id := uint16(0)
+	for i := 0; i < rounds; i++ {
+		for e, src := range srcs {
+			for tries := 0; src != nil && f.InputBacklogWords(e) < 4096 && tries < 64; tries++ {
+				id++
+				p := src.Next()
+				pkt := ip.NewPacket(p.SrcIP, p.DstIP, 64, p.SizeBytes, id)
+				f.OfferPacket(e, &pkt)
+			}
+		}
+		f.Run(200)
+		for e := 0; e < f.Spec().Externals(); e++ {
+			if _, err := f.DrainOutput(e); err != nil {
+				return err
+			}
+		}
+	}
+	return f.DeliveryError()
 }

@@ -13,9 +13,9 @@ import (
 
 func FuzzAllocate(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 2, 3, 4})
-	f.Add([]byte{6, 3, 1, 1, 1, 1, 1, 1})       // all-to-one
-	f.Add([]byte{4, 1, 2, 3, 4, 1})             // rotated permutation
-	f.Add([]byte{7, 5, 0, 0, 0, 0, 0, 0, 0})    // all empty
+	f.Add([]byte{6, 3, 1, 1, 1, 1, 1, 1})    // all-to-one
+	f.Add([]byte{4, 1, 2, 3, 4, 1})          // rotated permutation
+	f.Add([]byte{7, 5, 0, 0, 0, 0, 0, 0, 0}) // all empty
 	f.Add([]byte{3, 2, 3, 3, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/router"
 	"repro/internal/telemetry"
@@ -28,11 +27,11 @@ func newTestRouter(t *testing.T, mod func(*router.Config)) *router.Router {
 	if mod != nil {
 		mod(&rcfg)
 	}
-	r, err := core.New(core.Options{RouterConfig: &rcfg})
+	r, err := router.New(rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.Cycle()
+	return r
 }
 
 // specFeeder compiles a workload spec onto the daemon's slice time base.

@@ -11,9 +11,17 @@ echo "== tier-1: build + test =="
 go build ./...
 go test ./...
 
-echo "== tier-2: vet + race =="
+echo "== tier-2: gofmt + vet + race =="
+test -z "$(gofmt -l .)"
 go vet ./...
 go test -race ./...
+
+echo "== bench: the repo benchmark's own tests =="
+# bench/ is a separate module, so ./... above skips it. Its tests check
+# that the reference and fast engines produce equal digests, that the
+# digests match bench/golden.json, and that BENCHMARK.json stays in step
+# with the command.
+(cd bench && go test ./...)
 
 echo "== tier-2: chaos harness (fixed seed matrix, race detector) =="
 # Seeds are pinned inside the tests (fault.Random seeds 1,2,3,5,7 and the
