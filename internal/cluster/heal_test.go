@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -227,5 +228,39 @@ func TestHealConformance(t *testing.T) {
 	}
 	if dig != refDig {
 		t.Errorf("fast output digest %#x != ref %#x", dig, refDig)
+	}
+}
+
+// TestHealControlsAtOneCycle fires two trunk kills at one cycle, and
+// later their two restores at another, under traffic. Each control
+// re-heals and installs a new table on every chip whose routes moved,
+// so a chip takes two installs with no cycle between them while its
+// lookups are in flight; the installs land in a different phase of
+// those lookups at each start cycle. On both engines every packet must
+// arrive, and ref and fast must agree.
+func TestHealControlsAtOneCycle(t *testing.T) {
+	spec := cluster.Mesh(2, 2)
+	for at := int64(1000); at < 1012; at++ {
+		sched := fault.MustParse(fmt.Sprintf(
+			"killtrunk@%d:c0-c1;killtrunk@%[1]d:c2-c3;restoretrunk@%d:c0-c1;restoretrunk@%[2]d:c2-c3",
+			at, at+1500))
+		var fps, digs [2]uint64
+		for i, eng := range []raw.Engine{raw.EngineRef, raw.EngineFast} {
+			f := mustFabric(t, spec, func(c *cluster.Config) {
+				c.Router.Engine = eng
+				c.Heal = cluster.HealConfig{Enabled: true, Seed: 42}
+			})
+			f.ApplySchedule(sched)
+			fps[i], digs[i] = driveConf(t, f, spec, 4000, 0)
+			if err := f.DeliveryError(); err != nil {
+				t.Fatalf("%v, controls at %d: %v", eng, at, err)
+			}
+			if d := f.Delivery(); d.HealEpochs != 4 {
+				t.Fatalf("%v, controls at %d: heal epochs %d, want 4", eng, at, d.HealEpochs)
+			}
+		}
+		if fps[0] != fps[1] || digs[0] != digs[1] {
+			t.Fatalf("controls at %d: ref and fast diverge", at)
+		}
 	}
 }

@@ -23,7 +23,9 @@ type Controller struct {
 	ExtraLatency func() int
 
 	width int
-	store map[raw.Word]raw.Word
+	// pages holds DRAM in dense pages keyed by addr>>pageShift, each
+	// allocated at its first write; a word never written reads 0.
+	pages map[raw.Word]*page
 
 	// Stats
 	Reads, Writes int64
@@ -38,6 +40,15 @@ type port struct {
 	inflight []response
 }
 
+// A DRAM page is 4,096 words, so a cache line never straddles two pages.
+const (
+	pageShift = 12
+	pageWords = 1 << pageShift
+	pageMask  = pageWords - 1
+)
+
+type page [pageWords]raw.Word
+
 type response struct {
 	due   int64
 	words []raw.Word
@@ -49,17 +60,29 @@ func NewController(meshWidth, latency int) *Controller {
 	return &Controller{
 		Latency: latency,
 		width:   meshWidth,
-		store:   make(map[raw.Word]raw.Word),
+		pages:   make(map[raw.Word]*page),
 	}
 }
 
 // Peek reads a word directly from DRAM.
-func (c *Controller) Peek(addr raw.Word) raw.Word { return c.store[addr] }
+func (c *Controller) Peek(addr raw.Word) raw.Word {
+	if pg := c.pages[addr>>pageShift]; pg != nil {
+		return pg[addr&pageMask]
+	}
+	return 0
+}
 
-// PokeWords writes a sequence starting at addr.
+// PokeWords writes a sequence starting at addr; addresses wrap at 2^32.
 func (c *Controller) PokeWords(addr raw.Word, words []raw.Word) {
-	for i, w := range words {
-		c.store[addr+raw.Word(i)] = w
+	for len(words) > 0 {
+		pg := c.pages[addr>>pageShift]
+		if pg == nil {
+			pg = new(page)
+			c.pages[addr>>pageShift] = pg
+		}
+		n := copy(pg[addr&pageMask:], words)
+		words = words[n:]
+		addr += raw.Word(n)
 	}
 }
 
@@ -131,18 +154,15 @@ func (p *port) serve(cycle int64, msg []raw.Word) {
 	switch op {
 	case raw.MemCmdRead:
 		c.Reads++
-		words := make([]raw.Word, 0, 2+raw.CacheLineWords)
-		words = append(words,
-			raw.DynHeader(tile%c.width, tile/c.width, 1+raw.CacheLineWords),
-			addr)
-		for i := 0; i < raw.CacheLineWords; i++ {
-			words = append(words, c.store[addr+raw.Word(i)])
+		words := make([]raw.Word, 2+raw.CacheLineWords)
+		words[0] = raw.DynHeader(tile%c.width, tile/c.width, 1+raw.CacheLineWords)
+		words[1] = addr
+		if pg := c.pages[addr>>pageShift]; pg != nil {
+			copy(words[2:], pg[addr&pageMask:])
 		}
 		p.inflight = append(p.inflight, response{due: cycle + lat, words: words})
 	case raw.MemCmdWrite:
 		c.Writes++
-		for i := 0; i < raw.CacheLineWords; i++ {
-			c.store[addr+raw.Word(i)] = msg[3+i]
-		}
+		c.PokeWords(addr, msg[3:3+raw.CacheLineWords])
 	}
 }

@@ -65,7 +65,8 @@ const (
 // cache only has one port") and at most one outstanding miss.
 type dcache struct {
 	tile *Tile
-	sets [cacheSets][cacheWays]cacheLine
+	// sets is allocated at the first access: most tiles never use it.
+	sets *[cacheSets][cacheWays]cacheLine
 	mru  [cacheSets]uint8 // most recently used way per set
 
 	phase   cachePhase
@@ -75,6 +76,8 @@ type dcache struct {
 		isWrite bool
 		wval    Word
 	}
+	way   int    // the way the pending access hit, or reserved for its fill
+	drop  bool   // an invalidation covered the pending line: finish drops it
 	sendQ []Word // request/write-back words awaiting injection
 	gotQ  []Word // reply words received so far
 
@@ -88,15 +91,19 @@ func (c *dcache) setIndex(addr Word) int {
 	return int(addr>>setIndexShift) % cacheSets
 }
 
-func (c *dcache) lookup(addr Word) *cacheLine {
+// lookup returns the way holding addr's line, or -1.
+func (c *dcache) lookup(addr Word) int {
+	if c.sets == nil {
+		return -1
+	}
 	line := addr & lineAddrMask
 	set := &c.sets[c.setIndex(addr)]
 	for w := range set {
 		if set[w].valid && set[w].tag == line {
-			return &set[w]
+			return w
 		}
 	}
-	return nil
+	return -1
 }
 
 // access advances one cycle of a cache transaction. It returns done=true
@@ -109,13 +116,18 @@ func (c *dcache) access(addr Word, isWrite bool, wval Word) (done bool, val Word
 		c.pending.addr = addr
 		c.pending.isWrite = isWrite
 		c.pending.wval = wval
-		if c.lookup(addr) != nil {
+		c.drop = false
+		if w := c.lookup(addr); w >= 0 {
+			c.way = w
 			c.hits++
 			c.phase = cpHitWait
 			c.counter = CacheHitCycles - 1 // this cycle counts as the first
 			return false, 0, StateRun
 		}
 		c.misses++
+		if c.sets == nil {
+			c.sets = new([cacheSets][cacheWays]cacheLine)
+		}
 		c.buildMiss(addr)
 		c.phase = cpSend
 		return false, 0, StateStallCache
@@ -155,13 +167,12 @@ func (c *dcache) access(addr Word, isWrite bool, wval Word) (done bool, val Word
 	panic("raw: bad cache phase")
 }
 
-// finish applies the pending read or write against the (now resident) line.
+// finish applies the pending read or write to the way the access hit or
+// filled; if an invalidation covered it since, the line is then dropped.
 func (c *dcache) finish() (bool, Word, TileState) {
-	ln := c.lookup(c.pending.addr)
-	if ln == nil {
-		panic("raw: cache line vanished")
-	}
-	c.touch(c.pending.addr, ln)
+	si := c.setIndex(c.pending.addr)
+	ln := &c.sets[si][c.way]
+	c.mru[si] = uint8(c.way)
 	off := c.pending.addr & lineOffMask
 	var v Word
 	if c.pending.isWrite {
@@ -170,17 +181,11 @@ func (c *dcache) finish() (bool, Word, TileState) {
 	} else {
 		v = ln.data[off]
 	}
+	if c.drop {
+		ln.valid = false
+	}
 	c.phase = cpIdle
 	return true, v, StateRun
-}
-
-func (c *dcache) touch(addr Word, ln *cacheLine) {
-	set := &c.sets[c.setIndex(addr)]
-	for w := range set {
-		if &set[w] == ln {
-			c.mru[c.setIndex(addr)] = uint8(w)
-		}
-	}
 }
 
 // buildMiss selects a victim, queues an eventual write-back, and queues the
@@ -213,21 +218,43 @@ func (c *dcache) buildMiss(addr Word) {
 	v.valid = false
 	v.tag = line
 	c.mru[si] = uint8(victim)
+	c.way = victim
 }
 
 // fill installs a returned line into the way reserved by buildMiss.
 func (c *dcache) fill(addr Word, data []Word) {
-	si := c.setIndex(addr)
-	set := &c.sets[si]
-	for w := range set {
-		if set[w].tag == addr && !set[w].valid {
-			copy(set[w].data[:], data)
-			set[w].valid = true
-			set[w].dirty = false
-			return
+	ln := &c.sets[c.setIndex(addr)][c.way]
+	if ln.tag != addr || ln.valid {
+		panic("raw: cache fill with no reserved way")
+	}
+	copy(ln.data[:], data)
+	ln.valid = true
+	ln.dirty = false
+}
+
+// invalidate drops every line holding a word of [addr, addr+n) without
+// write-back. An access in flight on one (a hit, or a miss whose reply
+// may predate the rewrite) completes on the words it holds and drops the
+// line, and any word it stores, when it does. A write-back already
+// queued still goes out.
+func (c *dcache) invalidate(addr Word, n int) {
+	sets := c.sets
+	if sets == nil || n <= 0 {
+		return
+	}
+	first := addr & lineAddrMask
+	span := addr - first + Word(n) // words from first to the range's end
+	for s := range sets {
+		for w := range sets[s] {
+			if ln := &sets[s][w]; ln.tag-first < span {
+				ln.valid = false
+			}
 		}
 	}
-	panic("raw: cache fill with no reserved way")
+	// An idle cache's pending access is over; the next one clears drop.
+	if c.pending.addr&lineAddrMask-first < span {
+		c.drop = true
+	}
 }
 
 // Hits returns the number of cache hits observed.

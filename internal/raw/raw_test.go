@@ -433,6 +433,59 @@ func TestCacheWriteBack(t *testing.T) {
 	}
 }
 
+// TestInvalidateCacheRangeInFlight rewrites a DRAM line and invalidates
+// it between every two cycles of a miss and then a hit on it. The access
+// in flight completes on the words it holds, and a read issued after the
+// invalidation always sees the new words: neither a line filled from a
+// reply read before the rewrite nor a line hit across it survives.
+// Invalidating the neighbouring ranges leaves the line resident.
+func TestInvalidateCacheRangeInFlight(t *testing.T) {
+	const line raw.Word = 0x1000
+	run := func(at int64, inval func(tl *raw.Tile)) (got []raw.Word, misses int64) {
+		chip := raw.NewChip(raw.DefaultConfig())
+		dram := newFakeDRAM(4, 20)
+		for i := raw.Word(0); i < raw.CacheLineWords; i++ {
+			dram.mem[line+i] = 100 + i
+		}
+		attachDRAMRows(chip, dram)
+		read := func(addr raw.Word) func(e *raw.Exec) {
+			return func(e *raw.Exec) {
+				e.CacheRead(func() raw.Word { return addr }, func(w raw.Word) { got = append(got, w) })
+			}
+		}
+		tl := chip.Tile(5)
+		tl.Exec().SetFirmware(&fwSeq{steps: []func(e *raw.Exec){
+			read(line), read(line + 3),
+			func(e *raw.Exec) { e.Compute(100) },
+			read(line + 5),
+		}})
+		chip.Run(at)
+		for i := raw.Word(0); i < raw.CacheLineWords; i++ {
+			dram.mem[line+i] = 200 + i
+		}
+		inval(tl)
+		chip.Run(300 - at)
+		_, misses = tl.CacheStats()
+		return got, misses
+	}
+	// One range ends on the line's first word, the other starts inside it.
+	for _, rg := range [][2]raw.Word{{line - 1, 2}, {line + 6, 9}} {
+		for at := int64(0); at < 60; at++ {
+			got, _ := run(at, func(tl *raw.Tile) { tl.InvalidateCacheRange(rg[0], int(rg[1])) })
+			if len(got) != 3 || got[2] != 205 {
+				t.Fatalf("%#x+%d invalidated after cycle %d: reads %v, want the last to be 205", rg[0], rg[1], at, got)
+			}
+		}
+	}
+	got, misses := run(60, func(tl *raw.Tile) {
+		tl.InvalidateCacheRange(line-raw.CacheLineWords, raw.CacheLineWords)
+		tl.InvalidateCacheRange(line+raw.CacheLineWords, 1)
+	})
+	if misses != 1 || got[2] != 105 {
+		t.Fatalf("neighbouring ranges: reads %v with %d misses, want 105 last and 1 miss", got, misses)
+	}
+}
+
 // TestDeterminism runs the same mixed workload twice and requires
 // identical egress timing.
 func TestDeterminism(t *testing.T) {

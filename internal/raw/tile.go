@@ -233,6 +233,12 @@ func (t *Tile) Exec() *Exec { return t.exec }
 // (equivalence tests and utilization studies).
 func (t *Tile) CacheStats() (hits, misses int64) { return t.cache.Hits(), t.cache.Misses() }
 
+// InvalidateCacheRange drops, without write-back, the data-cache lines
+// holding a word of [addr, addr+n), whose DRAM was rewritten behind the
+// cache; an access in flight completes on the words it holds. Call
+// between cycles.
+func (t *Tile) InvalidateCacheRange(addr Word, n int) { t.cache.invalidate(addr, n) }
+
 // EdgeSink collects words that left the chip through a boundary static
 // link, stamped with the cycle they crossed the pins.
 type EdgeSink struct {

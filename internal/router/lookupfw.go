@@ -20,9 +20,10 @@ const lookupMcastBit raw.Word = 1 << 31
 // small forwarding tables): a 2^16-entry first level, then 2^16-entry
 // chunks for long prefixes. Tables are double-buffered (§2.2.1: the
 // network processor updates the forwarding engines' table copies while
-// they forward): epoch 0 and epoch 1 occupy disjoint DRAM regions, so a
-// table switch needs no cache invalidation — the new epoch's addresses
-// have never been cached.
+// they forward): even and odd epochs occupy disjoint DRAM regions, so
+// the live table is never overwritten. From the second update on, the
+// region being written still holds the table before last, and the
+// lookup caches may hold its lines; installTable drops them.
 const (
 	lkL1Base     raw.Word = 0x0010_0000
 	lkChunkBase  raw.Word = 0x0100_0000
@@ -118,23 +119,21 @@ func replyWord(v int32) raw.Word {
 	return raw.Word(v)
 }
 
-// TableImage serializes a compact forwarding table into (address, words)
-// pairs for the DRAM controller, at epoch 0's bases.
-func TableImage(t *lookup.Patricia) []TableSegment {
-	return TableImageAt(t, 0)
-}
-
-// TableImageAt serializes the table at the given epoch's DRAM bases.
+// TableImageAt serializes a compact forwarding table into (address,
+// words) segments for the DRAM controller at the given epoch's bases.
 func TableImageAt(t *lookup.Patricia, epoch int) []TableSegment {
-	c := lookup.NewCompactTable(t)
-	l1, chunks := c.Image()
+	l1, chunks := lookup.NewCompactTable(t).Image()
 	l1Base, chunkBase := tableBases(epoch)
-	segs := []TableSegment{{Addr: l1Base, Words: l1}}
+	seg := func(addr raw.Word, img []uint32) TableSegment {
+		words := make([]raw.Word, len(img))
+		for i, w := range img {
+			words[i] = raw.Word(w)
+		}
+		return TableSegment{Addr: addr, Words: words}
+	}
+	segs := []TableSegment{seg(l1Base, l1)}
 	for i, ch := range chunks {
-		segs = append(segs, TableSegment{
-			Addr:  chunkBase + raw.Word(i)*lkChunkSize,
-			Words: ch,
-		})
+		segs = append(segs, seg(chunkBase+raw.Word(i)*lkChunkSize, ch))
 	}
 	return segs
 }
@@ -142,5 +141,20 @@ func TableImageAt(t *lookup.Patricia, epoch int) []TableSegment {
 // TableSegment is one contiguous DRAM region of the forwarding table.
 type TableSegment struct {
 	Addr  raw.Word
-	Words []uint32
+	Words []raw.Word
+}
+
+// installTable pokes a table image into DRAM and drops the lines it
+// overwrote from every lookup tile's data cache. New, UpdateTable and
+// the checkpoint replay all install here, so a restore replays both.
+func (r *Router) installTable(segs []TableSegment) {
+	for _, seg := range segs {
+		r.Mem.PokeWords(seg.Addr, seg.Words)
+	}
+	for _, pt := range Layout {
+		t := r.Chip.Tile(pt.Lookup)
+		for _, seg := range segs {
+			t.InvalidateCacheRange(seg.Addr, len(seg.Words))
+		}
+	}
 }

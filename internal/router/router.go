@@ -317,13 +317,7 @@ func New(cfg Config) (*Router, error) {
 	if table == nil {
 		table = CanonicalTable()
 	}
-	for _, seg := range TableImage(table) {
-		words := make([]raw.Word, len(seg.Words))
-		for i, w := range seg.Words {
-			words[i] = raw.Word(w)
-		}
-		r.Mem.PokeWords(seg.Addr, words)
-	}
+	r.installTable(TableImageAt(table, 0))
 
 	for p := 0; p < 4; p++ {
 		pt := Layout[p]
@@ -410,18 +404,12 @@ func (r *Router) Stats() StatsSnapshot {
 // (§2.2.1: "the network processor builds a forwarding table for each
 // forwarding engine"). The image is DMA'd into the idle epoch's DRAM
 // region and the lookup tiles switch over atomically at their next
-// lookup; because the new epoch's addresses were never cached, no cache
-// invalidation is needed — the first lookups simply miss to DRAM.
+// lookup. That region held the table before last, so the install drops
+// its lines from the lookup caches; the first lookups miss to DRAM.
 func (r *Router) UpdateTable(t *lookup.Patricia) {
 	next := r.tableEpoch + 1
 	segs := TableImageAt(t, next)
-	for _, seg := range segs {
-		words := make([]raw.Word, len(seg.Words))
-		for i, w := range seg.Words {
-			words[i] = raw.Word(w)
-		}
-		r.Mem.PokeWords(seg.Addr, words)
-	}
+	r.installTable(segs)
 	r.tableEpoch = next
 	if r.cfg.Checkpoint {
 		r.tableLog = append(r.tableLog, tableUpdate{cycle: r.Chip.Cycle(), segs: segs})

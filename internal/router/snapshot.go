@@ -67,7 +67,7 @@ func (r *Router) Snapshot() ([]byte, error) {
 			b = le.AppendUint64(b, uint64(seg.Addr))
 			b = le.AppendUint64(b, uint64(len(seg.Words)))
 			for _, w := range seg.Words {
-				b = le.AppendUint32(b, w)
+				b = le.AppendUint32(b, uint32(w))
 			}
 		}
 	}
@@ -127,9 +127,9 @@ func (r *Router) RestoreSnapshot(blob []byte) error {
 		for j := range u.segs {
 			seg := &u.segs[j]
 			seg.Addr = raw.Word(rd.U64())
-			seg.Words = make([]uint32, rd.Count(4))
+			seg.Words = make([]raw.Word, rd.Count(4))
 			for k := range seg.Words {
-				seg.Words[k] = rd.U32()
+				seg.Words[k] = raw.Word(rd.U32())
 			}
 		}
 	}
@@ -141,20 +141,14 @@ func (r *Router) RestoreSnapshot(blob []byte) error {
 		return fmt.Errorf("router: corrupt snapshot: %w", err)
 	}
 
-	// Replay the simulation, re-poking each recorded table update at its
-	// cycle; firmware and recovery state re-derive.
+	// Replay the simulation, re-installing each recorded table update
+	// at its cycle; firmware and recovery state re-derive.
 	ops := make([]raw.ReplayOp, len(log))
 	for i := range log {
 		u := log[i]
 		epoch := i + 1
 		ops[i] = raw.ReplayOp{Cycle: u.cycle, Apply: func() {
-			for _, seg := range u.segs {
-				words := make([]raw.Word, len(seg.Words))
-				for j, w := range seg.Words {
-					words[j] = raw.Word(w)
-				}
-				r.Mem.PokeWords(seg.Addr, words)
-			}
+			r.installTable(u.segs)
 			// The lookup firmware reads tableEpoch live to pick the
 			// double-buffer bases, so the flip must replay at the same
 			// cycle as the pokes or every subsequent lookup probes the

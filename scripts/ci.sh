@@ -106,9 +106,11 @@ echo "== cli: entry-point smoke =="
 # with no traffic flag must also print exactly what -workload
 # permutation prints. fabsim's mesh-16 must print the same at one worker
 # as at the default GOMAXPROCS, and an unknown -exp must exit 2.
+# examples/edgerouter, the only run whose table fills DRAM chunks (1,972
+# of them for its /9-/24 prefixes), must print exactly the lines below.
 CLI="$(mktemp -d)"
 trap 'rm -rf "$CLI"' EXIT
-go build -o "$CLI/" ./cmd/rawrouter ./cmd/fabsim
+go build -o "$CLI/" ./cmd/rawrouter ./cmd/fabsim ./examples/edgerouter
 RR="$CLI/rawrouter -cycles 20000 -warmup 10000"
 $RR -engine ref >"$CLI/rr-ref.txt"
 $RR -engine fast >"$CLI/rr-fast.txt"
@@ -124,6 +126,17 @@ cmp "$CLI/mesh-p1.txt" "$CLI/mesh.txt"
 st=0
 "$CLI/fabsim" -exp bogus 2>/dev/null || st=$?
 [ "$st" -eq 2 ]
+"$CLI/edgerouter" >"$CLI/edge.txt"
+cat >"$CLI/edge-want.txt" <<'EOF'
+installed 3882 routes
+
+measured 200000 cycles (0.80 ms of router time at 250 MHz)
+forwarded 2106 packets: 6.67 Gbps, 2.63 Mpps
+per-egress packets: [574 331 982 219] (port 2 is the hotspot)
+arbitration denials (head-of-line waits): 2023
+drained and checksum-verified 2698 packets at the output pins
+EOF
+cmp "$CLI/edge-want.txt" "$CLI/edge.txt"
 
 echo "== serve: daemon-mode smoke =="
 # Boot rawrouter -serve as a real process and drive the whole lifecycle
