@@ -27,6 +27,7 @@ type chaosResult struct {
 	offered   int64
 	delivered []ip.Packet
 	sent      map[uint16]ip.Packet
+	windows   int64 // macro windows opened (host-engine observability)
 }
 
 // runChaos runs one full scenario: build a router with the given cycle
@@ -69,6 +70,7 @@ func runChaos(t *testing.T, sched *fault.Schedule, watchdog bool, eng raw.Engine
 	res.stats = r.Stats().Stats
 	res.dead = r.DeadPort()
 	res.failed = r.Failed()
+	res.windows, _ = r.Chip.MacroStats()
 	h := fnv.New64a()
 	// Fingerprint the simulation-visible counters (the embedded Stats),
 	// not the full StatsSnapshot: its macro-step engagement fields are

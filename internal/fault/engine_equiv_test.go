@@ -14,12 +14,13 @@ import (
 // is re-run under the compiled fast engine and must be indistinguishable
 // from the reference interpreter — same fingerprint over cycle count,
 // stats, dead/failed state, output words, quanta, and delivered
-// payloads; same final checkpoint bytes; same telemetry exports. The
-// chaos runs install a fault plane, which keeps macro-stepping disarmed
-// (fault schedules perturb individual cycles), so they exercise the fast
-// engine's per-cycle path; the soak runs have no fault plane, so the
-// router's step hook lets macro windows engage mid-quantum and the
-// byte-for-byte comparisons below cover the macro restore path too.
+// payloads; same final checkpoint bytes; same telemetry exports. Both
+// matrices install a fault plane, which declares its due cycles like any
+// other declarer: the fast engine steps each cycle a fault is active or
+// a corrupt tap pending one at a time and macro-steps the cycles between
+// faults. So every chaos scenario must open macro windows, and the
+// comparisons (the soak matrix's byte-for-byte checkpoints included)
+// cover both paths under faults.
 // Macro engagement counters themselves (StatsSnapshot/telemetry macro
 // fields) are host-engine observability outside the equivalence surface:
 // the fingerprints hash the embedded Stats only, and the telemetry
@@ -83,6 +84,10 @@ func TestChaosEngineEquivalence(t *testing.T) {
 			if fast.fp != ref.fp {
 				t.Fatalf("fast engine: fingerprint diverged: %x vs ref %x", fast.fp, ref.fp)
 			}
+			if fast.windows == 0 {
+				t.Fatal("fast engine opened no macro window under the fault plane")
+			}
+			t.Logf("fast engine: %d macro windows", fast.windows)
 		})
 	}
 }

@@ -273,3 +273,50 @@ func TestDisabledPlaneIsInert(t *testing.T) {
 		t.Fatalf("nil-removed plane changed behavior: %v vs %v", a, b)
 	}
 }
+
+// TestInjectorNextDue pins the fault plane's due-cycle contract, which
+// macro windows rely on: each cycle a timed event is active is due (a
+// flap over its whole span, healthy gaps included; a crash forever), an
+// earlier cycle is due at the event's Start, a cycle after every event
+// ends is not, and a drop tap, which counts pushes made between Run
+// calls, never makes the plane due.
+func TestInjectorNextDue(t *testing.T) {
+	cases := []struct {
+		sched string
+		at    []int64
+		want  []int64
+	}{
+		{"link@100+50:t0.w", []int64{0, 99, 100, 120, 149, 150}, []int64{100, 100, 100, 120, 149, -1}},
+		{"flap@100+10x3:t0.w", []int64{0, 100, 105, 110, 125, 139, 149, 150},
+			[]int64{100, 100, 105, 110, 125, 139, 149, -1}},
+		{"freeze@100+50:t3", []int64{0, 100, 149, 150}, []int64{100, 100, 149, -1}},
+		{"crash@100:t3", []int64{0, 100, 1 << 40}, []int64{100, 100, 1 << 40}},
+		{"dram@100+50:+30", []int64{0, 100, 149, 150}, []int64{100, 100, 149, -1}},
+		{"link@100+50:t0.w;freeze@300+10:t2;link@120+5:t1.n", []int64{0, 126, 150, 305, 310},
+			[]int64{100, 126, 300, 305, -1}},
+		{"drop:t0.w.w0+5", []int64{0, 100}, []int64{-1, -1}},
+		{"", []int64{0, 100}, []int64{-1, -1}},
+	}
+	for _, tc := range cases {
+		inj := NewInjector(MustParse(tc.sched), 16)
+		for i, at := range tc.at {
+			if got := inj.NextDue(at); got != tc.want[i] {
+				t.Errorf("%q: NextDue(%d) = %d, want %d", tc.sched, at, got, tc.want[i])
+			}
+		}
+	}
+
+	// A corrupt tap keeps the plane due until its word is popped: a
+	// macro window pops without counting.
+	inj := NewInjector(MustParse("corrupt:t0.w.w3.b5;link@100+50:t0.w"), 16)
+	for pop := 0; pop < 4; pop++ {
+		if got := inj.NextDue(7); got != 7 {
+			t.Fatalf("after %d pops: NextDue(7) = %d, want 7 (tap pending)", pop, got)
+		}
+		inj.CorruptPop(0, raw.DirN, 0, 0) // another link: counts nothing here
+		inj.CorruptPop(0, raw.DirW, 0, 0)
+	}
+	if got := inj.NextDue(7); got != 100 {
+		t.Fatalf("tap consumed: NextDue(7) = %d, want 100", got)
+	}
+}

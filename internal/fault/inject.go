@@ -44,6 +44,8 @@ type Injector struct {
 
 	pops   map[linkKey]*popTap
 	pushes map[linkKey]*pushTap
+	// unpopped counts the corrupt taps whose word has not been popped.
+	unpopped int
 }
 
 var _ raw.FaultPlane = (*Injector)(nil)
@@ -79,6 +81,7 @@ func NewInjector(s *Schedule, numTiles int) *Injector {
 				inj.pops[k] = t
 			}
 			t.taps = insertByWordIdx(t.taps, e)
+			inj.unpopped++
 		case KindDrop:
 			k := linkKey{e.Tile, e.Dir, e.Net}
 			t := inj.pushes[k]
@@ -148,6 +151,31 @@ func (inj *Injector) BeginCycle(cycle int64) {
 	}
 }
 
+// NextDue implements raw.Due from the schedule, since BeginCycle does not
+// run inside a macro window: cycle while a timed event is active (a flap
+// over its whole span, a crash forever) or a corrupt tap is unpopped
+// (windows pop without counting), else the next Start, or -1. Drop taps
+// count pushes made between Run calls and never make the plane due.
+func (inj *Injector) NextDue(cycle int64) int64 {
+	if inj.unpopped > 0 {
+		return cycle
+	}
+	for i := range inj.timed {
+		e := &inj.timed[i]
+		if e.Start > cycle {
+			return e.Start // sorted: the earliest later start
+		}
+		end := e.Start + e.Dur
+		if e.Kind == KindFlap {
+			end = e.Start + int64(2*e.Repeat-1)*e.Dur
+		}
+		if e.Kind == KindCrash || cycle < end {
+			return cycle
+		}
+	}
+	return -1
+}
+
 // TileFrozen implements raw.FaultPlane.
 func (inj *Injector) TileFrozen(tile int) bool { return inj.frozen[tile] }
 
@@ -172,6 +200,7 @@ func (inj *Injector) CorruptPop(tile int, d raw.Dir, net int, w raw.Word) raw.Wo
 			w ^= 1 << t.taps[t.next].Bit
 		}
 		t.next++
+		inj.unpopped--
 	}
 	return w
 }

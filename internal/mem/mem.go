@@ -100,14 +100,16 @@ func Attach(chip *raw.Chip, latency int) *Controller {
 	return c
 }
 
-// DevQuiesced implements raw.DeviceQuiescer: with no partial frame, no
-// queued request, and no in-flight response, Tick with no arrivals
-// mutates nothing (the nextFree comparison alone cannot change state),
-// so skipped cycles are a provable no-op. In cache-resident steady state
-// the ports sit in exactly this condition, which is what lets the
-// macro-stepper run with the memory system attached.
-func (p *port) DevQuiesced() bool {
-	return len(p.buf) == 0 && len(p.queue) == 0 && len(p.inflight) == 0
+// NextDue implements raw.Due. With no partial frame, no queued request
+// and no in-flight response, Tick with no arrivals mutates nothing (the
+// nextFree comparison alone cannot change state), so an idle port has no
+// due cycle: the cache-resident steady state, which lets windows form
+// with the memory system attached. Otherwise every cycle is due.
+func (p *port) NextDue(cycle int64) int64 {
+	if len(p.buf)+len(p.queue)+len(p.inflight) != 0 {
+		return cycle
+	}
+	return -1
 }
 
 // Tick implements raw.DynDevice for one edge port.

@@ -102,3 +102,39 @@ func TestServiceInterval(t *testing.T) {
 		t.Fatalf("service interval had no effect: gap %d vs %d", slow, fast)
 	}
 }
+
+// TestPortNextDue pins the port's due-cycle contract: an idle port has
+// no due cycle, and a port holding a partial frame, a queued request or
+// an in-flight response is due at every cycle until it is idle again.
+func TestPortNextDue(t *testing.T) {
+	c := mem.NewController(4, 5)
+	c.ServiceInterval = 100
+	p := c.NewPort()
+	req := []raw.Word{raw.DynHeader(4, 0, 2), raw.MemCmd(raw.MemCmdRead, 0), 0x40}
+	steps := []struct {
+		cycle   int64
+		arrived []raw.Word
+		what    string
+		due     bool
+	}{
+		{0, req[:2], "partial frame", true},
+		{1, req[2:], "response in flight", true},
+		{2, req, "second request queued", true},
+		{6, nil, "first response out, second queued", true},
+		{101, nil, "second response in flight", true},
+		{106, nil, "idle", false},
+	}
+	if got := p.NextDue(0); got != -1 {
+		t.Fatalf("new port: NextDue(0) = %d, want -1", got)
+	}
+	for _, s := range steps {
+		p.Tick(s.cycle, s.arrived)
+		want := int64(-1)
+		if s.due {
+			want = s.cycle + 1
+		}
+		if got := p.NextDue(s.cycle + 1); got != want {
+			t.Fatalf("%s after cycle %d: NextDue = %d, want %d", s.what, s.cycle, got, want)
+		}
+	}
+}

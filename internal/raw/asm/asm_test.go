@@ -226,6 +226,10 @@ func newDRAM(width, latency int) *dramDev {
 	return &dramDev{width: width, latency: latency, mem: make(map[raw.Word]raw.Word)}
 }
 
+// NextDue implements raw.Due: always due, so the device disarms macro
+// windows while attached.
+func (d *dramDev) NextDue(cycle int64) int64 { return cycle }
+
 func (d *dramDev) Tick(cycle int64, arrived []raw.Word) []raw.Word {
 	d.buf = append(d.buf, arrived...)
 	for len(d.buf) > 0 {

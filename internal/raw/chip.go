@@ -26,8 +26,10 @@ func DefaultConfig() Config {
 // link (a memory controller, a line card DMA engine). Tick is called once
 // per cycle with the words that exited the chip on that link this cycle;
 // the returned words are injected into the chip on the same link (framed
-// messages, header first).
+// messages, header first). NextDue (see Due) may return a negative value
+// only while Tick with no arrivals returns nothing and mutates nothing.
 type DynDevice interface {
+	Due
 	Tick(cycle int64, arrived []Word) (inject []Word)
 }
 
@@ -38,10 +40,6 @@ type dynBinding struct {
 	dev    DynDevice
 	outBuf []Word
 	in     *unboundedFIFO
-	// quiescer is dev's DeviceQuiescer, resolved once at attach time so
-	// the macro-step gate is a direct call, not a per-cycle assertion.
-	// nil when the device makes no quiescence promise.
-	quiescer DeviceQuiescer
 }
 
 // Chip is a simulated Raw processor.
@@ -244,9 +242,6 @@ func (c *Chip) AttachDynDevice(tileID int, d Dir, net int, dev DynDevice) {
 	}
 	b := &dynBinding{tile: tileID, dir: d, net: net, dev: dev,
 		in: t.dyn[net].in[d].(*unboundedFIFO)}
-	if q, ok := dev.(DeviceQuiescer); ok {
-		b.quiescer = q
-	}
 	c.bindings = append(c.bindings, b)
 	c.dynEdgeSinks[[3]int{tileID, int(d), net}] = b
 	c.invalidateFast()

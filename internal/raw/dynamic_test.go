@@ -134,6 +134,10 @@ func TestDynEdgeDeviceEcho(t *testing.T) {
 // per cycle) and echoes value+1 to the requesting tile.
 type echoDev struct{ buf []raw.Word }
 
+// NextDue implements raw.Due: always due, so the device disarms macro
+// windows while attached.
+func (d *echoDev) NextDue(cycle int64) int64 { return cycle }
+
 func (d *echoDev) Tick(cycle int64, arrived []raw.Word) []raw.Word {
 	d.buf = append(d.buf, arrived...)
 	var out []raw.Word

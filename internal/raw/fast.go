@@ -35,7 +35,7 @@ package raw
 // All derived state lives on fastEngine and is rebuilt from scratch by
 // buildFastEngine whenever a reconfiguration calls invalidateFast —
 // binding rebuilds are rare (program installs, device attachment, fault
-// installation) and cost microseconds.
+// installation, hook registration) and cost microseconds.
 
 // Quiescer is an optional Firmware extension. Quiesced reports that the
 // firmware has permanently finished: Refill will enqueue nothing and has
@@ -106,6 +106,12 @@ type dynBind struct {
 	outTile     [numDirs]int32
 }
 
+// declarer is one Due on the chip and the cause its clamp counts under.
+type declarer struct {
+	Due
+	cause MacroCause
+}
+
 // fastEngine is the chip-owned derived state of the compiled engine.
 type fastEngine struct {
 	c  *Chip
@@ -121,6 +127,10 @@ type fastEngine struct {
 
 	// asleep is the idle-tile skip list.
 	asleep []bool
+
+	// due lists the chip's declarers; busy is procsInert's first tile.
+	due  []declarer
+	busy int
 
 	// Macro-step scratch (see macro.go): per-switch membership and route
 	// masks for the current scan, the reusable plan buffer of admitted
@@ -150,6 +160,18 @@ func buildFastEngine(c *Chip) *fastEngine {
 		macroSrcM: make([]uint8, n*NumStaticNets),
 		macroDstM: make([]uint8, n*NumStaticNets),
 		macroSt:   make([]TileState, n),
+	}
+	for _, h := range c.stepHooks {
+		fe.due = append(fe.due, declarer{h, MacroHookDue})
+	}
+	if c.faults != nil {
+		fe.due = append(fe.due, declarer{c.faults, MacroFaults})
+	}
+	for _, b := range c.bindings {
+		fe.due = append(fe.due, declarer{b.dev, MacroDevices})
+	}
+	if c.cfg.Tracer != nil {
+		fe.due = append(fe.due, declarer{c.cfg.Tracer, MacroTracer})
 	}
 	for _, t := range c.tiles {
 		if fw := t.exec.fw; fw != nil {

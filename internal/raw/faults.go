@@ -5,16 +5,19 @@ package raw
 // choke points; every hook is nil-guarded so an un-faulted chip pays one
 // predictable branch per call site and nothing else.
 //
-// All methods are called from within a simulated cycle and must be
+// NextDue (see Due) must cover every cycle with a fault active or a
+// counted pop pending: macro windows never consult the plane.
+// The other methods are called from within a simulated cycle and must be
 // read-only with respect to state shared across tiles: BeginCycle runs
-// once per cycle before any tile steps, and is the only place the plane
-// may mutate global state. TileFrozen and LinkStalled are consulted by
-// every tile in the cycle and must be pure reads of state settled in
-// BeginCycle, so the cycle stays independent of tile order. CorruptPop and
-// DropEdgeWord may keep per-link mutable state: each static link has
-// exactly one popping tile and edge pushes happen between cycles, so a
-// per-(tile,dir,net) counter has a single writer.
+// once per stepped cycle before any tile steps, and is the only place
+// the plane may mutate global state. TileFrozen and LinkStalled are
+// consulted by every tile in the cycle and must be pure reads of state
+// settled in BeginCycle, so the cycle stays independent of tile order.
+// CorruptPop and DropEdgeWord may keep per-link mutable state: each
+// static link has exactly one popping tile and edge pushes happen
+// between cycles, so a per-(tile,dir,net) counter has a single writer.
 type FaultPlane interface {
+	Due
 	// BeginCycle advances the schedule to the given cycle.
 	BeginCycle(cycle int64)
 	// TileFrozen reports whether the whole tile (processor, switches,
@@ -41,9 +44,6 @@ func (c *Chip) InstallFaults(fp FaultPlane) {
 	c.faults = fp
 	c.invalidateFast()
 }
-
-// Faults returns the installed fault plane, or nil.
-func (c *Chip) Faults() FaultPlane { return c.faults }
 
 // FaultDRAMPenalty returns the extra DRAM latency in force this cycle
 // (0 with no fault plane installed). Memory controllers add it to their

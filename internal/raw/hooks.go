@@ -1,31 +1,24 @@
 package raw
 
 // Observation hooks and the macro-step disarm vocabulary.
-//
-// A step hook (AddStepHook) is the chip's one observation mechanism. It
-// declares, through NextDue, the next cycle at which it must observe the
-// chip. Between due cycles the hook is provably inert, so the
-// macro-stepper may cover the gap in one window, clamping the window so
-// the due cycle itself is always single-stepped (and the hook's Tick
-// fires exactly as it would have under per-cycle stepping).
-//
-// The router's supervisor (watchdog heartbeat, restore controls,
-// telemetry sampling) is a StepHook: all of its work is batched to
-// quantum or mask boundaries, which is what lets macro windows form on a
-// live router.
+
+// Due is the chip's one due-cycle contract, answered by step hooks, the
+// fault plane, off-chip devices and the tracer: NextDue(cycle) is the
+// earliest cycle >= cycle the declarer must see individually simulated
+// (never covered by a macro window), or negative if none is scheduled.
+// Returning cycle itself is always safe and forces single-stepping.
+type Due interface {
+	NextDue(cycle int64) int64
+}
 
 // StepHook is a capability-scoped observation hook. Tick runs at the end
 // of every simulated cycle (after queue commits and device ticks) and may
-// safely reconfigure the chip. NextDue(cycle) returns the earliest cycle
-// >= cycle at which this hook must observe an individually simulated
-// cycle, or a negative value if it has no scheduled work; the
-// macro-stepper never covers a due cycle with a window. A hook whose due
-// cycles depend on chip state must return conservative (early) values —
-// returning cycle itself is always safe and simply forces
-// single-stepping.
+// safely reconfigure the chip. The router's supervisor (watchdog, restore
+// controls, telemetry) is one: it batches its work to quantum or mask
+// boundaries, which is what lets macro windows form on a live router.
 type StepHook interface {
+	Due
 	Tick(cycle int64)
-	NextDue(cycle int64) int64
 }
 
 // AddStepHook registers a step hook. Hooks run in registration order.
@@ -35,40 +28,30 @@ func (c *Chip) AddStepHook(h StepHook) {
 	c.invalidateFast()
 }
 
-// DeviceQuiescer is an optional DynDevice extension. DevQuiesced reports
-// that the device holds no buffered input, no queued requests, and no
-// in-flight responses: Tick with no arrivals returns nothing and mutates
-// nothing, this cycle and every following one, until new words reach it.
-// The macro-stepper treats a quiescent device's binding as inert (K
-// skipped Ticks are a no-op); devices that cannot promise this simply
-// don't implement the interface and keep macro-stepping disarmed while
-// attached.
-type DeviceQuiescer interface {
-	DevQuiesced() bool
-}
-
 // MacroCause classifies why tryMacroStep declined to open a window. The
 // per-cause histogram (MacroDisarms) makes engagement regressions
 // diagnosable: a router that should be macro-stepping but isn't will show
-// which gate fired.
+// which gate fired. A decline counts the first gate that fails: the
+// budget, a busy processor (the cheapest and most frequent refusal), the
+// declarer that set the tightest clamp, then the rest of the scan.
 type MacroCause uint8
 
 const (
 	// MacroBudget: the caller's remaining cycle budget was below the
 	// minimum worthwhile window.
 	MacroBudget MacroCause = iota
-	// MacroFaults: a fault plane is installed; fault schedules perturb
-	// individual cycles.
+	// MacroFaults: a fault is active or a corrupt tap pending, or the
+	// next fault starts within the minimum window.
 	MacroFaults
 	// MacroPerCycleHook is no longer counted: the per-cycle hook it
 	// attributed was removed, leaving step hooks (MacroHookDue) as the one
 	// hook mechanism. The value keeps its histogram slot so exported
 	// cause names and indices stay stable.
 	MacroPerCycleHook
-	// MacroTracer: a per-cycle tracer is configured.
+	// MacroTracer: the tracer records this cycle or one within the minimum.
 	MacroTracer
-	// MacroDevices: an attached dynamic device is not provably quiescent
-	// (pending output words, or no DeviceQuiescer implementation).
+	// MacroDevices: an attached dynamic device is due (mid-frame, or with
+	// requests queued or in flight).
 	MacroDevices
 	// MacroHookDue: a step hook is due this cycle, or its next due cycle
 	// clamps the window below the minimum.

@@ -12,17 +12,11 @@ package raw
 // persists, and advances K cycles with one tight loop — then restores
 // the exact state single-cycle stepping would have produced.
 //
-// Chip-level gates (any failure falls back to Chip.Step, which is always
-// correct; every declined window is attributed in MacroDisarms):
-//
-//   - No fault plane, no tracer — those observe or perturb individual
-//     cycles. Step hooks (AddStepHook) instead declare their next due
-//     cycle and clamp the window, so a supervisor that batches its
-//     observation to quantum boundaries does not disarm the stepper —
-//     which is what lets macro windows form on a live router.
-//   - Every attached dynamic device is provably quiescent (see
-//     DeviceQuiescer): no buffered output words and nothing in flight,
-//     so K skipped Ticks are a no-op.
+// Any refusal falls back to Chip.Step, which is always correct; every
+// declined window is attributed in MacroDisarms. Each declarer (see Due)
+// clamps the window to its next due cycle, so a supervisor between
+// quantum boundaries, a schedule between faults, an idle memory port or
+// a tracer outside its window does not disarm the stepper.
 //
 // Tile admission (per-cycle scan, earliest reject wins):
 //
@@ -53,7 +47,7 @@ package raw
 // δ=0 queues never limit. A drained queue (δ=-1, occupancy L) supports
 // K ≤ L; a filled queue (δ=+1) supports K ≤ cap−L; edge input backlogs
 // support K ≤ backlog; boundary sinks are unbounded; a loaded counted
-// loop supports K ≤ remaining; a step hook due at cycle D supports
+// loop supports K ≤ remaining; a declarer due at cycle D supports
 // K ≤ D − cycle. By induction, within K = min(bounds) cycles no source
 // empties, no destination fills, and no frozen witness changes, so every
 // admitted switch fires and every frozen engine stalls every cycle, and
@@ -87,34 +81,22 @@ func (c *Chip) tryMacroStep(budget int64) int64 {
 		c.macroDisarms[MacroBudget]++
 		return 0
 	}
-	if c.faults != nil {
-		c.macroDisarms[MacroFaults]++
+	fe := c.ensureFast()
+	if !fe.procsInert() {
+		c.macroDisarms[MacroExecBusy]++
 		return 0
 	}
-	if c.cfg.Tracer != nil {
-		c.macroDisarms[MacroTracer]++
-		return 0
-	}
-	for _, b := range c.bindings {
-		if len(b.outBuf) != 0 || b.quiescer == nil || !b.quiescer.DevQuiesced() {
-			c.macroDisarms[MacroDevices]++
-			return 0
-		}
-	}
-	for _, h := range c.stepHooks {
-		d := h.NextDue(c.cycle)
-		if d < 0 {
-			continue
-		}
-		if left := d - c.cycle; left < budget {
-			budget = left
+	var cause MacroCause
+	for _, d := range fe.due {
+		if at := d.NextDue(c.cycle); at >= 0 && at-c.cycle < budget {
+			budget, cause = at-c.cycle, d.cause
 		}
 	}
 	if budget < macroMinCycles {
-		c.macroDisarms[MacroHookDue]++
+		c.macroDisarms[cause]++
 		return 0
 	}
-	k, cause := c.ensureFast().macroStep(budget)
+	k, cause := fe.macroStep(budget)
 	if k == 0 {
 		c.macroDisarms[cause]++
 	}
@@ -141,15 +123,11 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 		return 0, cause
 	}
 
-	// Pass 1: classify every engine on the chip — processors stable-idle
-	// or blocked, dynamic routers inert, switches halted, streaming, or
-	// frozen — collecting the admitted streamers with their route masks.
+	// Pass 1: classify every other engine on the chip (procsInert has
+	// classified the processors) — firmware steady, dynamic routers
+	// inert, switches halted, streaming, or frozen — collecting the
+	// admitted streamers with their route masks.
 	for _, t := range c.tiles {
-		st, ok := macroProcState(t)
-		if !ok {
-			return abort(MacroExecBusy)
-		}
-		fe.macroSt[t.id] = st
 		if e := t.exec; e.fw != nil {
 			q := fe.fwq[t.id]
 			if q == nil || !q.Quiesced() {
@@ -444,6 +422,27 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 // normalized out).
 func (c *Chip) MacroStats() (windows, cycles int64) {
 	return c.macroWindows, c.macroCycles
+}
+
+// procsInert records each processor's window state (macroProcState) in
+// macroSt, from the tile busy at the last decline, and reports whether
+// all are inert. It reads only bounded queues: a pure predicate.
+func (fe *fastEngine) procsInert() bool {
+	tiles := fe.c.tiles
+	i := fe.busy
+	for range tiles {
+		t := tiles[i]
+		st, ok := macroProcState(t)
+		if !ok {
+			fe.busy = t.id
+			return false
+		}
+		fe.macroSt[t.id] = st
+		if i++; i == len(tiles) {
+			i = 0
+		}
+	}
+	return true
 }
 
 // macroProcState classifies one tile processor for a macro window. It

@@ -126,6 +126,7 @@ func (s TileState) String() string {
 // Tracer receives one callback per tile per cycle. Implementations must be
 // cheap; the hot path calls it Width*Height times per simulated cycle.
 type Tracer interface {
+	Due
 	Record(cycle int64, tile int, state TileState)
 }
 

@@ -314,6 +314,10 @@ type fakeReq struct {
 	resp []raw.Word
 }
 
+// NextDue implements raw.Due: always due, so the device disarms macro
+// windows while attached.
+func (d *fakeDRAM) NextDue(cycle int64) int64 { return cycle }
+
 func (d *fakeDRAM) Tick(cycle int64, arrived []raw.Word) []raw.Word {
 	d.buf = append(d.buf, arrived...)
 	// Frame complete messages.

@@ -20,16 +20,17 @@ const lookupMcastBit raw.Word = 1 << 31
 // small forwarding tables): a 2^16-entry first level, then 2^16-entry
 // chunks for long prefixes. Tables are double-buffered (§2.2.1: the
 // network processor updates the forwarding engines' table copies while
-// they forward): even and odd epochs occupy disjoint DRAM regions, so
-// the live table is never overwritten. From the second update on, the
-// region being written still holds the table before last, and the
-// lookup caches may hold its lines; installTable drops them.
+// they forward): an odd epoch sits 2^31 words above an even one, so
+// each epoch's region holds at least 32,512 chunks and the live table is
+// never overwritten. The offset is a multiple of the data cache's set
+// span, so both epochs map onto the same cache sets. From the second
+// update on, the region being written still holds the table before
+// last, and the lookup caches may hold its lines; installTable drops
+// them.
 const (
-	lkL1Base     raw.Word = 0x0010_0000
-	lkChunkBase  raw.Word = 0x0100_0000
-	lkL1Base2    raw.Word = 0x0800_0000
-	lkChunkBase2 raw.Word = 0x0900_0000
-	lkChunkSize  raw.Word = 1 << 16
+	lkL1Base    raw.Word = 0x0010_0000
+	lkChunkBase raw.Word = 0x0100_0000
+	lkChunkSize raw.Word = 1 << 16
 )
 
 // lookupFW is the Lookup Processor firmware (§4.2): it serves its ingress
@@ -106,10 +107,8 @@ func (f *lookupFW) probe(e *raw.Exec) {
 
 // tableBases returns the DRAM bases of the given table epoch.
 func tableBases(epoch int) (l1, chunks raw.Word) {
-	if epoch&1 == 0 {
-		return lkL1Base, lkChunkBase
-	}
-	return lkL1Base2, lkChunkBase2
+	off := raw.Word(epoch&1) << 31
+	return lkL1Base + off, lkChunkBase + off
 }
 
 func replyWord(v int32) raw.Word {

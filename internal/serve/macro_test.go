@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/raw"
 	"repro/internal/router"
 	"repro/internal/telemetry"
@@ -18,7 +19,7 @@ import (
 // under the fast engine those boundaries land between macro windows, so
 // every sample the rolling window folds in must match the reference
 // interpreter's cycle-by-cycle accounting exactly.
-func sloArc(t *testing.T, eng raw.Engine) (Result, *Status, string, int64) {
+func sloArc(t *testing.T, eng raw.Engine, base *fault.Schedule) (Result, *Status, string, int64) {
 	t.Helper()
 	rcfg := router.DefaultConfig()
 	rcfg.Engine = eng
@@ -36,6 +37,7 @@ func sloArc(t *testing.T, eng raw.Engine) (Result, *Status, string, int64) {
 		Gates:       Gates{MaxDropRate: 0.5, WindowSlices: 4},
 		Events:      ev,
 		Collector:   telemetry.New(telemetry.Config{}),
+		Base:        base,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,16 +56,26 @@ func sloArc(t *testing.T, eng raw.Engine) (Result, *Status, string, int64) {
 // identical shed/admitted ledger, identical typed event stream. This is
 // the daemon-facing face of quantum-granular observation: macro windows
 // cover cycles between slice boundaries but never move or blur what a
-// boundary sample sees.
+// boundary sample sees. The arc runs twice: without a fault plane, and
+// with a base schedule holding one mid-run link stall (Ingress/0 ->
+// Crossbar/0), which the plane declares through NextDue, so macro
+// windows must still open.
 func TestSLOAccountingUnderMacro(t *testing.T) {
-	refRes, refSt, refEvents, refWindows := sloArc(t, raw.EngineRef)
+	t.Run("no-faults", func(t *testing.T) { sloArcsAgree(t, nil) })
+	t.Run("mid-run-stall", func(t *testing.T) {
+		sloArcsAgree(t, fault.MustParse("link@16000+2000:t5.w"))
+	})
+}
+
+func sloArcsAgree(t *testing.T, base *fault.Schedule) {
+	refRes, refSt, refEvents, refWindows := sloArc(t, raw.EngineRef, base)
 	if refWindows != 0 {
 		t.Fatalf("reference engine reported %d macro windows", refWindows)
 	}
 	if refSt.Violations == 0 {
 		t.Fatal("overload scenario never tripped the drop-rate gate")
 	}
-	fastRes, fastSt, fastEvents, fastWindows := sloArc(t, raw.EngineFast)
+	fastRes, fastSt, fastEvents, fastWindows := sloArc(t, raw.EngineFast, base)
 	if fastWindows == 0 {
 		t.Fatal("macro never engaged under the serving daemon")
 	}

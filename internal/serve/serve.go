@@ -347,6 +347,7 @@ func (d *Daemon) event(kind trace.EventKind, detail string) {
 // on the chip. Rebuilding from the union keeps mid-run installs
 // replay-correct: a restored run installs the same union before replay,
 // and events confined to future windows are inert during earlier cycles.
+// An empty union installs nothing: an empty schedule is no schedule.
 func (d *Daemon) installInjector() {
 	scheds := []*fault.Schedule{d.cfg.Base}
 	if d.cfg.Soak != nil {
@@ -356,7 +357,7 @@ func (d *Daemon) installInjector() {
 		}
 	}
 	u := fault.Union(scheds...)
-	if len(u.Events) == 0 && d.cfg.Base == nil && d.cfg.Soak == nil {
+	if len(u.Events) == 0 {
 		return
 	}
 	d.r.Chip.InstallFaults(fault.NewInjector(u, router.NumTiles))

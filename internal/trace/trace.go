@@ -37,6 +37,15 @@ func (r *Recorder) Record(cycle int64, tile int, state raw.TileState) {
 	r.states[tile][cycle-r.Start] = state
 }
 
+// NextDue implements raw.Due: the recorder must see exactly the cycles
+// of [Start, End) individually stepped.
+func (r *Recorder) NextDue(cycle int64) int64 {
+	if cycle >= r.End {
+		return -1
+	}
+	return max(cycle, r.Start)
+}
+
 // Utilization returns the fraction of recorded cycles tile spent running.
 func (r *Recorder) Utilization(tile int) float64 {
 	run := 0

@@ -182,3 +182,16 @@ func TestEventLogRendering(t *testing.T) {
 		t.Fatalf("event log:\ngot  %q\nwant %q", got, want)
 	}
 }
+
+// TestRecorderNextDue: the recorder needs exactly the cycles of
+// [Start, End) individually stepped.
+func TestRecorderNextDue(t *testing.T) {
+	r := trace.NewRecorder(2, 10, 20)
+	for _, c := range []struct{ at, want int64 }{
+		{0, 10}, {9, 10}, {10, 10}, {15, 15}, {19, 19}, {20, -1}, {100, -1},
+	} {
+		if got := r.NextDue(c.at); got != c.want {
+			t.Errorf("NextDue(%d) = %d, want %d", c.at, got, c.want)
+		}
+	}
+}

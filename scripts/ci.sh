@@ -101,11 +101,13 @@ go run ./scripts/gates
 
 echo "== cli: entry-point smoke =="
 # The commands users run must print identical output under the reference
-# interpreter and the fast engine: rawrouter on its default workload and
-# fabsim's ring-4 fabric on its default antipodal permutation. rawrouter
-# with no traffic flag must also print exactly what -workload
-# permutation prints. fabsim's mesh-16 must print the same at one worker
-# as at the default GOMAXPROCS, and an unknown -exp must exit 2.
+# interpreter and the fast engine: rawrouter on its default workload (also
+# with a seeded fault schedule and with the Figure 7-3 tracer, whose due
+# cycles bound the fast engine's macro windows) and fabsim's ring-4
+# fabric on its default antipodal permutation. rawrouter with no traffic
+# flag must also print exactly what -workload permutation prints.
+# fabsim's mesh-16 must print the same at one worker as at the default
+# GOMAXPROCS, and an unknown -exp must exit 2.
 # examples/edgerouter, the only run whose table fills DRAM chunks (1,972
 # of them for its /9-/24 prefixes), must print exactly the lines below.
 CLI="$(mktemp -d)"
@@ -117,6 +119,11 @@ $RR -engine fast >"$CLI/rr-fast.txt"
 $RR -workload permutation >"$CLI/rr-perm.txt"
 cmp "$CLI/rr-ref.txt" "$CLI/rr-fast.txt"
 cmp "$CLI/rr-fast.txt" "$CLI/rr-perm.txt"
+for flag in "-faultseed 7" -trace; do
+	$RR $flag -engine ref >"$CLI/rr-flag-ref.txt"
+	$RR $flag -engine fast >"$CLI/rr-flag-fast.txt"
+	cmp "$CLI/rr-flag-ref.txt" "$CLI/rr-flag-fast.txt"
+done
 "$CLI/fabsim" -topology ring -chips 4 -engine ref >"$CLI/fab-ref.txt"
 "$CLI/fabsim" -topology ring -chips 4 -engine fast >"$CLI/fab-fast.txt"
 cmp "$CLI/fab-ref.txt" "$CLI/fab-fast.txt"
