@@ -19,7 +19,10 @@
 #            chip-snapshot, topology-spec, and workload-spec fuzz targets,
 #            plus the router, fabric, serve-checkpoint and TRAF1 decoders
 #            (any bytes: an error or success, never a panic)
-#   bench  - the simulator-speed benchmark (host ns per simulated cycle)
+#   bench  - the repo benchmark, bash bench/run.sh (see bench/README.md):
+#            the four BENCHMARK.json workloads on the fast engine, each
+#            in its own process, reporting host ns per simulated cycle,
+#            CPU ns per cycle, setup time and peak RSS
 #   gates  - the performance gates (go run ./scripts/gates): paired
 #            rounds of benchmark legs, rewriting BENCH_gates.json; fails
 #            if the fast engine is not >=2x the reference interpreter on
@@ -73,7 +76,7 @@ fuzz:
 	$(GO) test ./internal/traffic -fuzz FuzzParseTrace -fuzztime 30s
 
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkSimulatorCyclesPerSecond -benchmem .
+	bash bench/run.sh
 
 gates:
 	$(GO) run ./scripts/gates

@@ -11,9 +11,28 @@ package repro_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/raw"
 	"repro/internal/router"
+	"repro/internal/traffic"
 )
+
+// peakRouter builds a closed-loop router from cfg and the §7.2 peak
+// workload's sources: 1,024-byte packets on the conflict-free rotation
+// i -> i+1.
+func peakRouter(b *testing.B, cfg router.Config) (*core.Router, []traffic.Source) {
+	b.Helper()
+	r, err := core.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srcs, err := traffic.MustBuild(traffic.Spec{Pattern: "permutation", Size: 1024,
+		Params: map[string]float64{"offset": 1}}).Sources()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r, srcs
+}
 
 // streamEngineChip programs every tile of a 4x4 chip as a west->east
 // streaming pipeline: one-instruction SwJump self-loops, processors idle

@@ -3,8 +3,8 @@
 // per quantum in the crossbar firmware. This benchmark shows the
 // disabled plane is free and bounds what arming it costs. scripts/gates
 // gates the disabled leg at <1% against the pre-telemetry commit's
-// BenchmarkSimulatorCyclesPerSecond (same benchmark body, same host)
-// and records the other legs.
+// saturated-router benchmark (same benchmark body, same host) and
+// records the other legs.
 package repro_test
 
 import (
@@ -15,8 +15,8 @@ import (
 )
 
 // BenchmarkTelemetryOverhead measures host ns per simulated router cycle
-// under full load, exactly like BenchmarkSimulatorCyclesPerSecond, in
-// three configurations:
+// under full load (the §7.2 peak workload on the reference engine, the
+// pre-telemetry baseline's body), in three configurations:
 //
 //	off     cfg.Metrics == nil: every telemetry hook nil-guarded out
 //	on      collector armed (per-quantum sampling + flight recorder)

@@ -1,6 +1,7 @@
 // Watchdog cost benchmark: the per-cycle recovery dispatcher (watchdog
 // heartbeat check, scheduled controls, restore drain, reprobe timers)
-// runs from the chip's cycle hook on every cycle. The healthy path is
+// runs from the router's step hook, which declares its due cycles so
+// the fast engine macro-steps between them. The healthy path is
 // two-phase: a masked gate fires every 1024 cycles and reads only the
 // four quantum counters; heartbeats are snapshotted only after a stall
 // is already suspected. The <1% bar versus a router with the watchdog
@@ -11,11 +12,12 @@ package repro_test
 import (
 	"testing"
 
+	"repro/internal/raw"
 	"repro/internal/router"
 )
 
 // BenchmarkWatchdogOverhead measures host ns per simulated router cycle
-// under full load, exactly like BenchmarkFaultHookOverhead's legs, in
+// on the fast engine, exactly like BenchmarkFaultHookOverhead's legs, in
 // three configurations:
 //
 //	off       watchdog disabled (the cycle hook still runs the
@@ -31,14 +33,10 @@ func BenchmarkWatchdogOverhead(b *testing.B) {
 	bench := func(mut func(*router.Config)) func(b *testing.B) {
 		return func(b *testing.B) {
 			cfg := router.DefaultConfig()
+			cfg.Engine = raw.EngineFast
 			mut(&cfg)
 			r, srcs := peakRouter(b, cfg)
-			r.RunSaturated(5000, srcs) // warm
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.RunSaturated(200, srcs) // 200 simulated cycles per op
-			}
-			b.ReportMetric(200, "sim-cycles/op")
+			benchPeak(b, r, srcs)
 		}
 	}
 	b.Run("off", bench(func(cfg *router.Config) {}))

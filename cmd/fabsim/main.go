@@ -1,39 +1,26 @@
-// Command fabsim runs the fabric-level comparisons: the Rotating Crossbar
-// against the Chapter 2 baselines (FIFO input queueing, VOQ+iSLIP, ideal
-// output queueing, variable-length scheduling), plus the Chapter 8
-// extension studies (QoS, multicast, scaling, second network).
+// Command fabsim runs one N-chip cycle-level fabric of Rotating
+// Crossbar routers. The experiment suite — the Chapter 2 baselines and
+// the Chapter 8 extension studies — runs from reproduce
+// (`reproduce -quick -exp NAME`), so fabsim without -topology exits 2.
 //
 // Usage:
 //
-//	fabsim [-full] [-engine fast|ref] [-reprobe N] [-metrics FORMAT[:FILE]]
-//	       [-topology ring|mesh|fattree] [-chips N] [-faults SCHED]
-//	       [-workload SPEC] [-recordtrace FILE]
-//	       [-exp all|background|ablation|fairness|qos|multicast|scale|scaleout|lookup|heavytail|degraded|restore|telemetry]
+//	fabsim -topology ring|mesh|fattree [-chips N] [-full] [-engine fast|ref]
+//	       [-workload SPEC] [-recordtrace FILE] [-faults SCHED]
+//	       [-heal [-healwindow N] [-healretries N] [-healbackoff N] [-healseed N]]
+//	       [-metrics FORMAT[:FILE]]
 //
-// -exp picks one experiment of the suite (all, the default, runs each in
-// the order listed); an unknown name exits 2.
+// -chips sizes the fabric (a 16-chip mesh is the 4x4 grid) and -workload
+// drives its external ports, one closed-loop source each (a spec's ports
+// default to the fabric's externals; any other explicit count is
+// rejected). Without -workload every external e sends 1,024 B packets to
+// external (e + E/2) mod E, the antipodal permutation the repo
+// benchmark's fabric-mesh16 workload measures. -full runs 600 rounds
+// instead of 150.
 //
 // -engine fast (the default) or ref, the reference interpreter, picks
 // the chip cycle engine; output is bit-for-bit identical under either.
 //
-// -exp restore runs the port re-admission experiment (degrade -> restore
-// -> probation vs never-failed); -reprobe arms line-flap retry with the
-// given backoff base (in quanta) for that experiment's routers. -exp
-// telemetry runs the telemetry-plane experiment; adding -metrics also
-// exports its snapshot (jsonl, csv, or prom) to FILE or stdout. -exp
-// heavytail runs the production-traffic comparison (heavy-tailed flows
-// and IMIX mixes vs the paper's synthetics, plus the cell fabrics under
-// skewed destinations); -workload re-points its fabric table at any
-// workload spec, and -recordtrace freezes the workload's open-loop
-// arrival stream as a TRAF1 trace.
-//
-// -topology switches fabsim from the experiment suite to a single
-// N-chip cycle-level fabric run: -chips sizes it (a 16-chip mesh is the
-// 4x4 grid) and -workload drives its external ports, one closed-loop
-// source each (a spec's ports default to the fabric's externals; any
-// other explicit count is rejected). Without -workload every external e
-// sends 1,024 B packets to external (e + E/2) mod E, the antipodal
-// permutation the repo benchmark's fabric-mesh16 workload measures.
 // -faults may schedule whole-chip kills and re-admissions
 // (killchip@CYCLE:cK / restorechip@CYCLE:cK) and trunk loss
 // (killtrunk@CYCLE:cA-cB / restoretrunk@CYCLE:cA-cB), and -metrics
@@ -43,11 +30,9 @@
 // trunk-level ARQ retransmission, end-to-end duplicate suppression —
 // with -healwindow/-healretries/-healbackoff/-healseed tuning the ARQ;
 // the run then also prints the healing summary. Every run audits trunk
-// conservation and the end-to-end delivery ledger. -faults and the
-// -heal group need -topology, the -heal knobs need -heal, and
-// -faultseed is rejected: the fabric's faults are its hand-written
-// lifecycle schedule. -exp and -reprobe drive only the experiment
-// suite, so -topology rejects them. Example:
+// conservation and the end-to-end delivery ledger. The -heal knobs need
+// -heal, and -faultseed is rejected: the fabric's faults are its
+// hand-written lifecycle schedule. Example:
 //
 //	fabsim -topology mesh -chips 16 -heal \
 //	       -faults 'killchip@20000:c5;killtrunk@30000:c1-c2;restorechip@60000:c5' -metrics prom
@@ -57,8 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
-	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/cluster"
@@ -70,69 +53,39 @@ import (
 	"repro/internal/traffic"
 )
 
-// experiments are -exp's names, in the order -exp all runs them.
-var experiments = []string{"background", "ablation", "fairness", "qos", "multicast",
-	"scale", "scaleout", "lookup", "heavytail", "degraded", "restore", "telemetry"}
-
-// checkExp rejects an -exp name outside experiments and, on a -topology
-// run, an explicitly given -exp or -reprobe: only the suite reads them.
-func checkExp(which string, fabric bool, given map[string]bool) error {
-	if which != "all" && !slices.Contains(experiments, which) {
-		return fmt.Errorf("-exp: unknown experiment %q; choose all, %s", which, strings.Join(experiments, ", "))
-	}
-	if !fabric {
-		return nil
-	}
-	for _, name := range []string{"exp", "reprobe"} {
-		if given[name] {
-			return fmt.Errorf("-%s: the -topology run does not read it", name)
-		}
-	}
-	return nil
-}
-
 // main delegates to run so deferred cleanups (profile flush) execute
 // before the process exits — os.Exit in main would skip them.
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	full := flag.Bool("full", false, "run the long (recorded) experiment durations")
-	which := flag.String("exp", "all", "experiment: all, "+strings.Join(experiments, ", "))
-	reprobe := flag.Int("reprobe", 0, "line-flap retry backoff base in quanta for the restore experiment (0 = latched LineDown)")
+func run(args []string) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	full := fs.Bool("full", false, "run 600 rounds instead of 150")
 	var common cli.Common
 	var wflags cli.WorkloadFlags
-	wflags.RegisterWorkload(flag.CommandLine)
-	common.RegisterSim(flag.CommandLine)
-	common.RegisterMetrics(flag.CommandLine)
-	common.RegisterProfile(flag.CommandLine)
-	common.RegisterFabric(flag.CommandLine)
-	common.RegisterFaults(flag.CommandLine)
-	common.RegisterHeal(flag.CommandLine)
-	flag.Parse()
+	wflags.RegisterWorkload(fs)
+	common.RegisterSim(fs)
+	common.RegisterMetrics(fs)
+	common.RegisterProfile(fs)
+	common.RegisterFabric(fs)
+	common.RegisterFaults(fs)
+	common.RegisterHeal(fs)
+	fs.Parse(args) // ExitOnError: a bad flag exits 2
 	if err := common.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "fabsim:", err)
+		return 2
+	}
+	spec, fabric, _ := common.FabricSpec() // err caught by Validate
+	if !fabric {
+		fmt.Fprintln(os.Stderr, "fabsim: -topology is required; the experiment suite runs from reproduce -exp NAME")
 		return 2
 	}
 	if err := common.ValidateFabric(); err != nil {
 		fmt.Fprintln(os.Stderr, "fabsim:", err)
 		return 2
 	}
-	spec, fabric, _ := common.FabricSpec() // err caught by Validate
-	given := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
-	if err := checkExp(*which, fabric, given); err != nil {
-		fmt.Fprintln(os.Stderr, "fabsim:", err)
-		return 2
-	}
-	var wl *traffic.Workload
-	var err error
-	if fabric {
-		wl, err = wflags.BuildFor(spec.Externals(), cli.FabricDefault(spec.Externals()))
-	} else {
-		wl, _, err = wflags.Build()
-	}
+	wl, err := wflags.BuildFor(spec.Externals(), cli.FabricDefault(spec.Externals()))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fabsim:", err)
 		return 2
@@ -150,91 +103,13 @@ func run() int {
 	}
 	defer stopProf()
 	engine, _ := common.EngineChoice() // validated above
-	exp.SetEngine(engine)
-	exp.SetReprobeQuanta(*reprobe)
-
-	q := exp.Quick
+	rounds := 150
 	if *full {
-		q = exp.Full
+		rounds = 600
 	}
-
-	if fabric {
-		if err := runFabric(spec, wl, &common, engine, q); err != nil {
-			fmt.Fprintln(os.Stderr, "fabsim:", err)
-			return 1
-		}
-		return 0
-	}
-
-	show := func(name string) bool { return *which == "all" || *which == name }
-
-	if show("background") {
-		_, _, _, tb := exp.HOLvsVOQ(q)
-		fmt.Println(tb)
-		_, _, tb2 := exp.CellsVsVariable(q)
-		fmt.Println(tb2)
-	}
-	if show("ablation") {
-		_, _, tb := exp.SecondNetworkAblation(q)
-		fmt.Println(tb)
-	}
-	if show("fairness") {
-		_, tb := exp.Fairness(q)
-		fmt.Println(tb)
-	}
-	if show("qos") {
-		_, tb := exp.QoS(q)
-		fmt.Println(tb)
-	}
-	if show("multicast") {
-		_, _, tb := exp.Multicast(q)
-		fmt.Println(tb)
-	}
-	if show("scale") {
-		fmt.Println(exp.Scale8(q))
-	}
-	if show("scaleout") {
-		fmt.Println(exp.ScaleOut(q))
-	}
-	if show("lookup") {
-		fmt.Println(exp.LookupCost(5000))
-	}
-	if show("heavytail") {
-		_, tb := exp.HeavyTail(q)
-		fmt.Println(tb)
-		spec := "flows:alpha=1.3,zipf=1.1"
-		if wflags.Given() {
-			spec = wflags.Workload
-		}
-		ftb, err := exp.HeavyTailFabric(q, spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fabsim:", err)
-			return 1
-		}
-		fmt.Println(ftb)
-	}
-	if show("degraded") {
-		_, _, tb := exp.DegradedCrossbar(q)
-		fmt.Println(tb)
-	}
-	if show("restore") {
-		_, _, tb := exp.RestoredCrossbar(q)
-		fmt.Println(tb)
-	}
-	if show("telemetry") {
-		snap, tb := exp.Telemetry(q)
-		fmt.Println(tb)
-		sink, _ := common.MetricsSink()
-		if sink != nil {
-			if err := sink.Export(snap); err != nil {
-				fmt.Fprintln(os.Stderr, "fabsim:", err)
-				return 1
-			}
-			if sink.Path != "" {
-				fmt.Printf("telemetry: %s snapshot -> %s (quanta %d)\n",
-					sink.Format, sink.Path, snap.Quanta)
-			}
-		}
+	if err := runFabric(spec, wl, &common, engine, rounds); err != nil {
+		fmt.Fprintln(os.Stderr, "fabsim:", err)
+		return 1
 	}
 	return 0
 }
@@ -245,7 +120,7 @@ func run() int {
 // chip/trunk lifecycle controls from -faults, and prints the fabric
 // summary. -heal arms the healing plane. -metrics exports the
 // fabric-plane telemetry snapshot.
-func runFabric(spec cluster.Spec, wl *traffic.Workload, common *cli.Common, engine raw.Engine, q exp.Quality) error {
+func runFabric(spec cluster.Spec, wl *traffic.Workload, common *cli.Common, engine raw.Engine, rounds int) error {
 	cfg := cluster.Config{Topology: spec, Router: router.DefaultConfig(), Heal: common.HealConfig()}
 	cfg.Router.Engine = engine
 	if cfg.Heal.Enabled {
@@ -267,10 +142,6 @@ func runFabric(spec cluster.Spec, wl *traffic.Workload, common *cli.Common, engi
 	srcs, err := wl.Sources()
 	if err != nil {
 		return err
-	}
-	rounds := 150
-	if q == exp.Full {
-		rounds = 600
 	}
 	if err := exp.RunFabric(f, srcs, rounds); err != nil {
 		return err

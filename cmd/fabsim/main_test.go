@@ -1,55 +1,34 @@
 package main
 
 import (
+	"io"
+	"os"
 	"strings"
 	"testing"
 )
 
-// fabsim rejects an unknown -exp and, on a -topology run, an explicit
-// -exp or -reprobe, naming the flag; the unknown-name error lists every
-// valid choice.
-func TestCheckExp(t *testing.T) {
-	given := func(names ...string) map[string]bool {
-		m := map[string]bool{}
-		for _, n := range names {
-			m[n] = true
+// fabsim runs only the -topology fabric: without it, fabsim exits 2
+// before simulating anything, and the message names -topology and
+// points at reproduce, which runs the experiment suite.
+func TestTopologyRequired(t *testing.T) {
+	for _, args := range [][]string{nil, {"-full"}, {"-engine", "ref"}, {"-faults", "killchip@100:c1"}} {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
 		}
-		return m
-	}
-	for _, tc := range []struct {
-		which  string
-		fabric bool
-		given  map[string]bool
-		flag   string // the flag the error must name
-	}{
-		{"bogus", false, given("exp"), "-exp"},
-		{"qos", true, given("exp"), "-exp"},
-		{"all", true, given("exp"), "-exp"},
-		{"all", true, given("reprobe"), "-reprobe"},
-	} {
-		err := checkExp(tc.which, tc.fabric, tc.given)
-		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+":") {
-			t.Errorf("%+v: error %v, want one naming %s", tc, err, tc.flag)
+		stderr := os.Stderr
+		os.Stderr = w
+		status := run(args)
+		os.Stderr = stderr
+		w.Close()
+		msg, _ := io.ReadAll(r)
+		if status != 2 {
+			t.Errorf("fabsim %q: exit %d, want 2", args, status)
 		}
-	}
-	err := checkExp("bogus", false, given("exp"))
-	for _, name := range append([]string{"all"}, experiments...) {
-		if err == nil || !strings.Contains(err.Error(), name) {
-			t.Errorf("unknown -exp error %v does not offer %q", err, name)
-		}
-	}
-	for _, tc := range []struct {
-		which  string
-		fabric bool
-		given  map[string]bool
-	}{
-		{"all", false, given()},
-		{"all", true, given("topology")},
-		{"lookup", false, given("exp")},
-		{"restore", false, given("exp", "reprobe")},
-	} {
-		if err := checkExp(tc.which, tc.fabric, tc.given); err != nil {
-			t.Errorf("%+v: rejected: %v", tc, err)
+		for _, want := range []string{"-topology", "reproduce"} {
+			if !strings.Contains(string(msg), want) {
+				t.Errorf("fabsim %q: message %q does not name %s", args, msg, want)
+			}
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package exp is the experiment harness: one entry point per table and
 // figure of the paper (and per quantitative claim the design rests on),
-// each returning the same rows/series the paper reports. The root-level
-// benchmarks, the cmd/ tools, and EXPERIMENTS.md all drive these
-// functions, so the numbers in the documentation are regenerable by
-// construction.
+// each returning the same rows/series the paper reports. cmd/reproduce
+// runs each of them as one named section and its output is the source
+// of record for EXPERIMENTS.md, so the numbers in the documentation are
+// regenerable by construction.
 package exp
 
 import (
@@ -39,15 +39,16 @@ var (
 var chipEngine raw.Engine
 
 // SetEngine makes every cycle-level router the harness constructs step
-// its chip with the given engine (threaded from the -engine flags of
-// cmd/reproduce and cmd/fabsim). It cannot change any regenerated
-// number — the fast engine is bit-for-bit equivalent — only wall time.
+// its chip with the given engine (threaded from cmd/reproduce's -engine
+// flag). It cannot change any regenerated number — the fast engine is
+// bit-for-bit equivalent — only wall time.
 func SetEngine(e raw.Engine) { chipEngine = e }
 
 // Quality selects experiment duration.
 type Quality int
 
-// Quick runs in benchmark loops; Full is for the recorded results.
+// Quick is the short run (reproduce -quick, the tests); Full is for the
+// recorded results.
 const (
 	Quick Quality = iota
 	Full
@@ -787,14 +788,6 @@ func DegradedCrossbar(q Quality) (healthy, degraded []float64, tb *stats.Table) 
 	return healthy, degraded, tb
 }
 
-// reprobeQuanta is the line-flap retry backoff base (in quanta) the
-// recovery experiments run with; 0 keeps the default (latched LineDown).
-var reprobeQuanta int
-
-// SetReprobeQuanta configures line-flap retry for RestoredCrossbar
-// (fabsim/reproduce -reprobe).
-func SetReprobeQuanta(n int) { reprobeQuanta = n }
-
 // RestoredCrossbar quantifies port re-admission (the recovery
 // extension): a router that degraded port 2 away, drained, restored it,
 // and served out the probation window, measured against a router that
@@ -807,9 +800,7 @@ func RestoredCrossbar(q Quality) (healthy, restored []float64, tb *stats.Table) 
 	warmup := cyclesFor(q, 10_000, 20_000)
 	window := cyclesFor(q, 40_000, 100_000)
 	run := func(size int, arc bool) float64 {
-		cfg := router.DefaultConfig()
-		cfg.ReprobeQuanta = reprobeQuanta
-		r := newRouter(cfg)
+		r := newRouter(router.DefaultConfig())
 		if arc {
 			rt := r.Cycle()
 			if err := rt.Degrade(2); err != nil {

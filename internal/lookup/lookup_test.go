@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/lookup"
+	"repro/internal/traffic"
 )
 
 func mustInsert(t *testing.T, p *lookup.Patricia, prefix uint32, plen int, nh lookup.NextHop) {
@@ -160,5 +161,44 @@ func TestCommonPrefixLen(t *testing.T) {
 	}
 	if l := lookup.CommonPrefixLen(0x00000000, 0x80000000); l != 0 {
 		t.Fatalf("got %d, want 0", l)
+	}
+}
+
+// benchTable is the §8.2 lookup workload: a 5,000-route table of random
+// /8-/24 prefixes under a default route, as a Patricia trie and as its
+// compact form, plus 4,096 random addresses to look up.
+func benchTable() (*lookup.Patricia, *lookup.CompactTable, []uint32) {
+	var t lookup.Patricia
+	rng := traffic.NewRNG(99)
+	_ = t.Insert(0, 0, 0)
+	for i := 0; i < 5000; i++ {
+		_ = t.Insert(uint32(rng.Uint64()), 8+rng.Intn(17), lookup.NextHop(rng.Intn(4)))
+	}
+	addrs := make([]uint32, 4096)
+	for i := range addrs {
+		addrs[i] = uint32(rng.Uint64())
+	}
+	return &t, lookup.NewCompactTable(&t), addrs
+}
+
+// hop keeps the benchmarks' lookups live: the compiler may drop a call
+// whose result is never stored.
+var hop lookup.NextHop
+
+// BenchmarkLookupPatricia and BenchmarkLookupCompact time one route
+// lookup in each structure.
+func BenchmarkLookupPatricia(b *testing.B) {
+	t, _, addrs := benchTable()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hop, _ = t.Lookup(addrs[i%len(addrs)])
+	}
+}
+
+func BenchmarkLookupCompact(b *testing.B) {
+	_, c, addrs := benchTable()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hop, _ = c.Lookup(addrs[i%len(addrs)])
 	}
 }

@@ -38,6 +38,24 @@ func TestFigure5_1AllFourRoute(t *testing.T) {
 	}
 }
 
+// BenchmarkAllocate times the distributed allocation walk of Figure 5-1
+// itself — the per-quantum work every crossbar processor repeats — with
+// the token at each port in turn; every walk must grant all four.
+func BenchmarkAllocate(b *testing.B) {
+	g := rotor.GlobalConfig{
+		Hdrs: []rotor.Hdr{rotor.HdrTo(2), rotor.HdrTo(3), rotor.HdrTo(0), rotor.HdrTo(1)},
+	}
+	granted := 0
+	for i := 0; i < b.N; i++ {
+		g.Token = i % 4
+		a := rotor.Allocate(g)
+		granted += len(a.Transfers)
+	}
+	if granted != 4*b.N {
+		b.Fatalf("granted %d transfers over %d walks, want all four every time", granted, b.N)
+	}
+}
+
 // TestSpaceSize2500 checks the §6.1 arithmetic: |Hdr|⁴ × |Token| = 2,500,
 // and that the unminimized space leaves only ≈3.3 instruction words per
 // configuration in the 8,192-word memory.

@@ -103,16 +103,18 @@ echo "== cli: entry-point smoke =="
 # The commands users run must print identical output under the reference
 # interpreter and the fast engine: rawrouter on its default workload (also
 # with a seeded fault schedule and with the Figure 7-3 tracer, whose due
-# cycles bound the fast engine's macro windows) and fabsim's ring-4
-# fabric on its default antipodal permutation. rawrouter with no traffic
-# flag must also print exactly what -workload permutation prints.
+# cycles bound the fast engine's macro windows), fabsim's ring-4 fabric on
+# its default antipodal permutation, and every section of reproduce -quick
+# once its per-section wall-clock lines are dropped. rawrouter with no
+# traffic flag must also print exactly what -workload permutation prints.
 # fabsim's mesh-16 must print the same at one worker as at the default
-# GOMAXPROCS, and an unknown -exp must exit 2.
+# GOMAXPROCS. An unknown reproduce -exp section and a fabsim run without
+# -topology must exit 2.
 # examples/edgerouter, the only run whose table fills DRAM chunks (1,972
 # of them for its /9-/24 prefixes), must print exactly the lines below.
 CLI="$(mktemp -d)"
 trap 'rm -rf "$CLI"' EXIT
-go build -o "$CLI/" ./cmd/rawrouter ./cmd/fabsim ./examples/edgerouter
+go build -o "$CLI/" ./cmd/rawrouter ./cmd/fabsim ./cmd/reproduce ./examples/edgerouter
 RR="$CLI/rawrouter -cycles 20000 -warmup 10000"
 $RR -engine ref >"$CLI/rr-ref.txt"
 $RR -engine fast >"$CLI/rr-fast.txt"
@@ -130,8 +132,16 @@ cmp "$CLI/fab-ref.txt" "$CLI/fab-fast.txt"
 GOMAXPROCS=1 "$CLI/fabsim" -topology mesh -chips 16 >"$CLI/mesh-p1.txt"
 "$CLI/fabsim" -topology mesh -chips 16 >"$CLI/mesh.txt"
 cmp "$CLI/mesh-p1.txt" "$CLI/mesh.txt"
+for engine in ref fast; do
+	"$CLI/reproduce" -quick -engine $engine >"$CLI/repro-timed.txt"
+	grep -vE '^\([0-9.]*s\)$' "$CLI/repro-timed.txt" >"$CLI/repro-$engine.txt"
+done
+cmp "$CLI/repro-ref.txt" "$CLI/repro-fast.txt"
 st=0
-"$CLI/fabsim" -exp bogus 2>/dev/null || st=$?
+"$CLI/reproduce" -exp bogus 2>/dev/null || st=$?
+[ "$st" -eq 2 ]
+st=0
+"$CLI/fabsim" 2>/dev/null || st=$?
 [ "$st" -eq 2 ]
 "$CLI/edgerouter" >"$CLI/edge.txt"
 cat >"$CLI/edge-want.txt" <<'EOF'
