@@ -177,7 +177,7 @@ func runFabric(spec cluster.Spec, wl *traffic.Workload, common *cli.Common, engi
 	fmt.Println(tb)
 	sink, _ := common.MetricsSink()
 	if sink != nil {
-		if err := sink.ExportFabric(snap); err != nil {
+		if err := sink.Export(&snap); err != nil {
 			return err
 		}
 		if sink.Path != "" {

@@ -215,7 +215,8 @@ func run() int {
 	}
 
 	if sink != nil {
-		if err := sink.Export(r.Cycle().TelemetrySnapshot()); err != nil {
+		snap := r.Cycle().TelemetrySnapshot()
+		if err := sink.Export(&snap); err != nil {
 			fmt.Fprintln(os.Stderr, "rawrouter:", err)
 			return 1
 		}

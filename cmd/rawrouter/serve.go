@@ -83,7 +83,6 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, base router.Config, worklo
 		horizon = sf.SoakWindow
 	}
 
-	var lastRouter atomic.Pointer[router.Router]
 	build := func(restorePath string, era uint64) (*serve.Daemon, error) {
 		collector := telemetry.New(telemetry.Config{})
 		events := &trace.EventLog{}
@@ -95,7 +94,6 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, base router.Config, worklo
 		if err != nil {
 			return nil, err
 		}
-		lastRouter.Store(r)
 
 		var feeder serve.Feeder
 		switch feedKind {
@@ -197,8 +195,9 @@ func runServe(common *cli.Common, sf *cli.ServeFlags, base router.Config, worklo
 		fmt.Printf("serve: SLO violations %d, soak windows %d\n", st.Violations, st.SoakWindows)
 	}
 	if sink, _ := common.MetricsSink(); sink != nil {
-		if r := lastRouter.Load(); r != nil {
-			if err := sink.Export(r.TelemetrySnapshot()); err != nil {
+		if d := cur.Load(); d != nil {
+			snap := d.TelemetrySnapshot()
+			if err := sink.Export(&snap); err != nil {
 				return fail(err)
 			}
 			if sink.Path != "" {

@@ -129,7 +129,7 @@ func sections(heavyTailSpec string, sink *cli.MetricsSink) []section {
 				out, err := snap.Encode(sink.Format)
 				return lines(tb) + string(out), err
 			}
-			err := sink.Export(snap)
+			err := sink.Export(&snap)
 			return lines(tb, fmt.Sprintf("telemetry: %s snapshot -> %s (quanta %d)",
 				sink.Format, sink.Path, snap.Quanta)), err
 		}},

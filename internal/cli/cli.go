@@ -333,28 +333,15 @@ func (c *Common) MetricsSink() (*MetricsSink, error) {
 	return &MetricsSink{Format: format, Path: path}, nil
 }
 
-// Export renders the snapshot in the sink's format and writes it to the
-// sink's file (or stdout).
-func (s *MetricsSink) Export(snap telemetry.Snapshot) error {
+// Export renders a router or fabric snapshot in the sink's format and
+// writes it to the sink's file (or stdout).
+func (s *MetricsSink) Export(snap interface{ Encode(string) ([]byte, error) }) error {
 	out, err := snap.Encode(s.Format)
 	if err != nil {
 		return err
 	}
-	return s.write(out)
-}
-
-// ExportFabric renders a fabric-plane snapshot the same way.
-func (s *MetricsSink) ExportFabric(snap telemetry.FabricSnapshot) error {
-	out, err := snap.Encode(s.Format)
-	if err != nil {
-		return err
-	}
-	return s.write(out)
-}
-
-func (s *MetricsSink) write(out []byte) error {
 	if s.Path == "" {
-		_, err := os.Stdout.Write(out)
+		_, err = os.Stdout.Write(out)
 		return err
 	}
 	return os.WriteFile(s.Path, out, 0o644)

@@ -858,11 +858,14 @@ func (f *Fabric) TelemetrySnapshot() telemetry.FabricSnapshot {
 	if nb := len(f.spec.BisectionTrunks()); nb > 0 && elapsed > 0 {
 		s.BisectionUtilization = float64(s.BisectionWords) / float64(2*nb) / float64(elapsed)
 	}
+	var kinds [trace.NumEventKinds]int64
 	for _, e := range f.events.Events {
 		s.Events = append(s.Events, telemetry.EventRecord{
 			Cycle: e.Cycle, Port: e.Port, Kind: e.Kind.String(), Detail: e.Detail,
 		})
+		kinds[e.Kind]++
 	}
+	s.EventTotals = telemetry.Totals(&kinds)
 	if f.healOn() {
 		d := f.Delivery()
 		hs := &telemetry.HealSample{

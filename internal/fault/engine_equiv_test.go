@@ -126,12 +126,11 @@ func TestSoakEngineEquivalence(t *testing.T) {
 			}
 			refSnap, fastSnap := ref.r.TelemetrySnapshot(), fast.r.TelemetrySnapshot()
 			// The macro engagement fields describe the host engine (the
-			// fast run macro-steps, the reference run cannot); zero them
+			// fast run macro-steps, the reference run cannot); clear them
 			// on both sides so the comparison covers exactly the
 			// simulation-visible surface.
-			for _, s := range []*telemetry.Snapshot{&refSnap, &fastSnap} {
-				s.MacroWindows, s.MacroCycles, s.MacroDisarms = 0, 0, nil
-			}
+			refSnap.ZeroHost()
+			fastSnap.ZeroHost()
 			for _, format := range telemetry.Formats() {
 				re, err := refSnap.Encode(format)
 				if err != nil {

@@ -15,11 +15,8 @@ type xbarFW struct {
 	port int
 	prog *XbarProgram
 
-	// sched is the compiled cycle-cost schedule (shared by all four
-	// crossbar instances, surviving degrade/restore/park); phase indexes
-	// it. Written only while the tile executes firmware ops, read by the
-	// macro-stepper between cycles.
-	sched *FWSchedule
+	// phase indexes xbarSteady. Written only while the tile executes
+	// firmware ops, read by the macro-stepper between cycles.
 	phase int
 
 	token int
@@ -52,9 +49,9 @@ type xbarFW struct {
 	lastWords [4]int
 }
 
-// SteadyState implements raw.SteadyFirmware: the compiled schedule says
-// whether the current phase presents a constant per-cycle profile.
-func (x *xbarFW) SteadyState() bool { return x.sched.Steady(x.phase) }
+// SteadyState implements raw.SteadyFirmware: xbarSteady says whether the
+// current phase presents a constant per-cycle profile.
+func (x *xbarFW) SteadyState() bool { return xbarSteady[x.phase] }
 
 func (x *xbarFW) Refill(e *raw.Exec) {
 	x.phase = xbarPhaseHdr

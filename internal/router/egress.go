@@ -15,11 +15,8 @@ type egressFW struct {
 	port int
 	prog *EgressProgram
 
-	// sched is the compiled cycle-cost schedule (shared by all four
-	// egress instances, surviving degrade/restore/park); phase indexes
-	// it. Written only while the tile executes firmware ops, read by the
-	// macro-stepper between cycles.
-	sched *FWSchedule
+	// phase indexes egrSteady. Written only while the tile executes
+	// firmware ops, read by the macro-stepper between cycles.
 	phase int
 
 	// Reassembly buffers, one per source port.
@@ -27,9 +24,9 @@ type egressFW struct {
 	hdrW raw.Word
 }
 
-// SteadyState implements raw.SteadyFirmware: the compiled schedule says
-// whether the current phase presents a constant per-cycle profile.
-func (f *egressFW) SteadyState() bool { return f.sched.Steady(f.phase) }
+// SteadyState implements raw.SteadyFirmware: egrSteady says whether the
+// current phase presents a constant per-cycle profile.
+func (f *egressFW) SteadyState() bool { return egrSteady[f.phase] }
 
 func (f *egressFW) Refill(e *raw.Exec) {
 	// Wait for the next egress header (stalls across idle quanta).

@@ -1,71 +1,20 @@
 package router
 
-// Compiled firmware cycle-cost schedules. Each of the four firmware
-// state machines (ingress, crossbar, egress, lookup) is compiled at
-// router construction into a dense schedule: a flat table with one
-// (cycles, words-in, words-out) row per phase, derived from the same
-// Config values the firmware itself runs on. The schedule is the
-// firmware's declared per-cycle profile — which phases present a
-// constant rate to the chip (Steady: every queued micro-op either
-// blocks without side effects or moves words at one cycle per word) and
-// which do not (multi-cycle-per-word buffering, cache probes,
-// cryptographic transforms).
-//
-// One schedule per kind is built per router and the same pointer is
-// shared by all four instances of that kind, and survives degrade,
-// restore, and park unchanged: those procedures re-install the same
-// firmware objects (see Degrade and completeRestore), so a tile
-// processor re-entering service presents exactly the profile it was
-// compiled with. The fast engine's macro-stepper consults the schedule
-// through raw.SteadyFirmware: a tile blocked mid-quantum in a Steady
+// Firmware steadiness tables. Each of the four firmware state machines
+// (ingress, crossbar, egress, lookup) names its phases with the
+// constants below, and each kind has one table marking which phases
+// present a constant per-cycle profile to the chip (steady: every
+// queued micro-op either blocks without side effects or moves words at
+// one cycle per word) and which do not (multi-cycle-per-word buffering,
+// cache probes, cryptographic transforms). Steadiness does not depend
+// on the router configuration, so the tables are package-level and a
+// tile re-entering service after degrade, restore or park presents the
+// same profile as before. The fast engine's macro-stepper consults them
+// through raw.SteadyFirmware: a tile blocked mid-quantum in a steady
 // phase may be covered by a macro window; a non-steady phase falls back
 // to per-cycle stepping.
 
-// PhaseCost is one compiled schedule row: the cycle cost and word flow
-// of a firmware phase.
-type PhaseCost struct {
-	// Name is the phase's stable diagnostic name.
-	Name string
-	// Cycles is the phase's fixed cycle cost per execution, or -1 when
-	// the duration is event-dependent (the phase blocks on the network
-	// and runs as long as its peer takes).
-	Cycles int
-	// WordsIn and WordsOut are the words the phase moves per cycle while
-	// it streams (0 for control phases that move a bounded handful of
-	// protocol words).
-	WordsIn, WordsOut int
-	// Steady marks a constant-rate phase: every cycle either blocks
-	// without side effects or moves words at one cycle per word, so the
-	// macro-step flow analysis may reason about the tile mid-phase.
-	Steady bool
-}
-
-// FWSchedule is one firmware kind's compiled schedule. Phase indices are
-// the firmware's phase constants (ingPhase*, xbarPhase*, egrPhase*,
-// lkPhase*).
-type FWSchedule struct {
-	Kind   string
-	Phases []PhaseCost
-}
-
-// Steady reports whether the given phase presents a constant per-cycle
-// profile.
-func (s *FWSchedule) Steady(phase int) bool { return s.Phases[phase].Steady }
-
-// PhaseName returns the phase's diagnostic name.
-func (s *FWSchedule) PhaseName(phase int) string { return s.Phases[phase].Name }
-
-// PhaseIndex returns the index of the named phase, -1 if unknown.
-func (s *FWSchedule) PhaseIndex(name string) int {
-	for i := range s.Phases {
-		if s.Phases[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Ingress firmware phases (indices into the ingress schedule).
+// Ingress firmware phases.
 const (
 	ingPhaseIdle = iota
 	ingPhaseAcquire
@@ -77,11 +26,44 @@ const (
 	ingPhaseMcastStream
 )
 
+// ingSteady marks the steady ingress phases.
+var ingSteady = [...]bool{
+	// Waiting for line words or playing the empty-header protocol:
+	// blocks on the grant exchange, moves nothing.
+	ingPhaseIdle: true,
+	// Header read (5 words), verify/update, lookup exchange.
+	ingPhaseAcquire: true,
+	// Per-quantum header/grant exchange: a handful of protocol words,
+	// then blocked on the grant.
+	ingPhaseQuantum: true,
+	// Granted fragment streaming: one word per cycle line-to-fabric
+	// cut-through (the paper's peak-rate path).
+	ingPhaseStream: true,
+	// Aborted-packet drain: discards line words at one per cycle.
+	ingPhaseDrain: true,
+	// Line declared down: idle quanta plus the reprobe schedule.
+	ingPhaseDown: true,
+	// Multicast payload ingest into local data memory: two cycles per
+	// word (§4.4) — not a constant one-word-per-cycle rate.
+	ingPhaseIngest: false,
+	// Multicast replay out of local memory: one word per cycle.
+	ingPhaseMcastStream: true,
+}
+
 // Crossbar firmware phases.
 const (
 	xbarPhaseHdr = iota
 	xbarPhaseStream
 )
+
+// xbarSteady marks the steady crossbar phases.
+var xbarSteady = [...]bool{
+	// Rotated-header collection and the jump-table index computation.
+	xbarPhaseHdr: true,
+	// Grant/egress-header dispatch, then blocked on the switch
+	// confirmation while the routine streams the quantum.
+	xbarPhaseStream: true,
+}
 
 // Egress firmware phases.
 const (
@@ -92,99 +74,34 @@ const (
 	egrPhaseCrypto
 )
 
+// egrSteady marks the steady egress phases.
+var egrSteady = [...]bool{
+	// Blocked on the next egress header (stalls across idle quanta).
+	egrPhaseHdr: true,
+	// Whole-packet cut-through: switch streams pin-ward at one word per
+	// cycle, processor drains padding at the same rate.
+	egrPhaseCut: true,
+	// Fragment reassembly into local data memory: two cycles per word
+	// (§4.4).
+	egrPhaseAsm: false,
+	// Reassembled-packet playback from local memory.
+	egrPhaseOut: false,
+	// §8.3 decrypt-and-forward: per-word cipher cost on top of the word
+	// moves.
+	egrPhaseCrypto: false,
+}
+
 // Lookup firmware phases.
 const (
 	lkPhaseAwait = iota
 	lkPhaseProbe
 )
 
-// fwSchedules bundles the four compiled schedules a router shares across
-// its firmware instances.
-type fwSchedules struct {
-	ing, xbar, egr, lk *FWSchedule
-}
-
-// compileFWSchedules compiles the four firmware kinds' cycle-cost
-// schedules from the router configuration. Called once in New; the
-// resulting pointers are installed in every firmware instance and are
-// never regenerated (degrade/restore/park re-install the same objects).
-func compileFWSchedules(cfg Config) fwSchedules {
-	return fwSchedules{
-		ing: &FWSchedule{Kind: "ingress", Phases: []PhaseCost{
-			// Waiting for line words or playing the empty-header
-			// protocol: blocks on the grant exchange, moves nothing.
-			ingPhaseIdle: {Name: "idle", Cycles: -1, Steady: true},
-			// Header read (5 words), verify/update, lookup exchange.
-			ingPhaseAcquire: {Name: "acquire", Cycles: 5 + cfg.HeaderCycles + 2,
-				WordsIn: 1, Steady: true},
-			// Per-quantum header/grant exchange: a handful of protocol
-			// words, then blocked on the grant.
-			ingPhaseQuantum: {Name: "quantum", Cycles: -1, Steady: true},
-			// Granted fragment streaming: one word per cycle line-to-
-			// fabric cut-through (the paper's peak-rate path).
-			ingPhaseStream: {Name: "stream", Cycles: -1,
-				WordsIn: 1, WordsOut: 1, Steady: true},
-			// Aborted-packet drain: discards line words at one per cycle.
-			ingPhaseDrain: {Name: "drain", Cycles: -1, WordsIn: 1, Steady: true},
-			// Line declared down: idle quanta plus the reprobe schedule.
-			ingPhaseDown: {Name: "down", Cycles: -1, Steady: true},
-			// Multicast payload ingest into local data memory: two cycles
-			// per word (§4.4) — not a constant one-word-per-cycle rate.
-			ingPhaseIngest: {Name: "ingest", Cycles: -1, WordsIn: 1},
-			// Multicast replay out of local memory: one word per cycle.
-			ingPhaseMcastStream: {Name: "mcast_stream", Cycles: -1,
-				WordsOut: 1, Steady: true},
-		}},
-		xbar: &FWSchedule{Kind: "xbar", Phases: []PhaseCost{
-			// Rotated-header collection and the jump-table index
-			// computation (AllocCycles of it).
-			xbarPhaseHdr: {Name: "hdr", Cycles: 4 + cfg.AllocCycles,
-				WordsIn: 1, Steady: true},
-			// Grant/egress-header dispatch, then blocked on the switch
-			// confirmation while the routine streams the quantum.
-			xbarPhaseStream: {Name: "stream", Cycles: -1, Steady: true},
-		}},
-		egr: &FWSchedule{Kind: "egress", Phases: []PhaseCost{
-			// Blocked on the next egress header (stalls across idle
-			// quanta).
-			egrPhaseHdr: {Name: "hdr", Cycles: -1, Steady: true},
-			// Whole-packet cut-through: switch streams pin-ward at one
-			// word per cycle, processor drains padding at the same rate.
-			egrPhaseCut: {Name: "cut", Cycles: -1, WordsIn: 1, Steady: true},
-			// Fragment reassembly into local data memory: two cycles per
-			// word (§4.4).
-			egrPhaseAsm: {Name: "asm", Cycles: -1, WordsIn: 1},
-			// Reassembled-packet playback from local memory.
-			egrPhaseOut: {Name: "out", Cycles: -1, WordsOut: 1},
-			// §8.3 decrypt-and-forward: per-word cipher cost on top of
-			// the word moves.
-			egrPhaseCrypto: {Name: "crypto",
-				Cycles: -1, WordsIn: 1, WordsOut: 1},
-		}},
-		lk: &FWSchedule{Kind: "lookup", Phases: []PhaseCost{
-			// Blocked waiting for the next destination from the ingress.
-			lkPhaseAwait: {Name: "await", Cycles: -1, Steady: true},
-			// Table probe(s) through the data cache: a miss burns a
-			// DRAM round trip mid-phase.
-			lkPhaseProbe: {Name: "probe", Cycles: -1},
-		}},
-	}
-}
-
-// FirmwareSchedule returns the compiled cycle-cost schedule for the
-// named firmware kind ("ingress", "xbar", "egress", "lookup"), nil if
-// unknown. The returned pointer is the exact object every instance of
-// that kind runs on for the router's whole lifetime.
-func (r *Router) FirmwareSchedule(kind string) *FWSchedule {
-	switch kind {
-	case "ingress":
-		return r.scheds.ing
-	case "xbar":
-		return r.scheds.xbar
-	case "egress":
-		return r.scheds.egr
-	case "lookup":
-		return r.scheds.lk
-	}
-	return nil
+// lkSteady marks the steady lookup phases.
+var lkSteady = [...]bool{
+	// Blocked waiting for the next destination from the ingress.
+	lkPhaseAwait: true,
+	// Table probe(s) through the data cache: a miss burns a DRAM round
+	// trip mid-phase.
+	lkPhaseProbe: false,
 }

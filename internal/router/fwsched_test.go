@@ -1,125 +1,32 @@
 package router
 
-import (
-	"testing"
-)
+import "testing"
 
-// White-box tests for the compiled firmware schedules: the tables must
-// reflect the configuration they were compiled from, every firmware
-// instance of a kind must share the one compiled object, and that exact
-// pointer must survive a degrade → restore arc (those procedures
-// re-install the same firmware objects, never recompile).
-
-// TestFirmwareSchedulesCompiled pins the compiled tables to the config
-// they derive from and the steadiness classification the macro-stepper
-// reasons on.
-func TestFirmwareSchedulesCompiled(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HeaderCycles = 11
-	cfg.AllocCycles = 9
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ing := r.FirmwareSchedule("ingress")
-	if got := ing.Phases[ingPhaseAcquire].Cycles; got != 5+11+2 {
-		t.Fatalf("ingress acquire cost %d, want %d (5 header words + HeaderCycles + lookup exchange)", got, 5+11+2)
-	}
-	xbar := r.FirmwareSchedule("xbar")
-	if got := xbar.Phases[xbarPhaseHdr].Cycles; got != 4+9 {
-		t.Fatalf("xbar hdr cost %d, want %d (rotation + AllocCycles)", got, 4+9)
-	}
-
-	// Steadiness: the macro flow analysis may only reason about phases
-	// that present a constant per-cycle profile. The local-memory
-	// buffering phases (two cycles per word, §4.4), the cache-probing
-	// lookup, and the cipher must all be non-steady.
-	steady := map[string][2]int{
-		"ingress": {ingPhaseStream, ingPhaseIdle},
-		"xbar":    {xbarPhaseStream, xbarPhaseHdr},
-		"egress":  {egrPhaseCut, egrPhaseHdr},
-		"lookup":  {lkPhaseAwait, lkPhaseAwait},
-	}
-	for kind, phases := range steady {
-		s := r.FirmwareSchedule(kind)
-		if s == nil || s.Kind != kind {
-			t.Fatalf("FirmwareSchedule(%q) = %+v", kind, s)
-		}
-		for _, ph := range phases {
-			if !s.Steady(ph) {
-				t.Fatalf("%s phase %q should be steady", kind, s.PhaseName(ph))
-			}
-		}
-	}
-	for kind, ph := range map[string]int{
-		"ingress": ingPhaseIngest, "egress": egrPhaseAsm, "lookup": lkPhaseProbe,
+// TestFirmwareSteadiness pins the steadiness classification the
+// macro-stepper reasons on: streaming and blocked-on-protocol phases
+// are steady, while the local-memory buffering phases (two cycles per
+// word, §4.4), the cache-probing lookup and the cipher are not.
+func TestFirmwareSteadiness(t *testing.T) {
+	for _, c := range []struct {
+		kind   string
+		steady []bool
+		phase  int
+		want   bool
+	}{
+		{"ingress idle", ingSteady[:], ingPhaseIdle, true},
+		{"ingress stream", ingSteady[:], ingPhaseStream, true},
+		{"ingress ingest", ingSteady[:], ingPhaseIngest, false},
+		{"xbar hdr", xbarSteady[:], xbarPhaseHdr, true},
+		{"xbar stream", xbarSteady[:], xbarPhaseStream, true},
+		{"egress hdr", egrSteady[:], egrPhaseHdr, true},
+		{"egress cut", egrSteady[:], egrPhaseCut, true},
+		{"egress asm", egrSteady[:], egrPhaseAsm, false},
+		{"egress crypto", egrSteady[:], egrPhaseCrypto, false},
+		{"lookup await", lkSteady[:], lkPhaseAwait, true},
+		{"lookup probe", lkSteady[:], lkPhaseProbe, false},
 	} {
-		if s := r.FirmwareSchedule(kind); s.Steady(ph) {
-			t.Fatalf("%s phase %q must not be steady (multi-cycle-per-word / cache-dependent)", kind, s.PhaseName(ph))
+		if got := c.steady[c.phase]; got != c.want {
+			t.Errorf("%s phase steady = %v, want %v", c.kind, got, c.want)
 		}
-	}
-	if s := r.FirmwareSchedule("egress"); s.Steady(egrPhaseCrypto) {
-		t.Fatal("egress crypto phase must not be steady")
-	}
-	if r.FirmwareSchedule("nonesuch") != nil {
-		t.Fatal("unknown firmware kind returned a schedule")
-	}
-
-	// PhaseIndex round-trips every compiled name.
-	for _, s := range []*FWSchedule{ing, xbar, r.FirmwareSchedule("egress"), r.FirmwareSchedule("lookup")} {
-		for i := range s.Phases {
-			if got := s.PhaseIndex(s.Phases[i].Name); got != i {
-				t.Fatalf("%s: PhaseIndex(%q) = %d, want %d", s.Kind, s.Phases[i].Name, got, i)
-			}
-		}
-		if s.PhaseIndex("nonesuch") != -1 {
-			t.Fatalf("%s: PhaseIndex of unknown name != -1", s.Kind)
-		}
-	}
-}
-
-// schedPointers snapshots the schedule pointer installed in every
-// firmware instance.
-func schedPointers(r *Router) [16]*FWSchedule {
-	var ptr [16]*FWSchedule
-	for p := 0; p < 4; p++ {
-		ptr[4*p+0] = r.ings[p].sched
-		ptr[4*p+1] = r.xbars[p].sched
-		ptr[4*p+2] = r.egrs[p].sched
-		ptr[4*p+3] = r.lookups[p].sched
-	}
-	return ptr
-}
-
-// TestFirmwareScheduleIdentityAcrossRestore: all four instances of a
-// kind share one compiled schedule, and a degrade → restore arc leaves
-// every installed pointer untouched — the re-admitted tile runs exactly
-// the profile it was compiled with.
-func TestFirmwareScheduleIdentityAcrossRestore(t *testing.T) {
-	r, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := schedPointers(r)
-	for p := 1; p < 4; p++ {
-		if before[4*p] != r.scheds.ing || before[4*p+1] != r.scheds.xbar ||
-			before[4*p+2] != r.scheds.egr || before[4*p+3] != r.scheds.lk {
-			t.Fatalf("port %d firmware does not share the compiled schedules", p)
-		}
-	}
-
-	if err := r.Degrade(2); err != nil {
-		t.Fatal(err)
-	}
-	r.Run(2000)
-	if err := r.Restore(2); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Chip.RunUntil(func() bool { return r.DeadPort() < 0 && !r.restoring && r.probationPort < 0 }, 500000) {
-		t.Fatal("restore arc never completed")
-	}
-	if after := schedPointers(r); after != before {
-		t.Fatal("degrade/restore changed an installed firmware schedule pointer")
 	}
 }

@@ -18,11 +18,8 @@ type ingressFW struct {
 	port int
 	prog *IngressProgram
 
-	// sched is the compiled cycle-cost schedule (shared by all four
-	// ingress instances, surviving degrade/restore/park); phase indexes
-	// it. Written only while the tile executes firmware ops, read by the
-	// macro-stepper between cycles.
-	sched *FWSchedule
+	// phase indexes ingSteady. Written only while the tile executes
+	// firmware ops, read by the macro-stepper between cycles.
 	phase int
 
 	// Current packet state.
@@ -90,9 +87,9 @@ const lineDownStrikes = 3
 // simulated time between probes at the default quantum).
 const reprobeAttCap = 16
 
-// SteadyState implements raw.SteadyFirmware: the compiled schedule says
-// whether the current phase presents a constant per-cycle profile.
-func (f *ingressFW) SteadyState() bool { return f.sched.Steady(f.phase) }
+// SteadyState implements raw.SteadyFirmware: ingSteady says whether the
+// current phase presents a constant per-cycle profile.
+func (f *ingressFW) SteadyState() bool { return ingSteady[f.phase] }
 
 func (f *ingressFW) Refill(e *raw.Exec) {
 	if f.lineDown {

@@ -42,20 +42,17 @@ type lookupFW struct {
 	rt   *Router
 	port int
 
-	// sched is the compiled cycle-cost schedule (shared by all four
-	// lookup instances, surviving degrade/restore/park); phase indexes
-	// it. Written only while the tile executes firmware ops, read by the
-	// macro-stepper between cycles.
-	sched *FWSchedule
+	// phase indexes lkSteady. Written only while the tile executes
+	// firmware ops, read by the macro-stepper between cycles.
 	phase int
 
 	dst raw.Word
 	v1  raw.Word
 }
 
-// SteadyState implements raw.SteadyFirmware: the compiled schedule says
-// whether the current phase presents a constant per-cycle profile.
-func (f *lookupFW) SteadyState() bool { return f.sched.Steady(f.phase) }
+// SteadyState implements raw.SteadyFirmware: lkSteady says whether the
+// current phase presents a constant per-cycle profile.
+func (f *lookupFW) SteadyState() bool { return lkSteady[f.phase] }
 
 func (f *lookupFW) Refill(e *raw.Exec) {
 	f.phase = lkPhaseAwait

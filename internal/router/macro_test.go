@@ -70,7 +70,7 @@ func runMacroLoad(t *testing.T, eng raw.Engine) macroRun {
 	run.events = cfg.Events.String()
 
 	snap := r.TelemetrySnapshot()
-	snap.MacroWindows, snap.MacroCycles, snap.MacroDisarms = 0, 0, nil
+	snap.ZeroHost()
 	run.exports = map[string][]byte{}
 	for _, format := range telemetry.Formats() {
 		enc, err := snap.Encode(format)

@@ -254,11 +254,6 @@ type Router struct {
 	parsed   [4]int64
 	cuts     [4][]int64
 
-	// scheds are the compiled firmware cycle-cost schedules (see
-	// fwsched.go): one per kind, shared by all four instances and
-	// re-presented unchanged across degrade/restore/park.
-	scheds fwSchedules
-
 	// tableEpoch selects which double-buffered DRAM table the lookup
 	// tiles consult (§2.2.1 table management; flipped by UpdateTable).
 	tableEpoch int
@@ -306,7 +301,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Multicast {
 		r.ci = sharedMixedIndex()
 	}
-	r.scheds = compileFWSchedules(cfg)
 	r.Mem = mem.Attach(r.Chip, cfg.DRAMLatency)
 	// DRAM latency spikes from an installed fault plane (zero-cost nil
 	// guard when no faults are configured).
@@ -328,7 +322,7 @@ func New(cfg Config) (*Router, error) {
 		}
 		r.Chip.Tile(pt.Crossbar).SetCompiledSwitchProgram(xprog.Compiled)
 		r.xprogs[p] = xprog
-		r.xbars[p] = &xbarFW{rt: r, port: p, prog: xprog, dead: -1, sched: r.scheds.xbar}
+		r.xbars[p] = &xbarFW{rt: r, port: p, prog: xprog, dead: -1}
 		r.Chip.Tile(pt.Crossbar).Exec().SetFirmware(r.xbars[p])
 
 		iprog, err := GenIngressProgram(p)
@@ -339,7 +333,7 @@ func New(cfg Config) (*Router, error) {
 		in := r.Chip.StaticIn(pt.Ingress, pt.InSide)
 		r.ings[p] = &ingressFW{
 			rt: r, port: p, prog: iprog, backlog: in.Len, in: in, dead: -1,
-			rng: reprobeSeed(cfg.ReprobeSeed, p), sched: r.scheds.ing,
+			rng: reprobeSeed(cfg.ReprobeSeed, p),
 		}
 		r.Chip.Tile(pt.Ingress).Exec().SetFirmware(r.ings[p])
 
@@ -348,11 +342,11 @@ func New(cfg Config) (*Router, error) {
 			return nil, err
 		}
 		r.Chip.Tile(pt.Egress).SetCompiledSwitchProgram(eprog.Compiled)
-		r.egrs[p] = &egressFW{rt: r, port: p, prog: eprog, sched: r.scheds.egr}
+		r.egrs[p] = &egressFW{rt: r, port: p, prog: eprog}
 		r.Chip.Tile(pt.Egress).Exec().SetFirmware(r.egrs[p])
 
 		r.Chip.Tile(pt.Lookup).SetCompiledSwitchProgram(CompiledLookupProgram(p))
-		r.lookups[p] = &lookupFW{rt: r, port: p, sched: r.scheds.lk}
+		r.lookups[p] = &lookupFW{rt: r, port: p}
 		r.Chip.Tile(pt.Lookup).Exec().SetFirmware(r.lookups[p])
 
 		r.ins[p] = r.Chip.StaticIn(pt.Ingress, pt.InSide)

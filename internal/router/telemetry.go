@@ -61,33 +61,34 @@ func (r *Router) sampleTelemetry(cycle int64) {
 }
 
 // TelemetrySnapshot assembles the unified telemetry snapshot: the
-// router's counters and per-tile activity plus the collector's quantum
-// plane. With cfg.Metrics nil it still returns a counters-only snapshot
-// (empty rings, zero histograms), so every exporter works with the plane
-// disabled.
+// collector's quantum plane completed with the router's counters and
+// per-tile activity. With cfg.Metrics nil it still returns a
+// counters-only snapshot (empty rings, zero histograms), so every
+// exporter works with the plane disabled.
 func (r *Router) TelemetrySnapshot() telemetry.Snapshot {
-	var m telemetry.Meta
-	m.Cycle = r.Chip.Cycle()
-	m.ClockHz = r.cfg.ClockHz
-	m.DeadPort = r.deadPort
-	m.ProbationPort = r.probationPort
-	m.Failed = r.failed
-	m.FabricLost = r.stats.FabricLost
+	s := r.cfg.Metrics.Snapshot()
+	s.Cycle = r.Chip.Cycle()
+	s.ClockHz = r.cfg.ClockHz
+	s.DeadPort = r.deadPort
+	s.ProbationPort = r.probationPort
+	s.Failed = r.failed
+	s.FabricLost = r.stats.FabricLost
 	// Engine observability (schema v3): the fast engine's macro-step
 	// engagement and the per-cause disarm histogram, in raw.MacroCauses
 	// order for a stable export series. Zero under the reference engine;
-	// cross-engine equivalence comparisons normalize these out.
-	m.MacroWindows, m.MacroCycles = r.Chip.MacroStats()
+	// cross-engine equivalence comparisons clear them (Snapshot.ZeroHost).
+	s.MacroWindows, s.MacroCycles = r.Chip.MacroStats()
 	disarms := r.Chip.MacroDisarms()
-	m.MacroDisarms = make([]telemetry.MacroDisarm, 0, len(disarms))
+	s.MacroDisarms = make([]telemetry.MacroDisarm, 0, len(disarms))
 	for _, cause := range raw.MacroCauses() {
-		m.MacroDisarms = append(m.MacroDisarms, telemetry.MacroDisarm{
+		s.MacroDisarms = append(s.MacroDisarms, telemetry.MacroDisarm{
 			Cause: cause.String(), Count: disarms[cause],
 		})
 	}
 	st := &r.stats
 	for p := 0; p < 4; p++ {
-		m.Ports[p] = telemetry.PortCounters{
+		ps := &s.Ports[p]
+		ps.PortCounters = telemetry.PortCounters{
 			Accepted: st.Accepted[p], Dropped: st.Dropped[p], Denied: st.Denied[p],
 			FragsSent: st.FragsSent[p], PktsIn: st.PktsIn[p], PktsOut: st.PktsOut[p],
 			Reassembled: st.Reassembled[p], Lookups: st.Lookups[p],
@@ -96,16 +97,17 @@ func (r *Router) TelemetrySnapshot() telemetry.Snapshot {
 			Reprobes: st.Reprobes[p], Recovered: st.Recovered[p], FlapDrops: st.FlapDrops[p],
 			WordsIn: r.ins[p].Consumed(), WordsOut: r.outs[p].Count(),
 		}
-		tiles := portTiles(p)
-		for i, tile := range tiles {
+		if s.Cycle > 0 {
+			ps.LinkUtilization = float64(ps.WordsOut) / float64(s.Cycle)
+		}
+		for i, tile := range portTiles(p) {
 			sc := r.Chip.Tile(tile).Exec().StateCounts()
-			m.Tiles[tile] = telemetry.TileMeta{
-				Tile: tile, Role: tileRoles[i],
-				Run:     sc[raw.StateRun],
-				Blocked: sc[raw.StateStallSend] + sc[raw.StateStallRecv] + sc[raw.StateStallCache],
-				Idle:    sc[raw.StateIdle],
-			}
+			ts := &s.Tiles[tile]
+			ts.Role = tileRoles[i]
+			ts.Run = sc[raw.StateRun]
+			ts.Blocked = sc[raw.StateStallSend] + sc[raw.StateStallRecv] + sc[raw.StateStallCache]
+			ts.Idle = sc[raw.StateIdle]
 		}
 	}
-	return r.cfg.Metrics.Snapshot(m)
+	return s
 }

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"strings"
 
 	"repro/internal/telemetry"
 )
@@ -48,9 +46,9 @@ func (d *Daemon) Handler() http.Handler {
 	return mux
 }
 
-// handleMetrics renders the telemetry snapshot on demand (default
-// Prometheus text; ?format=jsonl|csv|prom), with the serve-plane series
-// appended to the Prometheus form.
+// handleMetrics renders the daemon's telemetry snapshot — router plus
+// serve plane — on demand (default Prometheus text;
+// ?format=jsonl|csv|prom).
 func (d *Daemon) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	format := req.URL.Query().Get("format")
 	if format == "" {
@@ -59,11 +57,8 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	var body []byte
 	var err error
 	d.callOnLoop(func() {
-		snap := d.r.TelemetrySnapshot()
+		snap := d.TelemetrySnapshot()
 		body, err = snap.Encode(format)
-		if err == nil && format == "prom" {
-			body = append(body, d.serveMetrics()...)
-		}
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -73,46 +68,17 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Write(body)
 }
 
-// serveMetrics renders the daemon-plane Prometheus series (ingest
-// ledger, lifecycle, SLO counters). Runs on the slice loop (or inline
-// after exit), so it reads the last published status.
-func (d *Daemon) serveMetrics() []byte {
-	st := d.Status()
-	var b strings.Builder
-	gauge := func(name, help string, v any) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
+// TelemetrySnapshot is the router's snapshot with the serve plane from
+// the last published status; call it on the slice loop or after Run.
+func (d *Daemon) TelemetrySnapshot() telemetry.Snapshot {
+	snap, st := d.r.TelemetrySnapshot(), d.Status()
+	snap.Serve = &telemetry.ServeSample{State: int(st.State), Ready: st.Ready, Slice: st.Slice,
+		SoakWindows: st.SoakWindows, WindowGbps: st.WindowGbps, Violations: st.Violations}
+	for p, l := range st.Ingest.Ports {
+		snap.Serve.Ports[p] = telemetry.ServePort{Port: p, Offered: l.OfferedWords, Admitted: l.AdmittedWords,
+			Shed: l.ShedWords, DrainDiscarded: l.DrainDiscardedWords, Queued: l.QueuedWords}
 	}
-	b01 := func(v bool) int {
-		if v {
-			return 1
-		}
-		return 0
-	}
-	gauge("raw_router_serve_state", "Daemon lifecycle (0 serving, 1 draining, 2 drained, 3 failed).", int(st.State))
-	gauge("raw_router_serve_ready", "1 when /readyz would return 200.", b01(st.Ready))
-	gauge("raw_router_serve_slice", "Completed admission slices.", st.Slice)
-	gauge("raw_router_serve_soak_windows", "Rolling chaos windows installed.", st.SoakWindows)
-	gauge("raw_router_serve_window_gbps", "Delivered throughput over the last full SLO window.", st.WindowGbps)
-	fmt.Fprintf(&b, "# HELP raw_router_serve_slo_violations_total SLO violation entering-transitions.\n# TYPE raw_router_serve_slo_violations_total counter\nraw_router_serve_slo_violations_total %d\n", st.Violations)
-	perPort := func(name, help string, v func(l *PortIngest) int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for p := range st.Ingest.Ports {
-			fmt.Fprintf(&b, "%s{port=\"%d\"} %d\n", name, p, v(&st.Ingest.Ports[p]))
-		}
-	}
-	perPort("raw_router_serve_offered_words_total", "Words the feeder offered.",
-		func(l *PortIngest) int64 { return l.OfferedWords })
-	perPort("raw_router_serve_admitted_words_total", "Words admitted to the input pins.",
-		func(l *PortIngest) int64 { return l.AdmittedWords })
-	perPort("raw_router_serve_shed_words_total", "Words shed by admission overload.",
-		func(l *PortIngest) int64 { return l.ShedWords })
-	perPort("raw_router_serve_drain_discarded_words_total", "Queued words discarded by a forced drain.",
-		func(l *PortIngest) int64 { return l.DrainDiscardedWords })
-	fmt.Fprintf(&b, "# HELP raw_router_serve_queue_words Words currently queued at admission.\n# TYPE raw_router_serve_queue_words gauge\n")
-	for p := range st.Ingest.Ports {
-		fmt.Fprintf(&b, "raw_router_serve_queue_words{port=\"%d\"} %d\n", p, st.Ingest.Ports[p].QueuedWords)
-	}
-	return []byte(b.String())
+	return snap
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

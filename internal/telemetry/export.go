@@ -3,301 +3,339 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Exporters. All three render the same Snapshot and are deterministic:
-// fixed field order (struct-tag order for JSONL, literal headers for CSV,
-// sorted-by-construction series for Prometheus), shortest-float
-// formatting, no timestamps, no host identity. Two runs that simulate
-// the same cycles produce byte-identical exports.
+// Exporters. Each snapshot kind describes itself once, as an ordered
+// table of metric families grouped into sections. CSV and Prometheus
+// are two renderers over that table, so they carry the same families by
+// construction; JSONL marshals the structs the table reads. All three
+// are deterministic: fixed order, shortest-float formatting, no
+// timestamps, no host identity. Two runs that simulate the same cycles
+// produce byte-identical exports.
 
 // Formats lists the supported export format names.
 func Formats() []string { return []string{"jsonl", "csv", "prom"} }
 
-// Encode renders the snapshot in the named format ("jsonl", "csv",
-// "prom").
-func (s *Snapshot) Encode(format string) ([]byte, error) {
+// encode renders a snapshot kind, given its metric table (logs adds
+// the CSV-only logs) and its JSONL form, in the named format.
+func encode(format string, table func(logs bool) []section, jsonl func() []byte) ([]byte, error) {
 	switch format {
 	case "jsonl":
-		return s.JSONL(), nil
+		return jsonl(), nil
 	case "csv":
-		return s.CSV(), nil
+		return renderCSV(table(true)), nil
 	case "prom":
-		return s.Prometheus(), nil
+		return renderProm(table(false)), nil
 	}
-	return nil, fmt.Errorf("telemetry: unknown export format %q (have %s)",
-		format, strings.Join(Formats(), ", "))
+	return nil, fmt.Errorf("telemetry: unknown export format %q (have %s)", format, strings.Join(Formats(), ", "))
 }
 
-// jsonlMeta is the first JSONL line: the snapshot scalars.
-type jsonlMeta struct {
-	Record        string  `json:"record"`
-	Schema        int     `json:"schema"`
-	Cycle         int64   `json:"cycle"`
-	ClockHz       float64 `json:"clock_hz"`
-	Quanta        int64   `json:"quanta"`
-	DeadPort      int     `json:"dead_port"`
-	ProbationPort int     `json:"probation_port"`
-	Failed        bool    `json:"failed"`
-	FabricLost    int64   `json:"fabric_lost"`
-	MacroWindows  int64   `json:"macro_windows"`
-	MacroCycles   int64   `json:"macro_cycles"`
+// Encode renders the snapshot in the named format (see Formats).
+func (s *Snapshot) Encode(format string) ([]byte, error) { return encode(format, s.table, s.jsonl) }
+
+// value is one sample: a formatted number, or a histogram.
+type value struct {
+	s string
+	h *Histogram
 }
 
-type jsonlMacroDisarm struct {
-	Record string `json:"record"`
-	MacroDisarm
+func itoa(i int64) string { return strconv.FormatInt(i, 10) }
+func num(i int64) value   { return value{s: itoa(i)} }
+func flt(f float64) value { return value{s: strconv.FormatFloat(f, 'g', -1, 64)} }
+func flag(b bool) value   { return num(map[bool]int64{true: 1}[b]) }
+
+// family is one metric family: Prometheus name, help and kind (gauge,
+// counter or histogram), CSV column, the section keys it carries as
+// labels (nil: the section's labels), and one value per section row.
+type family struct {
+	name, col, help, kind string
+	labels                []string
+	vals                  []value
 }
 
-type jsonlPort struct {
-	Record string `json:"record"`
-	PortSnap
+func fam(kind, name, col, help string, vals ...value) family {
+	return family{name: name, col: col, help: help, kind: kind, vals: vals}
 }
 
-type jsonlTile struct {
-	Record string `json:"record"`
-	TileSnap
+// withLabels carries only the named section keys as labels.
+func (f family) withLabels(names ...string) family { f.labels = names; return f }
+
+// section is one CSV section: one label set's rows, identified by key
+// columns, and the families measured on each row. A key need not be a
+// label (a trunk's endpoints, the fabric's dead lists). A section
+// without families is a log, rendered only in CSV.
+type section struct {
+	name         string
+	keys, labels []string
+	rows         [][]string
+	fams         []family
 }
 
-type jsonlQuantum struct {
-	Record string `json:"record"`
-	QuantumRecord
+// row appends a row's key values and each family's values on it; the
+// first row (or the section literal) fixes the families.
+func (s *section) row(keys []string, fams ...family) {
+	s.rows = append(s.rows, keys)
+	if s.fams == nil {
+		s.fams = fams
+		return
+	}
+	for i := range fams {
+		s.fams[i].vals = append(s.fams[i].vals, fams[i].vals...)
+	}
 }
 
-type jsonlEvent struct {
-	Record string `json:"record"`
-	EventRecord
+// keyed is a one-family section with one row per (key value, count).
+func keyed(name, key string, f family, n int, at func(i int) (string, int64)) section {
+	s := section{name: name, keys: []string{key}, labels: []string{key}, fams: []family{f}}
+	for i := 0; i < n; i++ {
+		k, v := at(i)
+		s.row([]string{k}, family{vals: []value{num(v)}})
+	}
+	return s
 }
 
-// JSONL renders one JSON object per line: a meta line, one line per
-// port, one per tile, one per flight-recorder quantum, one per event.
-func (s *Snapshot) JSONL() []byte {
+// leName is histogram bucket i's upper bound as Prometheus writes it.
+func leName(i int) string {
+	if ub := BucketUpper(i); ub >= 0 {
+		return itoa(ub)
+	}
+	return "+Inf"
+}
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// renderProm renders the table in the Prometheus text exposition format
+// (version 0.0.4): one HELP and TYPE per family, then its samples;
+// histograms expose cumulative le buckets, _sum and _count.
+func renderProm(t []section) []byte {
 	var b strings.Builder
-	line := func(v any) {
-		j, err := json.Marshal(v)
-		if err != nil {
-			panic("telemetry: JSONL marshal: " + err.Error())
+	line := func(name string, l []string, v string) {
+		if len(l) > 0 {
+			name += "{" + strings.Join(l, ",") + "}"
 		}
-		b.Write(j)
-		b.WriteByte('\n')
+		b.WriteString(name + " " + v + "\n")
 	}
-	line(jsonlMeta{
-		Record: "meta", Schema: s.Schema, Cycle: s.Cycle, ClockHz: s.ClockHz,
-		Quanta: s.Quanta, DeadPort: s.DeadPort, ProbationPort: s.ProbationPort,
-		Failed: s.Failed, FabricLost: s.FabricLost,
-		MacroWindows: s.MacroWindows, MacroCycles: s.MacroCycles,
-	})
+	for _, sec := range t {
+		for _, f := range sec.fams {
+			b.WriteString("# HELP " + f.name + " " + f.help + "\n# TYPE " + f.name + " " + f.kind + "\n")
+			names := f.labels
+			if names == nil {
+				names = sec.labels
+			}
+			for i, v := range f.vals {
+				var l []string
+				for _, n := range names {
+					l = append(l, n+`="`+labelEscaper.Replace(sec.rows[i][slices.Index(sec.keys, n)])+`"`)
+				}
+				if v.h == nil {
+					line(f.name, l, v.s)
+					continue
+				}
+				var cum int64
+				for bi, n := range v.h.Buckets {
+					cum += n
+					line(f.name+"_bucket", append(l[:len(l):len(l)], `le="`+leName(bi)+`"`), itoa(cum))
+				}
+				line(f.name+"_sum", l, itoa(v.h.Sum))
+				line(f.name+"_count", l, itoa(v.h.Count))
+			}
+		}
+	}
+	return []byte(b.String())
+}
+
+// renderCSV renders each section as a headed comma-separated table: the
+// key columns, then one column per family; a histogram takes count,
+// sum, max and one cumulative column per le bucket.
+func renderCSV(t []section) []byte {
+	var b strings.Builder
+	for _, sec := range t {
+		head := slices.Clone(sec.keys)
+		for _, f := range sec.fams {
+			if f.kind != "histogram" {
+				head = append(head, f.col)
+				continue
+			}
+			head = append(head, f.col+"_count", f.col+"_sum", f.col+"_max")
+			for bi := range NumBuckets {
+				head = append(head, f.col+"_le_"+strings.ToLower(strings.TrimPrefix(leName(bi), "+")))
+			}
+		}
+		b.WriteString("#" + sec.name + "\n" + strings.Join(head, ",") + "\n")
+		for r, row := range sec.rows {
+			cells := slices.Clone(row)
+			for _, f := range sec.fams {
+				v := f.vals[r]
+				if v.h == nil {
+					cells = append(cells, v.s)
+					continue
+				}
+				cells = append(cells, itoa(v.h.Count), itoa(v.h.Sum), itoa(v.h.Max))
+				var cum int64
+				for _, n := range v.h.Buckets {
+					cum += n
+					cells = append(cells, itoa(cum))
+				}
+			}
+			b.WriteString(strings.Join(cells, ",") + "\n")
+		}
+	}
+	return []byte(b.String())
+}
+
+// eventLog is the CSV-only event log; who names the Port column.
+func eventLog(who string, events []EventRecord) section {
+	s := section{name: "events", keys: []string{"cycle", who, "kind", "detail"}}
+	for _, e := range events {
+		s.rows = append(s.rows, []string{itoa(e.Cycle), strconv.Itoa(e.Port), e.Kind, strings.ReplaceAll(e.Detail, ",", ";")})
+	}
+	return s
+}
+
+// table is the router snapshot's metric table in export order; logs
+// appends the flight-recorder logs, which only CSV renders.
+func (s *Snapshot) table(logs bool) []section {
+	meta := section{name: "meta"}
+	meta.row(nil,
+		fam("gauge", "raw_router_schema", "schema", "Telemetry snapshot schema version.", num(int64(s.Schema))),
+		fam("gauge", "raw_router_cycle", "cycle", "Simulated chip cycle at snapshot.", num(s.Cycle)),
+		fam("gauge", "raw_router_clock_hz", "clock_hz", "Simulated chip clock rate in hertz.", flt(s.ClockHz)),
+		fam("counter", "raw_router_quanta_total", "quanta", "Completed crossbar quanta observed by the collector.", num(s.Quanta)),
+		fam("gauge", "raw_router_dead_port", "dead_port", "Masked-out port in degraded mode (-1 healthy).", num(int64(s.DeadPort))),
+		fam("gauge", "raw_router_probation_port", "probation_port", "Re-admitted port still in probation (-1 none).", num(int64(s.ProbationPort))),
+		fam("gauge", "raw_router_failed", "failed", "1 if the router fail-stopped.", flag(s.Failed)),
+		fam("counter", "raw_router_fabric_lost_total", "fabric_lost", "Packets lost inside the fabric by degraded-mode resets.", num(s.FabricLost)),
+		fam("counter", "raw_router_macro_windows_total", "macro_windows", "Fast-engine macro-step windows executed (0 on the reference engine).", num(s.MacroWindows)),
+		fam("counter", "raw_router_macro_cycles_total", "macro_cycles", "Cycles covered by fast-engine macro-step windows.", num(s.MacroCycles)))
+	disarms := keyed("macro_disarms", "cause", fam("counter", "raw_router_macro_disarms_total", "count", "Macro-step windows declined, by cause."),
+		len(s.MacroDisarms), func(i int) (string, int64) { return s.MacroDisarms[i].Cause, s.MacroDisarms[i].Count })
+	ports := section{name: "ports", keys: []string{"port"}, labels: []string{"port"}}
+	for _, p := range s.Ports {
+		ports.row([]string{strconv.Itoa(p.Port)},
+			fam("counter", "raw_router_accepted_total", "accepted", "Packets passing ingress validation.", num(p.Accepted)),
+			fam("counter", "raw_router_dropped_total", "dropped", "Packets failing ingress validation.", num(p.Dropped)),
+			fam("counter", "raw_router_denied_total", "denied", "Quanta requested and lost to arbitration.", num(p.Denied)),
+			fam("counter", "raw_router_frags_sent_total", "frags_sent", "Fragments streamed into the crossbar.", num(p.FragsSent)),
+			fam("counter", "raw_router_pkts_in_total", "pkts_in", "Packets fully streamed in at ingress.", num(p.PktsIn)),
+			fam("counter", "raw_router_pkts_out_total", "pkts_out", "Packets delivered at egress.", num(p.PktsOut)),
+			fam("counter", "raw_router_reassembled_total", "reassembled", "Packets the egress reassembled from fragments.", num(p.Reassembled)),
+			fam("counter", "raw_router_lookups_total", "lookups", "Route lookups the lookup tile served.", num(p.Lookups)),
+			fam("counter", "raw_router_mcast_in_total", "mcast_in", "Multicast packets accepted at ingress.", num(p.McastIn)),
+			fam("counter", "raw_router_mcast_copies_total", "mcast_copies", "Multicast copies replayed toward their outputs.", num(p.McastCopies)),
+			fam("counter", "raw_router_abort_dropped_total", "abort_dropped", "Packets abandoned by robustness machinery.", num(p.AbortDropped)),
+			fam("counter", "raw_router_underrun_quanta_total", "underruns", "Quanta an ingress idled awaiting its line card.", num(p.Underruns)),
+			fam("counter", "raw_router_reprobes_total", "reprobes", "Probes of a down input line.", num(p.Reprobes)),
+			fam("counter", "raw_router_recovered_total", "recovered", "Down input lines a probe found carrying words again.", num(p.Recovered)),
+			fam("counter", "raw_router_flap_drops_total", "flap_drops", "Line words discarded while the input line was down.", num(p.FlapDrops)),
+			fam("counter", "raw_router_words_in_total", "words_in", "Words consumed from the input pins.", num(p.WordsIn)),
+			fam("counter", "raw_router_words_out_total", "words_out", "Words emitted on the output pins.", num(p.WordsOut)),
+			fam("counter", "raw_router_granted_quanta_total", "granted_quanta", "Quanta the scheduler granted this port.", num(p.GrantedQuanta)),
+			fam("counter", "raw_router_denied_quanta_total", "denied_quanta", "Quanta this port requested and was not granted.", num(p.DeniedQuanta)),
+			fam("counter", "raw_router_words_granted_total", "words_granted", "Granted fragment words.", num(p.WordsGranted)),
+			fam("gauge", "raw_router_link_utilization", "link_utilization", "Output-link occupancy (words per cycle).", flt(p.LinkUtilization)),
+			fam("histogram", "raw_router_token_wait_quanta", "token_wait", "Quanta a granted port waited since its previous grant.", value{h: &p.TokenWait}))
+	}
+	cycles := section{name: "tile_cycles", keys: []string{"tile", "role", "state"}, labels: []string{"tile", "role", "state"}}
+	tiles := section{name: "tiles", keys: []string{"tile"}, labels: []string{"tile"}}
+	for _, t := range s.Tiles {
+		for j, n := range []int64{t.Run, t.Blocked, t.Idle} {
+			cycles.row([]string{strconv.Itoa(t.Tile), t.Role, []string{"run", "blocked", "idle"}[j]},
+				fam("counter", "raw_router_tile_cycles_total", "cycles", "Cumulative tile cycles by state.", num(n)))
+		}
+		tiles.row([]string{strconv.Itoa(t.Tile)},
+			fam("histogram", "raw_router_tile_blocked_cycles_per_quantum", "blocked_pq", "Blocked cycles per quantum per tile.", value{h: &t.BlockedPerQuantum}))
+	}
+	tb := []section{meta, disarms, ports, cycles, tiles, keyed("event_totals", "kind",
+		fam("counter", "raw_router_recovery_events_total", "count", "Typed recovery events by kind."),
+		len(s.EventTotals), func(i int) (string, int64) { return s.EventTotals[i].Kind, s.EventTotals[i].Count })}
+	if sv := s.Serve; sv != nil {
+		serve := section{name: "serve"}
+		serve.row(nil,
+			fam("gauge", "raw_router_serve_state", "state", "Daemon lifecycle (0 serving, 1 draining, 2 drained, 3 failed).", num(int64(sv.State))),
+			fam("gauge", "raw_router_serve_ready", "ready", "1 when /readyz would return 200.", flag(sv.Ready)),
+			fam("gauge", "raw_router_serve_slice", "slice", "Completed admission slices.", num(sv.Slice)),
+			fam("gauge", "raw_router_serve_soak_windows", "soak_windows", "Rolling chaos windows installed.", num(int64(sv.SoakWindows))),
+			fam("gauge", "raw_router_serve_window_gbps", "window_gbps", "Delivered throughput over the last full SLO window.", flt(sv.WindowGbps)),
+			fam("counter", "raw_router_serve_slo_violations_total", "slo_violations", "SLO violation entering-transitions.", num(sv.Violations)))
+		ingest := section{name: "serve_ports", keys: []string{"port"}, labels: []string{"port"}}
+		for _, p := range sv.Ports {
+			ingest.row([]string{strconv.Itoa(p.Port)},
+				fam("counter", "raw_router_serve_offered_words_total", "offered_words", "Words the feeder offered.", num(p.Offered)),
+				fam("counter", "raw_router_serve_admitted_words_total", "admitted_words", "Words admitted to the input pins.", num(p.Admitted)),
+				fam("counter", "raw_router_serve_shed_words_total", "shed_words", "Words shed by admission overload.", num(p.Shed)),
+				fam("counter", "raw_router_serve_drain_discarded_words_total", "drain_discarded_words", "Queued words discarded by a forced drain.", num(p.DrainDiscarded)),
+				fam("gauge", "raw_router_serve_queue_words", "queue_words", "Words currently queued at admission.", num(p.Queued)))
+		}
+		tb = append(tb, serve, ingest)
+	}
+	if logs {
+		q := section{name: "quanta", keys: strings.Split("quantum,cycle,token,req_mask,grant_mask,w0,w1,w2,w3,d0,d1,d2,d3", ",")}
+		for _, r := range s.Recent {
+			q.rows = append(q.rows, strings.Split(fmt.Sprintf("%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d", r.Quantum, r.Cycle, r.Token, r.ReqMask,
+				r.GrantMask, r.Words[0], r.Words[1], r.Words[2], r.Words[3], r.Drops[0], r.Drops[1], r.Drops[2], r.Drops[3]), ","))
+		}
+		tb = append(tb, q, eventLog("port", s.Events))
+	}
+	return tb
+}
+
+// jsonl renders one JSON object per line: a meta line, one line per
+// macro disarm cause, port and tile, one per event total, the serve
+// plane when present, then one line per flight-recorder quantum and
+// one per event.
+func (s *Snapshot) jsonl() []byte {
+	b := appendRecord(nil, "meta", struct {
+		Schema        int     `json:"schema"`
+		Cycle         int64   `json:"cycle"`
+		ClockHz       float64 `json:"clock_hz"`
+		Quanta        int64   `json:"quanta"`
+		DeadPort      int     `json:"dead_port"`
+		ProbationPort int     `json:"probation_port"`
+		Failed        bool    `json:"failed"`
+		FabricLost    int64   `json:"fabric_lost"`
+		MacroWindows  int64   `json:"macro_windows"`
+		MacroCycles   int64   `json:"macro_cycles"`
+	}{s.Schema, s.Cycle, s.ClockHz, s.Quanta, s.DeadPort, s.ProbationPort,
+		s.Failed, s.FabricLost, s.MacroWindows, s.MacroCycles})
 	for _, d := range s.MacroDisarms {
-		line(jsonlMacroDisarm{Record: "macro_disarm", MacroDisarm: d})
+		b = appendRecord(b, "macro_disarm", d)
 	}
 	for p := range s.Ports {
-		line(jsonlPort{Record: "port", PortSnap: s.Ports[p]})
+		b = appendRecord(b, "port", &s.Ports[p])
 	}
 	for t := range s.Tiles {
-		line(jsonlTile{Record: "tile", TileSnap: s.Tiles[t]})
+		b = appendRecord(b, "tile", &s.Tiles[t])
+	}
+	for _, e := range s.EventTotals {
+		b = appendRecord(b, "event_total", e)
+	}
+	if s.Serve != nil {
+		b = appendRecord(b, "serve", s.Serve)
 	}
 	for _, q := range s.Recent {
-		line(jsonlQuantum{Record: "quantum", QuantumRecord: q})
+		b = appendRecord(b, "quantum", q)
 	}
 	for _, e := range s.Events {
-		line(jsonlEvent{Record: "event", EventRecord: e})
+		b = appendRecord(b, "event", e)
 	}
-	return []byte(b.String())
+	return b
 }
 
-func csvF(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-// CSV renders four headed sections (#meta, #ports, #tiles, #quanta,
-// #events), each a plain comma-separated table.
-func (s *Snapshot) CSV() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "#meta\nschema,cycle,clock_hz,quanta,dead_port,probation_port,failed,fabric_lost,macro_windows,macro_cycles\n")
-	fmt.Fprintf(&b, "%d,%d,%s,%d,%d,%d,%v,%d,%d,%d\n", s.Schema, s.Cycle, csvF(s.ClockHz),
-		s.Quanta, s.DeadPort, s.ProbationPort, s.Failed, s.FabricLost,
-		s.MacroWindows, s.MacroCycles)
-
-	if len(s.MacroDisarms) > 0 {
-		b.WriteString("#macro_disarms\ncause,count\n")
-		for _, d := range s.MacroDisarms {
-			fmt.Fprintf(&b, "%s,%d\n", d.Cause, d.Count)
-		}
+// appendRecord appends v as one JSON line whose first key is
+// "record": record.
+func appendRecord(b []byte, record string, v any) []byte {
+	j, err := json.Marshal(v)
+	if err != nil {
+		panic("telemetry: JSONL marshal: " + err.Error())
 	}
-
-	b.WriteString("#ports\nport,accepted,dropped,denied,frags_sent,pkts_in,pkts_out," +
-		"reassembled,lookups,mcast_in,mcast_copies,abort_dropped,underruns," +
-		"reprobes,recovered,flap_drops,words_in,words_out," +
-		"granted_quanta,denied_quanta,words_granted,link_utilization," +
-		"token_wait_count,token_wait_sum,token_wait_max\n")
-	for p := range s.Ports {
-		ps := &s.Ports[p]
-		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%d,%d,%d\n",
-			ps.Port, ps.Accepted, ps.Dropped, ps.Denied, ps.FragsSent, ps.PktsIn,
-			ps.PktsOut, ps.Reassembled, ps.Lookups, ps.McastIn, ps.McastCopies,
-			ps.AbortDropped, ps.Underruns, ps.Reprobes, ps.Recovered, ps.FlapDrops,
-			ps.WordsIn, ps.WordsOut, ps.GrantedQuanta, ps.DeniedQuanta,
-			ps.WordsGranted, csvF(ps.LinkUtilization),
-			ps.TokenWait.Count, ps.TokenWait.Sum, ps.TokenWait.Max)
+	b = append(b, `{"record":`...)
+	b = strconv.AppendQuote(b, record)
+	if len(j) > 2 {
+		b = append(b, ',')
 	}
-
-	b.WriteString("#tiles\ntile,role,run,blocked,idle,blocked_pq_count,blocked_pq_sum,blocked_pq_max\n")
-	for t := range s.Tiles {
-		ts := &s.Tiles[t]
-		fmt.Fprintf(&b, "%d,%s,%d,%d,%d,%d,%d,%d\n", ts.Tile, ts.Role,
-			ts.Run, ts.Blocked, ts.Idle,
-			ts.BlockedPerQuantum.Count, ts.BlockedPerQuantum.Sum, ts.BlockedPerQuantum.Max)
-	}
-
-	b.WriteString("#quanta\nquantum,cycle,token,req_mask,grant_mask,w0,w1,w2,w3,d0,d1,d2,d3\n")
-	for _, q := range s.Recent {
-		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			q.Quantum, q.Cycle, q.Token, q.ReqMask, q.GrantMask,
-			q.Words[0], q.Words[1], q.Words[2], q.Words[3],
-			q.Drops[0], q.Drops[1], q.Drops[2], q.Drops[3])
-	}
-
-	b.WriteString("#events\ncycle,port,kind,detail\n")
-	for _, e := range s.Events {
-		fmt.Fprintf(&b, "%d,%d,%s,%s\n", e.Cycle, e.Port, e.Kind,
-			strings.ReplaceAll(e.Detail, ",", ";"))
-	}
-	return []byte(b.String())
-}
-
-func promF(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-// Prometheus renders the snapshot in the Prometheus text exposition
-// format (version 0.0.4). Counter series carry the _total suffix;
-// histograms expose cumulative le buckets.
-func (s *Snapshot) Prometheus() []byte {
-	var b strings.Builder
-	gauge := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	}
-	counter := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	}
-
-	gauge("raw_router_schema", "Telemetry snapshot schema version.")
-	fmt.Fprintf(&b, "raw_router_schema %d\n", s.Schema)
-	gauge("raw_router_cycle", "Simulated chip cycle at snapshot.")
-	fmt.Fprintf(&b, "raw_router_cycle %d\n", s.Cycle)
-	counter("raw_router_quanta_total", "Completed crossbar quanta observed by the collector.")
-	fmt.Fprintf(&b, "raw_router_quanta_total %d\n", s.Quanta)
-	gauge("raw_router_dead_port", "Masked-out port in degraded mode (-1 healthy).")
-	fmt.Fprintf(&b, "raw_router_dead_port %d\n", s.DeadPort)
-	gauge("raw_router_probation_port", "Re-admitted port still in probation (-1 none).")
-	fmt.Fprintf(&b, "raw_router_probation_port %d\n", s.ProbationPort)
-	gauge("raw_router_failed", "1 if the router fail-stopped.")
-	failed := 0
-	if s.Failed {
-		failed = 1
-	}
-	fmt.Fprintf(&b, "raw_router_failed %d\n", failed)
-	counter("raw_router_fabric_lost_total", "Packets lost inside the fabric by degraded-mode resets.")
-	fmt.Fprintf(&b, "raw_router_fabric_lost_total %d\n", s.FabricLost)
-	counter("raw_router_macro_windows_total", "Fast-engine macro-step windows executed (0 on the reference engine).")
-	fmt.Fprintf(&b, "raw_router_macro_windows_total %d\n", s.MacroWindows)
-	counter("raw_router_macro_cycles_total", "Cycles covered by fast-engine macro-step windows.")
-	fmt.Fprintf(&b, "raw_router_macro_cycles_total %d\n", s.MacroCycles)
-	if len(s.MacroDisarms) > 0 {
-		counter("raw_router_macro_disarms_total", "Macro-step windows declined, by cause.")
-		for _, d := range s.MacroDisarms {
-			fmt.Fprintf(&b, "raw_router_macro_disarms_total{cause=\"%s\"} %d\n", d.Cause, d.Count)
-		}
-	}
-
-	perPort := func(name, help, kind string, val func(p *PortSnap) string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-		for p := range s.Ports {
-			fmt.Fprintf(&b, "%s{port=\"%d\"} %s\n", name, p, val(&s.Ports[p]))
-		}
-	}
-	i := func(v int64) string { return strconv.FormatInt(v, 10) }
-	perPort("raw_router_accepted_total", "Packets passing ingress validation.", "counter",
-		func(p *PortSnap) string { return i(p.Accepted) })
-	perPort("raw_router_dropped_total", "Packets failing ingress validation.", "counter",
-		func(p *PortSnap) string { return i(p.Dropped) })
-	perPort("raw_router_denied_total", "Quanta requested and lost to arbitration.", "counter",
-		func(p *PortSnap) string { return i(p.Denied) })
-	perPort("raw_router_frags_sent_total", "Fragments streamed into the crossbar.", "counter",
-		func(p *PortSnap) string { return i(p.FragsSent) })
-	perPort("raw_router_pkts_in_total", "Packets fully streamed in at ingress.", "counter",
-		func(p *PortSnap) string { return i(p.PktsIn) })
-	perPort("raw_router_pkts_out_total", "Packets delivered at egress.", "counter",
-		func(p *PortSnap) string { return i(p.PktsOut) })
-	perPort("raw_router_abort_dropped_total", "Packets abandoned by robustness machinery.", "counter",
-		func(p *PortSnap) string { return i(p.AbortDropped) })
-	perPort("raw_router_underrun_quanta_total", "Quanta an ingress idled awaiting its line card.", "counter",
-		func(p *PortSnap) string { return i(p.Underruns) })
-	perPort("raw_router_words_out_total", "Words emitted on the output pins.", "counter",
-		func(p *PortSnap) string { return i(p.WordsOut) })
-	perPort("raw_router_granted_quanta_total", "Quanta the scheduler granted this port.", "counter",
-		func(p *PortSnap) string { return i(p.GrantedQuanta) })
-	perPort("raw_router_denied_quanta_total", "Quanta this port requested and was not granted.", "counter",
-		func(p *PortSnap) string { return i(p.DeniedQuanta) })
-	perPort("raw_router_words_granted_total", "Granted fragment words.", "counter",
-		func(p *PortSnap) string { return i(p.WordsGranted) })
-	perPort("raw_router_link_utilization", "Output-link occupancy (words per cycle).", "gauge",
-		func(p *PortSnap) string { return promF(p.LinkUtilization) })
-
-	// Token-wait histogram per port.
-	name := "raw_router_token_wait_quanta"
-	fmt.Fprintf(&b, "# HELP %s Quanta a granted port waited since its previous grant.\n# TYPE %s histogram\n", name, name)
-	for p := range s.Ports {
-		h := &s.Ports[p].TokenWait
-		var cum int64
-		for bi := 0; bi < NumBuckets; bi++ {
-			cum += h.Buckets[bi]
-			le := "+Inf"
-			if ub := BucketUpper(bi); ub >= 0 {
-				le = strconv.FormatInt(ub, 10)
-			}
-			fmt.Fprintf(&b, "%s_bucket{port=\"%d\",le=\"%s\"} %d\n", name, p, le, cum)
-		}
-		fmt.Fprintf(&b, "%s_sum{port=\"%d\"} %d\n", name, p, h.Sum)
-		fmt.Fprintf(&b, "%s_count{port=\"%d\"} %d\n", name, p, h.Count)
-	}
-
-	// Per-tile activity + blocked-per-quantum histogram.
-	fmt.Fprintf(&b, "# HELP raw_router_tile_cycles_total Cumulative tile cycles by state.\n# TYPE raw_router_tile_cycles_total counter\n")
-	for t := range s.Tiles {
-		ts := &s.Tiles[t]
-		fmt.Fprintf(&b, "raw_router_tile_cycles_total{tile=\"%d\",role=\"%s\",state=\"run\"} %d\n", ts.Tile, ts.Role, ts.Run)
-		fmt.Fprintf(&b, "raw_router_tile_cycles_total{tile=\"%d\",role=\"%s\",state=\"blocked\"} %d\n", ts.Tile, ts.Role, ts.Blocked)
-		fmt.Fprintf(&b, "raw_router_tile_cycles_total{tile=\"%d\",role=\"%s\",state=\"idle\"} %d\n", ts.Tile, ts.Role, ts.Idle)
-	}
-	name = "raw_router_tile_blocked_cycles_per_quantum"
-	fmt.Fprintf(&b, "# HELP %s Blocked cycles per quantum per tile.\n# TYPE %s histogram\n", name, name)
-	for t := range s.Tiles {
-		ts := &s.Tiles[t]
-		h := &ts.BlockedPerQuantum
-		var cum int64
-		for bi := 0; bi < NumBuckets; bi++ {
-			cum += h.Buckets[bi]
-			le := "+Inf"
-			if ub := BucketUpper(bi); ub >= 0 {
-				le = strconv.FormatInt(ub, 10)
-			}
-			fmt.Fprintf(&b, "%s_bucket{tile=\"%d\",le=\"%s\"} %d\n", name, ts.Tile, le, cum)
-		}
-		fmt.Fprintf(&b, "%s_sum{tile=\"%d\"} %d\n", name, ts.Tile, h.Sum)
-		fmt.Fprintf(&b, "%s_count{tile=\"%d\"} %d\n", name, ts.Tile, h.Count)
-	}
-
-	counter("raw_router_recovery_events_total", "Typed recovery events by kind.")
-	// Aggregate by kind in wire-name order for a deterministic series set.
-	counts := map[string]int64{}
-	for _, e := range s.Events {
-		counts[e.Kind]++
-	}
-	for _, k := range []string{"line-down", "line-up", "degrade", "restore-drain",
-		"restore-rejected", "readmit", "live", "fail-stop",
-		"slo-violation", "slo-clear", "drain-start", "checkpoint"} {
-		if n, ok := counts[k]; ok {
-			fmt.Fprintf(&b, "raw_router_recovery_events_total{kind=\"%s\"} %d\n", k, n)
-		}
-	}
-	return []byte(b.String())
+	b = append(b, j[1:]...)
+	return append(b, '\n')
 }

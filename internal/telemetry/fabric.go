@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -90,218 +89,100 @@ type FabricSnapshot struct {
 	BisectionUtilization float64 `json:"bisection_utilization"`
 
 	// Events is the fabric lifecycle log (chip-kill, chip-restore; Port
-	// carries the chip index), oldest first.
-	Events []EventRecord `json:"events"`
+	// carries the chip index), oldest first; EventTotals counts it by
+	// kind in trace.EventKind order.
+	Events      []EventRecord `json:"events"`
+	EventTotals []EventTotal  `json:"event_totals,omitempty"`
 }
 
-// Encode renders the snapshot in the named format ("jsonl", "csv",
-// "prom") — the same format set as chip-level Snapshot.Encode.
+// Encode renders the fabric snapshot in the named format (see Formats).
 func (s *FabricSnapshot) Encode(format string) ([]byte, error) {
-	switch format {
-	case "jsonl":
-		return s.JSONL(), nil
-	case "csv":
-		return s.CSV(), nil
-	case "prom":
-		return s.Prometheus(), nil
-	}
-	return nil, fmt.Errorf("telemetry: unknown export format %q (have %s)",
-		format, strings.Join(Formats(), ", "))
+	return encode(format, s.table, s.jsonl)
 }
 
-type jsonlFabricMeta struct {
-	Record               string  `json:"record"`
-	Schema               int     `json:"schema"`
-	Cycle                int64   `json:"cycle"`
-	Topology             string  `json:"topology"`
-	Chips                int     `json:"chips"`
-	Externals            int     `json:"externals"`
-	DeadChips            []int   `json:"dead_chips,omitempty"`
-	DeadTrunks           []int   `json:"dead_trunks,omitempty"`
-	BisectionWords       int64   `json:"bisection_words"`
-	BisectionUtilization float64 `json:"bisection_utilization"`
-}
+// table is the fabric snapshot's metric table in export order; logs
+// appends the lifecycle event log, which only CSV renders.
+func (s *FabricSnapshot) table(logs bool) []section {
+	ints := func(vs []int) string { return strings.ReplaceAll(strings.Trim(fmt.Sprint(vs), "[]"), " ", ";") }
+	fabric := section{name: "fabric", keys: []string{"topology", "dead_chips", "dead_trunks"}}
+	fabric.row([]string{s.Topology, ints(s.DeadChips), ints(s.DeadTrunks)},
+		fam("gauge", "raw_fabric_schema", "schema", "Fabric telemetry snapshot schema version.", num(int64(s.Schema))),
+		fam("gauge", "raw_fabric_cycle", "cycle", "Simulated fabric cycle at snapshot.", num(s.Cycle)),
+		fam("gauge", "raw_fabric_chips", "chips", "Chip slots in the fabric.", num(int64(s.Chips))).withLabels("topology"),
+		fam("gauge", "raw_fabric_externals", "externals", "External ports the fabric exposes.", num(int64(s.Externals))),
+		fam("gauge", "raw_fabric_dead_chips", "dead_chip_count", "Currently-killed chip slots.", num(int64(len(s.DeadChips)))),
+		fam("gauge", "raw_fabric_dead_trunks", "dead_trunk_count", "Currently-dark trunks.", num(int64(len(s.DeadTrunks)))),
+		fam("counter", "raw_fabric_bisection_words_total", "bisection_words", "Delivered words crossing the bisection cut.", num(s.BisectionWords)),
+		fam("gauge", "raw_fabric_bisection_utilization", "bisection_utilization", "Bisection occupancy (delivered words per cycle per cut capacity).", flt(s.BisectionUtilization)))
 
-type jsonlHeal struct {
-	Record string `json:"record"`
-	*HealSample
-}
-
-type jsonlTrunk struct {
-	Record string `json:"record"`
-	TrunkSample
-}
-
-// JSONL renders one JSON object per line: a meta line, one line per
-// trunk, one per lifecycle event.
-func (s *FabricSnapshot) JSONL() []byte {
-	var b strings.Builder
-	line := func(v any) {
-		j, err := json.Marshal(v)
-		if err != nil {
-			panic("telemetry: fabric JSONL marshal: " + err.Error())
-		}
-		b.Write(j)
-		b.WriteByte('\n')
-	}
-	line(jsonlFabricMeta{
-		Record: "fabric", Schema: s.Schema, Cycle: s.Cycle, Topology: s.Topology,
-		Chips: s.Chips, Externals: s.Externals, DeadChips: s.DeadChips,
-		DeadTrunks:     s.DeadTrunks,
-		BisectionWords: s.BisectionWords, BisectionUtilization: s.BisectionUtilization,
-	})
+	trunks := section{name: "trunks", keys: []string{"trunk", "dir", "a", "a_port", "b", "b_port"}, labels: []string{"trunk", "dir"}}
 	for _, t := range s.Trunks {
-		line(jsonlTrunk{Record: "trunk", TrunkSample: t})
-	}
-	if s.Heal != nil {
-		line(jsonlHeal{Record: "heal", HealSample: s.Heal})
-	}
-	for _, e := range s.Events {
-		line(jsonlEvent{Record: "event", EventRecord: e})
-	}
-	return []byte(b.String())
-}
-
-// CSV renders three headed sections (#fabric, #trunks, #events).
-func (s *FabricSnapshot) CSV() []byte {
-	var b strings.Builder
-	b.WriteString("#fabric\nschema,cycle,topology,chips,externals,dead_chips,dead_trunks,bisection_words,bisection_utilization\n")
-	ints := func(vs []int) string {
-		ss := make([]string, len(vs))
-		for i, v := range vs {
-			ss[i] = strconv.Itoa(v)
-		}
-		return strings.Join(ss, ";")
-	}
-	fmt.Fprintf(&b, "%d,%d,%s,%d,%d,%s,%s,%d,%s\n", s.Schema, s.Cycle, s.Topology,
-		s.Chips, s.Externals, ints(s.DeadChips), ints(s.DeadTrunks),
-		s.BisectionWords, csvF(s.BisectionUtilization))
-
-	b.WriteString("#trunks\ntrunk,a,a_port,b,b_port," +
-		"ab_drained,ab_delivered,ab_dropped,ab_retrans,ab_frames,ab_acked,ab_held,ab_utilization," +
-		"ba_drained,ba_delivered,ba_dropped,ba_retrans,ba_frames,ba_acked,ba_held,ba_utilization\n")
-	for _, t := range s.Trunks {
-		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%d,%d,%d,%d,%d,%d,%d,%s\n",
-			t.Trunk, t.A, t.APort, t.B, t.BPort,
-			t.Dir[0].Drained, t.Dir[0].Delivered, t.Dir[0].Dropped, t.Dir[0].Retrans,
-			t.Dir[0].Frames, t.Dir[0].Acked, t.Dir[0].Held,
-			csvF(t.Dir[0].Utilization),
-			t.Dir[1].Drained, t.Dir[1].Delivered, t.Dir[1].Dropped, t.Dir[1].Retrans,
-			t.Dir[1].Frames, t.Dir[1].Acked, t.Dir[1].Held,
-			csvF(t.Dir[1].Utilization))
-	}
-
-	if s.Heal != nil {
-		h := s.Heal
-		b.WriteString("#heal\nepochs,reroutes,retrans_frames,retrans_words,pending_frames,pending_words,injected,delivered,dup_words,partitioned\n")
-		part := 0
-		if h.Partitioned {
-			part = 1
-		}
-		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			h.Epochs, h.Reroutes, h.RetransFrames, h.RetransWords,
-			h.PendingFrames, h.PendingWords, h.Injected, h.Delivered,
-			h.DupWords, part)
-		b.WriteString("#dropped\ncause,words\n")
-		for _, d := range h.Dropped {
-			fmt.Fprintf(&b, "%s,%d\n", d.Cause, d.Words)
+		for j, d := range t.Dir {
+			trunks.row([]string{strconv.Itoa(t.Trunk), []string{"ab", "ba"}[j], strconv.Itoa(t.A), strconv.Itoa(t.APort), strconv.Itoa(t.B), strconv.Itoa(t.BPort)},
+				fam("counter", "raw_fabric_trunk_drained_words_total", "drained", "Words taken off the source chip's trunk pins.", num(d.Drained)),
+				fam("counter", "raw_fabric_trunk_delivered_words_total", "delivered", "Words delivered onto the destination chip's trunk pins.", num(d.Delivered)),
+				fam("counter", "raw_fabric_trunk_dropped_words_total", "dropped", "Words dropped on the trunk (dead endpoint or bad frame).", num(d.Dropped)),
+				fam("counter", "raw_fabric_trunk_retrans_words_total", "retrans", "Words moved into retransmit custody.", num(d.Retrans)),
+				fam("counter", "raw_fabric_trunk_frames_total", "frames", "Frames that left the trunk framer.", num(d.Frames)),
+				fam("counter", "raw_fabric_trunk_acked_total", "acked", "Frames confirmed onto the destination chip's pins.", num(d.Acked)),
+				fam("gauge", "raw_fabric_trunk_held_words", "held", "Words held in the trunk framer awaiting a whole packet.", num(d.Held)),
+				fam("gauge", "raw_fabric_trunk_utilization", "utilization", "Trunk occupancy (delivered words per cycle).", flt(d.Utilization)))
 		}
 	}
 
-	b.WriteString("#events\ncycle,chip,kind,detail\n")
-	for _, e := range s.Events {
-		fmt.Fprintf(&b, "%d,%d,%s,%s\n", e.Cycle, e.Port, e.Kind,
-			strings.ReplaceAll(e.Detail, ",", ";"))
-	}
-	return []byte(b.String())
-}
-
-// Prometheus renders the fabric plane in the text exposition format.
-func (s *FabricSnapshot) Prometheus() []byte {
-	var b strings.Builder
-	gauge := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	}
-	counter := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	}
-	gauge("raw_fabric_schema", "Fabric telemetry snapshot schema version.")
-	fmt.Fprintf(&b, "raw_fabric_schema %d\n", s.Schema)
-	gauge("raw_fabric_cycle", "Simulated fabric cycle at snapshot.")
-	fmt.Fprintf(&b, "raw_fabric_cycle %d\n", s.Cycle)
-	gauge("raw_fabric_chips", "Chip slots in the fabric.")
-	fmt.Fprintf(&b, "raw_fabric_chips{topology=%q} %d\n", s.Topology, s.Chips)
-	gauge("raw_fabric_dead_chips", "Currently-killed chip slots.")
-	fmt.Fprintf(&b, "raw_fabric_dead_chips %d\n", len(s.DeadChips))
-	gauge("raw_fabric_dead_trunks", "Currently-dark trunks.")
-	fmt.Fprintf(&b, "raw_fabric_dead_trunks %d\n", len(s.DeadTrunks))
-	counter("raw_fabric_bisection_words_total", "Delivered words crossing the bisection cut.")
-	fmt.Fprintf(&b, "raw_fabric_bisection_words_total %d\n", s.BisectionWords)
-	gauge("raw_fabric_bisection_utilization", "Bisection occupancy (delivered words per cycle per cut capacity).")
-	fmt.Fprintf(&b, "raw_fabric_bisection_utilization %s\n", promF(s.BisectionUtilization))
-
-	perDir := func(name, help string, val func(d *TrunkDirSample) string, kind string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-		for ti := range s.Trunks {
-			t := &s.Trunks[ti]
-			for d := 0; d < 2; d++ {
-				dir := "ab"
-				if d == 1 {
-					dir = "ba"
-				}
-				fmt.Fprintf(&b, "%s{trunk=\"%d\",dir=\"%s\"} %s\n", name, t.Trunk, dir, val(&t.Dir[d]))
-			}
-		}
-	}
-	i := func(v int64) string { return strconv.FormatInt(v, 10) }
-	perDir("raw_fabric_trunk_drained_words_total", "Words taken off the source chip's trunk pins.",
-		func(d *TrunkDirSample) string { return i(d.Drained) }, "counter")
-	perDir("raw_fabric_trunk_delivered_words_total", "Words delivered onto the destination chip's trunk pins.",
-		func(d *TrunkDirSample) string { return i(d.Delivered) }, "counter")
-	perDir("raw_fabric_trunk_dropped_words_total", "Words dropped on the trunk (dead endpoint or bad frame).",
-		func(d *TrunkDirSample) string { return i(d.Dropped) }, "counter")
-	perDir("raw_fabric_trunk_retrans_words_total", "Words moved into retransmit custody.",
-		func(d *TrunkDirSample) string { return i(d.Retrans) }, "counter")
-	perDir("raw_fabric_trunk_held_words", "Words held in the trunk framer awaiting a whole packet.",
-		func(d *TrunkDirSample) string { return i(d.Held) }, "gauge")
-	perDir("raw_fabric_trunk_utilization", "Trunk occupancy (delivered words per cycle).",
-		func(d *TrunkDirSample) string { return promF(d.Utilization) }, "gauge")
-
-	counter("raw_fabric_chip_events_total", "Fabric lifecycle events by kind.")
-	counts := map[string]int64{}
-	for _, e := range s.Events {
-		counts[e.Kind]++
-	}
-	for _, k := range []string{"chip-kill", "chip-restore", "trunk-kill", "trunk-restore", "heal-reroute", "partition"} {
-		if n, ok := counts[k]; ok {
-			fmt.Fprintf(&b, "raw_fabric_chip_events_total{kind=%q} %d\n", k, n)
-		}
-	}
+	tb := []section{fabric, trunks, keyed("event_totals", "kind",
+		fam("counter", "raw_fabric_chip_events_total", "count", "Fabric lifecycle events by kind."),
+		len(s.EventTotals), func(i int) (string, int64) { return s.EventTotals[i].Kind, s.EventTotals[i].Count })}
 	if h := s.Heal; h != nil {
-		counter("raw_fabric_heal_epochs_total", "Heal epochs opened (route recomputations).")
-		fmt.Fprintf(&b, "raw_fabric_heal_epochs_total %d\n", h.Epochs)
-		counter("raw_fabric_heal_reroutes_total", "Per-chip route tables swapped by healing.")
-		fmt.Fprintf(&b, "raw_fabric_heal_reroutes_total %d\n", h.Reroutes)
-		counter("raw_fabric_heal_retrans_frames_total", "Frames re-driven by trunk ARQ.")
-		fmt.Fprintf(&b, "raw_fabric_heal_retrans_frames_total %d\n", h.RetransFrames)
-		gauge("raw_fabric_heal_pending_frames", "Frames awaiting retransmission.")
-		fmt.Fprintf(&b, "raw_fabric_heal_pending_frames %d\n", h.PendingFrames)
-		counter("raw_fabric_heal_injected_words_total", "Words offered at external ports.")
-		fmt.Fprintf(&b, "raw_fabric_heal_injected_words_total %d\n", h.Injected)
-		counter("raw_fabric_heal_delivered_words_total", "Unique words delivered at external sinks.")
-		fmt.Fprintf(&b, "raw_fabric_heal_delivered_words_total %d\n", h.Delivered)
-		counter("raw_fabric_heal_dup_words_total", "Duplicate words suppressed at egress.")
-		fmt.Fprintf(&b, "raw_fabric_heal_dup_words_total %d\n", h.DupWords)
-		gauge("raw_fabric_heal_partitioned", "1 while the surviving topology is disconnected.")
-		part := 0
-		if h.Partitioned {
-			part = 1
-		}
-		fmt.Fprintf(&b, "raw_fabric_heal_partitioned %d\n", part)
-		counter("raw_fabric_heal_dropped_words_total", "End-to-end ledger drops by cause.")
-		for _, d := range h.Dropped {
-			fmt.Fprintf(&b, "raw_fabric_heal_dropped_words_total{cause=%q} %d\n", d.Cause, d.Words)
-		}
+		heal := section{name: "heal"}
+		heal.row(nil,
+			fam("counter", "raw_fabric_heal_epochs_total", "epochs", "Heal epochs opened (route recomputations).", num(h.Epochs)),
+			fam("counter", "raw_fabric_heal_reroutes_total", "reroutes", "Per-chip route tables swapped by healing.", num(h.Reroutes)),
+			fam("counter", "raw_fabric_heal_retrans_frames_total", "retrans_frames", "Frames re-driven by trunk ARQ.", num(h.RetransFrames)),
+			fam("counter", "raw_fabric_heal_retrans_words_total", "retrans_words", "Words re-driven by trunk ARQ.", num(h.RetransWords)),
+			fam("gauge", "raw_fabric_heal_pending_frames", "pending_frames", "Frames awaiting retransmission.", num(h.PendingFrames)),
+			fam("gauge", "raw_fabric_heal_pending_words", "pending_words", "Words awaiting retransmission.", num(h.PendingWords)),
+			fam("counter", "raw_fabric_heal_injected_words_total", "injected", "Words offered at external ports.", num(h.Injected)),
+			fam("counter", "raw_fabric_heal_delivered_words_total", "delivered", "Unique words delivered at external sinks.", num(h.Delivered)),
+			fam("counter", "raw_fabric_heal_dup_words_total", "dup_words", "Duplicate words suppressed at egress.", num(h.DupWords)),
+			fam("gauge", "raw_fabric_heal_partitioned", "partitioned", "1 while the surviving topology is disconnected.", flag(h.Partitioned)))
+		tb = append(tb, heal, keyed("dropped", "cause",
+			fam("counter", "raw_fabric_heal_dropped_words_total", "words", "End-to-end ledger drops by cause."),
+			len(h.Dropped), func(i int) (string, int64) { return h.Dropped[i].Cause, h.Dropped[i].Words }))
 	}
-	return []byte(b.String())
+	if logs {
+		tb = append(tb, eventLog("chip", s.Events))
+	}
+	return tb
+}
+
+// jsonl renders one JSON object per line: a meta line, one line per
+// trunk, the heal record when healing is on, one per event total and
+// one per lifecycle event.
+func (s *FabricSnapshot) jsonl() []byte {
+	b := appendRecord(nil, "fabric", struct {
+		Schema               int     `json:"schema"`
+		Cycle                int64   `json:"cycle"`
+		Topology             string  `json:"topology"`
+		Chips                int     `json:"chips"`
+		Externals            int     `json:"externals"`
+		DeadChips            []int   `json:"dead_chips,omitempty"`
+		DeadTrunks           []int   `json:"dead_trunks,omitempty"`
+		BisectionWords       int64   `json:"bisection_words"`
+		BisectionUtilization float64 `json:"bisection_utilization"`
+	}{s.Schema, s.Cycle, s.Topology, s.Chips, s.Externals, s.DeadChips, s.DeadTrunks,
+		s.BisectionWords, s.BisectionUtilization})
+	for _, t := range s.Trunks {
+		b = appendRecord(b, "trunk", t)
+	}
+	if s.Heal != nil {
+		b = appendRecord(b, "heal", s.Heal)
+	}
+	for _, e := range s.EventTotals {
+		b = appendRecord(b, "event_total", e)
+	}
+	for _, e := range s.Events {
+		b = appendRecord(b, "event", e)
+	}
+	return b
 }

@@ -1,5 +1,7 @@
 package telemetry
 
+import "repro/internal/trace"
+
 // PortCounters is the per-port counter block the router samples into a
 // snapshot: the firmware counters plus the pin-level word counts.
 type PortCounters struct {
@@ -24,42 +26,12 @@ type PortCounters struct {
 	WordsOut int64 `json:"words_out"`
 }
 
-// TileMeta is the per-tile activity block the router samples from the
-// chip's cumulative state counters.
-type TileMeta struct {
-	Tile    int    `json:"tile"`
-	Role    string `json:"role"`
-	Run     int64  `json:"run"`
-	Blocked int64  `json:"blocked"`
-	Idle    int64  `json:"idle"`
-}
-
 // MacroDisarm is one macro-step disarm cause and its declined-window
 // count (see raw.MacroCause): the engine-side histogram explaining why
 // the fast engine fell back to per-cycle stepping.
 type MacroDisarm struct {
 	Cause string `json:"cause"`
 	Count int64  `json:"count"`
-}
-
-// Meta is everything the router contributes to a snapshot (the collector
-// contributes the quantum plane). Host-side knobs are deliberately
-// absent: a snapshot — and therefore every export — is bit-for-bit
-// identical on either engine. The macro fields are the one deliberate
-// exception: they describe the host engine's macro-step engagement (always zero under the reference engine), so equivalence
-// suites normalize them out before comparing exports across engines.
-type Meta struct {
-	Cycle         int64
-	ClockHz       float64
-	DeadPort      int
-	ProbationPort int
-	Failed        bool
-	FabricLost    int64
-	MacroWindows  int64
-	MacroCycles   int64
-	MacroDisarms  []MacroDisarm
-	Ports         [NumPorts]PortCounters
-	Tiles         [NumTiles]TileMeta
 }
 
 // PortSnap is one port's full telemetry: router counters plus the
@@ -80,10 +52,15 @@ type PortSnap struct {
 	TokenWait Histogram `json:"token_wait"`
 }
 
-// TileSnap is one tile's activity counters plus the blocked-cycles-per-
-// quantum distribution.
+// TileSnap is one tile's activity: the chip's cumulative run, blocked
+// and idle cycle counts plus the collector's blocked-cycles-per-quantum
+// distribution.
 type TileSnap struct {
-	TileMeta
+	Tile              int       `json:"tile"`
+	Role              string    `json:"role"`
+	Run               int64     `json:"run"`
+	Blocked           int64     `json:"blocked"`
+	Idle              int64     `json:"idle"`
 	BlockedPerQuantum Histogram `json:"blocked_per_quantum"`
 }
 
@@ -96,9 +73,43 @@ type EventRecord struct {
 	Detail string `json:"detail,omitempty"`
 }
 
+// EventTotal is how many events of one kind were ever recorded.
+type EventTotal struct {
+	Kind  string `json:"kind"`
+	Count int64  `json:"count"`
+}
+
+// ServeSample is the serve daemon's plane: lifecycle, SLO state and the
+// per-port admission ledger. Only a daemon's snapshot carries it.
+type ServeSample struct {
+	// State is the daemon lifecycle (0 serving, 1 draining, 2 drained,
+	// 3 failed); Ready is the /readyz verdict.
+	State       int     `json:"state"`
+	Ready       bool    `json:"ready"`
+	Slice       int64   `json:"slice"`
+	SoakWindows int     `json:"soak_windows"`
+	WindowGbps  float64 `json:"window_gbps"`
+	Violations  int64   `json:"slo_violations"`
+
+	Ports [NumPorts]ServePort `json:"ports"`
+}
+
+// ServePort is one edge port's admission ledger, in words.
+type ServePort struct {
+	Port           int   `json:"port"`
+	Offered        int64 `json:"offered_words"`
+	Admitted       int64 `json:"admitted_words"`
+	Shed           int64 `json:"shed_words"`
+	DrainDiscarded int64 `json:"drain_discarded_words"`
+	Queued         int64 `json:"queue_words"`
+}
+
 // Snapshot is an immutable, versioned view of the telemetry plane. All
 // fields are values (no pointers into live state): a snapshot taken at
-// cycle C never changes as the simulation advances.
+// cycle C never changes as the simulation advances. Host-side knobs are
+// deliberately absent, so a snapshot — and every export of it — is
+// bit-for-bit identical on either engine, except for the macro fields
+// that ZeroHost clears.
 type Snapshot struct {
 	Schema        int     `json:"schema"`
 	Cycle         int64   `json:"cycle"`
@@ -111,8 +122,8 @@ type Snapshot struct {
 
 	// MacroWindows/MacroCycles/MacroDisarms surface the fast engine's
 	// macro-step engagement (zero under the reference engine). They are
-	// host-engine observability: cross-engine equivalence comparisons
-	// normalize them to zero/nil before encoding.
+	// host-engine observability: ZeroHost clears them before cross-engine
+	// comparisons.
 	MacroWindows int64         `json:"macro_windows"`
 	MacroCycles  int64         `json:"macro_cycles"`
 	MacroDisarms []MacroDisarm `json:"macro_disarms,omitempty"`
@@ -124,45 +135,48 @@ type Snapshot struct {
 	Recent []QuantumRecord `json:"recent"`
 	// Events is the typed-event flight recorder, oldest first.
 	Events []EventRecord `json:"events"`
+	// EventTotals counts every event the collector ever recorded, by
+	// kind in trace.EventKind order (kinds never seen are omitted).
+	EventTotals []EventTotal `json:"event_totals,omitempty"`
+
+	// Serve carries the daemon's plane when a serve daemon took the
+	// snapshot.
+	Serve *ServeSample `json:"serve,omitempty"`
 }
 
-// Snapshot assembles an immutable snapshot from the router's meta block
-// and the collector's accumulated plane. A nil collector yields a
-// counters-only snapshot (empty rings, zero histograms) so the exporters
-// work even with the plane disabled.
-func (c *Collector) Snapshot(m Meta) Snapshot {
-	s := Snapshot{
-		Schema:        SchemaVersion,
-		Cycle:         m.Cycle,
-		ClockHz:       m.ClockHz,
-		DeadPort:      m.DeadPort,
-		ProbationPort: m.ProbationPort,
-		Failed:        m.Failed,
-		FabricLost:    m.FabricLost,
-		MacroWindows:  m.MacroWindows,
-		MacroCycles:   m.MacroCycles,
-		MacroDisarms:  m.MacroDisarms,
+// ZeroHost clears the host-side fields — the fast engine's macro-step
+// engagement (macro_windows, macro_cycles, macro_disarms), which differs
+// between engines by design — so what remains is exactly the
+// simulation-visible surface that equivalence suites compare.
+func (s *Snapshot) ZeroHost() {
+	s.MacroWindows, s.MacroCycles, s.MacroDisarms = 0, 0, nil
+}
+
+// Snapshot returns the collector's share of a snapshot: the schema, the
+// port and tile indices, the scheduler-decision plane, both flight
+// recorders and the event totals. The router completes it with its
+// counters. A nil collector yields the counters-only skeleton (empty
+// rings, zero histograms), so the exporters work with the plane
+// disabled.
+func (c *Collector) Snapshot() Snapshot {
+	s := Snapshot{Schema: SchemaVersion}
+	for p := range s.Ports {
+		s.Ports[p].Port = p
 	}
-	for p := 0; p < NumPorts; p++ {
-		s.Ports[p] = PortSnap{Port: p, PortCounters: m.Ports[p]}
-		if m.Cycle > 0 {
-			s.Ports[p].LinkUtilization = float64(m.Ports[p].WordsOut) / float64(m.Cycle)
-		}
-	}
-	for t := 0; t < NumTiles; t++ {
-		s.Tiles[t] = TileSnap{TileMeta: m.Tiles[t]}
+	for t := range s.Tiles {
+		s.Tiles[t].Tile = t
 	}
 	if c == nil {
 		return s
 	}
 	s.Quanta = c.quanta
-	for p := 0; p < NumPorts; p++ {
+	for p := range s.Ports {
 		s.Ports[p].GrantedQuanta = c.grants[p]
 		s.Ports[p].DeniedQuanta = c.denies[p]
 		s.Ports[p].WordsGranted = c.wordsGranted[p]
 		s.Ports[p].TokenWait = c.tokenWait[p]
 	}
-	for t := 0; t < NumTiles; t++ {
+	for t := range s.Tiles {
 		s.Tiles[t].BlockedPerQuantum = c.blocked[t]
 	}
 	s.Recent = c.RecentQuanta()
@@ -171,5 +185,17 @@ func (c *Collector) Snapshot(m Meta) Snapshot {
 			Cycle: e.Cycle, Port: e.Port, Kind: e.Kind.String(), Detail: e.Detail,
 		})
 	}
+	s.EventTotals = Totals(&c.evTotals)
 	return s
+}
+
+// Totals lists the nonzero per-kind counts in trace.EventKind order.
+func Totals(n *[trace.NumEventKinds]int64) []EventTotal {
+	var out []EventTotal
+	for k, c := range n {
+		if c > 0 {
+			out = append(out, EventTotal{Kind: trace.EventKind(k).String(), Count: c})
+		}
+	}
+	return out
 }

@@ -45,7 +45,16 @@ import "repro/internal/trace"
 // disarm histogram (macro_disarms). Always zero under the reference
 // engine; excluded (normalized out) from cross-engine equivalence
 // comparisons.
-const SchemaVersion = 3
+// v4: one metric-family table renders CSV and Prometheus, so both carry
+// every family. Prometheus gains clock_hz, eight per-port counters
+// (reassembled … words_in), fabric externals, trunk frames/acked and
+// heal retrans_words/pending_words; CSV gains histogram buckets, event
+// totals and the fabric's dead counts, one section per label set
+// (#tile_cycles split from #tiles; #trunks one row per direction).
+// Event totals are kept per kind by the producer (JSONL event_total
+// records) instead of being recounted from the 64-entry ring, and a
+// daemon's snapshot carries the serve plane in every format.
+const SchemaVersion = 4
 
 // NumPorts is the paper router's port count; the plane is sized for it.
 const NumPorts = 4
@@ -122,7 +131,9 @@ type Collector struct {
 	events  []trace.Event
 	evStart int
 	evLen   int
-	evTotal int64
+	// evTotals counts every recorded event by kind; the ring above
+	// keeps only the last RingEvents of them.
+	evTotals [trace.NumEventKinds]int64
 }
 
 // New builds a collector; zero Config fields select the defaults.
@@ -221,7 +232,9 @@ func (c *Collector) RecordEvent(e trace.Event) {
 	if c == nil {
 		return
 	}
-	c.evTotal++
+	if int(e.Kind) < len(c.evTotals) {
+		c.evTotals[e.Kind]++
+	}
 	if c.evLen < len(c.events) {
 		c.events[(c.evStart+c.evLen)%len(c.events)] = e
 		c.evLen++

@@ -55,8 +55,9 @@ func TestNilCollectorSafe(t *testing.T) {
 	if c.RecentQuanta() != nil || c.RecentEvents() != nil {
 		t.Fatal("nil collector returned ring contents")
 	}
-	s := c.Snapshot(Meta{Cycle: 100})
-	if s.Cycle != 100 || s.Quanta != 0 || s.Recent != nil || s.Events != nil {
+	s := c.Snapshot()
+	if s.Schema != SchemaVersion || s.Quanta != 0 || s.Recent != nil || s.Events != nil ||
+		s.EventTotals != nil || s.Ports[3].Port != 3 || s.Tiles[15].Tile != 15 {
 		t.Fatalf("nil-collector snapshot wrong: %+v", s)
 	}
 	// All three exporters must work on a counters-only snapshot.
@@ -146,16 +147,9 @@ func TestSnapshotImmutable(t *testing.T) {
 	c := New(Config{})
 	c.RecordQuantum(QuantumSample{Quantum: 1, GrantMask: 1, ReqMask: 1,
 		FragWords: [NumPorts]int{8, 0, 0, 0}})
-	var m Meta
-	m.Cycle = 1000
-	m.Ports[0].PktsOut = 7
-	m.Ports[0].WordsOut = 500
-	s := c.Snapshot(m)
-	if s.Ports[0].PktsOut != 7 || s.Ports[0].GrantedQuanta != 1 {
+	s := c.Snapshot()
+	if s.Ports[0].GrantedQuanta != 1 || s.Ports[0].WordsGranted != 8 {
 		t.Fatalf("snapshot counters wrong: %+v", s.Ports[0])
-	}
-	if s.Ports[0].LinkUtilization != 0.5 {
-		t.Fatalf("LinkUtilization = %v, want 0.5", s.Ports[0].LinkUtilization)
 	}
 	// Mutating the collector after the snapshot must not change it.
 	c.RecordQuantum(QuantumSample{Quantum: 2, GrantMask: 1, ReqMask: 1,

@@ -75,13 +75,15 @@ const (
 	// before quiescence).
 	EvCheckpoint
 
-	numEventKinds
+	// NumEventKinds counts the kinds, EvUnknown included; telemetry
+	// sizes its per-kind totals with it and exports them in this order.
+	NumEventKinds
 )
 
 // wireNames are the stable on-the-wire names. They are frozen: golden
 // logs, telemetry exports, and the fault-grammar tests all match on these
 // exact bytes.
-var wireNames = [numEventKinds]string{
+var wireNames = [NumEventKinds]string{
 	EvUnknown:         "unknown",
 	EvLineDown:        "line-down",
 	EvLineUp:          "line-up",

@@ -288,8 +288,8 @@ func (w *Workload) sourceWithRNG(port int, rng *RNG) (Source, error) {
 
 // processSource adapts an open-loop process to the closed-loop Source
 // contract: it walks the port's arrival stream in order, dropping
-// timestamps. Used for patterns that only exist as arrivals (flows,
-// trace replay) when a closed-loop driver asks for them.
+// timestamps. Used for patterns that only exist as arrivals (flows)
+// when a closed-loop driver asks for them.
 type processSource struct {
 	proc Process
 	port int

@@ -268,7 +268,7 @@ func (w *Workload) Source(port int) (Source, error) {
 		return nil, fmt.Errorf("traffic: port %d out of range [0, %d)", port, w.Spec.Ports)
 	}
 	if w.pat.Source == nil {
-		// Open-loop-only pattern (trace replay): adapt the arrival stream,
+		// Open-loop-only pattern (flows): adapt the arrival stream,
 		// dropping timestamps.
 		proc, err := w.OpenLoop(defaultSliceCycles)
 		if err != nil {

@@ -41,6 +41,13 @@ func init() {
 		Name:     "trace",
 		Doc:      "replay a recorded TRAF1 trace file (spec field trace=FILE)",
 		Defaults: map[string]float64{},
+		Source: func(s *Spec, port int, _ *RNG) (Source, error) {
+			tr, err := LoadTrace(s.TracePath)
+			if err != nil {
+				return nil, err
+			}
+			return tr.Source(port)
+		},
 		Process: func(s *Spec, sliceCycles int64) (Process, error) {
 			tr, err := LoadTrace(s.TracePath)
 			if err != nil {
@@ -203,6 +210,40 @@ func (t *Trace) DstWords() []int64 {
 		out[a.Pkt.Dst] += int64(wordsOf(a.Pkt.SizeBytes))
 	}
 	return out
+}
+
+// Source returns a closed-loop source over one port's recorded
+// packets: it replays them in order, timestamps dropped, and starts
+// over from the first when they run out, so a closed-loop run may
+// outlast the trace. A port the trace does not name, or one it holds
+// no arrivals for, is an error.
+func (t *Trace) Source(port int) (Source, error) {
+	if port < 0 || port >= t.NumPorts {
+		return nil, fmt.Errorf("traffic: trace has %d ports, not port %d", t.NumPorts, port)
+	}
+	var pkts []Pkt
+	for i := range t.Arrivals {
+		if t.Arrivals[i].Port == port {
+			pkts = append(pkts, t.Arrivals[i].Pkt)
+		}
+	}
+	if len(pkts) == 0 {
+		return nil, fmt.Errorf("traffic: trace holds no arrivals for port %d", port)
+	}
+	return &replaySource{pkts: pkts}, nil
+}
+
+// replaySource cycles through a fixed packet list.
+type replaySource struct {
+	pkts []Pkt
+	next int
+}
+
+// Next implements Source.
+func (s *replaySource) Next() Pkt {
+	p := s.pkts[s.next]
+	s.next = (s.next + 1) % len(s.pkts)
+	return p
 }
 
 // Process returns a replay view of the trace on the given slice length

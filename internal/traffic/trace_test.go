@@ -214,3 +214,53 @@ func TestTracePattern(t *testing.T) {
 		t.Fatalf("trace pattern replayed %d arrivals, recorded %d", n, len(tr.Arrivals))
 	}
 }
+
+// TestTraceClosedLoop: a closed-loop trace source replays its port's
+// recorded packets in order and starts over when they run out, and a
+// port the trace does not name, or holds no arrivals for, is an error
+// rather than an endless search for the next arrival.
+func TestTraceClosedLoop(t *testing.T) {
+	w := traffic.MustBuild(traffic.Spec{Pattern: "uniform", Size: 256, Seed: 3, Rate: 0.5,
+		Sizes: []int{64, 1500}, Weights: []float64{3, 1}})
+	tr, err := traffic.Record(w, 4096, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "imix.traf")
+	if err := tr.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := traffic.ParseSpec("trace:" + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := traffic.MustBuild(spec)
+	var first []traffic.Pkt
+	for _, a := range tr.Arrivals {
+		if a.Port == 1 {
+			first = append(first, a.Pkt)
+		}
+	}
+	if len(first) == 0 {
+		t.Fatal("port 1 recorded no arrivals")
+	}
+	src, err := rw.Source(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*len(first); i++ {
+		if got, want := src.Next(), first[i%len(first)]; got != want {
+			t.Fatalf("packet %d (pass %d) = %+v, want %+v", i, i/len(first)+1, got, want)
+		}
+	}
+
+	spec.Ports = 16 // re-pointed past the ports the trace names
+	if _, err := traffic.MustBuild(spec).Source(9); err == nil {
+		t.Error("Source(9) on a 4-port trace re-pointed at 16 ports: no error")
+	}
+	quiet := &traffic.Trace{NumPorts: 2, Arrivals: []traffic.Arrival{tr.Arrivals[0]}}
+	quiet.Arrivals[0].Port = 0
+	if _, err := quiet.Source(1); err == nil {
+		t.Error("Source of a port with no arrivals: no error")
+	}
+}

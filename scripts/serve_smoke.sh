@@ -83,6 +83,18 @@ code="$(fetch /metrics "$TMP/metrics.txt")"
 [ "$code" = 200 ] || fail "/metrics returned $code"
 grep -q '^raw_router_serve_state ' "$TMP/metrics.txt" || fail "/metrics lacks the serve-plane series"
 grep -q '^raw_router_quanta_total ' "$TMP/metrics.txt" || fail "/metrics lacks the router telemetry series"
+grep -q '^raw_router_reprobes_total{' "$TMP/metrics.txt" || fail "/metrics lacks the line-reprobe series"
+grep -q '^raw_router_words_in_total{' "$TMP/metrics.txt" || fail "/metrics lacks the input-word series"
+# Every /metrics format carries the serve plane, not just Prometheus.
+code="$(fetch '/metrics?format=csv' "$TMP/metrics.csv")"
+[ "$code" = 200 ] || fail "/metrics?format=csv returned $code"
+grep -q '^#serve$' "$TMP/metrics.csv" || fail "CSV /metrics lacks the serve section"
+grep -q '^port,offered_words,admitted_words,shed_words,drain_discarded_words,queue_words$' "$TMP/metrics.csv" \
+    || fail "CSV /metrics lacks the serve ingest ledger"
+code="$(fetch '/metrics?format=jsonl' "$TMP/metrics.jsonl")"
+[ "$code" = 200 ] || fail "/metrics?format=jsonl returned $code"
+grep -q '^{"record":"serve","state":[0-9].*"offered_words":' "$TMP/metrics.jsonl" \
+    || fail "JSONL /metrics lacks the serve record"
 
 echo "== serve smoke: degrade flips readiness, SLO gate trips =="
 # The frozen crossbar degrades port 1 shortly after cycle 30000; /readyz
