@@ -16,9 +16,10 @@ import (
 // stats, dead/failed state, output words, quanta, and delivered
 // payloads; same final checkpoint bytes; same telemetry exports. Both
 // matrices install a fault plane, which declares its due cycles like any
-// other declarer: the fast engine steps each cycle a fault is active or
-// a corrupt tap pending one at a time and macro-steps the cycles between
-// faults. So every chaos scenario must open macro windows, and the
+// other declarer: the fast engine steps each cycle a fault is active one
+// at a time and macro-steps the cycles between faults, passing the words
+// a window pops through the corruption taps. So every chaos scenario
+// must open macro windows, and the
 // comparisons (the soak matrix's byte-for-byte checkpoints included)
 // cover both paths under faults.
 // Macro engagement counters themselves (StatsSnapshot/telemetry macro

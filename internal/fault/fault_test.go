@@ -278,8 +278,9 @@ func TestDisabledPlaneIsInert(t *testing.T) {
 // macro windows rely on: each cycle a timed event is active is due (a
 // flap over its whole span, healthy gaps included; a crash forever), an
 // earlier cycle is due at the event's Start, a cycle after every event
-// ends is not, and a drop tap, which counts pushes made between Run
-// calls, never makes the plane due.
+// ends is not, and a tap never makes the plane due: a drop tap counts
+// pushes made between Run calls, and windows pass every popped word
+// through CorruptPop.
 func TestInjectorNextDue(t *testing.T) {
 	cases := []struct {
 		sched string
@@ -306,15 +307,22 @@ func TestInjectorNextDue(t *testing.T) {
 		}
 	}
 
-	// A corrupt tap keeps the plane due until its word is popped: a
-	// macro window pops without counting.
+	// A pending corrupt tap never makes the plane due: a macro window
+	// passes every word it pops through CorruptPop, so the tap fires
+	// inside the window exactly where a stepped cycle would fire it.
 	inj := NewInjector(MustParse("corrupt:t0.w.w3.b5;link@100+50:t0.w"), 16)
 	for pop := 0; pop < 4; pop++ {
-		if got := inj.NextDue(7); got != 7 {
-			t.Fatalf("after %d pops: NextDue(7) = %d, want 7 (tap pending)", pop, got)
+		if got := inj.NextDue(7); got != 100 {
+			t.Fatalf("after %d pops: NextDue(7) = %d, want 100 (the link stall)", pop, got)
 		}
 		inj.CorruptPop(0, raw.DirN, 0, 0) // another link: counts nothing here
-		inj.CorruptPop(0, raw.DirW, 0, 0)
+		want := raw.Word(0)
+		if pop == 3 {
+			want = 1 << 5
+		}
+		if got := inj.CorruptPop(0, raw.DirW, 0, 0); got != want {
+			t.Fatalf("pop %d on the tapped link = %#x, want %#x", pop, got, want)
+		}
 	}
 	if got := inj.NextDue(7); got != 100 {
 		t.Fatalf("tap consumed: NextDue(7) = %d, want 100", got)

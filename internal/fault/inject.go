@@ -44,8 +44,6 @@ type Injector struct {
 
 	pops   map[linkKey]*popTap
 	pushes map[linkKey]*pushTap
-	// unpopped counts the corrupt taps whose word has not been popped.
-	unpopped int
 }
 
 var _ raw.FaultPlane = (*Injector)(nil)
@@ -81,7 +79,6 @@ func NewInjector(s *Schedule, numTiles int) *Injector {
 				inj.pops[k] = t
 			}
 			t.taps = insertByWordIdx(t.taps, e)
-			inj.unpopped++
 		case KindDrop:
 			k := linkKey{e.Tile, e.Dir, e.Net}
 			t := inj.pushes[k]
@@ -153,13 +150,10 @@ func (inj *Injector) BeginCycle(cycle int64) {
 
 // NextDue implements raw.Due from the schedule, since BeginCycle does not
 // run inside a macro window: cycle while a timed event is active (a flap
-// over its whole span, a crash forever) or a corrupt tap is unpopped
-// (windows pop without counting), else the next Start, or -1. Drop taps
-// count pushes made between Run calls and never make the plane due.
+// over its whole span, a crash forever), else the next Start, or -1.
+// Taps never make the plane due: macro windows pass every popped word
+// through CorruptPop, and drop taps count pushes made between Run calls.
 func (inj *Injector) NextDue(cycle int64) int64 {
-	if inj.unpopped > 0 {
-		return cycle
-	}
 	for i := range inj.timed {
 		e := &inj.timed[i]
 		if e.Start > cycle {
@@ -200,7 +194,6 @@ func (inj *Injector) CorruptPop(tile int, d raw.Dir, net int, w raw.Word) raw.Wo
 			w ^= 1 << t.taps[t.next].Bit
 		}
 		t.next++
-		inj.unpopped--
 	}
 	return w
 }

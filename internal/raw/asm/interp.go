@@ -43,10 +43,10 @@ func (it *Interp) SetReg(n int, v raw.Word) {
 func (it *Interp) Halted() bool { return it.halted }
 
 // Quiesced implements raw.Quiescer: once halted is latched, Refill is a
-// permanent no-op with no side effects, so the fast engine may put the
-// tile on its skip list (and macro-step past it). The halt latch is
-// sticky — nothing in the interpreter clears it short of loading a new
-// program, which reinstalls firmware and rebuilds the engine bindings.
+// permanent no-op with no side effects, so the fast engine may macro-step
+// past the idle tile. The halt latch is sticky — nothing in the
+// interpreter clears it short of loading a new program, which reinstalls
+// firmware and rebuilds the engine bindings.
 func (it *Interp) Quiesced() bool { return it.halted }
 
 // PC returns the index of the next instruction to lower. Except after a

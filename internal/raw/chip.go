@@ -74,8 +74,8 @@ type Chip struct {
 	rec *recorder
 
 	// engine selects the cycle-stepping implementation; fe is the fast
-	// engine's derived state (compiled bindings, skip list), rebuilt on
-	// demand when feDirty (see engine.go, fast.go).
+	// engine's derived state (compiled bindings, macro-step scratch),
+	// rebuilt on demand when feDirty (see engine.go, fast.go).
 	engine  Engine
 	fe      *fastEngine
 	feDirty bool
@@ -282,20 +282,11 @@ func (c *Chip) Step() {
 	}
 	if fe != nil {
 		fp := c.faults
-		for i, t := range c.tiles {
+		for _, t := range c.tiles {
 			if fp != nil && fp.TileFrozen(t.id) {
 				continue
 			}
-			if fe.asleep[i] {
-				// The whole reference step of a quiescent tile is
-				// one idle-state count (see tileQuiescent).
-				t.exec.counts[StateIdle]++
-				continue
-			}
 			fe.stepTile(t)
-			if fe.tileQuiescent(t) {
-				fe.asleep[i] = true
-			}
 		}
 	} else {
 		for _, t := range c.tiles {
@@ -314,12 +305,8 @@ func (c *Chip) Step() {
 	for _, b := range c.bindings {
 		arrived := b.outBuf
 		b.outBuf = nil
-		inj := b.dev.Tick(c.cycle, arrived)
-		for _, w := range inj {
+		for _, w := range b.dev.Tick(c.cycle, arrived) {
 			b.in.Push(w)
-		}
-		if len(inj) > 0 {
-			c.wakeTile(b.tile)
 		}
 	}
 	for _, h := range c.stepHooks {

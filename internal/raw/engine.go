@@ -17,9 +17,10 @@ const (
 	EngineRef Engine = iota
 	// EngineFast is the compiled engine: switch programs are flattened
 	// into dense per-pc route tables at install time, queue endpoints are
-	// resolved to concrete ring buffers once per configuration, quiescent
-	// tiles sit on a skip list, and eligible steady-state streaming loops
-	// advance many cycles per dispatch (see macro.go).
+	// resolved to concrete ring buffers once per configuration, and
+	// windows in which every processor is idle or blocked and every
+	// switch streams, stalls or has halted advance many cycles per
+	// dispatch (see macro.go).
 	EngineFast
 )
 
@@ -60,7 +61,7 @@ func (c *Chip) SetEngine(e Engine) {
 func (c *Chip) Engine() Engine { return c.engine }
 
 // invalidateFast marks the fast engine's derived state (queue bindings,
-// compiled-program attachments, the idle-tile skip list) stale. It is
+// compiled-program attachments, cached firmware capabilities) stale. It is
 // called by every reconfiguration entry point — reprogramming, firmware
 // swaps, device attachment, fault installation, hook registration — and the
 // next fast Step rebuilds. Cheap enough to call unconditionally.

@@ -355,6 +355,37 @@ func TestFastEngineStreamingSteadyState(t *testing.T) {
 	}
 }
 
+// TestFastEngineBlockedFirmwareWindows: live firmware whose processor
+// is blocked at its current micro-op must not close macro windows. Tile
+// (1,3)'s firmware enqueues one Recv that its halted switch never
+// satisfies, so the processor stalls forever without refilling; the
+// fast engine must still macro-step the streaming rows and match the
+// reference interpreter.
+func TestFastEngineBlockedFirmwareWindows(t *testing.T) {
+	run := func(eng raw.Engine) (*raw.Chip, string) {
+		chip := streamChip(eng)
+		chip.TileAt(1, 3).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec) {
+			e.Recv(nil)
+		}))
+		for y := 0; y < 3; y++ {
+			in := chip.StaticIn(chip.TileAt(0, y).ID(), raw.DirW)
+			for i := 0; i < 700; i++ {
+				in.Push(raw.Word(i + 1))
+			}
+		}
+		chip.Run(1500)
+		return chip, streamFingerprint(chip)
+	}
+	_, want := run(raw.EngineRef)
+	chip, got := run(raw.EngineFast)
+	if got != want {
+		t.Fatalf("blocked firmware diverged\n%s", firstDiff(want, got))
+	}
+	if windows, _ := chip.MacroStats(); windows == 0 {
+		t.Fatalf("no macro window opened with a blocked live firmware (disarms %v)", chip.MacroDisarms())
+	}
+}
+
 // TestFastEngineStreamingRunSlicing: macro windows must not depend on
 // how Run is sliced — 1×6000 cycles, 6000×1, and ragged slices must all
 // land in the same state, and RunUntil (which may not macro-step, its

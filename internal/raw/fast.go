@@ -18,13 +18,6 @@ package raw
 //     resolved, plus an early exit when no worm is active and no input
 //     has a word — the common case on a lightly loaded mesh, and ~800
 //     interface calls per cycle in the reference engine.
-//   - Tiles whose processor, switches, and routers are all provably
-//     quiescent go on a skip list (asleep); a sleeping tile's whole
-//     cycle is one idle-state counter increment, exactly what the
-//     reference engine's step would have done. Any event that can
-//     re-activate a tile — a dynamic-network delivery, a device
-//     injection, new micro-ops, reprogramming — wakes it or rebuilds
-//     the bindings.
 //
 // Because the fast engine mutates the same swState/Exec/dynRouter/fifo
 // objects the reference engine does, checkpoints, digests, telemetry
@@ -40,26 +33,11 @@ package raw
 // Quiescer is an optional Firmware extension. Quiesced reports that the
 // firmware has permanently finished: Refill will enqueue nothing and has
 // no side effects, now and on every future cycle, until the executor is
-// reconfigured (SetFirmware/Reset). The fast engine uses it to let tiles
-// running halted programs sleep; firmware that cannot promise stickiness
-// must not implement it.
+// reconfigured (SetFirmware/Reset). The macro-step scan uses it to admit
+// an idle tile whose halted program would refill nothing; firmware that
+// cannot promise stickiness must not implement it.
 type Quiescer interface {
 	Quiesced() bool
-}
-
-// SteadyFirmware is an optional Firmware extension for live state
-// machines that cannot quiesce but can declare steady phases.
-// SteadyState reports that the firmware's compiled cycle-cost schedule
-// (see internal/router's firmware schedules) is currently in a phase
-// whose per-cycle profile is constant — every queued micro-op either
-// blocks without side effects or moves words at a fixed one-cycle-per-
-// word rate — so the macro-step flow analysis may reason about the tile
-// while the firmware is mid-quantum. Firmware in a non-steady phase
-// (multi-cycle-per-word buffering, cache probes, cryptographic
-// transforms) must return false and falls back to per-cycle stepping.
-type SteadyFirmware interface {
-	Firmware
-	SteadyState() bool
 }
 
 // swBind is one static switch's compiled execution context: the switch
@@ -98,12 +76,10 @@ type dynBind struct {
 	// outF is the delivery fifo per output (recv for DirP, the neighbor's
 	// input for internal links; nil at the boundary). outEdge is the
 	// attached device binding for boundary outputs (nil when unattached:
-	// words fall off the pins, as in Chip.dynEdgeOut). outTile is the
-	// receiving tile per internal output, for the wake hook.
+	// words fall off the pins, as in Chip.dynEdgeOut).
 	outF        [numDirs]*fifo
 	outEdge     [numDirs]*dynBinding
 	outBoundary [numDirs]bool
-	outTile     [numDirs]int32
 }
 
 // declarer is one Due on the chip and the cause its clamp counts under.
@@ -119,14 +95,8 @@ type fastEngine struct {
 	dy []dynBind // [tile*numDynNets + net]
 
 	// fwq caches each tile firmware's Quiescer, nil when the firmware
-	// does not implement it (or there is none). sfw is the analogous
-	// cache for SteadyFirmware (live state machines with declared steady
-	// phases).
+	// does not implement it (or there is none).
 	fwq []Quiescer
-	sfw []SteadyFirmware
-
-	// asleep is the idle-tile skip list.
-	asleep []bool
 
 	// due lists the chip's declarers; busy is procsInert's first tile.
 	due  []declarer
@@ -154,8 +124,6 @@ func buildFastEngine(c *Chip) *fastEngine {
 		sw:        make([]swBind, n*NumStaticNets),
 		dy:        make([]dynBind, n*numDynNets),
 		fwq:       make([]Quiescer, n),
-		sfw:       make([]SteadyFirmware, n),
-		asleep:    make([]bool, n),
 		macroOn:   make([]bool, n*NumStaticNets),
 		macroSrcM: make([]uint8, n*NumStaticNets),
 		macroDstM: make([]uint8, n*NumStaticNets),
@@ -174,13 +142,8 @@ func buildFastEngine(c *Chip) *fastEngine {
 		fe.due = append(fe.due, declarer{c.cfg.Tracer, MacroTracer})
 	}
 	for _, t := range c.tiles {
-		if fw := t.exec.fw; fw != nil {
-			if q, ok := fw.(Quiescer); ok {
-				fe.fwq[t.id] = q
-			}
-			if s, ok := fw.(SteadyFirmware); ok {
-				fe.sfw[t.id] = s
-			}
+		if q, ok := t.exec.fw.(Quiescer); ok {
+			fe.fwq[t.id] = q
 		}
 		for net := 0; net < NumStaticNets; net++ {
 			b := &fe.sw[t.id*NumStaticNets+net]
@@ -232,23 +195,11 @@ func buildFastEngine(c *Chip) *fastEngine {
 				} else {
 					nb := t.neighbor(d)
 					b.outF[d] = nb.dyn[net].in[d.Opposite()].(*fifo)
-					b.outTile[d] = int32(nb.id)
 				}
 			}
 		}
 	}
 	return fe
-}
-
-// wake removes a tile from the skip list.
-func (fe *fastEngine) wake(tile int32) { fe.asleep[tile] = false }
-
-// wakeTile is the chip-level wake hook for events originating outside
-// the cycle loop (micro-op enqueues, device injections).
-func (c *Chip) wakeTile(tile int) {
-	if fe := c.fe; fe != nil {
-		fe.asleep[tile] = false
-	}
 }
 
 // stepTile advances one tile's engines one cycle under the compiled
@@ -264,51 +215,8 @@ func (fe *fastEngine) stepTile(t *Tile) {
 	fe.sw[i].step(fp, cyc)
 	fe.sw[i+1].step(fp, cyc)
 	j := t.id * numDynNets
-	fe.dy[j].step(fe)
-	fe.dy[j+1].step(fe)
-}
-
-// tileQuiescent reports whether the tile can join the skip list: the
-// processor is idle with no queued work and permanently-finished (or no)
-// firmware, both switches have halted, and both dynamic routers have no
-// active worm and empty inputs. A sleeping tile's reference step would
-// be exactly one setState(StateIdle) — which the skip path replays.
-// Check order is cheapest-reject-first: busy tiles (the router workload)
-// exit on the processor or switch checks in a few loads.
-func (fe *fastEngine) tileQuiescent(t *Tile) bool {
-	e := t.exec
-	if len(e.ops) != 0 || e.head != 0 || e.state != StateIdle {
-		return false
-	}
-	if !t.st[0].sw.halted || !t.st[1].sw.halted {
-		return false
-	}
-	if e.fw != nil {
-		q := fe.fwq[t.id]
-		if q == nil || !q.Quiesced() {
-			return false
-		}
-	}
-	for net := 0; net < numDynNets; net++ {
-		r := t.dyn[net]
-		b := &fe.dy[t.id*numDynNets+net]
-		for d := DirN; d < numDirs; d++ {
-			if r.lock[d].active {
-				return false
-			}
-			// Occupancy including this cycle's staged pushes from
-			// neighbors: a word landing now must wake the router next
-			// cycle, so it blocks sleep.
-			if b.inF[d] != nil {
-				if b.inF[d].Len() != 0 {
-					return false
-				}
-			} else if b.inU[d].Len() != 0 {
-				return false
-			}
-		}
-	}
-	return true
+	fe.dy[j].step()
+	fe.dy[j+1].step()
 }
 
 // --- compiled static switch step -------------------------------------
@@ -514,7 +422,7 @@ func (b *dynBind) dstReady(d Dir) bool {
 	return b.outF[d].CanPush()
 }
 
-func (b *dynBind) deliver(fe *fastEngine, d Dir, w Word) {
+func (b *dynBind) deliver(d Dir, w Word) {
 	r := b.r
 	r.moves++
 	if b.outBoundary[d] {
@@ -524,16 +432,13 @@ func (b *dynBind) deliver(fe *fastEngine, d Dir, w Word) {
 		return
 	}
 	b.outF[d].Push(w)
-	if d != DirP {
-		fe.wake(b.outTile[d])
-	}
 }
 
 // step mirrors dynRouter.step over the resolved bindings, with one added
 // early exit: a router with no active worm and no poppable input cannot
 // change any state this cycle (the reference loop would scan all 25
 // output×input pairs through interface calls to conclude the same).
-func (b *dynBind) step(fe *fastEngine) {
+func (b *dynBind) step() {
 	r := b.r
 	if !r.lock[0].active && !r.lock[1].active && !r.lock[2].active &&
 		!r.lock[3].active && !r.lock[4].active &&
@@ -545,7 +450,7 @@ func (b *dynBind) step(fe *fastEngine) {
 		l := &r.lock[out]
 		if l.active {
 			if b.canPop(l.input) && b.dstReady(out) {
-				b.deliver(fe, out, b.pop(l.input))
+				b.deliver(out, b.pop(l.input))
 				l.remaining--
 				if l.remaining == 0 {
 					l.active = false
@@ -563,7 +468,7 @@ func (b *dynBind) step(fe *fastEngine) {
 			if r.route(h) != out || !b.dstReady(out) {
 				continue
 			}
-			b.deliver(fe, out, b.pop(inDir))
+			b.deliver(out, b.pop(inDir))
 			_, _, plen := DecodeDynHeader(h)
 			if plen > 0 {
 				l.active = true

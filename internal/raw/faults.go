@@ -5,8 +5,9 @@ package raw
 // choke points; every hook is nil-guarded so an un-faulted chip pays one
 // predictable branch per call site and nothing else.
 //
-// NextDue (see Due) must cover every cycle with a fault active or a
-// counted pop pending: macro windows never consult the plane.
+// NextDue (see Due) must cover every cycle with a fault active: macro
+// windows consult only CorruptPop, once per word they pop, in the same
+// per-link order stepped cycles would.
 // The other methods are called from within a simulated cycle and must be
 // read-only with respect to state shared across tiles: BeginCycle runs
 // once per stepped cycle before any tile steps, and is the only place

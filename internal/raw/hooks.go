@@ -40,8 +40,8 @@ const (
 	// MacroBudget: the caller's remaining cycle budget was below the
 	// minimum worthwhile window.
 	MacroBudget MacroCause = iota
-	// MacroFaults: a fault is active or a corrupt tap pending, or the
-	// next fault starts within the minimum window.
+	// MacroFaults: a fault is active, or the next fault starts within
+	// the minimum window.
 	MacroFaults
 	// MacroPerCycleHook is no longer counted: the per-cycle hook it
 	// attributed was removed, leaving step hooks (MacroHookDue) as the one
@@ -59,8 +59,8 @@ const (
 	// MacroExecBusy: a tile processor is mid-operation (computing, moving
 	// words, or about to refill) rather than provably blocked or idle.
 	MacroExecBusy
-	// MacroFirmware: a tile's firmware is neither quiesced nor in a
-	// declared steady state (see SteadyFirmware).
+	// MacroFirmware: a tile's live (not quiesced) firmware has nothing
+	// queued, so its processor would refill next cycle.
 	MacroFirmware
 	// MacroDynActive: a dynamic router has an active worm or a pending
 	// input word.

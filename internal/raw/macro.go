@@ -24,11 +24,10 @@ package raw
 //     already Idle, firmware absent or permanently quiesced) or provably
 //     blocked at its current micro-op: parked on an empty receive queue
 //     or a full send queue whose counter-party is itself frozen for the
-//     window. A blocked processor never calls Refill, so its firmware
-//     cannot act; live (non-quiesced) firmware is additionally required
-//     to declare its compiled schedule in a steady state (see
-//     SteadyFirmware) so the blocked profile is trustworthy by
-//     construction, not just by inspection.
+//     window. A blocked processor runs no closure and never calls
+//     Refill, so the phase its firmware is in cannot matter; live
+//     firmware is declined only when nothing is queued, since the next
+//     step would refill.
 //   - Every dynamic router has no active worm and empty inputs.
 //   - Every static switch is halted, admitted as a streamer, or frozen.
 //     A streamer is a fireable self-perpetuating route loop — a SwJump
@@ -60,8 +59,9 @@ package raw
 // completes), frozen switches accrue K stalls, every processor accrues K
 // cycles of its blocked (or idle) state, edge sinks receive words with
 // exact cycle stamps, unbounded pops advance the taken counter per word,
-// touched queues re-arm their start-of-cycle snapshots, and the chip
-// cycle advances by K. Checkpoint digests cover all of this, so the
+// every popped word passes the fault plane's CorruptPop as a stepped pop
+// would, touched queues re-arm their start-of-cycle snapshots, and the
+// chip cycle advances by K. Checkpoint digests cover all of this, so the
 // equivalence suite verifies macro windows bit for bit.
 
 const (
@@ -124,23 +124,16 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 	}
 
 	// Pass 1: classify every other engine on the chip (procsInert has
-	// classified the processors) — firmware steady, dynamic routers
+	// classified the processors) — live firmware blocked, dynamic routers
 	// inert, switches halted, streaming, or frozen — collecting the
 	// admitted streamers with their route masks.
 	for _, t := range c.tiles {
-		if e := t.exec; e.fw != nil {
-			q := fe.fwq[t.id]
-			if q == nil || !q.Quiesced() {
-				// Live firmware: only a blocked processor keeps Refill
-				// (and its side effects) off the window's cycles, and
-				// only a declared steady phase makes the blocked
-				// profile trustworthy.
-				if len(e.ops) == 0 {
-					return abort(MacroFirmware)
-				}
-				if s := fe.sfw[t.id]; s == nil || !s.SteadyState() {
-					return abort(MacroFirmware)
-				}
+		if e := t.exec; e.fw != nil && len(e.ops) == 0 {
+			// An idle processor refills next cycle: only firmware that
+			// has permanently quiesced keeps Refill (and its side
+			// effects) off the window's cycles.
+			if q := fe.fwq[t.id]; q == nil || !q.Quiesced() {
+				return abort(MacroFirmware)
 			}
 		}
 		for net := 0; net < numDynNets; net++ {
@@ -331,7 +324,7 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 	}
 
 	// Execute the window.
-	cyc := c.cycle
+	cyc, fp := c.cycle, c.faults
 	for i := int64(0); i < k; i++ {
 		for _, idx := range plan {
 			b := &fe.sw[idx]
@@ -344,7 +337,7 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 				sd := cp.src[j]
 				if have&(1<<sd) == 0 {
 					have |= 1 << sd
-					val[sd] = b.macroPop(Dir(sd))
+					val[sd] = b.macroPop(fp, Dir(sd))
 				}
 			}
 			for j := lo; j < hi; j++ {
@@ -535,24 +528,30 @@ func (fe *fastEngine) macroReaderActive(b *swBind, d Dir) bool {
 // macroPop pops one committed word, replicating what one cycle's staged
 // pop plus commit would do to the ring (fifo: lazy head advance with
 // reset-on-drain; edge queue: head advance, taken count, amortized
-// compaction). Occupancy ≥ 1 is guaranteed by the window bound.
-func (b *swBind) macroPop(d Dir) Word {
+// compaction), and passes it through the fault plane's corruption taps
+// as swBind.pop does (a window never pops the processor port).
+// Occupancy ≥ 1 is guaranteed by the window bound.
+func (b *swBind) macroPop(fp FaultPlane, d Dir) Word {
+	var w Word
 	if f := b.srcF[d]; f != nil {
-		w := f.buf[f.head]
+		w = f.buf[f.head]
 		f.head++
 		if f.head == len(f.buf) {
 			f.buf = f.buf[:0]
 			f.head = 0
 		}
-		return w
+	} else {
+		u := b.srcU[d]
+		w = u.buf[u.head]
+		u.head++
+		u.taken++
+		if u.head >= 64 && u.head*2 >= len(u.buf) {
+			u.buf = u.buf[:copy(u.buf, u.buf[u.head:])]
+			u.head = 0
+		}
 	}
-	u := b.srcU[d]
-	w := u.buf[u.head]
-	u.head++
-	u.taken++
-	if u.head >= 64 && u.head*2 >= len(u.buf) {
-		u.buf = u.buf[:copy(u.buf, u.buf[u.head:])]
-		u.head = 0
+	if fp != nil {
+		w = fp.CorruptPop(int(b.tid), d, int(b.net), w)
 	}
 	return w
 }

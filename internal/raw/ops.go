@@ -114,16 +114,7 @@ func (e *Exec) Utilization() float64 {
 	return float64(e.counts[StateRun]) / float64(tot)
 }
 
-func (e *Exec) push(op microOp) {
-	if len(e.ops) == 0 && e.head == 0 {
-		// First op after running dry: if the fast engine put this tile on
-		// its skip list (testbench enqueues between cycles), wake it.
-		// wakeTile writes only in sequential mode; mid-cycle firmware
-		// refills reach here too, but then the tile is awake already.
-		e.tile.chip.wakeTile(e.tile.id)
-	}
-	e.ops = append(e.ops, op)
-}
+func (e *Exec) push(op microOp) { e.ops = append(e.ops, op) }
 
 // Compute enqueues n cycles of pure computation.
 func (e *Exec) Compute(n int) {

@@ -15,10 +15,6 @@ type xbarFW struct {
 	port int
 	prog *XbarProgram
 
-	// phase indexes xbarSteady. Written only while the tile executes
-	// firmware ops, read by the macro-stepper between cycles.
-	phase int
-
 	token int
 	dwell int
 	hdrs  [4]raw.Word
@@ -49,12 +45,7 @@ type xbarFW struct {
 	lastWords [4]int
 }
 
-// SteadyState implements raw.SteadyFirmware: xbarSteady says whether the
-// current phase presents a constant per-cycle profile.
-func (x *xbarFW) SteadyState() bool { return xbarSteady[x.phase] }
-
 func (x *xbarFW) Refill(e *raw.Exec) {
-	x.phase = xbarPhaseHdr
 	// Headers arrive own-first, then from 1, 2, 3 hops clockwise-upstream.
 	// The degraded exchange delivers only the two surviving neighbors, in
 	// an order that depends on where the hole is (see
@@ -92,7 +83,6 @@ func (x *xbarFW) decide(e *raw.Exec) {
 		x.decideMixed(e)
 		return
 	}
-	x.phase = xbarPhaseStream
 	var hdrs [4]rotor.Hdr
 	var prios [4]uint8
 	for i, w := range x.hdrs {
@@ -164,7 +154,6 @@ func (x *xbarFW) decide(e *raw.Exec) {
 // decideMixed is the §8.6 variant: member-mask requests through the
 // mixed allocator and the 51-routine jump table.
 func (x *xbarFW) decideMixed(e *raw.Exec) {
-	x.phase = xbarPhaseStream
 	reqs := make([]rotor.McastReq, 4)
 	for i, w := range x.hdrs {
 		reqs[i] = McastReqOf(w)

@@ -15,22 +15,13 @@ type egressFW struct {
 	port int
 	prog *EgressProgram
 
-	// phase indexes egrSteady. Written only while the tile executes
-	// firmware ops, read by the macro-stepper between cycles.
-	phase int
-
 	// Reassembly buffers, one per source port.
 	buf  [4][]raw.Word
 	hdrW raw.Word
 }
 
-// SteadyState implements raw.SteadyFirmware: egrSteady says whether the
-// current phase presents a constant per-cycle profile.
-func (f *egressFW) SteadyState() bool { return egrSteady[f.phase] }
-
 func (f *egressFW) Refill(e *raw.Exec) {
 	// Wait for the next egress header (stalls across idle quanta).
-	f.phase = egrPhaseHdr
 	e.WriteSwitchPC(func() raw.Word { return f.prog.Hdr })
 	e.Recv(func(w raw.Word) { f.hdrW = w })
 	e.Then(func(e *raw.Exec) {
@@ -58,7 +49,6 @@ func (f *egressFW) Refill(e *raw.Exec) {
 			// the paper's peak numbers). The pc goes first: the switch
 			// consumes the count register only once it is inside the
 			// routine, so pc-then-counts is the deadlock-free order.
-			f.phase = egrPhaseCut
 			e.WriteSwitchPC(func() raw.Word { return f.prog.Cut })
 			e.WriteSwitchCount(func() raw.Word { return raw.Word(fragLen) })
 			e.WriteSwitchCount(func() raw.Word { return raw.Word(pad) })
@@ -68,7 +58,6 @@ func (f *egressFW) Refill(e *raw.Exec) {
 		default:
 			// Reassembly path: buffer the fragment (2 cycles/word into
 			// local data memory, §4.4), stream the packet once complete.
-			f.phase = egrPhaseAsm
 			e.WriteSwitchPC(func() raw.Word { return f.prog.Asm })
 			e.WriteSwitchCount(func() raw.Word { return raw.Word(l) })
 			e.RecvN(func() int { return l }, 2, func(i int, w raw.Word) {
@@ -80,7 +69,6 @@ func (f *egressFW) Refill(e *raw.Exec) {
 			if last {
 				e.Then(func(e *raw.Exec) {
 					total := len(f.buf[src])
-					f.phase = egrPhaseOut
 					e.WriteSwitchPC(func() raw.Word { return f.prog.Out })
 					e.WriteSwitchCount(func() raw.Word { return raw.Word(total) })
 					e.SendN(func() int { return total },
@@ -122,7 +110,6 @@ func (f *egressFW) quiet() bool {
 // per-word stream cipher to the payload (the IP header stays in the
 // clear so the next hop can route), and forwards to the pin.
 func (f *egressFW) cryptoForward(e *raw.Exec, fragLen, pad int) {
-	f.phase = egrPhaseCrypto
 	e.WriteSwitchPC(func() raw.Word { return f.prog.Forward })
 	e.WriteSwitchCount(func() raw.Word { return raw.Word(fragLen + pad) })
 	e.WriteSwitchCount(func() raw.Word { return raw.Word(fragLen) })

@@ -18,10 +18,6 @@ type ingressFW struct {
 	port int
 	prog *IngressProgram
 
-	// phase indexes ingSteady. Written only while the tile executes
-	// firmware ops, read by the macro-stepper between cycles.
-	phase int
-
 	// Current packet state.
 	hdrWords  [5]raw.Word
 	havePkt   bool
@@ -87,20 +83,14 @@ const lineDownStrikes = 3
 // simulated time between probes at the default quantum).
 const reprobeAttCap = 16
 
-// SteadyState implements raw.SteadyFirmware: ingSteady says whether the
-// current phase presents a constant per-cycle profile.
-func (f *ingressFW) SteadyState() bool { return ingSteady[f.phase] }
-
 func (f *ingressFW) Refill(e *raw.Exec) {
 	if f.lineDown {
 		// A down line stops draining and acquiring; with reprobe armed it
 		// periodically checks whether the line resumed talking.
-		f.phase = ingPhaseDown
 		f.lineDownQuantum(e)
 		return
 	}
 	if f.pendingDrain > 0 {
-		f.phase = ingPhaseDrain
 		f.drainPending(e)
 		return
 	}
@@ -112,11 +102,9 @@ func (f *ingressFW) Refill(e *raw.Exec) {
 		// Restore drain (pause) or post-restore probation: decline new
 		// packets but keep playing idle quanta — the header exchange and
 		// the watchdog's progress heartbeat must stay alive.
-		f.phase = ingPhaseIdle
 		f.idleQuantum(e)
 		return
 	}
-	f.phase = ingPhaseIdle
 	e.Then(func(e *raw.Exec) { // poll the line card: one cycle
 		if f.backlog() < ip.HeaderWords {
 			f.idleQuantum(e)
@@ -329,7 +317,6 @@ func (f *ingressFW) idleQuantum(e *raw.Exec) {
 // acquire reads the next packet's IP header from the line card, verifies
 // it, and resolves the egress port.
 func (f *ingressFW) acquire(e *raw.Exec) {
-	f.phase = ingPhaseAcquire
 	f.pktStart = f.in.Consumed()
 	f.lineClaim = f.pktStart + int64(ip.HeaderWords)
 	e.WriteSwitchPC(func() raw.Word { return f.prog.Acquire })
@@ -445,7 +432,6 @@ func (f *ingressFW) lastFrag() bool {
 // ingest buffers a multicast packet's payload into local data memory
 // (2 cycles/word, §4.4) behind the already-held header words.
 func (f *ingressFW) ingest(e *raw.Exec) {
-	f.phase = ingPhaseIngest
 	f.buf = f.buf[:0]
 	for _, w := range f.hdrWords {
 		f.buf = append(f.buf, w)
@@ -465,7 +451,6 @@ func (f *ingressFW) ingest(e *raw.Exec) {
 // mcastQuantum plays one multicast round: request the remaining members,
 // replay the buffered packet for those served.
 func (f *ingressFW) mcastQuantum(e *raw.Exec) {
-	f.phase = ingPhaseQuantum
 	e.WriteSwitchPC(func() raw.Word { return f.prog.Quantum })
 	hdr := LocalHdrFirst(LocalHdrMcast(f.members, f.totalLen, true))
 	e.SendFunc(func() raw.Word { return hdr })
@@ -480,7 +465,6 @@ func (f *ingressFW) mcastQuantum(e *raw.Exec) {
 			return
 		}
 		// One fanout-split stream serves every granted member.
-		f.phase = ingPhaseMcastStream
 		e.WriteSwitchPC(func() raw.Word { return f.prog.StreamP })
 		e.WriteSwitchCount(func() raw.Word { return raw.Word(l) })
 		e.SendN(func() int { return l }, func(i int) raw.Word {
@@ -510,7 +494,6 @@ func (f *ingressFW) quantum(e *raw.Exec) {
 		f.mcastQuantum(e)
 		return
 	}
-	f.phase = ingPhaseQuantum
 	// Store-and-forward gating: don't request a grant until every word
 	// the fragment would cut through is already in the line buffer. A
 	// granted stream whose line card underruns would stall the switch
@@ -553,7 +536,6 @@ func (f *ingressFW) quantum(e *raw.Exec) {
 
 // stream sends the current fragment padded to l words.
 func (f *ingressFW) stream(e *raw.Exec, l int) {
-	f.phase = ingPhaseStream
 	frag := f.fragLen()
 	last := f.lastFrag()
 	pad := l - frag

@@ -42,20 +42,11 @@ type lookupFW struct {
 	rt   *Router
 	port int
 
-	// phase indexes lkSteady. Written only while the tile executes
-	// firmware ops, read by the macro-stepper between cycles.
-	phase int
-
 	dst raw.Word
 	v1  raw.Word
 }
 
-// SteadyState implements raw.SteadyFirmware: lkSteady says whether the
-// current phase presents a constant per-cycle profile.
-func (f *lookupFW) SteadyState() bool { return lkSteady[f.phase] }
-
 func (f *lookupFW) Refill(e *raw.Exec) {
-	f.phase = lkPhaseAwait
 	e.Recv(func(w raw.Word) { f.dst = w })
 	e.Then(func(e *raw.Exec) {
 		// Class D (224.0.0.0/4): the §8.6 multicast group table, modeled
@@ -77,7 +68,6 @@ func (f *lookupFW) Refill(e *raw.Exec) {
 }
 
 func (f *lookupFW) probe(e *raw.Exec) {
-	f.phase = lkPhaseProbe
 	l1, chunks := tableBases(f.rt.tableEpoch)
 	// Level-1 probe.
 	e.CacheRead(func() raw.Word { return l1 + f.dst>>16 },

@@ -120,7 +120,7 @@ type Config struct {
 	Tracer raw.Tracer
 	// Engine selects the chip's cycle engine: raw.EngineRef (the
 	// reference interpreter, the zero value) or raw.EngineFast (compiled
-	// route tables and idle-tile skipping). The fast engine is
+	// route tables and macro windows). The fast engine is
 	// bit-for-bit identical to the reference — same words, cycle counts,
 	// telemetry, and checkpoints — so this is purely a host performance
 	// knob.

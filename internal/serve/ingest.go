@@ -165,12 +165,16 @@ func (f *UDPFeeder) Close() error { return f.conn.Close() }
 // identity Offered == Admitted + Queued + Shed + DrainDiscarded holds at
 // every slice boundary and is asserted by the conservation SLO gate.
 type PortIngest struct {
-	OfferedPkts, OfferedWords   int64
-	AdmittedPkts, AdmittedWords int64
-	ShedPkts, ShedWords         int64
-	DrainDiscardedPkts          int64
-	DrainDiscardedWords         int64
-	QueuedPkts, QueuedWords     int64
+	OfferedPkts         int64 `json:"offered_pkts"`
+	OfferedWords        int64 `json:"offered_words"`
+	AdmittedPkts        int64 `json:"admitted_pkts"`
+	AdmittedWords       int64 `json:"admitted_words"`
+	ShedPkts            int64 `json:"shed_pkts"`
+	ShedWords           int64 `json:"shed_words"`
+	DrainDiscardedPkts  int64 `json:"drain_discarded_pkts"`
+	DrainDiscardedWords int64 `json:"drain_discarded_words"`
+	QueuedPkts          int64 `json:"queued_pkts"`
+	QueuedWords         int64 `json:"queued_words"`
 }
 
 // admission is the serve-side bridge between a Feeder and the router's

@@ -465,6 +465,52 @@ func failingDaemon(t *testing.T) *Daemon {
 	return d
 }
 
+// TestHealthzKeys: every key /healthz writes is snake_case, the
+// per-port admission ledger under ingest.ports[] included.
+func TestHealthzKeys(t *testing.T) {
+	d, err := New(Config{
+		Router:      newTestRouter(t, nil),
+		Feeder:      testFeeder(t, 800),
+		SliceCycles: 1024,
+		MaxSlices:   2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/healthz = %d %q", rec.Code, rec.Body)
+	}
+	var body struct {
+		Ingest struct {
+			Ports []map[string]json.RawMessage `json:"ports"`
+		} `json:"ingest"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"offered_pkts", "offered_words", "admitted_pkts", "admitted_words",
+		"shed_pkts", "shed_words", "drain_discarded_pkts", "drain_discarded_words",
+		"queued_pkts", "queued_words"}
+	if len(body.Ingest.Ports) != 4 {
+		t.Fatalf("ingest.ports has %d entries, want 4: %s", len(body.Ingest.Ports), rec.Body)
+	}
+	for p, port := range body.Ingest.Ports {
+		for _, k := range want {
+			if _, ok := port[k]; !ok {
+				t.Errorf("ingest.ports[%d] lacks %q", p, k)
+			}
+		}
+		if len(port) != len(want) {
+			t.Errorf("ingest.ports[%d] has %d keys, want %d: %v", p, len(port), len(want), port)
+		}
+	}
+}
+
 // TestDaemonFailStop: an unattributable double wedge ends the run with
 // ReasonFailed and an unhealthy /healthz.
 func TestDaemonFailStop(t *testing.T) {

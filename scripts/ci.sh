@@ -102,10 +102,12 @@ go run ./scripts/gates
 echo "== cli: entry-point smoke =="
 # The commands users run must print identical output under the reference
 # interpreter and the fast engine: rawrouter on its default workload (also
-# with a seeded fault schedule and with the Figure 7-3 tracer, whose due
-# cycles bound the fast engine's macro windows), fabsim's ring-4 fabric on
-# its default antipodal permutation, and every section of reproduce -quick
-# once its per-section wall-clock lines are dropped. rawrouter with no
+# with a seeded fault schedule, with the Figure 7-3 tracer, whose due
+# cycles bound the fast engine's macro windows, and with a corrupt tap
+# past the end of the run, which must not keep windows from opening),
+# fabsim's ring-4 fabric on its default antipodal permutation, and every
+# section of reproduce -quick once its per-section wall-clock lines are
+# dropped. rawrouter with no
 # traffic flag must also print exactly what -workload permutation prints.
 # fabsim's mesh-16 must print the same at one worker as at the default
 # GOMAXPROCS. An unknown reproduce -exp section and a fabsim run without
@@ -121,11 +123,12 @@ $RR -engine fast >"$CLI/rr-fast.txt"
 $RR -workload permutation >"$CLI/rr-perm.txt"
 cmp "$CLI/rr-ref.txt" "$CLI/rr-fast.txt"
 cmp "$CLI/rr-fast.txt" "$CLI/rr-perm.txt"
-for flag in "-faultseed 7" -trace; do
+for flag in "-faultseed 7" -trace "-faults corrupt:t4.w.w999999999.b1"; do
 	$RR $flag -engine ref >"$CLI/rr-flag-ref.txt"
 	$RR $flag -engine fast >"$CLI/rr-flag-fast.txt"
 	cmp "$CLI/rr-flag-ref.txt" "$CLI/rr-flag-fast.txt"
 done
+$RR -faults corrupt:t4.w.w999999999.b1 -metrics prom | grep -q '^raw_router_macro_windows_total [1-9]'
 "$CLI/fabsim" -topology ring -chips 4 -engine ref >"$CLI/fab-ref.txt"
 "$CLI/fabsim" -topology ring -chips 4 -engine fast >"$CLI/fab-fast.txt"
 cmp "$CLI/fab-ref.txt" "$CLI/fab-fast.txt"

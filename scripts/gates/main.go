@@ -87,8 +87,8 @@ var gates = []gate{
 		{bench: "BenchmarkEngine/stream1024B/engine=fast"}}},
 	// The full router under saturated 1,024-byte permutation traffic
 	// must run at least 5x faster on the fast engine. That speedup rests
-	// on macro windows engaging: the compiled firmware schedules declare
-	// steady phases and the router's step hook declares its due cycles,
+	// on macro windows engaging: firmware blocked on the static network
+	// is admitted and the router's step hook declares its due cycles,
 	// so windows cover the gaps between quantum and mask boundaries. A
 	// fast leg with no macro cycles would be a silent fallback to
 	// per-cycle stepping, not a host-load blip, so it fails the gate.
