@@ -7,7 +7,7 @@
 //
 //	fabsim -topology ring|mesh|fattree [-chips N] [-full] [-engine fast|ref]
 //	       [-workload SPEC] [-recordtrace FILE] [-faults SCHED]
-//	       [-heal [-healwindow N] [-healretries N] [-healbackoff N] [-healseed N]]
+//	       [-heal [-healseed N]]
 //	       [-metrics FORMAT[:FILE]]
 //
 // -chips sizes the fabric (a 16-chip mesh is the 4x4 grid) and -workload
@@ -28,11 +28,11 @@
 // counters, bisection utilization, lifecycle events). -heal arms the
 // fault-healing plane — adaptive rerouting around dead chips/trunks,
 // trunk-level ARQ retransmission, end-to-end duplicate suppression —
-// with -healwindow/-healretries/-healbackoff/-healseed tuning the ARQ;
-// the run then also prints the healing summary. Every run audits trunk
-// conservation and the end-to-end delivery ledger. The -heal knobs need
-// -heal, and -faultseed is rejected: the fabric's faults are its
-// hand-written lifecycle schedule. Example:
+// with -healseed salting the ARQ's retransmit jitter; the run then also
+// prints the healing summary. Every run audits trunk conservation and
+// the end-to-end delivery ledger. -healseed needs -heal, and -faultseed
+// is rejected: the fabric's faults are its hand-written lifecycle
+// schedule. Example:
 //
 //	fabsim -topology mesh -chips 16 -heal \
 //	       -faults 'killchip@20000:c5;killtrunk@30000:c1-c2;restorechip@60000:c5' -metrics prom

@@ -47,13 +47,10 @@ type Common struct {
 	// ring|mesh|fattree at -chips chips. Parse with FabricSpec.
 	Topology string
 	Chips    int
-	// Heal (-heal) arms the fabric's fault-healing plane; the companion
-	// knobs tune the trunk ARQ. Assemble with HealConfig.
-	Heal        bool
-	HealWindow  int
-	HealRetries int
-	HealBackoff int64
-	HealSeed    uint64
+	// Heal (-heal) arms the fabric's fault-healing plane; HealSeed
+	// (-healseed) salts its retransmit jitter. Assemble with HealConfig.
+	Heal     bool
+	HealSeed uint64
 }
 
 // RegisterSim installs -engine.
@@ -159,25 +156,13 @@ func (c *Common) RegisterFabric(fs *flag.FlagSet) {
 func (c *Common) RegisterHeal(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Heal, "heal", false,
 		"heal the fabric through chip/trunk loss: adaptive rerouting, trunk ARQ, duplicate suppression")
-	fs.IntVar(&c.HealWindow, "healwindow", 0,
-		"retransmit window in frames per trunk direction (0 = default 64)")
-	fs.IntVar(&c.HealRetries, "healretries", 0,
-		"retransmit attempts while a destination is unreachable (0 = default 8)")
-	fs.Int64Var(&c.HealBackoff, "healbackoff", 0,
-		"base retransmit backoff in cycles, doubled per attempt (0 = default 256)")
 	fs.Uint64Var(&c.HealSeed, "healseed", 0,
 		"seed for the deterministic retransmit jitter")
 }
 
 // HealConfig assembles the -heal flag group into a cluster.HealConfig.
 func (c *Common) HealConfig() cluster.HealConfig {
-	return cluster.HealConfig{
-		Enabled:       c.Heal,
-		WindowFrames:  c.HealWindow,
-		MaxAttempts:   c.HealRetries,
-		BackoffCycles: c.HealBackoff,
-		Seed:          c.HealSeed,
-	}
+	return cluster.HealConfig{Enabled: c.Heal, Seed: c.HealSeed}
 }
 
 // FabricSpec parses -topology/-chips into a validated topology spec.
@@ -221,34 +206,15 @@ func (c *Common) Validate() error {
 	return nil
 }
 
-// ValidateFabric checks fabsim's fault and healing flags: -faults and
-// the -heal group act only on a -topology run, the -heal knobs tune only
-// -heal, and the fabric takes its chip and trunk lifecycle from -faults
-// alone, so -faultseed has nothing to drive.
+// ValidateFabric checks fabsim's fault and healing flags: -healseed
+// tunes only -heal, and the fabric takes its chip and trunk lifecycle
+// from -faults alone, so -faultseed has nothing to drive.
 func (c *Common) ValidateFabric() error {
 	if c.FaultSeed != 0 {
 		return fmt.Errorf("-faultseed: fabsim draws no seeded faults; schedule chip and trunk loss with -faults")
 	}
-	for _, f := range []struct {
-		name      string
-		set, heal bool // heal: the flag tunes -heal
-	}{
-		{"faults", c.Faults != "", false},
-		{"heal", c.Heal, false},
-		{"healwindow", c.HealWindow != 0, true},
-		{"healretries", c.HealRetries != 0, true},
-		{"healbackoff", c.HealBackoff != 0, true},
-		{"healseed", c.HealSeed != 0, true},
-	} {
-		if !f.set {
-			continue
-		}
-		if c.Topology == "" {
-			return fmt.Errorf("-%s needs -topology: the experiment suite does not read it", f.name)
-		}
-		if f.heal && !c.Heal {
-			return fmt.Errorf("-%s needs -heal", f.name)
-		}
+	if c.HealSeed != 0 && !c.Heal {
+		return fmt.Errorf("-healseed needs -heal")
 	}
 	return nil
 }

@@ -306,15 +306,7 @@ func TestValidateFabric(t *testing.T) {
 		flag string // the flag the error must name
 	}{
 		{append(ring, "-faultseed", "7"), "-faultseed"},
-		{[]string{"-faults", "killchip@10:c1"}, "-faults"},
-		{[]string{"-heal"}, "-heal"},
-		{[]string{"-healwindow", "8"}, "-healwindow"},
-		{[]string{"-healretries", "2"}, "-healretries"},
-		{[]string{"-healbackoff", "64"}, "-healbackoff"},
 		{[]string{"-healseed", "3"}, "-healseed"},
-		{append(ring, "-healwindow", "8"), "-healwindow"},
-		{append(ring, "-healretries", "2"), "-healretries"},
-		{append(ring, "-healbackoff", "64"), "-healbackoff"},
 		{append(ring, "-healseed", "3"), "-healseed"},
 	} {
 		err := parseFabsim(t, tc.args...).ValidateFabric()
@@ -326,7 +318,7 @@ func TestValidateFabric(t *testing.T) {
 		nil,
 		ring,
 		append(ring, "-faults", "killchip@10:c1"),
-		append(ring, "-heal", "-healwindow", "8", "-healretries", "2", "-healbackoff", "64", "-healseed", "3"),
+		append(ring, "-heal", "-healseed", "3"),
 	} {
 		if err := parseFabsim(t, args...).ValidateFabric(); err != nil {
 			t.Errorf("%v: rejected: %v", args, err)

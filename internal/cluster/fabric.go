@@ -207,7 +207,7 @@ func NewFabric(cfg Config) (*Fabric, error) {
 		cfg:         cfg,
 		chips:       make([]chipSlot, cfg.Topology.NumChips()),
 		extDropped:  make([]int64, cfg.Topology.Externals()),
-		heal:        cfg.Heal.withDefaults(),
+		heal:        cfg.Heal,
 		arqPend:     make(map[[2]int]int),
 		flowSeq:     make(map[uint32]uint32),
 		egressFlows: make(map[uint32]*egressFlow),

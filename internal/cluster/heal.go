@@ -41,40 +41,24 @@ import (
 // recorded table-update log, so a mid-heal checkpoint restores
 // byte-identically.
 
-// HealConfig arms and tunes the healing plane. The zero value disables
-// it; Enabled with zero fields selects the defaults.
+// HealConfig arms the healing plane. The zero value disables it.
 type HealConfig struct {
 	// Enabled arms adaptive rerouting, trunk ARQ, and flow tagging.
 	Enabled bool
-	// WindowFrames bounds the per-trunk-direction retransmit queue;
-	// frames beyond it are dropped and counted (arq-window). Default 64.
-	WindowFrames int
-	// MaxAttempts bounds re-drive attempts while a frame's destination
-	// is unreachable; exhausted frames are dropped and counted
-	// (arq-exhausted). Default 8.
-	MaxAttempts int
-	// BackoffCycles is the base retransmit delay; attempt k waits
-	// BackoffCycles << min(k,4) plus seeded jitter. Default 256.
-	BackoffCycles int64
 	// Seed salts the retransmit jitter.
 	Seed uint64
 }
 
-func (h HealConfig) withDefaults() HealConfig {
-	if !h.Enabled {
-		return h
-	}
-	if h.WindowFrames == 0 {
-		h.WindowFrames = 64
-	}
-	if h.MaxAttempts == 0 {
-		h.MaxAttempts = 8
-	}
-	if h.BackoffCycles == 0 {
-		h.BackoffCycles = 256
-	}
-	return h
-}
+// The trunk ARQ's bounds. Each trunk direction queues at most arqWindow
+// frames for retransmission; frames beyond it are dropped and counted
+// (arq-window). A frame whose destination stays unreachable is re-driven
+// at most arqMaxTries times, then dropped and counted (arq-exhausted);
+// attempt k waits arqBackoff << min(k,4) cycles plus seeded jitter.
+const (
+	arqWindow   = 64
+	arqMaxTries = 8
+	arqBackoff  = 256
+)
 
 // Drop causes for the end-to-end ledger. Every word that enters the
 // fabric and does not reach an external sink is counted under exactly
@@ -559,7 +543,7 @@ func (f *Fabric) arqEnqueue(ti, d, src, port int, dst uint32, frame []uint32) {
 		return
 	}
 	key := [2]int{ti, d}
-	if f.arqPend[key] >= f.heal.WindowFrames {
+	if f.arqPend[key] >= arqWindow {
 		f.droppedCause[dropARQWindow] += n
 		return
 	}
@@ -579,7 +563,7 @@ func (f *Fabric) backoffDelay(attempt int, seq int64) int64 {
 		shift = 4
 	}
 	j := splitmix64(f.heal.Seed ^ uint64(seq)*0x9E3779B97F4A7C15 ^ uint64(attempt)<<32)
-	return f.heal.BackoffCycles<<shift + int64(j&63)
+	return arqBackoff<<shift + int64(j&63)
 }
 
 func splitmix64(x uint64) uint64 {
@@ -617,7 +601,7 @@ func (f *Fabric) processARQ() {
 			f.arqPend[key]--
 		case !f.reachable(e.src, dc):
 			e.attempts++
-			if e.attempts >= f.heal.MaxAttempts {
+			if e.attempts >= arqMaxTries {
 				f.droppedCause[dropARQExhausted] += n
 				f.arqPend[key]--
 			} else {

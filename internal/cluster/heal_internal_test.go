@@ -170,7 +170,7 @@ func TestEgressFlowDupWindow(t *testing.T) {
 // TestBackoffDelayBounded pins the retransmit delay envelope: monotone
 // cap at shift 4 plus bounded jitter, never negative.
 func TestBackoffDelayBounded(t *testing.T) {
-	f := &Fabric{heal: HealConfig{Enabled: true, BackoffCycles: 256, Seed: 7}.withDefaults()}
+	f := &Fabric{heal: HealConfig{Enabled: true, Seed: 7}}
 	for attempt := 0; attempt < 12; attempt++ {
 		for seq := int64(1); seq < 64; seq += 7 {
 			d := f.backoffDelay(attempt, seq)

@@ -29,9 +29,10 @@ type xbarFW struct {
 	readmit int
 	joining int
 
-	// Per-quantum derived state.
+	// Per-quantum derived state: the unicast allocation, and the inputs
+	// that stream this quantum under either allocator.
 	alloc   rotor.Allocation
-	cfgIdx  int
+	sent    [4]bool
 	quantum int64
 
 	// Telemetry capture (armed only when cfg.Metrics is set): the
@@ -77,60 +78,68 @@ func (x *xbarFW) Refill(e *raw.Exec) {
 	e.Then(func(e *raw.Exec) { x.decide(e) })
 }
 
-// decide computes the allocation and enqueues the dispatch sequence.
+// decide computes the quantum's allocation and enqueues one dispatch
+// sequence for it: the grant to our ingress, the egress header when our
+// out server is active, the routine's count and address, the wait for
+// the routine, and the token advance. The unicast allocator walks the
+// healthy, degraded or probation ring; the §8.6 mixed allocator serves
+// member masks through the 51-routine jump table.
 func (x *xbarFW) decide(e *raw.Exec) {
+	var tile rotor.TileConfig
+	var served rotor.McastReq // our input's served members (multicast)
+	src := -1                 // the input that feeds our egress
 	if x.rt.cfg.Multicast {
-		x.decideMixed(e)
-		return
-	}
-	var hdrs [4]rotor.Hdr
-	var prios [4]uint8
-	for i, w := range x.hdrs {
-		hdrs[i] = RotorHdr(w)
-		prios[i] = LocalHdrPrioOf(w)
-	}
-	// AllocatePrio degenerates to the plain token walk when every class
-	// is zero (exhaustively tested), so priority support costs nothing on
-	// best-effort traffic. In degraded mode the masked allocator routes
-	// around the dead tile (the long way when the short arc crosses it).
-	g := rotor.GlobalConfig{Hdrs: hdrs[:], Token: x.token}
-	switch {
-	case x.dead >= 0:
-		x.alloc = rotor.AllocateDegraded(g, prios[:], x.dead)
-	case x.readmit > 0:
-		x.alloc = rotor.AllocateReadmit(g, prios[:], x.joining)
-	default:
-		x.alloc = rotor.AllocatePrio(g, prios[:])
-	}
-	x.cfgIdx = x.rt.ci.Of(x.alloc.Tiles[x.port])
-
-	// L: the quantum streaming length — the longest granted fragment.
-	l := 0
-	for i := 0; i < 4; i++ {
-		if !x.alloc.Granted[i] {
-			continue
+		var reqs [4]rotor.McastReq
+		for i, w := range x.hdrs {
+			reqs[i] = McastReqOf(w)
 		}
-		_, fragLen, _, _ := DecodeLocalHdr(x.hdrs[i])
-		if fragLen > l {
-			l = fragLen
+		a := rotor.AllocateMixed(reqs[:], x.token)
+		for i, s := range a.Served {
+			x.sent[i] = s != 0
 		}
-	}
-
-	// Grant word for our ingress (consumed by preamble instruction 4).
-	granted := x.alloc.Granted[x.port]
-	e.SendFunc(func() raw.Word { return GrantWord(granted, l) })
-
-	// Egress header if our out server is active this quantum.
-	idx := x.cfgIdx
-	if x.prog.HasOut[idx] {
-		src := -1
+		tile, served, src = a.Tiles[x.port], a.Served[x.port], a.OutSrc[x.port]
+	} else {
+		var hdrs [4]rotor.Hdr
+		var prios [4]uint8
+		for i, w := range x.hdrs {
+			hdrs[i] = RotorHdr(w)
+			prios[i] = LocalHdrPrioOf(w)
+		}
+		// AllocatePrio degenerates to the plain token walk when every
+		// class is zero (exhaustively tested), so priority support costs
+		// nothing on best-effort traffic. In degraded mode the masked
+		// allocator routes around the dead tile (the long way when the
+		// short arc crosses it).
+		g := rotor.GlobalConfig{Hdrs: hdrs[:], Token: x.token}
+		switch {
+		case x.dead >= 0:
+			x.alloc = rotor.AllocateDegraded(g, prios[:], x.dead)
+		case x.readmit > 0:
+			x.alloc = rotor.AllocateReadmit(g, prios[:], x.joining)
+		default:
+			x.alloc = rotor.AllocatePrio(g, prios[:])
+		}
+		copy(x.sent[:], x.alloc.Granted)
 		for _, tr := range x.alloc.Transfers {
 			if tr.Dst == x.port {
 				src = tr.Src
 			}
 		}
+		tile = x.alloc.Tiles[x.port]
+	}
+	idx := x.rt.ci.Of(tile)
+	l := x.streamLen()
+
+	// Grant word for our ingress (consumed by preamble instruction 4); a
+	// multicast grant also names the members served.
+	grant := GrantWord(x.sent[x.port], l)
+	if x.rt.cfg.Multicast {
+		grant = GrantWordMcast(served, l)
+	}
+	e.SendFunc(func() raw.Word { return grant })
+	if x.prog.HasOut[idx] {
 		if src < 0 {
-			panic("router: out server active with no matching transfer")
+			panic("router: out server active with no source")
 		}
 		_, fragLen, last, _ := DecodeLocalHdr(x.hdrs[src])
 		eh := EgressHdr(src, fragLen, l, last)
@@ -151,53 +160,16 @@ func (x *xbarFW) decide(e *raw.Exec) {
 	x.advanceToken(e)
 }
 
-// decideMixed is the §8.6 variant: member-mask requests through the
-// mixed allocator and the 51-routine jump table.
-func (x *xbarFW) decideMixed(e *raw.Exec) {
-	reqs := make([]rotor.McastReq, 4)
-	for i, w := range x.hdrs {
-		reqs[i] = McastReqOf(w)
-	}
-	a := rotor.AllocateMixed(reqs, x.token)
-	x.cfgIdx = x.rt.ci.Of(a.Tiles[x.port])
-
+// streamLen is the quantum's streaming length L: the longest fragment
+// among the inputs that stream.
+func (x *xbarFW) streamLen() int {
 	l := 0
-	for i := 0; i < 4; i++ {
-		if a.Served[i] == 0 {
-			continue
-		}
-		_, fragLen, _, _ := DecodeLocalHdr(x.hdrs[i])
-		if fragLen > l {
+	for i, s := range x.sent {
+		if _, fragLen, _, _ := DecodeLocalHdr(x.hdrs[i]); s && fragLen > l {
 			l = fragLen
 		}
 	}
-
-	served := a.Served[x.port]
-	e.SendFunc(func() raw.Word { return GrantWordMcast(served, l) })
-
-	idx := x.cfgIdx
-	if x.prog.HasOut[idx] {
-		src := a.OutSrc[x.port]
-		if src < 0 {
-			panic("router: out server active with no source (mixed)")
-		}
-		_, fragLen, last, _ := DecodeLocalHdr(x.hdrs[src])
-		eh := EgressHdr(src, fragLen, l, last)
-		if LocalHdrFirstOf(x.hdrs[src]) {
-			eh = EgressHdrFirst(eh)
-		}
-		e.SendFunc(func() raw.Word { return eh })
-	}
-	if x.prog.NeedsCount[idx] {
-		count := l - x.prog.MaxOffset[idx]
-		if count < 1 {
-			panic("router: quantum shorter than routine pipeline depth (mixed)")
-		}
-		e.WriteSwitchCount(func() raw.Word { return raw.Word(count) })
-	}
-	e.WriteSwitchPC(func() raw.Word { return x.prog.RoutineAddr[idx] })
-	e.WaitSwitchDone(nil)
-	x.advanceToken(e)
+	return l
 }
 
 func (x *xbarFW) advanceToken(e *raw.Exec) {
@@ -227,9 +199,6 @@ func (x *xbarFW) advanceToken(e *raw.Exec) {
 			x.readmit--
 		}
 		x.quantum++
-		if x.rt.onQuantum != nil && x.port == x.rt.reportPort && !x.rt.cfg.Multicast {
-			x.rt.onQuantum(x.quantum, x.alloc)
-		}
 	})
 }
 
@@ -246,7 +215,7 @@ func (x *xbarFW) captureQuantum() {
 		if x.hdrs[p] != LocalHdrEmpty {
 			req |= 1 << p
 		}
-		if x.alloc.Granted[p] {
+		if x.sent[p] {
 			grant |= 1 << p
 			_, fragLen, _, _ := DecodeLocalHdr(x.hdrs[p])
 			x.lastWords[p] = fragLen
@@ -255,36 +224,20 @@ func (x *xbarFW) captureQuantum() {
 	x.lastReq, x.lastGrant = req, grant
 }
 
-// enterDegraded rewires the firmware for the masked ring. Called between
-// cycles by Router.Degrade after the tile's switch was reprogrammed and
-// its in-flight state reset; every surviving tile computes the same
-// initial token, so the distributed allocation stays in lockstep.
-func (x *xbarFW) enterDegraded(dead int, prog *XbarProgram) {
+// restart rewires the firmware for a reconfigured ring between cycles,
+// after Router.program reinstalled its tile: prog is the crossbar
+// program now on the switch, dead the masked tile (-1 healthy), and
+// token the tile every live crossbar starts the rotation at, so the
+// distributed allocation resumes in lockstep. Degrade restarts the
+// survivors on the masked ring with the token past the hole; a restore
+// restarts all four tiles on the full ring with the token at the joining
+// port, whose egress stays quarantined for readmit quanta.
+func (x *xbarFW) restart(prog *XbarProgram, dead, token, joining, readmit int) {
+	x.prog = prog
 	x.dead = dead
-	x.prog = prog
-	x.token = (dead + 1) % 4
-	x.dwell = 0
-	x.hdrs = [4]raw.Word{}
-	x.readmit = 0
-	x.joining = -1
-}
-
-// reenterHealthy rewires the firmware for the full four-tile ring after a
-// restore, with a probation window quarantining the re-admitted port's
-// egress. Called between cycles by Router.completeRestore on all four
-// tiles (the restored one included) after their switches were
-// reprogrammed healthy and their in-flight state reset. The token starts
-// at the joining tile on every crossbar, so the distributed allocation
-// resumes in lockstep and the re-admitted port holds the token first —
-// re-entry at a quantum boundary, not mid-rotation.
-func (x *xbarFW) reenterHealthy(prog *XbarProgram, joining, readmit int) {
-	x.dead = -1
-	x.prog = prog
-	x.token = joining
+	x.token = token
 	x.dwell = 0
 	x.hdrs = [4]raw.Word{}
 	x.joining = joining
 	x.readmit = readmit
-	x.alloc = rotor.Allocation{}
-	x.cfgIdx = 0
 }

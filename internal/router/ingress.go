@@ -305,14 +305,21 @@ func (f *ingressFW) resetForRestore(restored bool, probation bool) {
 	f.pendingDrain = f.claimedWords()
 }
 
-// idleQuantum keeps the crossbar protocol in lockstep when this port has
-// nothing to send: an empty header, a (necessarily negative) grant.
-func (f *ingressFW) idleQuantum(e *raw.Exec) {
+// handshake plays one quantum's header/grant exchange with the
+// crossbar: the switch enters its Quantum routine, the processor sends
+// hdr, hands the grant word to recv (nil discards it) and waits for the
+// routine to finish. A caller that acts on the grant enqueues its Then
+// right after.
+func (f *ingressFW) handshake(e *raw.Exec, hdr raw.Word, recv func(raw.Word)) {
 	e.WriteSwitchPC(func() raw.Word { return f.prog.Quantum })
-	e.Send(LocalHdrEmpty)
-	e.Recv(nil)
+	e.Send(hdr)
+	e.Recv(recv)
 	e.WaitSwitchDone(nil)
 }
+
+// idleQuantum keeps the crossbar protocol in lockstep when this port has
+// nothing to send: an empty header, a (necessarily negative) grant.
+func (f *ingressFW) idleQuantum(e *raw.Exec) { f.handshake(e, LocalHdrEmpty, nil) }
 
 // acquire reads the next packet's IP header from the line card, verifies
 // it, and resolves the egress port.
@@ -451,12 +458,9 @@ func (f *ingressFW) ingest(e *raw.Exec) {
 // mcastQuantum plays one multicast round: request the remaining members,
 // replay the buffered packet for those served.
 func (f *ingressFW) mcastQuantum(e *raw.Exec) {
-	e.WriteSwitchPC(func() raw.Word { return f.prog.Quantum })
-	hdr := LocalHdrFirst(LocalHdrMcast(f.members, f.totalLen, true))
-	e.SendFunc(func() raw.Word { return hdr })
 	var grant raw.Word
-	e.Recv(func(w raw.Word) { grant = w })
-	e.WaitSwitchDone(nil)
+	hdr := LocalHdrFirst(LocalHdrMcast(f.members, f.totalLen, true))
+	f.handshake(e, hdr, func(w raw.Word) { grant = w })
 	e.Then(func(e *raw.Exec) {
 		served := GrantServed(grant)
 		_, l := DecodeGrant(grant)
@@ -509,7 +513,6 @@ func (f *ingressFW) quantum(e *raw.Exec) {
 	}
 	f.underruns = 0
 	f.strikes = 0
-	e.WriteSwitchPC(func() raw.Word { return f.prog.Quantum })
 	hdr := LocalHdr(f.outPort, f.fragLen(), f.lastFrag())
 	if f.firstFrag {
 		hdr = LocalHdrFirst(hdr)
@@ -520,10 +523,8 @@ func (f *ingressFW) quantum(e *raw.Exec) {
 	// §8.7: the IP precedence bits (TOS[7:5]) become the crossbar
 	// priority class.
 	hdr = LocalHdrPrio(hdr, uint8(f.hdrWords[0]>>16)>>5)
-	e.SendFunc(func() raw.Word { return hdr })
 	var grant raw.Word
-	e.Recv(func(w raw.Word) { grant = w })
-	e.WaitSwitchDone(nil)
+	f.handshake(e, hdr, func(w raw.Word) { grant = w })
 	e.Then(func(e *raw.Exec) {
 		granted, l := DecodeGrant(grant)
 		if !granted {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ip"
 	"repro/internal/router"
+	"repro/internal/telemetry"
 	"repro/internal/traffic"
 )
 
@@ -20,9 +21,12 @@ func mcastConfig() router.Config {
 
 // TestMcastCycleLevel (§8.6 end to end): one multicast packet enters port
 // 0 and a full copy leaves every member egress, all from a single
-// fanout-split stream when outputs are free.
+// fanout-split stream when outputs are free. The telemetry plane counts
+// that stream as port 0's one granted quantum.
 func TestMcastCycleLevel(t *testing.T) {
-	r := mustNew(t, mcastConfig())
+	cfg := mcastConfig()
+	cfg.Metrics = telemetry.New(telemetry.Config{})
+	r := mustNew(t, cfg)
 	pkt := ip.NewPacket(traffic.PortAddr(0, 1), ip.AddrFrom(224, 1, 1, 1), 64, 256, 42)
 	r.OfferPacket(0, &pkt)
 	ok := r.Chip.RunUntil(func() bool {
@@ -54,6 +58,11 @@ func TestMcastCycleLevel(t *testing.T) {
 	}
 	if out0, _ := r.DrainOutput(0); len(out0) != 0 {
 		t.Fatal("non-member port 0 received a copy")
+	}
+	ps := r.TelemetrySnapshot().Ports[0]
+	if words := int64(len(pkt.Words())); ps.GrantedQuanta != 1 || ps.DeniedQuanta != 0 || ps.WordsGranted != words {
+		t.Fatalf("port 0 telemetry: granted %d, denied %d, words %d; want 1, 0, %d",
+			ps.GrantedQuanta, ps.DeniedQuanta, ps.WordsGranted, words)
 	}
 }
 

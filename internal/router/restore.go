@@ -23,13 +23,13 @@ import (
 // intervals (residual pipeline words flush during the grace interval).
 //
 // Re-admitting: at that point the fabric is exactly as idle as a freshly
-// built router, so the same between-cycles reconfiguration Degrade uses
-// applies in reverse: all sixteen tiles get their healthy switch
-// programs back (cached from construction — healthy jump-table slots are
+// built router, so every port is reprogrammed through the same
+// Router.program that New and Degrade use, with the healthy crossbar
+// programs cached from construction (healthy jump-table slots are
 // bitwise unchanged in the FT config index, so these are the original
-// programs, not regenerations), the dead port's four tiles get their
-// firmware re-installed, and every crossbar re-enters the full ring with
-// the token at the joining port.
+// programs, not regenerations): the dead port's four tiles get their
+// firmware back, and every crossbar re-enters the full ring with the
+// token at the joining port.
 //
 // Probation: for ReadmitQuanta quanta the re-admitted port plays the
 // full protocol but its egress stays quarantined (rotor.AllocateReadmit)
@@ -251,7 +251,7 @@ func (r *Router) restoreTick(cycle int64) {
 	if cycle&restoreCheckMask != 0 {
 		return
 	}
-	if !r.drainQuiescent() {
+	if !r.Quiescent() {
 		r.restoreArmed = false
 		return
 	}
@@ -271,17 +271,12 @@ func (r *Router) restoreTick(cycle int64) {
 
 // Quiescent reports whether nothing is in flight inside the fabric: no
 // ingress mid-packet, no partial reassembly, and the conservation
-// identity balanced. It is the same predicate the restore state machine
-// drains against; serve-mode drains poll it (together with empty input
-// backlogs) to decide when a checkpoint captures a clean boundary. Call
-// between Run calls only.
-func (r *Router) Quiescent() bool { return r.drainQuiescent() }
-
-// drainQuiescent reports whether nothing is in flight inside the fabric:
-// no ingress mid-packet, no partial reassembly, and the conservation
 // identity balanced. Line-side state (pending drains, backlogs, down
-// lines) is irrelevant — it does not touch fabric reconfiguration.
-func (r *Router) drainQuiescent() bool {
+// lines) is irrelevant — it does not touch fabric reconfiguration. The
+// restore state machine drains against it; serve-mode drains poll it
+// (together with empty input backlogs) to decide when a checkpoint
+// captures a clean boundary. Call between Run calls only.
+func (r *Router) Quiescent() bool {
 	var in, out int64
 	for p := 0; p < 4; p++ {
 		if p != r.deadPort {
@@ -296,49 +291,17 @@ func (r *Router) drainQuiescent() bool {
 }
 
 // completeRestore is Degrade in reverse, run between cycles from the
-// hook once the fabric is drained: healthy switch programs everywhere,
-// firmware re-installed on the parked tiles, crossbars re-entering the
+// hook once the fabric is drained: every port programmed healthy (which
+// re-installs the parked tiles' firmware), crossbars re-entering the
 // four-tile ring in lockstep with the token at the joining port.
 func (r *Router) completeRestore(cycle int64) {
 	dead := r.deadPort
 	readmit := r.readmitQuanta
 	for p := 0; p < 4; p++ {
-		pt := Layout[p]
-
-		xt := r.Chip.Tile(pt.Crossbar)
-		xt.Exec().Reset()
-		xt.ResetStatic(0)
-		xt.SetCompiledSwitchProgram(r.xprogs[p].Compiled)
-		if p == dead {
-			xt.Exec().SetFirmware(r.xbars[p])
-		}
-		r.xbars[p].reenterHealthy(r.xprogs[p], dead, readmit)
-
-		it := r.Chip.Tile(pt.Ingress)
-		it.Exec().Reset()
-		it.ResetStatic(0)
-		it.SetCompiledSwitchProgram(r.ings[p].prog.Compiled)
-		if p == dead {
-			it.Exec().SetFirmware(r.ings[p])
-		}
+		r.program(p, r.xprogs[p])
+		r.xbars[p].restart(r.xprogs[p], -1, dead, dead, readmit)
 		r.ings[p].resetForRestore(p == dead, readmit > 0)
-
-		et := r.Chip.Tile(pt.Egress)
-		et.Exec().Reset()
-		et.ResetStatic(0)
-		et.SetCompiledSwitchProgram(r.egrs[p].prog.Compiled)
-		if p == dead {
-			et.Exec().SetFirmware(r.egrs[p])
-		}
 		r.egrs[p].resetForDegrade()
-
-		lt := r.Chip.Tile(pt.Lookup)
-		lt.Exec().Reset()
-		lt.ResetStatic(0)
-		lt.SetCompiledSwitchProgram(CompiledLookupProgram(p))
-		if p == dead {
-			lt.Exec().SetFirmware(r.lookups[p])
-		}
 	}
 	r.deadPort = -1
 	r.restoring = false
@@ -354,9 +317,11 @@ func (r *Router) completeRestore(cycle int64) {
 	r.event(cycle, dead, trace.EvReadmit)
 }
 
-// failStop records an unrecoverable reconfiguration error (cached
-// programs failing to install should be impossible; park safely rather
-// than continue with a half-configured fabric).
+// failStop stops the router for good on a condition the watchdog cannot
+// recover from — a wedge it cannot mask as one hole, or a degrade or
+// restore that will not start — and records the error as the fail-stop
+// event's detail. It ends any restore drain, so a failed router never
+// completes one.
 func (r *Router) failStop(cycle int64, port int, err error) {
 	r.failed = true
 	r.restoring = false

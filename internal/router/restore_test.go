@@ -8,6 +8,7 @@ import (
 	"repro/internal/ip"
 	"repro/internal/raw"
 	"repro/internal/router"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
@@ -306,12 +307,16 @@ func TestRestoredThroughputMatchesHealthy(t *testing.T) {
 }
 
 // TestWatchdogAmbiguityFailStop: two crossbar tiles wedged at once
-// cannot be masked as a single hole; the watchdog must fail-stop, and a
-// failed router must refuse both Degrade and Restore.
+// cannot be masked as a single hole; the watchdog must fail-stop, record
+// exactly one fail-stop event in the event log and the telemetry export,
+// and a failed router must refuse both Degrade and Restore.
 func TestWatchdogAmbiguityFailStop(t *testing.T) {
 	cfg := router.DefaultConfig()
 	cfg.Watchdog = true
 	cfg.WatchdogCycles = 4000
+	ev := &trace.EventLog{}
+	cfg.Events = ev
+	cfg.Metrics = telemetry.New(telemetry.Config{})
 	r := mustNew(t, cfg)
 
 	// Ports 0 and 1: crossbar tiles 5 and 6.
@@ -323,6 +328,24 @@ func TestWatchdogAmbiguityFailStop(t *testing.T) {
 	}
 	if r.DeadPort() >= 0 {
 		t.Fatalf("ambiguous wedge was attributed to port %d", r.DeadPort())
+	}
+	r.Run(20000) // a failed router stays failed and says so once
+	stops := 0
+	for _, e := range ev.Events {
+		if e.Kind == trace.EvFailStop {
+			stops++
+		}
+	}
+	if stops != 1 {
+		t.Fatalf("event log holds %d fail-stop events, want 1:\n%s", stops, ev)
+	}
+	snap := r.TelemetrySnapshot()
+	prom, err := snap.Encode("prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `raw_router_recovery_events_total{kind="fail-stop"} 1` + "\n"; !strings.Contains(string(prom), want) {
+		t.Fatalf("telemetry export lacks %q", want)
 	}
 	if err := r.Degrade(0); err == nil {
 		t.Fatal("Degrade accepted after fail-stop")

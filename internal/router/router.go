@@ -218,8 +218,8 @@ type Router struct {
 
 	// Degraded-mode state: deadPort is the masked crossbar tile (-1
 	// healthy); failed means a second wedge (or an unattributable one)
-	// stopped the fabric for good; reportPort is the crossbar that fires
-	// onQuantum.
+	// stopped the fabric for good; reportPort is the live crossbar whose
+	// quantum boundaries the telemetry plane and probation expiry read.
 	deadPort   int
 	failed     bool
 	reportPort int
@@ -242,10 +242,6 @@ type Router struct {
 	readmitQuanta int
 	controls      []control
 	lineDownSeen  [4]bool
-
-	// onQuantum, if set, is called once per quantum (from crossbar 0)
-	// with the executed allocation.
-	onQuantum func(q int64, a rotor.Allocation)
 
 	// parse buffers for DrainOutput; parsed counts each output stream's
 	// absolute parse position and cuts the offsets where a degrade
@@ -315,42 +311,29 @@ func New(cfg Config) (*Router, error) {
 
 	for p := 0; p < 4; p++ {
 		pt := Layout[p]
-
 		xprog, err := GenXbarProgram(p, r.ci)
 		if err != nil {
 			return nil, err
 		}
-		r.Chip.Tile(pt.Crossbar).SetCompiledSwitchProgram(xprog.Compiled)
-		r.xprogs[p] = xprog
-		r.xbars[p] = &xbarFW{rt: r, port: p, prog: xprog, dead: -1}
-		r.Chip.Tile(pt.Crossbar).Exec().SetFirmware(r.xbars[p])
-
 		iprog, err := GenIngressProgram(p)
 		if err != nil {
 			return nil, err
 		}
-		r.Chip.Tile(pt.Ingress).SetCompiledSwitchProgram(iprog.Compiled)
-		in := r.Chip.StaticIn(pt.Ingress, pt.InSide)
-		r.ings[p] = &ingressFW{
-			rt: r, port: p, prog: iprog, backlog: in.Len, in: in, dead: -1,
-			rng: reprobeSeed(cfg.ReprobeSeed, p),
-		}
-		r.Chip.Tile(pt.Ingress).Exec().SetFirmware(r.ings[p])
-
 		eprog, err := GenEgressProgram(p)
 		if err != nil {
 			return nil, err
 		}
-		r.Chip.Tile(pt.Egress).SetCompiledSwitchProgram(eprog.Compiled)
-		r.egrs[p] = &egressFW{rt: r, port: p, prog: eprog}
-		r.Chip.Tile(pt.Egress).Exec().SetFirmware(r.egrs[p])
-
-		r.Chip.Tile(pt.Lookup).SetCompiledSwitchProgram(CompiledLookupProgram(p))
-		r.lookups[p] = &lookupFW{rt: r, port: p}
-		r.Chip.Tile(pt.Lookup).Exec().SetFirmware(r.lookups[p])
-
 		r.ins[p] = r.Chip.StaticIn(pt.Ingress, pt.InSide)
 		r.outs[p] = r.Chip.StaticOut(pt.Egress, pt.OutSide)
+		r.xprogs[p] = xprog
+		r.xbars[p] = &xbarFW{rt: r, port: p, prog: xprog, dead: -1}
+		r.ings[p] = &ingressFW{
+			rt: r, port: p, prog: iprog, backlog: r.ins[p].Len, in: r.ins[p], dead: -1,
+			rng: reprobeSeed(cfg.ReprobeSeed, p),
+		}
+		r.egrs[p] = &egressFW{rt: r, port: p, prog: eprog}
+		r.lookups[p] = &lookupFW{rt: r, port: p}
+		r.program(p, xprog)
 	}
 	if cfg.Watchdog {
 		r.installWatchdog()
@@ -417,8 +400,30 @@ type tableUpdate struct {
 	segs  []TableSegment
 }
 
-// OnQuantum registers a per-quantum observer (crossbar 0's allocation).
-func (r *Router) OnQuantum(f func(q int64, a rotor.Allocation)) { r.onQuantum = f }
+// program reprograms port p's four tiles between cycles: it discards
+// their queued micro-ops and static-network words, then installs the
+// port's switch programs and firmware, with xprog on the crossbar tile.
+// A nil xprog parks the port instead: no firmware, and the park program
+// on every switch. New, Degrade and a restore's completion all program
+// ports here; each resets the firmware state it owns itself.
+func (r *Router) program(p int, xprog *XbarProgram) {
+	var fws [4]raw.Firmware
+	park := CompiledParkProgram()
+	progs := [4]*raw.CompiledProgram{park, park, park, park}
+	if xprog != nil {
+		fws = [4]raw.Firmware{r.ings[p], r.lookups[p], r.xbars[p], r.egrs[p]}
+		progs = [4]*raw.CompiledProgram{
+			r.ings[p].prog.Compiled, CompiledLookupProgram(p), xprog.Compiled, r.egrs[p].prog.Compiled,
+		}
+	}
+	for i, tile := range portTiles(p) {
+		t := r.Chip.Tile(tile)
+		t.Exec().Reset()
+		t.ResetStatic(0)
+		t.Exec().SetFirmware(fws[i])
+		t.SetCompiledSwitchProgram(progs[i])
+	}
+}
 
 // InputPins exposes input port p's pin-level word stream (multi-chip
 // composition and tests).

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/raw"
@@ -102,7 +103,7 @@ func (w *watchdog) tick(cycle int64) {
 			// tile thawed. Begin re-admission (cannot fail here: the
 			// router is degraded, not failed, and not restoring).
 			if err := r.Restore(r.deadPort); err != nil {
-				r.failed = true
+				r.failStop(cycle, r.deadPort, err)
 			}
 			return
 		}
@@ -150,12 +151,15 @@ func (w *watchdog) tick(cycle int64) {
 			dead = p
 		}
 	}
-	if dead < 0 || r.deadPort >= 0 {
-		r.failed = true
-		return
-	}
-	if err := r.Degrade(dead); err != nil {
-		r.failed = true
+	switch {
+	case dead < 0:
+		r.failStop(cycle, -1, errors.New("router: wedge not attributable to one crossbar tile"))
+	case r.deadPort >= 0:
+		r.failStop(cycle, dead, fmt.Errorf("router: crossbar %d wedged with port %d already degraded", dead, r.deadPort))
+	default:
+		if err := r.Degrade(dead); err != nil {
+			r.failStop(cycle, dead, err)
+		}
 	}
 }
 
@@ -207,53 +211,26 @@ func (r *Router) Degrade(dead int) error {
 	// Park the dead port's pipeline. Its crossbar tile may be frozen (the
 	// usual reason we are here) — reprogramming it is a no-op until it
 	// thaws, at which point the park program blocks it harmlessly.
-	dp := Layout[dead]
 	if f := r.ings[dead]; f.havePkt {
 		r.stats.AbortDropped[dead]++
 		f.havePkt = false
 	}
 	r.ings[dead].lineDown = true
-	for _, tile := range []int{dp.Ingress, dp.Lookup, dp.Crossbar, dp.Egress} {
-		t := r.Chip.Tile(tile)
-		t.Exec().Reset()
-		t.Exec().SetFirmware(nil)
-		t.ResetStatic(0)
-		t.SetCompiledSwitchProgram(CompiledParkProgram())
-	}
+	r.program(dead, nil)
 
 	// Reconfigure the survivors.
 	for p := 0; p < 4; p++ {
 		if p == dead {
 			continue
 		}
-		pt := Layout[p]
-
 		xprog, err := GenXbarProgramDegraded(p, r.ci, dead)
 		if err != nil {
 			return err
 		}
-		xt := r.Chip.Tile(pt.Crossbar)
-		xt.Exec().Reset()
-		xt.ResetStatic(0)
-		xt.SetCompiledSwitchProgram(xprog.Compiled)
-		r.xbars[p].enterDegraded(dead, xprog)
-
-		it := r.Chip.Tile(pt.Ingress)
-		it.Exec().Reset()
-		it.ResetStatic(0)
-		it.SetCompiledSwitchProgram(r.ings[p].prog.Compiled)
+		r.program(p, xprog)
+		r.xbars[p].restart(xprog, dead, (dead+1)%4, -1, 0)
 		r.ings[p].resetForDegrade(dead)
-
-		et := r.Chip.Tile(pt.Egress)
-		et.Exec().Reset()
-		et.ResetStatic(0)
-		et.SetCompiledSwitchProgram(r.egrs[p].prog.Compiled)
 		r.egrs[p].resetForDegrade()
-
-		lt := r.Chip.Tile(pt.Lookup)
-		lt.Exec().Reset()
-		lt.ResetStatic(0)
-		lt.SetCompiledSwitchProgram(CompiledLookupProgram(p))
 	}
 	if r.wd != nil {
 		r.wd.noteDegrade(dead, r.Chip.Cycle())

@@ -103,8 +103,10 @@ echo "== cli: entry-point smoke =="
 # The commands users run must print identical output under the reference
 # interpreter and the fast engine: rawrouter on its default workload (also
 # with a seeded fault schedule, with the Figure 7-3 tracer, whose due
-# cycles bound the fast engine's macro windows, and with a corrupt tap
-# past the end of the run, which must not keep windows from opening),
+# cycles bound the fast engine's macro windows, with a corrupt tap past
+# the end of the run, which must not keep windows from opening, and
+# through the whole recovery arc: a frozen crossbar tile is degraded by
+# the watchdog, thaws, is restored and readmitted, and ends live),
 # fabsim's ring-4 fabric on its default antipodal permutation, and every
 # section of reproduce -quick once its per-section wall-clock lines are
 # dropped. rawrouter with no
@@ -123,12 +125,14 @@ $RR -engine fast >"$CLI/rr-fast.txt"
 $RR -workload permutation >"$CLI/rr-perm.txt"
 cmp "$CLI/rr-ref.txt" "$CLI/rr-fast.txt"
 cmp "$CLI/rr-fast.txt" "$CLI/rr-perm.txt"
-for flag in "-faultseed 7" -trace "-faults corrupt:t4.w.w999999999.b1"; do
+ARC="-cycles 100000 -watchdog -autorestore -faults freeze@15000+45000:t6"
+for flag in "-faultseed 7" -trace "-faults corrupt:t4.w.w999999999.b1" "$ARC"; do
 	$RR $flag -engine ref >"$CLI/rr-flag-ref.txt"
 	$RR $flag -engine fast >"$CLI/rr-flag-fast.txt"
 	cmp "$CLI/rr-flag-ref.txt" "$CLI/rr-flag-fast.txt"
 done
 $RR -faults corrupt:t4.w.w999999999.b1 -metrics prom | grep -q '^raw_router_macro_windows_total [1-9]'
+$RR $ARC -engine fast -metrics prom | grep -q '^raw_router_recovery_events_total{kind="live"} 1$'
 "$CLI/fabsim" -topology ring -chips 4 -engine ref >"$CLI/fab-ref.txt"
 "$CLI/fabsim" -topology ring -chips 4 -engine fast >"$CLI/fab-fast.txt"
 cmp "$CLI/fab-ref.txt" "$CLI/fab-fast.txt"
