@@ -6,8 +6,8 @@
 //	rawrouter [-workload SPEC] [-cycles 200000] [-warmup 80000]
 //	          [-quantum 256] [-crypto] [-layout] [-recordtrace FILE]
 //	          [-recordslices N] [-engine fast|ref] [-faults SCHEDULE]
-//	          [-faultseed N] [-watchdog] [-autorestore] [-reprobe N]
-//	          [-checkpoint FILE] [-restore FILE] [-metrics FORMAT[:FILE]]
+//	          [-faultseed N] [-watchdog] [-autorestore] [-checkpoint FILE]
+//	          [-restore FILE] [-metrics FORMAT[:FILE]]
 //
 // -workload is the only traffic flag: a declarative workload spec
 // (`NAME[:key=val,...]`, `json:FILE`, `trace:FILE`, or a preset — see
@@ -28,8 +28,7 @@
 // -faultseed a seeded schedule of recoverable faults is added. -watchdog
 // arms the quantum-progress watchdog so a crashed crossbar tile degrades
 // the fabric to three ports instead of halting it; -autorestore lets the
-// watchdog re-admit the port when the tile thaws. -reprobe N arms
-// line-flap retry with an N-quanta backoff base (0 = LineDown latches).
+// watchdog re-admit the port when the tile thaws.
 // -checkpoint FILE writes a deterministic checkpoint blob after the run;
 // -restore FILE replays one before running — the restored chip state is
 // bit-for-bit the checkpointed one, and the run then continues with a
@@ -69,7 +68,6 @@ func run() int {
 	layout := flag.Bool("layout", false, "print the Figure 7-2 tile mapping and exit")
 	watchdog := flag.Bool("watchdog", false, "arm the quantum-progress watchdog (degrade on a wedged crossbar tile)")
 	autoRestore := flag.Bool("autorestore", false, "let the watchdog re-admit a degraded port when its tile thaws (requires -watchdog)")
-	reprobe := flag.Int("reprobe", 0, "line-flap retry backoff base in quanta (0 = LineDown latches permanently)")
 	var common cli.Common
 	var sflags cli.ServeFlags
 	var wflags cli.WorkloadFlags
@@ -128,7 +126,6 @@ func run() int {
 	rcfg.Crypto = *crypto
 	rcfg.Watchdog = *watchdog
 	rcfg.AutoRestore = *autoRestore
-	rcfg.ReprobeQuanta = *reprobe
 	rcfg.Checkpoint = common.Checkpoint != "" || common.Restore != ""
 	if sflags.Serve {
 		return runServe(&common, &sflags, rcfg, workload)

@@ -16,23 +16,23 @@ import (
 
 func main() {
 	fmt.Println("One quantum, input 0 multicasting to {1,2,3}, token at 0:")
-	a := rotor.AllocateMcast([]rotor.McastReq{rotor.McastTo(1, 2, 3), 0, 0, 0}, 0)
-	fmt.Printf("  served members: %d of 3\n", a.Granted[0].Count())
+	a := rotor.AllocateMixed([]rotor.McastReq{rotor.McastTo(1, 2, 3), 0, 0, 0}, 0)
+	fmt.Printf("  served members: %d of 3\n", a.Served[0].Count())
 	for tile := 0; tile < 4; tile++ {
 		fmt.Printf("  crossbar tile %d config: %s\n", tile, a.Tiles[tile])
 	}
 
 	fmt.Println("\nContention trims the served subset (input 1 already owns egress 1):")
-	b := rotor.AllocateMcast([]rotor.McastReq{0, rotor.McastTo(1), rotor.McastTo(1, 3), 0}, 1)
+	b := rotor.AllocateMixed([]rotor.McastReq{0, rotor.McastTo(1), rotor.McastTo(1, 3), 0}, 1)
 	fmt.Printf("  input 1 granted: %v, input 2 granted members: %d (egress 3 only)\n",
-		b.Granted[1].Has(1), b.Granted[2].Count())
+		b.Served[1].Has(1), b.Served[2].Count())
 
 	// Long-run comparison: deliveries per quantum.
 	const quanta = 100_000
 	served := 0
 	for i := 0; i < quanta; i++ {
-		a := rotor.AllocateMcast([]rotor.McastReq{rotor.McastTo(1, 2, 3), 0, 0, 0}, i%4)
-		served += a.Granted[0].Count()
+		a := rotor.AllocateMixed([]rotor.McastReq{rotor.McastTo(1, 2, 3), 0, 0, 0}, i%4)
+		served += a.Served[0].Count()
 	}
 	fanout := float64(served) / quanta
 

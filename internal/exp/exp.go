@@ -361,8 +361,8 @@ func Multicast(q Quality) (copies, fanout float64, tb *stats.Table) {
 	// Fanout-splitting: one arc serves all three members per quantum.
 	served := 0
 	for i := 0; i < quanta; i++ {
-		a := rotor.AllocateMcast([]rotor.McastReq{rotor.McastTo(1, 2, 3), 0, 0, 0}, i%4)
-		served += a.Granted[0].Count()
+		a := rotor.AllocateMixed([]rotor.McastReq{rotor.McastTo(1, 2, 3), 0, 0, 0}, i%4)
+		served += a.Served[0].Count()
 	}
 	fanout = float64(served) / float64(quanta)
 	// Unicast copies: the ingress sends three separate packets; one

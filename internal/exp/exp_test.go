@@ -16,8 +16,13 @@ import (
 var update = flag.Bool("update", false, "rewrite "+goldenPath+" from this run")
 
 // goldenPath pins the paper's numbers exactly: the rendered Figure 7-1
-// peak and average tables, the §7.2 headline line and the E5
-// configuration-space table at quick quality. The simulator is
+// peak and average tables, the §7.2 headline line, the E5
+// configuration-space table and every table the Rotating Crossbar
+// allocator drives (ablation, fairness, QoS, multicast, scaling,
+// delay-load, full utilization, cycle-level multicast, degraded and
+// restored crossbar) at quick quality. The ref-vs-fast comparison of
+// reproduce cannot see an allocator change, because both engines call
+// the same rotor code; these sections can. The simulator is
 // deterministic on either chip engine, so any drift is a behavior
 // change; the band checks beside each comparison stay as the
 // paper-shape check. Rewrite it only deliberately, with
@@ -155,19 +160,21 @@ func TestConfigSpace(t *testing.T) {
 }
 
 func TestSecondNetworkAblation(t *testing.T) {
-	one, two, _ := exp.SecondNetworkAblation(exp.Quick)
+	one, two, tb := exp.SecondNetworkAblation(exp.Quick)
 	if d := math.Abs(two-one) / one; d > 0.01 {
 		t.Fatalf("second network changed throughput %.2f%%", 100*d)
 	}
+	checkGolden(t, "ablation", tb.String())
 }
 
 func TestFairness(t *testing.T) {
-	shares, _ := exp.Fairness(exp.Quick)
+	shares, tb := exp.Fairness(exp.Quick)
 	for p, s := range shares {
 		if math.Abs(s-0.25) > 0.02 {
 			t.Fatalf("input %d share %.3f, want 0.25", p, s)
 		}
 	}
+	checkGolden(t, "fairness", tb.String())
 }
 
 func TestHOLvsVOQ(t *testing.T) {
@@ -188,17 +195,19 @@ func TestCellsVsVariable(t *testing.T) {
 }
 
 func TestQoS(t *testing.T) {
-	shares, _ := exp.QoS(exp.Quick)
+	shares, tb := exp.QoS(exp.Quick)
 	if shares[0] < 1.6*shares[1] {
 		t.Fatalf("weighted input share %.3f vs %.3f: weight ineffective", shares[0], shares[1])
 	}
+	checkGolden(t, "qos", tb.String())
 }
 
 func TestMulticast(t *testing.T) {
-	copies, fanout, _ := exp.Multicast(exp.Quick)
+	copies, fanout, tb := exp.Multicast(exp.Quick)
 	if fanout < 2.5*copies {
 		t.Fatalf("fanout %.2f vs copies %.2f: expected ≈3x amplification", fanout, copies)
 	}
+	checkGolden(t, "multicast", tb.String())
 }
 
 func TestHeadline(t *testing.T) {
@@ -218,6 +227,7 @@ func TestScale8(t *testing.T) {
 	if len(tb.Rows) != 3 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
+	checkGolden(t, "scale", tb.String())
 }
 
 func TestLookupCost(t *testing.T) {
@@ -232,6 +242,7 @@ func TestDelayVsLoad(t *testing.T) {
 	if len(tb.Rows) != 4 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
+	checkGolden(t, "delay-load", tb.String())
 }
 
 func TestMcastCells(t *testing.T) {
@@ -242,11 +253,12 @@ func TestMcastCells(t *testing.T) {
 }
 
 func TestMcastCycle(t *testing.T) {
-	amp, _ := exp.McastCycle(exp.Quick)
+	amp, tb := exp.McastCycle(exp.Quick)
 	// 30% of packets fan out 4x: expected amplification ≈ 0.7 + 0.3*4 = 1.9.
 	if amp < 1.4 || amp > 2.4 {
 		t.Fatalf("amplification %.2f, want ≈1.9", amp)
 	}
+	checkGolden(t, "mcast-cycle", tb.String())
 }
 
 func TestISLIPIterations(t *testing.T) {
@@ -271,13 +283,14 @@ func TestScaleOut(t *testing.T) {
 }
 
 func TestFullUtilization(t *testing.T) {
-	fifo, voq, _ := exp.FullUtilization(exp.Quick)
+	fifo, voq, tb := exp.FullUtilization(exp.Quick)
 	if fifo < 0.55 || fifo > 0.8 {
 		t.Fatalf("FIFO ratio %.3f, want ≈0.69", fifo)
 	}
 	if voq < 0.9 {
 		t.Fatalf("VOQ ratio %.3f, want ≥0.9", voq)
 	}
+	checkGolden(t, "full-util", tb.String())
 }
 
 func TestPIMvsISLIP(t *testing.T) {
@@ -309,7 +322,7 @@ func TestNetprocConvergence(t *testing.T) {
 }
 
 func TestDegradedCrossbar(t *testing.T) {
-	healthy, degraded, _ := exp.DegradedCrossbar(exp.Quick)
+	healthy, degraded, tb := exp.DegradedCrossbar(exp.Quick)
 	for i := range healthy {
 		ratio := degraded[i] / healthy[i]
 		if ratio < 0.55 || ratio > 0.95 {
@@ -320,4 +333,19 @@ func TestDegradedCrossbar(t *testing.T) {
 			t.Fatalf("point %d: per-live-port ratio %.3f, want ≈ 1", i, perPort)
 		}
 	}
+	checkGolden(t, "degraded", tb.String())
+}
+
+// TestRestoredCrossbar: a port degraded away, restored and through its
+// probation window serves within a few percent of a never-failed router
+// (the probation walk quarantines the joining egress for a few quanta
+// only).
+func TestRestoredCrossbar(t *testing.T) {
+	healthy, restored, tb := exp.RestoredCrossbar(exp.Quick)
+	for i := range healthy {
+		if ratio := restored[i] / healthy[i]; ratio < 0.95 || ratio > 1.05 {
+			t.Fatalf("point %d: restored/healthy = %.3f, want ≈ 1", i, ratio)
+		}
+	}
+	checkGolden(t, "restore", tb.String())
 }

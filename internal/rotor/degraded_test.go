@@ -8,58 +8,29 @@ import "testing"
 func TestDegradedNeverTouchesDeadTile(t *testing.T) {
 	const n = 4
 	prio := make([]uint8, n)
-	hdrs := make([]Hdr, n)
 	for dead := 0; dead < n; dead++ {
-		var rec func(pos int)
-		rec = func(pos int) {
-			if pos == n {
-				for token := 0; token < n; token++ {
-					if token == dead {
-						continue
-					}
-					g := GlobalConfig{Hdrs: append([]Hdr(nil), hdrs...), Token: token}
-					a := AllocateDegraded(g, prio, dead)
-					if a.Granted[dead] {
-						t.Fatalf("dead=%d hdrs=%v token=%d: dead tile granted", dead, hdrs, token)
-					}
-					if a.Tiles[dead].Active() {
-						t.Fatalf("dead=%d hdrs=%v token=%d: dead tile painted %v",
-							dead, hdrs, token, a.Tiles[dead])
-					}
-					for _, tr := range a.Transfers {
-						if tr.Src == dead || tr.Dst == dead {
-							t.Fatalf("dead=%d: transfer %+v touches dead tile", dead, tr)
-						}
-						// Walk the ring path and assert it avoids the hole.
-						for m := 0; m <= tr.Hops; m++ {
-							var at int
-							if tr.CW {
-								at = (tr.Src + m) % n
-							} else {
-								at = (tr.Src - m + n) % n
-							}
-							if at == dead {
-								t.Fatalf("dead=%d: transfer %+v routes through dead tile", dead, tr)
-							}
-						}
+		keep := func(i int, m McastReq) bool { return unicast(i, m) && !m.Has(dead) && (i != dead || m == 0) }
+		eachConfig(n, keep, func(reqs []McastReq, token int) {
+			a := AllocateFT(reqs, token, prio, dead, -1)
+			if a.Granted[dead] {
+				t.Fatalf("dead=%d reqs=%v token=%d: dead tile granted", dead, reqs, token)
+			}
+			if a.Tiles[dead].Active() {
+				t.Fatalf("dead=%d reqs=%v token=%d: dead tile painted %v",
+					dead, reqs, token, a.Tiles[dead])
+			}
+			for _, tr := range a.Transfers {
+				if tr.Src == dead || tr.Dst == dead {
+					t.Fatalf("dead=%d: transfer %+v touches dead tile", dead, tr)
+				}
+				// Walk the ring path and assert it avoids the hole.
+				for m := 0; m <= tr.Hops; m++ {
+					if hop(tr.Src, m, tr.CW, n) == dead {
+						t.Fatalf("dead=%d: transfer %+v routes through dead tile", dead, tr)
 					}
 				}
-				return
 			}
-			if pos == dead {
-				hdrs[pos] = HdrEmpty
-				rec(pos + 1)
-				return
-			}
-			for h := 0; h <= n; h++ {
-				if Hdr(h).Dest() == dead {
-					continue
-				}
-				hdrs[pos] = Hdr(h)
-				rec(pos + 1)
-			}
-		}
-		rec(0)
+		})
 	}
 }
 
@@ -78,13 +49,13 @@ func TestDegradedSingleRequesterAlwaysGranted(t *testing.T) {
 				if dst == dead {
 					continue
 				}
-				hdrs := make([]Hdr, n)
-				hdrs[src] = HdrTo(dst)
+				reqs := make([]McastReq, n)
+				reqs[src] = McastTo(dst)
 				for token := 0; token < n; token++ {
 					if token == dead {
 						continue
 					}
-					a := AllocateDegraded(GlobalConfig{Hdrs: hdrs, Token: token}, prio, dead)
+					a := AllocateFT(reqs, token, prio, dead, -1)
 					if !a.Granted[src] {
 						t.Fatalf("dead=%d src=%d dst=%d token=%d: sole requester denied",
 							dead, src, dst, token)

@@ -78,8 +78,8 @@ type Fabric struct {
 
 // NewFabric builds a fabric.
 func NewFabric(cfg FabricConfig) *Fabric {
-	if cfg.Ports < 2 {
-		panic("rotor: fabric needs at least 2 ports")
+	if cfg.Ports < 2 || cfg.Ports > 32 {
+		panic("rotor: fabric needs 2 to 32 ports")
 	}
 	if cfg.QuantumWords <= 0 {
 		cfg.QuantumWords = 256
@@ -226,70 +226,4 @@ func (f *Fabric) TotalPkts() int64 {
 		t += p
 	}
 	return t
-}
-
-// AllocateChannels is Allocate with ch parallel ring channel pairs — the
-// §5.3 second-static-network ablation. A transfer blocked on channel 0's
-// clockwise and counterclockwise rings retries on channel 1, and so on.
-// Egress ports remain single-channel (an Egress Processor consumes one
-// word per cycle no matter how many networks feed the crossbar), which is
-// the topological reason §5.3 finds the second network does not help.
-func AllocateChannels(g GlobalConfig, ch int) Allocation {
-	n := len(g.Hdrs)
-	outClaimed := make([]bool, n)
-	cwBusy := make([][]bool, ch)
-	ccwBusy := make([][]bool, ch)
-	for c := 0; c < ch; c++ {
-		cwBusy[c] = make([]bool, n)
-		ccwBusy[c] = make([]bool, n)
-	}
-	a := Allocation{Granted: make([]bool, n), Tiles: make([]TileConfig, n)}
-	for k := 0; k < n; k++ {
-		i := (g.Token + k) % n
-		d := g.Hdrs[i].Dest()
-		if d < 0 {
-			continue
-		}
-		if outClaimed[d] {
-			a.Tiles[i].InBlocked = true
-			continue
-		}
-		cwHops := (d - i + n) % n
-		if cwHops == 0 {
-			outClaimed[d] = true
-			a.Granted[i] = true
-			a.Transfers = append(a.Transfers, Transfer{Src: i, Dst: d, CW: true, Hops: 0})
-			continue
-		}
-		granted := false
-		for c := 0; c < ch && !granted; c++ {
-			for _, o := range directionOrder(i, d, n) {
-				busy := cwBusy[c]
-				if !o.cw {
-					busy = ccwBusy[c]
-				}
-				if pathFree(busy, i, o.hops, o.cw, n) {
-					claimPath(busy, i, o.hops, o.cw, n)
-					granted = true
-					a.Transfers = append(a.Transfers, Transfer{Src: i, Dst: d, CW: o.cw, Hops: o.hops})
-					break
-				}
-			}
-		}
-		if granted {
-			outClaimed[d] = true
-			a.Granted[i] = true
-		} else {
-			a.Tiles[i].InBlocked = true
-		}
-	}
-	// Per-tile switch configurations are only well defined for the single
-	// physical network (two channels can pass two streams through one
-	// tile in the same direction); the ablation consumes Granted only.
-	if ch == 1 {
-		for _, tr := range a.Transfers {
-			paint(a.Tiles, tr, n)
-		}
-	}
-	return a
 }

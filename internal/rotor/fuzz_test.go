@@ -1,91 +1,65 @@
-// Fuzz harness for the Rotating Crossbar allocation walk: for arbitrary
-// ring sizes, header vectors, and token positions, the schedule must
-// grant each egress at most once, claim each directed ring link at most
-// once, keep Granted consistent with Transfers, and always serve the
-// token master.
-package rotor_test
+// Fuzz harness for the Rotating Crossbar reservation walk: for arbitrary
+// ring sizes, member masks, token positions, priority classes and a dead
+// or joining tile, the schedule must keep every walk invariant
+// (checkWalk).
+package rotor
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/rotor"
-)
-
+// FuzzAllocate decodes its input as: ring size (2..8), token, one
+// request byte per tile (below 128 a unicast header, v%(n+1) with 0
+// empty; from 128 a member mask, its low n bits), then optionally a
+// fault byte (f%3: none, dead, joining; tile f/3%n, whose request is
+// dropped) and one class byte per tile (0..7); without class bytes the
+// walk runs token order alone.
 func FuzzAllocate(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 2, 3, 4})
 	f.Add([]byte{6, 3, 1, 1, 1, 1, 1, 1})    // all-to-one
 	f.Add([]byte{4, 1, 2, 3, 4, 1})          // rotated permutation
 	f.Add([]byte{7, 5, 0, 0, 0, 0, 0, 0, 0}) // all empty
 	f.Add([]byte{3, 2, 3, 3, 2})
+	f.Add([]byte{2, 1, 0x8e, 2, 0x85, 0x8a, 0, 0, 0, 0}) // member masks
+	f.Add([]byte{2, 1, 3, 4, 1, 2, 7, 1, 0, 2, 0})       // tile 2 dead, classes
+	f.Add([]byte{2, 3, 0x8f, 3, 0x86, 1, 5, 0, 3, 1, 3}) // tile 1 joining, masks and classes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			t.Skip()
 		}
 		n := 2 + int(data[0])%7 // ring of 2..8 crossbar tiles
 		token := int(data[1]) % n
-		hdrs := make([]rotor.Hdr, n)
-		for i := range hdrs {
-			var b byte
-			if 2+i < len(data) {
-				b = data[2+i]
+		at := func(k int) byte {
+			if k < len(data) {
+				return data[k]
 			}
-			if v := int(b) % (n + 1); v > 0 {
-				hdrs[i] = rotor.HdrTo(v - 1)
+			return 0
+		}
+		reqs := make([]McastReq, n)
+		for i := range reqs {
+			if b := at(2 + i); b >= 128 {
+				reqs[i] = McastReq(b) & (1<<n - 1)
+			} else if v := int(b) % (n + 1); v > 0 {
+				reqs[i] = McastTo(v - 1)
 			}
 		}
-		a := rotor.Allocate(rotor.GlobalConfig{Hdrs: hdrs, Token: token})
-
-		granted := make([]bool, n)
-		egress := make([]bool, n)
-		cwLink := make([]bool, n)  // clockwise link leaving tile i
-		ccwLink := make([]bool, n) // counterclockwise link leaving tile i
-		for _, tr := range a.Transfers {
-			if tr.Src < 0 || tr.Src >= n || tr.Dst < 0 || tr.Dst >= n {
-				t.Fatalf("transfer %+v out of range for n=%d", tr, n)
-			}
-			if hdrs[tr.Src].Dest() != tr.Dst {
-				t.Errorf("input %d granted egress %d but requested %d", tr.Src, tr.Dst, hdrs[tr.Src].Dest())
-			}
-			if granted[tr.Src] {
-				t.Errorf("input %d granted twice in one quantum", tr.Src)
-			}
-			granted[tr.Src] = true
-			if egress[tr.Dst] {
-				t.Errorf("egress %d granted twice in one quantum", tr.Dst)
-			}
-			egress[tr.Dst] = true
-			wantCW := (tr.Dst - tr.Src + n) % n
-			wantCCW := (tr.Src - tr.Dst + n) % n
-			if (tr.CW && tr.Hops != wantCW) || (!tr.CW && tr.Hops != wantCCW) {
-				t.Errorf("transfer %+v: hop count inconsistent with ring distance (cw %d, ccw %d)", tr, wantCW, wantCCW)
-			}
-			for m := 0; m < tr.Hops; m++ {
-				if tr.CW {
-					j := (tr.Src + m) % n
-					if cwLink[j] {
-						t.Errorf("clockwise link %d claimed twice", j)
-					}
-					cwLink[j] = true
-				} else {
-					j := (tr.Src - m + n) % n
-					if ccwLink[j] {
-						t.Errorf("counterclockwise link %d claimed twice", j)
-					}
-					ccwLink[j] = true
-				}
+		dead, joining := -1, -1
+		if fb := at(2 + n); fb%3 != 0 {
+			tile := int(fb/3) % n
+			reqs[tile] = 0
+			if fb%3 == 1 {
+				dead = tile
+			} else {
+				joining = tile
 			}
 		}
-		for i := 0; i < n; i++ {
-			if a.Granted[i] != granted[i] {
-				t.Errorf("Granted[%d] = %v but transfers say %v", i, a.Granted[i], granted[i])
-			}
-			if granted[i] && hdrs[i] == rotor.HdrEmpty {
-				t.Errorf("empty input %d was granted", i)
+		var prio []uint8
+		if len(data) >= 3+2*n {
+			prio = make([]uint8, n)
+			for i := range prio {
+				prio[i] = data[3+n+i] % 8
 			}
 		}
-		if hdrs[token] != rotor.HdrEmpty && !a.Granted[token] {
-			t.Errorf("token master %d (header to %d) was not granted — the walk must always serve the master first", token, hdrs[token].Dest())
-		}
+		checkWalk(t, reqs, token, prio, dead, joining, AllocateFT(reqs, token, prio, dead, joining))
+		checkOrder(t, n, token, prio, dead)
 	})
 }
 
@@ -96,19 +70,19 @@ func FuzzAllocate(f *testing.F) {
 func TestTokenRotationFair(t *testing.T) {
 	for n := 2; n <= 8; n++ {
 		for hot := 0; hot < n; hot++ {
-			hdrs := make([]rotor.Hdr, n)
+			hdrs := make([]Hdr, n)
 			for i := range hdrs {
-				hdrs[i] = rotor.HdrTo(hot)
+				hdrs[i] = HdrTo(hot)
 			}
 			wins := make([]int, n)
 			token := 0
 			for q := 0; q < n; q++ {
-				a := rotor.Allocate(rotor.GlobalConfig{Hdrs: hdrs, Token: token})
+				a := Allocate(GlobalConfig{Hdrs: hdrs, Token: token})
 				if len(a.Transfers) != 1 {
 					t.Fatalf("n=%d hot=%d token=%d: %d transfers for a single egress, want 1", n, hot, token, len(a.Transfers))
 				}
 				wins[a.Transfers[0].Src]++
-				token = rotor.NextToken(token, n)
+				token = NextToken(token, n)
 			}
 			for i, w := range wins {
 				if w != 1 {

@@ -1,5 +1,7 @@
 package rotor
 
+import "math/bits"
+
 // Multicast support (§8.6): "allowing a single Ingress Processor to send
 // data to several Egress Processors simultaneously. This modification is
 // trivial considering the ease of programmability of the switch fabric" —
@@ -7,7 +9,9 @@ package rotor
 // (fanout-splitting), so a multicast stream costs its clockwise arc once
 // and is peeled off at every member tile.
 
-// McastReq is a multicast request: a bitmask of egress ports.
+// McastReq is a set of ring positions as a bitmask: a multicast
+// request's egress ports (a singleton is unicast), or the egresses and
+// ring links a walk has claimed.
 type McastReq uint32
 
 // McastTo builds a request for the given egress ports.
@@ -23,99 +27,15 @@ func McastTo(ports ...int) McastReq {
 func (m McastReq) Has(p int) bool { return m>>p&1 == 1 }
 
 // Count returns the fanout.
-func (m McastReq) Count() int {
-	c := 0
-	for m != 0 {
-		c += int(m & 1)
-		m >>= 1
-	}
-	return c
-}
+func (m McastReq) Count() int { return bits.OnesCount32(uint32(m)) }
 
-// McastAllocation describes one quantum of multicast service.
-type McastAllocation struct {
-	// Granted[i] is the subset of input i's request served this quantum
-	// (fanout-splitting: members whose egress was busy wait, the rest are
-	// served — the discipline §2.2.2 credits with a 40% throughput gain).
-	Granted []McastReq
-	// Tiles carries the per-tile switch configuration; multicast tiles
-	// may drive out and cwnext from the same client.
-	Tiles []TileConfig
-}
-
-// AllocateMcast runs the token walk for multicast requests. Each granted
-// stream travels clockwise through the arc spanning its served members,
-// delivering at each; the arc's clockwise links must all be free
-// (all-or-nothing per served subset: the subset is first trimmed to
-// members whose egress is unclaimed, then to the longest prefix of the
-// arc whose links are free).
-func AllocateMcast(reqs []McastReq, token int) McastAllocation {
-	n := len(reqs)
-	outClaimed := make([]bool, n)
-	cwBusy := make([]bool, n)
-	a := McastAllocation{Granted: make([]McastReq, n), Tiles: make([]TileConfig, n)}
-
-	for k := 0; k < n; k++ {
-		i := (token + k) % n
-		req := reqs[i]
-		if req == 0 {
-			continue
-		}
-		// Members in clockwise order from the source, with free egresses.
-		var members []int // clockwise hop distances, ascending
-		for h := 0; h < n; h++ {
-			d := (i + h) % n
-			if req.Has(d) && !outClaimed[d] {
-				members = append(members, h)
-			}
-		}
-		if len(members) == 0 {
-			a.Tiles[i].InBlocked = true
-			continue
-		}
-		// Trim to the longest reachable prefix: reaching a member h hops
-		// away needs the h consecutive clockwise links from the source to
-		// be free.
-		maxReach := 0
-		for m := 0; m < n-1; m++ {
-			if cwBusy[(i+m)%n] {
-				break
-			}
-			maxReach = m + 1
-		}
-		var served []int
-		for _, h := range members {
-			if h <= maxReach {
-				served = append(served, h)
-			}
-		}
-		if len(served) == 0 {
-			a.Tiles[i].InBlocked = true
-			continue
-		}
-		arc := served[len(served)-1]
-		claimPath(cwBusy, i, arc, true, n)
-		for _, h := range served {
-			d := (i + h) % n
-			outClaimed[d] = true
-			a.Granted[i] |= 1 << d
-		}
-		// Paint the tiles along the arc.
-		for h := 0; h <= arc; h++ {
-			t := (i + h) % n
-			cl := ClCWPrev
-			if h == 0 {
-				cl = ClIn
-			}
-			if a.Granted[i].Has(t) {
-				a.Tiles[t].Out = cl
-				a.Tiles[t].OutHops = uint8(h)
-			}
-			if h < arc {
-				a.Tiles[t].CWNext = cl
-				a.Tiles[t].CWHops = uint8(h)
-			}
-		}
-	}
-	return a
+// AllocateMixed runs the token walk over member bitmasks — the §8.6
+// extension carried to full fidelity. A singleton mask is ordinary
+// unicast and may take either ring direction (shortest arc first,
+// exactly like Allocate); a multi-member mask travels clockwise only,
+// fanout-splitting at every served member. Service is incremental:
+// members whose egress is taken, or beyond the reachable clockwise arc,
+// wait for a later quantum.
+func AllocateMixed(reqs []McastReq, token int) Allocation {
+	return AllocateFT(reqs, token, nil, -1, -1)
 }

@@ -36,9 +36,10 @@ func TestReadmitConfigsCovered(t *testing.T) {
 	}
 }
 
-// TestAllocateReadmitProperties: during probation the joining tile's
-// egress is never granted, its ring links are usable for relay, no
-// output or ring link is claimed twice, and the walk honors headers.
+// TestAllocateReadmitProperties: during probation (AllocateFT with a
+// joining tile) the joining tile's egress is never granted, its ring
+// links are usable for relay, no output or ring link is claimed twice,
+// and the walk honors headers.
 func TestAllocateReadmitProperties(t *testing.T) {
 	n := 4
 	prio := make([]uint8, n)
@@ -50,7 +51,7 @@ func TestAllocateReadmitProperties(t *testing.T) {
 			if pos == n {
 				for token := 0; token < n; token++ {
 					g := rotor.GlobalConfig{Hdrs: append([]rotor.Hdr(nil), hdrs...), Token: token}
-					a := rotor.AllocateReadmit(g, prio, joining)
+					a := rotor.AllocateFT(reqsOf(g.Hdrs), g.Token, prio, -1, joining)
 					outSeen := make([]bool, n)
 					for _, tr := range a.Transfers {
 						if tr.Dst == joining {
@@ -109,6 +110,5 @@ func TestAllocateReadmitPanicsOnRequest(t *testing.T) {
 			t.Fatal("no panic for a requesting probation tile")
 		}
 	}()
-	g := rotor.GlobalConfig{Hdrs: []rotor.Hdr{rotor.HdrTo(1), 0, 0, 0}, Token: 0}
-	rotor.AllocateReadmit(g, make([]uint8, 4), 0)
+	rotor.AllocateFT([]rotor.McastReq{rotor.McastTo(1), 0, 0, 0}, 0, make([]uint8, 4), -1, 0)
 }

@@ -27,7 +27,10 @@
 // table in the 8,192-word tile memories.
 package rotor
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // DefaultPorts is the paper's 4x4 router port count.
 const DefaultPorts = 4
@@ -126,9 +129,19 @@ type Transfer struct {
 // Allocation is the deterministic outcome of the token walk for one
 // global configuration.
 type Allocation struct {
+	// Transfers are the granted streams, one per served egress: a
+	// multicast stream records one transfer per member it reaches, and
+	// painting them reproduces its clockwise arc.
 	Transfers []Transfer
 	// Granted[i] reports whether input i sends this quantum.
 	Granted []bool
+	// Served[i] is the subset of input i's request its stream reaches
+	// this quantum (fanout-splitting: members whose egress is taken or
+	// beyond the free arc wait for a later quantum).
+	Served []McastReq
+	// OutSrc[d] is the input whose stream feeds egress d (-1 when idle)
+	// — the egress-header information every crossbar processor needs.
+	OutSrc []int
 	// Tiles[i] is crossbar tile i's minimized per-tile configuration.
 	Tiles []TileConfig
 }
@@ -136,24 +149,227 @@ type Allocation struct {
 // Allocate runs the Rotating Crossbar allocation walk (§5.1–§5.2) for an
 // n-tile ring. All tiles run this same function on the same inputs, which
 // is what makes the schedule distributed yet conflict-free.
-func Allocate(g GlobalConfig) Allocation {
+func Allocate(g GlobalConfig) Allocation { return AllocateChannels(g, 1) }
+
+// AllocateChannels is Allocate with ch parallel ring channel pairs — the
+// §5.3 second-static-network ablation. A transfer blocked on channel 0's
+// clockwise and counterclockwise rings retries on channel 1, and so on.
+// Egress ports remain single-channel (an Egress Processor consumes one
+// word per cycle no matter how many networks feed the crossbar), which is
+// the topological reason §5.3 finds the second network does not help.
+func AllocateChannels(g GlobalConfig, ch int) Allocation {
 	n := len(g.Hdrs)
-	if n < 2 {
-		panic("rotor: ring needs at least two tiles")
-	}
-	if g.Token < 0 || g.Token >= n {
-		panic("rotor: token out of range")
-	}
+	reqs := make([]McastReq, n)
 	for i, h := range g.Hdrs {
 		if d := h.Dest(); d >= n {
 			panic(fmt.Sprintf("rotor: header at tile %d names egress %d of %d", i, d, n))
+		} else if d >= 0 {
+			reqs[i] = McastTo(d)
 		}
 	}
-	order := make([]int, n)
-	for k := 0; k < n; k++ {
-		order[k] = (g.Token + k) % n
+	return walk(reqs, visitOrder(n, g.Token, nil, -1), 0, 0, ch)
+}
+
+// AllocateFT is the walk every crossbar processor runs each quantum, on
+// the fault-tolerant ring. Requests are member masks (a singleton is
+// unicast). prio gives each input's class (§8.7: "letting Ingress
+// Processors include priority information into the local header, and
+// adding the arbitration code"): the walk serves classes strictly high
+// to low, token order within a class, so every tile still computes the
+// same schedule; nil prio, like all-zero classes, walks token order
+// alone, as §8.6 mode must, since its jump table has no slots for
+// prioritized orders. Strict priority protects high-class latency and
+// bandwidth; a saturating high class can starve lower ones (weighted
+// tokens are the fairness-preserving alternative).
+//
+// dead (-1 for none) is a crossbar tile masked out of the fabric: the
+// order skips it (the token rotation skips the hole), its egress and
+// both its outgoing ring links start claimed, so any route ending at it
+// hits the egress claim and any route crossing it hits a busy link, and
+// the unmodified path search routes around the hole (the long way when
+// the short arc crosses it) or blocks the requester, exactly as
+// contention would.
+//
+// joining (-1 for none) is a tile on probation after re-admission: it is
+// back in rotation and holds the token, but its egress starts claimed,
+// so no stream reaches it until probation ends, while its ring links
+// stay free to relay its neighbors' streams. A tile that is not
+// actually healthy again can then only wedge the header exchange, which
+// the watchdog catches and re-degrades.
+//
+// Neither a dead nor a joining tile may request a transfer.
+func AllocateFT(reqs []McastReq, token int, prio []uint8, dead, joining int) Allocation {
+	n := len(reqs)
+	if prio != nil && len(prio) != n {
+		panic("rotor: priority vector must match ring size")
 	}
-	return allocateOrdered(g, order)
+	var out, cut McastReq
+	if dead >= 0 {
+		if dead >= n {
+			panic("rotor: dead tile out of range")
+		}
+		if reqs[dead] != 0 {
+			panic("rotor: dead tile cannot request a transfer")
+		}
+		out |= 1 << dead
+		cut |= 1 << dead
+	}
+	if joining >= 0 {
+		if joining >= n {
+			panic("rotor: joining tile out of range")
+		}
+		if reqs[joining] != 0 {
+			panic("rotor: re-admitted tile cannot request a transfer during probation")
+		}
+		out |= 1 << joining
+	}
+	return walk(reqs, visitOrder(n, token, prio, dead), out, cut, 1)
+}
+
+// visitOrder is the walk's visiting order on an n-tile ring: classes
+// strictly high to low (one class when prio is nil), token order within
+// a class, without tile skip (-1 for none).
+func visitOrder(n, token int, prio []uint8, skip int) []int {
+	if token < 0 || token >= n {
+		panic("rotor: token out of range")
+	}
+	var top uint8
+	for _, p := range prio {
+		top = max(top, p)
+	}
+	order := make([]int, 0, n)
+	for p := int(top); p >= 0; p-- {
+		for k := 0; k < n; k++ {
+			if i := (token + k) % n; i != skip && (prio == nil || int(prio[i]) == p) {
+				order = append(order, i)
+			}
+		}
+	}
+	return order
+}
+
+// walk is the Rotating Crossbar's reservation walk (§5.2), the one every
+// allocator runs. Its parameters are data: the visiting order, the
+// egresses (out) and the tiles whose outgoing ring links (cut) are
+// claimed before the walk, and the number of ring channel pairs. Each
+// input in order claims what its member mask can still reach; an input
+// left with nothing is blocked and waits for the next quantum.
+func walk(reqs []McastReq, order []int, out, cut McastReq, ch int) Allocation {
+	n := len(reqs)
+	if n < 2 || n > 32 {
+		panic("rotor: ring needs two to 32 tiles")
+	}
+	for i, m := range reqs {
+		if m>>n != 0 {
+			panic(fmt.Sprintf("rotor: request at tile %d names an egress beyond %d", i, n))
+		}
+	}
+	r := newRing(n, ch, out, cut)
+	a := Allocation{
+		Transfers: make([]Transfer, 0, n),
+		Granted:   make([]bool, n),
+		Served:    make([]McastReq, n),
+		OutSrc:    make([]int, n),
+		Tiles:     make([]TileConfig, n),
+	}
+	for d := range a.OutSrc {
+		a.OutSrc[d] = -1
+	}
+	for _, i := range order {
+		if reqs[i] == 0 {
+			continue
+		}
+		served, cw := r.claim(i, reqs[i])
+		if served == 0 {
+			a.Tiles[i].InBlocked = true
+			continue
+		}
+		a.Granted[i], a.Served[i] = true, served
+		for h, left := 0, served; left != 0; h++ {
+			if d := hop(i, h, cw, n); left.Has(d) {
+				left &^= 1 << d
+				a.OutSrc[d] = i
+				a.Transfers = append(a.Transfers, Transfer{Src: i, Dst: d, CW: cw, Hops: h})
+			}
+		}
+	}
+	// Per-tile switch configurations are only well defined for the single
+	// physical network (two channels can pass two streams through one
+	// tile in the same direction); the ablation consumes Granted only.
+	if ch == 1 {
+		for _, tr := range a.Transfers {
+			paint(a.Tiles, tr, n)
+		}
+	}
+	return a
+}
+
+// ring is the claim state a walk threads through its visiting order:
+// the egresses claimed so far, and per channel pair c the clockwise
+// (links[2c]) and counterclockwise (links[2c+1]) ring links claimed, bit
+// j standing for the link leaving tile j.
+type ring struct {
+	n     int
+	out   McastReq
+	links []McastReq
+}
+
+// newRing returns the claim state of an n-tile ring with ch channel
+// pairs before the walk: the egresses in out and both links leaving
+// each tile in cut start claimed.
+func newRing(n, ch int, out, cut McastReq) *ring {
+	r := &ring{n: n, out: out, links: make([]McastReq, 2*ch)}
+	for c := range r.links {
+		r.links[c] = cut
+	}
+	return r
+}
+
+// claim is the walk's step: it reserves what input i's request can
+// reach and returns the members served and the direction their stream
+// takes. Members whose egress is claimed wait. A singleton is unicast:
+// it takes the shorter arc, clockwise on ties, falling back to the other
+// direction (§5.2), on each channel pair in turn. A wider mask travels
+// clockwise only and fanout-splits at every free member within the free
+// prefix of the links leaving the source (§8.6).
+func (r *ring) claim(i int, req McastReq) (McastReq, bool) {
+	free := req &^ r.out
+	if free == 0 {
+		return 0, false
+	}
+	dirs := []pathOption{{cw: true, hops: r.n - 1}}
+	if req.Count() == 1 {
+		o := directionOrder(i, bits.TrailingZeros32(uint32(req)), r.n)
+		dirs = o[:]
+	}
+	for c := 0; c < len(r.links); c += 2 {
+		for _, o := range dirs {
+			busy := &r.links[c]
+			if !o.cw {
+				busy = &r.links[c+1]
+			}
+			// Travel outward from the source: each tile reached may be
+			// served, and a claimed link leaving it ends the arc.
+			var served McastReq
+			far := 0
+			for h := 0; h <= o.hops; h++ {
+				d := hop(i, h, o.cw, r.n)
+				if free.Has(d) {
+					served |= 1 << d
+					far = h
+				}
+				if busy.Has(d) {
+					break
+				}
+			}
+			if served != 0 {
+				claimPath(busy, i, far, o.cw, r.n)
+				r.out |= served
+				return served, o.cw
+			}
+		}
+	}
+	return 0, false
 }
 
 // pathOption is one candidate ring route.
@@ -178,209 +394,47 @@ func directionOrder(i, d, n int) [2]pathOption {
 	return [2]pathOption{{false, ccwHops}, {true, cwHops}}
 }
 
-// pathFree checks the h consecutive ring links leaving tile i in the given
+// hop returns the tile h hops (0 <= h <= n) from tile i in one ring
 // direction.
-func pathFree(busy []bool, i, h int, cw bool, n int) bool {
-	for m := 0; m < h; m++ {
-		var j int
-		if cw {
-			j = (i + m) % n
-		} else {
-			j = (i - m + n) % n
-		}
-		if busy[j] {
-			return false
-		}
+func hop(i, h int, cw bool, n int) int {
+	if !cw {
+		h = n - h
 	}
-	return true
+	if i += h; i >= n {
+		i -= n
+	}
+	return i
 }
 
-func claimPath(busy []bool, i, h int, cw bool, n int) {
+// claimPath claims the h consecutive ring links leaving tile i in the
+// given direction.
+func claimPath(busy *McastReq, i, h int, cw bool, n int) {
 	for m := 0; m < h; m++ {
-		var j int
-		if cw {
-			j = (i + m) % n
-		} else {
-			j = (i - m + n) % n
-		}
-		busy[j] = true
+		*busy |= 1 << hop(i, m, cw, n)
 	}
 }
 
-// paint writes one transfer into the per-tile configurations.
+// paint writes one transfer into the per-tile configurations: the source
+// feeds the stream onto the ring, each tile it crosses relays it on the
+// same direction's next link, and the destination's egress takes it.
 func paint(tiles []TileConfig, tr Transfer, n int) {
-	if tr.Hops == 0 {
-		tiles[tr.Src].Out = ClIn
-		tiles[tr.Src].OutHops = 0
-		return
+	prev := ClCWPrev
+	if !tr.CW {
+		prev = ClCCWPrev
 	}
-	if tr.CW {
-		tiles[tr.Src].CWNext = ClIn
-		tiles[tr.Src].CWHops = 0
-		for m := 1; m < tr.Hops; m++ {
-			t := (tr.Src + m) % n
-			tiles[t].CWNext = ClCWPrev
-			tiles[t].CWHops = uint8(m)
+	cl := ClIn
+	for m := 0; m < tr.Hops; m++ {
+		t := &tiles[hop(tr.Src, m, tr.CW, n)]
+		if tr.CW {
+			t.CWNext, t.CWHops = cl, uint8(m)
+		} else {
+			t.CCWNext, t.CCWHops = cl, uint8(m)
 		}
-		tiles[tr.Dst].Out = ClCWPrev
-		tiles[tr.Dst].OutHops = uint8(tr.Hops)
-		return
+		cl = prev
 	}
-	tiles[tr.Src].CCWNext = ClIn
-	tiles[tr.Src].CCWHops = 0
-	for m := 1; m < tr.Hops; m++ {
-		t := (tr.Src - m + n) % n
-		tiles[t].CCWNext = ClCCWPrev
-		tiles[t].CCWHops = uint8(m)
-	}
-	tiles[tr.Dst].Out = ClCCWPrev
-	tiles[tr.Dst].OutHops = uint8(tr.Hops)
+	tiles[tr.Dst].Out, tiles[tr.Dst].OutHops = cl, uint8(tr.Hops)
 }
 
 // NextToken advances the token downstream (clockwise), as §5.2's "the
 // token is passed to the next downstream crossbar tile".
 func NextToken(token, n int) int { return (token + 1) % n }
-
-// AllocatePrio is Allocate with per-tile priorities (§8.7: "letting
-// Ingress Processors include priority information into the local header,
-// and adding the arbitration code"): the walk serves priority classes
-// strictly high-to-low, token order within a class. Every tile computes
-// the same ordering from the same headers, so the schedule stays
-// distributed. Strict priority protects high-class latency and bandwidth;
-// a saturating high class can starve lower ones (the usual strict-priority
-// trade — weighted tokens are the fairness-preserving alternative).
-func AllocatePrio(g GlobalConfig, prio []uint8) Allocation {
-	n := len(g.Hdrs)
-	if len(prio) != n {
-		panic("rotor: priority vector must match ring size")
-	}
-	order := make([]int, 0, n)
-	var maxP uint8
-	for _, p := range prio {
-		if p > maxP {
-			maxP = p
-		}
-	}
-	for p := int(maxP); p >= 0; p-- {
-		for k := 0; k < n; k++ {
-			i := (g.Token + k) % n
-			if int(prio[i]) == p {
-				order = append(order, i)
-			}
-		}
-	}
-	return allocateOrdered(g, order)
-}
-
-// AllocateDegraded runs the prioritized allocation walk with one crossbar
-// tile masked out of the fabric: the dead tile's egress is never granted
-// and no ring path may enter or traverse it, so every stream falls back to
-// the surviving ring direction (the CW/CCW fallback of §5.2 doing
-// double duty as the fault-recovery path). The walk's order covers live
-// tiles only — the token rotation skips the dead tile — so the schedule
-// stays distributed: every surviving tile computes the same allocation
-// from the same headers.
-func AllocateDegraded(g GlobalConfig, prio []uint8, dead int) Allocation {
-	n := len(g.Hdrs)
-	if len(prio) != n {
-		panic("rotor: priority vector must match ring size")
-	}
-	if dead < 0 || dead >= n {
-		panic("rotor: dead tile out of range")
-	}
-	if g.Hdrs[dead] != HdrEmpty {
-		panic("rotor: dead tile cannot request a transfer")
-	}
-	order := make([]int, 0, n-1)
-	var maxP uint8
-	for _, p := range prio {
-		if p > maxP {
-			maxP = p
-		}
-	}
-	for p := int(maxP); p >= 0; p-- {
-		for k := 0; k < n; k++ {
-			i := (g.Token + k) % n
-			if i != dead && int(prio[i]) == p {
-				order = append(order, i)
-			}
-		}
-	}
-	return allocateMasked(g, order, dead)
-}
-
-// allocateOrdered runs the reservation walk over an explicit tile order.
-func allocateOrdered(g GlobalConfig, order []int) Allocation {
-	return allocateMasked(g, order, -1)
-}
-
-// allocateMasked is the reservation walk with an optional dead tile.
-// Masking works entirely through the walk's existing claim state: the dead
-// tile's egress starts claimed and both its outgoing ring links start
-// busy. Any route terminating at the dead tile hits the out claim; any
-// route entering it must also leave it and hits the busy link; so the
-// unmodified path search simply routes around the hole — or blocks the
-// requester, exactly as contention would.
-func allocateMasked(g GlobalConfig, order []int, dead int) Allocation {
-	return allocateSeeded(g, order, dead, dead)
-}
-
-// allocateSeeded is the reservation walk with pre-claimed resources:
-// quarantined (if >= 0) has its egress claimed before the walk, severed
-// (if >= 0) additionally has both its ring links claimed. Degraded mode
-// severs the dead tile entirely; probation after re-admission only
-// quarantines the joining tile's egress, leaving its ring links free so
-// it relays traffic between its neighbors.
-func allocateSeeded(g GlobalConfig, order []int, quarantined, severed int) Allocation {
-	n := len(g.Hdrs)
-	outClaimed := make([]bool, n)
-	cwBusy := make([]bool, n)
-	ccwBusy := make([]bool, n)
-	if quarantined >= 0 {
-		outClaimed[quarantined] = true
-	}
-	if severed >= 0 {
-		cwBusy[severed] = true
-		ccwBusy[severed] = true
-	}
-	a := Allocation{Granted: make([]bool, n), Tiles: make([]TileConfig, n)}
-	for _, i := range order {
-		d := g.Hdrs[i].Dest()
-		if d < 0 {
-			continue
-		}
-		if outClaimed[d] {
-			a.Tiles[i].InBlocked = true
-			continue
-		}
-		cwHops := (d - i + n) % n
-		if cwHops == 0 {
-			outClaimed[d] = true
-			a.Granted[i] = true
-			a.Transfers = append(a.Transfers, Transfer{Src: i, Dst: d, CW: true, Hops: 0})
-			continue
-		}
-		granted := false
-		for _, o := range directionOrder(i, d, n) {
-			busy := cwBusy
-			if !o.cw {
-				busy = ccwBusy
-			}
-			if pathFree(busy, i, o.hops, o.cw, n) {
-				claimPath(busy, i, o.hops, o.cw, n)
-				outClaimed[d] = true
-				a.Granted[i] = true
-				a.Transfers = append(a.Transfers, Transfer{Src: i, Dst: d, CW: o.cw, Hops: o.hops})
-				granted = true
-				break
-			}
-		}
-		if !granted {
-			a.Tiles[i].InBlocked = true
-		}
-	}
-	for _, tr := range a.Transfers {
-		paint(a.Tiles, tr, n)
-	}
-	return a
-}

@@ -174,6 +174,17 @@ func TestPermutationsAlwaysRoute(t *testing.T) {
 	}
 }
 
+// reqsOf is a header vector as the walk's member masks.
+func reqsOf(hdrs []rotor.Hdr) []rotor.McastReq {
+	reqs := make([]rotor.McastReq, len(hdrs))
+	for i, h := range hdrs {
+		if d := h.Dest(); d >= 0 {
+			reqs[i] = rotor.McastTo(d)
+		}
+	}
+	return reqs
+}
+
 func permutations(s []int) [][]int {
 	if len(s) <= 1 {
 		return [][]int{append([]int(nil), s...)}
@@ -342,9 +353,9 @@ func TestQoSWeightedToken(t *testing.T) {
 // quantum via fanout-splitting.
 func TestMulticastFanout(t *testing.T) {
 	reqs := []rotor.McastReq{rotor.McastTo(1, 2, 3), 0, 0, 0}
-	a := rotor.AllocateMcast(reqs, 0)
-	if a.Granted[0].Count() != 3 {
-		t.Fatalf("fanout served %d of 3 members", a.Granted[0].Count())
+	a := rotor.AllocateMixed(reqs, 0)
+	if a.Served[0].Count() != 3 {
+		t.Fatalf("fanout served %d of 3 members", a.Served[0].Count())
 	}
 	// Tiles 1 and 2 must both deliver and pass through.
 	if a.Tiles[1].Out != rotor.ClCWPrev || a.Tiles[1].CWNext != rotor.ClCWPrev {
@@ -359,14 +370,14 @@ func TestMulticastFanout(t *testing.T) {
 // the correctness.
 func TestMulticastPartialService(t *testing.T) {
 	reqs := []rotor.McastReq{rotor.McastTo(1), rotor.McastTo(1, 2), 0, 0}
-	a := rotor.AllocateMcast(reqs, 0)
-	if !a.Granted[0].Has(1) {
-		t.Fatal("master's unicast-like request denied")
+	a := rotor.AllocateMixed(reqs, 0)
+	if !a.Served[0].Has(1) {
+		t.Fatal("master's unicast request denied")
 	}
-	if a.Granted[1].Has(1) {
+	if a.Served[1].Has(1) {
 		t.Fatal("output 1 double-granted")
 	}
-	if !a.Granted[1].Has(2) {
+	if !a.Served[1].Has(2) {
 		t.Fatal("free member 2 should be served")
 	}
 }
@@ -568,7 +579,7 @@ func TestVOQFragmentsStayOrdered(t *testing.T) {
 
 // TestPriorityArbitration (§8.7): under contention for one egress, the
 // high-priority requester wins regardless of token position, and with
-// equal priorities AllocatePrio degenerates to Allocate exactly.
+// equal priorities the prioritized walk degenerates to Allocate exactly.
 func TestPriorityArbitration(t *testing.T) {
 	// Inputs 1 and 3 both want egress 2; input 3 is high priority; the
 	// token favors input 1.
@@ -576,13 +587,13 @@ func TestPriorityArbitration(t *testing.T) {
 		Hdrs:  []rotor.Hdr{0, rotor.HdrTo(2), 0, rotor.HdrTo(2)},
 		Token: 1,
 	}
-	a := rotor.AllocatePrio(g, []uint8{0, 0, 0, 5})
+	a := rotor.AllocateFT(reqsOf(g.Hdrs), g.Token, []uint8{0, 0, 0, 5}, -1, -1)
 	if !a.Granted[3] || a.Granted[1] {
 		t.Fatalf("priority ignored: granted=%v", a.Granted)
 	}
 	// Equal priorities: identical to the plain walk, for the whole space.
 	rotor.EnumerateSpace(4, func(g rotor.GlobalConfig, want rotor.Allocation) {
-		got := rotor.AllocatePrio(g, []uint8{0, 0, 0, 0})
+		got := rotor.AllocateFT(reqsOf(g.Hdrs), g.Token, []uint8{0, 0, 0, 0}, -1, -1)
 		for i := 0; i < 4; i++ {
 			if got.Granted[i] != want.Granted[i] || got.Tiles[i].Key() != want.Tiles[i].Key() {
 				t.Fatalf("%+v: equal-priority walk diverges at tile %d", g, i)
@@ -603,7 +614,7 @@ func TestPriorityProtectsBandwidth(t *testing.T) {
 			Hdrs:  []rotor.Hdr{rotor.HdrTo(2), rotor.HdrTo(2), rotor.HdrTo(2), rotor.HdrTo(2)},
 			Token: token,
 		}
-		a := rotor.AllocatePrio(g, []uint8{7, 0, 0, 0})
+		a := rotor.AllocateFT(reqsOf(g.Hdrs), g.Token, []uint8{7, 0, 0, 0}, -1, -1)
 		if a.Granted[0] {
 			hiGrants++
 		}
@@ -651,51 +662,5 @@ func TestAllocationInvariantsN3N5(t *testing.T) {
 			}
 		}
 		rec(0)
-	}
-}
-
-// TestMixedAllocatorExhaustive sweeps the entire 16^4 x 4 = 262,144 mixed
-// request space and checks every §8.6 invariant. Skipped in -short mode.
-func TestMixedAllocatorExhaustive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive mixed sweep skipped in -short mode")
-	}
-	reqs := make([]rotor.McastReq, 4)
-	var rec func(pos int)
-	count := 0
-	rec = func(pos int) {
-		if pos == 4 {
-			for token := 0; token < 4; token++ {
-				count++
-				a := rotor.AllocateMixed(reqs, token)
-				var outSeen rotor.McastReq
-				for i := 0; i < 4; i++ {
-					if a.Served[i]&^reqs[i] != 0 {
-						t.Fatalf("reqs %v token %d: unrequested member served", reqs, token)
-					}
-					if a.Served[i]&outSeen != 0 {
-						t.Fatalf("reqs %v token %d: egress double-granted", reqs, token)
-					}
-					outSeen |= a.Served[i]
-				}
-				if reqs[token] != 0 && a.Served[token] == 0 {
-					t.Fatalf("reqs %v token %d: master fully denied", reqs, token)
-				}
-				for d := 0; d < 4; d++ {
-					if outSeen.Has(d) != (a.OutSrc[d] >= 0) {
-						t.Fatalf("reqs %v token %d: OutSrc inconsistent", reqs, token)
-					}
-				}
-			}
-			return
-		}
-		for m := 0; m < 16; m++ {
-			reqs[pos] = rotor.McastReq(m)
-			rec(pos + 1)
-		}
-	}
-	rec(0)
-	if count != 262144 {
-		t.Fatalf("visited %d configurations", count)
 	}
 }

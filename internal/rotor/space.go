@@ -1,6 +1,9 @@
 package rotor
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // SpaceSize returns |Hdr|^n × |Token| — the unminimized configuration
 // space of §6.1. For the 4-port router this is 5⁴ × 4 = 2,500.
@@ -15,27 +18,66 @@ func SpaceSize(n int) int {
 // EnumerateSpace calls f for every global configuration of an n-tile ring
 // and returns the number visited.
 func EnumerateSpace(n int, f func(GlobalConfig, Allocation)) int {
-	hdrs := make([]Hdr, n)
 	count := 0
+	eachConfig(n, unicast, func(reqs []McastReq, token int) {
+		count++
+		if f != nil {
+			g := GlobalConfig{Hdrs: make([]Hdr, n), Token: token}
+			for i, m := range reqs {
+				if m != 0 {
+					g.Hdrs[i] = HdrTo(bits.TrailingZeros32(uint32(m)))
+				}
+			}
+			f(g, Allocate(g))
+		}
+	})
+	return count
+}
+
+// eachConfig calls f for every point of an n-tile ring's request space:
+// every vector whose tile-i mask m passes keep(i, m), lowest masks
+// first, with every token. f sees one reused vector.
+func eachConfig(n int, keep func(i int, m McastReq) bool, f func(reqs []McastReq, token int)) {
+	reqs := make([]McastReq, n)
 	var rec func(pos int)
 	rec = func(pos int) {
 		if pos == n {
 			for token := 0; token < n; token++ {
-				g := GlobalConfig{Hdrs: append([]Hdr(nil), hdrs...), Token: token}
-				count++
-				if f != nil {
-					f(g, Allocate(g))
-				}
+				f(reqs, token)
 			}
 			return
 		}
-		for h := 0; h <= n; h++ {
-			hdrs[pos] = Hdr(h)
-			rec(pos + 1)
+		for m := McastReq(0); m < 1<<n; m++ {
+			if keep(pos, m) {
+				reqs[pos] = m
+				rec(pos + 1)
+			}
 		}
 	}
 	rec(0)
-	return count
+}
+
+// unicast keeps the §6.1 space's requests: empty or one egress.
+func unicast(_ int, m McastReq) bool { return m.Count() <= 1 }
+
+// collect adds to seen every per-tile configuration alloc produces over
+// the request space keep admits.
+func collect(seen map[ConfigKey]bool, n int, keep func(int, McastReq) bool, alloc func([]McastReq, int) Allocation) {
+	eachConfig(n, keep, func(reqs []McastReq, token int) {
+		for _, t := range alloc(reqs, token).Tiles {
+			seen[t.Key()] = true
+		}
+	})
+}
+
+// sortedKeys returns the configurations of seen in a deterministic order.
+func sortedKeys(seen map[ConfigKey]bool) []ConfigKey {
+	keys := make([]ConfigKey, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+	return keys
 }
 
 // ConfigKey is the identity under which per-tile configurations are
@@ -61,17 +103,8 @@ func (t TileConfig) Key() ConfigKey {
 // "self-sufficient subset of 32 entries" of §6.2.
 func MinimizedConfigs(n int) []ConfigKey {
 	seen := make(map[ConfigKey]bool)
-	EnumerateSpace(n, func(_ GlobalConfig, a Allocation) {
-		for _, t := range a.Tiles {
-			seen[t.Key()] = true
-		}
-	})
-	keys := make([]ConfigKey, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	return keys
+	collect(seen, n, unicast, AllocateMixed)
+	return sortedKeys(seen)
 }
 
 func keyLess(a, b ConfigKey) bool {
@@ -87,98 +120,49 @@ func keyLess(a, b ConfigKey) bool {
 
 // DegradedConfigs enumerates every global configuration reachable with
 // one dead tile — all dead-tile choices, all live-header combinations,
-// all live token positions — and returns the distinct per-tile
-// configurations the degraded allocator can produce, deterministically
-// ordered. These are the switch routines a surviving tile may need after
-// fault recovery.
-func DegradedConfigs(n int) []ConfigKey {
-	seen := make(map[ConfigKey]bool)
-	prio := make([]uint8, n)
-	hdrs := make([]Hdr, n)
-	for dead := 0; dead < n; dead++ {
-		var rec func(pos int)
-		rec = func(pos int) {
-			if pos == n {
-				for token := 0; token < n; token++ {
-					if token == dead {
-						continue
-					}
-					g := GlobalConfig{Hdrs: append([]Hdr(nil), hdrs...), Token: token}
-					a := AllocateDegraded(g, prio, dead)
-					for i, t := range a.Tiles {
-						if i != dead {
-							seen[t.Key()] = true
-						}
-					}
-				}
-				return
-			}
-			if pos == dead {
-				hdrs[pos] = HdrEmpty
-				rec(pos + 1)
-				return
-			}
-			for h := 0; h <= n; h++ {
-				if Hdr(h).Dest() == dead {
-					continue // no stream targets the dead egress
-				}
-				hdrs[pos] = Hdr(h)
-				rec(pos + 1)
-			}
-		}
-		rec(0)
-	}
-	keys := make([]ConfigKey, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	return keys
-}
+// all token positions — and returns the distinct per-tile configurations
+// the degraded allocator can produce, deterministically ordered. These
+// are the switch routines a surviving tile may need after fault
+// recovery.
+func DegradedConfigs(n int) []ConfigKey { return faultConfigs(n, true) }
 
 // ReadmitConfigs enumerates every per-tile configuration the probation
-// allocator (AllocateReadmit) can produce, over all choices of joining
-// tile, all header combinations (the joining tile's own header is empty;
-// other tiles may target the quarantined egress and get blocked), and
-// all token positions — the re-admitted tile takes the token first, so
-// token == joining is reachable. These are the transition slots of the
-// fault-tolerant jump table: appended after the degraded configurations
-// so healthy entries stay bitwise unchanged.
-func ReadmitConfigs(n int) []ConfigKey {
+// walk (AllocateFT with a joining tile) can produce, over all choices of
+// joining tile, all header combinations (the joining tile's own header
+// is empty; other tiles may target the quarantined egress and get
+// blocked), and all token positions — the re-admitted tile takes the
+// token first, so token == joining is reachable. These are the
+// transition slots of the fault-tolerant jump table: appended after the
+// degraded configurations so healthy entries stay bitwise unchanged.
+func ReadmitConfigs(n int) []ConfigKey { return faultConfigs(n, false) }
+
+// faultConfigs collects the unicast configurations of every ring with
+// one silent tile, dead (severed) or joining (quarantined). A request
+// naming the pre-claimed egress is blocked and paints nothing, so the
+// space need not leave it out.
+func faultConfigs(n int, severed bool) []ConfigKey {
 	seen := make(map[ConfigKey]bool)
-	prio := make([]uint8, n)
-	hdrs := make([]Hdr, n)
-	for joining := 0; joining < n; joining++ {
-		var rec func(pos int)
-		rec = func(pos int) {
-			if pos == n {
-				for token := 0; token < n; token++ {
-					g := GlobalConfig{Hdrs: append([]Hdr(nil), hdrs...), Token: token}
-					a := AllocateReadmit(g, prio, joining)
-					for _, t := range a.Tiles {
-						seen[t.Key()] = true
-					}
-				}
-				return
-			}
-			if pos == joining {
-				hdrs[pos] = HdrEmpty
-				rec(pos + 1)
-				return
-			}
-			for h := 0; h <= n; h++ {
-				hdrs[pos] = Hdr(h)
-				rec(pos + 1)
-			}
+	for x := 0; x < n; x++ {
+		dead, joining := -1, x
+		if severed {
+			dead, joining = x, -1
 		}
-		rec(0)
+		keep := func(i int, m McastReq) bool { return unicast(i, m) && (i != x || m == 0) }
+		collect(seen, n, keep, func(reqs []McastReq, token int) Allocation {
+			return AllocateFT(reqs, token, nil, dead, joining)
+		})
 	}
-	keys := make([]ConfigKey, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	return keys
+	return sortedKeys(seen)
+}
+
+// MixedConfigs enumerates every per-tile configuration the mixed
+// allocator can produce over the full request space (16 masks per tile ×
+// n tokens) — the multicast analogue of MinimizedConfigs. For n = 4 the
+// space has 16⁴×4 = 262,144 global configurations.
+func MixedConfigs(n int) []ConfigKey {
+	seen := make(map[ConfigKey]bool)
+	collect(seen, n, func(int, McastReq) bool { return true }, AllocateMixed)
+	return sortedKeys(seen)
 }
 
 // ConfigIndex maps every reachable per-tile configuration to its slot in
@@ -189,8 +173,13 @@ type ConfigIndex struct {
 }
 
 // NewConfigIndex builds the jump-table index for an n-tile ring.
-func NewConfigIndex(n int) *ConfigIndex {
-	keys := MinimizedConfigs(n)
+func NewConfigIndex(n int) *ConfigIndex { return indexOf(MinimizedConfigs(n)) }
+
+// NewMixedConfigIndex builds the jump-table index over the mixed space.
+func NewMixedConfigIndex(n int) *ConfigIndex { return indexOf(MixedConfigs(n)) }
+
+// indexOf numbers keys in order.
+func indexOf(keys []ConfigKey) *ConfigIndex {
 	ci := &ConfigIndex{keys: keys, index: make(map[ConfigKey]int, len(keys))}
 	for i, k := range keys {
 		ci.index[k] = i
@@ -207,13 +196,7 @@ func NewConfigIndex(n int) *ConfigIndex {
 // identically.
 func NewConfigIndexFT(n int) *ConfigIndex {
 	ci := NewConfigIndex(n)
-	for _, k := range DegradedConfigs(n) {
-		if _, ok := ci.index[k]; !ok {
-			ci.index[k] = len(ci.keys)
-			ci.keys = append(ci.keys, k)
-		}
-	}
-	for _, k := range ReadmitConfigs(n) {
+	for _, k := range append(DegradedConfigs(n), ReadmitConfigs(n)...) {
 		if _, ok := ci.index[k]; !ok {
 			ci.index[k] = len(ci.keys)
 			ci.keys = append(ci.keys, k)

@@ -32,8 +32,8 @@ type VOQFabric struct {
 
 // NewVOQFabric builds the VOQ-ingress variant.
 func NewVOQFabric(cfg FabricConfig) *VOQFabric {
-	if cfg.Ports < 2 {
-		panic("rotor: fabric needs at least 2 ports")
+	if cfg.Ports < 2 || cfg.Ports > 32 {
+		panic("rotor: fabric needs 2 to 32 ports")
 	}
 	if cfg.QuantumWords <= 0 {
 		cfg.QuantumWords = 256
@@ -78,42 +78,21 @@ func (f *VOQFabric) QueueLen(port int) int {
 // StepQuantum advances one quantum: the token walk picks, for each input
 // in token order, a servable VOQ (in-progress packet first — fragments of
 // one packet never interleave — else round-robin over non-empty queues
-// whose egress and ring path are free).
+// whose egress and ring path are free), claiming it with the walk's
+// claim step.
 func (f *VOQFabric) StepQuantum() {
 	n := f.cfg.Ports
-	outClaimed := make([]bool, n)
-	cwBusy := make([]bool, n)
-	ccwBusy := make([]bool, n)
+	r := newRing(n, 1, 0, 0)
 	chosen := make([]int, n)
 	for i := range chosen {
 		chosen[i] = -1
 	}
-
 	tryGrant := func(i, d int) bool {
-		if outClaimed[d] {
-			return false
-		}
-		cwHops := (d - i + n) % n
-		if cwHops == 0 {
-			outClaimed[d] = true
-			return true
-		}
-		for _, o := range directionOrder(i, d, n) {
-			busy := cwBusy
-			if !o.cw {
-				busy = ccwBusy
-			}
-			if pathFree(busy, i, o.hops, o.cw, n) {
-				claimPath(busy, i, o.hops, o.cw, n)
-				outClaimed[d] = true
-				return true
-			}
-		}
-		return false
+		served, _ := r.claim(i, McastTo(d))
+		return served != 0
 	}
 
-	for k := 0; k < n; k++ {
-		i := (f.token + k) % n
+	for _, i := range visitOrder(n, f.token, nil, -1) {
 		if f.cur[i] >= 0 {
 			// A partially-sent packet pins its VOQ (fragments of one
 			// packet stay in order on one egress).

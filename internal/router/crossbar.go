@@ -24,15 +24,13 @@ type xbarFW struct {
 
 	// readmit counts the probation quanta remaining after a restore:
 	// while positive, the allocation runs with joining's egress
-	// quarantined (rotor.AllocateReadmit). All four tiles decrement in
+	// quarantined (rotor.AllocateFT). All four tiles decrement in
 	// lockstep, so the distributed schedule stays identical.
 	readmit int
 	joining int
 
-	// Per-quantum derived state: the unicast allocation, and the inputs
-	// that stream this quantum under either allocator.
+	// The quantum's allocation (Granted: the inputs that stream).
 	alloc   rotor.Allocation
-	sent    [4]bool
 	quantum int64
 
 	// Telemetry capture (armed only when cfg.Metrics is set): the
@@ -74,67 +72,42 @@ func (x *xbarFW) Refill(e *raw.Exec) {
 	// configuration index while the switch routes; our protocol phases
 	// are sequential, so this models the full header-decode + index
 	// arithmetic cost.
-	e.Compute(x.rt.cfg.AllocCycles)
+	e.Compute(allocCycles)
 	e.Then(func(e *raw.Exec) { x.decide(e) })
 }
 
 // decide computes the quantum's allocation and enqueues one dispatch
 // sequence for it: the grant to our ingress, the egress header when our
 // out server is active, the routine's count and address, the wait for
-// the routine, and the token advance. The unicast allocator walks the
-// healthy, degraded or probation ring; the §8.6 mixed allocator serves
-// member masks through the 51-routine jump table.
+// the routine, and the token advance. One walk serves every mode: the
+// healthy, degraded or probation ring, and §8.6 member masks through
+// the 51-routine jump table.
 func (x *xbarFW) decide(e *raw.Exec) {
-	var tile rotor.TileConfig
-	var served rotor.McastReq // our input's served members (multicast)
-	src := -1                 // the input that feeds our egress
-	if x.rt.cfg.Multicast {
-		var reqs [4]rotor.McastReq
-		for i, w := range x.hdrs {
-			reqs[i] = McastReqOf(w)
-		}
-		a := rotor.AllocateMixed(reqs[:], x.token)
-		for i, s := range a.Served {
-			x.sent[i] = s != 0
-		}
-		tile, served, src = a.Tiles[x.port], a.Served[x.port], a.OutSrc[x.port]
-	} else {
-		var hdrs [4]rotor.Hdr
-		var prios [4]uint8
-		for i, w := range x.hdrs {
-			hdrs[i] = RotorHdr(w)
+	var reqs [4]rotor.McastReq
+	var prios [4]uint8
+	for i, w := range x.hdrs {
+		reqs[i] = McastReqOf(w)
+		// §8.6 mode walks token order: its jump table has no slots for
+		// prioritized orders. All-zero classes are the plain token walk,
+		// so priority support costs nothing on best-effort traffic.
+		if !x.rt.cfg.Multicast {
 			prios[i] = LocalHdrPrioOf(w)
 		}
-		// AllocatePrio degenerates to the plain token walk when every
-		// class is zero (exhaustively tested), so priority support costs
-		// nothing on best-effort traffic. In degraded mode the masked
-		// allocator routes around the dead tile (the long way when the
-		// short arc crosses it).
-		g := rotor.GlobalConfig{Hdrs: hdrs[:], Token: x.token}
-		switch {
-		case x.dead >= 0:
-			x.alloc = rotor.AllocateDegraded(g, prios[:], x.dead)
-		case x.readmit > 0:
-			x.alloc = rotor.AllocateReadmit(g, prios[:], x.joining)
-		default:
-			x.alloc = rotor.AllocatePrio(g, prios[:])
-		}
-		copy(x.sent[:], x.alloc.Granted)
-		for _, tr := range x.alloc.Transfers {
-			if tr.Dst == x.port {
-				src = tr.Src
-			}
-		}
-		tile = x.alloc.Tiles[x.port]
 	}
+	joining := -1
+	if x.readmit > 0 {
+		joining = x.joining
+	}
+	x.alloc = rotor.AllocateFT(reqs[:], x.token, prios[:], x.dead, joining)
+	tile, src := x.alloc.Tiles[x.port], x.alloc.OutSrc[x.port]
 	idx := x.rt.ci.Of(tile)
 	l := x.streamLen()
 
 	// Grant word for our ingress (consumed by preamble instruction 4); a
 	// multicast grant also names the members served.
-	grant := GrantWord(x.sent[x.port], l)
+	grant := GrantWord(x.alloc.Granted[x.port], l)
 	if x.rt.cfg.Multicast {
-		grant = GrantWordMcast(served, l)
+		grant = GrantWordMcast(x.alloc.Served[x.port], l)
 	}
 	e.SendFunc(func() raw.Word { return grant })
 	if x.prog.HasOut[idx] {
@@ -164,7 +137,7 @@ func (x *xbarFW) decide(e *raw.Exec) {
 // among the inputs that stream.
 func (x *xbarFW) streamLen() int {
 	l := 0
-	for i, s := range x.sent {
+	for i, s := range x.alloc.Granted {
 		if _, fragLen, _, _ := DecodeLocalHdr(x.hdrs[i]); s && fragLen > l {
 			l = fragLen
 		}
@@ -215,7 +188,7 @@ func (x *xbarFW) captureQuantum() {
 		if x.hdrs[p] != LocalHdrEmpty {
 			req |= 1 << p
 		}
-		if x.sent[p] {
+		if x.alloc.Granted[p] {
 			grant |= 1 << p
 			_, fragLen, _, _ := DecodeLocalHdr(x.hdrs[p])
 			x.lastWords[p] = fragLen

@@ -13,7 +13,7 @@ import (
 // executed is a legal allocation — the fabric-vs-cycle agreement check of
 // DESIGN.md (both levels call the same rotor allocators; this confirms
 // the firmware's inputs and dispatch are faithful). It audits every
-// unicast branch of the one decide: the healthy ring, the degraded ring
+// unicast mode of decide's one walk: the healthy ring, the degraded ring
 // with each port dead, and the probation window after a restore.
 func TestRuntimeAllocationInvariants(t *testing.T) {
 	rng := traffic.NewRNG(23)

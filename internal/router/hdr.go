@@ -69,11 +69,6 @@ func DecodeLocalHdr(w raw.Word) (dst int, fragLen int, last bool, crypto bool) {
 		w&lhCryptoBit != 0
 }
 
-// RotorHdr converts a local header to the allocator's view.
-func RotorHdr(w raw.Word) rotor.Hdr {
-	return rotor.Hdr(w & lhDestMask)
-}
-
 // LocalHdrMcast builds a multicast header (§8.6): the fragment goes to
 // every member of the mask in one fanout-split stream.
 func LocalHdrMcast(members rotor.McastReq, fragLen int, last bool) raw.Word {
@@ -85,8 +80,8 @@ func LocalHdrMcast(members rotor.McastReq, fragLen int, last bool) raw.Word {
 	return w
 }
 
-// McastReqOf converts a local header to the mixed allocator's request: a
-// member mask for multicast headers, a singleton for unicast, zero for
+// McastReqOf converts a local header to the allocation walk's request:
+// a member mask for multicast headers, a singleton for unicast, zero for
 // empty.
 func McastReqOf(w raw.Word) rotor.McastReq {
 	if w&lhMcastBit != 0 {

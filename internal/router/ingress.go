@@ -333,7 +333,7 @@ func (f *ingressFW) acquire(e *raw.Exec) {
 	}
 	// Checksum verify + TTL decrement + length extraction. The paper's
 	// ingress does this in a handful of unrolled ALU instructions.
-	e.Compute(f.rt.cfg.HeaderCycles)
+	e.Compute(headerCycles)
 	e.Then(func(e *raw.Exec) {
 		words := []uint32{uint32(f.hdrWords[0]), uint32(f.hdrWords[1]),
 			uint32(f.hdrWords[2]), uint32(f.hdrWords[3]), uint32(f.hdrWords[4])}

@@ -32,7 +32,7 @@ import (
 // token at the joining port.
 //
 // Probation: for ReadmitQuanta quanta the re-admitted port plays the
-// full protocol but its egress stays quarantined (rotor.AllocateReadmit)
+// full protocol but its egress stays quarantined (rotor.AllocateFT)
 // and its ingress sends only empty headers. A tile that did not really
 // recover can therefore only wedge the header exchange — which the
 // re-armed watchdog catches and re-degrades — never corrupt a committed

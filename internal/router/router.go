@@ -31,6 +31,17 @@ var sharedMixedIndex = sync.OnceValue(func() *rotor.ConfigIndex {
 	return rotor.NewMixedConfigIndex(4)
 })
 
+// The firmware cost model's calibration constants.
+const (
+	// allocCycles models the jump-table index computation on the
+	// crossbar processors (§6.5).
+	allocCycles = 8
+	// headerCycles models the ingress IP header verify/update (§4.2).
+	headerCycles = 4
+	// dramLatency is the off-chip access time in cycles.
+	dramLatency = 20
+)
+
 // Config parameterizes the cycle-level router.
 type Config struct {
 	// ClockHz is the chip clock (250 MHz prototype).
@@ -38,13 +49,6 @@ type Config struct {
 	// QuantumWords bounds one crossbar fragment (default 256 = one
 	// 1,024-byte packet).
 	QuantumWords int
-	// AllocCycles models the jump-table index computation on the
-	// crossbar processors (§6.5).
-	AllocCycles int
-	// HeaderCycles models the ingress IP header verify/update (§4.2).
-	HeaderCycles int
-	// DRAMLatency is the off-chip access time in cycles.
-	DRAMLatency int
 	// Table is the forwarding table, loaded into simulated DRAM as a
 	// compressed two-level structure for the lookup tiles. Nil installs
 	// the canonical four-prefix table (port p owns 10+p/8).
@@ -132,9 +136,6 @@ func DefaultConfig() Config {
 	return Config{
 		ClockHz:             raw.DefaultClockHz,
 		QuantumWords:        256,
-		AllocCycles:         8,
-		HeaderCycles:        4,
-		DRAMLatency:         20,
 		CryptoCyclesPerWord: 2,
 	}
 }
@@ -297,7 +298,7 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Multicast {
 		r.ci = sharedMixedIndex()
 	}
-	r.Mem = mem.Attach(r.Chip, cfg.DRAMLatency)
+	r.Mem = mem.Attach(r.Chip, dramLatency)
 	// DRAM latency spikes from an installed fault plane (zero-cost nil
 	// guard when no faults are configured).
 	r.Mem.ExtraLatency = r.Chip.FaultDRAMPenalty

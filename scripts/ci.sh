@@ -115,10 +115,12 @@ echo "== cli: entry-point smoke =="
 # GOMAXPROCS. An unknown reproduce -exp section and a fabsim run without
 # -topology must exit 2.
 # examples/edgerouter, the only run whose table fills DRAM chunks (1,972
-# of them for its /9-/24 prefixes), must print exactly the lines below.
+# of them for its /9-/24 prefixes), must print exactly the lines below,
+# and so must examples/multicast, the only run that prints the §8.6
+# mixed walk's per-tile configurations.
 CLI="$(mktemp -d)"
 trap 'rm -rf "$CLI"' EXIT
-go build -o "$CLI/" ./cmd/rawrouter ./cmd/fabsim ./cmd/reproduce ./examples/edgerouter
+go build -o "$CLI/" ./cmd/rawrouter ./cmd/fabsim ./cmd/reproduce ./examples/edgerouter ./examples/multicast
 RR="$CLI/rawrouter -cycles 20000 -warmup 10000"
 $RR -engine ref >"$CLI/rr-ref.txt"
 $RR -engine fast >"$CLI/rr-fast.txt"
@@ -161,6 +163,26 @@ arbitration denials (head-of-line waits): 2023
 drained and checksum-verified 2698 packets at the output pins
 EOF
 cmp "$CLI/edge-want.txt" "$CLI/edge.txt"
+"$CLI/multicast" >"$CLI/mcast.txt"
+cat >"$CLI/mcast-want.txt" <<'EOF'
+One quantum, input 0 multicasting to {1,2,3}, token at 0:
+  served members: 3 of 3
+  crossbar tile 0 config: out<-0/0 cwnext<-in/0 ccwnext<-0/0
+  crossbar tile 1 config: out<-cwprev/1 cwnext<-cwprev/1 ccwnext<-0/0
+  crossbar tile 2 config: out<-cwprev/2 cwnext<-cwprev/2 ccwnext<-0/0
+  crossbar tile 3 config: out<-cwprev/3 cwnext<-0/0 ccwnext<-0/0
+
+Contention trims the served subset (input 1 already owns egress 1):
+  input 1 granted: true, input 2 granted members: 1 (egress 3 only)
+
+deliveries per quantum over 100000 quanta:
+  unicast copies:    1.00
+  fanout-splitting:  3.00  (the §2.2.2 ~40%+ multicast win, here 3x)
+
+cycle-level router: group 224.1.1.1 -> egress copies on ports 1,2,3 after 443 cycles
+  ingress streamed 1 fragment(s); crossbar produced 3 copies (mixed jump table: 51 routines)
+EOF
+cmp "$CLI/mcast-want.txt" "$CLI/mcast.txt"
 
 echo "== serve: daemon-mode smoke =="
 # Boot rawrouter -serve as a real process and drive the whole lifecycle
