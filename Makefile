@@ -16,7 +16,8 @@
 #            pending) FABCKPT1 checkpoint that must continue
 #            byte-identical, zero silent word loss at the end
 #   fuzz   - short runs of the interpreter, allocator, fault-schedule,
-#            chip-snapshot, topology-spec, and workload-spec fuzz targets,
+#            chip-snapshot, engine-equivalence, topology-spec, and
+#            workload-spec fuzz targets,
 #            plus the router, fabric, serve-checkpoint and TRAF1 decoders
 #            (any bytes: an error or success, never a panic)
 #   bench  - the repo benchmark, bash bench/run.sh (see bench/README.md):
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test ./internal/rotor -fuzz FuzzAllocate -fuzztime 30s
 	$(GO) test ./internal/fault -fuzz FuzzFaultSchedule -fuzztime 30s
 	$(GO) test ./internal/raw -fuzz FuzzSnapshotRoundTrip -fuzztime 30s
+	$(GO) test ./internal/raw -fuzz FuzzEngineEquivalence -fuzztime 30s
 	$(GO) test ./internal/cluster -fuzz FuzzTopologySpec -fuzztime 30s
 	$(GO) test ./internal/traffic -fuzz FuzzWorkloadSpec -fuzztime 30s
 	$(GO) test ./internal/router -fuzz FuzzRouterRestore -fuzztime 30s
