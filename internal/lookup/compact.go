@@ -113,20 +113,20 @@ func (c *CompactTable) MemoryWords() int {
 	return len(c.level1) + len(c.chunks)*(1<<16)
 }
 
-// Image serializes the table for loading into simulated DRAM: the level-1
-// array (chunk pointers encoded as -(index+2), next hops as non-negative
-// values, NoRoute as -1, all two's complement) and each chunk's next-hop
-// array.
-func (c *CompactTable) Image() (level1 []uint32, chunks [][]uint32) {
-	level1 = make([]uint32, len(c.level1))
+// Image serializes the table for loading into simulated DRAM, as words
+// of the caller's 32-bit type: the level-1 array (chunk pointers encoded
+// as -(index+2), next hops as non-negative values, NoRoute as -1, all
+// two's complement) and each chunk's next-hop array.
+func Image[W ~uint32](c *CompactTable) (level1 []W, chunks [][]W) {
+	level1 = make([]W, len(c.level1))
 	for i, v := range c.level1 {
-		level1[i] = uint32(v)
+		level1[i] = W(v)
 	}
-	chunks = make([][]uint32, len(c.chunks))
+	chunks = make([][]W, len(c.chunks))
 	for i, ch := range c.chunks {
-		words := make([]uint32, len(ch))
+		words := make([]W, len(ch))
 		for j, nh := range ch {
-			words[j] = uint32(int32(nh))
+			words[j] = W(int32(nh))
 		}
 		chunks[i] = words
 	}

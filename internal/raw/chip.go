@@ -52,6 +52,15 @@ type Chip struct {
 	edges    []*unboundedFIFO
 	bindings []*dynBinding
 
+	// commits lists the bounded fifos popped or pushed this cycle and
+	// edgePops the edge queues popped this cycle; fresh lists the edge
+	// queues pushed since their last snapshot (see fifo.go). The fast
+	// engine commits and snapshots only these; the reference engine
+	// sweeps every queue and clears them.
+	commits  []*fifo
+	edgePops []*unboundedFIFO
+	fresh    []*unboundedFIFO
+
 	staticIn map[[3]int]*StaticIn
 
 	// dynEdgeSinks buffers words leaving the chip on boundary dynamic
@@ -84,15 +93,20 @@ type Chip struct {
 	macroWindows int64
 	macroCycles  int64
 	macroDisarms [NumMacroCauses]int64
+	// parkedCycles counts the tile steps parking skipped (see park.go).
+	parkedCycles int64
 
 	// fifoSlab backs every bounded fifo on the chip in one contiguous
-	// allocation (index-addressed ring buffers): the per-cycle commit
-	// sweep and the fast engine's bindings then walk adjacent memory
+	// allocation (index-addressed ring buffers): the reference engine's
+	// commit sweep and the fast engine's bindings then walk adjacent memory
 	// instead of pointer-chasing 400+ individual allocations. Sized
 	// exactly in NewChip; c.fifo falls back to individual allocation if
 	// the estimate is ever short (never, by construction), because
 	// growing the slab would move live pointers.
 	fifoSlab []fifo
+	// words is the unused tail of the arena fifo ring buffers are carved
+	// from (one allocation per 4,096 words instead of one per queue).
+	words []Word
 }
 
 // NewChip builds a chip. Every boundary static link gets an input queue
@@ -130,18 +144,18 @@ func NewChip(cfg Config) *Chip {
 			st := &t.st[net]
 			st.sw.tile = t
 			st.sw.net = net
-			st.csto = c.fifo(2)
-			st.csti = c.fifo(4)
-			st.swPC = c.fifo(1)
-			st.swDone = c.fifo(1)
-			st.swCount = c.fifo(1)
+			st.csto = c.fifo(2, id, id)
+			st.csti = c.fifo(4, id, id)
+			st.swPC = c.fifo(1, id, id)
+			st.swDone = c.fifo(1, id, id)
+			st.swCount = c.fifo(1, id, id)
 		}
 		t.cache = newDCache(t)
 		t.exec = &Exec{tile: t}
 		for net := 0; net < numDynNets; net++ {
 			r := &dynRouter{tile: t, net: net}
-			r.recv = c.fifo(64)
-			r.in[DirP] = c.fifo(4)
+			r.recv = c.fifo(64, id, id)
+			r.in[DirP] = c.fifo(4, id, id)
 			t.dyn[net] = r
 		}
 		c.tiles[id] = t
@@ -151,23 +165,24 @@ func NewChip(cfg Config) *Chip {
 		for d := DirN; d < DirP; d++ {
 			if t.Boundary(d) {
 				for net := 0; net < NumStaticNets; net++ {
-					q := &unboundedFIFO{}
+					q := &unboundedFIFO{chip: c, rd: int32(t.id)}
 					c.edges = append(c.edges, q)
 					t.st[net].in[d] = q
 					c.staticIn[[3]int{t.id, int(d), net}] = &StaticIn{q: q, chip: c, tile: t.id, dir: d, net: net}
 					t.st[net].edgeOut[d] = &EdgeSink{}
 				}
 				for net := 0; net < numDynNets; net++ {
-					dq := &unboundedFIFO{}
+					dq := &unboundedFIFO{chip: c, rd: int32(t.id)}
 					c.edges = append(c.edges, dq)
 					t.dyn[net].in[d] = dq
 				}
 			} else {
+				nb := t.neighbor(d).id
 				for net := 0; net < NumStaticNets; net++ {
-					t.st[net].in[d] = c.fifo(2)
+					t.st[net].in[d] = c.fifo(2, t.id, nb)
 				}
 				for net := 0; net < numDynNets; net++ {
-					t.dyn[net].in[d] = c.fifo(2)
+					t.dyn[net].in[d] = c.fifo(2, t.id, nb)
 				}
 			}
 		}
@@ -175,13 +190,26 @@ func NewChip(cfg Config) *Chip {
 	return c
 }
 
-func (c *Chip) fifo(capacity int) *fifo {
+// fifo allocates a bounded queue popped by tile rd and pushed by tile wr.
+// Its backing array is carved from a shared word arena and is twice the
+// logical capacity so the lazy head cursor has slack: by the time the
+// physical array is full, at least half of it is consumed prefix, so
+// each element is memmoved at most once, and the queue never outgrows
+// its carve.
+func (c *Chip) fifo(capacity, rd, wr int) *fifo {
+	if len(c.words) < 2*capacity {
+		c.words = make([]Word, 4096)
+	}
+	buf := c.words[: 0 : 2*capacity]
+	c.words = c.words[2*capacity:]
+	q := fifo{buf: buf, cap: capacity, chip: c, rd: int32(rd), wr: int32(wr)}
 	var f *fifo
 	if len(c.fifoSlab) < cap(c.fifoSlab) {
-		c.fifoSlab = append(c.fifoSlab, fifo{buf: make([]Word, 0, 2*capacity), cap: capacity})
+		c.fifoSlab = append(c.fifoSlab, q)
 		f = &c.fifoSlab[len(c.fifoSlab)-1]
 	} else {
-		f = newFIFO(capacity)
+		f = new(fifo)
+		*f = q
 	}
 	c.bounded = append(c.bounded, f)
 	return f
@@ -240,11 +268,11 @@ func (c *Chip) AttachDynDevice(tileID int, d Dir, net int, dev DynDevice) {
 	if !t.Boundary(d) {
 		panic(fmt.Sprintf("raw: tile %d side %s is not a chip boundary", tileID, d))
 	}
+	c.invalidateFast()
 	b := &dynBinding{tile: tileID, dir: d, net: net, dev: dev,
 		in: t.dyn[net].in[d].(*unboundedFIFO)}
 	c.bindings = append(c.bindings, b)
 	c.dynEdgeSinks[[3]int{tileID, int(d), net}] = b
-	c.invalidateFast()
 }
 
 // dynEdgeOut buffers a word that left the chip on a boundary dynamic link.
@@ -262,7 +290,9 @@ func (c *Chip) dynEdgeOut(tileID int, d Dir, net int, w Word) {
 // operations are applied. Because compute-phase reads never observe
 // compute-phase writes, the cycle's outcome is independent of tile
 // stepping order — the simulated tiles advance in lockstep, as on the
-// hardware.
+// hardware. The reference engine sweeps every queue; the fast engine
+// commits only the queues the cycle touched and skips parked tiles (see
+// fastEngine.step).
 func (c *Chip) Step() {
 	// Resolve fast-engine bindings before anything moves.
 	var fe *fastEngine
@@ -274,33 +304,28 @@ func (c *Chip) Step() {
 	if c.faults != nil {
 		c.faults.BeginCycle(c.cycle)
 	}
-	// Snapshot edge queues so words pushed externally since the last cycle
-	// become visible this cycle. (Bounded fifos re-arm their snapshot in
-	// commit; they have no external writers.)
-	for _, q := range c.edges {
-		q.beginCycle()
-	}
 	if fe != nil {
-		fp := c.faults
-		for _, t := range c.tiles {
-			if fp != nil && fp.TileFrozen(t.id) {
-				continue
-			}
-			fe.stepTile(t)
-		}
+		fe.step()
 	} else {
+		// Snapshot edge queues so words pushed externally since the last
+		// cycle become visible this cycle. (Bounded fifos re-arm their
+		// snapshot in commit; they have no external writers.)
+		for _, q := range c.edges {
+			q.beginCycle()
+		}
 		for _, t := range c.tiles {
 			if c.faults != nil && c.faults.TileFrozen(t.id) {
 				continue
 			}
 			t.step()
 		}
-	}
-	for _, f := range c.bounded {
-		f.maybeCommit()
-	}
-	for _, q := range c.edges {
-		q.commit()
+		for _, f := range c.bounded {
+			f.maybeCommit()
+		}
+		for _, q := range c.edges {
+			q.commit()
+		}
+		c.commits, c.edgePops, c.fresh = c.commits[:0], c.edgePops[:0], c.fresh[:0]
 	}
 	for _, b := range c.bindings {
 		arrived := b.outBuf
@@ -331,6 +356,9 @@ func (c *Chip) Step() {
 			}
 			c.cfg.Tracer.Record(c.cycle, t.id, st)
 		}
+	}
+	if fe != nil {
+		fe.parkInert()
 	}
 	c.cycle++
 }

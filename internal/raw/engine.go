@@ -53,19 +53,28 @@ func (c *Chip) SetEngine(e Engine) {
 	if c.engine == e {
 		return
 	}
-	c.engine = e
 	c.invalidateFast()
+	c.engine = e
 }
 
 // Engine returns the active cycle-stepping implementation.
 func (c *Chip) Engine() Engine { return c.engine }
 
 // invalidateFast marks the fast engine's derived state (queue bindings,
-// compiled-program attachments, cached firmware capabilities) stale. It is
-// called by every reconfiguration entry point — reprogramming, firmware
-// swaps, device attachment, fault installation, hook registration — and the
-// next fast Step rebuilds. Cheap enough to call unconditionally.
-func (c *Chip) invalidateFast() { c.feDirty = true }
+// compiled-program attachments, cached firmware capabilities) stale,
+// after waking every parked tile so its counters are exact under either
+// engine. Every reconfiguration entry point — reprogramming, firmware
+// swaps, device attachment, fault installation, hook registration,
+// engine switches — calls it before changing anything (a parked tile's
+// skipped steps accrue against the state it parked in), between cycles
+// or from a step hook, and the next fast Step rebuilds. Cheap enough to
+// call unconditionally.
+func (c *Chip) invalidateFast() {
+	if c.fe != nil {
+		c.fe.wakeAll(c.fe.now())
+	}
+	c.feDirty = true
+}
 
 // ensureFast returns the fast engine's derived state, rebuilding it if a
 // reconfiguration invalidated it. Must be called between cycles (or at

@@ -18,12 +18,19 @@ package raw
 //     resolved, plus an early exit when no worm is active and no input
 //     has a word — the common case on a lightly loaded mesh, and ~800
 //     interface calls per cycle in the reference engine.
+//   - The commit phase walks the chip's commit list — the queues a
+//     cycle popped or pushed — instead of sweeping all of them, and
+//     snapshots only the edge queues pushed since the last cycle.
+//   - A tile whose next step would change only its counters parks until
+//     a queue it pops or pushes commits (park.go); its skipped steps
+//     accrue lazily.
 //
 // Because the fast engine mutates the same swState/Exec/dynRouter/fifo
 // objects the reference engine does, checkpoints, digests, telemetry
 // snapshots, and every public accessor are identical by construction;
-// the equivalence tests (engine_equiv_test.go, internal/fault) verify
-// the per-cycle transition functions match bit for bit.
+// the equivalence tests (engine_equiv_test.go, engine_fuzz_test.go,
+// internal/fault) verify the per-cycle transition functions match bit
+// for bit.
 //
 // All derived state lives on fastEngine and is rebuilt from scratch by
 // buildFastEngine whenever a reconfiguration calls invalidateFast —
@@ -102,6 +109,17 @@ type fastEngine struct {
 	due  []declarer
 	busy int
 
+	// Parking (see park.go): each tile's record, the number parked, the
+	// tiles whose step this cycle looked inert, and the cycle every tile
+	// has completed once the tile loop has run. watched holds the fault
+	// plane and the tracer, watchAt their next due cycle.
+	park    []parkRec
+	parked  int
+	cand    []int32
+	horizon int64
+	watched []Due
+	watchAt int64
+
 	// Macro-step scratch (see macro.go): per-switch membership and route
 	// masks for the current scan, the reusable plan buffer of admitted
 	// streamers, the frozen (provably blocked) switch list awaiting
@@ -128,18 +146,21 @@ func buildFastEngine(c *Chip) *fastEngine {
 		macroSrcM: make([]uint8, n*NumStaticNets),
 		macroDstM: make([]uint8, n*NumStaticNets),
 		macroSt:   make([]TileState, n),
+		park:      make([]parkRec, n),
 	}
 	for _, h := range c.stepHooks {
 		fe.due = append(fe.due, declarer{h, MacroHookDue})
 	}
 	if c.faults != nil {
 		fe.due = append(fe.due, declarer{c.faults, MacroFaults})
+		fe.watched = append(fe.watched, c.faults)
 	}
 	for _, b := range c.bindings {
 		fe.due = append(fe.due, declarer{b.dev, MacroDevices})
 	}
 	if c.cfg.Tracer != nil {
 		fe.due = append(fe.due, declarer{c.cfg.Tracer, MacroTracer})
+		fe.watched = append(fe.watched, c.cfg.Tracer)
 	}
 	for _, t := range c.tiles {
 		if q, ok := t.exec.fw.(Quiescer); ok {
@@ -202,11 +223,43 @@ func buildFastEngine(c *Chip) *fastEngine {
 	return fe
 }
 
+// step runs one cycle's compute and commit phases: snapshot the edge
+// queues pushed since the last cycle, step every tile neither parked
+// nor frozen, then commit the queues the cycle touched, waking the
+// parked tiles at either end of each (see park.go).
+func (fe *fastEngine) step() {
+	c := fe.c
+	fe.snapshotEdges()
+	fe.watch(c.cycle)
+	fp := c.faults
+	for _, t := range c.tiles {
+		if fe.park[t.id].on || fp != nil && fp.TileFrozen(t.id) {
+			continue
+		}
+		fe.stepTile(t)
+	}
+	fe.horizon = c.cycle + 1
+	for _, f := range c.commits {
+		f.commit()
+		if fe.parked > 0 {
+			fe.wake(f.rd, fe.horizon)
+			fe.wake(f.wr, fe.horizon)
+		}
+	}
+	c.commits = c.commits[:0]
+	for _, q := range c.edgePops {
+		q.commit()
+	}
+	c.edgePops = c.edgePops[:0]
+}
+
 // stepTile advances one tile's engines one cycle under the compiled
 // paths; the processor executor is shared with the reference engine.
 // Engine order matches Tile.step (irrelevant to the outcome — the
 // two-phase queue discipline makes the cycle order-independent — but
-// kept identical for clarity).
+// kept identical for clarity). A step in which the processor neither
+// ran nor waited on its cache and no switch moved a word makes the tile
+// a parking candidate.
 func (fe *fastEngine) stepTile(t *Tile) {
 	t.exec.step()
 	fp := fe.c.faults
@@ -217,6 +270,10 @@ func (fe *fastEngine) stepTile(t *Tile) {
 	j := t.id * numDynNets
 	fe.dy[j].step()
 	fe.dy[j+1].step()
+	if st := t.exec.state; st != StateRun && st != StateStallCache &&
+		!fe.sw[i].sw.movedNow && !fe.sw[i+1].sw.movedNow {
+		fe.cand = append(fe.cand, int32(t.id))
+	}
 }
 
 // --- compiled static switch step -------------------------------------
@@ -289,6 +346,66 @@ func (b *swBind) step(fp FaultPlane, cyc int64) {
 		}
 		b.stepLoop(fp, cp, pc, cyc)
 	}
+}
+
+// swNext classifies a switch's next step, ordered by how much it does.
+type swNext uint8
+
+const (
+	swHalted  swNext = iota // halted: the step changes nothing
+	swBlocked               // stalled at its instruction: the step counts one stall
+	swFires                 // a route instruction whose routes are all ready
+	swMoves                 // latches halt, loads a count, jumps, notifies or advances
+)
+
+// next classifies the switch's next step from the committed queue state,
+// with no fault active: the one blocked-switch test, shared by parking
+// and the macro-window scan. A route instruction is blocked when any of
+// its routes is not ready; register operations block on the
+// processor-owned PC, done and count queues.
+func (b *swBind) next() swNext {
+	s := b.sw
+	if s.halted {
+		return swHalted
+	}
+	if s.pc >= len(s.prog) {
+		return swMoves // the step latches halted
+	}
+	cp, pc := s.comp, s.pc
+	switch op := cp.op[pc]; op {
+	case SwHalt:
+		return swMoves
+	case SwRecvPC:
+		if b.swPC.CanPop() {
+			return swMoves // would jump
+		}
+		return swBlocked
+	case SwNotify:
+		if b.swDone.CanPush() {
+			return swMoves // would notify and advance
+		}
+		return swBlocked
+	case SwRouteN, SwRouteV:
+		if !s.loaded {
+			// RouteN loads its count even on a stalled first cycle;
+			// RouteV loads it from the processor's count register.
+			if op == SwRouteV && !b.swCount.CanPop() {
+				return swBlocked
+			}
+			return swMoves
+		}
+		if s.remaining <= 0 {
+			return swMoves // the step advances pc
+		}
+	}
+	lo := cp.base[pc]
+	hi := lo + uint32(cp.count[pc])
+	for i := lo; i < hi; i++ {
+		if !b.srcReady(nil, Dir(cp.src[i])) || !b.dstReady(nil, Dir(cp.dst[i])) {
+			return swBlocked
+		}
+	}
+	return swFires
 }
 
 func (b *swBind) stepLoop(fp FaultPlane, cp *CompiledProgram, pc int, cyc int64) {
@@ -386,6 +503,25 @@ func (b *swBind) push(d Dir, w Word, cyc int64) {
 }
 
 // --- compiled dynamic router step ------------------------------------
+
+// idle reports whether the router holds no worm and no input word, so
+// its steps change nothing until a word arrives.
+func (b *dynBind) idle() bool {
+	r := b.r
+	for d := DirN; d < numDirs; d++ {
+		if r.lock[d].active {
+			return false
+		}
+		if f := b.inF[d]; f != nil {
+			if f.Len() != 0 {
+				return false
+			}
+		} else if b.inU[d].Len() != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 func (b *dynBind) canPop(d Dir) bool {
 	if f := b.inF[d]; f != nil {

@@ -42,8 +42,8 @@ type FaultPlane interface {
 // InstallFaults attaches a fault schedule to the chip. Passing nil removes
 // it. Must be called between cycles.
 func (c *Chip) InstallFaults(fp FaultPlane) {
-	c.faults = fp
 	c.invalidateFast()
+	c.faults = fp
 }
 
 // FaultDRAMPenalty returns the extra DRAM latency in force this cycle

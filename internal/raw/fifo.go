@@ -18,7 +18,9 @@ package raw
 // pushed this cycle is not visible to the reader until next cycle, and a
 // slot freed this cycle is not visible to the writer until next cycle.
 //
-// The zero value is not usable; construct with newFIFO.
+// A queue's first pop or push of a cycle appends it to the chip's commit
+// list, which the fast engine commits instead of sweeping every queue.
+// The zero value is not usable; construct with Chip.fifo.
 type fifo struct {
 	buf    []Word
 	staged []Word
@@ -36,28 +38,25 @@ type fifo struct {
 	// one pop and one push can legally occur per cycle.
 	popped int
 	pushed int
+
+	chip *Chip
+	// rd and wr are the tiles that pop and push the queue: a commit
+	// wakes them if parked (see park.go).
+	rd, wr int32
 }
 
-// newFIFO allocates twice the logical capacity so the lazy head cursor has
-// slack: by the time the physical array is full, at least half of it is
-// consumed prefix, so each element is memmoved at most once.
-func newFIFO(capacity int) *fifo {
-	return &fifo{buf: make([]Word, 0, 2*capacity), cap: capacity}
+// touch puts the queue on the chip's commit list at its first pop or
+// push of the cycle.
+func (f *fifo) touch() {
+	if f.popped == 0 && len(f.staged) == 0 {
+		f.chip.commits = append(f.chip.commits, f)
+	}
 }
 
-// beginCycle snapshots the queue state. Bounded fifos have no external
-// writers, so commit() re-arms the snapshot itself and the Chip only needs
-// beginCycle on first use; it is kept for clarity and tests.
-func (f *fifo) beginCycle() {
-	f.startLen = len(f.buf) - f.head
-	f.popped = 0
-	f.pushed = 0
-}
-
-// maybeCommit is the per-cycle commit entry point: a branch cheap enough
-// to inline into the sweep over every fifo on the chip, outlining the
-// actual work to commit, which runs only for the few fifos a cycle
-// actually touched.
+// maybeCommit is the reference engine's per-cycle commit entry point: a
+// branch cheap enough to inline into its sweep over every fifo on the
+// chip, outlining the actual work to commit, which runs only for the few
+// fifos a cycle actually touched.
 func (f *fifo) maybeCommit() {
 	if f.popped != 0 || len(f.staged) != 0 {
 		f.commit()
@@ -113,6 +112,7 @@ func (f *fifo) Pop() Word {
 	if !f.CanPop() {
 		panic("raw: fifo underflow (pop without CanPop)")
 	}
+	f.touch()
 	w := f.buf[f.head+f.popped]
 	f.popped++
 	return w
@@ -123,6 +123,7 @@ func (f *fifo) Push(w Word) {
 	if !f.CanPush() {
 		panic("raw: fifo overflow (push without CanPush)")
 	}
+	f.touch()
 	f.staged = append(f.staged, w)
 	f.pushed++
 }
@@ -141,8 +142,9 @@ func (f *fifo) poppedThisCycle() bool { return f.popped > 0 }
 // start-of-cycle snapshot so that external pushes land "next cycle", and
 // stages its pops so that the backing buffer is immutable during the
 // compute phase. Unlike bounded fifos, the external writer appends to the
-// buffer directly, so the Chip must call beginCycle after external pushes
-// (top of Step) and commit after the compute phase.
+// buffer directly: its first push since the last snapshot puts the queue
+// on the chip's fresh list, which the top of Step snapshots (beginCycle),
+// and a cycle's first pop puts it on the edge commit list.
 type unboundedFIFO struct {
 	buf []Word
 	// head is the index of the first committed, unconsumed word. Consumed
@@ -156,11 +158,18 @@ type unboundedFIFO struct {
 	// taken counts committed pops since construction (stream position for
 	// StaticIn.Consumed).
 	taken int64
+
+	chip *Chip
+	// rd is the tile that pops the queue; fresh marks a push since the
+	// last snapshot.
+	rd    int32
+	fresh bool
 }
 
 func (f *unboundedFIFO) beginCycle() {
 	f.startLen = len(f.buf) - f.head
 	f.popped = 0
+	f.fresh = false
 }
 
 // commit applies the cycle's staged pops. Runs only after every tile has
@@ -186,6 +195,9 @@ func (f *unboundedFIFO) Pop() Word {
 	if !f.CanPop() {
 		panic("raw: edge fifo underflow")
 	}
+	if f.popped == 0 {
+		f.chip.edgePops = append(f.chip.edgePops, f)
+	}
 	w := f.buf[f.head+f.popped]
 	f.popped++
 	return w
@@ -193,7 +205,13 @@ func (f *unboundedFIFO) Pop() Word {
 
 // Push appends a word. External side only; never called during the compute
 // phase.
-func (f *unboundedFIFO) Push(w Word) { f.buf = append(f.buf, w) }
+func (f *unboundedFIFO) Push(w Word) {
+	f.buf = append(f.buf, w)
+	if !f.fresh {
+		f.fresh = true
+		f.chip.fresh = append(f.chip.fresh, f)
+	}
+}
 
 func (f *unboundedFIFO) Len() int { return len(f.buf) - f.head - f.popped }
 

@@ -24,8 +24,8 @@ type StepHook interface {
 // AddStepHook registers a step hook. Hooks run in registration order.
 // Must be called between cycles.
 func (c *Chip) AddStepHook(h StepHook) {
-	c.stepHooks = append(c.stepHooks, h)
 	c.invalidateFast()
+	c.stepHooks = append(c.stepHooks, h)
 }
 
 // MacroCause classifies why tryMacroStep declined to open a window. The

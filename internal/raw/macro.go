@@ -108,10 +108,8 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 	// Snapshot edge queues exactly as the top of Step would, so words
 	// pushed externally since the last cycle are visible to the scan: a
 	// switch parked on a freshly refilled backlog must stream, not
-	// freeze. Idempotent with Step's own beginCycle if the scan aborts.
-	for _, q := range c.edges {
-		q.beginCycle()
-	}
+	// freeze.
+	fe.snapshotEdges()
 	plan := fe.plan[:0]
 	frozen := fe.frozen[:0]
 	abort := func(cause MacroCause) (int64, MacroCause) {
@@ -125,101 +123,47 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 
 	// Pass 1: classify every other engine on the chip (procsInert has
 	// classified the processors) — live firmware blocked, dynamic routers
-	// inert, switches halted, streaming, or frozen — collecting the
+	// idle, switches halted, blocked (frozen) or firing — collecting the
 	// admitted streamers with their route masks.
 	for _, t := range c.tiles {
-		if e := t.exec; e.fw != nil && len(e.ops) == 0 {
-			// An idle processor refills next cycle: only firmware that
-			// has permanently quiesced keeps Refill (and its side
-			// effects) off the window's cycles.
-			if q := fe.fwq[t.id]; q == nil || !q.Quiesced() {
-				return abort(MacroFirmware)
-			}
+		// An idle processor refills next cycle: only firmware that has
+		// permanently quiesced keeps Refill (and its side effects) off
+		// the window's cycles.
+		if !fe.fwSettled(t) {
+			return abort(MacroFirmware)
 		}
 		for net := 0; net < numDynNets; net++ {
-			r := t.dyn[net]
-			b := &fe.dy[t.id*numDynNets+net]
-			for d := DirN; d < numDirs; d++ {
-				if r.lock[d].active {
-					return abort(MacroDynActive)
-				}
-				if b.inF[d] != nil {
-					if b.inF[d].Len() != 0 {
-						return abort(MacroDynActive)
-					}
-				} else if b.inU[d].Len() != 0 {
-					return abort(MacroDynActive)
-				}
+			if !fe.dy[t.id*numDynNets+net].idle() {
+				return abort(MacroDynActive)
 			}
 		}
 		for net := 0; net < NumStaticNets; net++ {
-			s := &t.st[net].sw
-			if s.halted {
-				continue
-			}
-			if s.pc >= len(s.prog) {
-				return abort(MacroSwitchState) // next step must latch halted
-			}
 			idx := int32(t.id*NumStaticNets + net)
 			b := &fe.sw[idx]
-			cp, pc := s.comp, s.pc
-			op := cp.op[pc]
-			switch op {
-			case SwHalt:
-				return abort(MacroSwitchState)
-			case SwRecvPC:
-				if b.swPC.CanPop() {
-					return abort(MacroSwitchState) // would jump
-				}
-				frozen = append(frozen, idx)
+			switch b.next() {
+			case swHalted:
 				continue
-			case SwNotify:
-				if b.swDone.CanPush() {
-					return abort(MacroSwitchState) // would notify and advance
-				}
-				frozen = append(frozen, idx)
-				continue
-			}
-			// Route instructions: SwRoute, SwJump, SwRouteN, SwRouteV.
-			if op == SwRouteN && !s.loaded {
-				// Both engines load the count even on a stalled first
-				// cycle; freezing here would skip that latch.
-				return abort(MacroSwitchState)
-			}
-			if op == SwRouteV && !s.loaded {
-				if b.swCount.CanPop() {
-					return abort(MacroSwitchState) // would load the count
-				}
-				frozen = append(frozen, idx) // writer is the frozen processor
-				continue
-			}
-			if (op == SwRouteN || op == SwRouteV) && s.remaining <= 0 {
-				return abort(MacroSwitchState) // next step advances pc
-			}
-			lo := cp.base[pc]
-			hi := lo + uint32(cp.count[pc])
-			ready, hasP := true, false
-			var srcM, dstM uint8
-			for i := lo; i < hi; i++ {
-				sd, dd := Dir(cp.src[i]), Dir(cp.dst[i])
-				if sd == DirP || dd == DirP {
-					hasP = true
-				}
-				if !b.srcReady(nil, sd) || !b.dstReady(nil, dd) {
-					ready = false
-				}
-				srcM |= 1 << sd
-				dstM |= 1 << dd
-			}
-			if !ready {
+			case swBlocked:
 				frozen = append(frozen, idx) // stability verified in pass 2
 				continue
+			case swMoves:
+				return abort(MacroSwitchState)
 			}
 			// Fireable: only a self-perpetuating loop free of processor
 			// ports can stream; a one-shot route or a taken jump moves
 			// the pc, and DirP routes couple to the frozen processor.
-			if hasP || cp.count[pc] == 0 || op == SwRoute ||
-				(op == SwJump && int(cp.arg[pc]) != pc) {
+			cp, pc := b.sw.comp, b.sw.pc
+			op := cp.op[pc]
+			if cp.count[pc] == 0 || op == SwRoute || (op == SwJump && int(cp.arg[pc]) != pc) {
+				return abort(MacroSwitchState)
+			}
+			var srcM, dstM uint8
+			lo := cp.base[pc]
+			for i := lo; i < lo+uint32(cp.count[pc]); i++ {
+				srcM |= 1 << cp.src[i]
+				dstM |= 1 << cp.dst[i]
+			}
+			if (srcM|dstM)&(1<<DirP) != 0 {
 				return abort(MacroSwitchState)
 			}
 			fe.macroOn[idx] = true
@@ -393,10 +337,12 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 	}
 	for _, t := range c.tiles {
 		// Each skipped cycle is one reference-engine step parked in the
-		// same state: setState(st) K times.
+		// same state: setState(st) K times. A parked tile's record moves
+		// past the window, which accounts its cycles here.
 		st := fe.macroSt[t.id]
 		t.exec.counts[st] += k
 		t.exec.state = st
+		fe.park[t.id].since += k
 	}
 	fe.plan = plan[:0]
 	fe.frozen = frozen[:0]

@@ -80,30 +80,37 @@ type Exec struct {
 
 // SetFirmware installs the tile's firmware.
 func (e *Exec) SetFirmware(fw Firmware) {
-	e.fw = fw
 	e.tile.chip.invalidateFast()
+	e.fw = fw
 }
 
 // Reset discards all queued and in-flight micro-ops. The next step refills
 // from the firmware as if freshly started. Used by the router's
 // degraded-mode reconfiguration; must be called between cycles.
 func (e *Exec) Reset() {
+	e.tile.chip.invalidateFast()
 	e.ops = e.ops[:0]
 	e.head = 0
-	e.tile.chip.invalidateFast()
 }
 
 // State returns the state the processor was in during the last cycle.
-func (e *Exec) State() TileState { return e.state }
+func (e *Exec) State() TileState {
+	e.tile.chip.settle()
+	return e.state
+}
 
 // StateCounts returns cumulative cycles spent in each TileState.
-func (e *Exec) StateCounts() (counts [5]int64) { return e.counts }
+func (e *Exec) StateCounts() (counts [5]int64) {
+	e.tile.chip.settle()
+	return e.counts
+}
 
 // Tile returns the tile this executor belongs to.
 func (e *Exec) Tile() *Tile { return e.tile }
 
 // Utilization returns the fraction of elapsed cycles spent in StateRun.
 func (e *Exec) Utilization() float64 {
+	e.tile.chip.settle()
 	var tot int64
 	for _, c := range e.counts {
 		tot += c

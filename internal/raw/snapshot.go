@@ -193,6 +193,7 @@ func (c *Chip) RestoreSnapshotOps(blob []byte, ops []ReplayOp) error {
 // switches' program counters and counters, boundary sink totals, and
 // cache statistics. Taken between cycles, when staged words are empty.
 func (c *Chip) digest() uint64 {
+	c.settle()
 	d := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		for i := 0; i < 8; i++ {

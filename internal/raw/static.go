@@ -180,14 +180,14 @@ func (s *swState) SetProgram(prog []SwInstr) error {
 // Loop state and halt are cleared; the stall/move counters survive, as
 // they do across SetProgram (reprogramming is not a statistics reset).
 func (s *swState) setCompiled(cp *CompiledProgram) {
+	if s.tile != nil {
+		s.tile.chip.invalidateFast()
+	}
 	s.prog = cp.instrs
 	s.comp = cp
 	s.pc = 0
 	s.loaded = false
 	s.halted = false
-	if s.tile != nil {
-		s.tile.chip.invalidateFast()
-	}
 }
 
 // step executes at most one switch instruction. All queue decisions use
@@ -299,7 +299,10 @@ func (s *swState) fire(routes []Route) bool {
 
 // Stalls returns the number of cycles the switch spent blocked on flow
 // control.
-func (s *swState) Stalls() int64 { return s.stalls }
+func (s *swState) Stalls() int64 {
+	s.tile.chip.settle()
+	return s.stalls
+}
 
 // Moves returns the number of words moved through the static crossbar.
 func (s *swState) Moves() int64 { return s.moves }

@@ -5,7 +5,6 @@ import "fmt"
 // wordQueue abstracts the two queue flavors used for network inputs:
 // bounded on-chip fifos and unbounded edge fifos.
 type wordQueue interface {
-	beginCycle()
 	CanPop() bool
 	Peek() Word
 	Pop() Word
@@ -179,6 +178,7 @@ func (t *Tile) staticPush(net int, d Dir, w Word) {
 // survive an on-chip reprogramming. Used by the router's degraded-mode
 // reconfiguration; must be called between cycles.
 func (t *Tile) ResetStatic(net int) {
+	t.chip.invalidateFast()
 	st := &t.st[net]
 	st.csto.reset()
 	st.csti.reset()
@@ -190,7 +190,6 @@ func (t *Tile) ResetStatic(net int) {
 			f.reset()
 		}
 	}
-	t.chip.invalidateFast()
 }
 
 // SetSwitchProgram installs a static switch program on network 0.

@@ -98,7 +98,7 @@ func (x *xbarFW) decide(e *raw.Exec) {
 	if x.readmit > 0 {
 		joining = x.joining
 	}
-	x.alloc = rotor.AllocateFT(reqs[:], x.token, prios[:], x.dead, joining)
+	x.alloc = x.rt.allocate(allocKey{reqs, prios, x.token, x.dead, joining})
 	tile, src := x.alloc.Tiles[x.port], x.alloc.OutSrc[x.port]
 	idx := x.rt.ci.Of(tile)
 	l := x.streamLen()
@@ -131,6 +131,26 @@ func (x *xbarFW) decide(e *raw.Exec) {
 	e.WriteSwitchPC(func() raw.Word { return x.prog.RoutineAddr[idx] })
 	e.WaitSwitchDone(nil)
 	x.advanceToken(e)
+}
+
+// allocKey is everything a crossbar allocation depends on: the four
+// request masks and classes, the token, and the dead and joining tiles.
+type allocKey struct {
+	reqs                 [4]rotor.McastReq
+	prios                [4]uint8
+	token, dead, joining int
+}
+
+// allocate returns the allocation for k. Every live crossbar tile walks
+// the same inputs each quantum, so the router keeps the last inputs and
+// their allocation and the other tiles reuse it: host-side state, never
+// serialized, and read-only once walked.
+func (r *Router) allocate(k allocKey) rotor.Allocation {
+	if r.alloc.Tiles == nil || r.allocFor != k {
+		r.allocFor = k
+		r.alloc = rotor.AllocateFT(k.reqs[:], k.token, k.prios[:], k.dead, k.joining)
+	}
+	return r.alloc
 }
 
 // streamLen is the quantum's streaming length L: the longest fragment

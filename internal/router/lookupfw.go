@@ -108,18 +108,11 @@ func replyWord(v int32) raw.Word {
 // TableImageAt serializes a compact forwarding table into (address,
 // words) segments for the DRAM controller at the given epoch's bases.
 func TableImageAt(t *lookup.Patricia, epoch int) []TableSegment {
-	l1, chunks := lookup.NewCompactTable(t).Image()
+	l1, chunks := lookup.Image[raw.Word](lookup.NewCompactTable(t))
 	l1Base, chunkBase := tableBases(epoch)
-	seg := func(addr raw.Word, img []uint32) TableSegment {
-		words := make([]raw.Word, len(img))
-		for i, w := range img {
-			words[i] = raw.Word(w)
-		}
-		return TableSegment{Addr: addr, Words: words}
-	}
-	segs := []TableSegment{seg(l1Base, l1)}
+	segs := []TableSegment{{Addr: l1Base, Words: l1}}
 	for i, ch := range chunks {
-		segs = append(segs, seg(chunkBase+raw.Word(i)*lkChunkSize, ch))
+		segs = append(segs, TableSegment{Addr: chunkBase + raw.Word(i)*lkChunkSize, Words: ch})
 	}
 	return segs
 }

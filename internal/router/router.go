@@ -211,6 +211,11 @@ type Router struct {
 	ings  [4]*ingressFW
 	egrs  [4]*egressFW
 
+	// alloc is the last crossbar allocation, walked for allocFor (see
+	// allocate).
+	alloc    rotor.Allocation
+	allocFor allocKey
+
 	stats Stats
 
 	// lastSampledQ is the last quantum boundary the telemetry plane

@@ -73,11 +73,13 @@ func (r *Router) TelemetrySnapshot() telemetry.Snapshot {
 	s.ProbationPort = r.probationPort
 	s.Failed = r.failed
 	s.FabricLost = r.stats.FabricLost
-	// Engine observability (schema v3): the fast engine's macro-step
-	// engagement and the per-cause disarm histogram, in raw.MacroCauses
-	// order for a stable export series. Zero under the reference engine;
-	// cross-engine equivalence comparisons clear them (Snapshot.ZeroHost).
+	// Engine observability (schema v3, parking v5): the fast engine's
+	// macro-step engagement, the per-cause disarm histogram, in
+	// raw.MacroCauses order for a stable export series, and the tile
+	// steps parking skipped. Zero under the reference engine; cross-engine
+	// equivalence comparisons clear them (Snapshot.ZeroHost).
 	s.MacroWindows, s.MacroCycles = r.Chip.MacroStats()
+	s.ParkedTileCycles = r.Chip.ParkedTileCycles()
 	disarms := r.Chip.MacroDisarms()
 	s.MacroDisarms = make([]telemetry.MacroDisarm, 0, len(disarms))
 	for _, cause := range raw.MacroCauses() {

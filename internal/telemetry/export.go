@@ -209,7 +209,8 @@ func (s *Snapshot) table(logs bool) []section {
 		fam("gauge", "raw_router_failed", "failed", "1 if the router fail-stopped.", flag(s.Failed)),
 		fam("counter", "raw_router_fabric_lost_total", "fabric_lost", "Packets lost inside the fabric by degraded-mode resets.", num(s.FabricLost)),
 		fam("counter", "raw_router_macro_windows_total", "macro_windows", "Fast-engine macro-step windows executed (0 on the reference engine).", num(s.MacroWindows)),
-		fam("counter", "raw_router_macro_cycles_total", "macro_cycles", "Cycles covered by fast-engine macro-step windows.", num(s.MacroCycles)))
+		fam("counter", "raw_router_macro_cycles_total", "macro_cycles", "Cycles covered by fast-engine macro-step windows.", num(s.MacroCycles)),
+		fam("counter", "raw_router_parked_tile_cycles_total", "parked_tile_cycles", "Tile steps the fast engine skipped while the tile was parked (0 on the reference engine).", num(s.ParkedTileCycles)))
 	disarms := keyed("macro_disarms", "cause", fam("counter", "raw_router_macro_disarms_total", "count", "Macro-step windows declined, by cause."),
 		len(s.MacroDisarms), func(i int) (string, int64) { return s.MacroDisarms[i].Cause, s.MacroDisarms[i].Count })
 	ports := section{name: "ports", keys: []string{"port"}, labels: []string{"port"}}
@@ -298,8 +299,9 @@ func (s *Snapshot) jsonl() []byte {
 		FabricLost    int64   `json:"fabric_lost"`
 		MacroWindows  int64   `json:"macro_windows"`
 		MacroCycles   int64   `json:"macro_cycles"`
+		ParkedCycles  int64   `json:"parked_tile_cycles"`
 	}{s.Schema, s.Cycle, s.ClockHz, s.Quanta, s.DeadPort, s.ProbationPort,
-		s.Failed, s.FabricLost, s.MacroWindows, s.MacroCycles})
+		s.Failed, s.FabricLost, s.MacroWindows, s.MacroCycles, s.ParkedTileCycles})
 	for _, d := range s.MacroDisarms {
 		b = appendRecord(b, "macro_disarm", d)
 	}

@@ -56,6 +56,7 @@ func sampleSnapshot() Snapshot {
 	s.ProbationPort = -1
 	s.FabricLost = 3
 	s.MacroWindows, s.MacroCycles = 7, 900
+	s.ParkedTileCycles = 4321
 	s.MacroDisarms = []MacroDisarm{{Cause: "exec_busy", Count: 5}, {Cause: "budget", Count: 0}}
 	for p := 0; p < NumPorts; p++ {
 		b := int64(100 * (p + 1))
@@ -182,7 +183,7 @@ func TestCSVSections(t *testing.T) {
 		"topology,dead_chips,dead_trunks,schema,cycle,chips,externals,dead_chip_count,dead_trunk_count,bisection_words,bisection_utilization\n",
 		"trunk,dir,a,a_port,b,b_port,drained,delivered,dropped,retrans,frames,acked,held,utilization\n",
 		"\n1,ba,1,2,2,3,1101,1102,1103,1104,1105,1106,1107,0.03673333333333333\n",
-		"ring-4,2,0;3,4,30000,4,8,1,2,80896,0.6741333333333334\n",
+		fmt.Sprintf("ring-4,2,0;3,%d,30000,4,8,1,2,80896,0.6741333333333334\n", SchemaVersion),
 		"20000,1,heal-reroute,dead chips 0; dead trunks 1\n",
 	} {
 		if !bytes.Contains(out, []byte(line)) {
@@ -215,6 +216,8 @@ func TestPrometheusShape(t *testing.T) {
 		`raw_router_recovered_total{port="1"} 214`,
 		`raw_router_flap_drops_total{port="1"} 215`,
 		`raw_router_words_in_total{port="1"} 1600`,
+		// Host-side parking counter, schema v5.
+		"raw_router_parked_tile_cycles_total 4321",
 	} {
 		if !strings.Contains(out, want+"\n") && !strings.Contains(out, want+" ") {
 			t.Errorf("Prometheus output missing %q", want)

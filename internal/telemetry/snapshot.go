@@ -108,8 +108,8 @@ type ServePort struct {
 // fields are values (no pointers into live state): a snapshot taken at
 // cycle C never changes as the simulation advances. Host-side knobs are
 // deliberately absent, so a snapshot — and every export of it — is
-// bit-for-bit identical on either engine, except for the macro fields
-// that ZeroHost clears.
+// bit-for-bit identical on either engine, except for the macro and
+// parking fields that ZeroHost clears.
 type Snapshot struct {
 	Schema        int     `json:"schema"`
 	Cycle         int64   `json:"cycle"`
@@ -121,12 +121,14 @@ type Snapshot struct {
 	FabricLost    int64   `json:"fabric_lost"`
 
 	// MacroWindows/MacroCycles/MacroDisarms surface the fast engine's
-	// macro-step engagement (zero under the reference engine). They are
+	// macro-step engagement and ParkedTileCycles the tile steps its
+	// parking skipped (all zero under the reference engine). They are
 	// host-engine observability: ZeroHost clears them before cross-engine
 	// comparisons.
-	MacroWindows int64         `json:"macro_windows"`
-	MacroCycles  int64         `json:"macro_cycles"`
-	MacroDisarms []MacroDisarm `json:"macro_disarms,omitempty"`
+	MacroWindows     int64         `json:"macro_windows"`
+	MacroCycles      int64         `json:"macro_cycles"`
+	MacroDisarms     []MacroDisarm `json:"macro_disarms,omitempty"`
+	ParkedTileCycles int64         `json:"parked_tile_cycles"`
 
 	Ports [NumPorts]PortSnap `json:"ports"`
 	Tiles [NumTiles]TileSnap `json:"tiles"`
@@ -145,11 +147,12 @@ type Snapshot struct {
 }
 
 // ZeroHost clears the host-side fields — the fast engine's macro-step
-// engagement (macro_windows, macro_cycles, macro_disarms), which differs
-// between engines by design — so what remains is exactly the
-// simulation-visible surface that equivalence suites compare.
+// engagement (macro_windows, macro_cycles, macro_disarms) and parked
+// tile steps (parked_tile_cycles), which differ between engines by
+// design — so what remains is exactly the simulation-visible surface
+// that equivalence suites compare.
 func (s *Snapshot) ZeroHost() {
-	s.MacroWindows, s.MacroCycles, s.MacroDisarms = 0, 0, nil
+	s.MacroWindows, s.MacroCycles, s.MacroDisarms, s.ParkedTileCycles = 0, 0, nil, 0
 }
 
 // Snapshot returns the collector's share of a snapshot: the schema, the

@@ -54,7 +54,10 @@ import "repro/internal/trace"
 // Event totals are kept per kind by the producer (JSONL event_total
 // records) instead of being recounted from the 64-entry ring, and a
 // daemon's snapshot carries the serve plane in every format.
-const SchemaVersion = 4
+// v5: parked_tile_cycles (Prometheus raw_router_parked_tile_cycles_total),
+// the tile steps the fast engine's parking skipped; host-side like the
+// macro fields, zero under the reference engine and cleared by ZeroHost.
+const SchemaVersion = 5
 
 // NumPorts is the paper router's port count; the plane is sized for it.
 const NumPorts = 4

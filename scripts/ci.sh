@@ -113,7 +113,9 @@ echo "== cli: entry-point smoke =="
 # traffic flag must also print exactly what -workload permutation prints.
 # fabsim's mesh-16 must print the same at one worker as at the default
 # GOMAXPROCS. An unknown reproduce -exp section and a fabsim run without
-# -topology must exit 2.
+# -topology must exit 2. Macro windows must open past a never-reached
+# corrupt tap, and the fast engine must park tiles at 64 B uniform (a
+# skip that never engages fails here).
 # examples/edgerouter, the only run whose table fills DRAM chunks (1,972
 # of them for its /9-/24 prefixes), must print exactly the lines below,
 # and so must examples/multicast, the only run that prints the §8.6
@@ -134,6 +136,7 @@ for flag in "-faultseed 7" -trace "-faults corrupt:t4.w.w999999999.b1" "$ARC"; d
 	cmp "$CLI/rr-flag-ref.txt" "$CLI/rr-flag-fast.txt"
 done
 $RR -faults corrupt:t4.w.w999999999.b1 -metrics prom | grep -q '^raw_router_macro_windows_total [1-9]'
+$RR -workload uniform:size=64 -metrics prom | grep -q '^raw_router_parked_tile_cycles_total [1-9]'
 $RR $ARC -engine fast -metrics prom | grep -q '^raw_router_recovery_events_total{kind="live"} 1$'
 "$CLI/fabsim" -topology ring -chips 4 -engine ref >"$CLI/fab-ref.txt"
 "$CLI/fabsim" -topology ring -chips 4 -engine fast >"$CLI/fab-fast.txt"
