@@ -39,7 +39,7 @@ func main() {
 	fmt.Printf("peak 1024B throughput: %.2f Gbps plain, %.2f Gbps with in-fabric encryption\n",
 		plain, ciphered)
 	fmt.Printf("(every payload word crosses the egress processor plus %d cipher cycles/word;\n",
-		router.DefaultConfig().CryptoCyclesPerWord)
+		router.CryptoCyclesPerWord)
 	fmt.Println(" the thesis's fix — spreading the cipher across crossbar tiles — is future work there too)")
 
 	// Demonstrate the transform end to end on a fresh router.

@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/raw"
 	"repro/internal/router"
+	"repro/internal/traffic"
 )
 
 // TestConstructionAllocBound bounds the heap one build allocates. DRAM
@@ -46,5 +49,35 @@ func TestConstructionAllocBound(t *testing.T) {
 		if got > c.limit {
 			t.Errorf("%s allocated %.2f MB, limit %.2f MB", c.name, float64(got)/mb, float64(c.limit)/mb)
 		}
+	}
+}
+
+// TestSteadyStateAllocBound bounds the heap allocations of saturated
+// fast-engine cycles at 64 B uniform, where per-packet firmware runs on
+// every port. Micro-ops carry their operands as values, so what remains
+// is the packets offered and the closures of receive sinks, SendN sources
+// and Then continuations (about 12,400 mallocs per 10,000 cycles); a
+// closure per operand (about 19,900) exceeds the limit.
+func TestSteadyStateAllocBound(t *testing.T) {
+	const cycles, limit = 100_000, 14_000 // limit per 10,000 cycles
+	cfg := router.DefaultConfig()
+	cfg.Engine = raw.EngineFast
+	r, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs, err := traffic.MustBuild(traffic.Spec{Pattern: "uniform", Size: 64, Seed: 1}).Sources()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.RunSaturated(40_000, srcs) // warm the lookup caches and queues
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.RunSaturated(cycles, srcs)
+	runtime.ReadMemStats(&after)
+	got := (after.Mallocs - before.Mallocs) * 10_000 / cycles
+	t.Logf("%d mallocs per 10,000 cycles", got)
+	if got > limit {
+		t.Errorf("%d mallocs per 10,000 saturated cycles, limit %d", got, limit)
 	}
 }

@@ -624,10 +624,7 @@ func (f *Fabric) pumpDir(t *trunkState, d int) {
 			f.droppedCause[dropFrameResync]++
 			continue
 		}
-		n := (int(h.TotalLen) + 3) / 4
-		if n < ip.HeaderWords {
-			n = ip.HeaderWords
-		}
+		n := h.FrameWords()
 		if len(td.buf) < n {
 			return
 		}

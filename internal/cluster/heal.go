@@ -517,10 +517,7 @@ func (f *Fabric) framesToARQ(ti int, t *trunkState, d int) {
 			f.droppedCause[dropFrameResync]++
 			continue
 		}
-		n := (int(h.TotalLen) + 3) / 4
-		if n < ip.HeaderWords {
-			n = ip.HeaderWords
-		}
+		n := h.FrameWords()
 		if len(td.buf) < n {
 			return
 		}

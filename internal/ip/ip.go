@@ -188,6 +188,13 @@ func (p *Packet) Words() []uint32 {
 	return append(out, p.Payload...)
 }
 
+// FrameWords returns the length in words of the packet this header
+// frames: TotalLen rounded up to whole words, never less than the
+// header. Every reader that cuts packets out of a word stream uses it.
+func (h *Header) FrameWords() int {
+	return max((int(h.TotalLen)+3)/4, HeaderWords)
+}
+
 // LenWords returns the on-wire length in words.
 func (p *Packet) LenWords() int { return HeaderWords + len(p.Payload) }
 
@@ -197,7 +204,7 @@ func ParsePacket(w []uint32) (Packet, error) {
 	if err != nil {
 		return Packet{}, err
 	}
-	want := (int(h.TotalLen) + 3) / 4
+	want := h.FrameWords()
 	if len(w) < want {
 		return Packet{}, ErrTruncated
 	}

@@ -151,6 +151,27 @@ func TestMinimumPacket(t *testing.T) {
 	}
 }
 
+// TestFrameWords pins the framing rule: TotalLen rounded up to words,
+// never less than the header. A header claiming fewer bytes than itself
+// parses as a bare header instead of slicing past its own end.
+func TestFrameWords(t *testing.T) {
+	for _, c := range []struct {
+		totalLen uint16
+		want     int
+	}{{0, 5}, {19, 5}, {20, 5}, {21, 6}, {64, 16}, {1023, 256}, {1024, 256}} {
+		h := ip.Header{TotalLen: c.totalLen}
+		if got := h.FrameWords(); got != c.want {
+			t.Errorf("TotalLen %d: %d words, want %d", c.totalLen, got, c.want)
+		}
+	}
+	h := ip.Header{TotalLen: 8, TTL: 64}
+	w := h.Marshal()
+	p, err := ip.ParsePacket(append(w[:], 0xdead))
+	if err != nil || len(p.Payload) != 0 {
+		t.Fatalf("short TotalLen: payload %v, err %v; want a bare header", p.Payload, err)
+	}
+}
+
 func TestAddrString(t *testing.T) {
 	if s := ip.AddrFrom(192, 168, 0, 1).String(); s != "192.168.0.1" {
 		t.Fatalf("got %q", s)

@@ -28,10 +28,10 @@ func TestControllerReadWrite(t *testing.T) {
 	var got raw.Word
 	fw := &fwSeq{steps: []func(e *raw.Exec){
 		func(e *raw.Exec) {
-			e.CacheRead(func() raw.Word { return 0x403 }, func(w raw.Word) { got = w })
+			e.CacheRead(0x403, func(w raw.Word) { got = w })
 		},
 		func(e *raw.Exec) {
-			e.CacheWrite(func() raw.Word { return 0x404 }, func() raw.Word { return 0x99 })
+			e.CacheWrite(0x404, 0x99)
 		},
 	}}
 	chip.Tile(10).Exec().SetFirmware(fw)
@@ -54,10 +54,10 @@ func TestWriteBackReachesDRAM(t *testing.T) {
 	const stride = 4096
 	fw := &fwSeq{steps: []func(e *raw.Exec){
 		func(e *raw.Exec) {
-			e.CacheWrite(func() raw.Word { return 0x40 }, func() raw.Word { return 0xabc })
+			e.CacheWrite(0x40, 0xabc)
 		},
-		func(e *raw.Exec) { e.CacheRead(func() raw.Word { return 0x40 + stride }, nil) },
-		func(e *raw.Exec) { e.CacheRead(func() raw.Word { return 0x40 + 2*stride }, nil) },
+		func(e *raw.Exec) { e.CacheRead(0x40+stride, nil) },
+		func(e *raw.Exec) { e.CacheRead(0x40+2*stride, nil) },
 	}}
 	chip.Tile(0).Exec().SetFirmware(fw)
 	chip.Run(400)
@@ -81,7 +81,7 @@ func TestServiceInterval(t *testing.T) {
 			i := i
 			chip.Tile(tile).Exec().SetFirmware(&fwSeq{steps: []func(e *raw.Exec){
 				func(e *raw.Exec) {
-					e.CacheRead(func() raw.Word { return raw.Word(0x1000 * (i + 1)) },
+					e.CacheRead(raw.Word(0x1000*(i+1)),
 						func(raw.Word) { done[i] = chip.Cycle() })
 				},
 			}})

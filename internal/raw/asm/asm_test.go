@@ -1,6 +1,7 @@
 package asm_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -364,5 +365,54 @@ func TestMemcpyLoop(t *testing.T) {
 	}
 	if it.Reg(10) != 0 || it.Reg(11) != 21 || it.Reg(12) != 45 {
 		t.Fatalf("readback %d,%d,%d want 0,21,45", it.Reg(10), it.Reg(11), it.Reg(12))
+	}
+}
+
+// TestLoadStoreRetireCycles pins, on both engines, the cycle at which
+// each instruction of a load/store sequence retires (cycles completed
+// when Retired advances): a store retires in the cycle its cache access
+// starts, miss or hit (3, 47); a load into a register in the cycle the
+// word returns (42 after the store's line fill, 86 after a read miss);
+// a load into $csto in the cycle the word leaves for the switch, one
+// cycle after its 3-cycle hit (46).
+func TestLoadStoreRetireCycles(t *testing.T) {
+	for _, eng := range []raw.Engine{raw.EngineRef, raw.EngineFast} {
+		cfg := raw.DefaultConfig()
+		cfg.Engine = eng
+		chip := raw.NewChip(cfg)
+		dram := newDRAM(4, 12)
+		for y := 0; y < 4; y++ {
+			chip.AttachDynDevice(y*4+3, raw.DirE, raw.DynMemory, dram)
+		}
+		if err := chip.Tile(0).SetSwitchProgram(asm.MustAssembleSwitch(`
+			route $csto->$cWo
+			halt
+		`)); err != nil {
+			t.Fatal(err)
+		}
+		it := asm.MustLoad(chip.Tile(0), `
+			li   $1, 0x200
+			li   $2, 77
+			sw   $2, 4($1)     ; write miss: the line comes from DRAM
+			lw   $3, 4($1)     ; hit
+			lw   $csto, 4($1)  ; hit, the word leaves through $csto
+			sw   $3, 5($1)     ; hit
+			lw   $4, 0x400($0) ; read miss
+			halt
+		`)
+		var got []int64
+		for c := 0; c < 300 && !it.Halted(); c++ {
+			n := it.Retired
+			chip.Step()
+			if it.Retired != n {
+				got = append(got, chip.Cycle())
+			}
+		}
+		if it.Reg(3) != 77 {
+			t.Fatalf("engine %v: lw read %d, want 77", eng, it.Reg(3))
+		}
+		if want := []int64{1, 2, 3, 42, 46, 47, 86}; !slices.Equal(got, want) {
+			t.Errorf("engine %v: instructions retired at cycles %v, want %v", eng, got, want)
+		}
 	}
 }

@@ -79,18 +79,18 @@ func (it *Interp) Refill(e *raw.Exec) {
 	case tMOVE:
 		it.lowerMove(e, in, retire)
 	case tLW:
-		addrF := func() raw.Word { return it.regs[in.src1] + raw.Word(in.imm) }
+		addr := it.regs[in.src1] + raw.Word(in.imm)
 		if in.dst == regCSTO {
 			var tmp raw.Word
-			e.CacheRead(addrF, func(w raw.Word) { tmp = w })
+			e.CacheRead(addr, func(w raw.Word) { tmp = w })
 			e.SendFunc(func() raw.Word { retire(); return tmp })
 		} else {
-			e.CacheRead(addrF, func(w raw.Word) { it.write(in.dst, w); retire() })
+			e.CacheRead(addr, func(w raw.Word) { it.write(in.dst, w); retire() })
 		}
 	case tSW:
-		e.CacheWrite(
-			func() raw.Word { return it.regs[in.src1] + raw.Word(in.imm) },
-			func() raw.Word { retire(); return it.regs[in.dst] })
+		// The store retires as its cache access starts, this cycle.
+		e.CacheWrite(it.regs[in.src1]+raw.Word(in.imm), it.regs[in.dst])
+		retire()
 	case tBEQ, tBNE:
 		it.lowerBranch(e, in, retire)
 	case tJMP:
@@ -204,7 +204,7 @@ func (it *Interp) lowerALU(e *raw.Exec, in *tInstr, retire func()) {
 func (it *Interp) lowerMove(e *raw.Exec, in *tInstr, retire func()) {
 	switch {
 	case in.dst == regCSTO && in.src1 == regCSTI:
-		e.ForwardDone(func() int { return 1 }, retire)
+		e.ForwardDone(1, retire)
 	case in.dst == regCSTO:
 		e.SendFunc(func() raw.Word { retire(); return it.regs[in.src1] })
 	case in.src1 == regCSTI:

@@ -23,11 +23,13 @@ func DefaultConfig() Config {
 }
 
 // DynDevice is an off-chip device attached to a boundary dynamic-network
-// link (a memory controller, a line card DMA engine). Tick is called once
-// per cycle with the words that exited the chip on that link this cycle;
-// the returned words are injected into the chip on the same link (framed
-// messages, header first). NextDue (see Due) may return a negative value
-// only while Tick with no arrivals returns nothing and mutates nothing.
+// link (a memory controller, a line card DMA engine). Tick is called with
+// the words that exited the chip on that link this cycle; the returned
+// words are injected into the chip on the same link (framed messages,
+// header first). NextDue (see Due) may return a negative value only
+// while Tick with no arrivals returns nothing and mutates nothing, and
+// the chip skips exactly those Ticks: a device is ticked on every stepped
+// cycle that brings it arrivals or at which its NextDue is not negative.
 type DynDevice interface {
 	Due
 	Tick(cycle int64, arrived []Word) (inject []Word)
@@ -329,6 +331,9 @@ func (c *Chip) Step() {
 	}
 	for _, b := range c.bindings {
 		arrived := b.outBuf
+		if len(arrived) == 0 && b.dev.NextDue(c.cycle) < 0 {
+			continue // an idle device's Tick changes nothing
+		}
 		b.outBuf = nil
 		for _, w := range b.dev.Tick(c.cycle, arrived) {
 			b.in.Push(w)

@@ -1,6 +1,7 @@
 package raw_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/raw"
@@ -23,13 +24,11 @@ func TestDynManyToOneCongestion(t *testing.T) {
 			}
 			k := sent
 			sent++
-			e.DynSend(raw.DynGeneral, func() []raw.Word {
-				msg := []raw.Word{raw.DynHeaderTag(1, 1, payloadLen, raw.Word(si))}
-				for w := 0; w < payloadLen; w++ {
-					msg = append(msg, raw.Word(si*1000+k*10+w))
-				}
-				return msg
-			})
+			msg := []raw.Word{raw.DynHeaderTag(1, 1, payloadLen, raw.Word(si))}
+			for w := 0; w < payloadLen; w++ {
+				msg = append(msg, raw.Word(si*1000+k*10+w))
+			}
+			e.DynSend(raw.DynGeneral, msg)
 		}))
 	}
 	var got [][]raw.Word
@@ -85,9 +84,7 @@ func TestDynBidirectionalPingPong(t *testing.T) {
 		}
 		k := aCount
 		aCount++
-		e.DynSend(raw.DynGeneral, func() []raw.Word {
-			return []raw.Word{raw.DynHeader(3, 3, 1), raw.Word(k)}
-		})
+		e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(3, 3, 1), raw.Word(k)})
 		e.DynRecv(raw.DynGeneral, 2, nil)
 	}))
 	chip.Tile(15).Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) {
@@ -97,8 +94,8 @@ func TestDynBidirectionalPingPong(t *testing.T) {
 		bCount++
 		var v raw.Word
 		e.DynRecv(raw.DynGeneral, 2, func(ws []raw.Word) { v = ws[1] })
-		e.DynSend(raw.DynGeneral, func() []raw.Word {
-			return []raw.Word{raw.DynHeader(0, 0, 1), v + 100}
+		e.Then(func(e *raw.Exec) {
+			e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(0, 0, 1), v + 100})
 		})
 	}))
 	chip.Run(3000)
@@ -119,9 +116,7 @@ func TestDynEdgeDeviceEcho(t *testing.T) {
 		if got != 0 {
 			return
 		}
-		e.DynSend(raw.DynGeneral, func() []raw.Word {
-			return []raw.Word{raw.DynHeader(4, 1, 2), raw.MemCmd(0, 4), 0x40}
-		})
+		e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(4, 1, 2), raw.MemCmd(0, 4), 0x40})
 		e.DynRecv(raw.DynGeneral, 2, func(ws []raw.Word) { got = ws[1] })
 	}))
 	chip.Run(500)
@@ -154,6 +149,86 @@ func (d *echoDev) Tick(cycle int64, arrived []raw.Word) []raw.Word {
 	return out
 }
 
+// TestIdleDeviceSkipsTicks: a device is ticked only on cycles that bring
+// it words or at which its NextDue is not negative. A tile sends two
+// requests a few hundred cycles apart through a device that answers each
+// after a 10-cycle latency; on both engines the device must never see an
+// idle Tick, must answer both, and must be ticked on the same cycles.
+func TestIdleDeviceSkipsTicks(t *testing.T) {
+	var logs [2][]int64
+	for i, eng := range []raw.Engine{raw.EngineRef, raw.EngineFast} {
+		cfg := raw.DefaultConfig()
+		cfg.Engine = eng
+		chip := raw.NewChip(cfg)
+		dev := &countDev{}
+		chip.AttachDynDevice(7, raw.DirE, raw.DynGeneral, dev)
+		var got []raw.Word
+		sent := 0
+		chip.Tile(4).Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) {
+			if sent == 2 {
+				return
+			}
+			sent++
+			e.Compute(300)
+			e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(4, 1, 2), raw.MemCmd(0, 4), raw.Word(sent)})
+			e.DynRecv(raw.DynGeneral, 2, func(ws []raw.Word) { got = append(got, ws[1]) })
+		}))
+		chip.Run(1000)
+		if len(got) != 2 || got[0] != 2 || got[1] != 3 {
+			t.Fatalf("engine %v: device answered %v, want [2 3]", eng, got)
+		}
+		if dev.idle != 0 {
+			t.Fatalf("engine %v: %d of %d ticks had no arrivals while not due", eng, dev.idle, len(dev.ticks))
+		}
+		// Each request is three words off the pins plus the latency.
+		if n := len(dev.ticks); n == 0 || n > 40 {
+			t.Fatalf("engine %v: device ticked on %d of 1000 cycles, want 1..40", eng, n)
+		}
+		logs[i] = dev.ticks
+	}
+	if !slices.Equal(logs[0], logs[1]) {
+		t.Fatalf("tick cycles differ:\nref:  %v\nfast: %v", logs[0], logs[1])
+	}
+}
+
+// countDev is echoDev with a 10-cycle latency and an honest NextDue: due
+// while a frame is partial or a reply waits, negative otherwise. It
+// records the cycles it is ticked on and counts Ticks the chip should
+// have skipped.
+type countDev struct {
+	buf, reply []raw.Word
+	due        int64
+	ticks      []int64
+	idle       int
+}
+
+func (d *countDev) NextDue(cycle int64) int64 {
+	if len(d.buf)+len(d.reply) != 0 {
+		return cycle
+	}
+	return -1
+}
+
+func (d *countDev) Tick(cycle int64, arrived []raw.Word) []raw.Word {
+	if len(arrived) == 0 && d.NextDue(cycle) < 0 {
+		d.idle++
+	}
+	d.ticks = append(d.ticks, cycle)
+	d.buf = append(d.buf, arrived...)
+	if len(d.buf) >= 3 {
+		_, tile := raw.DecodeMemCmd(d.buf[1])
+		d.reply = []raw.Word{raw.DynHeader(tile%4, tile/4, 1), d.buf[2] + 1}
+		d.buf = d.buf[3:]
+		d.due = cycle + 10
+	}
+	if d.reply != nil && cycle >= d.due {
+		out := d.reply
+		d.reply = nil
+		return out
+	}
+	return nil
+}
+
 // TestDynMaxLengthMessage exercises the 32-word maximum.
 func TestDynMaxLengthMessage(t *testing.T) {
 	chip := raw.NewChip(raw.DefaultConfig())
@@ -164,13 +239,11 @@ func TestDynMaxLengthMessage(t *testing.T) {
 			return
 		}
 		sent = true
-		e.DynSend(raw.DynGeneral, func() []raw.Word {
-			msg := []raw.Word{raw.DynHeader(2, 2, n)}
-			for i := 0; i < n; i++ {
-				msg = append(msg, raw.Word(i))
-			}
-			return msg
-		})
+		msg := []raw.Word{raw.DynHeader(2, 2, n)}
+		for i := 0; i < n; i++ {
+			msg = append(msg, raw.Word(i))
+		}
+		e.DynSend(raw.DynGeneral, msg)
 	}))
 	var got []raw.Word
 	chip.Tile(10).Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) {

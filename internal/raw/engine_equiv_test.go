@@ -126,12 +126,12 @@ func buildUniform(cycles int64) *workloadRun {
 				for k := 0; k < 3; k++ {
 					msg = append(msg, raw.Word(rng.Uint64()))
 				}
-				e.DynSend(raw.DynGeneral, func() []raw.Word { return msg })
+				e.DynSend(raw.DynGeneral, msg)
 				e.Compute(1 + rng.Intn(3))
 				addr := raw.Word(rng.Intn(1 << 10))
 				val := raw.Word(rng.Uint64())
-				e.CacheWrite(func() raw.Word { return addr }, func() raw.Word { return val })
-				e.CacheRead(func() raw.Word { return addr }, func(w raw.Word) { r.digest[id] += w })
+				e.CacheWrite(addr, val)
+				e.CacheRead(addr, func(w raw.Word) { r.digest[id] += w })
 			}))
 		} else {
 			rng := traffic.NewRNG(0xB0B0 + uint64(id))
@@ -142,7 +142,7 @@ func buildUniform(cycles int64) *workloadRun {
 					}
 				})
 				addr := raw.Word(rng.Intn(1 << 10))
-				e.CacheRead(func() raw.Word { return addr }, func(w raw.Word) { r.digest[id] ^= w })
+				e.CacheRead(addr, func(w raw.Word) { r.digest[id] ^= w })
 			}))
 		}
 	}
@@ -171,11 +171,11 @@ func buildHotspot(cycles int64) *workloadRun {
 			for k := 0; k < 3; k++ {
 				msg = append(msg, raw.Word(rng.Uint64()))
 			}
-			e.DynSend(raw.DynGeneral, func() []raw.Word { return msg })
+			e.DynSend(raw.DynGeneral, msg)
 			e.Compute(1 + rng.Intn(4))
 			addr := raw.Word(rng.Intn(1 << 9))
 			val := raw.Word(rng.Uint64())
-			e.CacheWrite(func() raw.Word { return addr }, func() raw.Word { return val })
+			e.CacheWrite(addr, val)
 		}))
 	}
 	return r
@@ -531,7 +531,7 @@ func routeVChip(eng raw.Engine, count raw.Word, feed int) (*raw.Chip, *bool) {
 	}
 	done := new(bool)
 	chip.Tile(0).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
-		e.WriteSwitchCount(func() raw.Word { return count })
+		e.WriteSwitchCount(count)
 		e.WaitSwitchDone(func(raw.Word) { *done = true })
 	}})
 	in := chip.StaticIn(0, raw.DirW)

@@ -152,7 +152,6 @@ func (f *fuzzFW) op(e *raw.Exec) {
 	net := r.Intn(raw.NumStaticNets)
 	k := 1 + r.Intn(4)
 	w := raw.Word(r.Uint64())
-	count := func() int { return k }
 	op := r.Intn(20)
 	if f.portOnly {
 		op = 12 + r.Intn(8)
@@ -172,33 +171,33 @@ func (f *fuzzFW) op(e *raw.Exec) {
 		e.Compute(k)
 	case 1:
 		if r.Intn(2) == 0 {
-			e.SendN(count, func(i int) raw.Word { return w + raw.Word(i) })
+			e.SendN(k, func(i int) raw.Word { return w + raw.Word(i) })
 			break
 		}
 		e.SendOn(net, w)
 	case 2:
 		if r.Intn(3) == 0 {
-			e.RecvN(count, 1+r.Intn(2), func(_ int, w raw.Word) { f.take(w) })
+			e.RecvN(k, 1+r.Intn(2), func(_ int, w raw.Word) { f.take(w) })
 			break
 		}
 		e.RecvOn(net, f.take)
 	case 3:
-		e.Forward(count)
+		e.Forward(k)
 	case 4:
-		e.RecvN(count, 1+r.Intn(2), func(_ int, w raw.Word) { f.take(w) })
+		e.RecvN(k, 1+r.Intn(2), func(_ int, w raw.Word) { f.take(w) })
 	case 5:
-		e.SendN(count, func(i int) raw.Word { return w + raw.Word(i) })
+		e.SendN(k, func(i int) raw.Word { return w + raw.Word(i) })
 	case 6, 7:
 		if routines := f.dispatch[net]; len(routines) > 0 {
 			j := r.Intn(len(routines))
 			if routines[j] {
 				n := raw.Word(r.Intn(5))
-				e.WriteSwitchCountOn(net, func() raw.Word { return n })
+				e.WriteSwitchCountOn(net, n)
 			}
-			e.WriteSwitchPCOn(net, func() raw.Word { return raw.Word(1 + 3*j) })
+			e.WriteSwitchPCOn(net, raw.Word(1+3*j))
 			e.WaitSwitchDoneOn(net, f.take)
 		} else {
-			e.WriteSwitchCountOn(net, func() raw.Word { return raw.Word(k) })
+			e.WriteSwitchCountOn(net, raw.Word(k))
 		}
 	case 8:
 		x, y, plen := r.Intn(f.w+2)-1, r.Intn(f.h+2)-1, r.Intn(4)
@@ -206,7 +205,7 @@ func (f *fuzzFW) op(e *raw.Exec) {
 		for i := 0; i < plen; i++ {
 			msg = append(msg, w+raw.Word(i))
 		}
-		e.DynSend(raw.DynGeneral, func() []raw.Word { return msg })
+		e.DynSend(raw.DynGeneral, msg)
 	case 9:
 		e.DynRecv(raw.DynGeneral, k, func(ws []raw.Word) {
 			for _, w := range ws {
@@ -220,9 +219,9 @@ func (f *fuzzFW) op(e *raw.Exec) {
 		}
 		addr := raw.Word(r.Intn(1 << 11))
 		if r.Intn(2) == 0 {
-			e.CacheWrite(func() raw.Word { return addr }, func() raw.Word { return w })
+			e.CacheWrite(addr, w)
 		} else {
-			e.CacheRead(func() raw.Word { return addr }, f.take)
+			e.CacheRead(addr, f.take)
 		}
 	case 11:
 		e.Then(func(e *raw.Exec) { f.op(e) })

@@ -390,8 +390,8 @@ func (fe *fastEngine) procsInert() bool {
 // already Idle), or blocked at its current micro-op on a queue whose
 // counter-party is frozen for the window — replaying exactly what K
 // reference steps would do (count the stall state K times, touch
-// nothing). Ops that would compute, move words, latch their count
-// function, or burn a multi-cycle sub-step are busy: the window aborts.
+// nothing). Ops that would compute, move words, complete or burn a
+// multi-cycle sub-step are busy: the window aborts.
 func macroProcState(t *Tile) (TileState, bool) {
 	e := t.exec
 	if len(e.ops) == 0 && e.head == 0 {
@@ -428,16 +428,15 @@ func macroProcState(t *Tile) (TileState, bool) {
 			return StateStallSend, true
 		}
 	case opSendN:
-		// Unstarted counted ops latch countF on their first step.
-		if op.started && op.n > 0 && op.i < op.n && !st.csto.CanPush() {
+		if op.i < op.n && !st.csto.CanPush() {
 			return StateStallSend, true
 		}
 	case opRecvN:
-		if op.started && op.n > 0 && op.sub == 0 && op.i < op.n && !st.csti.CanPop() {
+		if op.sub == 0 && op.i < op.n && !st.csti.CanPop() {
 			return StateStallRecv, true
 		}
 	case opForward:
-		if op.started && op.n > 0 && op.i < op.n {
+		if op.i < op.n {
 			if !st.csti.CanPop() {
 				return StateStallRecv, true
 			}

@@ -46,22 +46,22 @@ type microOp struct {
 	net  int // dynamic network for opDynSend/opDynRecv
 	snet int // static network for the port ops (0 or 1)
 
-	valF   func() Word
-	wordsF func() []Word
+	val   Word   // the word sent or written (cache data for opCacheWrite)
+	addr  Word   // cache address for opCacheRead/opCacheWrite
+	words []Word // opDynSend's message, consumed word by word
+
+	valF   func() Word // SendFunc's word, computed as it leaves
 	srcF   func(i int) Word
 	sinkF  func(i int, w Word)
 	recvF  func(w Word)
 	burstF func(ws []Word)
 	thenF  func(e *Exec)
-	countF func() int
 	doneF  func()
 
 	// in-flight state
-	started bool
-	i       int
-	words   []Word
-	got     []Word
-	sub     int // sub-word cycle counter for multi-cycle-per-word ops
+	i   int
+	got []Word
+	sub int // sub-word cycle counter for multi-cycle-per-word ops
 }
 
 // Exec is the micro-op executor of one tile processor.
@@ -130,16 +130,14 @@ func (e *Exec) Compute(n int) {
 	}
 }
 
-// Send enqueues a one-cycle send of a constant word to the switch ($csto).
-func (e *Exec) Send(w Word) { e.push(microOp{kind: opSend, valF: func() Word { return w }}) }
+// Send enqueues a one-cycle send of w to the switch ($csto).
+func (e *Exec) Send(w Word) { e.push(microOp{kind: opSend, val: w}) }
 
 // SendOn is Send on a chosen static network ($csto2 for net 1).
-func (e *Exec) SendOn(net int, w Word) {
-	e.push(microOp{kind: opSend, snet: net, valF: func() Word { return w }})
-}
+func (e *Exec) SendOn(net int, w Word) { e.push(microOp{kind: opSend, snet: net, val: w}) }
 
-// SendFunc enqueues a one-cycle send whose value is computed when the op
-// executes.
+// SendFunc enqueues a one-cycle send whose word f computes in the cycle
+// the send fires, for a word or side effect that belongs to that cycle.
 func (e *Exec) SendFunc(f func() Word) { e.push(microOp{kind: opSend, valF: f}) }
 
 // Recv enqueues a one-cycle receive from the switch ($csti).
@@ -152,47 +150,48 @@ func (e *Exec) RecvOn(net int, f func(Word)) {
 
 // Forward enqueues an n-word network-to-network copy ($csti -> $csto) at
 // one cycle per word: the `move $csto,$csti` inner loop of the streaming
-// fast path. nF is evaluated when the op starts.
-func (e *Exec) Forward(nF func() int) { e.push(microOp{kind: opForward, countF: nF}) }
+// fast path.
+func (e *Exec) Forward(n int) { e.push(microOp{kind: opForward, n: n}) }
 
 // ForwardDone is Forward with a completion callback invoked in the cycle
 // the last word moves.
-func (e *Exec) ForwardDone(nF func() int, done func()) {
-	e.push(microOp{kind: opForward, countF: nF, doneF: done})
+func (e *Exec) ForwardDone(n int, done func()) {
+	e.push(microOp{kind: opForward, n: n, doneF: done})
 }
 
 // RecvN enqueues an n-word receive at cost cycles per word; cost 2 models
 // buffering into local data memory (§4.4), cost 1 a register-target
 // receive. sink may be nil.
-func (e *Exec) RecvN(nF func() int, cost int, sink func(i int, w Word)) {
-	e.push(microOp{kind: opRecvN, cost: cost, sinkF: sink, countF: nF})
+func (e *Exec) RecvN(n, cost int, sink func(i int, w Word)) {
+	e.push(microOp{kind: opRecvN, n: n, cost: cost, sinkF: sink})
 }
 
 // SendN enqueues an n-word send at one cycle per word, sourcing word i from
 // src.
-func (e *Exec) SendN(nF func() int, src func(i int) Word) {
-	e.push(microOp{kind: opSendN, srcF: src, countF: nF})
+func (e *Exec) SendN(n int, src func(i int) Word) {
+	e.push(microOp{kind: opSendN, n: n, srcF: src})
 }
 
-// WriteSwitchPC enqueues a one-cycle write of the switch program counter.
-func (e *Exec) WriteSwitchPC(f func() Word) { e.push(microOp{kind: opWritePC, valF: f}) }
+// WriteSwitchPC enqueues a one-cycle write of pc to the switch program
+// counter.
+func (e *Exec) WriteSwitchPC(pc Word) { e.push(microOp{kind: opWritePC, val: pc}) }
 
-// WriteSwitchCount enqueues a one-cycle write of the switch loop-count
-// register consumed by SwRouteV.
-func (e *Exec) WriteSwitchCount(f func() Word) { e.push(microOp{kind: opWriteCount, valF: f}) }
+// WriteSwitchCount enqueues a one-cycle write of n to the switch
+// loop-count register consumed by SwRouteV.
+func (e *Exec) WriteSwitchCount(n Word) { e.push(microOp{kind: opWriteCount, val: n}) }
 
 // WaitSwitchDone enqueues a blocking read of the switch-done register.
 func (e *Exec) WaitSwitchDone(f func(Word)) { e.push(microOp{kind: opWaitDone, recvF: f}) }
 
 // WriteSwitchPCOn / WriteSwitchCountOn / WaitSwitchDoneOn are the network-
 // indexed variants for the second static switch.
-func (e *Exec) WriteSwitchPCOn(net int, f func() Word) {
-	e.push(microOp{kind: opWritePC, snet: net, valF: f})
+func (e *Exec) WriteSwitchPCOn(net int, pc Word) {
+	e.push(microOp{kind: opWritePC, snet: net, val: pc})
 }
 
 // WriteSwitchCountOn writes the chosen network's loop-count register.
-func (e *Exec) WriteSwitchCountOn(net int, f func() Word) {
-	e.push(microOp{kind: opWriteCount, snet: net, valF: f})
+func (e *Exec) WriteSwitchCountOn(net int, n Word) {
+	e.push(microOp{kind: opWriteCount, snet: net, val: n})
 }
 
 // WaitSwitchDoneOn blocks on the chosen network's done register.
@@ -200,10 +199,10 @@ func (e *Exec) WaitSwitchDoneOn(net int, f func(Word)) {
 	e.push(microOp{kind: opWaitDone, snet: net, recvF: f})
 }
 
-// DynSend enqueues injection of a framed message (header first) on dynamic
-// network net, one cycle per word.
-func (e *Exec) DynSend(net int, f func() []Word) {
-	e.push(microOp{kind: opDynSend, net: net, wordsF: f})
+// DynSend enqueues injection of the framed message msg (header first) on
+// dynamic network net, one cycle per word.
+func (e *Exec) DynSend(net int, msg []Word) {
+	e.push(microOp{kind: opDynSend, net: net, words: msg})
 }
 
 // DynRecv enqueues reception of n words from dynamic network net's delivery
@@ -212,15 +211,15 @@ func (e *Exec) DynRecv(net, n int, f func(ws []Word)) {
 	e.push(microOp{kind: opDynRecv, net: net, n: n, burstF: f})
 }
 
-// CacheRead enqueues a data-cache read (3-cycle hit, miss costs a DRAM
-// round trip over the memory network).
-func (e *Exec) CacheRead(addr func() Word, f func(Word)) {
-	e.push(microOp{kind: opCacheRead, valF: addr, recvF: f})
+// CacheRead enqueues a data-cache read of addr (3-cycle hit, miss costs a
+// DRAM round trip over the memory network), handing the word to f.
+func (e *Exec) CacheRead(addr Word, f func(Word)) {
+	e.push(microOp{kind: opCacheRead, addr: addr, recvF: f})
 }
 
-// CacheWrite enqueues a data-cache write.
-func (e *Exec) CacheWrite(addr func() Word, val func() Word) {
-	e.push(microOp{kind: opCacheWrite, valF: addr, wordsF: func() []Word { return []Word{val()} }})
+// CacheWrite enqueues a data-cache write of val to addr.
+func (e *Exec) CacheWrite(addr, val Word) {
+	e.push(microOp{kind: opCacheWrite, addr: addr, val: val})
 }
 
 // Then enqueues a one-cycle control step; f typically inspects received
@@ -264,7 +263,11 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 		if !t.st[op.snet].csto.CanPush() {
 			return false, StateStallSend
 		}
-		t.st[op.snet].csto.Push(op.valF())
+		w := op.val
+		if op.valF != nil {
+			w = op.valF()
+		}
+		t.st[op.snet].csto.Push(w)
 		return true, StateRun
 
 	case opRecv:
@@ -278,7 +281,6 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 		return true, StateRun
 
 	case opForward:
-		e.start(op)
 		if op.n <= 0 {
 			if op.doneF != nil {
 				op.doneF()
@@ -302,7 +304,6 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 		return false, StateRun
 
 	case opRecvN:
-		e.start(op)
 		if op.n <= 0 {
 			return true, StateRun
 		}
@@ -328,7 +329,6 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 		return false, StateRun
 
 	case opSendN:
-		e.start(op)
 		if op.n <= 0 {
 			return true, StateRun
 		}
@@ -343,14 +343,14 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 		if !t.st[op.snet].swPC.CanPush() {
 			return false, StateStallSend
 		}
-		t.st[op.snet].swPC.Push(op.valF())
+		t.st[op.snet].swPC.Push(op.val)
 		return true, StateRun
 
 	case opWriteCount:
 		if !t.st[op.snet].swCount.CanPush() {
 			return false, StateStallSend
 		}
-		t.st[op.snet].swCount.Push(op.valF())
+		t.st[op.snet].swCount.Push(op.val)
 		return true, StateRun
 
 	case opWaitDone:
@@ -364,10 +364,6 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 		return true, StateRun
 
 	case opDynSend:
-		if !op.started {
-			op.started = true
-			op.words = op.wordsF()
-		}
 		if len(op.words) == 0 {
 			return true, StateRun
 		}
@@ -394,23 +390,14 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 		return true, StateRun
 
 	case opCacheRead:
-		if !op.started {
-			op.started = true
-			op.words = []Word{op.valF()}
-		}
-		done, v, st := t.cache.access(op.words[0], false, 0)
+		done, v, st := t.cache.access(op.addr, false, 0)
 		if done && op.recvF != nil {
 			op.recvF(v)
 		}
 		return done, st
 
 	case opCacheWrite:
-		if !op.started {
-			op.started = true
-			op.got = op.wordsF()
-			op.words = []Word{op.valF()}
-		}
-		done, _, st := t.cache.access(op.words[0], true, op.got[0])
+		done, _, st := t.cache.access(op.addr, true, op.val)
 		return done, st
 
 	case opThen:
@@ -420,14 +407,4 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 		return true, StateRun
 	}
 	panic("raw: unknown micro-op")
-}
-
-// start lazily evaluates an op's count function on its first cycle.
-func (e *Exec) start(op *microOp) {
-	if !op.started {
-		op.started = true
-		if op.countF != nil {
-			op.n = op.countF()
-		}
-	}
 }

@@ -138,7 +138,7 @@ func TestSwitchRouteV(t *testing.T) {
 	})
 	var done bool
 	chip.Tile(0).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
-		e.WriteSwitchCount(func() raw.Word { return 7 })
+		e.WriteSwitchCount(7)
 		e.WaitSwitchDone(func(raw.Word) { done = true })
 	}})
 	in := chip.StaticIn(0, raw.DirW)
@@ -177,11 +177,11 @@ func TestSwitchJumpTableDispatch(t *testing.T) {
 	fw := &fwSeq{}
 	fw.steps = []func(e *raw.Exec){
 		func(e *raw.Exec) {
-			e.WriteSwitchPC(func() raw.Word { return 1 }) // config A
+			e.WriteSwitchPC(1) // config A
 			e.WaitSwitchDone(func(w raw.Word) { confirms = append(confirms, w) })
 		},
 		func(e *raw.Exec) {
-			e.WriteSwitchPC(func() raw.Word { return 4 }) // config B
+			e.WriteSwitchPC(4) // config B
 			e.Recv(func(w raw.Word) { received = append(received, w) })
 			e.Recv(func(w raw.Word) { received = append(received, w) })
 			e.WaitSwitchDone(func(w raw.Word) { confirms = append(confirms, w) })
@@ -224,9 +224,7 @@ func TestDynNeighborMessage(t *testing.T) {
 	chip := raw.NewChip(raw.DefaultConfig())
 	var got []raw.Word
 	chip.Tile(0).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
-		e.DynSend(raw.DynGeneral, func() []raw.Word {
-			return []raw.Word{raw.DynHeader(0, 1, 2), 0xaa, 0xbb}
-		})
+		e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(0, 1, 2), 0xaa, 0xbb})
 	}})
 	chip.Tile(4).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
 		e.DynRecv(raw.DynGeneral, 3, func(ws []raw.Word) { got = append(got, ws...) })
@@ -246,10 +244,7 @@ func TestDynDimensionOrdered(t *testing.T) {
 		payload[i] = raw.Word(i * 3)
 	}
 	chip.Tile(0).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
-		e.DynSend(raw.DynGeneral, func() []raw.Word {
-			msg := []raw.Word{raw.DynHeader(3, 3, len(payload))}
-			return append(msg, payload...)
-		})
+		e.DynSend(raw.DynGeneral, append([]raw.Word{raw.DynHeader(3, 3, len(payload))}, payload...))
 	}})
 	var got []raw.Word
 	chip.Tile(15).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
@@ -275,9 +270,7 @@ func TestDynTwoWormsShareRouter(t *testing.T) {
 	// (east through 5, 6). Both cross tile 5.
 	mk := func(src int, hdr raw.Word, base raw.Word) {
 		chip.Tile(src).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
-			e.DynSend(raw.DynGeneral, func() []raw.Word {
-				return []raw.Word{hdr, base, base + 1, base + 2}
-			})
+			e.DynSend(raw.DynGeneral, []raw.Word{hdr, base, base + 1, base + 2})
 		}})
 	}
 	mk(1, raw.DynHeader(1, 3, 3), 0x100)
@@ -383,10 +376,10 @@ func TestCacheHitAndMiss(t *testing.T) {
 	var c1, c2 int64 = -1, -1
 	fw := &fwSeq{steps: []func(e *raw.Exec){
 		func(e *raw.Exec) {
-			e.CacheRead(func() raw.Word { return 0x1000 }, func(w raw.Word) { v1 = w; c1 = chip.Cycle() })
+			e.CacheRead(0x1000, func(w raw.Word) { v1 = w; c1 = chip.Cycle() })
 		},
 		func(e *raw.Exec) {
-			e.CacheRead(func() raw.Word { return 0x1003 }, func(w raw.Word) { v2 = w; c2 = chip.Cycle() })
+			e.CacheRead(0x1003, func(w raw.Word) { v2 = w; c2 = chip.Cycle() })
 		},
 	}}
 	chip.Tile(5).Exec().SetFirmware(fw)
@@ -415,12 +408,12 @@ func TestCacheWriteBack(t *testing.T) {
 	const a, b, c = 0x0100, 0x0100 + 4096, 0x0100 + 2*4096
 	fw := &fwSeq{steps: []func(e *raw.Exec){
 		func(e *raw.Exec) {
-			e.CacheWrite(func() raw.Word { return a }, func() raw.Word { return 0xbeef })
+			e.CacheWrite(a, 0xbeef)
 		},
-		func(e *raw.Exec) { e.CacheRead(func() raw.Word { return b }, nil) },
-		func(e *raw.Exec) { e.CacheRead(func() raw.Word { return c }, nil) },
+		func(e *raw.Exec) { e.CacheRead(b, nil) },
+		func(e *raw.Exec) { e.CacheRead(c, nil) },
 		func(e *raw.Exec) { // a has been evicted; reread from DRAM
-			e.CacheRead(func() raw.Word { return a }, func(w raw.Word) {
+			e.CacheRead(a, func(w raw.Word) {
 				if w != 0xbeef {
 					t.Errorf("read-after-writeback got %#x, want 0xbeef", w)
 				}
@@ -454,7 +447,7 @@ func TestInvalidateCacheRangeInFlight(t *testing.T) {
 		attachDRAMRows(chip, dram)
 		read := func(addr raw.Word) func(e *raw.Exec) {
 			return func(e *raw.Exec) {
-				e.CacheRead(func() raw.Word { return addr }, func(w raw.Word) { got = append(got, w) })
+				e.CacheRead(addr, func(w raw.Word) { got = append(got, w) })
 			}
 		}
 		tl := chip.Tile(5)
@@ -499,9 +492,7 @@ func TestDeterminism(t *testing.T) {
 			mustProgram(t, chip.Tile(x), routeAll(raw.Route{Dst: raw.DirE, Src: raw.DirW}))
 		}
 		chip.Tile(8).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
-			e.DynSend(raw.DynGeneral, func() []raw.Word {
-				return []raw.Word{raw.DynHeader(3, 3, 2), 1, 2}
-			})
+			e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(3, 3, 2), 1, 2})
 		}})
 		in := chip.StaticIn(0, raw.DirW)
 		for i := 0; i < 50; i++ {

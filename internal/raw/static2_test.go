@@ -82,8 +82,8 @@ func TestSecondNetworkControlRegisters(t *testing.T) {
 	}
 	var done raw.Word
 	chip.Tile(0).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
-		e.WriteSwitchPCOn(1, func() raw.Word { return 1 })
-		e.WriteSwitchCountOn(1, func() raw.Word { return 3 })
+		e.WriteSwitchPCOn(1, 1)
+		e.WriteSwitchCountOn(1, 3)
 		e.WaitSwitchDoneOn(1, func(w raw.Word) { done = w })
 	}})
 	in := chip.StaticInOn(1, 0, raw.DirW)

@@ -109,7 +109,7 @@ func (x *xbarFW) decide(e *raw.Exec) {
 	if x.rt.cfg.Multicast {
 		grant = GrantWordMcast(x.alloc.Served[x.port], l)
 	}
-	e.SendFunc(func() raw.Word { return grant })
+	e.Send(grant)
 	if x.prog.HasOut[idx] {
 		if src < 0 {
 			panic("router: out server active with no source")
@@ -119,16 +119,16 @@ func (x *xbarFW) decide(e *raw.Exec) {
 		if LocalHdrFirstOf(x.hdrs[src]) {
 			eh = EgressHdrFirst(eh)
 		}
-		e.SendFunc(func() raw.Word { return eh })
+		e.Send(eh)
 	}
 	if x.prog.NeedsCount[idx] {
 		count := l - x.prog.MaxOffset[idx]
 		if count < 1 {
 			panic("router: quantum shorter than routine pipeline depth")
 		}
-		e.WriteSwitchCount(func() raw.Word { return raw.Word(count) })
+		e.WriteSwitchCount(raw.Word(count))
 	}
-	e.WriteSwitchPC(func() raw.Word { return x.prog.RoutineAddr[idx] })
+	e.WriteSwitchPC(x.prog.RoutineAddr[idx])
 	e.WaitSwitchDone(nil)
 	x.advanceToken(e)
 }

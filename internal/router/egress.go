@@ -22,7 +22,7 @@ type egressFW struct {
 
 func (f *egressFW) Refill(e *raw.Exec) {
 	// Wait for the next egress header (stalls across idle quanta).
-	e.WriteSwitchPC(func() raw.Word { return f.prog.Hdr })
+	e.WriteSwitchPC(f.prog.Hdr)
 	e.Recv(func(w raw.Word) { f.hdrW = w })
 	e.Then(func(e *raw.Exec) {
 		src, fragLen, l, last := DecodeEgressHdr(f.hdrW)
@@ -49,18 +49,18 @@ func (f *egressFW) Refill(e *raw.Exec) {
 			// the paper's peak numbers). The pc goes first: the switch
 			// consumes the count register only once it is inside the
 			// routine, so pc-then-counts is the deadlock-free order.
-			e.WriteSwitchPC(func() raw.Word { return f.prog.Cut })
-			e.WriteSwitchCount(func() raw.Word { return raw.Word(fragLen) })
-			e.WriteSwitchCount(func() raw.Word { return raw.Word(pad) })
-			e.RecvN(func() int { return pad }, 1, nil) // discard padding
+			e.WriteSwitchPC(f.prog.Cut)
+			e.WriteSwitchCount(raw.Word(fragLen))
+			e.WriteSwitchCount(raw.Word(pad))
+			e.RecvN(pad, 1, nil) // discard padding
 			e.WaitSwitchDone(nil)
 			e.Then(func(*raw.Exec) { f.rt.stats.PktsOut[f.port]++ })
 		default:
 			// Reassembly path: buffer the fragment (2 cycles/word into
 			// local data memory, §4.4), stream the packet once complete.
-			e.WriteSwitchPC(func() raw.Word { return f.prog.Asm })
-			e.WriteSwitchCount(func() raw.Word { return raw.Word(l) })
-			e.RecvN(func() int { return l }, 2, func(i int, w raw.Word) {
+			e.WriteSwitchPC(f.prog.Asm)
+			e.WriteSwitchCount(raw.Word(l))
+			e.RecvN(l, 2, func(i int, w raw.Word) {
 				if i < fragLen {
 					f.buf[src] = append(f.buf[src], w)
 				}
@@ -69,9 +69,9 @@ func (f *egressFW) Refill(e *raw.Exec) {
 			if last {
 				e.Then(func(e *raw.Exec) {
 					total := len(f.buf[src])
-					e.WriteSwitchPC(func() raw.Word { return f.prog.Out })
-					e.WriteSwitchCount(func() raw.Word { return raw.Word(total) })
-					e.SendN(func() int { return total },
+					e.WriteSwitchPC(f.prog.Out)
+					e.WriteSwitchCount(raw.Word(total))
+					e.SendN(total,
 						func(i int) raw.Word { return f.buf[src][i] })
 					e.WaitSwitchDone(nil)
 					e.Then(func(*raw.Exec) {
@@ -110,12 +110,12 @@ func (f *egressFW) quiet() bool {
 // per-word stream cipher to the payload (the IP header stays in the
 // clear so the next hop can route), and forwards to the pin.
 func (f *egressFW) cryptoForward(e *raw.Exec, fragLen, pad int) {
-	e.WriteSwitchPC(func() raw.Word { return f.prog.Forward })
-	e.WriteSwitchCount(func() raw.Word { return raw.Word(fragLen + pad) })
-	e.WriteSwitchCount(func() raw.Word { return raw.Word(fragLen) })
+	e.WriteSwitchPC(f.prog.Forward)
+	e.WriteSwitchCount(raw.Word(fragLen + pad))
+	e.WriteSwitchCount(raw.Word(fragLen))
 	// Receive fragLen+pad words, transform, send fragLen onward.
 	words := make([]raw.Word, 0, fragLen)
-	e.RecvN(func() int { return fragLen + pad }, 1, func(i int, w raw.Word) {
+	e.RecvN(fragLen+pad, 1, func(i int, w raw.Word) {
 		if i < fragLen {
 			if i >= 5 { // payload words only
 				w ^= CryptoMask(f.rt.cfg.CryptoKey, i-5)
@@ -123,8 +123,8 @@ func (f *egressFW) cryptoForward(e *raw.Exec, fragLen, pad int) {
 			words = append(words, w)
 		}
 	})
-	e.Compute(f.rt.cfg.CryptoCyclesPerWord * fragLen)
-	e.SendN(func() int { return fragLen }, func(i int) raw.Word { return words[i] })
+	e.Compute(CryptoCyclesPerWord * fragLen)
+	e.SendN(fragLen, func(i int) raw.Word { return words[i] })
 	e.WaitSwitchDone(nil)
 	e.Then(func(*raw.Exec) { f.rt.stats.PktsOut[f.port]++ })
 }

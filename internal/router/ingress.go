@@ -128,9 +128,9 @@ func (f *ingressFW) drainPending(e *raw.Exec) {
 		return
 	}
 	f.underruns = 0
-	e.WriteSwitchPC(func() raw.Word { return f.prog.Drop })
-	e.WriteSwitchCount(func() raw.Word { return raw.Word(n) })
-	e.RecvN(func() int { return n }, 1, nil)
+	e.WriteSwitchPC(f.prog.Drop)
+	e.WriteSwitchCount(raw.Word(n))
+	e.RecvN(n, 1, nil)
 	e.WaitSwitchDone(nil)
 	e.Then(func(*raw.Exec) { f.pendingDrain -= n })
 	f.idleQuantum(e)
@@ -311,7 +311,7 @@ func (f *ingressFW) resetForRestore(restored bool, probation bool) {
 // routine to finish. A caller that acts on the grant enqueues its Then
 // right after.
 func (f *ingressFW) handshake(e *raw.Exec, hdr raw.Word, recv func(raw.Word)) {
-	e.WriteSwitchPC(func() raw.Word { return f.prog.Quantum })
+	e.WriteSwitchPC(f.prog.Quantum)
 	e.Send(hdr)
 	e.Recv(recv)
 	e.WaitSwitchDone(nil)
@@ -326,7 +326,7 @@ func (f *ingressFW) idleQuantum(e *raw.Exec) { f.handshake(e, LocalHdrEmpty, nil
 func (f *ingressFW) acquire(e *raw.Exec) {
 	f.pktStart = f.in.Consumed()
 	f.lineClaim = f.pktStart + int64(ip.HeaderWords)
-	e.WriteSwitchPC(func() raw.Word { return f.prog.Acquire })
+	e.WriteSwitchPC(f.prog.Acquire)
 	for i := 0; i < 5; i++ {
 		i := i
 		e.Recv(func(w raw.Word) { f.hdrWords[i] = w })
@@ -347,17 +347,14 @@ func (f *ingressFW) acquire(e *raw.Exec) {
 		for i := range f.hdrWords {
 			f.hdrWords[i] = raw.Word(words[i])
 		}
-		f.totalLen = (int(h.TotalLen) + 3) / 4
-		if f.totalLen < ip.HeaderWords {
-			f.totalLen = ip.HeaderWords
-		}
+		f.totalLen = h.FrameWords()
 		if f.totalLen > 4096 { // 16 KB sanity bound on a corrupt length
 			f.totalLen = ip.HeaderWords
 		}
 		f.lineClaim = f.pktStart + int64(f.totalLen)
 		// The Acquire switch routine has committed to a lookup exchange;
 		// send the destination (a garbage word on the drop path).
-		e.SendFunc(func() raw.Word { return raw.Word(h.Dst) })
+		e.Send(raw.Word(h.Dst))
 		var port raw.Word
 		e.Recv(func(w raw.Word) { port = w })
 		e.WaitSwitchDone(nil)
@@ -447,9 +444,9 @@ func (f *ingressFW) ingest(e *raw.Exec) {
 	if payload == 0 {
 		return
 	}
-	e.WriteSwitchPC(func() raw.Word { return f.prog.Drop })
-	e.WriteSwitchCount(func() raw.Word { return raw.Word(payload) })
-	e.RecvN(func() int { return payload }, 2, func(_ int, w raw.Word) {
+	e.WriteSwitchPC(f.prog.Drop)
+	e.WriteSwitchCount(raw.Word(payload))
+	e.RecvN(payload, 2, func(_ int, w raw.Word) {
 		f.buf = append(f.buf, w)
 	})
 	e.WaitSwitchDone(nil)
@@ -469,9 +466,9 @@ func (f *ingressFW) mcastQuantum(e *raw.Exec) {
 			return
 		}
 		// One fanout-split stream serves every granted member.
-		e.WriteSwitchPC(func() raw.Word { return f.prog.StreamP })
-		e.WriteSwitchCount(func() raw.Word { return raw.Word(l) })
-		e.SendN(func() int { return l }, func(i int) raw.Word {
+		e.WriteSwitchPC(f.prog.StreamP)
+		e.WriteSwitchCount(raw.Word(l))
+		e.SendN(l, func(i int) raw.Word {
 			if i < len(f.buf) {
 				return f.buf[i]
 			}
@@ -545,18 +542,18 @@ func (f *ingressFW) stream(e *raw.Exec, l int) {
 	}
 	if f.firstFrag {
 		payload := frag - ip.HeaderWords
-		e.WriteSwitchPC(func() raw.Word { return f.prog.Stream1 })
+		e.WriteSwitchPC(f.prog.Stream1)
 		// 5 updated header words from the processor.
-		e.SendN(func() int { return 5 }, func(i int) raw.Word { return f.hdrWords[i] })
-		e.WriteSwitchCount(func() raw.Word { return raw.Word(payload) })
-		e.WriteSwitchCount(func() raw.Word { return raw.Word(pad) })
-		e.SendN(func() int { return pad }, func(int) raw.Word { return 0 })
+		e.SendN(5, func(i int) raw.Word { return f.hdrWords[i] })
+		e.WriteSwitchCount(raw.Word(payload))
+		e.WriteSwitchCount(raw.Word(pad))
+		e.SendN(pad, func(int) raw.Word { return 0 })
 		f.remaining -= payload
 	} else {
-		e.WriteSwitchPC(func() raw.Word { return f.prog.Stream2 })
-		e.WriteSwitchCount(func() raw.Word { return raw.Word(frag) })
-		e.WriteSwitchCount(func() raw.Word { return raw.Word(pad) })
-		e.SendN(func() int { return pad }, func(int) raw.Word { return 0 })
+		e.WriteSwitchPC(f.prog.Stream2)
+		e.WriteSwitchCount(raw.Word(frag))
+		e.WriteSwitchCount(raw.Word(pad))
+		e.SendN(pad, func(int) raw.Word { return 0 })
 		f.remaining -= frag
 	}
 	e.WaitSwitchDone(nil)

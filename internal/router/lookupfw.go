@@ -70,25 +70,18 @@ func (f *lookupFW) Refill(e *raw.Exec) {
 func (f *lookupFW) probe(e *raw.Exec) {
 	l1, chunks := tableBases(f.rt.tableEpoch)
 	// Level-1 probe.
-	e.CacheRead(func() raw.Word { return l1 + f.dst>>16 },
-		func(w raw.Word) { f.v1 = w })
+	e.CacheRead(l1+f.dst>>16, func(w raw.Word) { f.v1 = w })
 	e.Then(func(e *raw.Exec) {
 		f.rt.stats.Lookups[f.port]++
 		v := int32(f.v1)
 		if v >= -1 {
-			e.SendFunc(func() raw.Word { return replyWord(v) })
+			e.Send(replyWord(v))
 			return
 		}
 		// Long prefix: second probe into the chunk.
 		chunk := raw.Word(-2 - v)
-		e.CacheRead(func() raw.Word {
-			return chunks + chunk*lkChunkSize + f.dst&0xffff
-		}, func(w raw.Word) {
-			f.v1 = w
-		})
-		e.Then(func(e *raw.Exec) {
-			e.SendFunc(func() raw.Word { return replyWord(int32(f.v1)) })
-		})
+		e.CacheRead(chunks+chunk*lkChunkSize+f.dst&0xffff, func(w raw.Word) { f.v1 = w })
+		e.Then(func(e *raw.Exec) { e.Send(replyWord(int32(f.v1))) })
 	})
 }
 

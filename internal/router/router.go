@@ -42,6 +42,10 @@ const (
 	dramLatency = 20
 )
 
+// CryptoCyclesPerWord is the egress processor's per-word cost of the
+// §8.3 stream cipher when Config.Crypto is set.
+const CryptoCyclesPerWord = 2
+
 // Config parameterizes the cycle-level router.
 type Config struct {
 	// ClockHz is the chip clock (250 MHz prototype).
@@ -56,9 +60,8 @@ type Config struct {
 	// Crypto enables the §8.3 computation-in-fabric extension: payloads
 	// are stream-ciphered with CryptoKey on the way out, costing
 	// CryptoCyclesPerWord on the egress processors.
-	Crypto              bool
-	CryptoKey           uint32
-	CryptoCyclesPerWord int
+	Crypto    bool
+	CryptoKey uint32
 	// Weights, if non-nil (length 4), give each port's token dwell in
 	// quanta — the §8.7 weighted round-robin QoS.
 	Weights []int
@@ -134,9 +137,8 @@ type Config struct {
 // DefaultConfig returns the paper's configuration.
 func DefaultConfig() Config {
 	return Config{
-		ClockHz:             raw.DefaultClockHz,
-		QuantumWords:        256,
-		CryptoCyclesPerWord: 2,
+		ClockHz:      raw.DefaultClockHz,
+		QuantumWords: 256,
 	}
 }
 
@@ -492,10 +494,7 @@ func (r *Router) DrainOutput(p int) ([]ip.Packet, error) {
 		h, err := ip.Unmarshal(buf[:limit])
 		n := 0
 		if err == nil {
-			n = (int(h.TotalLen) + 3) / 4
-			if n < ip.HeaderWords {
-				n = ip.HeaderWords
-			}
+			n = h.FrameWords()
 		}
 		if err != nil || (cutActive && n > limit) {
 			if cutActive {

@@ -119,10 +119,11 @@ echo "== cli: entry-point smoke =="
 # examples/edgerouter, the only run whose table fills DRAM chunks (1,972
 # of them for its /9-/24 prefixes), must print exactly the lines below,
 # and so must examples/multicast, the only run that prints the §8.6
-# mixed walk's per-tile configurations.
+# mixed walk's per-tile configurations, and examples/rawasm, whose exit
+# cycles and retired count pin the assembly interpreter's timing.
 CLI="$(mktemp -d)"
 trap 'rm -rf "$CLI"' EXIT
-go build -o "$CLI/" ./cmd/rawrouter ./cmd/fabsim ./cmd/reproduce ./examples/edgerouter ./examples/multicast
+go build -o "$CLI/" ./cmd/rawrouter ./cmd/fabsim ./cmd/reproduce ./examples/edgerouter ./examples/multicast ./examples/rawasm
 RR="$CLI/rawrouter -cycles 20000 -warmup 10000"
 $RR -engine ref >"$CLI/rr-ref.txt"
 $RR -engine fast >"$CLI/rr-fast.txt"
@@ -186,6 +187,17 @@ cycle-level router: group 224.1.1.1 -> egress copies on ports 1,2,3 after 443 cy
   ingress streamed 1 fragment(s); crossbar produced 3 copies (mixed jump table: 51 routines)
 EOF
 cmp "$CLI/mcast-want.txt" "$CLI/mcast.txt"
+"$CLI/rawasm" >"$CLI/rawasm.txt"
+cat >"$CLI/rawasm-want.txt" <<'EOF'
+x -> 2x+7 through a three-tile systolic pipeline:
+    1 ->   9   (exited the pins at cycle 28)
+    2 ->  11   (exited the pins at cycle 33)
+    3 ->  13   (exited the pins at cycle 38)
+   10 ->  27   (exited the pins at cycle 43)
+  100 -> 207   (exited the pins at cycle 48)
+tile 1 retired 33 instructions
+EOF
+cmp "$CLI/rawasm-want.txt" "$CLI/rawasm.txt"
 
 echo "== serve: daemon-mode smoke =="
 # Boot rawrouter -serve as a real process and drive the whole lifecycle
