@@ -478,43 +478,26 @@ func (f *Fabric) KillChip(k int) error {
 	for ti := range f.trunks {
 		t := &f.trunks[ti]
 		for d := 0; d < 2; d++ {
-			src, srcPort, dst, _ := t.endpoints(d)
+			src, _, dst, _ := t.endpoints(d)
 			if src != k && dst != k {
 				continue
 			}
-			td := &t.dir[d]
 			if src == k {
 				// Words the dead chip had already pushed to its egress
 				// pins join the framer; complete frames still deliver to a
 				// live neighbor over a live trunk, the partial tail dies
 				// with its source.
-				words, _ := f.chips[k].r.OutputSink(srcPort).Drain()
-				td.drained += int64(len(words))
-				f.chips[k].wordsOut += int64(len(words))
-				for _, w := range words {
-					td.buf = append(td.buf, uint32(w))
-				}
+				f.drainPins(t, d)
 				if !t.dead && !f.chips[dst].dead {
 					f.pumpDir(t, d)
 				}
-				n := int64(len(td.buf))
-				td.dropped += n
-				f.droppedCause[dropChipLoss] += n
-				td.buf = td.buf[:0]
+				f.dropHeld(&t.dir[d], dropChipLoss)
 			} else {
-				// Frames held in the framer toward the dead chip: with
-				// healing, complete frames move to retransmit custody and
-				// re-deliver over the healed path (the partial tail stays
-				// held until its source completes it); without healing
-				// they drop, counted — not silently zeroed.
-				if f.healOn() {
-					f.framesToARQ(ti, t, d)
-				} else {
-					n := int64(len(td.buf))
-					td.dropped += n
-					f.droppedCause[dropChipLoss] += n
-					td.buf = td.buf[:0]
-				}
+				// Frames held in the framer toward the dead chip re-deliver
+				// over the healed path (the partial tail stays held until
+				// its source completes it) or drop, counted — not silently
+				// zeroed.
+				f.strand(ti, t, d, dropChipLoss)
 			}
 		}
 	}
@@ -575,45 +558,55 @@ func (f *Fabric) bridge() {
 }
 
 func (f *Fabric) bridgeDir(ti int, t *trunkState, d int) {
-	src, srcPort, dst, _ := t.endpoints(d)
-	td := &t.dir[d]
+	src, _, dst, _ := t.endpoints(d)
 	if f.chips[src].dead {
 		return // silenced at KillChip; nothing accumulates
 	}
+	f.drainPins(t, d)
+	if t.dead || f.chips[dst].dead {
+		f.strand(ti, t, d, dropTrunkDead) // a dark link or dead far end
+		return
+	}
+	f.pumpDir(t, d)
+}
+
+// drainPins moves the words direction d's source chip pushed to its
+// egress pins into the framer.
+func (f *Fabric) drainPins(t *trunkState, d int) {
+	src, srcPort, _, _ := t.endpoints(d)
+	td := &t.dir[d]
 	words, _ := f.chips[src].r.OutputSink(srcPort).Drain()
 	td.drained += int64(len(words))
 	f.chips[src].wordsOut += int64(len(words))
 	for _, w := range words {
 		td.buf = append(td.buf, uint32(w))
 	}
-	if t.dead || f.chips[dst].dead {
-		// A dark link or dead far end: with healing, complete frames move
-		// to retransmit custody and the partial tail stays held; without
-		// it, everything stranded drops, counted.
-		if f.healOn() {
-			f.framesToARQ(ti, t, d)
-			return
-		}
-		n := int64(len(td.buf))
-		td.dropped += n
-		f.droppedCause[dropTrunkDead] += n
-		td.buf = td.buf[:0]
-		return
-	}
-	f.pumpDir(t, d)
 }
 
-// pumpDir pushes every completed frame in direction d's framer into the
-// destination chip's ingress pins. Both endpoints and the trunk must be
-// live.
-func (f *Fabric) pumpDir(t *trunkState, d int) {
-	_, _, dst, dstPort := t.endpoints(d)
-	td := &t.dir[d]
-	in := f.chips[dst].r.InputPins(dstPort)
-	for {
-		if len(td.buf) < ip.HeaderWords {
-			return
-		}
+// strand settles the words held in direction d's framer when the link
+// cannot deliver them: with healing, complete frames move to retransmit
+// custody and the partial tail stays held; without it, every held word
+// drops under cause.
+func (f *Fabric) strand(ti int, t *trunkState, d, cause int) {
+	if f.healOn() {
+		f.framesToARQ(ti, t, d)
+		return
+	}
+	f.dropHeld(&t.dir[d], cause)
+}
+
+// dropHeld discards every word held in a framer, counted under cause.
+func (f *Fabric) dropHeld(td *trunkDir, cause int) {
+	n := int64(len(td.buf))
+	td.dropped += n
+	f.droppedCause[cause] += n
+	td.buf = td.buf[:0]
+}
+
+// nextFrame returns the header and length of the complete frame at the
+// head of a framer, or length 0 when the held words end mid-frame.
+func (f *Fabric) nextFrame(td *trunkDir) (ip.Header, int) {
+	for len(td.buf) >= ip.HeaderWords {
 		h, err := ip.Unmarshal(td.buf)
 		if err != nil {
 			// A frame that does not parse cannot happen on a healthy
@@ -626,6 +619,23 @@ func (f *Fabric) pumpDir(t *trunkState, d int) {
 		}
 		n := h.FrameWords()
 		if len(td.buf) < n {
+			n = 0
+		}
+		return h, n
+	}
+	return ip.Header{}, 0
+}
+
+// pumpDir pushes every completed frame in direction d's framer into the
+// destination chip's ingress pins. Both endpoints and the trunk must be
+// live.
+func (f *Fabric) pumpDir(t *trunkState, d int) {
+	_, _, dst, dstPort := t.endpoints(d)
+	td := &t.dir[d]
+	in := f.chips[dst].r.InputPins(dstPort)
+	for {
+		_, n := f.nextFrame(td)
+		if n == 0 {
 			return
 		}
 		for _, w := range td.buf[:n] {

@@ -460,24 +460,10 @@ func (f *Fabric) KillTrunk(a, b int) error {
 	t := &f.trunks[ti]
 	t.dead = true
 	for d := 0; d < 2; d++ {
-		src, srcPort, _, _ := t.endpoints(d)
-		td := &t.dir[d]
-		if !f.chips[src].dead {
-			words, _ := f.chips[src].r.OutputSink(srcPort).Drain()
-			td.drained += int64(len(words))
-			f.chips[src].wordsOut += int64(len(words))
-			for _, w := range words {
-				td.buf = append(td.buf, uint32(w))
-			}
+		if src, _, _, _ := t.endpoints(d); !f.chips[src].dead {
+			f.drainPins(t, d)
 		}
-		if f.healOn() {
-			f.framesToARQ(ti, t, d)
-		} else {
-			n := int64(len(td.buf))
-			td.dropped += n
-			f.droppedCause[dropTrunkDead] += n
-			td.buf = td.buf[:0]
-		}
+		f.strand(ti, t, d, dropTrunkDead)
 	}
 	f.events.AddDetail(f.cycle, ti, trace.EvTrunkKill, t.Trunk.String())
 	f.reheal()
@@ -507,18 +493,8 @@ func (f *Fabric) framesToARQ(ti int, t *trunkState, d int) {
 	td := &t.dir[d]
 	src, srcPort, _, _ := t.endpoints(d)
 	for {
-		if len(td.buf) < ip.HeaderWords {
-			return
-		}
-		h, err := ip.Unmarshal(td.buf)
-		if err != nil {
-			td.buf = td.buf[1:]
-			td.dropped++
-			f.droppedCause[dropFrameResync]++
-			continue
-		}
-		n := h.FrameWords()
-		if len(td.buf) < n {
+		h, n := f.nextFrame(td)
+		if n == 0 {
 			return
 		}
 		frame := append([]uint32(nil), td.buf[:n]...)

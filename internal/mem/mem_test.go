@@ -28,7 +28,7 @@ func TestControllerReadWrite(t *testing.T) {
 	var got raw.Word
 	fw := &fwSeq{steps: []func(e *raw.Exec){
 		func(e *raw.Exec) {
-			e.CacheRead(0x403, func(w raw.Word) { got = w })
+			e.CacheRead(0x403, &got)
 		},
 		func(e *raw.Exec) {
 			e.CacheWrite(0x404, 0x99)
@@ -81,8 +81,8 @@ func TestServiceInterval(t *testing.T) {
 			i := i
 			chip.Tile(tile).Exec().SetFirmware(&fwSeq{steps: []func(e *raw.Exec){
 				func(e *raw.Exec) {
-					e.CacheRead(raw.Word(0x1000*(i+1)),
-						func(raw.Word) { done[i] = chip.Cycle() })
+					e.CacheRead(raw.Word(0x1000*(i+1)), nil)
+					e.OnDone(func() { done[i] = chip.Cycle() })
 				},
 			}})
 		}

@@ -21,6 +21,9 @@ type Interp struct {
 	pc     int
 	regs   [32]raw.Word
 	halted bool
+	// latch holds the word the current instruction read from $csti, or the
+	// word a lw into $csto loaded, until the instruction uses it.
+	latch raw.Word
 
 	// Retired counts completed instructions.
 	Retired int64
@@ -81,11 +84,11 @@ func (it *Interp) Refill(e *raw.Exec) {
 	case tLW:
 		addr := it.regs[in.src1] + raw.Word(in.imm)
 		if in.dst == regCSTO {
-			var tmp raw.Word
-			e.CacheRead(addr, func(w raw.Word) { tmp = w })
-			e.SendFunc(func() raw.Word { retire(); return tmp })
+			e.CacheRead(addr, &it.latch)
+			e.SendFunc(func() raw.Word { retire(); return it.latch })
 		} else {
-			e.CacheRead(addr, func(w raw.Word) { it.write(in.dst, w); retire() })
+			e.CacheRead(addr, it.reg(in.dst))
+			e.OnDone(retire)
 		}
 	case tSW:
 		// The store retires as its cache access starts, this cycle.
@@ -112,9 +115,18 @@ func (it *Interp) Refill(e *raw.Exec) {
 
 // write stores to a register, ignoring writes to $0.
 func (it *Interp) write(dst int, v raw.Word) {
-	if dst != 0 && dst < 32 {
-		it.regs[dst] = v
+	if p := it.reg(dst); p != nil {
+		*p = v
 	}
+}
+
+// reg returns where a word loaded or received into register dst lands:
+// nil, which discards it, for $0 and the network ports.
+func (it *Interp) reg(dst int) *raw.Word {
+	if dst != 0 && dst < 32 {
+		return &it.regs[dst]
+	}
+	return nil
 }
 
 func alu(k aluKind, a, b raw.Word) raw.Word {
@@ -184,15 +196,14 @@ func (it *Interp) lowerALU(e *raw.Exec, in *tInstr, retire func()) {
 	case netSrc:
 		// e.g. `and $5, $5, $csti`: the word is received (decode) and the
 		// ALU op executes the following cycle — Figure 3-2's cycles 4,5.
-		var net raw.Word
-		e.Recv(func(w raw.Word) { net = w })
+		e.Recv(&it.latch)
 		e.Then(func(*raw.Exec) {
 			a, b := it.regVal(in.src1), getB()
 			if in.src1 == regCSTI {
-				a = net
+				a = it.latch
 			}
 			if in.op == tALU && in.src2 == regCSTI {
-				b = net
+				b = it.latch
 			}
 			apply(a, b)
 		})
@@ -204,11 +215,13 @@ func (it *Interp) lowerALU(e *raw.Exec, in *tInstr, retire func()) {
 func (it *Interp) lowerMove(e *raw.Exec, in *tInstr, retire func()) {
 	switch {
 	case in.dst == regCSTO && in.src1 == regCSTI:
-		e.ForwardDone(1, retire)
+		e.Forward(1)
+		e.OnDone(retire)
 	case in.dst == regCSTO:
 		e.SendFunc(func() raw.Word { retire(); return it.regs[in.src1] })
 	case in.src1 == regCSTI:
-		e.Recv(func(w raw.Word) { it.write(in.dst, w); retire() })
+		e.Recv(it.reg(in.dst))
+		e.OnDone(retire)
 	default:
 		e.Then(func(*raw.Exec) { it.write(in.dst, it.regs[in.src1]); retire() })
 	}
@@ -216,15 +229,14 @@ func (it *Interp) lowerMove(e *raw.Exec, in *tInstr, retire func()) {
 
 func (it *Interp) lowerBranch(e *raw.Exec, in *tInstr, retire func()) {
 	if in.src1 == regCSTI || in.src2 == regCSTI {
-		var net raw.Word
-		e.Recv(func(w raw.Word) { net = w })
+		e.Recv(&it.latch)
 		e.Then(func(*raw.Exec) {
 			a, b := it.regVal(in.src1), it.regVal(in.src2)
 			if in.src1 == regCSTI {
-				a = net
+				a = it.latch
 			}
 			if in.src2 == regCSTI {
-				b = net
+				b = it.latch
 			}
 			it.branch(in, a, b)
 			retire()

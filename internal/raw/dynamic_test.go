@@ -38,9 +38,9 @@ func TestDynManyToOneCongestion(t *testing.T) {
 			return
 		}
 		recvCount++
-		e.DynRecv(raw.DynGeneral, 1+payloadLen, func(ws []raw.Word) {
-			got = append(got, append([]raw.Word(nil), ws...))
-		})
+		ws := make([]raw.Word, 1+payloadLen)
+		e.DynRecv(raw.DynGeneral, ws)
+		e.OnDone(func() { got = append(got, ws) })
 	}))
 	chip.Run(4000)
 	if len(got) != len(senders)*msgsPerSender {
@@ -85,17 +85,17 @@ func TestDynBidirectionalPingPong(t *testing.T) {
 		k := aCount
 		aCount++
 		e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(3, 3, 1), raw.Word(k)})
-		e.DynRecv(raw.DynGeneral, 2, nil)
+		e.DynRecv(raw.DynGeneral, make([]raw.Word, 2))
 	}))
 	chip.Tile(15).Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) {
 		if bCount >= rounds {
 			return
 		}
 		bCount++
-		var v raw.Word
-		e.DynRecv(raw.DynGeneral, 2, func(ws []raw.Word) { v = ws[1] })
+		ws := make([]raw.Word, 2)
+		e.DynRecv(raw.DynGeneral, ws)
 		e.Then(func(e *raw.Exec) {
-			e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(0, 0, 1), v + 100})
+			e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(0, 0, 1), ws[1] + 100})
 		})
 	}))
 	chip.Run(3000)
@@ -117,7 +117,9 @@ func TestDynEdgeDeviceEcho(t *testing.T) {
 			return
 		}
 		e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(4, 1, 2), raw.MemCmd(0, 4), 0x40})
-		e.DynRecv(raw.DynGeneral, 2, func(ws []raw.Word) { got = ws[1] })
+		ws := make([]raw.Word, 2)
+		e.DynRecv(raw.DynGeneral, ws)
+		e.OnDone(func() { got = ws[1] })
 	}))
 	chip.Run(500)
 	if got != 0x40+1 {
@@ -171,7 +173,9 @@ func TestIdleDeviceSkipsTicks(t *testing.T) {
 			sent++
 			e.Compute(300)
 			e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(4, 1, 2), raw.MemCmd(0, 4), raw.Word(sent)})
-			e.DynRecv(raw.DynGeneral, 2, func(ws []raw.Word) { got = append(got, ws[1]) })
+			ws := make([]raw.Word, 2)
+			e.DynRecv(raw.DynGeneral, ws)
+			e.OnDone(func() { got = append(got, ws[1]) })
 		}))
 		chip.Run(1000)
 		if len(got) != 2 || got[0] != 2 || got[1] != 3 {
@@ -251,7 +255,9 @@ func TestDynMaxLengthMessage(t *testing.T) {
 			return
 		}
 		got = []raw.Word{}
-		e.DynRecv(raw.DynGeneral, 1+n, func(ws []raw.Word) { got = ws })
+		ws := make([]raw.Word, 1+n)
+		e.DynRecv(raw.DynGeneral, ws)
+		e.OnDone(func() { got = ws })
 	}))
 	chip.Run(500)
 	if len(got) != 1+n {

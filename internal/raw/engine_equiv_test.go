@@ -118,6 +118,7 @@ func buildUniform(cycles int64) *workloadRun {
 	for id := 0; id < 16; id++ {
 		id := id
 		exec := chip.Tile(id).Exec()
+		var got raw.Word
 		if id%2 == 0 {
 			rng := traffic.NewRNG(0xA11CE0 + uint64(id))
 			exec.SetFirmware(raw.FirmwareFunc(func(e *raw.Exec) {
@@ -131,18 +132,22 @@ func buildUniform(cycles int64) *workloadRun {
 				addr := raw.Word(rng.Intn(1 << 10))
 				val := raw.Word(rng.Uint64())
 				e.CacheWrite(addr, val)
-				e.CacheRead(addr, func(w raw.Word) { r.digest[id] += w })
+				e.CacheRead(addr, &got)
+				e.OnDone(func() { r.digest[id] += got })
 			}))
 		} else {
 			rng := traffic.NewRNG(0xB0B0 + uint64(id))
+			ws := make([]raw.Word, 4)
 			exec.SetFirmware(raw.FirmwareFunc(func(e *raw.Exec) {
-				e.DynRecv(raw.DynGeneral, 4, func(ws []raw.Word) {
+				e.DynRecv(raw.DynGeneral, ws)
+				e.OnDone(func() {
 					for _, w := range ws {
 						r.digest[id] = r.digest[id]*31 + w
 					}
 				})
 				addr := raw.Word(rng.Intn(1 << 10))
-				e.CacheRead(addr, func(w raw.Word) { r.digest[id] ^= w })
+				e.CacheRead(addr, &got)
+				e.OnDone(func() { r.digest[id] ^= got })
 			}))
 		}
 	}
@@ -156,8 +161,10 @@ func buildHotspot(cycles int64) *workloadRun {
 	chip, rec := tracedChip(cycles)
 	mem.Attach(chip, 20)
 	r := &workloadRun{chip: chip, rec: rec, digest: make([]raw.Word, 16)}
+	ws := make([]raw.Word, 4)
 	chip.Tile(0).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec) {
-		e.DynRecv(raw.DynGeneral, 4, func(ws []raw.Word) {
+		e.DynRecv(raw.DynGeneral, ws)
+		e.OnDone(func() {
 			for _, w := range ws {
 				r.digest[0] = r.digest[0]*31 + w
 			}
@@ -200,11 +207,14 @@ func buildMulticast(cycles int64) *workloadRun {
 			panic(err)
 		}
 		id0, id1 := x, 4+x
+		var w0, w1 raw.Word
 		chip.Tile(id0).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec) {
-			e.RecvOn(0, func(w raw.Word) { r.digest[id0] = r.digest[id0]*31 + w })
+			e.RecvOn(0, &w0)
+			e.OnDone(func() { r.digest[id0] = r.digest[id0]*31 + w0 })
 		}))
 		chip.Tile(id1).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec) {
-			e.RecvOn(1, func(w raw.Word) { r.digest[id1] = r.digest[id1]*31 + w })
+			e.RecvOn(1, &w1)
+			e.OnDone(func() { r.digest[id1] = r.digest[id1]*31 + w1 })
 		}))
 	}
 	rngA := traffic.NewRNG(0xFA17)
@@ -532,7 +542,8 @@ func routeVChip(eng raw.Engine, count raw.Word, feed int) (*raw.Chip, *bool) {
 	done := new(bool)
 	chip.Tile(0).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
 		e.WriteSwitchCount(count)
-		e.WaitSwitchDone(func(raw.Word) { *done = true })
+		e.WaitSwitchDone(nil)
+		e.OnDone(func() { *done = true })
 	}})
 	in := chip.StaticIn(0, raw.DirW)
 	for i := 0; i < feed; i++ {

@@ -128,7 +128,10 @@ type fuzzFW struct {
 	// routes a word to, respectively from, the processor.
 	recvs, sends []int
 	portOnly     bool
-	sum          raw.Word
+	// in is where the stream's receives land; their completions fold
+	// the landed words into sum.
+	in  [4]raw.Word
+	sum raw.Word
 }
 
 func (f *fuzzFW) Quiesced() bool { return f.left == 0 }
@@ -145,7 +148,24 @@ func (f *fuzzFW) Refill(e *raw.Exec) {
 	}
 }
 
-func (f *fuzzFW) take(w raw.Word) { f.sum = f.sum*31 + w + 1 }
+// fold returns a completion callback that folds the first k landed
+// words into sum.
+func (f *fuzzFW) fold(k int) func() {
+	return func() {
+		for _, w := range f.in[:k] {
+			f.sum = f.sum*31 + w + 1
+		}
+	}
+}
+
+// countUp returns the k words w, w+1, ... that a SendN sources.
+func countUp(w raw.Word, k int) []raw.Word {
+	ws := make([]raw.Word, k)
+	for i := range ws {
+		ws[i] = w + raw.Word(i)
+	}
+	return ws
+}
 
 func (f *fuzzFW) op(e *raw.Exec) {
 	r := f.rng
@@ -171,22 +191,25 @@ func (f *fuzzFW) op(e *raw.Exec) {
 		e.Compute(k)
 	case 1:
 		if r.Intn(2) == 0 {
-			e.SendN(k, func(i int) raw.Word { return w + raw.Word(i) })
+			e.SendN(k, countUp(w, k))
 			break
 		}
 		e.SendOn(net, w)
 	case 2:
 		if r.Intn(3) == 0 {
-			e.RecvN(k, 1+r.Intn(2), func(_ int, w raw.Word) { f.take(w) })
+			e.RecvN(k, 1+r.Intn(2), f.in[:k])
+			e.OnDone(f.fold(k))
 			break
 		}
-		e.RecvOn(net, f.take)
+		e.RecvOn(net, &f.in[0])
+		e.OnDone(f.fold(1))
 	case 3:
 		e.Forward(k)
 	case 4:
-		e.RecvN(k, 1+r.Intn(2), func(_ int, w raw.Word) { f.take(w) })
+		e.RecvN(k, 1+r.Intn(2), f.in[:k])
+		e.OnDone(f.fold(k))
 	case 5:
-		e.SendN(k, func(i int) raw.Word { return w + raw.Word(i) })
+		e.SendN(k, countUp(w, k))
 	case 6, 7:
 		if routines := f.dispatch[net]; len(routines) > 0 {
 			j := r.Intn(len(routines))
@@ -195,7 +218,8 @@ func (f *fuzzFW) op(e *raw.Exec) {
 				e.WriteSwitchCountOn(net, n)
 			}
 			e.WriteSwitchPCOn(net, raw.Word(1+3*j))
-			e.WaitSwitchDoneOn(net, f.take)
+			e.WaitSwitchDoneOn(net, &f.in[0])
+			e.OnDone(f.fold(1))
 		} else {
 			e.WriteSwitchCountOn(net, raw.Word(k))
 		}
@@ -207,11 +231,8 @@ func (f *fuzzFW) op(e *raw.Exec) {
 		}
 		e.DynSend(raw.DynGeneral, msg)
 	case 9:
-		e.DynRecv(raw.DynGeneral, k, func(ws []raw.Word) {
-			for _, w := range ws {
-				f.take(w)
-			}
-		})
+		e.DynRecv(raw.DynGeneral, f.in[:k])
+		e.OnDone(f.fold(k))
 	case 10:
 		if !f.cache {
 			e.Compute(1)
@@ -221,7 +242,8 @@ func (f *fuzzFW) op(e *raw.Exec) {
 		if r.Intn(2) == 0 {
 			e.CacheWrite(addr, w)
 		} else {
-			e.CacheRead(addr, f.take)
+			e.CacheRead(addr, &f.in[0])
+			e.OnDone(f.fold(1))
 		}
 	case 11:
 		e.Then(func(e *raw.Exec) { f.op(e) })

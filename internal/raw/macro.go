@@ -407,10 +407,6 @@ func macroProcState(t *Tile) (TileState, bool) {
 	op := &e.ops[e.head]
 	st := &t.st[op.snet]
 	switch op.kind {
-	case opRecv:
-		if !st.csti.CanPop() {
-			return StateStallRecv, true
-		}
 	case opWaitDone:
 		if !st.swDone.CanPop() {
 			return StateStallRecv, true
@@ -431,7 +427,7 @@ func macroProcState(t *Tile) (TileState, bool) {
 		if op.i < op.n && !st.csto.CanPush() {
 			return StateStallSend, true
 		}
-	case opRecvN:
+	case opRecv:
 		if op.sub == 0 && op.i < op.n && !st.csti.CanPop() {
 			return StateStallRecv, true
 		}

@@ -25,10 +25,9 @@ type opKind uint8
 const (
 	opCompute opKind = iota
 	opSend           // one word to $csto
-	opRecv           // one word from $csti
+	opRecv           // n words from $csti at cost cycles/word (buffer to memory = 2)
 	opForward        // n words $csti -> $csto at 1 cycle/word
-	opRecvN          // n words from $csti at cost cycles/word (buffer to memory = 2)
-	opSendN          // n words to $csto at 1 cycle/word from a source func
+	opSendN          // n words to $csto at 1 cycle/word: words, then zeros
 	opWritePC
 	opWriteCount
 	opWaitDone
@@ -39,29 +38,40 @@ const (
 	opThen
 )
 
+// microOp is one queued micro-op. Its operands are plain data: receives
+// land in dst or words, sends read val or words. It carries at most three
+// callbacks: SendFunc's deferred word, Then's continuation, and the
+// completion callback OnDone attaches to any op.
 type microOp struct {
 	kind opKind
 	n    int
-	cost int // per-word cost for opRecvN
+	cost int // per-word cost for opRecv
 	net  int // dynamic network for opDynSend/opDynRecv
 	snet int // static network for the port ops (0 or 1)
 
 	val   Word   // the word sent or written (cache data for opCacheWrite)
 	addr  Word   // cache address for opCacheRead/opCacheWrite
-	words []Word // opDynSend's message, consumed word by word
+	dst   *Word  // where a one-word receive lands (nil discards)
+	words []Word // receive destination, SendN source or DynSend message
 
-	valF   func() Word // SendFunc's word, computed as it leaves
-	srcF   func(i int) Word
-	sinkF  func(i int, w Word)
-	recvF  func(w Word)
-	burstF func(ws []Word)
-	thenF  func(e *Exec)
-	doneF  func()
+	valF  func() Word // SendFunc's word, computed as it leaves
+	thenF func(e *Exec)
+	doneF func() // runs in the cycle the op completes
 
 	// in-flight state
 	i   int
-	got []Word
 	sub int // sub-word cycle counter for multi-cycle-per-word ops
+}
+
+// land stores the op's next received word: in dst for a one-word op,
+// else in words while it has room. Words past len(words) are discarded.
+func (op *microOp) land(w Word) {
+	if op.dst != nil {
+		*op.dst = w
+	} else if op.i < len(op.words) {
+		op.words[op.i] = w
+	}
+	op.i++
 }
 
 // Exec is the micro-op executor of one tile processor.
@@ -123,6 +133,10 @@ func (e *Exec) Utilization() float64 {
 
 func (e *Exec) push(op microOp) { e.ops = append(e.ops, op) }
 
+// OnDone makes f the completion callback of the micro-op enqueued last: f
+// runs in the cycle that op completes, after its last word has landed.
+func (e *Exec) OnDone(f func()) { e.ops[len(e.ops)-1].doneF = f }
+
 // Compute enqueues n cycles of pure computation.
 func (e *Exec) Compute(n int) {
 	if n > 0 {
@@ -140,12 +154,13 @@ func (e *Exec) SendOn(net int, w Word) { e.push(microOp{kind: opSend, snet: net,
 // the send fires, for a word or side effect that belongs to that cycle.
 func (e *Exec) SendFunc(f func() Word) { e.push(microOp{kind: opSend, valF: f}) }
 
-// Recv enqueues a one-cycle receive from the switch ($csti).
-func (e *Exec) Recv(f func(Word)) { e.push(microOp{kind: opRecv, recvF: f}) }
+// Recv enqueues a one-cycle receive from the switch ($csti) into *dst;
+// nil discards the word. It steps exactly as RecvN(1, 1, ...).
+func (e *Exec) Recv(dst *Word) { e.RecvOn(0, dst) }
 
 // RecvOn is Recv on a chosen static network ($csti2 for net 1).
-func (e *Exec) RecvOn(net int, f func(Word)) {
-	e.push(microOp{kind: opRecv, snet: net, recvF: f})
+func (e *Exec) RecvOn(net int, dst *Word) {
+	e.push(microOp{kind: opRecv, snet: net, n: 1, cost: 1, dst: dst})
 }
 
 // Forward enqueues an n-word network-to-network copy ($csti -> $csto) at
@@ -153,23 +168,17 @@ func (e *Exec) RecvOn(net int, f func(Word)) {
 // fast path.
 func (e *Exec) Forward(n int) { e.push(microOp{kind: opForward, n: n}) }
 
-// ForwardDone is Forward with a completion callback invoked in the cycle
-// the last word moves.
-func (e *Exec) ForwardDone(n int, done func()) {
-	e.push(microOp{kind: opForward, n: n, doneF: done})
+// RecvN enqueues an n-word receive at cost cycles per word into dst; cost
+// 2 models buffering into local data memory (§4.4), cost 1 a
+// register-target receive. Words past len(dst) are discarded.
+func (e *Exec) RecvN(n, cost int, dst []Word) {
+	e.push(microOp{kind: opRecv, n: n, cost: cost, words: dst})
 }
 
-// RecvN enqueues an n-word receive at cost cycles per word; cost 2 models
-// buffering into local data memory (§4.4), cost 1 a register-target
-// receive. sink may be nil.
-func (e *Exec) RecvN(n, cost int, sink func(i int, w Word)) {
-	e.push(microOp{kind: opRecvN, n: n, cost: cost, sinkF: sink})
-}
-
-// SendN enqueues an n-word send at one cycle per word, sourcing word i from
-// src.
-func (e *Exec) SendN(n int, src func(i int) Word) {
-	e.push(microOp{kind: opSendN, n: n, srcF: src})
+// SendN enqueues an n-word send at one cycle per word: src, then zeros
+// (the padding that keeps a granted stream its quantum's length).
+func (e *Exec) SendN(n int, src []Word) {
+	e.push(microOp{kind: opSendN, n: n, words: src})
 }
 
 // WriteSwitchPC enqueues a one-cycle write of pc to the switch program
@@ -180,8 +189,9 @@ func (e *Exec) WriteSwitchPC(pc Word) { e.push(microOp{kind: opWritePC, val: pc}
 // loop-count register consumed by SwRouteV.
 func (e *Exec) WriteSwitchCount(n Word) { e.push(microOp{kind: opWriteCount, val: n}) }
 
-// WaitSwitchDone enqueues a blocking read of the switch-done register.
-func (e *Exec) WaitSwitchDone(f func(Word)) { e.push(microOp{kind: opWaitDone, recvF: f}) }
+// WaitSwitchDone enqueues a blocking read of the switch-done register
+// into *dst; nil discards the word.
+func (e *Exec) WaitSwitchDone(dst *Word) { e.WaitSwitchDoneOn(0, dst) }
 
 // WriteSwitchPCOn / WriteSwitchCountOn / WaitSwitchDoneOn are the network-
 // indexed variants for the second static switch.
@@ -195,8 +205,8 @@ func (e *Exec) WriteSwitchCountOn(net int, n Word) {
 }
 
 // WaitSwitchDoneOn blocks on the chosen network's done register.
-func (e *Exec) WaitSwitchDoneOn(net int, f func(Word)) {
-	e.push(microOp{kind: opWaitDone, snet: net, recvF: f})
+func (e *Exec) WaitSwitchDoneOn(net int, dst *Word) {
+	e.push(microOp{kind: opWaitDone, snet: net, dst: dst})
 }
 
 // DynSend enqueues injection of the framed message msg (header first) on
@@ -205,16 +215,17 @@ func (e *Exec) DynSend(net int, msg []Word) {
 	e.push(microOp{kind: opDynSend, net: net, words: msg})
 }
 
-// DynRecv enqueues reception of n words from dynamic network net's delivery
-// queue, one cycle per word, delivering the full burst to f.
-func (e *Exec) DynRecv(net, n int, f func(ws []Word)) {
-	e.push(microOp{kind: opDynRecv, net: net, n: n, burstF: f})
+// DynRecv enqueues reception of len(dst) words from dynamic network net's
+// delivery queue into dst, one cycle per word.
+func (e *Exec) DynRecv(net int, dst []Word) {
+	e.push(microOp{kind: opDynRecv, net: net, words: dst})
 }
 
-// CacheRead enqueues a data-cache read of addr (3-cycle hit, miss costs a
-// DRAM round trip over the memory network), handing the word to f.
-func (e *Exec) CacheRead(addr Word, f func(Word)) {
-	e.push(microOp{kind: opCacheRead, addr: addr, recvF: f})
+// CacheRead enqueues a data-cache read of addr into *dst (3-cycle hit,
+// miss costs a DRAM round trip over the memory network); nil discards the
+// word.
+func (e *Exec) CacheRead(addr Word, dst *Word) {
+	e.push(microOp{kind: opCacheRead, addr: addr, dst: dst})
 }
 
 // CacheWrite enqueues a data-cache write of val to addr.
@@ -241,6 +252,9 @@ func (e *Exec) step() {
 	}
 	op := &e.ops[e.head]
 	done, st := e.stepOp(op)
+	if done && op.doneF != nil {
+		op.doneF()
+	}
 	e.setState(st)
 	if done {
 		e.head++
@@ -271,20 +285,22 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 		return true, StateRun
 
 	case opRecv:
+		if op.n <= 0 {
+			return true, StateRun
+		}
+		if op.sub > 0 { // extra cycles per word (e.g. the store of a 2-cycle buffer step)
+			op.sub--
+			return op.sub == 0 && op.i >= op.n, StateRun
+		}
 		if !t.st[op.snet].csti.CanPop() {
 			return false, StateStallRecv
 		}
-		w := t.st[op.snet].csti.Pop()
-		if op.recvF != nil {
-			op.recvF(w)
-		}
-		return true, StateRun
+		op.land(t.st[op.snet].csti.Pop())
+		op.sub = op.cost - 1
+		return op.sub == 0 && op.i >= op.n, StateRun
 
 	case opForward:
 		if op.n <= 0 {
-			if op.doneF != nil {
-				op.doneF()
-			}
 			return true, StateRun
 		}
 		if !t.st[op.snet].csti.CanPop() {
@@ -295,38 +311,7 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 		}
 		t.st[op.snet].csto.Push(t.st[op.snet].csti.Pop())
 		op.i++
-		if op.i >= op.n {
-			if op.doneF != nil {
-				op.doneF()
-			}
-			return true, StateRun
-		}
-		return false, StateRun
-
-	case opRecvN:
-		if op.n <= 0 {
-			return true, StateRun
-		}
-		if op.sub > 0 { // extra cycles per word (e.g. the store of a 2-cycle buffer step)
-			op.sub--
-			if op.sub == 0 && op.i >= op.n {
-				return true, StateRun
-			}
-			return false, StateRun
-		}
-		if !t.st[op.snet].csti.CanPop() {
-			return false, StateStallRecv
-		}
-		w := t.st[op.snet].csti.Pop()
-		if op.sinkF != nil {
-			op.sinkF(op.i, w)
-		}
-		op.i++
-		op.sub = op.cost - 1
-		if op.sub == 0 && op.i >= op.n {
-			return true, StateRun
-		}
-		return false, StateRun
+		return op.i >= op.n, StateRun
 
 	case opSendN:
 		if op.n <= 0 {
@@ -335,7 +320,11 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 		if !t.st[op.snet].csto.CanPush() {
 			return false, StateStallSend
 		}
-		t.st[op.snet].csto.Push(op.srcF(op.i))
+		var w Word // padding past the source
+		if op.i < len(op.words) {
+			w = op.words[op.i]
+		}
+		t.st[op.snet].csto.Push(w)
 		op.i++
 		return op.i >= op.n, StateRun
 
@@ -357,10 +346,7 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 		if !t.st[op.snet].swDone.CanPop() {
 			return false, StateStallRecv
 		}
-		w := t.st[op.snet].swDone.Pop()
-		if op.recvF != nil {
-			op.recvF(w)
-		}
+		op.land(t.st[op.snet].swDone.Pop())
 		return true, StateRun
 
 	case opDynSend:
@@ -380,19 +366,13 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 		if !rq.CanPop() {
 			return false, StateStallRecv
 		}
-		op.got = append(op.got, rq.Pop())
-		if len(op.got) < op.n {
-			return false, StateRun
-		}
-		if op.burstF != nil {
-			op.burstF(op.got)
-		}
-		return true, StateRun
+		op.land(rq.Pop())
+		return op.i >= len(op.words), StateRun
 
 	case opCacheRead:
 		done, v, st := t.cache.access(op.addr, false, 0)
-		if done && op.recvF != nil {
-			op.recvF(v)
+		if done {
+			op.land(v)
 		}
 		return done, st
 

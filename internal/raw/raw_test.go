@@ -1,6 +1,8 @@
 package raw_test
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -114,7 +116,8 @@ func TestProcSendRecvNeighbor(t *testing.T) {
 		e.Send(0xdead)
 	}})
 	chip.Tile(4).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
-		e.Recv(func(w raw.Word) { got = w; gotCycle = chip.Cycle() })
+		e.Recv(&got)
+		e.OnDone(func() { gotCycle = chip.Cycle() })
 	}})
 	chip.Run(20)
 	if got != 0xdead {
@@ -139,7 +142,8 @@ func TestSwitchRouteV(t *testing.T) {
 	var done bool
 	chip.Tile(0).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
 		e.WriteSwitchCount(7)
-		e.WaitSwitchDone(func(raw.Word) { done = true })
+		e.WaitSwitchDone(nil)
+		e.OnDone(func() { done = true })
 	}})
 	in := chip.StaticIn(0, raw.DirW)
 	for i := 0; i < 20; i++ {
@@ -174,17 +178,22 @@ func TestSwitchJumpTableDispatch(t *testing.T) {
 	mustProgram(t, chip.Tile(0), prog)
 	var confirms []raw.Word
 	var received []raw.Word
+	var confirm, recv [2]raw.Word
 	fw := &fwSeq{}
 	fw.steps = []func(e *raw.Exec){
 		func(e *raw.Exec) {
 			e.WriteSwitchPC(1) // config A
-			e.WaitSwitchDone(func(w raw.Word) { confirms = append(confirms, w) })
+			e.WaitSwitchDone(&confirm[0])
+			e.OnDone(func() { confirms = append(confirms, confirm[0]) })
 		},
 		func(e *raw.Exec) {
 			e.WriteSwitchPC(4) // config B
-			e.Recv(func(w raw.Word) { received = append(received, w) })
-			e.Recv(func(w raw.Word) { received = append(received, w) })
-			e.WaitSwitchDone(func(w raw.Word) { confirms = append(confirms, w) })
+			e.Recv(&recv[0])
+			e.OnDone(func() { received = append(received, recv[0]) })
+			e.Recv(&recv[1])
+			e.OnDone(func() { received = append(received, recv[1]) })
+			e.WaitSwitchDone(&confirm[1])
+			e.OnDone(func() { confirms = append(confirms, confirm[1]) })
 		},
 	}
 	chip.Tile(0).Exec().SetFirmware(fw)
@@ -227,7 +236,9 @@ func TestDynNeighborMessage(t *testing.T) {
 		e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(0, 1, 2), 0xaa, 0xbb})
 	}})
 	chip.Tile(4).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
-		e.DynRecv(raw.DynGeneral, 3, func(ws []raw.Word) { got = append(got, ws...) })
+		ws := make([]raw.Word, 3)
+		e.DynRecv(raw.DynGeneral, ws)
+		e.OnDone(func() { got = append(got, ws...) })
 	}})
 	chip.Run(40)
 	if len(got) != 3 || got[1] != 0xaa || got[2] != 0xbb {
@@ -248,7 +259,9 @@ func TestDynDimensionOrdered(t *testing.T) {
 	}})
 	var got []raw.Word
 	chip.Tile(15).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
-		e.DynRecv(raw.DynGeneral, 1+len(payload), func(ws []raw.Word) { got = ws })
+		ws := make([]raw.Word, 1+len(payload))
+		e.DynRecv(raw.DynGeneral, ws)
+		e.OnDone(func() { got = ws })
 	}})
 	chip.Run(100)
 	if len(got) != 1+len(payload) {
@@ -277,10 +290,14 @@ func TestDynTwoWormsShareRouter(t *testing.T) {
 	mk(4, raw.DynHeader(3, 1, 3), 0x200)
 	var got13, got7 []raw.Word
 	chip.Tile(13).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
-		e.DynRecv(raw.DynGeneral, 4, func(ws []raw.Word) { got13 = ws })
+		ws := make([]raw.Word, 4)
+		e.DynRecv(raw.DynGeneral, ws)
+		e.OnDone(func() { got13 = ws })
 	}})
 	chip.Tile(7).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
-		e.DynRecv(raw.DynGeneral, 4, func(ws []raw.Word) { got7 = ws })
+		ws := make([]raw.Word, 4)
+		e.DynRecv(raw.DynGeneral, ws)
+		e.OnDone(func() { got7 = ws })
 	}})
 	chip.Run(100)
 	if len(got13) != 4 || got13[1] != 0x100 || got13[3] != 0x102 {
@@ -376,10 +393,12 @@ func TestCacheHitAndMiss(t *testing.T) {
 	var c1, c2 int64 = -1, -1
 	fw := &fwSeq{steps: []func(e *raw.Exec){
 		func(e *raw.Exec) {
-			e.CacheRead(0x1000, func(w raw.Word) { v1 = w; c1 = chip.Cycle() })
+			e.CacheRead(0x1000, &v1)
+			e.OnDone(func() { c1 = chip.Cycle() })
 		},
 		func(e *raw.Exec) {
-			e.CacheRead(0x1003, func(w raw.Word) { v2 = w; c2 = chip.Cycle() })
+			e.CacheRead(0x1003, &v2)
+			e.OnDone(func() { c2 = chip.Cycle() })
 		},
 	}}
 	chip.Tile(5).Exec().SetFirmware(fw)
@@ -393,6 +412,89 @@ func TestCacheHitAndMiss(t *testing.T) {
 	hitCycles := c2 - c1
 	if hitCycles != raw.CacheHitCycles {
 		t.Fatalf("hit took %d cycles, want %d", hitCycles, raw.CacheHitCycles)
+	}
+}
+
+// TestIOContract pins, on both engines, how the I/O micro-ops move
+// words: the cycle each received word lands in its destination, the cycle
+// each op's completion callback runs, and the words a SendN sends. A
+// RecvN discards the words past its destination, a SendN pads its source
+// with zeros, and a DynRecv lands each word in the cycle it pops.
+func TestIOContract(t *testing.T) {
+	for _, eng := range []raw.Engine{raw.EngineRef, raw.EngineFast} {
+		cfg := raw.DefaultConfig()
+		cfg.Engine = eng
+		chip := raw.NewChip(cfg)
+		dram := newFakeDRAM(4, 20)
+		for i := raw.Word(0); i < raw.CacheLineWords; i++ {
+			dram.mem[0x1000+i] = 7*i + 1
+		}
+		attachDRAMRows(chip, dram)
+		// Tile 0's switch hands four west-edge words to the processor,
+		// confirms, then routes four processor words out the north pins.
+		mustProgram(t, chip.Tile(0), []raw.SwInstr{
+			{Op: raw.SwRouteN, Arg: 4, Routes: []raw.Route{{Dst: raw.DirP, Src: raw.DirW}}},
+			{Op: raw.SwNotify, Arg: 0xd0},
+			{Op: raw.SwRouteN, Arg: 4, Routes: []raw.Route{{Dst: raw.DirN, Src: raw.DirP}}},
+			{Op: raw.SwHalt},
+		})
+		chip.StaticIn(0, raw.DirW).Push(11, 12, 13, 14)
+		chip.Tile(1).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
+			e.Compute(3)
+			e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(0, 0, 2), 0xaa, 0xbb})
+		}})
+
+		// dst: Recv's word, RecvN's two and the word after them, the
+		// switch's confirmation, the cache miss and hit, DynRecv's three.
+		var dst [10]raw.Word
+		doneAt := map[string]int64{}
+		onDone := func(e *raw.Exec, op string) { e.OnDone(func() { doneAt[op] = chip.Cycle() }) }
+		chip.Tile(0).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
+			e.Recv(&dst[0])
+			onDone(e, "Recv")
+			e.RecvN(3, 2, dst[1:3])
+			onDone(e, "RecvN")
+			e.WaitSwitchDone(&dst[4])
+			onDone(e, "WaitSwitchDone")
+			e.SendN(4, []raw.Word{0x50, 0x51})
+			e.CacheRead(0x1000, &dst[5])
+			onDone(e, "CacheRead miss")
+			e.CacheRead(0x1003, &dst[6])
+			onDone(e, "CacheRead hit")
+			e.DynRecv(raw.DynGeneral, dst[7:10])
+			onDone(e, "DynRecv")
+		}})
+		var landed [10]int64 // the cycle each destination word was written, -1 never
+		for i := range landed {
+			landed[i] = -1
+		}
+		for c := 0; c < 100; c++ {
+			prev := dst
+			chip.Step()
+			for i := range dst {
+				if dst[i] != prev[i] {
+					landed[i] = chip.Cycle() - 1
+				}
+			}
+		}
+
+		wantDst := [10]raw.Word{11, 12, 13, 0, 0xd0, 1, 22, raw.DynHeader(0, 0, 2), 0xaa, 0xbb}
+		wantLanded := [10]int64{1, 2, 4, -1, 8, 57, 60, 61, 62, 63}
+		if dst != wantDst || landed != wantLanded {
+			t.Errorf("engine %v: destinations %v landed at %v, want %v at %v",
+				eng, dst, landed, wantDst, wantLanded)
+		}
+		// RecvN completes a cycle after its third word pops (cost 2).
+		wantDone := map[string]int64{"Recv": 1, "RecvN": 7, "WaitSwitchDone": 8,
+			"CacheRead miss": 57, "CacheRead hit": 60, "DynRecv": 63}
+		if !maps.Equal(doneAt, wantDone) {
+			t.Errorf("engine %v: completions at %v, want %v", eng, doneAt, wantDone)
+		}
+		words, cycles := chip.StaticOut(0, raw.DirN).Drain()
+		if !slices.Equal(words, []raw.Word{0x50, 0x51, 0, 0}) || !slices.Equal(cycles, []int64{10, 11, 12, 13}) {
+			t.Errorf("engine %v: SendN sent %#x at %v, want [0x50 0x51 0 0] at [10 11 12 13]",
+				eng, words, cycles)
+		}
 	}
 }
 
@@ -413,7 +515,9 @@ func TestCacheWriteBack(t *testing.T) {
 		func(e *raw.Exec) { e.CacheRead(b, nil) },
 		func(e *raw.Exec) { e.CacheRead(c, nil) },
 		func(e *raw.Exec) { // a has been evicted; reread from DRAM
-			e.CacheRead(a, func(w raw.Word) {
+			var w raw.Word
+			e.CacheRead(a, &w)
+			e.OnDone(func() {
 				if w != 0xbeef {
 					t.Errorf("read-after-writeback got %#x, want 0xbeef", w)
 				}
@@ -447,7 +551,9 @@ func TestInvalidateCacheRangeInFlight(t *testing.T) {
 		attachDRAMRows(chip, dram)
 		read := func(addr raw.Word) func(e *raw.Exec) {
 			return func(e *raw.Exec) {
-				e.CacheRead(addr, func(w raw.Word) { got = append(got, w) })
+				var w raw.Word
+				e.CacheRead(addr, &w)
+				e.OnDone(func() { got = append(got, w) })
 			}
 		}
 		tl := chip.Tile(5)

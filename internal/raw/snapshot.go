@@ -13,7 +13,8 @@ import (
 // is a deterministic function of its construction (firmware, switch
 // programs, fault plane) and the words pushed into its boundary static
 // inputs, so a checkpoint does not serialize tile state — micro-op
-// batches are closures and cannot be marshaled — it records the inputs.
+// batches hold Then continuations and completion callbacks, which cannot
+// be marshaled — it records the inputs.
 // A chip with recording enabled logs every external StaticIn.Push with
 // its cycle stamp (before the fault plane's drop check, so injected edge
 // drops replay too). Snapshot emits a versioned blob holding the chip

@@ -84,7 +84,7 @@ func TestSecondNetworkControlRegisters(t *testing.T) {
 	chip.Tile(0).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
 		e.WriteSwitchPCOn(1, 1)
 		e.WriteSwitchCountOn(1, 3)
-		e.WaitSwitchDoneOn(1, func(w raw.Word) { done = w })
+		e.WaitSwitchDoneOn(1, &done)
 	}})
 	in := chip.StaticInOn(1, 0, raw.DirW)
 	for i := 0; i < 5; i++ {

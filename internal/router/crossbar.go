@@ -65,8 +65,7 @@ func (x *xbarFW) Refill(e *raw.Exec) {
 		order = []int{p, (p + 3) % 4, (p + 2) % 4, (p + 1) % 4}
 	}
 	for _, src := range order {
-		src := src
-		e.Recv(func(w raw.Word) { x.hdrs[src] = w })
+		e.Recv(&x.hdrs[src])
 	}
 	// The jump-table address computation (§6.5): the thesis computes the
 	// configuration index while the switch routes; our protocol phases

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"slices"
+
 	"repro/internal/raw"
 )
 
@@ -18,12 +20,14 @@ type egressFW struct {
 	// Reassembly buffers, one per source port.
 	buf  [4][]raw.Word
 	hdrW raw.Word
+	// frag buffers the fragment the cipher transforms.
+	frag []raw.Word
 }
 
 func (f *egressFW) Refill(e *raw.Exec) {
 	// Wait for the next egress header (stalls across idle quanta).
 	e.WriteSwitchPC(f.prog.Hdr)
-	e.Recv(func(w raw.Word) { f.hdrW = w })
+	e.Recv(&f.hdrW)
 	e.Then(func(e *raw.Exec) {
 		src, fragLen, l, last := DecodeEgressHdr(f.hdrW)
 		if src < 0 || src > 3 || fragLen <= 0 || l < fragLen {
@@ -58,21 +62,19 @@ func (f *egressFW) Refill(e *raw.Exec) {
 		default:
 			// Reassembly path: buffer the fragment (2 cycles/word into
 			// local data memory, §4.4), stream the packet once complete.
+			// The padding past fragLen is discarded.
+			held := len(f.buf[src])
+			f.buf[src] = slices.Grow(f.buf[src], fragLen)[:held+fragLen]
 			e.WriteSwitchPC(f.prog.Asm)
 			e.WriteSwitchCount(raw.Word(l))
-			e.RecvN(l, 2, func(i int, w raw.Word) {
-				if i < fragLen {
-					f.buf[src] = append(f.buf[src], w)
-				}
-			})
+			e.RecvN(l, 2, f.buf[src][held:])
 			e.WaitSwitchDone(nil)
 			if last {
 				e.Then(func(e *raw.Exec) {
 					total := len(f.buf[src])
 					e.WriteSwitchPC(f.prog.Out)
 					e.WriteSwitchCount(raw.Word(total))
-					e.SendN(total,
-						func(i int) raw.Word { return f.buf[src][i] })
+					e.SendN(total, f.buf[src])
 					e.WaitSwitchDone(nil)
 					e.Then(func(*raw.Exec) {
 						f.buf[src] = f.buf[src][:0]
@@ -114,17 +116,16 @@ func (f *egressFW) cryptoForward(e *raw.Exec, fragLen, pad int) {
 	e.WriteSwitchCount(raw.Word(fragLen + pad))
 	e.WriteSwitchCount(raw.Word(fragLen))
 	// Receive fragLen+pad words, transform, send fragLen onward.
-	words := make([]raw.Word, 0, fragLen)
-	e.RecvN(fragLen+pad, 1, func(i int, w raw.Word) {
-		if i < fragLen {
-			if i >= 5 { // payload words only
-				w ^= CryptoMask(f.rt.cfg.CryptoKey, i-5)
-			}
-			words = append(words, w)
+	words := slices.Grow(f.frag[:0], fragLen)[:fragLen]
+	f.frag = words
+	e.RecvN(fragLen+pad, 1, words)
+	e.OnDone(func() {
+		for i := 5; i < fragLen; i++ { // payload words only
+			words[i] ^= CryptoMask(f.rt.cfg.CryptoKey, i-5)
 		}
 	})
 	e.Compute(CryptoCyclesPerWord * fragLen)
-	e.SendN(fragLen, func(i int) raw.Word { return words[i] })
+	e.SendN(fragLen, words)
 	e.WaitSwitchDone(nil)
 	e.Then(func(*raw.Exec) { f.rt.stats.PktsOut[f.port]++ })
 }

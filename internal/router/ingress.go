@@ -1,6 +1,8 @@
 package router
 
 import (
+	"slices"
+
 	"repro/internal/ip"
 	"repro/internal/raw"
 	"repro/internal/rotor"
@@ -18,8 +20,11 @@ type ingressFW struct {
 	port int
 	prog *IngressProgram
 
-	// Current packet state.
+	// Current packet state. reply and grant hold the words the lookup
+	// tile and the crossbar answer with.
 	hdrWords  [5]raw.Word
+	reply     raw.Word
+	grant     raw.Word
 	havePkt   bool
 	firstFrag bool
 	remaining int // payload words not yet streamed
@@ -307,19 +312,18 @@ func (f *ingressFW) resetForRestore(restored bool, probation bool) {
 
 // handshake plays one quantum's header/grant exchange with the
 // crossbar: the switch enters its Quantum routine, the processor sends
-// hdr, hands the grant word to recv (nil discards it) and waits for the
-// routine to finish. A caller that acts on the grant enqueues its Then
-// right after.
-func (f *ingressFW) handshake(e *raw.Exec, hdr raw.Word, recv func(raw.Word)) {
+// hdr, receives the grant into f.grant and waits for the routine to
+// finish. A caller that acts on the grant enqueues its Then right after.
+func (f *ingressFW) handshake(e *raw.Exec, hdr raw.Word) {
 	e.WriteSwitchPC(f.prog.Quantum)
 	e.Send(hdr)
-	e.Recv(recv)
+	e.Recv(&f.grant)
 	e.WaitSwitchDone(nil)
 }
 
 // idleQuantum keeps the crossbar protocol in lockstep when this port has
 // nothing to send: an empty header, a (necessarily negative) grant.
-func (f *ingressFW) idleQuantum(e *raw.Exec) { f.handshake(e, LocalHdrEmpty, nil) }
+func (f *ingressFW) idleQuantum(e *raw.Exec) { f.handshake(e, LocalHdrEmpty) }
 
 // acquire reads the next packet's IP header from the line card, verifies
 // it, and resolves the egress port.
@@ -327,9 +331,8 @@ func (f *ingressFW) acquire(e *raw.Exec) {
 	f.pktStart = f.in.Consumed()
 	f.lineClaim = f.pktStart + int64(ip.HeaderWords)
 	e.WriteSwitchPC(f.prog.Acquire)
-	for i := 0; i < 5; i++ {
-		i := i
-		e.Recv(func(w raw.Word) { f.hdrWords[i] = w })
+	for i := range f.hdrWords {
+		e.Recv(&f.hdrWords[i])
 	}
 	// Checksum verify + TTL decrement + length extraction. The paper's
 	// ingress does this in a handful of unrolled ALU instructions.
@@ -355,10 +358,10 @@ func (f *ingressFW) acquire(e *raw.Exec) {
 		// The Acquire switch routine has committed to a lookup exchange;
 		// send the destination (a garbage word on the drop path).
 		e.Send(raw.Word(h.Dst))
-		var port raw.Word
-		e.Recv(func(w raw.Word) { port = w })
+		e.Recv(&f.reply)
 		e.WaitSwitchDone(nil)
 		e.Then(func(e *raw.Exec) {
+			port := f.reply
 			if bad || port == lookupNoRoute {
 				f.rt.stats.Dropped[f.port]++
 				f.drop(e)
@@ -436,31 +439,26 @@ func (f *ingressFW) lastFrag() bool {
 // ingest buffers a multicast packet's payload into local data memory
 // (2 cycles/word, §4.4) behind the already-held header words.
 func (f *ingressFW) ingest(e *raw.Exec) {
-	f.buf = f.buf[:0]
-	for _, w := range f.hdrWords {
-		f.buf = append(f.buf, w)
-	}
+	f.buf = append(f.buf[:0], f.hdrWords[:]...)
 	payload := f.totalLen - ip.HeaderWords
 	if payload == 0 {
 		return
 	}
+	f.buf = slices.Grow(f.buf, payload)[:f.totalLen]
 	e.WriteSwitchPC(f.prog.Drop)
 	e.WriteSwitchCount(raw.Word(payload))
-	e.RecvN(payload, 2, func(_ int, w raw.Word) {
-		f.buf = append(f.buf, w)
-	})
+	e.RecvN(payload, 2, f.buf[ip.HeaderWords:])
 	e.WaitSwitchDone(nil)
 }
 
 // mcastQuantum plays one multicast round: request the remaining members,
 // replay the buffered packet for those served.
 func (f *ingressFW) mcastQuantum(e *raw.Exec) {
-	var grant raw.Word
 	hdr := LocalHdrFirst(LocalHdrMcast(f.members, f.totalLen, true))
-	f.handshake(e, hdr, func(w raw.Word) { grant = w })
+	f.handshake(e, hdr)
 	e.Then(func(e *raw.Exec) {
-		served := GrantServed(grant)
-		_, l := DecodeGrant(grant)
+		served := GrantServed(f.grant)
+		_, l := DecodeGrant(f.grant)
 		if served == 0 {
 			f.rt.stats.Denied[f.port]++
 			return
@@ -468,12 +466,7 @@ func (f *ingressFW) mcastQuantum(e *raw.Exec) {
 		// One fanout-split stream serves every granted member.
 		e.WriteSwitchPC(f.prog.StreamP)
 		e.WriteSwitchCount(raw.Word(l))
-		e.SendN(l, func(i int) raw.Word {
-			if i < len(f.buf) {
-				return f.buf[i]
-			}
-			return 0 // padding
-		})
+		e.SendN(l, f.buf)
 		e.WaitSwitchDone(nil)
 		e.Then(func(*raw.Exec) {
 			f.rt.stats.FragsSent[f.port]++
@@ -520,10 +513,9 @@ func (f *ingressFW) quantum(e *raw.Exec) {
 	// §8.7: the IP precedence bits (TOS[7:5]) become the crossbar
 	// priority class.
 	hdr = LocalHdrPrio(hdr, uint8(f.hdrWords[0]>>16)>>5)
-	var grant raw.Word
-	f.handshake(e, hdr, func(w raw.Word) { grant = w })
+	f.handshake(e, hdr)
 	e.Then(func(e *raw.Exec) {
-		granted, l := DecodeGrant(grant)
+		granted, l := DecodeGrant(f.grant)
 		if !granted {
 			f.rt.stats.Denied[f.port]++
 			return // next Refill retries the quantum
@@ -544,16 +536,16 @@ func (f *ingressFW) stream(e *raw.Exec, l int) {
 		payload := frag - ip.HeaderWords
 		e.WriteSwitchPC(f.prog.Stream1)
 		// 5 updated header words from the processor.
-		e.SendN(5, func(i int) raw.Word { return f.hdrWords[i] })
+		e.SendN(5, f.hdrWords[:])
 		e.WriteSwitchCount(raw.Word(payload))
 		e.WriteSwitchCount(raw.Word(pad))
-		e.SendN(pad, func(int) raw.Word { return 0 })
+		e.SendN(pad, nil)
 		f.remaining -= payload
 	} else {
 		e.WriteSwitchPC(f.prog.Stream2)
 		e.WriteSwitchCount(raw.Word(frag))
 		e.WriteSwitchCount(raw.Word(pad))
-		e.SendN(pad, func(int) raw.Word { return 0 })
+		e.SendN(pad, nil)
 		f.remaining -= frag
 	}
 	e.WaitSwitchDone(nil)

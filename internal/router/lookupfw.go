@@ -47,7 +47,7 @@ type lookupFW struct {
 }
 
 func (f *lookupFW) Refill(e *raw.Exec) {
-	e.Recv(func(w raw.Word) { f.dst = w })
+	e.Recv(&f.dst)
 	e.Then(func(e *raw.Exec) {
 		// Class D (224.0.0.0/4): the §8.6 multicast group table, modeled
 		// as a small associative memory beside the lookup processor.
@@ -70,7 +70,7 @@ func (f *lookupFW) Refill(e *raw.Exec) {
 func (f *lookupFW) probe(e *raw.Exec) {
 	l1, chunks := tableBases(f.rt.tableEpoch)
 	// Level-1 probe.
-	e.CacheRead(l1+f.dst>>16, func(w raw.Word) { f.v1 = w })
+	e.CacheRead(l1+f.dst>>16, &f.v1)
 	e.Then(func(e *raw.Exec) {
 		f.rt.stats.Lookups[f.port]++
 		v := int32(f.v1)
@@ -80,7 +80,7 @@ func (f *lookupFW) probe(e *raw.Exec) {
 		}
 		// Long prefix: second probe into the chunk.
 		chunk := raw.Word(-2 - v)
-		e.CacheRead(chunks+chunk*lkChunkSize+f.dst&0xffff, func(w raw.Word) { f.v1 = w })
+		e.CacheRead(chunks+chunk*lkChunkSize+f.dst&0xffff, &f.v1)
 		e.Then(func(e *raw.Exec) { e.Send(replyWord(int32(f.v1))) })
 	})
 }

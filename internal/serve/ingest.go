@@ -177,6 +177,10 @@ type PortIngest struct {
 	QueuedWords         int64 `json:"queued_words"`
 }
 
+// pinHighWords is the input-pin backlog high-water mark above which the
+// pump stops offering: the batch driver's level.
+const pinHighWords = 4096
+
 // admission is the serve-side bridge between a Feeder and the router's
 // input pins: a bounded per-port packet queue with overload shedding.
 // Arrivals beyond the queue bound are dropped and counted — never

@@ -120,9 +120,6 @@ type Config struct {
 	// QueuePkts bounds each port's admission queue (default 64 packets);
 	// arrivals beyond it are shed, never blocked.
 	QueuePkts int
-	// HighWords is the input-pin backlog high-water mark above which the
-	// pump stops offering (default 4096 words, the batch driver's level).
-	HighWords int
 	// Gates are the SLO guardrails.
 	Gates Gates
 	// CheckpointPath, if set, receives the drain checkpoint (and
@@ -265,9 +262,6 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.QueuePkts <= 0 {
 		cfg.QueuePkts = 64
 	}
-	if cfg.HighWords <= 0 {
-		cfg.HighWords = 4096
-	}
 	if cfg.DrainBudgetSlices <= 0 {
 		cfg.DrainBudgetSlices = 256
 	}
@@ -277,7 +271,7 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:  cfg,
 		r:    cfg.Router,
-		adm:  newAdmission(cfg.QueuePkts, cfg.HighWords),
+		adm:  newAdmission(cfg.QueuePkts, pinHighWords),
 		slo:  newSLOLoop(cfg.Gates, cfg.ClockHz),
 		ctl:  make(chan func(), 16),
 		done: make(chan struct{}),

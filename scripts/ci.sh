@@ -109,7 +109,10 @@ echo "== cli: entry-point smoke =="
 # the watchdog, thaws, is restored and readmitted, and ends live),
 # fabsim's ring-4 fabric on its default antipodal permutation, and every
 # section of reproduce -quick once its per-section wall-clock lines are
-# dropped. rawrouter with no
+# dropped. rawrouter's RTRCKPT1 checkpoint (with and without a seeded
+# fault schedule) must be byte-identical across engines, and restoring
+# the reference engine's blob must print the same under either engine.
+# rawrouter with no
 # traffic flag must also print exactly what -workload permutation prints.
 # fabsim's mesh-16 must print the same at one worker as at the default
 # GOMAXPROCS. An unknown reproduce -exp section and a fabsim run without
@@ -135,6 +138,14 @@ for flag in "-faultseed 7" -trace "-faults corrupt:t4.w.w999999999.b1" "$ARC"; d
 	$RR $flag -engine ref >"$CLI/rr-flag-ref.txt"
 	$RR $flag -engine fast >"$CLI/rr-flag-fast.txt"
 	cmp "$CLI/rr-flag-ref.txt" "$CLI/rr-flag-fast.txt"
+done
+for flag in "" "-faultseed 7"; do
+	$RR $flag -engine ref -checkpoint "$CLI/ck-ref.bin" >/dev/null
+	$RR $flag -engine fast -checkpoint "$CLI/ck-fast.bin" >/dev/null
+	cmp "$CLI/ck-ref.bin" "$CLI/ck-fast.bin"
+	$RR $flag -engine ref -restore "$CLI/ck-ref.bin" >"$CLI/rs-ref.txt"
+	$RR $flag -engine fast -restore "$CLI/ck-ref.bin" >"$CLI/rs-fast.txt"
+	cmp "$CLI/rs-ref.txt" "$CLI/rs-fast.txt"
 done
 $RR -faults corrupt:t4.w.w999999999.b1 -metrics prom | grep -q '^raw_router_macro_windows_total [1-9]'
 $RR -workload uniform:size=64 -metrics prom | grep -q '^raw_router_parked_tile_cycles_total [1-9]'
