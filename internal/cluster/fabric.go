@@ -575,7 +575,7 @@ func (f *Fabric) bridgeDir(ti int, t *trunkState, d int) {
 func (f *Fabric) drainPins(t *trunkState, d int) {
 	src, srcPort, _, _ := t.endpoints(d)
 	td := &t.dir[d]
-	words, _ := f.chips[src].r.OutputSink(srcPort).Drain()
+	words := f.chips[src].r.OutputSink(srcPort).DrainWords()
 	td.drained += int64(len(words))
 	f.chips[src].wordsOut += int64(len(words))
 	for _, w := range words {

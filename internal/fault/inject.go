@@ -150,9 +150,11 @@ func (inj *Injector) BeginCycle(cycle int64) {
 
 // NextDue implements raw.Due from the schedule, since BeginCycle does not
 // run inside a macro window: cycle while a timed event is active (a flap
-// over its whole span, a crash forever), else the next Start, or -1.
-// Taps never make the plane due: macro windows pass every popped word
-// through CorruptPop, and drop taps count pushes made between Run calls.
+// over its whole span), else the next Start, or -1. A crash is due only
+// at its Start: from then on its tile stays frozen and changes nothing,
+// and macro windows and parking treat a frozen tile as inert. Taps never
+// make the plane due: macro windows pass every popped word through
+// CorruptPop, and drop taps count pushes made between Run calls.
 func (inj *Injector) NextDue(cycle int64) int64 {
 	for i := range inj.timed {
 		e := &inj.timed[i]
@@ -160,10 +162,13 @@ func (inj *Injector) NextDue(cycle int64) int64 {
 			return e.Start // sorted: the earliest later start
 		}
 		end := e.Start + e.Dur
-		if e.Kind == KindFlap {
+		switch e.Kind {
+		case KindFlap:
 			end = e.Start + int64(2*e.Repeat-1)*e.Dur
+		case KindCrash:
+			end = e.Start + 1
 		}
-		if e.Kind == KindCrash || cycle < end {
+		if cycle < end {
 			return cycle
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/raw"
 	"repro/internal/raw/asm"
@@ -670,5 +671,73 @@ func TestFastEngineReprogramMidRun(t *testing.T) {
 	got := run(raw.EngineFast)
 	if got != want {
 		t.Fatalf("reprogramming mid-run diverged\n%s", firstDiff(want, got))
+	}
+}
+
+// TestLongWindowRunMoves drives one macro window far longer than a run
+// chunk through every kind of stream a window moves, on both engines.
+// On network 0 a 1,000-word west-edge backlog (δ = −1) streams east
+// along row 0 through δ = 0 links; tile (0,0) fans each word out to its
+// north sink as well, and tile (2,0) down column 2 to the south sink. On
+// network 1 a backlog streams west along row 0. Sinks take the appended
+// runs (δ = +1): a capacity-2 link cannot, since it would bound the
+// window below macroMinCycles. With corrupt taps the popped words pass
+// the fault plane inside the window, on the edge link and on δ = 0
+// links. Drained words and exit cycles must match the reference engine.
+func TestLongWindowRunMoves(t *testing.T) {
+	const backlog = 1000
+	type sinkKey struct{ net, tile int }
+	for _, taps := range []string{"", "corrupt:t0.w.w700.b5;corrupt:t1.w.w500.b3;corrupt:t6.n.w999.b0;corrupt:t2.e.w300.b7.n1"} {
+		run := func(eng raw.Engine) (map[sinkKey]string, int64) {
+			cfg := raw.DefaultConfig()
+			cfg.Engine = eng
+			chip := raw.NewChip(cfg)
+			prog := func(x, y, net int, routes ...raw.Route) {
+				if err := chip.TileAt(x, y).SetSwitchProgramOn(net, routeAll(routes...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prog(0, 0, 0, raw.Route{Dst: raw.DirE, Src: raw.DirW}, raw.Route{Dst: raw.DirN, Src: raw.DirW})
+			prog(1, 0, 0, raw.Route{Dst: raw.DirE, Src: raw.DirW})
+			prog(2, 0, 0, raw.Route{Dst: raw.DirE, Src: raw.DirW}, raw.Route{Dst: raw.DirS, Src: raw.DirW})
+			prog(3, 0, 0, raw.Route{Dst: raw.DirE, Src: raw.DirW})
+			for y := 1; y < 4; y++ {
+				prog(2, y, 0, raw.Route{Dst: raw.DirS, Src: raw.DirN})
+			}
+			for x := 0; x < 4; x++ {
+				prog(x, 0, 1, raw.Route{Dst: raw.DirW, Src: raw.DirE})
+			}
+			if taps != "" {
+				chip.InstallFaults(fault.NewInjector(fault.MustParse(taps), chip.NumTiles()))
+			}
+			for i := 0; i < backlog; i++ {
+				chip.StaticIn(0, raw.DirW).Push(raw.Word(i))
+				chip.StaticInOn(1, 3, raw.DirE).Push(raw.Word(1 << 20 * i))
+			}
+			chip.Run(2 * backlog)
+			out := map[sinkKey]string{}
+			for _, s := range []struct {
+				net, tile int
+				d         raw.Dir
+			}{{0, 0, raw.DirN}, {0, 3, raw.DirE}, {0, chip.TileAt(2, 3).ID(), raw.DirS}, {1, 0, raw.DirW}} {
+				words, at := chip.StaticOutOn(s.net, s.tile, s.d).Drain()
+				if len(words) != backlog {
+					t.Fatalf("%v: net %d tile %d %v sank %d words, want %d", eng, s.net, s.tile, s.d, len(words), backlog)
+				}
+				out[sinkKey{s.net, s.tile}] = fmt.Sprint(words, at)
+			}
+			_, cycles := chip.MacroStats()
+			return out, cycles
+		}
+		want, _ := run(raw.EngineRef)
+		got, cycles := run(raw.EngineFast)
+		if cycles < backlog-20 {
+			t.Errorf("taps %q: macro windows covered %d cycles, want one window of nearly %d", taps, cycles, backlog)
+		}
+		for k, w := range want {
+			if got[k] != w {
+				t.Errorf("taps %q: sink %+v diverged\nref:  %.300s\nfast: %.300s", taps, k, w, got[k])
+			}
+		}
 	}
 }

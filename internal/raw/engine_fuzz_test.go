@@ -334,6 +334,28 @@ func fuzzChip(seed uint64, eng raw.Engine) *fuzzRun {
 	if err := chip.EnableRecording(); err != nil {
 		panic(err)
 	}
+	// Sometimes one network carries a ring of self-loop streamers round
+	// the 2×2 block on the west edge at row ringY: its north-west tile
+	// first routes ringWords west-edge words in, then every tile passes
+	// words round clockwise. Once each link holds a word the four
+	// switches stream with no first writer, and the window declines.
+	// Sometimes the whole chip streams: every switch is a plain pipe
+	// along its network's flow, a tile on a side edge may also copy each
+	// word out of that edge, and all firmware quiesces, so macro windows
+	// move runs across the mesh.
+	quiet := r.Intn(4) == 0
+	ringNet, ringY, ringWords := -1, r.Intn(cfg.Height-1), 4+r.Intn(4)
+	if r.Intn(4) == 0 {
+		ringNet = r.Intn(raw.NumStaticNets)
+	}
+	ring := map[int][]raw.SwInstr{
+		ringY * cfg.Width: {
+			{Op: raw.SwRouteN, Arg: raw.Word(ringWords), Routes: []raw.Route{{Dst: raw.DirE, Src: raw.DirW}}},
+			{Op: raw.SwJump, Arg: 1, Routes: []raw.Route{{Dst: raw.DirE, Src: raw.DirS}}}},
+		ringY*cfg.Width + 1:     {{Op: raw.SwJump, Routes: []raw.Route{{Dst: raw.DirS, Src: raw.DirW}}}},
+		(ringY+1)*cfg.Width + 1: {{Op: raw.SwJump, Routes: []raw.Route{{Dst: raw.DirW, Src: raw.DirN}}}},
+		(ringY + 1) * cfg.Width: {{Op: raw.SwJump, Routes: []raw.Route{{Dst: raw.DirN, Src: raw.DirE}}}},
+	}
 	cache := r.Intn(2) == 0
 	if cache {
 		mem.Attach(chip, 1+r.Intn(20))
@@ -349,6 +371,19 @@ func fuzzChip(seed uint64, eng raw.Engine) *fuzzRun {
 			}
 			if pos == lane[net] && r.Intn(8) != 0 {
 				prog, routeV = fuzzPipe(r, run.flow[net]), nil
+			}
+			if quiet {
+				flow := run.flow[net]
+				routes := []raw.Route{{Dst: flow, Src: flow.Opposite()}}
+				for _, side := range []raw.Dir{(flow + 1) % 4, (flow + 3) % 4} {
+					if t.Boundary(side) && r.Intn(2) == 0 {
+						routes = append(routes, raw.Route{Dst: side, Src: flow.Opposite()})
+					}
+				}
+				prog, routeV = []raw.SwInstr{{Op: raw.SwJump, Routes: routes}}, nil
+			}
+			if ringProg, ok := ring[id]; ok && net == ringNet {
+				prog, routeV = ringProg, nil
 			}
 			if err := t.SetSwitchProgramOn(net, prog); err != nil {
 				panic(err)
@@ -376,6 +411,9 @@ func fuzzChip(seed uint64, eng raw.Engine) *fuzzRun {
 		default:
 			fw.left = r.Intn(40)
 		}
+		if quiet {
+			fw.left = r.Intn(40)
+		}
 		fw.portOnly = len(fw.recvs)+len(fw.sends) > 0 && r.Intn(2) == 0
 		run.fws = append(run.fws, fw)
 		t.Exec().SetFirmware(fw)
@@ -396,8 +434,27 @@ func fuzzChip(seed uint64, eng raw.Engine) *fuzzRun {
 	}
 	run.upstream = len(run.ins)
 	run.ins = append(run.ins, rest...)
+	if ringNet >= 0 {
+		for i := 0; i < ringWords; i++ {
+			chip.StaticInOn(ringNet, ringY*cfg.Width, raw.DirW).Push(raw.Word(i + 1))
+		}
+	}
 	if r.Intn(2) == 0 {
-		chip.InstallFaults(fault.NewInjector(fuzzSchedule(r, n), n))
+		s := &fault.Schedule{}
+		if !quiet || r.Intn(2) == 0 {
+			s = fuzzSchedule(r, n)
+		}
+		if len(s.Events) == 0 || r.Intn(2) == 0 {
+			// Corrupt taps on links along the flow, deep enough into the
+			// stream that a window often pops a tapped word.
+			for i := 1 + r.Intn(4); i > 0; i-- {
+				net := r.Intn(raw.NumStaticNets)
+				s.Events = append(s.Events, fault.Event{Kind: fault.KindCorrupt,
+					Tile: r.Intn(n), Dir: run.flow[net].Opposite(), Net: net,
+					WordIdx: int64(r.Intn(200)), Bit: r.Intn(32)})
+			}
+		}
+		chip.InstallFaults(fault.NewInjector(s, n))
 	}
 	if r.Intn(2) == 0 {
 		run.hook = &fuzzHook{chip: chip, flow: run.flow, period: int64(1 + r.Intn(128)), rng: r.Fork(0x400c)}
@@ -516,6 +573,9 @@ func FuzzEngineEquivalence(f *testing.F) {
 				i, words := plan.Intn(len(ref.ins)), plan.Intn(60)
 				if plan.Intn(4) != 0 {
 					i = plan.Intn(ref.upstream)
+				}
+				if plan.Intn(16) == 0 {
+					words = 300 + plan.Intn(500) // longer than a run chunk
 				}
 				for j := 0; j < words; j++ {
 					w := raw.Word(plan.Uint64())

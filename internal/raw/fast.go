@@ -131,6 +131,15 @@ type fastEngine struct {
 	plan      []int32
 	frozen    []int32
 	macroSt   []TileState
+
+	// Run moves (see macro.go): the window's streams in discovery order
+	// and writers first, each admitted switch's stream per source
+	// direction, and one chunk of run scratch per stream, grown on
+	// first use.
+	streams  []macroStream
+	order    []int32
+	streamAt []int32 // [(tile*NumStaticNets + net)*numDirs + dir]
+	runs     []Word
 }
 
 // buildFastEngine resolves all bindings from the chip's current
@@ -146,6 +155,7 @@ func buildFastEngine(c *Chip) *fastEngine {
 		macroSrcM: make([]uint8, n*NumStaticNets),
 		macroDstM: make([]uint8, n*NumStaticNets),
 		macroSt:   make([]TileState, n),
+		streamAt:  make([]int32, n*NumStaticNets*int(numDirs)),
 		park:      make([]parkRec, n),
 	}
 	for _, h := range c.stepHooks {

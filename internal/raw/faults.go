@@ -5,15 +5,21 @@ package raw
 // choke points; every hook is nil-guarded so an un-faulted chip pays one
 // predictable branch per call site and nothing else.
 //
-// NextDue (see Due) must cover every cycle with a fault active: macro
-// windows consult only CorruptPop, once per word they pop, in the same
-// per-link order stepped cycles would.
+// NextDue (see Due) must cover every cycle in which the plane's state
+// changes or a fault other than a frozen tile acts: macro windows call
+// CorruptPop once per word they pop, in the same per-link order stepped
+// cycles would, and skip a frozen tile as stepped cycles do, so a crash
+// (a freeze without end) need be due only at its start.
 // The other methods are called from within a simulated cycle and must be
 // read-only with respect to state shared across tiles: BeginCycle runs
-// once per stepped cycle before any tile steps, and is the only place
-// the plane may mutate global state. TileFrozen and LinkStalled are
-// consulted by every tile in the cycle and must be pure reads of state
-// settled in BeginCycle, so the cycle stays independent of tile order.
+// before any tile steps, and is the only place the plane may mutate
+// global state. BeginCycle(cycle) must settle the per-cycle state as a
+// pure function of cycle, since it may run more than once for one cycle:
+// each stepped cycle calls it, and a macro-window attempt calls it for
+// the window's first cycle before admission reads TileFrozen.
+// TileFrozen and LinkStalled are consulted by every tile in the cycle
+// and must be pure reads of state settled in BeginCycle, so the cycle
+// stays independent of tile order.
 // CorruptPop and DropEdgeWord may keep per-link mutable state: each
 // static link has exactly one popping tile and edge pushes happen
 // between cycles, so a per-(tile,dir,net) counter has a single writer.

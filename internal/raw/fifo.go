@@ -75,15 +75,21 @@ func (f *fifo) commit() {
 		}
 	}
 	if len(f.staged) > 0 {
-		if len(f.buf)+len(f.staged) > cap(f.buf) {
-			f.buf = f.buf[:copy(f.buf, f.buf[f.head:])]
-			f.head = 0
-		}
-		f.buf = append(f.buf, f.staged...)
+		f.put(f.staged)
 		f.staged = f.staged[:0]
 		f.pushed = 0
 	}
 	f.startLen = len(f.buf) - f.head
+}
+
+// put appends committed words, compacting the consumed prefix when the
+// backing array is full.
+func (f *fifo) put(ws []Word) {
+	if len(f.buf)+len(ws) > cap(f.buf) {
+		f.buf = f.buf[:copy(f.buf, f.buf[f.head:])]
+		f.head = 0
+	}
+	f.buf = append(f.buf, ws...)
 }
 
 // reset empties the queue and clears all staged state. Only valid between

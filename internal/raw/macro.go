@@ -1,5 +1,7 @@
 package raw
 
+import "slices"
+
 // Steady-state macro-stepping.
 //
 // The paper's streaming workloads spend most cycles in tight switch
@@ -9,8 +11,8 @@ package raw
 // fires every cycle, every frozen engine repeats the same stall, and
 // queue occupancies change by a constant per cycle. tryMacroStep detects
 // the regime, computes the largest window K over which it provably
-// persists, and advances K cycles with one tight loop — then restores
-// the exact state single-cycle stepping would have produced.
+// persists, and advances K cycles by moving runs of words — then
+// restores the exact state single-cycle stepping would have produced.
 //
 // Any refusal falls back to Chip.Step, which is always correct; every
 // declined window is attributed in MacroDisarms. Each declarer (see Due)
@@ -18,7 +20,11 @@ package raw
 // quantum boundaries, a schedule between faults, an idle memory port or
 // a tracer outside its window does not disarm the stepper.
 //
-// Tile admission (per-cycle scan, earliest reject wins):
+// Tile admission (per-cycle scan, earliest reject wins). The scan first
+// settles the fault plane for the window's first cycle (BeginCycle), and
+// skips a tile the plane freezes: a frozen tile steps and counts
+// nothing, in the window as in a stepped cycle, so a crashed tile does
+// not keep windows from opening.
 //
 //   - Every processor is either stable-idle (no queued micro-ops, state
 //     already Idle, firmware absent or permanently quiesced) or provably
@@ -54,13 +60,28 @@ package raw
 // occupancy ≥ 1, so a same-cycle push can never be observed by the pop
 // regardless of intra-cycle order.
 //
+// Executing the window (moveRuns): a stream is one streamer's distinct
+// source direction, and its run is the K words it pops, in order. An
+// edge backlog or a δ=-1 queue yields its first K words; a δ=0 queue
+// yields its L committed words followed by its writer stream's run.
+// Each queue has one writer stream, so runs are built writers first,
+// and each passes through the fault plane's CorruptPop word by word as
+// soon as it is built, before any reader copies it: pop counters are
+// per link, so word order within a link is all a tap observes. A ring
+// of streamers has no first writer; its window declines (switch_state)
+// before anything moves. Then backlogs and δ=-1 queues advance K words
+// (edge backlogs count them as taken), each δ=0 queue ends holding the
+// last L words of its contents followed by its writer's run, and every
+// route appends its source's run to a δ=+1 queue or a boundary sink.
+// A sink stamps the run as one run of exit cycles (first cycle, count).
+// Runs are moved in chunks of at most macroChunk cycles, so the scratch
+// stays one chunk per stream whatever K is.
+//
 // State restored after the window: streamers advance moves += K·routes
 // (a counted loop also retires K iterations, advancing pc when it
-// completes), frozen switches accrue K stalls, every processor accrues K
-// cycles of its blocked (or idle) state, edge sinks receive words with
-// exact cycle stamps, unbounded pops advance the taken counter per word,
-// every popped word passes the fault plane's CorruptPop as a stepped pop
-// would, touched queues re-arm their start-of-cycle snapshots, and the
+// completes), frozen switches accrue K stalls, every processor not
+// frozen by the fault plane accrues K cycles of its blocked (or idle)
+// state, touched queues re-arm their start-of-cycle snapshots, and the
 // chip cycle advances by K. Checkpoint digests cover all of this, so the
 // equivalence suite verifies macro windows bit for bit.
 
@@ -82,6 +103,12 @@ func (c *Chip) tryMacroStep(budget int64) int64 {
 		return 0
 	}
 	fe := c.ensureFast()
+	if c.faults != nil {
+		// Settle the plane for the window's first cycle: TileFrozen
+		// otherwise answers for the last stepped cycle, and a freeze
+		// that has just ended would still read as frozen.
+		c.faults.BeginCycle(c.cycle)
+	}
 	if !fe.procsInert() {
 		c.macroDisarms[MacroExecBusy]++
 		return 0
@@ -126,6 +153,9 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 	// idle, switches halted, blocked (frozen) or firing — collecting the
 	// admitted streamers with their route masks.
 	for _, t := range c.tiles {
+		if fe.tileFrozen(t.id) {
+			continue // a frozen tile steps nothing
+		}
 		// An idle processor refills next cycle: only firmware that has
 		// permanently quiesced keeps Refill (and its side effects) off
 		// the window's cycles.
@@ -267,33 +297,17 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 		return abort(MacroFlowBound)
 	}
 
-	// Execute the window.
-	cyc, fp := c.cycle, c.faults
-	for i := int64(0); i < k; i++ {
-		for _, idx := range plan {
-			b := &fe.sw[idx]
-			cp, pc := b.sw.comp, b.sw.pc
-			lo := cp.base[pc]
-			hi := lo + uint32(cp.count[pc])
-			var val [numDirs]Word
-			var have uint8
-			for j := lo; j < hi; j++ {
-				sd := cp.src[j]
-				if have&(1<<sd) == 0 {
-					have |= 1 << sd
-					val[sd] = b.macroPop(fp, Dir(sd))
-				}
-			}
-			for j := lo; j < hi; j++ {
-				dd := Dir(cp.dst[j])
-				w := val[cp.src[j]]
-				if sink := b.dstSink[dd]; sink != nil {
-					sink.push(cyc+i, w)
-				} else {
-					macroPush(b.dstF[dd], w)
-				}
-			}
-		}
+	// Execute the window as run moves, in chunks of at most macroChunk
+	// cycles. A ring of streamers has no first writer to build runs
+	// from, so it declines before any queue or tap counter changes.
+	fe.plan = plan
+	if !fe.orderStreams() {
+		return abort(MacroSwitchState)
+	}
+	for done := int64(0); done < k; {
+		n := min(k-done, macroChunk)
+		fe.moveRuns(c.cycle+done, int(n))
+		done += n
 	}
 
 	// Restore per-cycle bookkeeping to what K cycles leave behind.
@@ -336,6 +350,9 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 		s.movedNow = false
 	}
 	for _, t := range c.tiles {
+		if fe.tileFrozen(t.id) {
+			continue // a frozen tile counts nothing
+		}
 		// Each skipped cycle is one reference-engine step parked in the
 		// same state: setState(st) K times. A parked tile's record moves
 		// past the window, which accounts its cycles here.
@@ -365,18 +382,21 @@ func (c *Chip) MacroStats() (windows, cycles int64) {
 
 // procsInert records each processor's window state (macroProcState) in
 // macroSt, from the tile busy at the last decline, and reports whether
-// all are inert. It reads only bounded queues: a pure predicate.
+// all are inert; a frozen tile's processor is. It reads only bounded
+// queues: a pure predicate.
 func (fe *fastEngine) procsInert() bool {
 	tiles := fe.c.tiles
 	i := fe.busy
 	for range tiles {
 		t := tiles[i]
-		st, ok := macroProcState(t)
-		if !ok {
-			fe.busy = t.id
-			return false
+		if !fe.tileFrozen(t.id) {
+			st, ok := macroProcState(t)
+			if !ok {
+				fe.busy = t.id
+				return false
+			}
+			fe.macroSt[t.id] = st
 		}
-		fe.macroSt[t.id] = st
 		if i++; i == len(tiles) {
 			i = 0
 		}
@@ -448,6 +468,13 @@ func macroProcState(t *Tile) (TileState, bool) {
 	return 0, false
 }
 
+// tileFrozen reports whether the fault plane freezes tile id for the
+// window, as it would each stepped cycle: a frozen tile steps and counts
+// nothing.
+func (fe *fastEngine) tileFrozen(id int) bool {
+	return fe.c.faults != nil && fe.c.faults.TileFrozen(id)
+}
+
 // macroWriterActive reports whether the internal queue feeding b's
 // source direction d is written every window cycle — i.e. its writer,
 // the neighbor's same-network switch, is an admitted streamer routing
@@ -466,43 +493,137 @@ func (fe *fastEngine) macroReaderActive(b *swBind, d Dir) bool {
 	return fe.macroOn[ridx] && fe.macroSrcM[ridx]&(1<<d.Opposite()) != 0
 }
 
-// macroPop pops one committed word, replicating what one cycle's staged
-// pop plus commit would do to the ring (fifo: lazy head advance with
-// reset-on-drain; edge queue: head advance, taken count, amortized
-// compaction), and passes it through the fault plane's corruption taps
-// as swBind.pop does (a window never pops the processor port).
-// Occupancy ≥ 1 is guaranteed by the window bound.
-func (b *swBind) macroPop(fp FaultPlane, d Dir) Word {
-	var w Word
-	if f := b.srcF[d]; f != nil {
-		w = f.buf[f.head]
-		f.head++
-		if f.head == len(f.buf) {
-			f.buf = f.buf[:0]
-			f.head = 0
-		}
-	} else {
-		u := b.srcU[d]
-		w = u.buf[u.head]
-		u.head++
-		u.taken++
-		if u.head >= 64 && u.head*2 >= len(u.buf) {
-			u.buf = u.buf[:copy(u.buf, u.buf[u.head:])]
-			u.head = 0
-		}
-	}
-	if fp != nil {
-		w = fp.CorruptPop(int(b.tid), d, int(b.net), w)
-	}
-	return w
+// macroStream is one admitted streamer's distinct source direction: the
+// queue it pops once per window cycle, and the stream that writes that
+// queue when the queue's writer is admitted too (δ = 0), else -1. Each
+// queue has one writer and a switch routes each destination from one
+// source, so a stream has at most one writer stream.
+type macroStream struct {
+	b      *swBind
+	d      Dir
+	writer int32
+	mark   uint8 // orderStreams' walk: 1 on the current chain, 2 ordered
 }
 
-// macroPush appends one word, replicating a staged push plus commit
-// (compact the consumed prefix when the backing array is full).
-func macroPush(f *fifo, w Word) {
-	if len(f.buf)+1 > cap(f.buf) {
-		f.buf = f.buf[:copy(f.buf, f.buf[f.head:])]
+// macroChunk is the most cycles one run move covers: the run scratch
+// holds one chunk per stream, and a longer window moves in chunks.
+const macroChunk = 256
+
+// orderStreams lists the window's streams, links each δ = 0 source to
+// its writer stream, and orders them writers first by walking up each
+// writer chain. It reports false when a chain closes on itself: a ring
+// of streamers circulating words has no first writer.
+func (fe *fastEngine) orderStreams() bool {
+	streams := fe.streams[:0]
+	for _, idx := range fe.plan {
+		for d := DirN; d < DirP; d++ {
+			if fe.macroSrcM[idx]&(1<<d) != 0 {
+				fe.streamAt[int(idx)*int(numDirs)+int(d)] = int32(len(streams))
+				streams = append(streams, macroStream{b: &fe.sw[idx], d: d, writer: -1})
+			}
+		}
+	}
+	for i := range streams {
+		s := &streams[i]
+		if s.b.srcU[s.d] != nil || !fe.macroWriterActive(s.b, s.d) {
+			continue
+		}
+		widx := s.b.tile.neighbor(s.d).id*NumStaticNets + int(s.b.net)
+		cp, pc := fe.sw[widx].sw.comp, fe.sw[widx].sw.pc
+		lo := cp.base[pc]
+		for j := lo; j < lo+uint32(cp.count[pc]); j++ {
+			if Dir(cp.dst[j]) == s.d.Opposite() {
+				s.writer = fe.streamAt[widx*int(numDirs)+int(cp.src[j])]
+			}
+		}
+	}
+	fe.streams = streams
+	order := fe.order[:0]
+	for i := range streams {
+		top := len(order)
+		j := int32(i)
+		for j >= 0 && streams[j].mark == 0 {
+			streams[j].mark = 1
+			order = append(order, j)
+			j = streams[j].writer
+		}
+		if j >= 0 && streams[j].mark == 1 {
+			return false
+		}
+		slices.Reverse(order[top:])
+		for _, j := range order[top:] {
+			streams[j].mark = 2
+		}
+	}
+	fe.order = order
+	return true
+}
+
+// moveRuns advances the window's streams n cycles from cycle at. Each
+// stream's run is the n words its source yields — an edge backlog's or
+// drained queue's prefix, or a δ = 0 queue's contents followed by its
+// writer's run — built writers first and passed through the fault
+// plane's CorruptPop word by word before any reader copies it. Pop
+// counters are per link, so in-link order is all a tap can observe.
+// Then sources advance, each δ = 0 queue ends holding the last L words
+// of its contents followed by its writer's run (L its occupancy), and
+// routes append runs to δ = +1 queues and to sinks, stamped from at.
+func (fe *fastEngine) moveRuns(at int64, n int) {
+	if need := len(fe.streams) * macroChunk; len(fe.runs) < need {
+		fe.runs = make([]Word, need)
+	}
+	run := func(s int32) []Word { return fe.runs[int(s)*macroChunk:][:n] }
+	fp := fe.c.faults
+	for _, i := range fe.order {
+		s := &fe.streams[i]
+		r := run(i)
+		var m int
+		if u := s.b.srcU[s.d]; u != nil {
+			m = copy(r, u.buf[u.head:])
+		} else {
+			f := s.b.srcF[s.d]
+			m = copy(r, f.buf[f.head:])
+		}
+		if m < n {
+			copy(r[m:], run(s.writer))
+		}
+		if fp != nil {
+			for j, w := range r {
+				r[j] = fp.CorruptPop(int(s.b.tid), s.d, int(s.b.net), w)
+			}
+		}
+	}
+	for i := range fe.streams {
+		s := &fe.streams[i]
+		if u := s.b.srcU[s.d]; u != nil {
+			u.popped = n
+			u.commit()
+			continue
+		}
+		f := s.b.srcF[s.d]
+		if s.writer < 0 {
+			f.popped = n
+			f.commit()
+			continue
+		}
+		// δ = 0: keep the last l words of contents followed by the run.
+		l := len(f.buf) - f.head
+		k := copy(f.buf, f.buf[f.head+min(n, l):])
+		f.buf = append(f.buf[:k], run(s.writer)[n-l+k:]...)
 		f.head = 0
 	}
-	f.buf = append(f.buf, w)
+	for _, idx := range fe.plan {
+		b := &fe.sw[idx]
+		cp, pc := b.sw.comp, b.sw.pc
+		lo := cp.base[pc]
+		for j := lo; j < lo+uint32(cp.count[pc]); j++ {
+			d := Dir(cp.dst[j])
+			r := run(fe.streamAt[int(idx)*int(numDirs)+int(cp.src[j])])
+			if sink := b.dstSink[d]; sink != nil {
+				sink.pushRun(at, r)
+			} else if !fe.macroReaderActive(b, d) {
+				b.dstF[d].put(r)
+			}
+		}
+	}
 }

@@ -239,24 +239,59 @@ func (t *Tile) CacheStats() (hits, misses int64) { return t.cache.Hits(), t.cach
 func (t *Tile) InvalidateCacheRange(addr Word, n int) { t.cache.invalidate(addr, n) }
 
 // EdgeSink collects words that left the chip through a boundary static
-// link, stamped with the cycle they crossed the pins.
+// link, stamped with the cycle they crossed the pins. At most one word
+// crosses a link per cycle, so the stamps are kept as runs of words that
+// left on consecutive cycles: a macro window appends one run.
 type EdgeSink struct {
-	words  []Word
-	cycles []int64
-	total  int64
+	words []Word
+	runs  []stampRun
+	total int64
 }
+
+// stampRun stamps n consecutive buffered words with the cycles at,
+// at+1, ..., at+n-1.
+type stampRun struct{ at, n int64 }
 
 func (s *EdgeSink) push(cycle int64, w Word) {
 	s.words = append(s.words, w)
-	s.cycles = append(s.cycles, cycle)
-	s.total++
+	s.stamp(cycle, 1)
+}
+
+// pushRun sinks ws, which left on consecutive cycles from at.
+func (s *EdgeSink) pushRun(at int64, ws []Word) {
+	s.words = append(s.words, ws...)
+	s.stamp(at, int64(len(ws)))
+}
+
+func (s *EdgeSink) stamp(at, n int64) {
+	s.total += n
+	if k := len(s.runs) - 1; k >= 0 && s.runs[k].at+s.runs[k].n == at {
+		s.runs[k].n += n
+		return
+	}
+	s.runs = append(s.runs, stampRun{at, n})
 }
 
 // Drain returns and clears the buffered words and their exit cycles.
 func (s *EdgeSink) Drain() ([]Word, []int64) {
-	w, c := s.words, s.cycles
-	s.words, s.cycles = nil, nil
-	return w, c
+	var cycles []int64
+	if len(s.words) > 0 {
+		cycles = make([]int64, 0, len(s.words))
+	}
+	for _, r := range s.runs {
+		for c := r.at; c < r.at+r.n; c++ {
+			cycles = append(cycles, c)
+		}
+	}
+	return s.DrainWords(), cycles
+}
+
+// DrainWords returns and clears the buffered words, dropping their exit
+// cycles.
+func (s *EdgeSink) DrainWords() []Word {
+	w := s.words
+	s.words, s.runs = nil, s.runs[:0]
+	return w
 }
 
 // Count returns the total number of words ever sunk, including drained
@@ -275,7 +310,16 @@ func (s *EdgeSink) DropFront(n int) {
 		panic("raw: DropFront beyond buffered words")
 	}
 	s.words = s.words[n:]
-	s.cycles = s.cycles[n:]
+	i, left := 0, int64(n)
+	for left > 0 && left >= s.runs[i].n {
+		left -= s.runs[i].n
+		i++
+	}
+	s.runs = s.runs[i:]
+	if left > 0 {
+		s.runs[0].at += left
+		s.runs[0].n -= left
+	}
 }
 
 // StaticIn is a testbench handle for pushing words into a boundary static

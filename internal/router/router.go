@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/ip"
@@ -462,12 +463,14 @@ func (r *Router) Cycle() int64 { return r.Chip.Cycle() }
 // offsets) are discarded silently — they are already accounted in
 // Stats.FabricLost.
 func (r *Router) DrainOutput(p int) ([]ip.Packet, error) {
-	words, _ := r.outs[p].Drain()
+	words := r.outs[p].DrainWords()
+	all := slices.Grow(r.parseBuf[p], len(words))
 	for _, w := range words {
-		r.parseBuf[p] = append(r.parseBuf[p], uint32(w))
+		all = append(all, uint32(w))
 	}
+	r.parseBuf[p] = all
 	var pkts []ip.Packet
-	buf := r.parseBuf[p]
+	buf := all
 	for {
 		// Words available before the next degrade cut, if any.
 		for len(r.cuts[p]) > 0 && r.cuts[p][0] <= r.parsed[p] {
@@ -518,7 +521,9 @@ func (r *Router) DrainOutput(p int) ([]ip.Packet, error) {
 		buf = buf[n:]
 		r.parsed[p] += int64(n)
 	}
-	r.parseBuf[p] = buf
+	// Keep the unparsed tail at the front, so the next drain appends in
+	// place instead of regrowing the buffer.
+	r.parseBuf[p] = all[:copy(all, buf)]
 	return pkts, nil
 }
 

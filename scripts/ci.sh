@@ -104,21 +104,25 @@ echo "== cli: entry-point smoke =="
 # interpreter and the fast engine: rawrouter on its default workload (also
 # with a seeded fault schedule, with the Figure 7-3 tracer, whose due
 # cycles bound the fast engine's macro windows, with a corrupt tap past
-# the end of the run, which must not keep windows from opening, and
-# through the whole recovery arc: a frozen crossbar tile is degraded by
-# the watchdog, thaws, is restored and readmitted, and ends live),
+# the end of the run, which must not keep windows from opening, through
+# the whole recovery arc: a frozen crossbar tile is degraded by the
+# watchdog, thaws, is restored and readmitted, and ends live, and with a
+# crashed crossbar tile, which is due only at its start),
 # fabsim's ring-4 fabric on its default antipodal permutation, and every
 # section of reproduce -quick once its per-section wall-clock lines are
 # dropped. rawrouter's RTRCKPT1 checkpoint (with and without a seeded
-# fault schedule) must be byte-identical across engines, and restoring
+# fault schedule, and after the crash) must be byte-identical across
+# engines, and restoring
 # the reference engine's blob must print the same under either engine.
 # rawrouter with no
 # traffic flag must also print exactly what -workload permutation prints.
 # fabsim's mesh-16 must print the same at one worker as at the default
 # GOMAXPROCS. An unknown reproduce -exp section and a fabsim run without
 # -topology must exit 2. Macro windows must open past a never-reached
-# corrupt tap, and the fast engine must park tiles at 64 B uniform (a
-# skip that never engages fails here).
+# corrupt tap and keep opening after the crash (at least half the
+# healthy run's windows; a crash that stayed due opened none after it),
+# and the fast engine must park tiles at 64 B uniform (a skip that never
+# engages fails here).
 # examples/edgerouter, the only run whose table fills DRAM chunks (1,972
 # of them for its /9-/24 prefixes), must print exactly the lines below,
 # and so must examples/multicast, the only run that prints the §8.6
@@ -134,12 +138,13 @@ $RR -workload permutation >"$CLI/rr-perm.txt"
 cmp "$CLI/rr-ref.txt" "$CLI/rr-fast.txt"
 cmp "$CLI/rr-fast.txt" "$CLI/rr-perm.txt"
 ARC="-cycles 100000 -watchdog -autorestore -faults freeze@15000+45000:t6"
-for flag in "-faultseed 7" -trace "-faults corrupt:t4.w.w999999999.b1" "$ARC"; do
+CRASH="-watchdog -faults crash@15000:t6"
+for flag in "-faultseed 7" -trace "-faults corrupt:t4.w.w999999999.b1" "$ARC" "$CRASH"; do
 	$RR $flag -engine ref >"$CLI/rr-flag-ref.txt"
 	$RR $flag -engine fast >"$CLI/rr-flag-fast.txt"
 	cmp "$CLI/rr-flag-ref.txt" "$CLI/rr-flag-fast.txt"
 done
-for flag in "" "-faultseed 7"; do
+for flag in "" "-faultseed 7" "$CRASH"; do
 	$RR $flag -engine ref -checkpoint "$CLI/ck-ref.bin" >/dev/null
 	$RR $flag -engine fast -checkpoint "$CLI/ck-fast.bin" >/dev/null
 	cmp "$CLI/ck-ref.bin" "$CLI/ck-fast.bin"
@@ -148,6 +153,10 @@ for flag in "" "-faultseed 7"; do
 	cmp "$CLI/rs-ref.txt" "$CLI/rs-fast.txt"
 done
 $RR -faults corrupt:t4.w.w999999999.b1 -metrics prom | grep -q '^raw_router_macro_windows_total [1-9]'
+windows() { $RR "$@" -metrics prom | sed -n 's/^raw_router_macro_windows_total //p'; }
+healthy=$(windows -watchdog)
+crashed=$(windows $CRASH)
+[ "$crashed" -gt 0 ] && [ $((2 * crashed)) -gt "$healthy" ]
 $RR -workload uniform:size=64 -metrics prom | grep -q '^raw_router_parked_tile_cycles_total [1-9]'
 $RR $ARC -engine fast -metrics prom | grep -q '^raw_router_recovery_events_total{kind="live"} 1$'
 "$CLI/fabsim" -topology ring -chips 4 -engine ref >"$CLI/fab-ref.txt"
