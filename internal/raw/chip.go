@@ -157,7 +157,7 @@ func NewChip(cfg Config) *Chip {
 		for net := 0; net < numDynNets; net++ {
 			r := &dynRouter{tile: t, net: net}
 			r.recv = c.fifo(64, id, id)
-			r.in[DirP] = c.fifo(4, id, id)
+			r.in[DirP] = c.dynFifo(4, id, id, net)
 			t.dyn[net] = r
 		}
 		c.tiles[id] = t
@@ -167,14 +167,14 @@ func NewChip(cfg Config) *Chip {
 		for d := DirN; d < DirP; d++ {
 			if t.Boundary(d) {
 				for net := 0; net < NumStaticNets; net++ {
-					q := &unboundedFIFO{chip: c, rd: int32(t.id)}
+					q := &unboundedFIFO{chip: c, rd: int32(t.id), dyn: -1}
 					c.edges = append(c.edges, q)
 					t.st[net].in[d] = q
 					c.staticIn[[3]int{t.id, int(d), net}] = &StaticIn{q: q, chip: c, tile: t.id, dir: d, net: net}
 					t.st[net].edgeOut[d] = &EdgeSink{}
 				}
 				for net := 0; net < numDynNets; net++ {
-					dq := &unboundedFIFO{chip: c, rd: int32(t.id)}
+					dq := &unboundedFIFO{chip: c, rd: int32(t.id), dyn: dynID(t.id, net)}
 					c.edges = append(c.edges, dq)
 					t.dyn[net].in[d] = dq
 				}
@@ -184,7 +184,7 @@ func NewChip(cfg Config) *Chip {
 					t.st[net].in[d] = c.fifo(2, t.id, nb)
 				}
 				for net := 0; net < numDynNets; net++ {
-					t.dyn[net].in[d] = c.fifo(2, t.id, nb)
+					t.dyn[net].in[d] = c.dynFifo(2, t.id, nb, net)
 				}
 			}
 		}
@@ -204,7 +204,7 @@ func (c *Chip) fifo(capacity, rd, wr int) *fifo {
 	}
 	buf := c.words[: 0 : 2*capacity]
 	c.words = c.words[2*capacity:]
-	q := fifo{buf: buf, cap: capacity, chip: c, rd: int32(rd), wr: int32(wr)}
+	q := fifo{buf: buf, cap: capacity, chip: c, rd: int32(rd), wr: int32(wr), dyn: -1}
 	var f *fifo
 	if len(c.fifoSlab) < cap(c.fifoSlab) {
 		c.fifoSlab = append(c.fifoSlab, q)
@@ -216,6 +216,18 @@ func (c *Chip) fifo(capacity, rd, wr int) *fifo {
 	c.bounded = append(c.bounded, f)
 	return f
 }
+
+// dynFifo allocates a bounded input queue of tile rd's dynamic router
+// on network net.
+func (c *Chip) dynFifo(capacity, rd, wr, net int) *fifo {
+	f := c.fifo(capacity, rd, wr)
+	f.dyn = dynID(rd, net)
+	return f
+}
+
+// dynID numbers tile id's dynamic router on network net, as the fast
+// engine's bindings do.
+func dynID(id, net int) int32 { return int32(id*numDynNets + net) }
 
 // Tile returns tile id (row-major).
 func (c *Chip) Tile(id int) *Tile { return c.tiles[id] }

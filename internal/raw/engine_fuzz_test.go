@@ -552,7 +552,8 @@ func (run *fuzzRun) observe(t *testing.T, snapFirst bool) ([]byte, string) {
 // Run(n) slices with edge pushes, StaticOut drains, reprogramming and
 // resets between them. The scenario runs on two chips: one under the
 // reference engine, one under the fast engine with a mid-run switch to
-// the reference engine and back. After every slice the chips must agree
+// the reference engine and back. After every slice the fast chip's park
+// set must hold its invariants (CheckParkSet), and the chips must agree
 // on their checkpoint bytes (which carry the state digest), every tile's
 // state counts and state, every switch's counters, the drained edge
 // words with their cycle stamps, the firmware's received words and the
@@ -616,6 +617,9 @@ func FuzzEngineEquivalence(f *testing.F) {
 			}
 			ref.chip.Run(n)
 			fast.chip.Run(n)
+			if err := raw.CheckParkSet(fast.chip); err != nil {
+				t.Fatalf("seed %d slice %d: %v", seed, s, err)
+			}
 			wantBlob, want := ref.observe(t, s%2 == 0)
 			gotBlob, got := fast.observe(t, s%2 == 0)
 			if want != got || !bytes.Equal(wantBlob, gotBlob) {

@@ -1,5 +1,7 @@
 package raw
 
+import "math/bits"
+
 // The compiled fast engine.
 //
 // The reference engine (static.go, dynamic.go, tile.go) interprets
@@ -17,13 +19,15 @@ package raw
 //     input/output queue references and its boundary/device bindings
 //     resolved, plus an early exit when no worm is active and no input
 //     has a word — the common case on a lightly loaded mesh, and ~800
-//     interface calls per cycle in the reference engine.
+//     interface calls per cycle in the reference engine. A router that
+//     takes the early exit sleeps until an input it pops commits or is
+//     snapshotted, and is not stepped meanwhile (park.go).
 //   - The commit phase walks the chip's commit list — the queues a
 //     cycle popped or pushed — instead of sweeping all of them, and
 //     snapshots only the edge queues pushed since the last cycle.
 //   - A tile whose next step would change only its counters parks until
 //     a queue it pops or pushes commits (park.go); its skipped steps
-//     accrue lazily.
+//     accrue lazily. The step loop walks only the awake set.
 //
 // Because the fast engine mutates the same swState/Exec/dynRouter/fifo
 // objects the reference engine does, checkpoints, digests, telemetry
@@ -72,10 +76,13 @@ type swBind struct {
 	swPC, swDone, swCount *fifo
 }
 
-// dynBind is one dynamic router's compiled execution context.
+// dynBind is one dynamic router's compiled execution context. asleep
+// marks a router whose last step took the early exit; it is not stepped
+// until an input it pops commits or is snapshotted (see park.go).
 type dynBind struct {
-	r    *dynRouter
-	recv *fifo
+	r      *dynRouter
+	recv   *fifo
+	asleep bool
 
 	inF [numDirs]*fifo
 	inU [numDirs]*unboundedFIFO
@@ -105,15 +112,20 @@ type fastEngine struct {
 	// does not implement it (or there is none).
 	fwq []Quiescer
 
-	// due lists the chip's declarers; busy is procsInert's first tile.
-	due  []declarer
-	busy int
+	// due lists the chip's declarers; busy and block are the tiles at
+	// which procsInert and macro admission's pass 1 last declined, each
+	// tested first next time.
+	due   []declarer
+	busy  int
+	block int
 
-	// Parking (see park.go): each tile's record, the number parked, the
-	// tiles whose step this cycle looked inert, and the cycle every tile
-	// has completed once the tile loop has run. watched holds the fault
-	// plane and the tracer, watchAt their next due cycle.
+	// Parking (see park.go): each tile's record, the awake set (the
+	// tiles not parked), the number parked, the tiles whose step this
+	// cycle looked inert, and the cycle every tile has completed once the
+	// tile loop has run. watched holds the fault plane and the tracer,
+	// watchAt their next due cycle.
 	park    []parkRec
+	awake   tileSet
 	parked  int
 	cand    []int32
 	horizon int64
@@ -157,6 +169,7 @@ func buildFastEngine(c *Chip) *fastEngine {
 		macroSt:   make([]TileState, n),
 		streamAt:  make([]int32, n*NumStaticNets*int(numDirs)),
 		park:      make([]parkRec, n),
+		awake:     fullTileSet(n),
 	}
 	for _, h := range c.stepHooks {
 		fe.due = append(fe.due, declarer{h, MacroHookDue})
@@ -234,23 +247,29 @@ func buildFastEngine(c *Chip) *fastEngine {
 }
 
 // step runs one cycle's compute and commit phases: snapshot the edge
-// queues pushed since the last cycle, step every tile neither parked
-// nor frozen, then commit the queues the cycle touched, waking the
-// parked tiles at either end of each (see park.go).
+// queues pushed since the last cycle, step every awake tile the fault
+// plane does not freeze, in ascending order, then commit the queues the
+// cycle touched, waking the parked tiles at either end of each and the
+// sleeping dynamic router that pops it (see park.go).
 func (fe *fastEngine) step() {
 	c := fe.c
 	fe.snapshotEdges()
 	fe.watch(c.cycle)
 	fp := c.faults
-	for _, t := range c.tiles {
-		if fe.park[t.id].on || fp != nil && fp.TileFrozen(t.id) {
-			continue
+	for wi, w := range fe.awake {
+		for ; w != 0; w &= w - 1 {
+			id := wi<<6 | bits.TrailingZeros64(w)
+			if fp == nil || !fp.TileFrozen(id) {
+				fe.stepTile(c.tiles[id])
+			}
 		}
-		fe.stepTile(t)
 	}
 	fe.horizon = c.cycle + 1
 	for _, f := range c.commits {
 		f.commit()
+		if f.dyn >= 0 {
+			fe.dy[f.dyn].asleep = false
+		}
 		if fe.parked > 0 {
 			fe.wake(f.rd, fe.horizon)
 			fe.wake(f.wr, fe.horizon)
@@ -267,9 +286,9 @@ func (fe *fastEngine) step() {
 // paths; the processor executor is shared with the reference engine.
 // Engine order matches Tile.step (irrelevant to the outcome — the
 // two-phase queue discipline makes the cycle order-independent — but
-// kept identical for clarity). A step in which the processor neither
-// ran nor waited on its cache and no switch moved a word makes the tile
-// a parking candidate.
+// kept identical for clarity); a sleeping dynamic router is skipped. A
+// step in which the processor neither ran nor waited on its cache and no
+// switch moved a word makes the tile a parking candidate.
 func (fe *fastEngine) stepTile(t *Tile) {
 	t.exec.step()
 	fp := fe.c.faults
@@ -278,8 +297,12 @@ func (fe *fastEngine) stepTile(t *Tile) {
 	fe.sw[i].step(fp, cyc)
 	fe.sw[i+1].step(fp, cyc)
 	j := t.id * numDynNets
-	fe.dy[j].step()
-	fe.dy[j+1].step()
+	if !fe.dy[j].asleep {
+		fe.dy[j].step()
+	}
+	if !fe.dy[j+1].asleep {
+		fe.dy[j+1].step()
+	}
 	if st := t.exec.state; st != StateRun && st != StateStallCache &&
 		!fe.sw[i].sw.movedNow && !fe.sw[i+1].sw.movedNow {
 		fe.cand = append(fe.cand, int32(t.id))
@@ -514,6 +537,10 @@ func (b *swBind) push(d Dir, w Word, cyc int64) {
 
 // --- compiled dynamic router step ------------------------------------
 
+// quiet reports whether the router's next step changes nothing: it is
+// asleep, or idle.
+func (b *dynBind) quiet() bool { return b.asleep || b.idle() }
+
 // idle reports whether the router holds no worm and no input word, so
 // its steps change nothing until a word arrives.
 func (b *dynBind) idle() bool {
@@ -583,13 +610,16 @@ func (b *dynBind) deliver(d Dir, w Word) {
 // step mirrors dynRouter.step over the resolved bindings, with one added
 // early exit: a router with no active worm and no poppable input cannot
 // change any state this cycle (the reference loop would scan all 25
-// output×input pairs through interface calls to conclude the same).
+// output×input pairs through interface calls to conclude the same), nor
+// on any later cycle until an input commits or is snapshotted, so it
+// falls asleep.
 func (b *dynBind) step() {
 	r := b.r
 	if !r.lock[0].active && !r.lock[1].active && !r.lock[2].active &&
 		!r.lock[3].active && !r.lock[4].active &&
 		!b.canPop(0) && !b.canPop(1) && !b.canPop(2) &&
 		!b.canPop(3) && !b.canPop(4) {
+		b.asleep = true
 		return
 	}
 	for out := DirN; out < numDirs; out++ {

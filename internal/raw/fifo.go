@@ -41,8 +41,9 @@ type fifo struct {
 
 	chip *Chip
 	// rd and wr are the tiles that pop and push the queue: a commit
-	// wakes them if parked (see park.go).
-	rd, wr int32
+	// wakes them if parked (see park.go). dyn is the dynamic router that
+	// pops it (dynID), -1 for a static queue: a commit wakes it if asleep.
+	rd, wr, dyn int32
 }
 
 // touch puts the queue on the chip's commit list at its first pop or
@@ -166,10 +167,10 @@ type unboundedFIFO struct {
 	taken int64
 
 	chip *Chip
-	// rd is the tile that pops the queue; fresh marks a push since the
-	// last snapshot.
-	rd    int32
-	fresh bool
+	// rd is the tile that pops the queue and dyn the dynamic router (-1
+	// for a static queue); fresh marks a push since the last snapshot.
+	rd, dyn int32
+	fresh   bool
 }
 
 func (f *unboundedFIFO) beginCycle() {

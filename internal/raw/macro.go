@@ -1,6 +1,9 @@
 package raw
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Steady-state macro-stepping.
 //
@@ -20,11 +23,19 @@ import "slices"
 // quantum boundaries, a schedule between faults, an idle memory port or
 // a tracer outside its window does not disarm the stepper.
 //
-// Tile admission (per-cycle scan, earliest reject wins). The scan first
-// settles the fault plane for the window's first cycle (BeginCycle), and
-// skips a tile the plane freezes: a frozen tile steps and counts
-// nothing, in the window as in a stepped cycle, so a crashed tile does
-// not keep windows from opening.
+// Tile admission (per-cycle scan from the park set). An attempt first
+// snapshots the edge queues pushed since the last cycle, as Step would,
+// so the park set it reads is current: a tile or router a fresh word
+// wakes is classified awake. It then settles the fault plane for the
+// window's first cycle (BeginCycle), and skips a tile the plane freezes:
+// a frozen tile steps and counts nothing, in the window as in a stepped
+// cycle, so a crashed tile does not keep windows from opening. Only
+// awake tiles (park.go) take the tests below — the processor scan
+// (procsInert) and then the rest (admitTile), each starting at the tile
+// at which it last declined and attributing a decline to it if it still
+// fails. A parked tile passes them by the invariant that lets its steps
+// be skipped: its record holds its processor state, and its switches
+// not halted join the frozen list, which pass 2 verifies like any other.
 //
 //   - Every processor is either stable-idle (no queued micro-ops, state
 //     already Idle, firmware absent or permanently quiesced) or provably
@@ -34,7 +45,8 @@ import "slices"
 //     Refill, so the phase its firmware is in cannot matter; live
 //     firmware is declined only when nothing is queued, since the next
 //     step would refill.
-//   - Every dynamic router has no active worm and empty inputs.
+//   - Every dynamic router is asleep, or has no active worm and empty
+//     inputs.
 //   - Every static switch is halted, admitted as a streamer, or frozen.
 //     A streamer is a fireable self-perpetuating route loop — a SwJump
 //     self-loop, or a loaded SwRouteN/SwRouteV with iterations remaining
@@ -103,6 +115,11 @@ func (c *Chip) tryMacroStep(budget int64) int64 {
 		return 0
 	}
 	fe := c.ensureFast()
+	// Snapshot edge queues exactly as the top of Step would, before the
+	// park set is read: a tile or router a fresh edge word wakes must be
+	// classified awake, and a switch parked on a freshly refilled backlog
+	// must stream, not freeze. Step then finds nothing fresh.
+	fe.snapshotEdges()
 	if c.faults != nil {
 		// Settle the plane for the window's first cycle: TileFrozen
 		// otherwise answers for the last stepped cycle, and a freeze
@@ -132,74 +149,54 @@ func (c *Chip) tryMacroStep(budget int64) int64 {
 
 func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 	c := fe.c
-	// Snapshot edge queues exactly as the top of Step would, so words
-	// pushed externally since the last cycle are visible to the scan: a
-	// switch parked on a freshly refilled backlog must stream, not
-	// freeze.
-	fe.snapshotEdges()
-	plan := fe.plan[:0]
-	frozen := fe.frozen[:0]
+	fe.plan = fe.plan[:0]
+	fe.frozen = fe.frozen[:0]
 	abort := func(cause MacroCause) (int64, MacroCause) {
-		for _, idx := range plan {
+		for _, idx := range fe.plan {
 			fe.macroOn[idx] = false
 		}
-		fe.plan = plan[:0]
-		fe.frozen = frozen[:0]
 		return 0, cause
 	}
 
 	// Pass 1: classify every other engine on the chip (procsInert has
-	// classified the processors) — live firmware blocked, dynamic routers
-	// idle, switches halted, blocked (frozen) or firing — collecting the
-	// admitted streamers with their route masks.
-	for _, t := range c.tiles {
-		if fe.tileFrozen(t.id) {
-			continue // a frozen tile steps nothing
+	// classified the processors), collecting the admitted streamers with
+	// their route masks and the blocked switches. Only awake tiles take
+	// the full test, the one at which the last attempt declined first; a
+	// parked tile passes it by the invariant that lets its steps be
+	// skipped, and adds its switches not halted to the frozen list.
+	if id := fe.block; fe.awake.has(id) && !fe.tileFrozen(id) {
+		if cause, ok := fe.admitTile(c.tiles[id]); !ok {
+			return abort(cause)
 		}
-		// An idle processor refills next cycle: only firmware that has
-		// permanently quiesced keeps Refill (and its side effects) off
-		// the window's cycles.
-		if !fe.fwSettled(t) {
-			return abort(MacroFirmware)
-		}
-		for net := 0; net < numDynNets; net++ {
-			if !fe.dy[t.id*numDynNets+net].idle() {
-				return abort(MacroDynActive)
+	}
+	for wi, w := range fe.awake {
+		for ; w != 0; w &= w - 1 {
+			id := wi<<6 | bits.TrailingZeros64(w)
+			if id == fe.block || fe.tileFrozen(id) {
+				continue // tested first, or frozen: a frozen tile steps nothing
+			}
+			if cause, ok := fe.admitTile(c.tiles[id]); !ok {
+				fe.block = id
+				return abort(cause)
 			}
 		}
-		for net := 0; net < NumStaticNets; net++ {
-			idx := int32(t.id*NumStaticNets + net)
-			b := &fe.sw[idx]
-			switch b.next() {
-			case swHalted:
-				continue
-			case swBlocked:
-				frozen = append(frozen, idx) // stability verified in pass 2
-				continue
-			case swMoves:
-				return abort(MacroSwitchState)
+	}
+	if fe.parked > 0 {
+		for wi, w := range fe.awake {
+			for m := ^w; m != 0; m &= m - 1 {
+				id := wi<<6 | bits.TrailingZeros64(m)
+				if id >= len(c.tiles) {
+					break
+				}
+				if fe.tileFrozen(id) {
+					continue
+				}
+				for net := 0; net < NumStaticNets; net++ {
+					if idx := int32(id*NumStaticNets + net); !fe.sw[idx].sw.halted {
+						fe.frozen = append(fe.frozen, idx)
+					}
+				}
 			}
-			// Fireable: only a self-perpetuating loop free of processor
-			// ports can stream; a one-shot route or a taken jump moves
-			// the pc, and DirP routes couple to the frozen processor.
-			cp, pc := b.sw.comp, b.sw.pc
-			op := cp.op[pc]
-			if cp.count[pc] == 0 || op == SwRoute || (op == SwJump && int(cp.arg[pc]) != pc) {
-				return abort(MacroSwitchState)
-			}
-			var srcM, dstM uint8
-			lo := cp.base[pc]
-			for i := lo; i < lo+uint32(cp.count[pc]); i++ {
-				srcM |= 1 << cp.src[i]
-				dstM |= 1 << cp.dst[i]
-			}
-			if (srcM|dstM)&(1<<DirP) != 0 {
-				return abort(MacroSwitchState)
-			}
-			fe.macroOn[idx] = true
-			fe.macroSrcM[idx] = srcM
-			fe.macroDstM[idx] = dstM
-			plan = append(plan, idx)
 		}
 	}
 
@@ -209,7 +206,7 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 	// one stably non-ready route: an empty source nothing writes, or a
 	// full destination nothing drains, where "nothing" accounts for the
 	// admitted streamers (final after pass 1).
-	for _, idx := range frozen {
+	for _, idx := range fe.frozen {
 		b := &fe.sw[idx]
 		s := b.sw
 		cp, pc := s.comp, s.pc
@@ -256,7 +253,7 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 	if k > macroMaxCycles {
 		k = macroMaxCycles
 	}
-	for _, idx := range plan {
+	for _, idx := range fe.plan {
 		b := &fe.sw[idx]
 		s := b.sw
 		cp, pc := s.comp, s.pc
@@ -300,7 +297,6 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 	// Execute the window as run moves, in chunks of at most macroChunk
 	// cycles. A ring of streamers has no first writer to build runs
 	// from, so it declines before any queue or tap counter changes.
-	fe.plan = plan
 	if !fe.orderStreams() {
 		return abort(MacroSwitchState)
 	}
@@ -311,7 +307,7 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 	}
 
 	// Restore per-cycle bookkeeping to what K cycles leave behind.
-	for _, idx := range plan {
+	for _, idx := range fe.plan {
 		b := &fe.sw[idx]
 		s := b.sw
 		cp, pc := s.comp, s.pc
@@ -343,26 +339,28 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 		}
 		fe.macroOn[idx] = false
 	}
-	for _, idx := range frozen {
+	for _, idx := range fe.frozen {
 		s := fe.sw[idx].sw
 		s.stalls += k
 		s.stalledNow = true
 		s.movedNow = false
 	}
-	for _, t := range c.tiles {
-		if fe.tileFrozen(t.id) {
+	for id, t := range c.tiles {
+		if fe.tileFrozen(id) {
 			continue // a frozen tile counts nothing
 		}
 		// Each skipped cycle is one reference-engine step parked in the
-		// same state: setState(st) K times. A parked tile's record moves
-		// past the window, which accounts its cycles here.
-		st := fe.macroSt[t.id]
+		// same state: setState(st) K times. A parked tile's state is its
+		// record's, and the record moves past the window, which accounts
+		// its cycles here.
+		st := fe.macroSt[id]
+		if !fe.awake.has(id) {
+			st = fe.park[id].st
+			fe.park[id].since += k
+		}
 		t.exec.counts[st] += k
 		t.exec.state = st
-		fe.park[t.id].since += k
 	}
-	fe.plan = plan[:0]
-	fe.frozen = frozen[:0]
 	c.cycle += k
 	c.macroWindows++
 	c.macroCycles += k
@@ -380,28 +378,89 @@ func (c *Chip) MacroStats() (windows, cycles int64) {
 	return c.macroWindows, c.macroCycles
 }
 
-// procsInert records each processor's window state (macroProcState) in
-// macroSt, from the tile busy at the last decline, and reports whether
-// all are inert; a frozen tile's processor is. It reads only bounded
+// procsInert records each awake processor's window state
+// (macroProcState) in macroSt, the tile busy at the last decline first,
+// and reports whether all are inert. A frozen tile's processor is, and so
+// is a parked tile's: its record holds its state. It reads only bounded
 // queues: a pure predicate.
 func (fe *fastEngine) procsInert() bool {
-	tiles := fe.c.tiles
-	i := fe.busy
-	for range tiles {
-		t := tiles[i]
-		if !fe.tileFrozen(t.id) {
-			st, ok := macroProcState(t)
-			if !ok {
-				fe.busy = t.id
+	if !fe.procInert(fe.busy) {
+		return false
+	}
+	for wi, w := range fe.awake {
+		for ; w != 0; w &= w - 1 {
+			id := wi<<6 | bits.TrailingZeros64(w)
+			if id != fe.busy && !fe.procInert(id) {
+				fe.busy = id
 				return false
 			}
-			fe.macroSt[t.id] = st
-		}
-		if i++; i == len(tiles) {
-			i = 0
 		}
 	}
 	return true
+}
+
+// procInert is procsInert's test of tile id.
+func (fe *fastEngine) procInert(id int) bool {
+	if !fe.awake.has(id) || fe.tileFrozen(id) {
+		return true
+	}
+	st, ok := macroProcState(fe.c.tiles[id])
+	fe.macroSt[id] = st
+	return ok
+}
+
+// admitTile is pass 1's test of awake tile t: live firmware settled,
+// dynamic routers quiet, switches halted, blocked (frozen, verified in
+// pass 2) or streaming. It appends t's streamers, with their route
+// masks, to the plan and its blocked switches to the frozen list, and
+// reports the cause when t keeps the window from opening.
+func (fe *fastEngine) admitTile(t *Tile) (MacroCause, bool) {
+	// An idle processor refills next cycle: only firmware that has
+	// permanently quiesced keeps Refill (and its side effects) off the
+	// window's cycles.
+	if !fe.fwSettled(t) {
+		return MacroFirmware, false
+	}
+	for net := 0; net < numDynNets; net++ {
+		if !fe.dy[t.id*numDynNets+net].quiet() {
+			return MacroDynActive, false
+		}
+	}
+	for net := 0; net < NumStaticNets; net++ {
+		idx := int32(t.id*NumStaticNets + net)
+		b := &fe.sw[idx]
+		switch b.next() {
+		case swHalted:
+			continue
+		case swBlocked:
+			fe.frozen = append(fe.frozen, idx)
+			continue
+		case swMoves:
+			return MacroSwitchState, false
+		}
+		// Fireable: only a self-perpetuating loop free of processor
+		// ports can stream; a one-shot route or a taken jump moves the
+		// pc, and DirP routes couple to the frozen processor.
+		cp, pc := b.sw.comp, b.sw.pc
+		op := cp.op[pc]
+		if cp.count[pc] == 0 || op == SwRoute || (op == SwJump && int(cp.arg[pc]) != pc) {
+			return MacroSwitchState, false
+		}
+		var srcM, dstM uint8
+		lo := cp.base[pc]
+		for i := lo; i < lo+uint32(cp.count[pc]); i++ {
+			srcM |= 1 << cp.src[i]
+			dstM |= 1 << cp.dst[i]
+		}
+		if (srcM|dstM)&(1<<DirP) != 0 {
+			return MacroSwitchState, false
+		}
+		fe.macroOn[idx] = true
+		fe.macroSrcM[idx] = srcM
+		fe.macroDstM[idx] = dstM
+		fe.plan = append(fe.plan, idx)
+	}
+	return 0, true
 }
 
 // macroProcState classifies one tile processor for a macro window. It

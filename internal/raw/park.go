@@ -10,8 +10,8 @@ import "math"
 // tile whose next step would change nothing but its counters — its
 // processor blocked at its current micro-op (macroProcState) or idle
 // with no or quiesced firmware, each switch halted or blocked at its
-// current instruction (swBind.next), both dynamic routers without a worm
-// or an input word — and skips it in the step loop until something it
+// current instruction (swBind.next), both dynamic routers asleep or
+// without a worm or an input word — and skips it until something it
 // observes can change:
 //
 //   - a bounded fifo it pops or pushes commits (every queue names its
@@ -23,24 +23,55 @@ import "math"
 //   - a reconfiguration or an engine switch (invalidateFast) wakes every
 //     tile before the fast engine's derived state is rebuilt.
 //
+// The awake set (a bit per tile not parked) is the park set's source of
+// truth: the step loop walks it in ascending tile order, and macro
+// admission (macro.go) classifies only its tiles, reading a parked
+// tile's processor state from its record — a parked tile would pass
+// inert() by the same invariant that lets its steps be skipped.
+//
 // A skipped step would have counted the parked processor state once and
 // one stall per switch not halted. That effect accrues lazily from the
 // record taken when the tile parked: at wake-up, at every observation
 // (Exec.StateCounts/State/Utilization, swState.Stalls, the checkpoint
 // digest), and in invalidateFast. A macro window accounts every tile for
-// its own cycles and moves a parked tile's record past them. The
-// reference engine never parks and steps every tile every cycle, so a
-// queue the commit list misses or a wake-up that never fires shows up as
-// an engine divergence (FuzzEngineEquivalence).
+// its own cycles and moves a parked tile's record past them.
+//
+// Dynamic routers sleep on their own, inside awake tiles too: a router
+// whose step takes its early exit (no worm, no poppable input) would
+// change nothing, not even a counter, until an input it pops commits or
+// is snapshotted. Every router input queue names its router (dyn), so
+// those two events wake it; stepTile skips a sleeping router, and
+// inert() and macro admission take it as idle without scanning its
+// inputs. A sleeping router needs no accrual.
+//
+// The reference engine never parks and steps every tile every cycle, so
+// a queue the commit list misses or a wake-up that never fires shows up
+// as an engine divergence (FuzzEngineEquivalence), and the park-set
+// invariant the fuzz target checks after every slice names it.
 
-// parkRec is one tile's parking record: whether it is parked, the
-// processor state each skipped step counts, and the first cycle whose
-// skipped step has not yet been accrued.
+// parkRec is one parked tile's record: the processor state each skipped
+// step counts, and the first cycle whose skipped step has not yet been
+// accrued.
 type parkRec struct {
 	since int64
 	st    TileState
-	on    bool
 }
+
+// tileSet is a bitset of tile ids.
+type tileSet []uint64
+
+// fullTileSet returns the set of tiles 0..n-1.
+func fullTileSet(n int) tileSet {
+	s := make(tileSet, (n+63)/64)
+	for id := 0; id < n; id++ {
+		s.add(id)
+	}
+	return s
+}
+
+func (s tileSet) has(id int) bool { return s[id>>6]&(1<<(id&63)) != 0 }
+func (s tileSet) add(id int)      { s[id>>6] |= 1 << (id & 63) }
+func (s tileSet) del(id int)      { s[id>>6] &^= 1 << (id & 63) }
 
 // inert reports whether tile t's next step would change only its
 // counters, and the processor state that step would count.
@@ -54,7 +85,7 @@ func (fe *fastEngine) inert(t *Tile) (TileState, bool) {
 		return 0, false
 	}
 	j := t.id * numDynNets
-	return st, fe.dy[j].idle() && fe.dy[j+1].idle()
+	return st, fe.dy[j].quiet() && fe.dy[j+1].quiet()
 }
 
 // fwSettled reports whether t's processor runs no firmware next step: it
@@ -78,7 +109,8 @@ func (fe *fastEngine) parkInert() {
 		next := fe.c.cycle + 1
 		for _, id := range fe.cand {
 			if st, ok := fe.inert(fe.c.tiles[id]); ok {
-				fe.park[id] = parkRec{since: next, st: st, on: true}
+				fe.park[id] = parkRec{since: next, st: st}
+				fe.awake.del(int(id))
 				fe.parked++
 			}
 		}
@@ -108,13 +140,20 @@ func (fe *fastEngine) accrue(id int32, now int64) {
 	fe.c.parkedCycles += n
 }
 
-// wake accrues parked tile id up to now and returns it to the step loop.
+// wake returns tile id to the awake set if it is parked. The commit
+// loop calls it twice per queue, so the awake test is spelled out
+// (tileSet.has) to keep it within the inlining budget.
 func (fe *fastEngine) wake(id int32, now int64) {
-	if fe.park[id].on {
-		fe.accrue(id, now)
-		fe.park[id].on = false
-		fe.parked--
+	if fe.awake[id>>6]&(1<<(id&63)) == 0 {
+		fe.unpark(id, now)
 	}
+}
+
+// unpark accrues parked tile id up to now and returns it to the awake set.
+func (fe *fastEngine) unpark(id int32, now int64) {
+	fe.accrue(id, now)
+	fe.awake.add(int(id))
+	fe.parked--
 }
 
 // wakeAll wakes every parked tile.
@@ -130,11 +169,14 @@ func (fe *fastEngine) wakeAll(now int64) {
 func (fe *fastEngine) now() int64 { return max(fe.c.cycle, fe.horizon) }
 
 // snapshotEdges snapshots the edge queues pushed since the last cycle,
-// waking their readers.
+// waking their reading tiles and dynamic routers.
 func (fe *fastEngine) snapshotEdges() {
 	c := fe.c
 	for _, q := range c.fresh {
 		q.beginCycle()
+		if q.dyn >= 0 {
+			fe.dy[q.dyn].asleep = false
+		}
 		if fe.parked > 0 {
 			fe.wake(q.rd, c.cycle)
 		}
@@ -167,7 +209,7 @@ func (c *Chip) settle() {
 	if fe := c.fe; fe != nil && fe.parked > 0 {
 		now := fe.now()
 		for id := range fe.park {
-			if fe.park[id].on {
+			if !fe.awake.has(id) {
 				fe.accrue(int32(id), now)
 			}
 		}

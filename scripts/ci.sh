@@ -23,6 +23,12 @@ echo "== bench: the repo benchmark's own tests =="
 # with the command.
 (cd bench && go test ./...)
 
+echo "== engine fuzz: bounded generative run =="
+# FuzzEngineEquivalence's 64 seeds run in tier-1; this explores new
+# scenarios for a bounded minute, checking the fast engine's park-set
+# invariants and its equivalence with the reference engine.
+go test ./internal/raw -run '^$' -fuzz FuzzEngineEquivalence -fuzztime 60s
+
 echo "== tier-2: chaos harness (fixed seed matrix, race detector) =="
 # Seeds are pinned inside the tests (fault.Random seeds 1,2,3,5,7 and the
 # crash/corruption schedules), so this matrix is fully reproducible:
@@ -106,8 +112,10 @@ echo "== cli: entry-point smoke =="
 # cycles bound the fast engine's macro windows, with a corrupt tap past
 # the end of the run, which must not keep windows from opening, through
 # the whole recovery arc: a frozen crossbar tile is degraded by the
-# watchdog, thaws, is restored and readmitted, and ends live, and with a
-# crashed crossbar tile, which is due only at its start),
+# watchdog, thaws, is restored and readmitted, and ends live, with a
+# crashed crossbar tile, which is due only at its start, and on 64 B
+# uniform traffic, the benchmark's per-cycle workload, whose lookups
+# keep the dynamic memory network busy),
 # fabsim's ring-4 fabric on its default antipodal permutation, and every
 # section of reproduce -quick once its per-section wall-clock lines are
 # dropped. rawrouter's RTRCKPT1 checkpoint (with and without a seeded
@@ -139,7 +147,7 @@ cmp "$CLI/rr-ref.txt" "$CLI/rr-fast.txt"
 cmp "$CLI/rr-fast.txt" "$CLI/rr-perm.txt"
 ARC="-cycles 100000 -watchdog -autorestore -faults freeze@15000+45000:t6"
 CRASH="-watchdog -faults crash@15000:t6"
-for flag in "-faultseed 7" -trace "-faults corrupt:t4.w.w999999999.b1" "$ARC" "$CRASH"; do
+for flag in "-faultseed 7" -trace "-faults corrupt:t4.w.w999999999.b1" "$ARC" "$CRASH" "-workload uniform:size=64"; do
 	$RR $flag -engine ref >"$CLI/rr-flag-ref.txt"
 	$RR $flag -engine fast >"$CLI/rr-flag-fast.txt"
 	cmp "$CLI/rr-flag-ref.txt" "$CLI/rr-flag-fast.txt"
