@@ -55,15 +55,15 @@ func TestConstructionAllocBound(t *testing.T) {
 // TestSteadyStateAllocBound bounds the heap allocations of saturated
 // fast-engine cycles: at 64 B uniform, where per-packet firmware runs on
 // every port, and at 1,024 B permutation, where macro windows cover most
-// cycles. Micro-ops carry their operands as values and move words
-// between queues and firmware-owned words, so what remains is the
-// packets offered and the Then continuations (about 5,800 and 1,900
-// mallocs per 10,000 cycles). A closure per received or sent word (about
-// 12,600 and 4,000) exceeds the limits. The loop never drains its
-// outputs, so the output sinks' growth is most of the bytes (about
-// 272,000 and 1,118,000 per 10,000 cycles): an 8-byte exit stamp per
-// sunk word instead of one per run of consecutive cycles (about 445,000
-// and 2,724,000) exceeds the byte limits.
+// cycles. Micro-ops are plain data and firmware continuations are step
+// codes, so what remains is mostly the crossbar's allocation walks and
+// the packets offered (about 1,600 and 480 mallocs per 10,000 cycles). A
+// closure per continuation (about 5,800 and 1,900) or per received or
+// sent word (about 12,600 and 4,000) exceeds the limits. The loop never
+// drains its outputs, so the output sinks' growth is most of the bytes
+// (about 197,000 and 1,093,000 per 10,000 cycles): an 8-byte exit stamp
+// per sunk word instead of one per run of consecutive cycles (about
+// 445,000 and 2,724,000) exceeds the byte limits.
 func TestSteadyStateAllocBound(t *testing.T) {
 	const cycles = 100_000
 	cases := []struct {
@@ -71,8 +71,8 @@ func TestSteadyStateAllocBound(t *testing.T) {
 		limit uint64 // mallocs per 10,000 cycles
 		bytes uint64 // bytes per 10,000 cycles
 	}{
-		{traffic.Spec{Pattern: "uniform", Size: 64, Seed: 1}, 7_000, 285_000},
-		{traffic.Spec{Pattern: "permutation", Size: 1024, Seed: 1}, 2_500, 1_175_000},
+		{traffic.Spec{Pattern: "uniform", Size: 64, Seed: 1}, 2_000, 207_000},
+		{traffic.Spec{Pattern: "permutation", Size: 1024, Seed: 1}, 600, 1_150_000},
 	}
 	for _, c := range cases {
 		cfg := router.DefaultConfig()

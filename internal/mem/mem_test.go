@@ -7,13 +7,21 @@ import (
 	"repro/internal/raw"
 )
 
-// fwSeq replays refill batches.
+// fwSeq replays refill batches. A batch may give its last op the step
+// stepDone, which runs onDone.
 type fwSeq struct {
-	steps []func(e *raw.Exec)
-	i     int
+	steps  []func(e *raw.Exec)
+	i      int
+	onDone func()
 }
 
-func (f *fwSeq) Refill(e *raw.Exec) {
+const stepDone raw.Step = 1
+
+func (f *fwSeq) Step(e *raw.Exec, s raw.Step) {
+	if s == stepDone {
+		f.onDone()
+		return
+	}
 	if f.i < len(f.steps) {
 		f.steps[f.i](e)
 		f.i++
@@ -79,12 +87,15 @@ func TestServiceInterval(t *testing.T) {
 		var done [2]int64
 		for i, tile := range []int{0, 1} {
 			i := i
-			chip.Tile(tile).Exec().SetFirmware(&fwSeq{steps: []func(e *raw.Exec){
-				func(e *raw.Exec) {
-					e.CacheRead(raw.Word(0x1000*(i+1)), nil)
-					e.OnDone(func() { done[i] = chip.Cycle() })
+			chip.Tile(tile).Exec().SetFirmware(&fwSeq{
+				steps: []func(e *raw.Exec){
+					func(e *raw.Exec) {
+						e.CacheRead(raw.Word(0x1000*(i+1)), nil)
+						e.OnDone(stepDone)
+					},
 				},
-			}})
+				onDone: func() { done[i] = chip.Cycle() },
+			})
 		}
 		chip.Run(300)
 		if done[0] == 0 || done[1] == 0 {

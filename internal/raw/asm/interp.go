@@ -7,7 +7,8 @@ import (
 )
 
 // Interp executes an assembled TileProgram on a tile's micro-op executor,
-// one instruction per Refill. Cycle costs follow the thesis's model:
+// lowering one instruction per refill. Cycle costs follow the thesis's
+// model:
 //
 //   - ALU ops and taken control flow: 1 cycle (static branch prediction,
 //     no penalty for predicted branches, §3.2);
@@ -17,17 +18,29 @@ import (
 //   - move $csto,$csti: the 1 cycle/word streaming idiom;
 //   - lw/sw: 3-cycle cache hit, misses stall for the DRAM round trip.
 type Interp struct {
-	prog   *TileProgram
-	pc     int
+	prog *TileProgram
+	pc   int
+	// cur is the index of the instruction lowered last, which the
+	// interpreter's steps execute and retire.
+	cur    int
 	regs   [32]raw.Word
 	halted bool
 	// latch holds the word the current instruction read from $csti, or the
-	// word a lw into $csto loaded, until the instruction uses it.
-	latch raw.Word
+	// word a lw into $csto loaded, until the instruction uses it. It is
+	// an array so that the lw's SendN can read it as a slice.
+	latch [1]raw.Word
 
 	// Retired counts completed instructions.
 	Retired int64
 }
+
+// The interpreter's steps: stepRetire retires the current instruction,
+// stepExec executes its register write, branch or jump and then retires
+// it.
+const (
+	stepRetire raw.Step = iota + 1
+	stepExec
+)
 
 // NewInterp creates an interpreter for prog.
 func NewInterp(prog *TileProgram) *Interp { return &Interp{prog: prog} }
@@ -45,7 +58,7 @@ func (it *Interp) SetReg(n int, v raw.Word) {
 // Halted reports whether the program has executed halt.
 func (it *Interp) Halted() bool { return it.halted }
 
-// Quiesced implements raw.Quiescer: once halted is latched, Refill is a
+// Quiesced implements raw.Quiescer: once halted is latched, a refill is a
 // permanent no-op with no side effects, so the fast engine may macro-step
 // past the idle tile. The halt latch is sticky — nothing in the
 // interpreter clears it short of loading a new program, which reinstalls
@@ -59,57 +72,119 @@ func (it *Interp) PC() int { return it.pc }
 // ProgramLen returns the number of assembled instructions.
 func (it *Interp) ProgramLen() int { return len(it.prog.instrs) }
 
-// Refill lowers the next instruction to micro-ops. It implements
-// raw.Firmware.
-func (it *Interp) Refill(e *raw.Exec) {
+// Step implements raw.Firmware: a refill lowers the next instruction to
+// micro-ops, and the instruction's steps execute and retire it.
+func (it *Interp) Step(e *raw.Exec, s raw.Step) {
+	switch s {
+	case raw.Refill:
+		it.lower(e)
+	case stepExec:
+		it.exec(&it.prog.instrs[it.cur])
+		it.Retired++
+	case stepRetire:
+		it.Retired++
+	}
+}
+
+// lower enqueues the next instruction's micro-ops. The queue is empty
+// when it runs, so every register it reads is final: only this
+// instruction's own steps write registers.
+func (it *Interp) lower(e *raw.Exec) {
 	if it.halted || it.pc >= len(it.prog.instrs) {
 		it.halted = true
 		return
 	}
+	it.cur = it.pc
 	in := &it.prog.instrs[it.pc]
 	it.pc++ // default fallthrough; branches overwrite
-	retire := func() { it.Retired++ }
 
 	switch in.op {
 	case tNOP:
-		e.Then(func(*raw.Exec) { retire() })
+		e.Then(stepRetire)
 	case tHALT:
 		it.halted = true
-	case tLI:
-		e.Then(func(*raw.Exec) { it.write(in.dst, raw.Word(in.imm)); retire() })
 	case tALU, tALUI:
-		it.lowerALU(e, in, retire)
+		netSrc := in.src1 == regCSTI || (in.op == tALU && in.src2 == regCSTI)
+		switch {
+		case in.dst == regCSTO && !netSrc:
+			// e.g. `or $csto, $0, $5`: computes and sends in one cycle.
+			e.Send(alu(in.alu, it.regs[in.src1], it.operandB(in)))
+			e.OnDone(stepRetire)
+		case netSrc:
+			// e.g. `and $5, $5, $csti`: the word is received (decode) and
+			// the ALU op executes the following cycle — Figure 3-2's
+			// cycles 4,5.
+			e.Recv(&it.latch[0])
+			e.Then(stepExec)
+		default:
+			e.Then(stepExec)
+		}
 	case tMOVE:
-		it.lowerMove(e, in, retire)
+		switch {
+		case in.dst == regCSTO && in.src1 == regCSTI:
+			e.Forward(1)
+			e.OnDone(stepRetire)
+		case in.dst == regCSTO:
+			e.Send(it.regs[in.src1])
+			e.OnDone(stepRetire)
+		case in.src1 == regCSTI:
+			e.Recv(it.reg(in.dst))
+			e.OnDone(stepRetire)
+		default:
+			e.Then(stepExec)
+		}
 	case tLW:
 		addr := it.regs[in.src1] + raw.Word(in.imm)
 		if in.dst == regCSTO {
-			e.CacheRead(addr, &it.latch)
-			e.SendFunc(func() raw.Word { retire(); return it.latch })
+			// The send reads the latch as it fires, after the load.
+			e.CacheRead(addr, &it.latch[0])
+			e.SendN(1, it.latch[:])
 		} else {
 			e.CacheRead(addr, it.reg(in.dst))
-			e.OnDone(retire)
 		}
+		e.OnDone(stepRetire)
 	case tSW:
 		// The store retires as its cache access starts, this cycle.
 		e.CacheWrite(it.regs[in.src1]+raw.Word(in.imm), it.regs[in.dst])
-		retire()
+		it.Retired++
 	case tBEQ, tBNE:
-		it.lowerBranch(e, in, retire)
-	case tJMP:
-		e.Then(func(*raw.Exec) { it.pc = in.tgt; retire() })
-	case tJAL:
-		ret := it.pc // already advanced past the jal
-		e.Then(func(*raw.Exec) {
-			it.write(31, raw.Word(ret))
+		if in.src1 == regCSTI || in.src2 == regCSTI {
+			e.Recv(&it.latch[0])
+		}
+		e.Then(stepExec)
+	case tLI, tJMP, tJAL, tJR:
+		e.Then(stepExec)
+	}
+}
+
+// exec runs the part of instruction in that takes effect in its step.
+func (it *Interp) exec(in *tInstr) {
+	switch in.op {
+	case tLI:
+		it.write(in.dst, raw.Word(in.imm))
+	case tALU, tALUI:
+		if in.dst == regCSTO {
+			panic("asm: ALU with both network source and destination not supported")
+		}
+		it.write(in.dst, alu(in.alu, it.operand(in.src1), it.operandB(in)))
+	case tMOVE:
+		it.write(in.dst, it.regs[in.src1])
+	case tBEQ, tBNE:
+		a, b := it.operand(in.src1), it.operand(in.src2)
+		taken := a == b
+		if in.op == tBNE {
+			taken = a != b
+		}
+		if taken {
 			it.pc = in.tgt
-			retire()
-		})
+		}
+	case tJMP:
+		it.pc = in.tgt
+	case tJAL:
+		it.write(31, raw.Word(it.cur+1))
+		it.pc = in.tgt
 	case tJR:
-		e.Then(func(*raw.Exec) {
-			it.pc = int(it.regVal(in.src1))
-			retire()
-		})
+		it.pc = int(it.regVal(in.src1))
 	}
 }
 
@@ -161,8 +236,7 @@ func alu(k aluKind, a, b raw.Word) raw.Word {
 	panic("asm: bad alu kind")
 }
 
-// regVal reads a general register, returning 0 for network ports (whose
-// values are substituted by the caller after a Recv).
+// regVal reads a general register, returning 0 for network ports.
 func (it *Interp) regVal(n int) raw.Word {
 	if n < 0 || n >= 32 {
 		return 0
@@ -170,93 +244,21 @@ func (it *Interp) regVal(n int) raw.Word {
 	return it.regs[n]
 }
 
-func (it *Interp) lowerALU(e *raw.Exec, in *tInstr, retire func()) {
-	getB := func() raw.Word {
-		if in.op == tALUI {
-			return raw.Word(in.imm)
-		}
-		return it.regVal(in.src2)
+// operand reads source register n: the latched word for $csti.
+func (it *Interp) operand(n int) raw.Word {
+	if n == regCSTI {
+		return it.latch[0]
 	}
-	netSrc := in.src1 == regCSTI || (in.op == tALU && in.src2 == regCSTI)
-	apply := func(a, b raw.Word) {
-		v := alu(in.alu, a, b)
-		if in.dst == regCSTO {
-			panic("asm: ALU with both network source and destination not supported")
-		}
-		it.write(in.dst, v)
-		retire()
-	}
-	switch {
-	case in.dst == regCSTO && !netSrc:
-		// e.g. `or $csto, $0, $5`: computes and sends in one cycle.
-		e.SendFunc(func() raw.Word {
-			retire()
-			return alu(in.alu, it.regs[in.src1], getB())
-		})
-	case netSrc:
-		// e.g. `and $5, $5, $csti`: the word is received (decode) and the
-		// ALU op executes the following cycle — Figure 3-2's cycles 4,5.
-		e.Recv(&it.latch)
-		e.Then(func(*raw.Exec) {
-			a, b := it.regVal(in.src1), getB()
-			if in.src1 == regCSTI {
-				a = it.latch
-			}
-			if in.op == tALU && in.src2 == regCSTI {
-				b = it.latch
-			}
-			apply(a, b)
-		})
-	default:
-		e.Then(func(*raw.Exec) { apply(it.regVal(in.src1), getB()) })
-	}
+	return it.regVal(n)
 }
 
-func (it *Interp) lowerMove(e *raw.Exec, in *tInstr, retire func()) {
-	switch {
-	case in.dst == regCSTO && in.src1 == regCSTI:
-		e.Forward(1)
-		e.OnDone(retire)
-	case in.dst == regCSTO:
-		e.SendFunc(func() raw.Word { retire(); return it.regs[in.src1] })
-	case in.src1 == regCSTI:
-		e.Recv(it.reg(in.dst))
-		e.OnDone(retire)
-	default:
-		e.Then(func(*raw.Exec) { it.write(in.dst, it.regs[in.src1]); retire() })
+// operandB is an ALU instruction's second operand: the immediate, or
+// its second source register.
+func (it *Interp) operandB(in *tInstr) raw.Word {
+	if in.op == tALUI {
+		return raw.Word(in.imm)
 	}
-}
-
-func (it *Interp) lowerBranch(e *raw.Exec, in *tInstr, retire func()) {
-	if in.src1 == regCSTI || in.src2 == regCSTI {
-		e.Recv(&it.latch)
-		e.Then(func(*raw.Exec) {
-			a, b := it.regVal(in.src1), it.regVal(in.src2)
-			if in.src1 == regCSTI {
-				a = it.latch
-			}
-			if in.src2 == regCSTI {
-				b = it.latch
-			}
-			it.branch(in, a, b)
-			retire()
-		})
-		return
-	}
-	e.Then(func(*raw.Exec) {
-		it.branch(in, it.regs[in.src1], it.regs[in.src2])
-		retire()
-	})
-}
-
-func (it *Interp) branch(in *tInstr, a, b raw.Word) {
-	taken := a == b
-	if in.op == tBNE {
-		taken = a != b
-	}
-	if taken {
-		it.pc = in.tgt
-	}
+	return it.operand(in.src2)
 }
 
 // Load assembles src and installs the interpreter as tile t's firmware,

@@ -18,7 +18,7 @@ func TestDynManyToOneCongestion(t *testing.T) {
 	for si, s := range senders {
 		si, s := si, s
 		sent := 0
-		chip.Tile(s).Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) {
+		chip.Tile(s).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, _ raw.Step) {
 			if sent >= msgsPerSender {
 				return
 			}
@@ -32,15 +32,20 @@ func TestDynManyToOneCongestion(t *testing.T) {
 		}))
 	}
 	var got [][]raw.Word
+	var ws []raw.Word
 	recvCount := 0
-	chip.Tile(5).Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) {
+	chip.Tile(5).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
+		if s == doneStep {
+			got = append(got, ws)
+			return
+		}
 		if recvCount >= len(senders)*msgsPerSender {
 			return
 		}
 		recvCount++
-		ws := make([]raw.Word, 1+payloadLen)
+		ws = make([]raw.Word, 1+payloadLen)
 		e.DynRecv(raw.DynGeneral, ws)
-		e.OnDone(func() { got = append(got, ws) })
+		e.OnDone(doneStep)
 	}))
 	chip.Run(4000)
 	if len(got) != len(senders)*msgsPerSender {
@@ -66,11 +71,6 @@ func TestDynManyToOneCongestion(t *testing.T) {
 	}
 }
 
-// firmwareFunc adapts a refill function.
-type firmwareFunc func(e *raw.Exec)
-
-func (f firmwareFunc) Refill(e *raw.Exec) { f(e) }
-
 // TestDynBidirectionalPingPong: two processors bounce a counter over the
 // dynamic network; checks request/response does not deadlock and latency
 // is sane.
@@ -78,7 +78,7 @@ func TestDynBidirectionalPingPong(t *testing.T) {
 	chip := raw.NewChip(raw.DefaultConfig())
 	const rounds = 20
 	var aCount, bCount int
-	chip.Tile(0).Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) {
+	chip.Tile(0).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, _ raw.Step) {
 		if aCount >= rounds {
 			return
 		}
@@ -87,16 +87,18 @@ func TestDynBidirectionalPingPong(t *testing.T) {
 		e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(3, 3, 1), raw.Word(k)})
 		e.DynRecv(raw.DynGeneral, make([]raw.Word, 2))
 	}))
-	chip.Tile(15).Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) {
+	ws := make([]raw.Word, 2)
+	chip.Tile(15).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
+		if s == doneStep {
+			e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(0, 0, 1), ws[1] + 100})
+			return
+		}
 		if bCount >= rounds {
 			return
 		}
 		bCount++
-		ws := make([]raw.Word, 2)
 		e.DynRecv(raw.DynGeneral, ws)
-		e.Then(func(e *raw.Exec) {
-			e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(0, 0, 1), ws[1] + 100})
-		})
+		e.Then(doneStep)
 	}))
 	chip.Run(3000)
 	if aCount != rounds || bCount != rounds {
@@ -112,14 +114,18 @@ func TestDynEdgeDeviceEcho(t *testing.T) {
 	// the sender's own row, so the device sits at tile 7 (row 1).
 	chip.AttachDynDevice(7, raw.DirE, raw.DynGeneral, &echoDev{})
 	var got raw.Word
-	chip.Tile(4).Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) {
+	ws := make([]raw.Word, 2)
+	chip.Tile(4).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
+		if s == doneStep {
+			got = ws[1]
+			return
+		}
 		if got != 0 {
 			return
 		}
 		e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(4, 1, 2), raw.MemCmd(0, 4), 0x40})
-		ws := make([]raw.Word, 2)
 		e.DynRecv(raw.DynGeneral, ws)
-		e.OnDone(func() { got = ws[1] })
+		e.OnDone(doneStep)
 	}))
 	chip.Run(500)
 	if got != 0x40+1 {
@@ -165,17 +171,21 @@ func TestIdleDeviceSkipsTicks(t *testing.T) {
 		dev := &countDev{}
 		chip.AttachDynDevice(7, raw.DirE, raw.DynGeneral, dev)
 		var got []raw.Word
+		ws := make([]raw.Word, 2)
 		sent := 0
-		chip.Tile(4).Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) {
+		chip.Tile(4).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
+			if s == doneStep {
+				got = append(got, ws[1])
+				return
+			}
 			if sent == 2 {
 				return
 			}
 			sent++
 			e.Compute(300)
 			e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(4, 1, 2), raw.MemCmd(0, 4), raw.Word(sent)})
-			ws := make([]raw.Word, 2)
 			e.DynRecv(raw.DynGeneral, ws)
-			e.OnDone(func() { got = append(got, ws[1]) })
+			e.OnDone(doneStep)
 		}))
 		chip.Run(1000)
 		if len(got) != 2 || got[0] != 2 || got[1] != 3 {
@@ -238,7 +248,7 @@ func TestDynMaxLengthMessage(t *testing.T) {
 	chip := raw.NewChip(raw.DefaultConfig())
 	n := raw.MaxDynMessageWords - 1
 	sent := false
-	chip.Tile(0).Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) {
+	chip.Tile(0).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, _ raw.Step) {
 		if sent {
 			return
 		}
@@ -250,14 +260,18 @@ func TestDynMaxLengthMessage(t *testing.T) {
 		e.DynSend(raw.DynGeneral, msg)
 	}))
 	var got []raw.Word
-	chip.Tile(10).Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) {
+	ws := make([]raw.Word, 1+n)
+	chip.Tile(10).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
+		if s == doneStep {
+			got = ws
+			return
+		}
 		if got != nil {
 			return
 		}
 		got = []raw.Word{}
-		ws := make([]raw.Word, 1+n)
 		e.DynRecv(raw.DynGeneral, ws)
-		e.OnDone(func() { got = ws })
+		e.OnDone(doneStep)
 	}))
 	chip.Run(500)
 	if len(got) != 1+n {

@@ -122,7 +122,11 @@ func buildUniform(cycles int64) *workloadRun {
 		var got raw.Word
 		if id%2 == 0 {
 			rng := traffic.NewRNG(0xA11CE0 + uint64(id))
-			exec.SetFirmware(raw.FirmwareFunc(func(e *raw.Exec) {
+			exec.SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
+				if s == doneStep {
+					r.digest[id] += got
+					return
+				}
 				dst := 2*rng.Intn(8) + 1 // some odd tile
 				msg := []raw.Word{raw.DynHeaderTag(dst%4, dst/4, 3, raw.Word(id))}
 				for k := 0; k < 3; k++ {
@@ -134,21 +138,26 @@ func buildUniform(cycles int64) *workloadRun {
 				val := raw.Word(rng.Uint64())
 				e.CacheWrite(addr, val)
 				e.CacheRead(addr, &got)
-				e.OnDone(func() { r.digest[id] += got })
+				e.OnDone(doneStep)
 			}))
 		} else {
 			rng := traffic.NewRNG(0xB0B0 + uint64(id))
 			ws := make([]raw.Word, 4)
-			exec.SetFirmware(raw.FirmwareFunc(func(e *raw.Exec) {
-				e.DynRecv(raw.DynGeneral, ws)
-				e.OnDone(func() {
+			exec.SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
+				switch s {
+				case raw.Refill:
+					e.DynRecv(raw.DynGeneral, ws)
+					e.OnDone(1)
+					addr := raw.Word(rng.Intn(1 << 10))
+					e.CacheRead(addr, &got)
+					e.OnDone(2)
+				case 1:
 					for _, w := range ws {
 						r.digest[id] = r.digest[id]*31 + w
 					}
-				})
-				addr := raw.Word(rng.Intn(1 << 10))
-				e.CacheRead(addr, &got)
-				e.OnDone(func() { r.digest[id] ^= got })
+				case 2:
+					r.digest[id] ^= got
+				}
 			}))
 		}
 	}
@@ -163,18 +172,20 @@ func buildHotspot(cycles int64) *workloadRun {
 	mem.Attach(chip, 20)
 	r := &workloadRun{chip: chip, rec: rec, digest: make([]raw.Word, 16)}
 	ws := make([]raw.Word, 4)
-	chip.Tile(0).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec) {
-		e.DynRecv(raw.DynGeneral, ws)
-		e.OnDone(func() {
+	chip.Tile(0).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
+		if s == doneStep {
 			for _, w := range ws {
 				r.digest[0] = r.digest[0]*31 + w
 			}
-		})
+			return
+		}
+		e.DynRecv(raw.DynGeneral, ws)
+		e.OnDone(doneStep)
 	}))
 	for id := 1; id < 16; id++ {
 		id := id
 		rng := traffic.NewRNG(0x50707 + uint64(id))
-		chip.Tile(id).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec) {
+		chip.Tile(id).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, _ raw.Step) {
 			msg := []raw.Word{raw.DynHeaderTag(0, 0, 3, raw.Word(id))}
 			for k := 0; k < 3; k++ {
 				msg = append(msg, raw.Word(rng.Uint64()))
@@ -209,13 +220,21 @@ func buildMulticast(cycles int64) *workloadRun {
 		}
 		id0, id1 := x, 4+x
 		var w0, w1 raw.Word
-		chip.Tile(id0).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec) {
+		chip.Tile(id0).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
+			if s == doneStep {
+				r.digest[id0] = r.digest[id0]*31 + w0
+				return
+			}
 			e.RecvOn(0, &w0)
-			e.OnDone(func() { r.digest[id0] = r.digest[id0]*31 + w0 })
+			e.OnDone(doneStep)
 		}))
-		chip.Tile(id1).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec) {
+		chip.Tile(id1).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
+			if s == doneStep {
+				r.digest[id1] = r.digest[id1]*31 + w1
+				return
+			}
 			e.RecvOn(1, &w1)
-			e.OnDone(func() { r.digest[id1] = r.digest[id1]*31 + w1 })
+			e.OnDone(doneStep)
 		}))
 	}
 	rngA := traffic.NewRNG(0xFA17)
@@ -375,7 +394,7 @@ func TestFastEngineStreamingSteadyState(t *testing.T) {
 func TestFastEngineBlockedFirmwareWindows(t *testing.T) {
 	run := func(eng raw.Engine) (*raw.Chip, string) {
 		chip := streamChip(eng)
-		chip.TileAt(1, 3).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec) {
+		chip.TileAt(1, 3).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, _ raw.Step) {
 			e.Recv(nil)
 		}))
 		for y := 0; y < 3; y++ {
@@ -541,11 +560,13 @@ func routeVChip(eng raw.Engine, count raw.Word, feed int) (*raw.Chip, *bool) {
 		panic(err)
 	}
 	done := new(bool)
-	chip.Tile(0).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
+	fw := &fwSteps{}
+	fw.once = func(e *raw.Exec) {
 		e.WriteSwitchCount(count)
 		e.WaitSwitchDone(nil)
-		e.OnDone(func() { *done = true })
-	}})
+		fw.onDone(e, func() { *done = true })
+	}
+	chip.Tile(0).Exec().SetFirmware(fw)
 	in := chip.StaticIn(0, raw.DirW)
 	for i := 0; i < feed; i++ {
 		in.Push(raw.Word(100 + i))

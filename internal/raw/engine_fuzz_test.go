@@ -134,25 +134,29 @@ type fuzzFW struct {
 	sum raw.Word
 }
 
+// fuzzOp is the fuzz firmware's control step, which draws one more op.
+// Steps 1 to 4 are completions: step k folds the first k landed words
+// into sum.
+const fuzzOp raw.Step = 5
+
 func (f *fuzzFW) Quiesced() bool { return f.left == 0 }
 
-func (f *fuzzFW) Refill(e *raw.Exec) {
-	if f.left == 0 {
-		return
-	}
-	if f.left > 0 {
-		f.left--
-	}
-	for n := 1 + f.rng.Intn(3); n > 0; n-- {
+func (f *fuzzFW) Step(e *raw.Exec, s raw.Step) {
+	switch s {
+	case raw.Refill:
+		if f.left == 0 {
+			return
+		}
+		if f.left > 0 {
+			f.left--
+		}
+		for n := 1 + f.rng.Intn(3); n > 0; n-- {
+			f.op(e)
+		}
+	case fuzzOp:
 		f.op(e)
-	}
-}
-
-// fold returns a completion callback that folds the first k landed
-// words into sum.
-func (f *fuzzFW) fold(k int) func() {
-	return func() {
-		for _, w := range f.in[:k] {
+	default:
+		for _, w := range f.in[:s] {
 			f.sum = f.sum*31 + w + 1
 		}
 	}
@@ -198,16 +202,16 @@ func (f *fuzzFW) op(e *raw.Exec) {
 	case 2:
 		if r.Intn(3) == 0 {
 			e.RecvN(k, 1+r.Intn(2), f.in[:k])
-			e.OnDone(f.fold(k))
+			e.OnDone(raw.Step(k))
 			break
 		}
 		e.RecvOn(net, &f.in[0])
-		e.OnDone(f.fold(1))
+		e.OnDone(1)
 	case 3:
 		e.Forward(k)
 	case 4:
 		e.RecvN(k, 1+r.Intn(2), f.in[:k])
-		e.OnDone(f.fold(k))
+		e.OnDone(raw.Step(k))
 	case 5:
 		e.SendN(k, countUp(w, k))
 	case 6, 7:
@@ -219,7 +223,7 @@ func (f *fuzzFW) op(e *raw.Exec) {
 			}
 			e.WriteSwitchPCOn(net, raw.Word(1+3*j))
 			e.WaitSwitchDoneOn(net, &f.in[0])
-			e.OnDone(f.fold(1))
+			e.OnDone(1)
 		} else {
 			e.WriteSwitchCountOn(net, raw.Word(k))
 		}
@@ -232,7 +236,7 @@ func (f *fuzzFW) op(e *raw.Exec) {
 		e.DynSend(raw.DynGeneral, msg)
 	case 9:
 		e.DynRecv(raw.DynGeneral, f.in[:k])
-		e.OnDone(f.fold(k))
+		e.OnDone(raw.Step(k))
 	case 10:
 		if !f.cache {
 			e.Compute(1)
@@ -243,10 +247,10 @@ func (f *fuzzFW) op(e *raw.Exec) {
 			e.CacheWrite(addr, w)
 		} else {
 			e.CacheRead(addr, &f.in[0])
-			e.OnDone(f.fold(1))
+			e.OnDone(1)
 		}
 	case 11:
-		e.Then(func(e *raw.Exec) { f.op(e) })
+		e.Then(fuzzOp)
 	}
 }
 

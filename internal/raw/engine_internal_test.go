@@ -1,8 +1,32 @@
 // In-package engine tests: digest-level equivalence over randomly
-// generated switch programs, and the Engine knob itself.
+// generated switch programs, the Engine knob itself, and the micro-op
+// layout.
 package raw
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
+
+// TestMicroOpIsData: a queued micro-op is plain data, so a tile's batch
+// can be serialized with the rest of its state. No field of microOp, nor
+// anything a field points to, may be func-typed.
+func TestMicroOpIsData(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Func, reflect.Interface, reflect.Chan:
+			t.Errorf("%s is %v: a micro-op must hold data only", path, typ)
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	walk("microOp", reflect.TypeOf(microOp{}))
+}
 
 func TestParseEngine(t *testing.T) {
 	cases := []struct {

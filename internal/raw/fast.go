@@ -42,9 +42,9 @@ import "math/bits"
 // installation, hook registration) and cost microseconds.
 
 // Quiescer is an optional Firmware extension. Quiesced reports that the
-// firmware has permanently finished: Refill will enqueue nothing and has
-// no side effects, now and on every future cycle, until the executor is
-// reconfigured (SetFirmware/Reset). The macro-step scan uses it to admit
+// firmware has permanently finished: its Refill step will enqueue nothing
+// and has no side effects, now and on every future cycle, until the
+// executor is reconfigured (SetFirmware/Reset). The macro-step scan uses it to admit
 // an idle tile whose halted program would refill nothing; firmware that
 // cannot promise stickiness must not implement it.
 type Quiescer interface {

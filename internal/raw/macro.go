@@ -41,10 +41,10 @@ import (
 //     already Idle, firmware absent or permanently quiesced) or provably
 //     blocked at its current micro-op: parked on an empty receive queue
 //     or a full send queue whose counter-party is itself frozen for the
-//     window. A blocked processor runs no closure and never calls
-//     Refill, so the phase its firmware is in cannot matter; live
-//     firmware is declined only when nothing is queued, since the next
-//     step would refill.
+//     window. A blocked processor completes no op, so it runs no
+//     firmware step and never refills, and the phase its firmware is in
+//     cannot matter; live firmware is declined only when nothing is
+//     queued, since the next step would refill.
 //   - Every dynamic router is asleep, or has no active worm and empty
 //     inputs.
 //   - Every static switch is halted, admitted as a streamer, or frozen.

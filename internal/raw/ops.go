@@ -1,9 +1,14 @@
 package raw
 
 // Firmware is the tile processor programming model used by the router: a
-// deterministic generator of micro-ops. When the executor's queue runs
-// empty it calls Refill exactly once per cycle; firmware enqueues the next
-// batch of operations (or nothing, idling the tile this cycle).
+// deterministic generator of micro-ops with one entry point. When the
+// executor's queue runs empty it calls Step with Refill exactly once per
+// cycle; firmware enqueues the next batch of operations (or nothing,
+// idling the tile this cycle). A micro-op may carry a step code (OnDone,
+// Then): in the cycle that op completes the executor calls Step with
+// that code, and the ops the step enqueues run after the rest of the
+// batch. A tile's whole state is therefore its queued ops, which are
+// plain data, and its firmware's own fields.
 //
 // Micro-ops carry the cycle costs the thesis states for the corresponding
 // instruction sequences: register-mapped network sends and moves cost one
@@ -11,14 +16,22 @@ package raw
 // costs two cycles (§4.4), cache hits are 3 cycles, and control decisions
 // cost one cycle each (a branch uses one issue slot, §4.4).
 type Firmware interface {
-	Refill(e *Exec)
+	Step(e *Exec, s Step)
 }
 
-// FirmwareFunc adapts a function to the Firmware interface.
-type FirmwareFunc func(e *Exec)
+// Step is a firmware's step code: Refill, or a continuation the firmware
+// numbers itself and names on a micro-op.
+type Step uint8
 
-// Refill calls f.
-func (f FirmwareFunc) Refill(e *Exec) { f(e) }
+// Refill is the step the executor passes when its queue runs empty. An op
+// whose step is Refill completes without calling the firmware.
+const Refill Step = 0
+
+// FirmwareFunc adapts a function to the Firmware interface.
+type FirmwareFunc func(e *Exec, s Step)
+
+// Step calls f.
+func (f FirmwareFunc) Step(e *Exec, s Step) { f(e, s) }
 
 type opKind uint8
 
@@ -35,15 +48,14 @@ const (
 	opDynRecv
 	opCacheRead
 	opCacheWrite
-	opThen
 )
 
-// microOp is one queued micro-op. Its operands are plain data: receives
-// land in dst or words, sends read val or words. It carries at most three
-// callbacks: SendFunc's deferred word, Then's continuation, and the
-// completion callback OnDone attaches to any op.
+// microOp is one queued micro-op, plain data: receives land in dst or
+// words, sends read val or words, and step names the firmware step that
+// runs in the cycle the op completes.
 type microOp struct {
 	kind opKind
+	step Step
 	n    int
 	cost int // per-word cost for opRecv
 	net  int // dynamic network for opDynSend/opDynRecv
@@ -53,10 +65,6 @@ type microOp struct {
 	addr  Word   // cache address for opCacheRead/opCacheWrite
 	dst   *Word  // where a one-word receive lands (nil discards)
 	words []Word // receive destination, SendN source or DynSend message
-
-	valF  func() Word // SendFunc's word, computed as it leaves
-	thenF func(e *Exec)
-	doneF func() // runs in the cycle the op completes
 
 	// in-flight state
 	i   int
@@ -133,9 +141,10 @@ func (e *Exec) Utilization() float64 {
 
 func (e *Exec) push(op microOp) { e.ops = append(e.ops, op) }
 
-// OnDone makes f the completion callback of the micro-op enqueued last: f
-// runs in the cycle that op completes, after its last word has landed.
-func (e *Exec) OnDone(f func()) { e.ops[len(e.ops)-1].doneF = f }
+// OnDone makes s the step of the micro-op enqueued last: the firmware runs
+// it in the cycle that op completes, after its last word has landed, at
+// no cycle of its own.
+func (e *Exec) OnDone(s Step) { e.ops[len(e.ops)-1].step = s }
 
 // Compute enqueues n cycles of pure computation.
 func (e *Exec) Compute(n int) {
@@ -149,10 +158,6 @@ func (e *Exec) Send(w Word) { e.push(microOp{kind: opSend, val: w}) }
 
 // SendOn is Send on a chosen static network ($csto2 for net 1).
 func (e *Exec) SendOn(net int, w Word) { e.push(microOp{kind: opSend, snet: net, val: w}) }
-
-// SendFunc enqueues a one-cycle send whose word f computes in the cycle
-// the send fires, for a word or side effect that belongs to that cycle.
-func (e *Exec) SendFunc(f func() Word) { e.push(microOp{kind: opSend, valF: f}) }
 
 // Recv enqueues a one-cycle receive from the switch ($csti) into *dst;
 // nil discards the word. It steps exactly as RecvN(1, 1, ...).
@@ -233,9 +238,9 @@ func (e *Exec) CacheWrite(addr, val Word) {
 	e.push(microOp{kind: opCacheWrite, addr: addr, val: val})
 }
 
-// Then enqueues a one-cycle control step; f typically inspects received
-// values and enqueues the next ops.
-func (e *Exec) Then(f func(e *Exec)) { e.push(microOp{kind: opThen, thenF: f}) }
+// Then enqueues a one-cycle control decision that runs step s in its
+// cycle; s typically inspects received values and enqueues the next ops.
+func (e *Exec) Then(s Step) { e.push(microOp{kind: opCompute, n: 1, step: s}) }
 
 // step advances the processor one cycle.
 func (e *Exec) step() {
@@ -243,7 +248,7 @@ func (e *Exec) step() {
 		e.ops = e.ops[:0]
 		e.head = 0
 		if e.fw != nil {
-			e.fw.Refill(e)
+			e.fw.Step(e, Refill)
 		}
 		if len(e.ops) == 0 {
 			e.setState(StateIdle)
@@ -252,8 +257,8 @@ func (e *Exec) step() {
 	}
 	op := &e.ops[e.head]
 	done, st := e.stepOp(op)
-	if done && op.doneF != nil {
-		op.doneF()
+	if done && op.step != Refill {
+		e.fw.Step(e, op.step)
 	}
 	e.setState(st)
 	if done {
@@ -277,11 +282,7 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 		if !t.st[op.snet].csto.CanPush() {
 			return false, StateStallSend
 		}
-		w := op.val
-		if op.valF != nil {
-			w = op.valF()
-		}
-		t.st[op.snet].csto.Push(w)
+		t.st[op.snet].csto.Push(op.val)
 		return true, StateRun
 
 	case opRecv:
@@ -379,12 +380,6 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 	case opCacheWrite:
 		done, _, st := t.cache.access(op.addr, true, op.val)
 		return done, st
-
-	case opThen:
-		// Pop first so ops enqueued by the callback run after the
-		// remainder of the current batch.
-		op.thenF(e)
-		return true, StateRun
 	}
 	panic("raw: unknown micro-op")
 }

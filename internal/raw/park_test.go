@@ -54,7 +54,7 @@ func TestParkedEdgeReaderOpensWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got raw.Word
-		tile.Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) { e.Recv(&got) }))
+		tile.Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, _ raw.Step) { e.Recv(&got) }))
 		return chip
 	}
 	ref, fast := build(raw.EngineRef), build(raw.EngineFast)
@@ -123,7 +123,12 @@ func TestDynRouterSleepWake(t *testing.T) {
 		}
 		chip.AttachDynDevice(7, raw.DirE, raw.DynGeneral, r.dev)
 		round := raw.Word(0)
-		chip.Tile(4).Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) {
+		ws4 := make([]raw.Word, 2)
+		chip.Tile(4).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
+			if s == doneStep {
+				r.got4 = append(r.got4, ws4[1])
+				return
+			}
 			if round == 6 {
 				return
 			}
@@ -133,17 +138,20 @@ func TestDynRouterSleepWake(t *testing.T) {
 			e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(1, 1, 2), v, 100 + v})
 			e.Compute(25)
 			e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(4, 1, 2), raw.MemCmd(0, 4), 200 + v})
-			ws := make([]raw.Word, 2)
-			e.DynRecv(raw.DynGeneral, ws)
-			e.OnDone(func() { r.got4 = append(r.got4, ws[1]) })
+			e.DynRecv(raw.DynGeneral, ws4)
+			e.OnDone(doneStep)
 		}))
-		chip.Tile(5).Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) {
+		ws5 := make([]raw.Word, 3)
+		chip.Tile(5).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
+			if s == doneStep {
+				r.got5 = append(r.got5, ws5[1], ws5[2])
+				return
+			}
 			e.Compute(150)
-			ws := make([]raw.Word, 3)
-			e.DynRecv(raw.DynGeneral, ws)
-			e.OnDone(func() { r.got5 = append(r.got5, ws[1], ws[2]) })
+			e.DynRecv(raw.DynGeneral, ws5)
+			e.OnDone(doneStep)
 		}))
-		chip.Tile(7).Exec().SetFirmware(firmwareFunc(func(e *raw.Exec) { e.Compute(64) }))
+		chip.Tile(7).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, _ raw.Step) { e.Compute(64) }))
 		return r
 	}
 	ref, fast := build(raw.EngineRef), build(raw.EngineFast)

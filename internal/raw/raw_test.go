@@ -1,7 +1,7 @@
 package raw_test
 
 import (
-	"maps"
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -88,13 +88,39 @@ func TestStaticBackpressure(t *testing.T) {
 	}
 }
 
+// doneStep is the step code of a test firmware's one completion.
+const doneStep raw.Step = 1
+
+// testSteps is a test firmware's table of completion bodies: onDone
+// makes body the step of the op enqueued last, and run runs the body of
+// a completed op's step.
+type testSteps []func()
+
+func (t *testSteps) onDone(e *raw.Exec, body func()) {
+	*t = append(*t, body)
+	e.OnDone(raw.Step(len(*t)))
+}
+
+// then enqueues a Then whose step runs body.
+func (t *testSteps) then(e *raw.Exec, body func()) {
+	*t = append(*t, body)
+	e.Then(raw.Step(len(*t)))
+}
+
+func (t testSteps) run(s raw.Step) { t[s-1]() }
+
 // fwSteps is a firmware helper that runs a fixed schedule once.
 type fwSteps struct {
 	once func(e *raw.Exec)
 	done bool
+	testSteps
 }
 
-func (f *fwSteps) Refill(e *raw.Exec) {
+func (f *fwSteps) Step(e *raw.Exec, s raw.Step) {
+	if s != raw.Refill {
+		f.run(s)
+		return
+	}
 	if f.done {
 		return
 	}
@@ -115,10 +141,12 @@ func TestProcSendRecvNeighbor(t *testing.T) {
 	chip.Tile(0).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
 		e.Send(0xdead)
 	}})
-	chip.Tile(4).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
+	rx := &fwSteps{}
+	rx.once = func(e *raw.Exec) {
 		e.Recv(&got)
-		e.OnDone(func() { gotCycle = chip.Cycle() })
-	}})
+		rx.onDone(e, func() { gotCycle = chip.Cycle() })
+	}
+	chip.Tile(4).Exec().SetFirmware(rx)
 	chip.Run(20)
 	if got != 0xdead {
 		t.Fatalf("tile 4 received %#x, want 0xdead", got)
@@ -140,11 +168,13 @@ func TestSwitchRouteV(t *testing.T) {
 		{Op: raw.SwHalt},
 	})
 	var done bool
-	chip.Tile(0).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
+	fw := &fwSteps{}
+	fw.once = func(e *raw.Exec) {
 		e.WriteSwitchCount(7)
 		e.WaitSwitchDone(nil)
-		e.OnDone(func() { done = true })
-	}})
+		fw.onDone(e, func() { done = true })
+	}
+	chip.Tile(0).Exec().SetFirmware(fw)
 	in := chip.StaticIn(0, raw.DirW)
 	for i := 0; i < 20; i++ {
 		in.Push(raw.Word(100 + i))
@@ -184,16 +214,16 @@ func TestSwitchJumpTableDispatch(t *testing.T) {
 		func(e *raw.Exec) {
 			e.WriteSwitchPC(1) // config A
 			e.WaitSwitchDone(&confirm[0])
-			e.OnDone(func() { confirms = append(confirms, confirm[0]) })
+			fw.onDone(e, func() { confirms = append(confirms, confirm[0]) })
 		},
 		func(e *raw.Exec) {
 			e.WriteSwitchPC(4) // config B
 			e.Recv(&recv[0])
-			e.OnDone(func() { received = append(received, recv[0]) })
+			fw.onDone(e, func() { received = append(received, recv[0]) })
 			e.Recv(&recv[1])
-			e.OnDone(func() { received = append(received, recv[1]) })
+			fw.onDone(e, func() { received = append(received, recv[1]) })
 			e.WaitSwitchDone(&confirm[1])
-			e.OnDone(func() { confirms = append(confirms, confirm[1]) })
+			fw.onDone(e, func() { confirms = append(confirms, confirm[1]) })
 		},
 	}
 	chip.Tile(0).Exec().SetFirmware(fw)
@@ -218,9 +248,14 @@ func TestSwitchJumpTableDispatch(t *testing.T) {
 type fwSeq struct {
 	steps []func(e *raw.Exec)
 	i     int
+	testSteps
 }
 
-func (f *fwSeq) Refill(e *raw.Exec) {
+func (f *fwSeq) Step(e *raw.Exec, s raw.Step) {
+	if s != raw.Refill {
+		f.run(s)
+		return
+	}
 	if f.i < len(f.steps) {
 		f.steps[f.i](e)
 		f.i++
@@ -235,11 +270,13 @@ func TestDynNeighborMessage(t *testing.T) {
 	chip.Tile(0).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
 		e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(0, 1, 2), 0xaa, 0xbb})
 	}})
-	chip.Tile(4).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
+	rx := &fwSteps{}
+	rx.once = func(e *raw.Exec) {
 		ws := make([]raw.Word, 3)
 		e.DynRecv(raw.DynGeneral, ws)
-		e.OnDone(func() { got = append(got, ws...) })
-	}})
+		rx.onDone(e, func() { got = append(got, ws...) })
+	}
+	chip.Tile(4).Exec().SetFirmware(rx)
 	chip.Run(40)
 	if len(got) != 3 || got[1] != 0xaa || got[2] != 0xbb {
 		t.Fatalf("got %v, want header + [aa bb]", got)
@@ -258,11 +295,13 @@ func TestDynDimensionOrdered(t *testing.T) {
 		e.DynSend(raw.DynGeneral, append([]raw.Word{raw.DynHeader(3, 3, len(payload))}, payload...))
 	}})
 	var got []raw.Word
-	chip.Tile(15).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
+	rx := &fwSteps{}
+	rx.once = func(e *raw.Exec) {
 		ws := make([]raw.Word, 1+len(payload))
 		e.DynRecv(raw.DynGeneral, ws)
-		e.OnDone(func() { got = ws })
-	}})
+		rx.onDone(e, func() { got = ws })
+	}
+	chip.Tile(15).Exec().SetFirmware(rx)
 	chip.Run(100)
 	if len(got) != 1+len(payload) {
 		t.Fatalf("corner-to-corner message not delivered: got %d words", len(got))
@@ -289,16 +328,17 @@ func TestDynTwoWormsShareRouter(t *testing.T) {
 	mk(1, raw.DynHeader(1, 3, 3), 0x100)
 	mk(4, raw.DynHeader(3, 1, 3), 0x200)
 	var got13, got7 []raw.Word
-	chip.Tile(13).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
-		ws := make([]raw.Word, 4)
-		e.DynRecv(raw.DynGeneral, ws)
-		e.OnDone(func() { got13 = ws })
-	}})
-	chip.Tile(7).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
-		ws := make([]raw.Word, 4)
-		e.DynRecv(raw.DynGeneral, ws)
-		e.OnDone(func() { got7 = ws })
-	}})
+	recv := func(tile int, got *[]raw.Word) {
+		rx := &fwSteps{}
+		rx.once = func(e *raw.Exec) {
+			ws := make([]raw.Word, 4)
+			e.DynRecv(raw.DynGeneral, ws)
+			rx.onDone(e, func() { *got = ws })
+		}
+		chip.Tile(tile).Exec().SetFirmware(rx)
+	}
+	recv(13, &got13)
+	recv(7, &got7)
 	chip.Run(100)
 	if len(got13) != 4 || got13[1] != 0x100 || got13[3] != 0x102 {
 		t.Fatalf("tile 13 got %v", got13)
@@ -391,16 +431,17 @@ func TestCacheHitAndMiss(t *testing.T) {
 
 	var v1, v2 raw.Word
 	var c1, c2 int64 = -1, -1
-	fw := &fwSeq{steps: []func(e *raw.Exec){
+	fw := &fwSeq{}
+	fw.steps = []func(e *raw.Exec){
 		func(e *raw.Exec) {
 			e.CacheRead(0x1000, &v1)
-			e.OnDone(func() { c1 = chip.Cycle() })
+			fw.onDone(e, func() { c1 = chip.Cycle() })
 		},
 		func(e *raw.Exec) {
 			e.CacheRead(0x1003, &v2)
-			e.OnDone(func() { c2 = chip.Cycle() })
+			fw.onDone(e, func() { c2 = chip.Cycle() })
 		},
-	}}
+	}
 	chip.Tile(5).Exec().SetFirmware(fw)
 	chip.Run(200)
 	if v1 != 0 || v2 != 21 {
@@ -416,10 +457,14 @@ func TestCacheHitAndMiss(t *testing.T) {
 }
 
 // TestIOContract pins, on both engines, how the I/O micro-ops move
-// words: the cycle each received word lands in its destination, the cycle
-// each op's completion callback runs, and the words a SendN sends. A
-// RecvN discards the words past its destination, a SendN pads its source
-// with zeros, and a DynRecv lands each word in the cycle it pops.
+// words and when firmware steps run: the cycle each received word lands
+// in its destination, the cycle each op's OnDone step runs (after its
+// last word has landed, at no cycle of its own) and the words a SendN
+// sends. A RecvN discards the words past its destination, a SendN pads
+// its source with zeros, and a DynRecv lands each word in the cycle it
+// pops. A Then step costs one cycle in StateRun and runs in it; the ops
+// a step enqueues run after the rest of the batch; and the step of an op
+// that Reset discards never runs.
 func TestIOContract(t *testing.T) {
 	for _, eng := range []raw.Engine{raw.EngineRef, raw.EngineFast} {
 		cfg := raw.DefaultConfig()
@@ -443,32 +488,80 @@ func TestIOContract(t *testing.T) {
 			e.Compute(3)
 			e.DynSend(raw.DynGeneral, []raw.Word{raw.DynHeader(0, 0, 2), 0xaa, 0xbb})
 		}})
+		// Tile 3's switch takes processor words only after it has passed
+		// on the east-edge word pushed at cycle 20, so its processor's
+		// third Send stalls until then.
+		mustProgram(t, chip.Tile(3), []raw.SwInstr{
+			{Op: raw.SwRouteN, Arg: 1, Routes: []raw.Route{{Dst: raw.DirN, Src: raw.DirE}}},
+			{Op: raw.SwRouteN, Arg: 3, Routes: []raw.Route{{Dst: raw.DirN, Src: raw.DirP}}},
+			{Op: raw.SwHalt},
+		})
 
 		// dst: Recv's word, RecvN's two and the word after them, the
 		// switch's confirmation, the cache miss and hit, DynRecv's three.
 		var dst [10]raw.Word
-		doneAt := map[string]int64{}
-		onDone := func(e *raw.Exec, op string) { e.OnDone(func() { doneAt[op] = chip.Cycle() }) }
-		chip.Tile(0).Exec().SetFirmware(&fwSteps{once: func(e *raw.Exec) {
+		var steps []string // each step's name, cycle and the words it saw landed
+		step := func(name string, i int) func() {
+			return func() {
+				if i < 0 {
+					steps = append(steps, fmt.Sprintf("%s@%d", name, chip.Cycle()))
+					return
+				}
+				steps = append(steps, fmt.Sprintf("%s@%d:%#x", name, chip.Cycle(), dst[i]))
+			}
+		}
+		fw0 := &fwSteps{}
+		fw0.once = func(e *raw.Exec) {
 			e.Recv(&dst[0])
-			onDone(e, "Recv")
+			fw0.onDone(e, step("Recv", 0))
 			e.RecvN(3, 2, dst[1:3])
-			onDone(e, "RecvN")
+			fw0.onDone(e, step("RecvN", 2))
 			e.WaitSwitchDone(&dst[4])
-			onDone(e, "WaitSwitchDone")
+			fw0.onDone(e, step("WaitSwitchDone", 4))
 			e.SendN(4, []raw.Word{0x50, 0x51})
 			e.CacheRead(0x1000, &dst[5])
-			onDone(e, "CacheRead miss")
+			fw0.onDone(e, step("CacheRead miss", 5))
 			e.CacheRead(0x1003, &dst[6])
-			onDone(e, "CacheRead hit")
+			fw0.onDone(e, step("CacheRead hit", 6))
 			e.DynRecv(raw.DynGeneral, dst[7:10])
-			onDone(e, "DynRecv")
-		}})
+			fw0.onDone(e, step("DynRecv", 9))
+		}
+		chip.Tile(0).Exec().SetFirmware(fw0)
+		fw3 := &fwSteps{}
+		fw3.once = func(e *raw.Exec) {
+			e.Send(0x61)
+			e.Send(0x62)
+			e.Send(0x63)
+			fw3.onDone(e, step("Send stalled", -1))
+			fw3.then(e, func() {
+				step("Then", -1)()
+				e.Compute(1)
+				fw3.onDone(e, step("enqueued by Then", -1))
+			})
+			e.Compute(2)
+			fw3.onDone(e, step("rest of batch", -1))
+		}
+		chip.Tile(3).Exec().SetFirmware(fw3)
+		// Tile 2's long Compute is discarded by a Reset at cycle 10.
+		fw2 := &fwSteps{}
+		fw2.once = func(e *raw.Exec) {
+			e.Compute(50)
+			fw2.onDone(e, step("discarded", -1))
+		}
+		chip.Tile(2).Exec().SetFirmware(fw2)
+
 		var landed [10]int64 // the cycle each destination word was written, -1 never
 		for i := range landed {
 			landed[i] = -1
 		}
+		var states3 [100]raw.TileState // tile 3's processor state each cycle
 		for c := 0; c < 100; c++ {
+			switch c {
+			case 10:
+				chip.Tile(2).Exec().Reset()
+			case 20:
+				chip.StaticIn(3, raw.DirE).Push(0x60)
+			}
 			prev := dst
 			chip.Step()
 			for i := range dst {
@@ -476,6 +569,7 @@ func TestIOContract(t *testing.T) {
 					landed[i] = chip.Cycle() - 1
 				}
 			}
+			states3[c] = chip.Tile(3).Exec().State()
 		}
 
 		wantDst := [10]raw.Word{11, 12, 13, 0, 0xd0, 1, 22, raw.DynHeader(0, 0, 2), 0xaa, 0xbb}
@@ -484,11 +578,25 @@ func TestIOContract(t *testing.T) {
 			t.Errorf("engine %v: destinations %v landed at %v, want %v at %v",
 				eng, dst, landed, wantDst, wantLanded)
 		}
-		// RecvN completes a cycle after its third word pops (cost 2).
-		wantDone := map[string]int64{"Recv": 1, "RecvN": 7, "WaitSwitchDone": 8,
-			"CacheRead miss": 57, "CacheRead hit": 60, "DynRecv": 63}
-		if !maps.Equal(doneAt, wantDone) {
-			t.Errorf("engine %v: completions at %v, want %v", eng, doneAt, wantDone)
+		// Each OnDone step runs in the cycle its op's last word lands:
+		// RecvN a cycle after its third word pops (cost 2), and the
+		// stalled Send in the cycle its switch first takes a processor
+		// word. The Then step runs in its own cycle; the batch's Compute
+		// follows it, and the op the step enqueued runs last.
+		wantSteps := []string{
+			"Recv@1:0xb", "RecvN@7:0xd", "WaitSwitchDone@8:0xd0",
+			"Send stalled@22", "Then@23", "rest of batch@25", "enqueued by Then@26",
+			"CacheRead miss@57:0x1", "CacheRead hit@60:0x16", "DynRecv@63:0xbb",
+		}
+		if !slices.Equal(steps, wantSteps) {
+			t.Errorf("engine %v: steps ran as %q, want %q", eng, steps, wantSteps)
+		}
+		if got := states3[22:27]; !slices.Equal(got, []raw.TileState{
+			raw.StateRun, raw.StateRun, raw.StateRun, raw.StateRun, raw.StateRun}) {
+			t.Errorf("engine %v: tile 3 states over cycles 22-26 %v, want all StateRun", eng, got)
+		}
+		if states3[21] != raw.StateStallSend {
+			t.Errorf("engine %v: tile 3 state at cycle 21 %v, want StateStallSend", eng, states3[21])
 		}
 		words, cycles := chip.StaticOut(0, raw.DirN).Drain()
 		if !slices.Equal(words, []raw.Word{0x50, 0x51, 0, 0}) || !slices.Equal(cycles, []int64{10, 11, 12, 13}) {
@@ -508,7 +616,8 @@ func TestCacheWriteBack(t *testing.T) {
 	// Three line-aligned addresses mapping to the same set: stride =
 	// sets * lineWords = 512*8 = 4096 words.
 	const a, b, c = 0x0100, 0x0100 + 4096, 0x0100 + 2*4096
-	fw := &fwSeq{steps: []func(e *raw.Exec){
+	fw := &fwSeq{}
+	fw.steps = []func(e *raw.Exec){
 		func(e *raw.Exec) {
 			e.CacheWrite(a, 0xbeef)
 		},
@@ -517,13 +626,13 @@ func TestCacheWriteBack(t *testing.T) {
 		func(e *raw.Exec) { // a has been evicted; reread from DRAM
 			var w raw.Word
 			e.CacheRead(a, &w)
-			e.OnDone(func() {
+			fw.onDone(e, func() {
 				if w != 0xbeef {
 					t.Errorf("read-after-writeback got %#x, want 0xbeef", w)
 				}
 			})
 		},
-	}}
+	}
 	chip.Tile(0).Exec().SetFirmware(fw)
 	chip.Run(500)
 	if dram.writes == 0 {
@@ -549,19 +658,21 @@ func TestInvalidateCacheRangeInFlight(t *testing.T) {
 			dram.mem[line+i] = 100 + i
 		}
 		attachDRAMRows(chip, dram)
+		fw := &fwSeq{}
 		read := func(addr raw.Word) func(e *raw.Exec) {
 			return func(e *raw.Exec) {
 				var w raw.Word
 				e.CacheRead(addr, &w)
-				e.OnDone(func() { got = append(got, w) })
+				fw.onDone(e, func() { got = append(got, w) })
 			}
 		}
-		tl := chip.Tile(5)
-		tl.Exec().SetFirmware(&fwSeq{steps: []func(e *raw.Exec){
+		fw.steps = []func(e *raw.Exec){
 			read(line), read(line + 3),
 			func(e *raw.Exec) { e.Compute(100) },
 			read(line + 5),
-		}})
+		}
+		tl := chip.Tile(5)
+		tl.Exec().SetFirmware(fw)
 		chip.Run(at)
 		for i := raw.Word(0); i < raw.CacheLineWords; i++ {
 			dram.mem[line+i] = 200 + i

@@ -44,7 +44,25 @@ type xbarFW struct {
 	lastWords [4]int
 }
 
-func (x *xbarFW) Refill(e *raw.Exec) {
+// The crossbar firmware's steps.
+const (
+	xbarDecide  raw.Step = iota + 1 // the four headers are in
+	xbarAdvance                     // the quantum's routine is done
+)
+
+// Step runs step s of the crossbar firmware.
+func (x *xbarFW) Step(e *raw.Exec, s raw.Step) {
+	switch s {
+	case raw.Refill:
+		x.refill(e)
+	case xbarDecide:
+		x.decide(e)
+	case xbarAdvance:
+		x.advanceToken()
+	}
+}
+
+func (x *xbarFW) refill(e *raw.Exec) {
 	// Headers arrive own-first, then from 1, 2, 3 hops clockwise-upstream.
 	// The degraded exchange delivers only the two surviving neighbors, in
 	// an order that depends on where the hole is (see
@@ -72,7 +90,7 @@ func (x *xbarFW) Refill(e *raw.Exec) {
 	// are sequential, so this models the full header-decode + index
 	// arithmetic cost.
 	e.Compute(allocCycles)
-	e.Then(func(e *raw.Exec) { x.decide(e) })
+	e.Then(xbarDecide)
 }
 
 // decide computes the quantum's allocation and enqueues one dispatch
@@ -129,7 +147,7 @@ func (x *xbarFW) decide(e *raw.Exec) {
 	}
 	e.WriteSwitchPC(x.prog.RoutineAddr[idx])
 	e.WaitSwitchDone(nil)
-	x.advanceToken(e)
+	e.Then(xbarAdvance)
 }
 
 // allocKey is everything a crossbar allocation depends on: the four
@@ -164,41 +182,41 @@ func (x *xbarFW) streamLen() int {
 	return l
 }
 
-func (x *xbarFW) advanceToken(e *raw.Exec) {
-	e.Then(func(*raw.Exec) {
-		if x.rt.cfg.Metrics != nil && x.port == x.rt.reportPort {
-			x.captureQuantum()
+// advanceToken closes the quantum: it captures the scheduler decision for
+// telemetry and moves the token on.
+func (x *xbarFW) advanceToken() {
+	if x.rt.cfg.Metrics != nil && x.port == x.rt.reportPort {
+		x.captureQuantum()
+	}
+	// Weighted round robin (§8.7): the token dwells at port i for
+	// Weights[i] quanta. Every crossbar tile advances the same local
+	// counter, so the token still never crosses the network.
+	x.dwell++
+	w := 1
+	if x.rt.cfg.Weights != nil {
+		w = x.rt.cfg.Weights[x.token]
+		if w < 1 {
+			w = 1
 		}
-		// Weighted round robin (§8.7): the token dwells at port i for
-		// Weights[i] quanta. Every crossbar tile advances the same local
-		// counter, so the token still never crosses the network.
-		x.dwell++
-		w := 1
-		if x.rt.cfg.Weights != nil {
-			w = x.rt.cfg.Weights[x.token]
-			if w < 1 {
-				w = 1
-			}
-		}
-		if x.dwell >= w {
+	}
+	if x.dwell >= w {
+		x.token = rotor.NextToken(x.token, 4)
+		if x.token == x.dead {
 			x.token = rotor.NextToken(x.token, 4)
-			if x.token == x.dead {
-				x.token = rotor.NextToken(x.token, 4)
-			}
-			x.dwell = 0
 		}
-		if x.readmit > 0 {
-			x.readmit--
-		}
-		x.quantum++
-	})
+		x.dwell = 0
+	}
+	if x.readmit > 0 {
+		x.readmit--
+	}
+	x.quantum++
 }
 
 // captureQuantum records the completed quantum's scheduler decision for
 // the telemetry plane: the token owner, which ports requested (non-empty
 // header) and were granted, and the granted fragment lengths. It runs in
-// the boundary's Then closure, before the token rotates, touching only
-// this tile's firmware state.
+// the boundary's step, before the token rotates, touching only this
+// tile's firmware state.
 func (x *xbarFW) captureQuantum() {
 	x.lastToken = x.token
 	var req, grant uint8

@@ -17,74 +17,102 @@ type egressFW struct {
 	port int
 	prog *EgressProgram
 
-	// Reassembly buffers, one per source port.
+	// Reassembly buffers, one per source port; src is the source of the
+	// fragment in flight.
 	buf  [4][]raw.Word
+	src  int
 	hdrW raw.Word
 	// frag buffers the fragment the cipher transforms.
 	frag []raw.Word
 }
 
-func (f *egressFW) Refill(e *raw.Exec) {
-	// Wait for the next egress header (stalls across idle quanta).
-	e.WriteSwitchPC(f.prog.Hdr)
-	e.Recv(&f.hdrW)
-	e.Then(func(e *raw.Exec) {
-		src, fragLen, l, last := DecodeEgressHdr(f.hdrW)
-		if src < 0 || src > 3 || fragLen <= 0 || l < fragLen {
-			panic("router: corrupt egress header")
+// The egress firmware's steps.
+const (
+	egrHeader         raw.Step = iota + 1 // an egress header is in
+	egrDecrypt                            // the cipher's fragment is in
+	egrOut                                // a packet has left
+	egrReassembled                        // a packet's last fragment is buffered
+	egrOutReassembled                     // a reassembled packet has left
+)
+
+// Step runs step s of the egress firmware.
+func (f *egressFW) Step(e *raw.Exec, s raw.Step) {
+	switch s {
+	case raw.Refill:
+		// Wait for the next egress header (stalls across idle quanta).
+		e.WriteSwitchPC(f.prog.Hdr)
+		e.Recv(&f.hdrW)
+		e.Then(egrHeader)
+	case egrHeader:
+		f.header(e)
+	case egrDecrypt:
+		for i := 5; i < len(f.frag); i++ { // payload words only
+			f.frag[i] ^= CryptoMask(f.rt.cfg.CryptoKey, i-5)
 		}
-		if EgressHdrFirstOf(f.hdrW) && len(f.buf[src]) > 0 {
-			// A packet's first fragment found stale fragments from the
-			// same source: that packet was aborted upstream (underrun
-			// timeout or degraded-mode reset) and will never complete.
-			f.buf[src] = f.buf[src][:0]
+	case egrOut:
+		f.rt.stats.PktsOut[f.port]++
+	case egrReassembled:
+		total := len(f.buf[f.src])
+		e.WriteSwitchPC(f.prog.Out)
+		e.WriteSwitchCount(raw.Word(total))
+		e.SendN(total, f.buf[f.src])
+		e.WaitSwitchDone(nil)
+		e.Then(egrOutReassembled)
+	case egrOutReassembled:
+		f.buf[f.src] = f.buf[f.src][:0]
+		f.rt.stats.PktsOut[f.port]++
+		f.rt.stats.Reassembled[f.port]++
+	}
+}
+
+// header decodes an egress header and enqueues the fragment's path out:
+// cut-through, the cipher, or reassembly.
+func (f *egressFW) header(e *raw.Exec) {
+	src, fragLen, l, last := DecodeEgressHdr(f.hdrW)
+	if src < 0 || src > 3 || fragLen <= 0 || l < fragLen {
+		panic("router: corrupt egress header")
+	}
+	if EgressHdrFirstOf(f.hdrW) && len(f.buf[src]) > 0 {
+		// A packet's first fragment found stale fragments from the same
+		// source: that packet was aborted upstream (underrun timeout or
+		// degraded-mode reset) and will never complete.
+		f.buf[src] = f.buf[src][:0]
+	}
+	pad := l - fragLen
+	whole := last && len(f.buf[src]) == 0
+	switch {
+	case whole && f.rt.cfg.Crypto:
+		// §8.3 computation-in-fabric: the payload was transformed in the
+		// crossbar; the egress decrypts while forwarding (Forward at one
+		// word per cycle plus the per-word cipher cost modeled in
+		// CryptoCyclesPerWord).
+		f.cryptoForward(e, fragLen, pad)
+	case whole:
+		// Cut-through: fragment = whole packet (the fast path behind the
+		// paper's peak numbers). The pc goes first: the switch consumes
+		// the count register only once it is inside the routine, so
+		// pc-then-counts is the deadlock-free order.
+		e.WriteSwitchPC(f.prog.Cut)
+		e.WriteSwitchCount(raw.Word(fragLen))
+		e.WriteSwitchCount(raw.Word(pad))
+		e.RecvN(pad, 1, nil) // discard padding
+		e.WaitSwitchDone(nil)
+		e.Then(egrOut)
+	default:
+		// Reassembly path: buffer the fragment (2 cycles/word into local
+		// data memory, §4.4), stream the packet once complete. The
+		// padding past fragLen is discarded.
+		f.src = src
+		held := len(f.buf[src])
+		f.buf[src] = slices.Grow(f.buf[src], fragLen)[:held+fragLen]
+		e.WriteSwitchPC(f.prog.Asm)
+		e.WriteSwitchCount(raw.Word(l))
+		e.RecvN(l, 2, f.buf[src][held:])
+		e.WaitSwitchDone(nil)
+		if last {
+			e.Then(egrReassembled)
 		}
-		pad := l - fragLen
-		whole := last && len(f.buf[src]) == 0
-		switch {
-		case whole && f.rt.cfg.Crypto:
-			// §8.3 computation-in-fabric: the payload was transformed in
-			// the crossbar; the egress decrypts while forwarding
-			// (Forward at one word per cycle plus the per-word cipher
-			// cost modeled in CryptoCyclesPerWord).
-			f.cryptoForward(e, fragLen, pad)
-		case whole:
-			// Cut-through: fragment = whole packet (the fast path behind
-			// the paper's peak numbers). The pc goes first: the switch
-			// consumes the count register only once it is inside the
-			// routine, so pc-then-counts is the deadlock-free order.
-			e.WriteSwitchPC(f.prog.Cut)
-			e.WriteSwitchCount(raw.Word(fragLen))
-			e.WriteSwitchCount(raw.Word(pad))
-			e.RecvN(pad, 1, nil) // discard padding
-			e.WaitSwitchDone(nil)
-			e.Then(func(*raw.Exec) { f.rt.stats.PktsOut[f.port]++ })
-		default:
-			// Reassembly path: buffer the fragment (2 cycles/word into
-			// local data memory, §4.4), stream the packet once complete.
-			// The padding past fragLen is discarded.
-			held := len(f.buf[src])
-			f.buf[src] = slices.Grow(f.buf[src], fragLen)[:held+fragLen]
-			e.WriteSwitchPC(f.prog.Asm)
-			e.WriteSwitchCount(raw.Word(l))
-			e.RecvN(l, 2, f.buf[src][held:])
-			e.WaitSwitchDone(nil)
-			if last {
-				e.Then(func(e *raw.Exec) {
-					total := len(f.buf[src])
-					e.WriteSwitchPC(f.prog.Out)
-					e.WriteSwitchCount(raw.Word(total))
-					e.SendN(total, f.buf[src])
-					e.WaitSwitchDone(nil)
-					e.Then(func(*raw.Exec) {
-						f.buf[src] = f.buf[src][:0]
-						f.rt.stats.PktsOut[f.port]++
-						f.rt.stats.Reassembled[f.port]++
-					})
-				})
-			}
-		}
-	})
+	}
 }
 
 // resetForDegrade discards all in-flight reassembly state. The packets it
@@ -116,18 +144,13 @@ func (f *egressFW) cryptoForward(e *raw.Exec, fragLen, pad int) {
 	e.WriteSwitchCount(raw.Word(fragLen + pad))
 	e.WriteSwitchCount(raw.Word(fragLen))
 	// Receive fragLen+pad words, transform, send fragLen onward.
-	words := slices.Grow(f.frag[:0], fragLen)[:fragLen]
-	f.frag = words
-	e.RecvN(fragLen+pad, 1, words)
-	e.OnDone(func() {
-		for i := 5; i < fragLen; i++ { // payload words only
-			words[i] ^= CryptoMask(f.rt.cfg.CryptoKey, i-5)
-		}
-	})
+	f.frag = slices.Grow(f.frag[:0], fragLen)[:fragLen]
+	e.RecvN(fragLen+pad, 1, f.frag)
+	e.OnDone(egrDecrypt)
 	e.Compute(CryptoCyclesPerWord * fragLen)
-	e.SendN(fragLen, words)
+	e.SendN(fragLen, f.frag)
 	e.WaitSwitchDone(nil)
-	e.Then(func(*raw.Exec) { f.rt.stats.PktsOut[f.port]++ })
+	e.Then(egrOut)
 }
 
 // CryptoMask is the deterministic keystream of the §8.3 demonstration

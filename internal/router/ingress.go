@@ -21,12 +21,16 @@ type ingressFW struct {
 	prog *IngressProgram
 
 	// Current packet state. reply and grant hold the words the lookup
-	// tile and the crossbar answer with.
+	// tile and the crossbar answer with; bad marks a header that failed
+	// verification, and lastOut a fragment in flight that ends its
+	// packet.
 	hdrWords  [5]raw.Word
 	reply     raw.Word
 	grant     raw.Word
+	bad       bool
 	havePkt   bool
 	firstFrag bool
+	lastOut   bool
 	remaining int // payload words not yet streamed
 	totalLen  int // words of the whole packet
 	outPort   int
@@ -38,21 +42,22 @@ type ingressFW struct {
 	members rotor.McastReq
 	buf     []raw.Word // header words + payload
 
-	// backlog polls the line card's receive-ready state (the DMA ring
-	// occupancy a real NIC exposes); without it an idle ingress would
-	// block reading an empty line and stall the whole crossbar's header
-	// exchange.
-	backlog func() int
-	in      *raw.StaticIn
+	// in is the line card. Its backlog (in.Len) is the receive-ready
+	// state a real NIC exposes as DMA ring occupancy; without polling it
+	// an idle ingress would block reading an empty line and stall the
+	// whole crossbar's header exchange.
+	in *raw.StaticIn
 
 	// Robustness state. pktStart/lineClaim frame the current packet's
 	// words on the line (absolute Consumed() offsets), so an abort knows
-	// exactly how much to drain. dead is the masked-out port after
+	// exactly how much to drain; draining is the part of pendingDrain
+	// the batch in flight discards. dead is the masked-out port after
 	// degradation (-1 healthy). underruns/strikes drive the bounded
 	// retry-with-backoff before the line is declared down.
 	pktStart     int64
 	lineClaim    int64
 	pendingDrain int
+	draining     int
 	underruns    int
 	strikes      int
 	lineDown     bool
@@ -88,7 +93,52 @@ const lineDownStrikes = 3
 // simulated time between probes at the default quantum).
 const reprobeAttCap = 16
 
-func (f *ingressFW) Refill(e *raw.Exec) {
+// The ingress firmware's steps.
+const (
+	ingPoll       raw.Step = iota + 1 // poll the line card
+	ingDrained                        // a pending drain's words are gone
+	ingHeader                         // the header words are in
+	ingRoute                          // the lookup reply is in
+	ingGrant                          // a unicast grant is in
+	ingSent                           // a unicast fragment has streamed
+	ingMcastGrant                     // a multicast grant is in
+	ingMcastSent                      // a multicast round has streamed
+)
+
+// Step runs step s of the ingress firmware.
+func (f *ingressFW) Step(e *raw.Exec, s raw.Step) {
+	switch s {
+	case raw.Refill:
+		f.refill(e)
+	case ingPoll:
+		if f.in.Len() < ip.HeaderWords {
+			f.idleQuantum(e)
+			return
+		}
+		f.acquire(e)
+	case ingDrained:
+		f.pendingDrain -= f.draining
+	case ingHeader:
+		f.verify(e)
+	case ingRoute:
+		f.route(e)
+	case ingGrant:
+		granted, l := DecodeGrant(f.grant)
+		if !granted {
+			f.rt.stats.Denied[f.port]++
+			return // next Refill retries the quantum
+		}
+		f.stream(e, l)
+	case ingSent:
+		f.sent()
+	case ingMcastGrant:
+		f.mcastGrant(e)
+	case ingMcastSent:
+		f.mcastSent()
+	}
+}
+
+func (f *ingressFW) refill(e *raw.Exec) {
 	if f.lineDown {
 		// A down line stops draining and acquiring; with reprobe armed it
 		// periodically checks whether the line resumed talking.
@@ -110,13 +160,7 @@ func (f *ingressFW) Refill(e *raw.Exec) {
 		f.idleQuantum(e)
 		return
 	}
-	e.Then(func(e *raw.Exec) { // poll the line card: one cycle
-		if f.backlog() < ip.HeaderWords {
-			f.idleQuantum(e)
-			return
-		}
-		f.acquire(e)
-	})
+	e.Then(ingPoll) // poll the line card: one cycle
 }
 
 // drainPending discards line words still claimed by an aborted packet,
@@ -125,7 +169,7 @@ func (f *ingressFW) Refill(e *raw.Exec) {
 // underrun timeout or a degraded-mode reset.
 func (f *ingressFW) drainPending(e *raw.Exec) {
 	n := f.pendingDrain
-	if avail := f.backlog(); avail < n {
+	if avail := f.in.Len(); avail < n {
 		n = avail
 	}
 	if n == 0 {
@@ -133,11 +177,12 @@ func (f *ingressFW) drainPending(e *raw.Exec) {
 		return
 	}
 	f.underruns = 0
+	f.draining = n
 	e.WriteSwitchPC(f.prog.Drop)
 	e.WriteSwitchCount(raw.Word(n))
 	e.RecvN(n, 1, nil)
 	e.WaitSwitchDone(nil)
-	e.Then(func(*raw.Exec) { f.pendingDrain -= n })
+	e.Then(ingDrained)
 	f.idleQuantum(e)
 }
 
@@ -313,7 +358,7 @@ func (f *ingressFW) resetForRestore(restored bool, probation bool) {
 // handshake plays one quantum's header/grant exchange with the
 // crossbar: the switch enters its Quantum routine, the processor sends
 // hdr, receives the grant into f.grant and waits for the routine to
-// finish. A caller that acts on the grant enqueues its Then right after.
+// finish. A caller that acts on the grant enqueues its step right after.
 func (f *ingressFW) handshake(e *raw.Exec, hdr raw.Word) {
 	e.WriteSwitchPC(f.prog.Quantum)
 	e.Send(hdr)
@@ -337,72 +382,80 @@ func (f *ingressFW) acquire(e *raw.Exec) {
 	// Checksum verify + TTL decrement + length extraction. The paper's
 	// ingress does this in a handful of unrolled ALU instructions.
 	e.Compute(headerCycles)
-	e.Then(func(e *raw.Exec) {
-		words := []uint32{uint32(f.hdrWords[0]), uint32(f.hdrWords[1]),
-			uint32(f.hdrWords[2]), uint32(f.hdrWords[3]), uint32(f.hdrWords[4])}
-		h, err := ip.Unmarshal(words)
-		bad := err != nil
-		if !bad {
-			if derr := ip.DecrementTTL(words); derr != nil {
-				bad = true
-			}
+	e.Then(ingHeader)
+}
+
+// verify checks and updates the received header, then asks the lookup
+// tile for the egress port.
+func (f *ingressFW) verify(e *raw.Exec) {
+	words := []uint32{uint32(f.hdrWords[0]), uint32(f.hdrWords[1]),
+		uint32(f.hdrWords[2]), uint32(f.hdrWords[3]), uint32(f.hdrWords[4])}
+	h, err := ip.Unmarshal(words)
+	f.bad = err != nil
+	if !f.bad {
+		if derr := ip.DecrementTTL(words); derr != nil {
+			f.bad = true
 		}
-		for i := range f.hdrWords {
-			f.hdrWords[i] = raw.Word(words[i])
+	}
+	for i := range f.hdrWords {
+		f.hdrWords[i] = raw.Word(words[i])
+	}
+	f.totalLen = h.FrameWords()
+	if f.totalLen > 4096 { // 16 KB sanity bound on a corrupt length
+		f.totalLen = ip.HeaderWords
+	}
+	f.lineClaim = f.pktStart + int64(f.totalLen)
+	// The Acquire switch routine has committed to a lookup exchange;
+	// send the destination (a garbage word on the drop path).
+	e.Send(raw.Word(h.Dst))
+	e.Recv(&f.reply)
+	e.WaitSwitchDone(nil)
+	e.Then(ingRoute)
+}
+
+// route acts on the lookup reply: drop the packet, or hold it for the
+// crossbar.
+func (f *ingressFW) route(e *raw.Exec) {
+	port := f.reply
+	if f.bad || port == lookupNoRoute {
+		f.rt.stats.Dropped[f.port]++
+		f.drop(e)
+		return
+	}
+	if port&lookupMcastBit != 0 {
+		// Multicast (§8.6): single-quantum packets only; the payload is
+		// ingested into local memory for replay.
+		if f.totalLen > f.rt.cfg.QuantumWords {
+			f.rt.stats.Dropped[f.port]++
+			f.drop(e)
+			return
 		}
-		f.totalLen = h.FrameWords()
-		if f.totalLen > 4096 { // 16 KB sanity bound on a corrupt length
-			f.totalLen = ip.HeaderWords
-		}
-		f.lineClaim = f.pktStart + int64(f.totalLen)
-		// The Acquire switch routine has committed to a lookup exchange;
-		// send the destination (a garbage word on the drop path).
-		e.Send(raw.Word(h.Dst))
-		e.Recv(&f.reply)
-		e.WaitSwitchDone(nil)
-		e.Then(func(e *raw.Exec) {
-			port := f.reply
-			if bad || port == lookupNoRoute {
-				f.rt.stats.Dropped[f.port]++
-				f.drop(e)
-				return
-			}
-			if port&lookupMcastBit != 0 {
-				// Multicast (§8.6): single-quantum packets only; the
-				// payload is ingested into local memory for replay.
-				if f.totalLen > f.rt.cfg.QuantumWords {
-					f.rt.stats.Dropped[f.port]++
-					f.drop(e)
-					return
-				}
-				f.members = rotor.McastReq(port & 0xf)
-				f.mcast = true
-				f.havePkt = true
-				f.pktID++
-				f.rt.stats.Accepted[f.port]++
-				f.ingest(e)
-				return
-			}
-			f.outPort = int(port)
-			if f.outPort == f.dead {
-				// The destination egress died; fail fast instead of
-				// requesting a grant the masked allocator can never give.
-				f.rt.stats.AbortDropped[f.port]++
-				f.drop(e)
-				return
-			}
-			f.mcast = false
-			f.havePkt = true
-			f.firstFrag = true
-			f.remaining = f.totalLen - ip.HeaderWords
-			f.pktID++
-			f.rt.stats.Accepted[f.port]++
-		})
-	})
+		f.members = rotor.McastReq(port & 0xf)
+		f.mcast = true
+		f.havePkt = true
+		f.pktID++
+		f.rt.stats.Accepted[f.port]++
+		f.ingest(e)
+		return
+	}
+	f.outPort = int(port)
+	if f.outPort == f.dead {
+		// The destination egress died; fail fast instead of requesting a
+		// grant the masked allocator can never give.
+		f.rt.stats.AbortDropped[f.port]++
+		f.drop(e)
+		return
+	}
+	f.mcast = false
+	f.havePkt = true
+	f.firstFrag = true
+	f.remaining = f.totalLen - ip.HeaderWords
+	f.pktID++
+	f.rt.stats.Accepted[f.port]++
 }
 
 // drop schedules the doomed packet's remaining words for draining. The
-// drain itself happens in later Refills as the words actually arrive
+// drain itself happens in later refills as the words actually arrive
 // (drainPending), so a dropped packet whose tail is still in flight on
 // the wire can never stall this tile — or, transitively, the crossbar —
 // waiting for it.
@@ -456,30 +509,37 @@ func (f *ingressFW) ingest(e *raw.Exec) {
 func (f *ingressFW) mcastQuantum(e *raw.Exec) {
 	hdr := LocalHdrFirst(LocalHdrMcast(f.members, f.totalLen, true))
 	f.handshake(e, hdr)
-	e.Then(func(e *raw.Exec) {
-		served := GrantServed(f.grant)
-		_, l := DecodeGrant(f.grant)
-		if served == 0 {
-			f.rt.stats.Denied[f.port]++
-			return
-		}
-		// One fanout-split stream serves every granted member.
-		e.WriteSwitchPC(f.prog.StreamP)
-		e.WriteSwitchCount(raw.Word(l))
-		e.SendN(l, f.buf)
-		e.WaitSwitchDone(nil)
-		e.Then(func(*raw.Exec) {
-			f.rt.stats.FragsSent[f.port]++
-			f.rt.stats.McastCopies[f.port] += int64(served.Count())
-			f.members &^= served
-			if f.members == 0 {
-				f.havePkt = false
-				f.mcast = false
-				f.rt.stats.PktsIn[f.port]++
-				f.rt.stats.McastIn[f.port]++
-			}
-		})
-	})
+	e.Then(ingMcastGrant)
+}
+
+// mcastGrant replays the buffered packet for the members the grant
+// serves.
+func (f *ingressFW) mcastGrant(e *raw.Exec) {
+	_, l := DecodeGrant(f.grant)
+	if GrantServed(f.grant) == 0 {
+		f.rt.stats.Denied[f.port]++
+		return
+	}
+	// One fanout-split stream serves every granted member.
+	e.WriteSwitchPC(f.prog.StreamP)
+	e.WriteSwitchCount(raw.Word(l))
+	e.SendN(l, f.buf)
+	e.WaitSwitchDone(nil)
+	e.Then(ingMcastSent)
+}
+
+// mcastSent retires the members the round served.
+func (f *ingressFW) mcastSent() {
+	served := GrantServed(f.grant)
+	f.rt.stats.FragsSent[f.port]++
+	f.rt.stats.McastCopies[f.port] += int64(served.Count())
+	f.members &^= served
+	if f.members == 0 {
+		f.havePkt = false
+		f.mcast = false
+		f.rt.stats.PktsIn[f.port]++
+		f.rt.stats.McastIn[f.port]++
+	}
 }
 
 // quantum plays one round of the crossbar protocol.
@@ -497,7 +557,7 @@ func (f *ingressFW) quantum(e *raw.Exec) {
 	if f.firstFrag {
 		need -= ip.HeaderWords // header words are already held
 	}
-	if f.backlog() < need {
+	if f.in.Len() < need {
 		f.underrun(e)
 		return
 	}
@@ -514,20 +574,13 @@ func (f *ingressFW) quantum(e *raw.Exec) {
 	// priority class.
 	hdr = LocalHdrPrio(hdr, uint8(f.hdrWords[0]>>16)>>5)
 	f.handshake(e, hdr)
-	e.Then(func(e *raw.Exec) {
-		granted, l := DecodeGrant(f.grant)
-		if !granted {
-			f.rt.stats.Denied[f.port]++
-			return // next Refill retries the quantum
-		}
-		f.stream(e, l)
-	})
+	e.Then(ingGrant)
 }
 
 // stream sends the current fragment padded to l words.
 func (f *ingressFW) stream(e *raw.Exec, l int) {
 	frag := f.fragLen()
-	last := f.lastFrag()
+	f.lastOut = f.lastFrag()
 	pad := l - frag
 	if pad < 0 {
 		panic("router: fragment longer than quantum stream")
@@ -549,12 +602,15 @@ func (f *ingressFW) stream(e *raw.Exec, l int) {
 		f.remaining -= frag
 	}
 	e.WaitSwitchDone(nil)
-	e.Then(func(*raw.Exec) {
-		f.firstFrag = false
-		f.rt.stats.FragsSent[f.port]++
-		if last {
-			f.havePkt = false
-			f.rt.stats.PktsIn[f.port]++
-		}
-	})
+	e.Then(ingSent)
+}
+
+// sent retires a streamed fragment.
+func (f *ingressFW) sent() {
+	f.firstFrag = false
+	f.rt.stats.FragsSent[f.port]++
+	if f.lastOut {
+		f.havePkt = false
+		f.rt.stats.PktsIn[f.port]++
+	}
 }

@@ -42,36 +42,46 @@ type lookupFW struct {
 	rt   *Router
 	port int
 
-	dst raw.Word
-	v1  raw.Word
+	// dst is the destination being looked up, v1 the last probe's word
+	// and chunks the chunk base of the table epoch the lookup started in.
+	dst    raw.Word
+	v1     raw.Word
+	chunks raw.Word
 }
 
-func (f *lookupFW) Refill(e *raw.Exec) {
-	e.Recv(&f.dst)
-	e.Then(func(e *raw.Exec) {
+// The lookup firmware's steps.
+const (
+	lkDst    raw.Step = iota + 1 // a destination is in
+	lkLevel1                     // the level-1 probe is in
+	lkLevel2                     // the chunk probe is in
+	lkServed                     // a multicast reply has left
+)
+
+// Step runs step s of the lookup firmware.
+func (f *lookupFW) Step(e *raw.Exec, s raw.Step) {
+	switch s {
+	case raw.Refill:
+		e.Recv(&f.dst)
+		e.Then(lkDst)
+	case lkDst:
 		// Class D (224.0.0.0/4): the §8.6 multicast group table, modeled
 		// as a small associative memory beside the lookup processor.
 		if f.dst>>28 == 0xE && f.rt.cfg.Multicast {
-			mask, ok := f.rt.cfg.Groups[ipAddr(f.dst)]
+			reply := lookupNoRoute
+			if mask := f.rt.cfg.Groups[ipAddr(f.dst)]; mask != 0 {
+				reply = lookupMcastBit | raw.Word(mask&0xf)
+			}
 			e.Compute(3) // the CAM probe
-			e.SendFunc(func() raw.Word {
-				f.rt.stats.Lookups[f.port]++
-				if !ok || mask == 0 {
-					return lookupNoRoute
-				}
-				return lookupMcastBit | raw.Word(mask&0xf)
-			})
+			e.Send(reply)
+			e.OnDone(lkServed)
 			return
 		}
-		f.probe(e)
-	})
-}
-
-func (f *lookupFW) probe(e *raw.Exec) {
-	l1, chunks := tableBases(f.rt.tableEpoch)
-	// Level-1 probe.
-	e.CacheRead(l1+f.dst>>16, &f.v1)
-	e.Then(func(e *raw.Exec) {
+		// Level-1 probe.
+		var l1 raw.Word
+		l1, f.chunks = tableBases(f.rt.tableEpoch)
+		e.CacheRead(l1+f.dst>>16, &f.v1)
+		e.Then(lkLevel1)
+	case lkLevel1:
 		f.rt.stats.Lookups[f.port]++
 		v := int32(f.v1)
 		if v >= -1 {
@@ -80,9 +90,13 @@ func (f *lookupFW) probe(e *raw.Exec) {
 		}
 		// Long prefix: second probe into the chunk.
 		chunk := raw.Word(-2 - v)
-		e.CacheRead(chunks+chunk*lkChunkSize+f.dst&0xffff, &f.v1)
-		e.Then(func(e *raw.Exec) { e.Send(replyWord(int32(f.v1))) })
-	})
+		e.CacheRead(f.chunks+chunk*lkChunkSize+f.dst&0xffff, &f.v1)
+		e.Then(lkLevel2)
+	case lkLevel2:
+		e.Send(replyWord(int32(f.v1)))
+	case lkServed:
+		f.rt.stats.Lookups[f.port]++
+	}
 }
 
 // tableBases returns the DRAM bases of the given table epoch.

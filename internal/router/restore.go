@@ -97,7 +97,7 @@ func (r *Router) ScheduleControls(s *fault.Schedule) {
 // line-event scans to the 256-cycle restoreCheckMask, scheduled controls
 // to their exact cycles. Telemetry quantum sampling needs no boundary of
 // its own: a quantum counter only advances inside a crossbar processor
-// op (advanceToken's boundary closure), which makes that tile busy for
+// op (advanceToken's boundary step), which makes that tile busy for
 // the cycle, so a macro window can never cover a quantum boundary and
 // the per-cycle counter comparison always runs on the boundary cycle.
 func (r *Router) Tick(cycle int64) {

@@ -337,7 +337,7 @@ func New(cfg Config) (*Router, error) {
 		r.xprogs[p] = xprog
 		r.xbars[p] = &xbarFW{rt: r, port: p, prog: xprog, dead: -1}
 		r.ings[p] = &ingressFW{
-			rt: r, port: p, prog: iprog, backlog: r.ins[p].Len, in: r.ins[p], dead: -1,
+			rt: r, port: p, prog: iprog, in: r.ins[p], dead: -1,
 			rng: reprobeSeed(cfg.ReprobeSeed, p),
 		}
 		r.egrs[p] = &egressFW{rt: r, port: p, prog: eprog}

@@ -113,9 +113,10 @@ echo "== cli: entry-point smoke =="
 # the end of the run, which must not keep windows from opening, through
 # the whole recovery arc: a frozen crossbar tile is degraded by the
 # watchdog, thaws, is restored and readmitted, and ends live, with a
-# crashed crossbar tile, which is due only at its start, and on 64 B
+# crashed crossbar tile, which is due only at its start, on 64 B
 # uniform traffic, the benchmark's per-cycle workload, whose lookups
-# keep the dynamic memory network busy),
+# keep the dynamic memory network busy, with the egress cipher, and at a
+# 64-word quantum, where every packet takes the egress reassembly path),
 # fabsim's ring-4 fabric on its default antipodal permutation, and every
 # section of reproduce -quick once its per-section wall-clock lines are
 # dropped. rawrouter's RTRCKPT1 checkpoint (with and without a seeded
@@ -147,7 +148,7 @@ cmp "$CLI/rr-ref.txt" "$CLI/rr-fast.txt"
 cmp "$CLI/rr-fast.txt" "$CLI/rr-perm.txt"
 ARC="-cycles 100000 -watchdog -autorestore -faults freeze@15000+45000:t6"
 CRASH="-watchdog -faults crash@15000:t6"
-for flag in "-faultseed 7" -trace "-faults corrupt:t4.w.w999999999.b1" "$ARC" "$CRASH" "-workload uniform:size=64"; do
+for flag in "-faultseed 7" -trace "-faults corrupt:t4.w.w999999999.b1" "$ARC" "$CRASH" "-workload uniform:size=64" -crypto "-quantum 64"; do
 	$RR $flag -engine ref >"$CLI/rr-flag-ref.txt"
 	$RR $flag -engine fast >"$CLI/rr-flag-fast.txt"
 	cmp "$CLI/rr-flag-ref.txt" "$CLI/rr-flag-fast.txt"
