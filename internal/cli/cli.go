@@ -8,6 +8,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/raw"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // Common holds the shared flag values. Zero value is ready; call the
@@ -254,8 +256,9 @@ func (c *Common) LoadCheckpoint(restoreFn func([]byte) error) (bool, error) {
 	return true, nil
 }
 
-// WriteCheckpoint snapshots via snapFn and writes the blob to
-// -checkpoint. Returns 0 with no error when -checkpoint was not given.
+// WriteCheckpoint snapshots via snapFn and replaces the -checkpoint file
+// with the blob (wire.WriteFile). Returns 0 with no error when
+// -checkpoint was not given.
 func (c *Common) WriteCheckpoint(snapFn func() ([]byte, error)) (int, error) {
 	if c.Checkpoint == "" {
 		return 0, nil
@@ -264,7 +267,11 @@ func (c *Common) WriteCheckpoint(snapFn func() ([]byte, error)) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := os.WriteFile(c.Checkpoint, blob, 0o644); err != nil {
+	err = wire.WriteFile(c.Checkpoint, func(w io.Writer) error {
+		_, err := w.Write(blob)
+		return err
+	})
+	if err != nil {
 		return 0, err
 	}
 	return len(blob), nil

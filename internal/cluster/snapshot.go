@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -27,40 +28,62 @@ import (
 
 const fabSnapMagic = "FABCKPT1"
 
-// Snapshot serializes the whole fabric at the current cycle. Requires
-// Config.Router.Checkpoint (every chip records its inputs). Call between
-// Run calls only.
+// Snapshot returns the whole fabric's checkpoint at the current cycle.
+// Requires Config.Router.Checkpoint (every chip records its inputs).
+// Call between Run calls only.
 func (f *Fabric) Snapshot() ([]byte, error) {
 	if !f.cfg.Router.Checkpoint {
 		return nil, fmt.Errorf("cluster: fabric snapshot requires Config.Router.Checkpoint")
 	}
 	le := binary.LittleEndian
-	b := []byte(fabSnapMagic)
-	b = le.AppendUint64(b, uint64(f.spec.Kind))
-	b = le.AppendUint64(b, uint64(f.spec.Chips))
-	b = le.AppendUint64(b, uint64(f.spec.W))
-	b = le.AppendUint64(b, uint64(f.spec.H))
-	b = le.AppendUint64(b, uint64(f.cycle))
-	b = le.AppendUint64(b, uint64(len(f.controls)))
-	b = le.AppendUint64(b, uint64(f.nextCtl))
+	head := []byte(fabSnapMagic)
+	head = le.AppendUint64(head, uint64(f.spec.Kind))
+	head = le.AppendUint64(head, uint64(f.spec.Chips))
+	head = le.AppendUint64(head, uint64(f.spec.W))
+	head = le.AppendUint64(head, uint64(f.spec.H))
+	head = le.AppendUint64(head, uint64(f.cycle))
+	head = le.AppendUint64(head, uint64(len(f.controls)))
+	head = le.AppendUint64(head, uint64(f.nextCtl))
+	// Each chip's RTRCKPT1 blob follows its slot fields; the chips are
+	// written straight into the fabric's blob, between head and tail.
+	const slotLen = 6 * 8
+	tail := f.appendTail(nil)
+	n := len(head) + len(tail)
 	for k := range f.chips {
-		s := &f.chips[k]
-		flags := uint64(0)
-		if s.dead {
-			flags = 1
-		}
-		b = le.AppendUint64(b, flags)
-		b = le.AppendUint64(b, uint64(s.epoch))
-		b = le.AppendUint64(b, uint64(s.bornAt))
-		b = le.AppendUint64(b, uint64(s.wordsIn))
-		b = le.AppendUint64(b, uint64(s.wordsOut))
-		chip, err := s.r.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: chip %d: %w", k, err)
-		}
-		b = le.AppendUint64(b, uint64(len(chip)))
-		b = append(b, chip...)
+		n += slotLen + f.chips[k].r.SnapshotLen()
 	}
+	return wire.Encode(n, func(w io.Writer) error {
+		if _, err := w.Write(head); err != nil {
+			return err
+		}
+		slot := make([]byte, 0, slotLen)
+		for k := range f.chips {
+			s := &f.chips[k]
+			flags := uint64(0)
+			if s.dead {
+				flags = 1
+			}
+			slot = le.AppendUint64(slot[:0], flags)
+			slot = le.AppendUint64(slot, uint64(s.epoch))
+			slot = le.AppendUint64(slot, uint64(s.bornAt))
+			slot = le.AppendUint64(slot, uint64(s.wordsIn))
+			slot = le.AppendUint64(slot, uint64(s.wordsOut))
+			slot = le.AppendUint64(slot, uint64(s.r.SnapshotLen()))
+			if _, err := w.Write(slot); err != nil {
+				return err
+			}
+			if err := s.r.WriteSnapshot(w); err != nil {
+				return fmt.Errorf("cluster: chip %d: %w", k, err)
+			}
+		}
+		_, err := w.Write(tail)
+		return err
+	})
+}
+
+// appendTail appends the fabric state that follows the chips' blobs.
+func (f *Fabric) appendTail(b []byte) []byte {
+	le := binary.LittleEndian
 	for ti := range f.trunks {
 		t := &f.trunks[ti]
 		dead := uint64(0)
@@ -140,7 +163,7 @@ func (f *Fabric) Snapshot() ([]byte, error) {
 			b = le.AppendUint64(b, w)
 		}
 	}
-	return b, nil
+	return b
 }
 
 // RestoreSnapshot rebuilds the checkpointed fabric on a freshly

@@ -2,6 +2,10 @@ package raw
 
 import "fmt"
 
+// LogChunkRecords is the number of input records one block of the
+// recorder's log holds.
+const LogChunkRecords = logChunk / recLen
+
 // CheckParkSet reports the first violation of the fast engine's park-set
 // invariants, or nil under the reference engine and while the fast
 // engine awaits a rebuild. Between cycles:

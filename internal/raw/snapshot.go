@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 
 	"repro/internal/wire"
@@ -12,9 +13,10 @@ import (
 // Deterministic checkpoint/restore (robustness extension). The simulator
 // is a deterministic function of its construction (firmware, switch
 // programs, fault plane) and the words pushed into its boundary static
-// inputs, so a checkpoint does not serialize tile state — micro-op
-// batches hold Then continuations and completion callbacks, which cannot
-// be marshaled — it records the inputs.
+// inputs, so a checkpoint records the inputs instead of serializing tile
+// state: queued micro-ops still point into firmware memory (a Recv's
+// destination *Word, a SendN's or RecvN's []Word), which a blob cannot
+// carry.
 // A chip with recording enabled logs every external StaticIn.Push with
 // its cycle stamp (before the fault plane's drop check, so injected edge
 // drops replay too). Snapshot emits a versioned blob holding the chip
@@ -24,25 +26,63 @@ import (
 // checkpointed state. Verified state includes every bounded FIFO,
 // edge FIFO, switch, and processor counter the digest covers; replay
 // correctness itself comes from determinism, the digest is the tripwire.
+//
+//	RAWCKPT1 | u32 version | u32 width | u32 height | u64 clock bits |
+//	u64 cycle | u64 count | count × record | u64 digest
+//
+// A record is u64 cycle, u16 tile, u8 dir, u8 net, u32 word. The log is
+// kept in exactly that form, so a snapshot writes it as it stands.
 
-const rawSnapMagic = "RAWCKPT1"
+const (
+	rawSnapMagic = "RAWCKPT1"
+	// rawHeaderLen is the blob's length before its first record.
+	rawHeaderLen = len(rawSnapMagic) + 3*4 + 3*8
+	// recLen is one record's length.
+	recLen = 16
+	// logChunk is the capacity of one block of the input log. The log
+	// grows a block at a time, so it is never copied as it grows.
+	logChunk = 1 << 20
+)
 
-// inputRec is one recorded external push: which boundary input, when,
-// and what word.
-type inputRec struct {
-	cycle int64
-	tile  uint16
-	dir   uint8
-	net   uint8
-	word  Word
-}
-
+// recorder is the chip's input log, in RAWCKPT1's record form.
 type recorder struct {
 	// active gates logging; cleared while RestoreSnapshot replays so the
 	// replayed pushes are not re-recorded (the original log is adopted
 	// wholesale afterwards).
 	active bool
-	log    []inputRec
+	// chunks hold the records, logChunk bytes each; only the last may be
+	// partly filled. The first is allocated at the first push.
+	chunks [][]byte
+	n      int // records logged
+}
+
+// add logs words pushed at cycle into the boundary input (tile, dir,
+// net), one record each.
+func (r *recorder) add(cycle int64, tile int, dir Dir, net int, words []Word) {
+	var b [recLen]byte
+	le := binary.LittleEndian
+	le.PutUint64(b[:], uint64(cycle))
+	in := uint64(tile) | uint64(dir)<<16 | uint64(net)<<24
+	for _, w := range words {
+		le.PutUint64(b[8:], in|uint64(w)<<32)
+		r.write(b[:])
+	}
+}
+
+// write appends whole records' bytes to the log.
+func (r *recorder) write(b []byte) {
+	r.n += len(b) / recLen
+	for len(b) > 0 {
+		last := len(r.chunks) - 1
+		if last < 0 || len(r.chunks[last]) == logChunk {
+			r.chunks = append(r.chunks, make([]byte, 0, logChunk))
+			last++
+		}
+		c := r.chunks[last]
+		n := copy(c[len(c):logChunk], b)
+		r.chunks[last] = c[:len(c)+n]
+		b = b[n:]
+	}
 }
 
 // EnableRecording starts logging external static-input pushes so the
@@ -59,33 +99,48 @@ func (c *Chip) EnableRecording() error {
 	return nil
 }
 
-// Snapshot serializes the chip's checkpoint: geometry, cycle, the full
+// Snapshot returns the chip's checkpoint: geometry, cycle, the full
 // input log, and a state digest. Call it between cycles (never from
 // firmware or a cycle hook's reconfiguration window). The blob restores
 // only into a chip constructed identically — same geometry, firmware,
 // switch programs, and fault plane.
 func (c *Chip) Snapshot() ([]byte, error) {
+	return wire.Encode(c.SnapshotLen(), c.WriteSnapshot)
+}
+
+// SnapshotLen returns the length of the blob Snapshot returns.
+func (c *Chip) SnapshotLen() int {
+	n := 0
+	if c.rec != nil {
+		n = c.rec.n
+	}
+	return rawHeaderLen + n*recLen + 8
+}
+
+// WriteSnapshot writes the blob Snapshot returns to w, the input log
+// straight from its blocks.
+func (c *Chip) WriteSnapshot(w io.Writer) error {
 	if c.rec == nil {
-		return nil, errors.New("raw: Snapshot requires EnableRecording before the first cycle")
+		return errors.New("raw: Snapshot requires EnableRecording before the first cycle")
 	}
-	log := c.rec.log
 	le := binary.LittleEndian
-	buf := make([]byte, 0, 48+len(log)*16)
-	buf = append(buf, rawSnapMagic...)
-	buf = le.AppendUint32(buf, 1) // version
-	buf = le.AppendUint32(buf, uint32(c.cfg.Width))
-	buf = le.AppendUint32(buf, uint32(c.cfg.Height))
-	buf = le.AppendUint64(buf, math.Float64bits(c.cfg.ClockHz))
-	buf = le.AppendUint64(buf, uint64(c.cycle))
-	buf = le.AppendUint64(buf, uint64(len(log)))
-	for _, e := range log {
-		buf = le.AppendUint64(buf, uint64(e.cycle))
-		buf = le.AppendUint16(buf, e.tile)
-		buf = append(buf, e.dir, e.net)
-		buf = le.AppendUint32(buf, uint32(e.word))
+	b := append(make([]byte, 0, rawHeaderLen), rawSnapMagic...)
+	b = le.AppendUint32(b, 1) // version
+	b = le.AppendUint32(b, uint32(c.cfg.Width))
+	b = le.AppendUint32(b, uint32(c.cfg.Height))
+	b = le.AppendUint64(b, math.Float64bits(c.cfg.ClockHz))
+	b = le.AppendUint64(b, uint64(c.cycle))
+	b = le.AppendUint64(b, uint64(c.rec.n))
+	if _, err := w.Write(b); err != nil {
+		return err
 	}
-	buf = le.AppendUint64(buf, c.digest())
-	return buf, nil
+	for _, chunk := range c.rec.chunks {
+		if _, err := w.Write(chunk); err != nil {
+			return err
+		}
+	}
+	_, err := w.Write(le.AppendUint64(b[:0], c.digest()))
+	return err
 }
 
 // ReplayOp is an externally owned side effect to re-apply during
@@ -118,7 +173,7 @@ func (c *Chip) RestoreSnapshotOps(blob []byte, ops []ReplayOp) error {
 	if c.cycle != 0 {
 		return errors.New("raw: RestoreSnapshot requires a freshly constructed chip")
 	}
-	if c.rec != nil && len(c.rec.log) > 0 {
+	if c.rec != nil && c.rec.n > 0 {
 		return errors.New("raw: RestoreSnapshot after inputs were already pushed")
 	}
 	r := wire.NewReader(blob)
@@ -129,7 +184,7 @@ func (c *Chip) RestoreSnapshotOps(blob []byte, ops []ReplayOp) error {
 	w, h := int(r.U32()), int(r.U32())
 	clock := math.Float64frombits(r.U64())
 	snapCycle := int64(r.U64())
-	log := make([]inputRec, r.Count(16))
+	n := r.Count(recLen)
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("raw: corrupt snapshot header: %w", err)
 	}
@@ -140,17 +195,19 @@ func (c *Chip) RestoreSnapshotOps(blob []byte, ops []ReplayOp) error {
 		return fmt.Errorf("raw: snapshot geometry %dx%d@%g does not match chip %dx%d@%g",
 			w, h, clock, c.cfg.Width, c.cfg.Height, c.cfg.ClockHz)
 	}
+	// The records are read in place: checked here, replayed below, and
+	// finally copied into the log as they are.
+	recs := r.Bytes(n * recLen)
 	var prev int64
-	for i := range log {
-		e := inputRec{cycle: int64(r.U64()), tile: r.U16(), dir: r.U8(), net: r.U8(), word: Word(r.U32())}
-		if e.cycle < prev || e.cycle > snapCycle {
+	for i := 0; i < n; i++ {
+		cyc, in := record(recs, i)
+		if cyc < prev || cyc > snapCycle {
 			return fmt.Errorf("raw: snapshot log entry %d out of order", i)
 		}
-		if _, ok := c.staticIn[[3]int{int(e.tile), int(e.dir), int(e.net)}]; !ok {
+		if c.recordInput(in) == nil {
 			return fmt.Errorf("raw: snapshot log entry %d names a non-boundary input", i)
 		}
-		prev = e.cycle
-		log[i] = e
+		prev = cyc
 	}
 	wantDigest := r.U64()
 	if err := r.Done(); err != nil {
@@ -160,31 +217,47 @@ func (c *Chip) RestoreSnapshotOps(blob []byte, ops []ReplayOp) error {
 	rec := &recorder{}
 	c.rec = rec
 	i, oi := 0, 0
-	for c.cycle < snapCycle {
-		for oi < len(ops) && ops[oi].Cycle <= c.cycle {
+	for {
+		// Past the loop's last cycle, every remaining op applies before
+		// the inputs pushed at the checkpoint cycle.
+		last := c.cycle >= snapCycle
+		for oi < len(ops) && (last || ops[oi].Cycle <= c.cycle) {
 			ops[oi].Apply()
 			oi++
 		}
-		for i < len(log) && log[i].cycle == c.cycle {
-			e := log[i]
-			c.staticIn[[3]int{int(e.tile), int(e.dir), int(e.net)}].Push(e.word)
-			i++
+		for ; i < n; i++ {
+			cyc, in := record(recs, i)
+			if cyc != c.cycle {
+				break
+			}
+			c.recordInput(in).Push(Word(in >> 32))
+		}
+		if last {
+			break
 		}
 		c.Step()
-	}
-	for ; oi < len(ops); oi++ {
-		ops[oi].Apply()
-	}
-	for ; i < len(log); i++ {
-		e := log[i]
-		c.staticIn[[3]int{int(e.tile), int(e.dir), int(e.net)}].Push(e.word)
 	}
 	if got := c.digest(); got != wantDigest {
 		return fmt.Errorf("raw: snapshot digest mismatch after replay: %#x != %#x", got, wantDigest)
 	}
-	rec.log = log
+	rec.write(recs)
 	rec.active = true
 	return nil
+}
+
+// record decodes record i of a RAWCKPT1 log: its cycle, and its last
+// eight bytes (u16 tile, u8 dir, u8 net, u32 word) as one little-endian
+// word.
+func record(recs []byte, i int) (cycle int64, in uint64) {
+	b := recs[i*recLen : (i+1)*recLen]
+	le := binary.LittleEndian
+	return int64(le.Uint64(b)), le.Uint64(b[8:])
+}
+
+// recordInput returns the boundary input a record's tile, dir and net
+// bytes name, or nil if they name none.
+func (c *Chip) recordInput(in uint64) *StaticIn {
+	return c.staticIn[[3]int{int(uint16(in)), int(uint8(in >> 16)), int(uint8(in >> 24))}]
 }
 
 // digest folds the chip's observable simulation state into an FNV-64a

@@ -82,6 +82,60 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotSpansLogChunks: an input log spanning several of the
+// recorder's blocks round-trips on both engines. The restore adopts it,
+// the restored chip snapshots byte-identically, and so does a further
+// identical continuation, which appends to the adopted log's last block.
+func TestSnapshotSpansLogChunks(t *testing.T) {
+	var first []byte
+	for _, eng := range []raw.Engine{raw.EngineRef, raw.EngineFast} {
+		orig := pipeChip(t)
+		orig.SetEngine(eng)
+		if err := orig.EnableRecording(); err != nil {
+			t.Fatal(err)
+		}
+		in := orig.StaticIn(0, raw.DirW)
+		burst := make([]raw.Word, 997)
+		for n := 0; n < 3*raw.LogChunkRecords+100; n += len(burst) {
+			for i := range burst {
+				burst[i] = raw.Word(n + i)
+			}
+			in.Push(burst...)
+			orig.Run(3)
+		}
+		blob, err := orig.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = blob
+		} else if !bytes.Equal(blob, first) {
+			t.Fatalf("engine %v: snapshot differs from the other engine's", eng)
+		}
+		replica := pipeChip(t)
+		replica.SetEngine(eng)
+		if err := replica.RestoreSnapshot(blob); err != nil {
+			t.Fatal(err)
+		}
+		rb, err := replica.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rb, blob) {
+			t.Fatalf("engine %v: restored chip snapshots differently", eng)
+		}
+		for _, c := range []*raw.Chip{orig, replica} {
+			c.StaticIn(0, raw.DirW).Push(burst...)
+			c.Run(50)
+		}
+		ob, _ := orig.Snapshot()
+		rb, _ = replica.Snapshot()
+		if !bytes.Equal(ob, rb) || len(ob) != len(blob)+16*len(burst) {
+			t.Fatalf("engine %v: continuation snapshots diverge (%d, %d bytes)", eng, len(ob), len(rb))
+		}
+	}
+}
+
 // TestSnapshotRejectsCorruption: a flipped byte in the log or digest is
 // detected, and a mismatched geometry refuses to restore.
 func TestSnapshotRejectsCorruption(t *testing.T) {

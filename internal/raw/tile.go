@@ -335,18 +335,14 @@ type StaticIn struct {
 // Push appends words to the external input stream. With a fault plane
 // installed, individual words may be lost at the pins (DropEdgeWord).
 func (in *StaticIn) Push(words ...Word) {
-	fp := in.chip.faults
-	rec := in.chip.rec
-	for _, w := range words {
+	if rec := in.chip.rec; rec != nil && rec.active {
 		// Record before the fault plane's drop check: the checkpoint log
 		// holds what the testbench offered, and replay reproduces the
 		// injector's drops from its own deterministic counters.
-		if rec != nil && rec.active {
-			rec.log = append(rec.log, inputRec{
-				cycle: in.chip.cycle, tile: uint16(in.tile),
-				dir: uint8(in.dir), net: uint8(in.net), word: w,
-			})
-		}
+		rec.add(in.chip.cycle, in.tile, in.dir, in.net, words)
+	}
+	fp := in.chip.faults
+	for _, w := range words {
 		if fp != nil && fp.DropEdgeWord(in.tile, in.dir, in.net) {
 			continue
 		}

@@ -267,6 +267,12 @@ type Router struct {
 	// DRAM pokes happen outside the chip's input log, so checkpoint
 	// restore re-applies them at the recorded cycles (raw.ReplayOp).
 	tableLog []tableUpdate
+
+	// offerBuf holds the wire words of the packet OfferPacket offers;
+	// snapBuf the RTRCKPT1 fields WriteSnapshot writes around the chip
+	// blob. Both are reused, so neither allocates in steady state.
+	offerBuf []raw.Word
+	snapBuf  []byte
 }
 
 // New builds and programs the router.
@@ -443,9 +449,15 @@ func (r *Router) OutputSink(p int) *raw.EdgeSink { return r.outs[p] }
 
 // OfferPacket streams a packet's words into input port p's line buffer.
 func (r *Router) OfferPacket(p int, pkt *ip.Packet) {
-	for _, w := range pkt.Words() {
-		r.ins[p].Push(raw.Word(w))
+	b := slices.Grow(r.offerBuf[:0], pkt.LenWords())
+	for _, w := range pkt.Header.Marshal() {
+		b = append(b, raw.Word(w))
 	}
+	for _, w := range pkt.Payload {
+		b = append(b, raw.Word(w))
+	}
+	r.offerBuf = b
+	r.ins[p].Push(b...)
 }
 
 // InputBacklogWords returns the words waiting on input port p's pins.

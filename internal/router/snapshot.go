@@ -3,6 +3,7 @@ package router
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"repro/internal/raw"
 	"repro/internal/wire"
@@ -29,21 +30,40 @@ import (
 
 const rtrSnapMagic = "RTRCKPT1"
 
-// Snapshot serializes the router at the current cycle. Requires
-// Config.Checkpoint (input recording from construction). Call between
-// Run calls only.
+// Snapshot returns the router's checkpoint at the current cycle.
+// Requires Config.Checkpoint (input recording from construction). Call
+// between Run calls only.
 func (r *Router) Snapshot() ([]byte, error) {
-	if !r.cfg.Checkpoint {
-		return nil, fmt.Errorf("router: snapshot requires Config.Checkpoint")
+	return wire.Encode(r.SnapshotLen(), r.WriteSnapshot)
+}
+
+// SnapshotLen returns the length of the blob Snapshot returns.
+func (r *Router) SnapshotLen() int {
+	n := len(rtrSnapMagic) + 8 + r.Chip.SnapshotLen()
+	for p := 0; p < 4; p++ {
+		n += 4*8 + 4*len(r.parseBuf[p]) + 8*len(r.cuts[p])
 	}
-	chip, err := r.Chip.Snapshot()
-	if err != nil {
-		return nil, err
+	n += 8
+	for _, u := range r.tableLog {
+		n += 2 * 8
+		for _, seg := range u.segs {
+			n += 2*8 + 4*len(seg.Words)
+		}
+	}
+	return n + 8*numStateWords
+}
+
+// WriteSnapshot writes the blob Snapshot returns to w. The chip's blob
+// streams through from its input log; the fields before and after it
+// are encoded into a buffer the router reuses.
+func (r *Router) WriteSnapshot(w io.Writer) error {
+	if !r.cfg.Checkpoint {
+		return fmt.Errorf("router: snapshot requires Config.Checkpoint")
 	}
 	le := binary.LittleEndian
-	b := []byte(rtrSnapMagic)
-	b = le.AppendUint64(b, uint64(len(chip)))
-	b = append(b, chip...)
+	b := append(r.snapBuf[:0], rtrSnapMagic...)
+	b = le.AppendUint64(b, uint64(r.Chip.SnapshotLen()))
+	head := len(b)
 	for p := 0; p < 4; p++ {
 		b = le.AppendUint64(b, uint64(r.parsed[p]))
 		b = le.AppendUint64(b, uint64(len(r.parseBuf[p])))
@@ -74,7 +94,15 @@ func (r *Router) Snapshot() ([]byte, error) {
 	for _, v := range r.stateWords() {
 		b = le.AppendUint64(b, uint64(v))
 	}
-	return b, nil
+	r.snapBuf = b
+	if _, err := w.Write(b[:head]); err != nil {
+		return err
+	}
+	if err := r.Chip.WriteSnapshot(w); err != nil {
+		return err
+	}
+	_, err := w.Write(b[head:])
+	return err
 }
 
 // RestoreSnapshot rebuilds the checkpointed state on a freshly
@@ -133,7 +161,7 @@ func (r *Router) RestoreSnapshot(blob []byte) error {
 			}
 		}
 	}
-	want := make([]int64, len(r.stateWords()))
+	want := make([]int64, numStateWords)
 	for i := range want {
 		want[i] = int64(rd.U64())
 	}
@@ -184,10 +212,13 @@ func (r *Router) RestoreSnapshot(blob []byte) error {
 	return nil
 }
 
+// numStateWords is the length of stateWords' result.
+const numStateWords = 4*15 + 5
+
 // stateWords flattens the replay-derived router state the restore
 // verifies: every Stats counter plus the recovery state machine.
 func (r *Router) stateWords() []int64 {
-	var w []int64
+	w := make([]int64, 0, numStateWords)
 	for p := 0; p < 4; p++ {
 		w = append(w,
 			r.stats.Accepted[p], r.stats.Dropped[p], r.stats.Denied[p],

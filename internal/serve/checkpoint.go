@@ -20,16 +20,17 @@ import (
 
 const srvSnapMagic = "SRVCKPT1"
 
-func encodeCheckpoint(slice int64, eras []uint64, blob []byte) []byte {
+// appendCheckpointHeader appends everything that precedes a router blob
+// of blobLen bytes.
+func appendCheckpointHeader(b []byte, slice int64, eras []uint64, blobLen int) []byte {
 	le := binary.LittleEndian
-	b := []byte(srvSnapMagic)
+	b = append(b, srvSnapMagic...)
 	b = le.AppendUint64(b, uint64(slice))
 	b = le.AppendUint64(b, uint64(len(eras)))
 	for _, e := range eras {
 		b = le.AppendUint64(b, e)
 	}
-	b = le.AppendUint64(b, uint64(len(blob)))
-	return append(b, blob...)
+	return le.AppendUint64(b, uint64(blobLen))
 }
 
 func decodeCheckpoint(b []byte) (slice int64, eras []uint64, blob []byte, err error) {

@@ -126,6 +126,12 @@ func TestAdmissionShedsNeverBlocks(t *testing.T) {
 	}
 }
 
+// encodeCheckpoint wraps a router blob in SRVCKPT1, the bytes
+// writeCheckpoint streams.
+func encodeCheckpoint(slice int64, eras []uint64, blob []byte) []byte {
+	return append(appendCheckpointHeader(nil, slice, eras, len(blob)), blob...)
+}
+
 // TestCheckpointCodec: the SRVCKPT1 wrapper round-trips and rejects
 // truncation and foreign blobs.
 func TestCheckpointCodec(t *testing.T) {

@@ -2,13 +2,14 @@ package serve
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/router"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // State is the daemon lifecycle position: serving → draining → drained
@@ -578,28 +579,33 @@ func (d *Daemon) result(reason Reason, forced bool) Result {
 	}
 }
 
-// writeCheckpoint serializes the serve checkpoint (slice index, soak
-// window eras, router blob) to Config.CheckpointPath. A nil path is a
-// no-op (drains without a checkpoint path just exit cleanly).
+// writeCheckpoint streams the serve checkpoint (slice index, soak
+// window eras, router blob) into Config.CheckpointPath, replacing the
+// previous one only once the new one is complete. A nil path is a no-op
+// (drains without a checkpoint path just exit cleanly).
 func (d *Daemon) writeCheckpoint(forced bool) (int, error) {
 	if d.cfg.CheckpointPath == "" {
 		return 0, nil
 	}
-	blob, err := d.r.Snapshot()
+	blobLen := d.r.SnapshotLen()
+	hdr := appendCheckpointHeader(nil, d.slice, d.windowEras, blobLen)
+	err := wire.WriteFile(d.cfg.CheckpointPath, func(w io.Writer) error {
+		if _, err := w.Write(hdr); err != nil {
+			return err
+		}
+		return d.r.WriteSnapshot(w)
+	})
 	if err != nil {
 		return 0, fmt.Errorf("serve: checkpoint: %w", err)
 	}
-	out := encodeCheckpoint(d.slice, d.windowEras, blob)
-	if err := os.WriteFile(d.cfg.CheckpointPath, out, 0o644); err != nil {
-		return 0, fmt.Errorf("serve: checkpoint: %w", err)
-	}
+	n := len(hdr) + blobLen
 	d.lastCkpt = d.cfg.CheckpointPath
-	detail := fmt.Sprintf("bytes=%d", len(out))
+	detail := fmt.Sprintf("bytes=%d", n)
 	if forced {
 		detail += " forced"
 	}
 	d.event(trace.EvCheckpoint, detail)
-	return len(out), nil
+	return n, nil
 }
 
 // publish refreshes the atomically shared Status.

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -144,6 +145,44 @@ func TestDrainCheckpointResume(t *testing.T) {
 	}
 	if string(r1) == string(first) {
 		t.Fatal("resumed run did not advance")
+	}
+}
+
+// TestPeriodicCheckpointAllocation: once the input log spans three of
+// the recorder's 1 MiB blocks, a periodic checkpoint streams the log
+// into its file without allocating anything blob-sized. Re-encoding the
+// log and copying the blob once per layer allocates about 16 MB for
+// this 3.8 MB file, far past the limit.
+func TestPeriodicCheckpointAllocation(t *testing.T) {
+	d, err := New(Config{
+		Router:                newTestRouter(t, func(c *router.Config) { c.Checkpoint = true }),
+		Feeder:                testFeeder(t, 800),
+		SliceCycles:           1024,
+		MaxSlices:             80,
+		CheckpointEverySlices: 16,
+		CheckpointPath:        filepath.Join(t.TempDir(), "p.srv"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := d.writeCheckpoint(false)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n < 3<<20 {
+		t.Fatalf("checkpoint of %d bytes: the log spans fewer than three blocks", n)
+	}
+	const limit = 64 << 10
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
+		t.Errorf("a %d-byte checkpoint allocated %d bytes, limit %d", n, alloc, limit)
+	} else {
+		t.Logf("a %d-byte checkpoint allocated %d bytes", n, alloc)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"sort"
 
@@ -179,17 +180,17 @@ func ParseTrace(b []byte) (*Trace, error) {
 	return t, nil
 }
 
-// WriteFile atomically writes the trace next to path.
+// WriteFile replaces the file at path with the encoded trace
+// (wire.WriteFile).
 func (t *Trace) WriteFile(path string) error {
 	b, err := t.Encode()
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	return wire.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(b)
 		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 // LoadTrace reads and decodes a TRAF1 file.

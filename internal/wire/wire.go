@@ -1,9 +1,13 @@
-// Package wire reads the repository's binary blobs: the RAWCKPT1,
-// RTRCKPT1, FABCKPT1 and SRVCKPT1 checkpoints and TRAF1 traces. All five
-// share one encoding — an 8-byte magic, then little-endian integers,
-// with variable-length parts framed by a u64 count. Encoders append with
-// encoding/binary's LittleEndian.Append* directly; every decoder reads
-// through a Reader.
+// Package wire reads and writes the repository's binary blobs: the
+// RAWCKPT1, RTRCKPT1, FABCKPT1 and SRVCKPT1 checkpoints and TRAF1
+// traces. All five share one encoding — an 8-byte magic, then
+// little-endian integers, with variable-length parts framed by a u64
+// count. Encoders append their fields with encoding/binary's
+// LittleEndian.Append* into small buffers and write those, and any part
+// already held in wire form, through one io.Writer: Encode collects the
+// bytes into a buffer allocated once, WriteFile streams them into a file
+// that replaces its destination atomically. Every decoder reads through
+// a Reader.
 //
 // A Reader latches its first failure: later reads return zero values
 // and Err reports the failure, so a decoder reads a record straight
@@ -14,9 +18,13 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 )
 
 // Reader is a bounds-checked little-endian cursor over a blob.
@@ -121,3 +129,50 @@ func (r *Reader) Count(size int) int {
 
 // Blob reads a u64 byte length and that many bytes.
 func (r *Reader) Blob() []byte { return r.Bytes(r.Count(1)) }
+
+// Encode returns the bytes write produces, in one buffer allocated at
+// their declared length n. It fails if write produces any other number
+// of bytes, so a length prefix computed apart from its encoder cannot
+// drift from it unnoticed.
+func Encode(n int, write func(io.Writer) error) ([]byte, error) {
+	b := bytes.NewBuffer(make([]byte, 0, n))
+	if err := write(b); err != nil {
+		return nil, err
+	}
+	if b.Len() != n {
+		return nil, fmt.Errorf("wire: encoder wrote %d bytes, declared %d", b.Len(), n)
+	}
+	return b.Bytes(), nil
+}
+
+// WriteFile replaces the file at path with the bytes write produces.
+// They go through a buffered writer into path+".tmp", which is renamed
+// over path once write, the flush and the close have succeeded; on any
+// failure the temporary file is removed and path keeps its previous
+// contents. A new file gets mode 0644 before the umask, as os.WriteFile
+// gives it. It is not synced: a crash of the host, not of the process,
+// may lose the write.
+func WriteFile(path string, write func(io.Writer) error) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close() // already failed; a second close error adds nothing
+			os.Remove(tmp)
+		}
+	}()
+	bw := bufio.NewWriter(f)
+	if err = write(bw); err != nil {
+		return err
+	}
+	if err = bw.Flush(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}

@@ -1,7 +1,12 @@
 package wire_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/wire"
@@ -69,5 +74,85 @@ func TestReaderFailures(t *testing.T) {
 		if !c.ok && (r.U64() != 0 || r.Count(1) != 0 || r.Bytes(0) != nil) {
 			t.Errorf("%s: reads after a failure return data", c.name)
 		}
+	}
+}
+
+// TestEncodeChecksLength: Encode returns what the writer wrote and fails
+// when that is not the declared length.
+func TestEncodeChecksLength(t *testing.T) {
+	write := func(w io.Writer) error {
+		_, err := w.Write([]byte("RAWCKPT1"))
+		return err
+	}
+	if b, err := wire.Encode(8, write); err != nil || string(b) != "RAWCKPT1" {
+		t.Fatalf("Encode = %q, %v", b, err)
+	}
+	for _, n := range []int{0, 7, 9} {
+		if _, err := wire.Encode(n, write); err == nil {
+			t.Errorf("Encode declared %d bytes and accepted 8", n)
+		}
+	}
+}
+
+// TestWriteFileReplacesAtomically: a write that fails partway through
+// leaves the previous file byte-identical and no temporary file behind;
+// one that succeeds replaces it whole.
+func TestWriteFileReplacesAtomically(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.ckpt")
+	old := bytes.Repeat([]byte("old checkpoint "), 1000)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The failing writer gets past the buffered writer's first flush, so
+	// the temporary file holds bytes when it is abandoned.
+	errCut := errors.New("cut")
+	err := wire.WriteFile(path, func(w io.Writer) error {
+		if _, err := w.Write(make([]byte, 64<<10)); err != nil {
+			return err
+		}
+		return errCut
+	})
+	if !errors.Is(err, errCut) {
+		t.Fatalf("WriteFile = %v, want the writer's error", err)
+	}
+	files := func() []string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("previous file changed by a failed write (%d bytes, %v)", len(got), err)
+	}
+	if names := files(); len(names) != 1 {
+		t.Fatalf("failed write left %v", names)
+	}
+
+	fresh := []byte("new checkpoint")
+	err = wire.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(fresh)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, fresh) {
+		t.Fatalf("file after write = %q, %v", got, err)
+	}
+	if names := files(); len(names) != 1 {
+		t.Fatalf("write left %v", names)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode().Perm() != 0o644 {
+		t.Fatalf("file mode = %v", fi.Mode())
 	}
 }

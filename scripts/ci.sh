@@ -123,6 +123,10 @@ echo "== cli: entry-point smoke =="
 # fault schedule, and after the crash) must be byte-identical across
 # engines, and restoring
 # the reference engine's blob must print the same under either engine.
+# So must the serve daemon's SRVCKPT1 file on daymini, rewritten by a
+# periodic checkpoint every 16 slices and last by the drain (4.4 MB, an
+# input log of several blocks), and the files two runs restored from the
+# reference engine's one write under either engine.
 # rawrouter with no
 # traffic flag must also print exactly what -workload permutation prints.
 # fabsim's mesh-16 must print the same at one worker as at the default
@@ -161,6 +165,14 @@ for flag in "" "-faultseed 7" "$CRASH"; do
 	$RR $flag -engine fast -restore "$CLI/ck-ref.bin" >"$CLI/rs-fast.txt"
 	cmp "$CLI/rs-ref.txt" "$CLI/rs-fast.txt"
 done
+SRV="$CLI/rawrouter -serve -workload daymini -ckptevery 16"
+$SRV -maxslices 96 -engine ref -checkpoint "$CLI/srv-ref.bin" >/dev/null
+$SRV -maxslices 96 -engine fast -checkpoint "$CLI/srv-fast.bin" >/dev/null
+cmp "$CLI/srv-ref.bin" "$CLI/srv-fast.bin"
+for engine in ref fast; do
+	$SRV -maxslices 120 -engine $engine -restore "$CLI/srv-ref.bin" -checkpoint "$CLI/srv-rs-$engine.bin" >/dev/null
+done
+cmp "$CLI/srv-rs-ref.bin" "$CLI/srv-rs-fast.bin"
 $RR -faults corrupt:t4.w.w999999999.b1 -metrics prom | grep -q '^raw_router_macro_windows_total [1-9]'
 windows() { $RR "$@" -metrics prom | sed -n 's/^raw_router_macro_windows_total //p'; }
 healthy=$(windows -watchdog)
