@@ -140,7 +140,7 @@ func (c *dcache) access(addr Word, isWrite bool, wval Word) (done bool, val Word
 		return c.finish()
 
 	case cpSend:
-		inj := c.tile.dyn[DynMemory].in[DirP].(*fifo)
+		inj := c.tile.dyn[DynMemory].in[DirP]
 		if inj.CanPush() {
 			inj.Push(c.sendQ[0])
 			c.sendQ = c.sendQ[1:]

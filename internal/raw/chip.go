@@ -35,13 +35,12 @@ type DynDevice interface {
 	Tick(cycle int64, arrived []Word) (inject []Word)
 }
 
+// dynBinding is a device attached to a boundary dynamic link: the words
+// that left the chip on it this cycle and the edge queue it injects into.
 type dynBinding struct {
-	tile   int
-	dir    Dir
-	net    int
 	dev    DynDevice
 	outBuf []Word
-	in     *unboundedFIFO
+	in     *fifo
 }
 
 // Chip is a simulated Raw processor.
@@ -50,25 +49,20 @@ type Chip struct {
 	tiles []*Tile
 	cycle int64
 
+	// bounded and edges list the on-chip and edge queues in
+	// construction order, the checkpoint digest's order.
 	bounded  []*fifo
-	edges    []*unboundedFIFO
+	edges    []*fifo
 	bindings []*dynBinding
 
-	// commits lists the bounded fifos popped or pushed this cycle and
-	// edgePops the edge queues popped this cycle; fresh lists the edge
-	// queues pushed since their last snapshot (see fifo.go). The fast
-	// engine commits and snapshots only these; the reference engine
-	// sweeps every queue and clears them.
-	commits  []*fifo
-	edgePops []*unboundedFIFO
-	fresh    []*unboundedFIFO
+	// commits lists the queues popped or pushed this cycle; fresh lists
+	// the edge queues injected into since their last snapshot (see
+	// fifo.go). The fast engine commits and snapshots only these; the
+	// reference engine sweeps every queue and clears them.
+	commits []*fifo
+	fresh   []*fifo
 
 	staticIn map[[3]int]*StaticIn
-
-	// dynEdgeSinks buffers words leaving the chip on boundary dynamic
-	// links, keyed by tile, dir and network, until the attached device's
-	// Tick (or forever, if no device is attached).
-	dynEdgeSinks map[[3]int]*dynBinding
 
 	// faults, when non-nil, is the installed fault-injection schedule
 	// (see FaultPlane). Consulted at the top of Step and inside the
@@ -122,10 +116,9 @@ func NewChip(cfg Config) *Chip {
 		cfg.ClockHz = DefaultClockHz
 	}
 	c := &Chip{
-		cfg:          cfg,
-		engine:       cfg.Engine,
-		staticIn:     make(map[[3]int]*StaticIn),
-		dynEdgeSinks: make(map[[3]int]*dynBinding),
+		cfg:      cfg,
+		engine:   cfg.Engine,
+		staticIn: make(map[[3]int]*StaticIn),
 	}
 	n := cfg.Width * cfg.Height
 	// Pre-size the fifo slab: per tile, 5 processor<->switch queues per
@@ -157,35 +150,42 @@ func NewChip(cfg Config) *Chip {
 		for net := 0; net < numDynNets; net++ {
 			r := &dynRouter{tile: t, net: net}
 			r.recv = c.fifo(64, id, id)
-			r.in[DirP] = c.dynFifo(4, id, id, net)
+			r.out[DirP] = r.recv
+			r.in[DirP] = c.fifo(4, id, id)
 			t.dyn[net] = r
 		}
 		c.tiles[id] = t
 	}
-	// Wire network input queues.
+	// Wire network input queues. An internal dynamic input is also the
+	// neighbor router's output toward this tile, and every dynamic input
+	// names the router that pops it.
 	for _, t := range c.tiles {
 		for d := DirN; d < DirP; d++ {
 			if t.Boundary(d) {
 				for net := 0; net < NumStaticNets; net++ {
-					q := &unboundedFIFO{chip: c, rd: int32(t.id), dyn: -1}
-					c.edges = append(c.edges, q)
+					q := c.edgeFifo(t.id)
 					t.st[net].in[d] = q
 					c.staticIn[[3]int{t.id, int(d), net}] = &StaticIn{q: q, chip: c, tile: t.id, dir: d, net: net}
 					t.st[net].edgeOut[d] = &EdgeSink{}
 				}
 				for net := 0; net < numDynNets; net++ {
-					dq := &unboundedFIFO{chip: c, rd: int32(t.id), dyn: dynID(t.id, net)}
-					c.edges = append(c.edges, dq)
-					t.dyn[net].in[d] = dq
+					t.dyn[net].in[d] = c.edgeFifo(t.id)
 				}
 			} else {
-				nb := t.neighbor(d).id
+				nb := t.neighbor(d)
 				for net := 0; net < NumStaticNets; net++ {
-					t.st[net].in[d] = c.fifo(2, t.id, nb)
+					t.st[net].in[d] = c.fifo(2, t.id, nb.id)
 				}
 				for net := 0; net < numDynNets; net++ {
-					t.dyn[net].in[d] = c.dynFifo(2, t.id, nb, net)
+					q := c.fifo(2, t.id, nb.id)
+					t.dyn[net].in[d] = q
+					nb.dyn[net].out[d.Opposite()] = q
 				}
+			}
+		}
+		for _, r := range t.dyn {
+			for _, q := range r.in {
+				q.dyn = r
 			}
 		}
 	}
@@ -204,7 +204,7 @@ func (c *Chip) fifo(capacity, rd, wr int) *fifo {
 	}
 	buf := c.words[: 0 : 2*capacity]
 	c.words = c.words[2*capacity:]
-	q := fifo{buf: buf, cap: capacity, chip: c, rd: int32(rd), wr: int32(wr), dyn: -1}
+	q := fifo{buf: buf, cap: capacity, chip: c, rd: int32(rd), wr: int32(wr)}
 	var f *fifo
 	if len(c.fifoSlab) < cap(c.fifoSlab) {
 		c.fifoSlab = append(c.fifoSlab, q)
@@ -217,17 +217,14 @@ func (c *Chip) fifo(capacity, rd, wr int) *fifo {
 	return f
 }
 
-// dynFifo allocates a bounded input queue of tile rd's dynamic router
-// on network net.
-func (c *Chip) dynFifo(capacity, rd, wr, net int) *fifo {
-	f := c.fifo(capacity, rd, wr)
-	f.dyn = dynID(rd, net)
+// edgeFifo allocates a boundary input queue read by tile rd (see fifo).
+// It has no on-chip writer, so its wr is its reader: the commit loop
+// wakes both ends of every queue it commits.
+func (c *Chip) edgeFifo(rd int) *fifo {
+	f := &fifo{chip: c, rd: int32(rd), wr: int32(rd), edge: true}
+	c.edges = append(c.edges, f)
 	return f
 }
-
-// dynID numbers tile id's dynamic router on network net, as the fast
-// engine's bindings do.
-func dynID(id, net int) int32 { return int32(id*numDynNets + net) }
 
 // Tile returns tile id (row-major).
 func (c *Chip) Tile(id int) *Tile { return c.tiles[id] }
@@ -283,18 +280,10 @@ func (c *Chip) AttachDynDevice(tileID int, d Dir, net int, dev DynDevice) {
 		panic(fmt.Sprintf("raw: tile %d side %s is not a chip boundary", tileID, d))
 	}
 	c.invalidateFast()
-	b := &dynBinding{tile: tileID, dir: d, net: net, dev: dev,
-		in: t.dyn[net].in[d].(*unboundedFIFO)}
+	r := t.dyn[net]
+	b := &dynBinding{dev: dev, in: r.in[d]}
 	c.bindings = append(c.bindings, b)
-	c.dynEdgeSinks[[3]int{tileID, int(d), net}] = b
-}
-
-// dynEdgeOut buffers a word that left the chip on a boundary dynamic link.
-func (c *Chip) dynEdgeOut(tileID int, d Dir, net int, w Word) {
-	if b, ok := c.dynEdgeSinks[[3]int{tileID, int(d), net}]; ok {
-		b.outBuf = append(b.outBuf, w)
-	}
-	// Unattached boundary links drop words, like unconnected pins.
+	r.dev[d] = b
 }
 
 // Step simulates one clock cycle in two phases. Compute: every tile (its
@@ -321,11 +310,11 @@ func (c *Chip) Step() {
 	if fe != nil {
 		fe.step()
 	} else {
-		// Snapshot edge queues so words pushed externally since the last
-		// cycle become visible this cycle. (Bounded fifos re-arm their
+		// Snapshot edge queues so words injected since the last cycle
+		// become visible this cycle. (Bounded fifos re-arm their
 		// snapshot in commit; they have no external writers.)
 		for _, q := range c.edges {
-			q.beginCycle()
+			q.snapshot()
 		}
 		for _, t := range c.tiles {
 			if c.faults != nil && c.faults.TileFrozen(t.id) {
@@ -337,10 +326,12 @@ func (c *Chip) Step() {
 			f.maybeCommit()
 		}
 		for _, q := range c.edges {
-			q.commit()
+			q.maybeCommit()
 		}
-		c.commits, c.edgePops, c.fresh = c.commits[:0], c.edgePops[:0], c.fresh[:0]
+		c.commits, c.fresh = c.commits[:0], c.fresh[:0]
 	}
+	// Devices tick after the cycle's commits, so no injection lands
+	// between an edge queue's snapshot and its commit.
 	for _, b := range c.bindings {
 		arrived := b.outBuf
 		if len(arrived) == 0 && b.dev.NextDue(c.cycle) < 0 {
@@ -348,7 +339,7 @@ func (c *Chip) Step() {
 		}
 		b.outBuf = nil
 		for _, w := range b.dev.Tick(c.cycle, arrived) {
-			b.in.Push(w)
+			b.in.inject(w)
 		}
 	}
 	for _, h := range c.stepHooks {

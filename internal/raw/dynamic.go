@@ -58,8 +58,8 @@ func DecodeDynHeader(h Word) (destX, destY, payloadLen int) {
 // DynTag returns the 14 software-defined tag bits of a header.
 func DynTag(h Word) Word { return h >> 18 }
 
-// dynOutput is a router output port index: the four mesh directions plus
-// local delivery to the processor.
+// dynLock is one router output's worm: the input that holds the output
+// and the payload words still to pass.
 type dynLock struct {
 	active    bool
 	input     Dir
@@ -68,22 +68,34 @@ type dynLock struct {
 
 // dynRouter is a per-tile wormhole, dimension-ordered (X then Y) dynamic
 // network router (§3.3). Once a header claims an output, the output is
-// held by that input until the message tail passes.
+// held by that input until the message tail passes. Both engines run
+// its step; the fast engine alone puts an idle router to sleep (fast.go).
 type dynRouter struct {
 	tile *Tile
 	net  int
 
-	// in[DirN..DirW] receive from neighbors (or edge devices at the
-	// boundary); in[DirP] is the processor inject queue.
-	in [numDirs]wordQueue
+	// in[DirN..DirW] receive from neighbors (edge queues at the
+	// boundary, fed by attached devices); in[DirP] is the processor
+	// inject queue.
+	in [numDirs]*fifo
 	// recv delivers messages addressed to this tile to the processor
 	// (network 0) or the cache controller (network 1).
 	recv *fifo
+	// out is each output's queue, resolved at construction: recv for
+	// DirP, the neighbor's input for internal links, nil at the
+	// boundary, where dev names the attached device (nil when none:
+	// words fall off the pins, like unconnected pins).
+	out [numDirs]*fifo
+	dev [numDirs]*dynBinding
 
 	lock  [numDirs]dynLock
 	busy  [numDirs]bool // input currently owned by some output's worm
 	rr    [numDirs]Dir  // round-robin arbiter pointer per output
 	moves int64
+
+	// asleep marks a router the fast engine does not step until an
+	// input it pops commits or is snapshotted (see park.go).
+	asleep bool
 }
 
 // route returns the output direction dimension-ordered routing picks for a
@@ -104,29 +116,21 @@ func (r *dynRouter) route(h Word) Dir {
 }
 
 // dstReady reports whether output d can accept a word this cycle.
+// Off-chip devices always accept (deep external buffers).
 func (r *dynRouter) dstReady(d Dir) bool {
-	if d == DirP {
-		return r.recv.CanPush()
+	if f := r.out[d]; f != nil {
+		return f.CanPush()
 	}
-	t := r.tile
-	if t.Boundary(d) {
-		return true // off-chip devices always accept (deep external buffers)
-	}
-	return t.neighbor(d).dyn[r.net].in[d.Opposite()].(*fifo).CanPush()
+	return true
 }
 
 func (r *dynRouter) deliver(d Dir, w Word) {
 	r.moves++
-	if d == DirP {
-		r.recv.Push(w)
-		return
+	if f := r.out[d]; f != nil {
+		f.Push(w)
+	} else if b := r.dev[d]; b != nil {
+		b.outBuf = append(b.outBuf, w)
 	}
-	t := r.tile
-	if t.Boundary(d) {
-		t.chip.dynEdgeOut(t.id, d, r.net, w)
-		return
-	}
-	t.neighbor(d).dyn[r.net].in[d.Opposite()].(*fifo).Push(w)
 }
 
 // step advances the router one cycle: each output moves at most one word.
@@ -149,7 +153,7 @@ func (r *dynRouter) step() {
 		for k := 0; k < int(numDirs); k++ {
 			inDir := Dir((int(r.rr[out]) + k) % int(numDirs))
 			q := r.in[inDir]
-			if q == nil || r.busy[inDir] || !q.CanPop() || q.poppedThisCycle() {
+			if r.busy[inDir] || !q.CanPop() || q.poppedThisCycle() {
 				continue
 			}
 			h := q.Peek()
@@ -168,4 +172,19 @@ func (r *dynRouter) step() {
 			break
 		}
 	}
+}
+
+// quiet reports whether the router's next step changes nothing: it is
+// asleep, or idle.
+func (r *dynRouter) quiet() bool { return r.asleep || r.idle() }
+
+// idle reports whether the router holds no worm and no input word, so
+// its steps change nothing until a word arrives.
+func (r *dynRouter) idle() bool {
+	for d := DirN; d < numDirs; d++ {
+		if r.lock[d].active || r.in[d].Len() != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package raw_test
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -280,6 +281,160 @@ func TestDynMaxLengthMessage(t *testing.T) {
 	for i := 0; i < n; i++ {
 		if got[1+i] != raw.Word(i) {
 			t.Fatalf("word %d corrupted", i)
+		}
+	}
+}
+
+// dynArrival is one message a test receiver took off its recv queue:
+// the header's tag and the cycle its last word was popped.
+type dynArrival struct {
+	tag   raw.Word
+	cycle int64
+}
+
+func (a dynArrival) String() string { return fmt.Sprintf("%d@%d", a.tag, a.cycle) }
+
+// dynReceiver installs firmware on tile id that receives msgs messages
+// of words words each on the general network and logs each arrival.
+func dynReceiver(chip *raw.Chip, id, msgs, words int, log *[]dynArrival) {
+	ws := make([]raw.Word, words)
+	got := 0
+	chip.Tile(id).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
+		if s == doneStep {
+			*log = append(*log, dynArrival{raw.DynTag(ws[0]), chip.Cycle()})
+			return
+		}
+		if got == msgs {
+			return
+		}
+		got++
+		e.DynRecv(raw.DynGeneral, ws)
+		e.OnDone(doneStep)
+	}))
+}
+
+// dynSender installs firmware on tile id that first computes for delay
+// cycles, then sends msgs in order on the general network, back to back.
+func dynSender(chip *raw.Chip, id, delay int, msgs ...[]raw.Word) {
+	started := false
+	chip.Tile(id).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, _ raw.Step) {
+		if !started && delay > 0 {
+			started = true
+			e.Compute(delay)
+			return
+		}
+		if len(msgs) == 0 {
+			return
+		}
+		e.DynSend(raw.DynGeneral, msgs[0])
+		msgs = msgs[1:]
+	}))
+}
+
+// TestDynRoundRobin: four neighbors flood tile 5's processor with
+// one-word messages, so its router's local output is contended every
+// time a worm releases it. The arbiter's pointer moves past each winner,
+// so the senders take turns N, E, S, W (the arbiter's scan order) and
+// each message arrives two cycles after the last. A pointer left on the
+// winner lets the first sender keep the output while it has a header
+// ready.
+func TestDynRoundRobin(t *testing.T) {
+	const msgs = 3
+	senders := []struct {
+		tile int
+		tag  raw.Word
+	}{{1, 'N'}, {6, 'E'}, {9, 'S'}, {4, 'W'}}
+	want := []dynArrival{
+		{'N', 4}, {'E', 6}, {'S', 8}, {'W', 10},
+		{'N', 12}, {'E', 14}, {'S', 16}, {'W', 18},
+		{'N', 20}, {'E', 22}, {'S', 24}, {'W', 26},
+	}
+	for _, eng := range []raw.Engine{raw.EngineRef, raw.EngineFast} {
+		cfg := raw.DefaultConfig()
+		cfg.Engine = eng
+		chip := raw.NewChip(cfg)
+		for _, s := range senders {
+			var out [][]raw.Word
+			for k := 0; k < msgs; k++ {
+				out = append(out, []raw.Word{raw.DynHeaderTag(1, 1, 1, s.tag), raw.Word(k)})
+			}
+			dynSender(chip, s.tile, 0, out...)
+		}
+		var got []dynArrival
+		dynReceiver(chip, 5, len(senders)*msgs, 2, &got)
+		chip.Run(200)
+		if !slices.Equal(got, want) {
+			t.Fatalf("engine %v: arrivals %v\nwant %v", eng, got, want)
+		}
+	}
+}
+
+// TestDynXBeforeY: routing is dimension-ordered, X first. A message from
+// tile 0 addressed one column past the east edge on row 3 travels east
+// along row 0 and leaves the chip at tile 3's east pins; Y-first routing
+// would carry it down column 0 and out at tile 15.
+func TestDynXBeforeY(t *testing.T) {
+	for _, eng := range []raw.Engine{raw.EngineRef, raw.EngineFast} {
+		cfg := raw.DefaultConfig()
+		cfg.Engine = eng
+		chip := raw.NewChip(cfg)
+		row0, row3 := &pinLog{}, &pinLog{}
+		chip.AttachDynDevice(3, raw.DirE, raw.DynGeneral, row0)
+		chip.AttachDynDevice(15, raw.DirE, raw.DynGeneral, row3)
+		dynSender(chip, 0, 0, []raw.Word{raw.DynHeader(4, 3, 1), 0xbeef})
+		chip.Run(100)
+		want := []int64{4, 5} // header and payload cross tile 3's pins
+		if !slices.Equal(row0.cycles, want) || len(row3.cycles) != 0 {
+			t.Fatalf("engine %v: words left at tile 3 E on cycles %v, at tile 15 E on %v; want %v and none",
+				eng, row0.cycles, row3.cycles, want)
+		}
+	}
+}
+
+// pinLog is a device that logs the cycle each word leaves the chip on
+// its link and answers nothing.
+type pinLog struct{ cycles []int64 }
+
+func (d *pinLog) NextDue(int64) int64 { return -1 }
+
+func (d *pinLog) Tick(cycle int64, arrived []raw.Word) []raw.Word {
+	for range arrived {
+		d.cycles = append(d.cycles, cycle)
+	}
+	return nil
+}
+
+// TestDynZeroPayload: a header-only message is its own tail, so it
+// releases the output it crossed in the same cycle. Tile 0 sends one to
+// tile 1; later tile 2 sends tile 1 a one-word message, which must win
+// the same local output. A header-only worm that kept its output locked
+// would starve the second message.
+func TestDynZeroPayload(t *testing.T) {
+	want := []dynArrival{{1, 3}, {2, 24}}
+	for _, eng := range []raw.Engine{raw.EngineRef, raw.EngineFast} {
+		cfg := raw.DefaultConfig()
+		cfg.Engine = eng
+		chip := raw.NewChip(cfg)
+		dynSender(chip, 0, 0, []raw.Word{raw.DynHeaderTag(1, 0, 0, 1)})
+		dynSender(chip, 2, 20, []raw.Word{raw.DynHeaderTag(1, 0, 1, 2), 7})
+		var got []dynArrival
+		ws := make([]raw.Word, 2)
+		step := 0
+		chip.Tile(1).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
+			if s == doneStep {
+				got = append(got, dynArrival{raw.DynTag(ws[0]), chip.Cycle()})
+				return
+			}
+			if step == 2 {
+				return
+			}
+			step++
+			e.DynRecv(raw.DynGeneral, ws[:step])
+			e.OnDone(doneStep)
+		}))
+		chip.Run(200)
+		if !slices.Equal(got, want) {
+			t.Fatalf("engine %v: arrivals %v, want %v", eng, got, want)
 		}
 	}
 }

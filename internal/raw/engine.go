@@ -12,15 +12,16 @@ type Engine uint8
 
 const (
 	// EngineRef is the reference interpreter: it walks []SwInstr route
-	// slices and dispatches queue operations through interfaces every
-	// cycle. It is the oracle the fast engine is verified against.
+	// slices, steps every tile, sweeps every queue and runs every
+	// dynamic router's arbitration every cycle. It is the oracle the
+	// fast engine is verified against.
 	EngineRef Engine = iota
 	// EngineFast is the compiled engine: switch programs are flattened
-	// into dense per-pc route tables at install time, queue endpoints are
-	// resolved to concrete ring buffers once per configuration, and
-	// windows in which every processor is idle or blocked and every
-	// switch streams, stalls or has halted advance many cycles per
-	// dispatch (see macro.go).
+	// into dense per-pc route tables at install time, switch endpoints
+	// are resolved once per configuration, inert tiles park and idle
+	// dynamic routers sleep, and windows in which every processor is
+	// idle or blocked and every switch streams, stalls or has halted
+	// advance many cycles per dispatch (see macro.go).
 	EngineFast
 )
 

@@ -23,12 +23,10 @@ func CheckParkSet(c *Chip) error {
 		return nil
 	}
 	freshTile := make(map[int]bool)
-	freshDyn := make(map[int]bool)
+	freshDyn := make(map[*dynRouter]bool)
 	for _, q := range c.fresh {
 		freshTile[int(q.rd)] = true
-		if q.dyn >= 0 {
-			freshDyn[int(q.dyn)] = true
-		}
+		freshDyn[q.dyn] = true
 	}
 	n, parked := len(c.tiles), 0
 	for id := 0; id < len(fe.awake)*64; id++ {
@@ -54,10 +52,12 @@ func CheckParkSet(c *Chip) error {
 	if parked != fe.parked {
 		return fmt.Errorf("cycle %d: awake set leaves out %d tiles, %d parked", c.cycle, parked, fe.parked)
 	}
-	for j := range fe.dy {
-		if fe.dy[j].asleep && !freshDyn[j] && !fe.dy[j].idle() {
-			return fmt.Errorf("cycle %d: tile %d's dynamic router on network %d sleeps but is not idle",
-				c.cycle, j/numDynNets, j%numDynNets)
+	for _, t := range c.tiles {
+		for _, r := range t.dyn {
+			if r.asleep && !freshDyn[r] && !r.idle() {
+				return fmt.Errorf("cycle %d: tile %d's dynamic router on network %d sleeps but is not idle",
+					c.cycle, t.id, r.net)
+			}
 		}
 	}
 	return nil

@@ -5,29 +5,28 @@ import "math/bits"
 // The compiled fast engine.
 //
 // The reference engine (static.go, dynamic.go, tile.go) interprets
-// []SwInstr route slices and reaches every queue through the wordQueue
-// interface, re-deriving neighbor/boundary topology on each transfer.
-// That dispatch — not the transfers themselves — dominates the cycle
-// loop. The fast engine removes it without changing any simulated state:
+// []SwInstr route slices, re-deriving neighbor/boundary topology on each
+// transfer, and steps every tile, sweeps every queue and runs every
+// dynamic router's arbitration every cycle. The fast engine shares the
+// queues (fifo.go) and the dynamic router step (dynamic.go) and adds
+// only what it does differently, without changing any simulated state:
 //
 //   - Switch programs are pre-flattened (CompiledProgram) and every
 //     (tile, network) switch gets a swBind with its five source and five
-//     destination endpoints resolved to concrete ring buffers, boundary
-//     sinks, and precomputed fault keys. A cycle step is then array
-//     arithmetic over dense [pc] tables.
-//   - Every (tile, network) dynamic router gets a dynBind with concrete
-//     input/output queue references and its boundary/device bindings
-//     resolved, plus an early exit when no worm is active and no input
-//     has a word — the common case on a lightly loaded mesh, and ~800
-//     interface calls per cycle in the reference engine. A router that
-//     takes the early exit sleeps until an input it pops commits or is
-//     snapshotted, and is not stepped meanwhile (park.go).
+//     destination endpoints resolved to concrete queues, boundary sinks,
+//     and precomputed fault keys. A cycle step is then array arithmetic
+//     over dense [pc] tables.
 //   - The commit phase walks the chip's commit list — the queues a
 //     cycle popped or pushed — instead of sweeping all of them, and
-//     snapshots only the edge queues pushed since the last cycle.
+//     snapshots only the edge queues injected into since the last cycle.
 //   - A tile whose next step would change only its counters parks until
 //     a queue it pops or pushes commits (park.go); its skipped steps
 //     accrue lazily. The step loop walks only the awake set.
+//   - A dynamic router with no active worm and no poppable input falls
+//     asleep instead of stepping, and is not stepped until an input it
+//     pops commits or is snapshotted (park.go).
+//   - Steady streaming windows advance many cycles per dispatch
+//     (macro.go).
 //
 // Because the fast engine mutates the same swState/Exec/dynRouter/fifo
 // objects the reference engine does, checkpoints, digests, telemetry
@@ -52,18 +51,17 @@ type Quiescer interface {
 }
 
 // swBind is one static switch's compiled execution context: the switch
-// state it advances plus every queue endpoint its routes can touch,
-// resolved to concrete types. Exactly one of srcF/srcU is non-nil per
-// direction (DirP is csto); dst sides are a fifo (DirP is csti, internal
-// links the neighbor's input), or a boundary EdgeSink.
+// state it advances plus every queue endpoint its routes can touch. src
+// is the queue each direction pops (DirP is csto); dst sides are a fifo
+// (DirP is csti, internal links the neighbor's input), or a boundary
+// EdgeSink.
 type swBind struct {
 	sw   *swState
 	tile *Tile
 	tid  int32
 	net  int32
 
-	srcF [numDirs]*fifo
-	srcU [numDirs]*unboundedFIFO
+	src [numDirs]*fifo
 
 	dstF    [numDirs]*fifo
 	dstSink [numDirs]*EdgeSink
@@ -76,26 +74,6 @@ type swBind struct {
 	swPC, swDone, swCount *fifo
 }
 
-// dynBind is one dynamic router's compiled execution context. asleep
-// marks a router whose last step took the early exit; it is not stepped
-// until an input it pops commits or is snapshotted (see park.go).
-type dynBind struct {
-	r      *dynRouter
-	recv   *fifo
-	asleep bool
-
-	inF [numDirs]*fifo
-	inU [numDirs]*unboundedFIFO
-
-	// outF is the delivery fifo per output (recv for DirP, the neighbor's
-	// input for internal links; nil at the boundary). outEdge is the
-	// attached device binding for boundary outputs (nil when unattached:
-	// words fall off the pins, as in Chip.dynEdgeOut).
-	outF        [numDirs]*fifo
-	outEdge     [numDirs]*dynBinding
-	outBoundary [numDirs]bool
-}
-
 // declarer is one Due on the chip and the cause its clamp counts under.
 type declarer struct {
 	Due
@@ -105,8 +83,7 @@ type declarer struct {
 // fastEngine is the chip-owned derived state of the compiled engine.
 type fastEngine struct {
 	c  *Chip
-	sw []swBind  // [tile*NumStaticNets + net]
-	dy []dynBind // [tile*numDynNets + net]
+	sw []swBind // [tile*NumStaticNets + net]
 
 	// fwq caches each tile firmware's Quiescer, nil when the firmware
 	// does not implement it (or there is none).
@@ -161,7 +138,6 @@ func buildFastEngine(c *Chip) *fastEngine {
 	fe := &fastEngine{
 		c:         c,
 		sw:        make([]swBind, n*NumStaticNets),
-		dy:        make([]dynBind, n*numDynNets),
 		fwq:       make([]Quiescer, n),
 		macroOn:   make([]bool, n*NumStaticNets),
 		macroSrcM: make([]uint8, n*NumStaticNets),
@@ -196,61 +172,35 @@ func buildFastEngine(c *Chip) *fastEngine {
 			b.tile = t
 			b.tid = int32(t.id)
 			b.net = int32(net)
-			b.srcF[DirP] = st.csto
+			b.src[DirP] = st.csto
 			b.dstF[DirP] = st.csti
 			b.swPC, b.swDone, b.swCount = st.swPC, st.swDone, st.swCount
 			for d := DirN; d < DirP; d++ {
-				switch q := st.in[d].(type) {
-				case *fifo:
-					b.srcF[d] = q
-				case *unboundedFIFO:
-					b.srcU[d] = q
-				}
+				b.src[d] = st.in[d]
 				if t.Boundary(d) {
 					b.dstSink[d] = st.edgeOut[d]
 					b.dstFT[d] = int32(t.id)
 					b.dstFD[d] = d
 				} else {
 					nb := t.neighbor(d)
-					b.dstF[d] = nb.st[net].in[d.Opposite()].(*fifo)
+					b.dstF[d] = nb.st[net].in[d.Opposite()]
 					b.dstFT[d] = int32(nb.id)
 					b.dstFD[d] = d.Opposite()
 				}
 			}
 		}
-		for net := 0; net < numDynNets; net++ {
-			b := &fe.dy[t.id*numDynNets+net]
-			r := t.dyn[net]
-			b.r = r
-			b.recv = r.recv
-			for d := DirN; d < numDirs; d++ {
-				switch q := r.in[d].(type) {
-				case *fifo:
-					b.inF[d] = q
-				case *unboundedFIFO:
-					b.inU[d] = q
-				}
-			}
-			b.outF[DirP] = r.recv
-			for d := DirN; d < DirP; d++ {
-				if t.Boundary(d) {
-					b.outBoundary[d] = true
-					b.outEdge[d] = c.dynEdgeSinks[[3]int{t.id, int(d), net}]
-				} else {
-					nb := t.neighbor(d)
-					b.outF[d] = nb.dyn[net].in[d.Opposite()].(*fifo)
-				}
-			}
+		for _, r := range t.dyn {
+			r.asleep = false
 		}
 	}
 	return fe
 }
 
 // step runs one cycle's compute and commit phases: snapshot the edge
-// queues pushed since the last cycle, step every awake tile the fault
-// plane does not freeze, in ascending order, then commit the queues the
-// cycle touched, waking the parked tiles at either end of each and the
-// sleeping dynamic router that pops it (see park.go).
+// queues injected into since the last cycle, step every awake tile the
+// fault plane does not freeze, in ascending order, then commit the
+// queues the cycle touched, waking the parked tiles at either end of
+// each and the sleeping dynamic router that pops it (see park.go).
 func (fe *fastEngine) step() {
 	c := fe.c
 	fe.snapshotEdges()
@@ -267,8 +217,8 @@ func (fe *fastEngine) step() {
 	fe.horizon = c.cycle + 1
 	for _, f := range c.commits {
 		f.commit()
-		if f.dyn >= 0 {
-			fe.dy[f.dyn].asleep = false
+		if f.dyn != nil {
+			f.dyn.asleep = false
 		}
 		if fe.parked > 0 {
 			fe.wake(f.rd, fe.horizon)
@@ -276,19 +226,16 @@ func (fe *fastEngine) step() {
 		}
 	}
 	c.commits = c.commits[:0]
-	for _, q := range c.edgePops {
-		q.commit()
-	}
-	c.edgePops = c.edgePops[:0]
 }
 
 // stepTile advances one tile's engines one cycle under the compiled
-// paths; the processor executor is shared with the reference engine.
-// Engine order matches Tile.step (irrelevant to the outcome — the
-// two-phase queue discipline makes the cycle order-independent — but
-// kept identical for clarity); a sleeping dynamic router is skipped. A
-// step in which the processor neither ran nor waited on its cache and no
-// switch moved a word makes the tile a parking candidate.
+// paths; the processor executor and the dynamic routers are shared with
+// the reference engine. Engine order matches Tile.step (irrelevant to
+// the outcome — the two-phase queue discipline makes the cycle
+// order-independent — but kept identical for clarity); a sleeping
+// dynamic router is skipped. A step in which the processor neither ran
+// nor waited on its cache and no switch moved a word makes the tile a
+// parking candidate.
 func (fe *fastEngine) stepTile(t *Tile) {
 	t.exec.step()
 	fp := fe.c.faults
@@ -296,12 +243,10 @@ func (fe *fastEngine) stepTile(t *Tile) {
 	i := t.id * NumStaticNets
 	fe.sw[i].step(fp, cyc)
 	fe.sw[i+1].step(fp, cyc)
-	j := t.id * numDynNets
-	if !fe.dy[j].asleep {
-		fe.dy[j].step()
-	}
-	if !fe.dy[j+1].asleep {
-		fe.dy[j+1].step()
+	for _, r := range t.dyn {
+		if !r.asleep {
+			stepOrSleep(r)
+		}
 	}
 	if st := t.exec.state; st != StateRun && st != StateStallCache &&
 		!fe.sw[i].sw.movedNow && !fe.sw[i+1].sw.movedNow {
@@ -486,16 +431,10 @@ func (b *swBind) fire(fp FaultPlane, cp *CompiledProgram, pc int, cyc int64) boo
 }
 
 func (b *swBind) srcReady(fp FaultPlane, d Dir) bool {
-	if f := b.srcF[d]; f != nil {
-		if d != DirP && fp != nil && fp.LinkStalled(int(b.tid), d, int(b.net)) {
-			return false
-		}
-		return f.CanPop()
-	}
-	if fp != nil && fp.LinkStalled(int(b.tid), d, int(b.net)) {
+	if d != DirP && fp != nil && fp.LinkStalled(int(b.tid), d, int(b.net)) {
 		return false
 	}
-	return b.srcU[d].CanPop()
+	return b.src[d].CanPop()
 }
 
 func (b *swBind) dstReady(fp FaultPlane, d Dir) bool {
@@ -512,16 +451,8 @@ func (b *swBind) dstReady(fp FaultPlane, d Dir) bool {
 }
 
 func (b *swBind) pop(fp FaultPlane, d Dir) Word {
-	if d == DirP {
-		return b.srcF[DirP].Pop()
-	}
-	var w Word
-	if f := b.srcF[d]; f != nil {
-		w = f.Pop()
-	} else {
-		w = b.srcU[d].Pop()
-	}
-	if fp != nil {
+	w := b.src[d].Pop()
+	if d != DirP && fp != nil {
 		w = fp.CorruptPop(int(b.tid), d, int(b.net), w)
 	}
 	return w
@@ -535,125 +466,20 @@ func (b *swBind) push(d Dir, w Word, cyc int64) {
 	b.dstSink[d].push(cyc, w)
 }
 
-// --- compiled dynamic router step ------------------------------------
+// --- dynamic router sleep --------------------------------------------
 
-// quiet reports whether the router's next step changes nothing: it is
-// asleep, or idle.
-func (b *dynBind) quiet() bool { return b.asleep || b.idle() }
-
-// idle reports whether the router holds no worm and no input word, so
-// its steps change nothing until a word arrives.
-func (b *dynBind) idle() bool {
-	r := b.r
-	for d := DirN; d < numDirs; d++ {
-		if r.lock[d].active {
-			return false
-		}
-		if f := b.inF[d]; f != nil {
-			if f.Len() != 0 {
-				return false
-			}
-		} else if b.inU[d].Len() != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (b *dynBind) canPop(d Dir) bool {
-	if f := b.inF[d]; f != nil {
-		return f.CanPop()
-	}
-	return b.inU[d].CanPop()
-}
-
-func (b *dynBind) poppedThisCycle(d Dir) bool {
-	if f := b.inF[d]; f != nil {
-		return f.poppedThisCycle()
-	}
-	return b.inU[d].poppedThisCycle()
-}
-
-func (b *dynBind) peek(d Dir) Word {
-	if f := b.inF[d]; f != nil {
-		return f.Peek()
-	}
-	return b.inU[d].Peek()
-}
-
-func (b *dynBind) pop(d Dir) Word {
-	if f := b.inF[d]; f != nil {
-		return f.Pop()
-	}
-	return b.inU[d].Pop()
-}
-
-func (b *dynBind) dstReady(d Dir) bool {
-	if b.outBoundary[d] {
-		return true
-	}
-	return b.outF[d].CanPush()
-}
-
-func (b *dynBind) deliver(d Dir, w Word) {
-	r := b.r
-	r.moves++
-	if b.outBoundary[d] {
-		if e := b.outEdge[d]; e != nil {
-			e.outBuf = append(e.outBuf, w)
-		}
-		return
-	}
-	b.outF[d].Push(w)
-}
-
-// step mirrors dynRouter.step over the resolved bindings, with one added
-// early exit: a router with no active worm and no poppable input cannot
-// change any state this cycle (the reference loop would scan all 25
-// output×input pairs through interface calls to conclude the same), nor
-// on any later cycle until an input commits or is snapshotted, so it
-// falls asleep.
-func (b *dynBind) step() {
-	r := b.r
+// stepOrSleep steps a dynamic router, with one added early exit: a
+// router with no active worm and no poppable input cannot change any
+// state this cycle (the reference engine runs its arbitration over all
+// 25 output×input pairs to conclude the same), nor on any later cycle
+// until an input commits or is snapshotted, so it falls asleep.
+func stepOrSleep(r *dynRouter) {
 	if !r.lock[0].active && !r.lock[1].active && !r.lock[2].active &&
 		!r.lock[3].active && !r.lock[4].active &&
-		!b.canPop(0) && !b.canPop(1) && !b.canPop(2) &&
-		!b.canPop(3) && !b.canPop(4) {
-		b.asleep = true
+		!r.in[0].CanPop() && !r.in[1].CanPop() && !r.in[2].CanPop() &&
+		!r.in[3].CanPop() && !r.in[4].CanPop() {
+		r.asleep = true
 		return
 	}
-	for out := DirN; out < numDirs; out++ {
-		l := &r.lock[out]
-		if l.active {
-			if b.canPop(l.input) && b.dstReady(out) {
-				b.deliver(out, b.pop(l.input))
-				l.remaining--
-				if l.remaining == 0 {
-					l.active = false
-					r.busy[l.input] = false
-				}
-			}
-			continue
-		}
-		for k := 0; k < int(numDirs); k++ {
-			inDir := Dir((int(r.rr[out]) + k) % int(numDirs))
-			if r.busy[inDir] || !b.canPop(inDir) || b.poppedThisCycle(inDir) {
-				continue
-			}
-			h := b.peek(inDir)
-			if r.route(h) != out || !b.dstReady(out) {
-				continue
-			}
-			b.deliver(out, b.pop(inDir))
-			_, _, plen := DecodeDynHeader(h)
-			if plen > 0 {
-				l.active = true
-				l.input = inDir
-				l.remaining = plen
-				r.busy[inDir] = true
-			}
-			r.rr[out] = Dir((int(inDir) + 1) % int(numDirs))
-			break
-		}
-	}
+	r.step()
 }

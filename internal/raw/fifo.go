@@ -1,8 +1,8 @@
 package raw
 
-// fifo is a bounded word queue with single-reader/single-writer two-phase
-// cycle semantics. Each cycle splits into a compute phase and a commit
-// phase:
+// fifo is the chip's one word queue, with single-reader/single-writer
+// two-phase cycle semantics. Each cycle splits into a compute phase and
+// a commit phase:
 //
 //   - Compute: availability (CanPop) and space (CanPush) are judged against
 //     a start-of-cycle snapshot, pops advance a read cursor without
@@ -18,9 +18,18 @@ package raw
 // pushed this cycle is not visible to the reader until next cycle, and a
 // slot freed this cycle is not visible to the writer until next cycle.
 //
+// An edge queue is a boundary static or dynamic input: the same blocking
+// queue, backed by the large off-chip buffering the paper assumes (§4.4).
+// It has no capacity bound and no on-chip writer; its external writer
+// (StaticIn.Push, an attached device) appends committed words between
+// cycles (inject). Its first injection since the last snapshot puts it
+// on the chip's fresh list, and the snapshot at the top of the next step
+// makes the words visible; until then commit leaves them out of the
+// snapshot.
+//
 // A queue's first pop or push of a cycle appends it to the chip's commit
 // list, which the fast engine commits instead of sweeping every queue.
-// The zero value is not usable; construct with Chip.fifo.
+// The zero value is not usable; construct with Chip.fifo or Chip.edgeFifo.
 type fifo struct {
 	buf    []Word
 	staged []Word
@@ -31,19 +40,28 @@ type fifo struct {
 	// compacted when the backing array fills), keeping commit O(1)
 	// amortized instead of memmoving the queue every cycle.
 	head int
-	// startLen is the committed occupancy at the beginning of the cycle.
+	// startLen is the committed occupancy visible at the beginning of the
+	// cycle.
 	startLen int
 	// popped and pushed guard against an actor acting twice in a cycle;
 	// the simulator's single-reader/single-writer discipline means at most
-	// one pop and one push can legally occur per cycle.
+	// one pop and one push can legally occur per cycle. An edge queue
+	// stages no pushes, so its pushed counts every word appended since
+	// construction instead: its stream position is pushed minus held
+	// (consumed).
 	popped int
 	pushed int
 
 	chip *Chip
+	// dyn is the dynamic router that pops the queue, nil for a static
+	// queue: a commit or snapshot wakes it if asleep (see park.go).
+	dyn *dynRouter
 	// rd and wr are the tiles that pop and push the queue: a commit
-	// wakes them if parked (see park.go). dyn is the dynamic router that
-	// pops it (dynID), -1 for a static queue: a commit wakes it if asleep.
-	rd, wr, dyn int32
+	// wakes them if parked. An edge queue's wr is its reader.
+	rd, wr int32
+	// edge marks a boundary input queue; fresh marks one injected into
+	// since its last snapshot.
+	edge, fresh bool
 }
 
 // touch puts the queue on the chip's commit list at its first pop or
@@ -66,7 +84,10 @@ func (f *fifo) maybeCommit() {
 
 // commit applies the cycle's staged pops and pushes and re-arms the
 // snapshot for the next cycle. Runs only after every tile has stepped.
+// The snapshot moves by the cycle's own pops and pushes, so an edge
+// queue's words appended since its last snapshot stay invisible.
 func (f *fifo) commit() {
+	f.startLen += len(f.staged) - f.popped
 	if f.popped > 0 {
 		f.head += f.popped
 		f.popped = 0
@@ -80,7 +101,6 @@ func (f *fifo) commit() {
 		f.staged = f.staged[:0]
 		f.pushed = 0
 	}
-	f.startLen = len(f.buf) - f.head
 }
 
 // put appends committed words, compacting the consumed prefix when the
@@ -92,6 +112,35 @@ func (f *fifo) put(ws []Word) {
 	}
 	f.buf = append(f.buf, ws...)
 }
+
+// inject is an edge queue's external writer: it appends w to the
+// backlog between cycles, visible from the next snapshot. An edge
+// backlog has no bound and need never drain, so when its backing array
+// is full the consumed prefix is compacted only if it is at least half
+// the array, moving each word at most once; otherwise append grows it.
+func (f *fifo) inject(w Word) {
+	if len(f.buf) == cap(f.buf) && 2*f.head >= len(f.buf) {
+		f.buf = f.buf[:copy(f.buf, f.buf[f.head:])]
+		f.head = 0
+	}
+	f.buf = append(f.buf, w)
+	f.pushed++
+	if !f.fresh {
+		f.fresh = true
+		f.chip.fresh = append(f.chip.fresh, f)
+	}
+}
+
+// snapshot makes an edge queue's injected words visible to its reader.
+// Runs between cycles.
+func (f *fifo) snapshot() {
+	f.startLen = len(f.buf) - f.head
+	f.fresh = false
+}
+
+// consumed returns how many words an edge queue's reader has popped and
+// committed since construction.
+func (f *fifo) consumed() int64 { return int64(f.pushed - (len(f.buf) - f.head)) }
 
 // reset empties the queue and clears all staged state. Only valid between
 // cycles (degraded-mode reconfiguration).
@@ -142,84 +191,3 @@ func (f *fifo) Len() int { return len(f.buf) - f.head - f.popped + len(f.staged)
 // poppedThisCycle reports whether the reader already consumed a word this
 // cycle; a physical queue has one read port, so routers must not pop twice.
 func (f *fifo) poppedThisCycle() bool { return f.popped > 0 }
-
-// unboundedFIFO is an edge-port queue with no capacity limit and no cycle
-// discipline on the external side: the testbench may push or drain any
-// number of words between cycles. The on-chip side still observes the
-// start-of-cycle snapshot so that external pushes land "next cycle", and
-// stages its pops so that the backing buffer is immutable during the
-// compute phase. Unlike bounded fifos, the external writer appends to the
-// buffer directly: its first push since the last snapshot puts the queue
-// on the chip's fresh list, which the top of Step snapshots (beginCycle),
-// and a cycle's first pop puts it on the edge commit list.
-type unboundedFIFO struct {
-	buf []Word
-	// head is the index of the first committed, unconsumed word. Consumed
-	// words are left in place and reclaimed by an occasional amortized
-	// compaction in commit — edge queues carry thousands of backlogged
-	// words, and compacting on every cycle's pop would memmove the whole
-	// backlog once per cycle.
-	head     int
-	startLen int
-	popped   int
-	// taken counts committed pops since construction (stream position for
-	// StaticIn.Consumed).
-	taken int64
-
-	chip *Chip
-	// rd is the tile that pops the queue and dyn the dynamic router (-1
-	// for a static queue); fresh marks a push since the last snapshot.
-	rd, dyn int32
-	fresh   bool
-}
-
-func (f *unboundedFIFO) beginCycle() {
-	f.startLen = len(f.buf) - f.head
-	f.popped = 0
-	f.fresh = false
-}
-
-// commit applies the cycle's staged pops. Runs only after every tile has
-// stepped.
-func (f *unboundedFIFO) commit() {
-	if f.popped > 0 {
-		f.head += f.popped
-		f.startLen -= f.popped
-		f.taken += int64(f.popped)
-		f.popped = 0
-		if f.head >= 64 && f.head*2 >= len(f.buf) {
-			f.buf = f.buf[:copy(f.buf, f.buf[f.head:])]
-			f.head = 0
-		}
-	}
-}
-
-func (f *unboundedFIFO) CanPop() bool { return f.startLen-f.popped > 0 }
-
-func (f *unboundedFIFO) Peek() Word { return f.buf[f.head+f.popped] }
-
-func (f *unboundedFIFO) Pop() Word {
-	if !f.CanPop() {
-		panic("raw: edge fifo underflow")
-	}
-	if f.popped == 0 {
-		f.chip.edgePops = append(f.chip.edgePops, f)
-	}
-	w := f.buf[f.head+f.popped]
-	f.popped++
-	return w
-}
-
-// Push appends a word. External side only; never called during the compute
-// phase.
-func (f *unboundedFIFO) Push(w Word) {
-	f.buf = append(f.buf, w)
-	if !f.fresh {
-		f.fresh = true
-		f.chip.fresh = append(f.chip.fresh, f)
-	}
-}
-
-func (f *unboundedFIFO) Len() int { return len(f.buf) - f.head - f.popped }
-
-func (f *unboundedFIFO) poppedThisCycle() bool { return f.popped > 0 }

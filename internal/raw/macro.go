@@ -81,10 +81,10 @@ import (
 // soon as it is built, before any reader copies it: pop counters are
 // per link, so word order within a link is all a tap observes. A ring
 // of streamers has no first writer; its window declines (switch_state)
-// before anything moves. Then backlogs and δ=-1 queues advance K words
-// (edge backlogs count them as taken), each δ=0 queue ends holding the
-// last L words of its contents followed by its writer's run, and every
-// route appends its source's run to a δ=+1 queue or a boundary sink.
+// before anything moves. Then backlogs and δ=-1 queues advance K words,
+// each δ=0 queue ends holding the last L words of its contents followed
+// by its writer's run, and every route appends its source's run to a
+// δ=+1 queue or a boundary sink.
 // A sink stamps the run as one run of exit cycles (first cycle, count).
 // Runs are moved in chunks of at most macroChunk cycles, so the scratch
 // stays one chunk per stream whatever K is.
@@ -227,7 +227,7 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 				// Empty source: csto's writer is the frozen processor,
 				// edge backlogs only fill between Run calls, and an
 				// internal queue only fills under an admitted streamer.
-				if sd == DirP || b.srcU[sd] != nil || !fe.macroWriterActive(b, sd) {
+				if sd == DirP || b.src[sd].edge || !fe.macroWriterActive(b, sd) {
 					stable = true
 					break
 				}
@@ -269,14 +269,10 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 			sd := Dir(cp.src[i])
 			if seen&(1<<sd) == 0 { // distinct sources pop once per cycle
 				seen |= 1 << sd
-				if u := b.srcU[sd]; u != nil {
-					// Edge backlog: external writers only act between
-					// Run calls, so δ = -1.
-					if l := int64(u.Len()); l < k {
-						k = l
-					}
-				} else if !fe.macroWriterActive(b, sd) {
-					if l := int64(b.srcF[sd].Len()); l < k {
+				// δ = -1 for an edge backlog (external writers only act
+				// between Run calls) and a queue no streamer writes.
+				if f := b.src[sd]; f.edge || !fe.macroWriterActive(b, sd) {
+					if l := int64(f.Len()); l < k {
 						k = l
 					}
 				}
@@ -318,12 +314,8 @@ func (fe *fastEngine) macroStep(budget int64) (int64, MacroCause) {
 		hi := lo + uint32(cp.count[pc])
 		for i := lo; i < hi; i++ {
 			sd, dd := Dir(cp.src[i]), Dir(cp.dst[i])
-			if u := b.srcU[sd]; u != nil {
-				u.startLen = len(u.buf) - u.head
-			} else {
-				f := b.srcF[sd]
-				f.startLen = len(f.buf) - f.head
-			}
+			f := b.src[sd]
+			f.startLen = len(f.buf) - f.head
 			if f := b.dstF[dd]; f != nil {
 				f.startLen = len(f.buf) - f.head
 			}
@@ -421,8 +413,8 @@ func (fe *fastEngine) admitTile(t *Tile) (MacroCause, bool) {
 	if !fe.fwSettled(t) {
 		return MacroFirmware, false
 	}
-	for net := 0; net < numDynNets; net++ {
-		if !fe.dy[t.id*numDynNets+net].quiet() {
+	for _, r := range t.dyn {
+		if !r.quiet() {
 			return MacroDynActive, false
 		}
 	}
@@ -584,7 +576,7 @@ func (fe *fastEngine) orderStreams() bool {
 	}
 	for i := range streams {
 		s := &streams[i]
-		if s.b.srcU[s.d] != nil || !fe.macroWriterActive(s.b, s.d) {
+		if s.b.src[s.d].edge || !fe.macroWriterActive(s.b, s.d) {
 			continue
 		}
 		widx := s.b.tile.neighbor(s.d).id*NumStaticNets + int(s.b.net)
@@ -636,14 +628,8 @@ func (fe *fastEngine) moveRuns(at int64, n int) {
 	for _, i := range fe.order {
 		s := &fe.streams[i]
 		r := run(i)
-		var m int
-		if u := s.b.srcU[s.d]; u != nil {
-			m = copy(r, u.buf[u.head:])
-		} else {
-			f := s.b.srcF[s.d]
-			m = copy(r, f.buf[f.head:])
-		}
-		if m < n {
+		f := s.b.src[s.d]
+		if m := copy(r, f.buf[f.head:]); m < n {
 			copy(r[m:], run(s.writer))
 		}
 		if fp != nil {
@@ -654,12 +640,7 @@ func (fe *fastEngine) moveRuns(at int64, n int) {
 	}
 	for i := range fe.streams {
 		s := &fe.streams[i]
-		if u := s.b.srcU[s.d]; u != nil {
-			u.popped = n
-			u.commit()
-			continue
-		}
-		f := s.b.srcF[s.d]
+		f := s.b.src[s.d]
 		if s.writer < 0 {
 			f.popped = n
 			f.commit()

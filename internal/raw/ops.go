@@ -354,7 +354,7 @@ func (e *Exec) stepOp(op *microOp) (done bool, st TileState) {
 		if len(op.words) == 0 {
 			return true, StateRun
 		}
-		inj := t.dyn[op.net].in[DirP].(*fifo)
+		inj := t.dyn[op.net].in[DirP]
 		if !inj.CanPush() {
 			return false, StateStallSend
 		}

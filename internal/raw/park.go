@@ -16,7 +16,7 @@ import "math"
 //
 //   - a bounded fifo it pops or pushes commits (every queue names its
 //     reader and writer tile, and the commit list wakes both);
-//   - an edge queue it reads is snapshotted after an external push;
+//   - an edge queue it reads is snapshotted after an injection;
 //   - the fault plane or the tracer is due, which wakes every tile: a
 //     due fault may freeze a tile or stall a link, and a tracer records
 //     every tile's state;
@@ -37,12 +37,14 @@ import "math"
 // its own cycles and moves a parked tile's record past them.
 //
 // Dynamic routers sleep on their own, inside awake tiles too: a router
-// whose step takes its early exit (no worm, no poppable input) would
-// change nothing, not even a counter, until an input it pops commits or
-// is snapshotted. Every router input queue names its router (dyn), so
-// those two events wake it; stepTile skips a sleeping router, and
+// with no worm and no poppable input (stepOrSleep) would change nothing,
+// not even a counter, until an input it pops commits or is snapshotted.
+// Every router input queue names its router (fifo.dyn), so those two
+// events clear its asleep flag; stepTile skips a sleeping router, and
 // inert() and macro admission take it as idle without scanning its
-// inputs. A sleeping router needs no accrual.
+// inputs. A sleeping router needs no accrual. The flag lives on the
+// router, which both engines share; only the fast engine sets it, and
+// buildFastEngine clears it.
 //
 // The reference engine never parks and steps every tile every cycle, so
 // a queue the commit list misses or a wake-up that never fires shows up
@@ -84,8 +86,7 @@ func (fe *fastEngine) inert(t *Tile) (TileState, bool) {
 	if fe.sw[i].next() > swBlocked || fe.sw[i+1].next() > swBlocked {
 		return 0, false
 	}
-	j := t.id * numDynNets
-	return st, fe.dy[j].quiet() && fe.dy[j+1].quiet()
+	return st, t.dyn[DynGeneral].quiet() && t.dyn[DynMemory].quiet()
 }
 
 // fwSettled reports whether t's processor runs no firmware next step: it
@@ -168,14 +169,14 @@ func (fe *fastEngine) wakeAll(now int64) {
 // advances, where commits wake tiles and step hooks observe them.
 func (fe *fastEngine) now() int64 { return max(fe.c.cycle, fe.horizon) }
 
-// snapshotEdges snapshots the edge queues pushed since the last cycle,
-// waking their reading tiles and dynamic routers.
+// snapshotEdges snapshots the edge queues injected into since the last
+// cycle, waking their reading tiles and dynamic routers.
 func (fe *fastEngine) snapshotEdges() {
 	c := fe.c
 	for _, q := range c.fresh {
-		q.beginCycle()
-		if q.dyn >= 0 {
-			fe.dy[q.dyn].asleep = false
+		q.snapshot()
+		if q.dyn != nil {
+			q.dyn.asleep = false
 		}
 		if fe.parked > 0 {
 			fe.wake(q.rd, c.cycle)

@@ -290,7 +290,7 @@ func (c *Chip) digest() uint64 {
 		}
 	}
 	for _, q := range c.edges {
-		mix(uint64(q.taken))
+		mix(uint64(q.consumed()))
 		mix(uint64(len(q.buf) - q.head))
 		for _, w := range q.buf[q.head:] {
 			mix(uint64(w))

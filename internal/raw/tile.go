@@ -2,16 +2,6 @@ package raw
 
 import "fmt"
 
-// wordQueue abstracts the two queue flavors used for network inputs:
-// bounded on-chip fifos and unbounded edge fifos.
-type wordQueue interface {
-	CanPop() bool
-	Peek() Word
-	Pop() Word
-	Len() int
-	poppedThisCycle() bool
-}
-
 // NumStaticNets is the number of static networks per tile: the Raw chip
 // has two (§3.1: "two static switch crossbars"). The thesis's router uses
 // only network 0 ("the second Raw static network ... have not been used
@@ -27,9 +17,8 @@ type staticNet struct {
 
 	// in holds input queues from the four neighbors. Internal links are
 	// bounded fifos owned by this tile and written by the neighbor's
-	// switch; boundary links are unbounded edge fifos written by the
-	// testbench.
-	in [4]wordQueue
+	// switch; boundary links are edge queues written by the testbench.
+	in [4]*fifo
 	// edgeOut holds boundary static outputs (nil on internal sides).
 	edgeOut [4]*EdgeSink
 
@@ -120,8 +109,7 @@ func (t *Tile) staticSrcReady(net int, d Dir) bool {
 	if fp := t.chip.faults; fp != nil && fp.LinkStalled(t.id, d, net) {
 		return false
 	}
-	q := t.st[net].in[d]
-	return q != nil && q.CanPop()
+	return t.st[net].in[d].CanPop()
 }
 
 // staticDstReady reports whether net's switch can write a word to port d
@@ -145,7 +133,7 @@ func (t *Tile) staticDstReady(net int, d Dir) bool {
 	if fp := t.chip.faults; fp != nil && fp.LinkStalled(n.id, d.Opposite(), net) {
 		return false
 	}
-	return n.st[net].in[d.Opposite()].(*fifo).CanPush()
+	return n.st[net].in[d.Opposite()].CanPush()
 }
 
 func (t *Tile) staticPop(net int, d Dir) Word {
@@ -168,7 +156,7 @@ func (t *Tile) staticPush(net int, d Dir, w Word) {
 		t.st[net].edgeOut[d].push(t.chip.cycle, w)
 		return
 	}
-	t.neighbor(d).st[net].in[d.Opposite()].(*fifo).Push(w)
+	t.neighbor(d).st[net].in[d.Opposite()].Push(w)
 }
 
 // ResetStatic discards all in-flight words on one static network of this
@@ -185,8 +173,8 @@ func (t *Tile) ResetStatic(net int) {
 	st.swPC.reset()
 	st.swDone.reset()
 	st.swCount.reset()
-	for d := DirN; d < DirP; d++ {
-		if f, ok := st.in[d].(*fifo); ok {
+	for _, f := range st.in {
+		if !f.edge {
 			f.reset()
 		}
 	}
@@ -325,7 +313,7 @@ func (s *EdgeSink) DropFront(n int) {
 // StaticIn is a testbench handle for pushing words into a boundary static
 // input link. Words pushed become visible to the switch on the next cycle.
 type StaticIn struct {
-	q    *unboundedFIFO
+	q    *fifo
 	chip *Chip
 	tile int
 	dir  Dir
@@ -346,7 +334,7 @@ func (in *StaticIn) Push(words ...Word) {
 		if fp != nil && fp.DropEdgeWord(in.tile, in.dir, in.net) {
 			continue
 		}
-		in.q.Push(w)
+		in.q.inject(w)
 	}
 }
 
@@ -357,4 +345,4 @@ func (in *StaticIn) Len() int { return in.q.Len() }
 // (and committed) from this input since construction. Reading it between
 // cycles — or from firmware, whose prior pops are always committed before
 // the next refill — gives an exact stream position.
-func (in *StaticIn) Consumed() int64 { return in.q.taken }
+func (in *StaticIn) Consumed() int64 { return in.q.consumed() }
