@@ -14,6 +14,37 @@ go test ./...
 echo "== tier-2: gofmt + vet + race =="
 test -z "$(gofmt -l .)"
 go vet ./...
+# One race run of every test. Besides the daemon's control plane it
+# covers, under the race detector:
+#   - the chaos harness (TestChaos, internal/fault): seeds are pinned
+#     inside the tests (fault.Random seeds 1,2,3,5,7 and the
+#     crash/corruption schedules), so the matrix is fully reproducible:
+#     conservation, no-duplication, and bit-for-bit replay.
+#     TestChaosEngineEquivalence re-runs every schedule under the
+#     compiled fast engine and requires identical fingerprints;
+#   - the router's watchdog, degrade, restore, snapshot and line-flap
+#     tests (internal/router);
+#   - the fabric conformance matrix, which fingerprint-diffs every
+#     topology kind (ring / mesh / fat-tree, including the 16-chip
+#     64-port mesh) between the reference interpreter and the fast
+#     engine, plus a mid-run engine switch through a fabric checkpoint;
+#   - TestHealConformance, which replays one scheduled heal arc under
+#     both engines and requires identical fingerprints and state
+#     digests, and the heal reroute, ARQ and partition tests;
+#   - telemetry export determinism: exports must be byte-identical
+#     across replays (TestTelemetry, internal/fault);
+#   - the production traffic plane: open-loop arrivals must be a pure
+#     function of (spec, slice) — the checked-in seeded daymini trace
+#     regenerates byte-identically, record->replay round-trips exactly,
+#     and one heavy-tailed trace drives the Raw router (both engines,
+#     live and replayed), the serve daemon, and the Click baseline to
+#     the identical per-destination delivered-word ledger
+#     (internal/traffic, TestTraceLedgerAcrossConsumers and
+#     TestHeavyTail in internal/exp);
+#   - the serve daemon's lifecycle arcs in-process (internal/serve,
+#     internal/cli).
+# The sections below re-run tests only with settings that change what
+# they check: more soak seeds, or many repetitions.
 go test -race ./...
 
 echo "== bench: the repo benchmark's own tests =="
@@ -29,15 +60,6 @@ echo "== engine fuzz: bounded generative run =="
 # invariants and its equivalence with the reference engine.
 go test ./internal/raw -run '^$' -fuzz FuzzEngineEquivalence -fuzztime 60s
 
-echo "== tier-2: chaos harness (fixed seed matrix, race detector) =="
-# Seeds are pinned inside the tests (fault.Random seeds 1,2,3,5,7 and the
-# crash/corruption schedules), so this matrix is fully reproducible:
-# conservation, no-duplication, and bit-for-bit replay.
-# TestChaosEngineEquivalence re-runs every schedule under the
-# compiled fast engine (-engine fast) and requires identical fingerprints.
-go test -race -run 'TestChaos' ./internal/fault
-go test -race -run 'TestWatchdog|TestManualDegrade|TestDegraded|TestDropConservation' ./internal/router
-
 echo "== soak: degrade->restore matrix with mid-run checkpoint/restore (race detector) =="
 # Every seed freezes a crossbar tile under recoverable noise, rides the
 # watchdog degrade -> thaw -> auto-restore -> probation arc, and must
@@ -48,51 +70,28 @@ echo "== soak: degrade->restore matrix with mid-run checkpoint/restore (race det
 # final checkpoints, event logs, and telemetry exports between engines.
 # SOAK_SEEDS widens the matrix (make soak runs 20).
 SOAK_SEEDS="${SOAK_SEEDS:-20}" go test -race -timeout 60m -run 'TestSoak' ./internal/fault
-go test -race -run 'TestRestore|TestDegradeRestore|TestAutoRestore|TestRouterSnapshot|TestLineFlap|TestReprobe' ./internal/router
 
-echo "== fabric: chip-loss soak + cross-engine topology conformance (race detector) =="
+echo "== fabric: chip-loss soak + step independence (race detector) =="
 # Every seed schedules a whole-chip kill -> dead interval -> re-admission
 # arc on a live N-chip fabric through the fault grammar
 # (killchip@/restorechip@), checkpoints the whole fabric mid-arc (chip
 # down) as one FABCKPT1 blob, restores it into a fresh fabric, and must
-# finish byte-identical to the uninterrupted run. The conformance matrix
-# fingerprint-diffs every topology kind (ring / mesh / fat-tree,
-# including the 16-chip 64-port mesh) between the reference interpreter
-# and the compiled fast engine, plus a mid-run
-# engine switch through a fabric checkpoint. Chips step in parallel
+# finish byte-identical to the uninterrupted run. Chips step in parallel
 # inside each slice, so a healed mesh-4x4 arc must also end in identical
 # fingerprints, checkpoints and telemetry at GOMAXPROCS 1 and 4,
 # repeated to give the race detector many interleavings.
 SOAK_SEEDS="${SOAK_SEEDS:-20}" go test -race -timeout 60m -run 'TestSoakChipLoss' ./internal/cluster
-go test -race -timeout 60m -run 'TestEngineConformanceMatrix|TestMesh16ChipConformance|TestEngineSwitchMidRun' ./internal/cluster
 go test -race -timeout 60m -count=10 -run TestFabricStepIndependentOfProcs ./internal/cluster
 
-echo "== healing: seeded heal soak + heal conformance (race detector) =="
+echo "== healing: seeded heal soak (race detector) =="
 # Every seed rides a full healing arc on a healed ring-4 — killtrunk
 # (ARQ takes custody, routes detour) -> restoretrunk (tables roll back,
 # pending frames re-drive) -> killchip -> restorechip — checkpoints the
 # fabric MID-HEAL (trunk dark, retransmit queue non-empty) as one
 # FABCKPT1 blob, and must continue byte-identical to the uninterrupted
 # run with the end-to-end ledger balanced and zero pending frames at the
-# end. TestHealConformance replays one scheduled arc under the reference
-# interpreter and the fast engine and requires
-# identical fingerprints and state digests.
+# end.
 SOAK_SEEDS="${SOAK_SEEDS:-20}" go test -race -timeout 60m -run 'TestSoakHeal' ./internal/cluster
-go test -race -run 'TestHealConformance|TestHealReroute|TestTrunkARQ|TestPartitionError|TestKillChipAccountsHeldFrames' ./internal/cluster
-
-echo "== telemetry: export determinism =="
-# Exports must be byte-identical across replays.
-go test -race -run 'TestTelemetry' ./internal/fault
-
-echo "== traffic: open-loop determinism + ledger conformance =="
-# The production traffic plane: open-loop arrivals must be a pure
-# function of (spec, slice) — the checked-in seeded daymini trace
-# regenerates byte-identically, record->replay round-trips exactly, and
-# one heavy-tailed trace drives the Raw router (both engines, live and
-# replayed), the serve daemon, and the Click baseline to the identical
-# per-destination delivered-word ledger.
-go test -race ./internal/traffic
-go test -race -run 'TestTraceLedgerAcrossConsumers|TestHeavyTail' ./internal/exp
 
 echo "== gates: engine speedup + healing/telemetry/traffic overhead =="
 # One table-driven runner (scripts/gates) interleaves paired benchmark
@@ -246,8 +245,7 @@ echo "== serve: daemon-mode smoke =="
 # throughput SLO gate, /drain -> checkpoint -> clean exit, then two
 # restores of the drain checkpoint that must produce byte-identical
 # continuations (see scripts/serve_smoke.sh). The same arcs run in-process
-# under -race in internal/serve.
-go test -race ./internal/serve ./internal/cli
+# in tier-2's race run (internal/serve).
 sh scripts/serve_smoke.sh
 
 echo "CI green."
