@@ -294,21 +294,21 @@ type dynArrival struct {
 
 func (a dynArrival) String() string { return fmt.Sprintf("%d@%d", a.tag, a.cycle) }
 
-// dynReceiver installs firmware on tile id that receives msgs messages
-// of words words each on the general network and logs each arrival.
-func dynReceiver(chip *raw.Chip, id, msgs, words int, log *[]dynArrival) {
-	ws := make([]raw.Word, words)
-	got := 0
+// dynReceiver installs firmware on tile id that receives one message of
+// each length in lens, in order, on the general network and logs each
+// arrival.
+func dynReceiver(chip *raw.Chip, id int, lens []int, log *[]dynArrival) {
+	ws := make([]raw.Word, slices.Max(lens))
 	chip.Tile(id).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
 		if s == doneStep {
 			*log = append(*log, dynArrival{raw.DynTag(ws[0]), chip.Cycle()})
 			return
 		}
-		if got == msgs {
+		if len(lens) == 0 {
 			return
 		}
-		got++
-		e.DynRecv(raw.DynGeneral, ws)
+		e.DynRecv(raw.DynGeneral, ws[:lens[0]])
+		lens = lens[1:]
 		e.OnDone(doneStep)
 	}))
 }
@@ -353,15 +353,17 @@ func TestDynRoundRobin(t *testing.T) {
 		cfg := raw.DefaultConfig()
 		cfg.Engine = eng
 		chip := raw.NewChip(cfg)
+		var lens []int
 		for _, s := range senders {
 			var out [][]raw.Word
 			for k := 0; k < msgs; k++ {
 				out = append(out, []raw.Word{raw.DynHeaderTag(1, 1, 1, s.tag), raw.Word(k)})
+				lens = append(lens, 2)
 			}
 			dynSender(chip, s.tile, 0, out...)
 		}
 		var got []dynArrival
-		dynReceiver(chip, 5, len(senders)*msgs, 2, &got)
+		dynReceiver(chip, 5, lens, &got)
 		chip.Run(200)
 		if !slices.Equal(got, want) {
 			t.Fatalf("engine %v: arrivals %v\nwant %v", eng, got, want)
@@ -418,20 +420,7 @@ func TestDynZeroPayload(t *testing.T) {
 		dynSender(chip, 0, 0, []raw.Word{raw.DynHeaderTag(1, 0, 0, 1)})
 		dynSender(chip, 2, 20, []raw.Word{raw.DynHeaderTag(1, 0, 1, 2), 7})
 		var got []dynArrival
-		ws := make([]raw.Word, 2)
-		step := 0
-		chip.Tile(1).Exec().SetFirmware(raw.FirmwareFunc(func(e *raw.Exec, s raw.Step) {
-			if s == doneStep {
-				got = append(got, dynArrival{raw.DynTag(ws[0]), chip.Cycle()})
-				return
-			}
-			if step == 2 {
-				return
-			}
-			step++
-			e.DynRecv(raw.DynGeneral, ws[:step])
-			e.OnDone(doneStep)
-		}))
+		dynReceiver(chip, 1, []int{1, 2}, &got)
 		chip.Run(200)
 		if !slices.Equal(got, want) {
 			t.Fatalf("engine %v: arrivals %v, want %v", eng, got, want)

@@ -189,6 +189,7 @@ func buildFastEngine(c *Chip) *fastEngine {
 				}
 			}
 		}
+		// Each router's sleep was judged under the old configuration.
 		for _, r := range t.dyn {
 			r.asleep = false
 		}
